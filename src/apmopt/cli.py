@@ -12,16 +12,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ExperimentConfig, parse_config
 from .diagnostics import (assemble_report, check_assumption_relevant,
                           emit_report, exp_ui_bound, holder_chain_check,
                           random_strategies, subgaussian_scan)
 from .market import ArbitrageError, check_assumption_b, check_no_arbitrage
 from .measures import build_tilted_measure, measure_moments, verify_pricing
-from .optimize import SolverConfig, detect_unbounded, truncation_ladder
+from .optimize import detect_unbounded, truncation_ladder
 from .scenarios import EnumerationCapError, enumerate_scenarios, sample_scenarios
 
 EXIT_OK = 0
@@ -40,23 +41,25 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("--scenarios", type=int, default=None,
                     help="Monte Carlo scenario count override")
     ap.add_argument("--workers", type=int, default=1,
-                    help="worker hint; results are worker-count independent")
+                    help="reserved; has no effect on the run or its results")
     return ap
 
 
 def _resolve_seed(cfg: ExperimentConfig, args) -> int:
     env = os.environ.get("SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"SEED must be an integer, got {env!r}") from None
     if args.seed is not None:
         return args.seed
     return cfg.seed
 
 
-def _scenarios(cfg: ExperimentConfig, seed: int, n_override):
+def _scenarios(cfg: ExperimentConfig, seed: int, n: int):
     if cfg.scenario_mode == "exact":
         return enumerate_scenarios(cfg.model)
-    n = n_override or cfg.n_scenarios
     return sample_scenarios(cfg.model, n, seed)
 
 
@@ -72,7 +75,7 @@ def _assumptions_ok(cfg: ExperimentConfig) -> bool:
             and check_no_arbitrage(cfg.model).passed)
 
 
-def _optimizer_section(cfg: ExperimentConfig, s, seed: int) -> dict:
+def _optimizer_section(cfg: ExperimentConfig, s, seed: int, n: int) -> dict:
     found, witness = detect_unbounded(cfg.model, s)
     if found:
         raise ArbitrageError(
@@ -80,16 +83,12 @@ def _optimizer_section(cfg: ExperimentConfig, s, seed: int) -> dict:
             + np.array2string(witness, precision=6))
     cfg_solver = cfg.solver
     if not cfg_solver.ladder:
-        cfg_solver = SolverConfig(cfg_solver.grad_tol, cfg_solver.max_iter,
-                                  cfg_solver.init_step, cfg_solver.shrink,
-                                  (cfg.model.K,))
-    rep = truncation_ladder(cfg.model, cfg.utility, cfg_solver,
-                            n=cfg.n_scenarios or 100_000, seed=seed)
+        cfg_solver = replace(cfg_solver, ladder=(cfg.model.K,))
+    rep = truncation_ladder(cfg.model, cfg.utility, cfg_solver, n=n, seed=seed)
     return rep.to_dict()
 
 
-def _measure_section(cfg: ExperimentConfig, s) -> dict:
-    Q = build_tilted_measure(cfg.model, cfg.fallback_alpha)
+def _measure_section(cfg: ExperimentConfig, Q, s) -> dict:
     mom = measure_moments(Q, s, cfg.moment_exponents)
     pricing = verify_pricing(Q, cfg.model, s=s)
     coords = []
@@ -103,6 +102,7 @@ def _measure_section(cfg: ExperimentConfig, s) -> dict:
             "residual": pricing["asset_residuals"][i],
         })
     out = mom.to_dict()
+    out["max_pricing_residual"] = pricing["max_residual"]
     out["coordinates"] = coords
     return out
 
@@ -111,6 +111,7 @@ def run_command(command: str, cfg: ExperimentConfig, seed: int,
                 n_override=None) -> int:
     sections: dict = {"seed": seed}
     model = cfg.model
+    n = n_override or cfg.n_scenarios or 100_000  # Monte Carlo rows
 
     if command in ("check", "report"):
         sections.update(_check_sections(cfg))
@@ -124,7 +125,7 @@ def run_command(command: str, cfg: ExperimentConfig, seed: int,
     if not _assumptions_ok(cfg):
         report = assemble_report(model, {**sections, **_check_sections(cfg)})
         try:
-            found, witness = detect_unbounded(model, _scenarios(cfg, seed, n_override))
+            found, witness = detect_unbounded(model, _scenarios(cfg, seed, n))
             if found:
                 report["arbitrage_witness"] = [float(x) for x in witness]
         except EnumerationCapError:
@@ -136,18 +137,18 @@ def run_command(command: str, cfg: ExperimentConfig, seed: int,
                   file=sys.stderr)
         return EXIT_ASSUMPTION
 
-    s = _scenarios(cfg, seed, n_override)
+    s = _scenarios(cfg, seed, n)
 
     try:
         if command in ("optimize", "report"):
-            sections["optimizer"] = _optimizer_section(cfg, s, seed)
+            sections["optimizer"] = _optimizer_section(cfg, s, seed, n)
         if command in ("measure", "report"):
-            sections["measure"] = _measure_section(cfg, s)
+            Q = build_tilted_measure(model, cfg.fallback_alpha)
+            sections["measure"] = _measure_section(cfg, Q, s)
         if command == "report":
             sections["exp_moment"] = exp_ui_bound(model, s, delta=1.0,
                                                   trials=100, seed=seed)
             if cfg.utility.certified:
-                Q = build_tilted_measure(model, cfg.fallback_alpha)
                 strategies = random_strategies(model.K, 100, 1.0, seed + 1)
                 sections["holder"] = holder_chain_check(
                     model, Q, cfg.utility, strategies, s)
@@ -167,12 +168,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
-    except ConfigError as exc:
+        seed = _resolve_seed(cfg, args)
+    except ValueError as exc:  # ConfigError or a malformed SEED
         print(str(exc), file=sys.stderr)
         return EXIT_INTERNAL
     if args.out:
         cfg.out_dir = args.out
-    seed = _resolve_seed(cfg, args)
     try:
         return run_command(args.command, cfg, seed, args.scenarios)
     except EnumerationCapError as exc:

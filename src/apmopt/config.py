@@ -33,7 +33,6 @@ class ExperimentConfig:
     solver: SolverConfig
     fallback_alpha: float
     moment_exponents: tuple[float, ...]
-    moment_p: float
     scenario_mode: str            # "exact" | "monte_carlo"
     n_scenarios: int
     seed: int
@@ -190,6 +189,6 @@ def parse_config(path: str) -> ExperimentConfig:
     return ExperimentConfig(
         model=model, utility=utility, solver=solver,
         fallback_alpha=fallback_alpha, moment_exponents=exponents,
-        moment_p=moment_p, scenario_mode=mode, n_scenarios=n, seed=seed,
+        scenario_mode=mode, n_scenarios=n, seed=seed,
         out_dir=raw.get("output", "out"),
     )

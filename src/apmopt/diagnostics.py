@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import estimate_exp_moment, tail_probability, truncated_second_moment
 from .market import MarketModel, check_assumption_b, check_no_arbitrage
-from .measures import TiltedMeasure, verify_pricing
+from .measures import TiltedMeasure, _pricing_residuals
 from .scenarios import ScenarioSet, expectation
 from .utility import Utility, eval_u
 
@@ -88,10 +88,10 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
     if not u.certified:
         raise ValueError("utility carries no growth certificate; refusing")
     g = u.growth
-    pricing = verify_pricing(Q, model, s=s)
+    dens = Q.density(s.draws)
+    pricing = _pricing_residuals(model, s, dens)
     if pricing["max_residual"] > 1e-10 and s.is_exact:
         raise ValueError("measure does not price assets to tolerance")
-    dens = Q.density(s.draws)
     if g.alpha > 0:
         c_prime = expectation(s, dens ** (-g.alpha / (1.0 - g.alpha))) ** (1.0 - g.alpha)
         c_dprime = expectation(s, dens ** (g.beta / (g.beta - 1.0))) ** (

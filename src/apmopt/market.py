@@ -155,11 +155,6 @@ def build_market(m, K, mu, beta=(), beta_bar=(), noise=None, b_rule=None) -> Mar
     return MarketModel(spec=spec, b=b, M=M)
 
 
-def build_market_from_spec(spec: ModelSpec) -> MarketModel:
-    return build_market(spec.m, spec.K, spec.mu, spec.beta, spec.beta_bar,
-                        spec.noise, spec.b_rule)
-
-
 @dataclass(frozen=True)
 class AssetPortfolio:
     """Dollar amounts psi_0..psi_k; must sum to zero (zero initial capital)."""
@@ -167,7 +162,8 @@ class AssetPortfolio:
     psi: tuple[float, ...]
 
     def __post_init__(self):
-        if math.fsum(self.psi) != 0.0:
+        # decimal inputs such as (0.1, 0.2, -0.3) carry rounding error
+        if abs(math.fsum(self.psi)) > 1e-12 * math.fsum(map(abs, self.psi)):
             raise ValueError("portfolio violates the zero-budget constraint")
 
 
@@ -251,7 +247,7 @@ def strategy_values(model: MarketModel, phi: np.ndarray, draws: np.ndarray) -> n
 
 @dataclass(frozen=True)
 class AssumptionVerdict:
-    verdict: str                 # "holds" | "fails" | "undecided"
+    verdict: str                 # "holds" | "fails"
     partial_sums: np.ndarray     # cumulative sum of b_i^2 up to K
     detail: str = ""
 
@@ -266,24 +262,21 @@ def check_assumption_b(model: MarketModel) -> AssumptionVerdict:
     rule = model.spec.b_rule
     if rule.kind in ("explicit", "zero"):
         return AssumptionVerdict("holds", partial, "finite tail")
-    if rule.kind == "power":
-        if rule.c == 0.0 or rule.p > 0.5:
-            return AssumptionVerdict("holds", partial, f"p-series, p={rule.p} > 1/2")
-        return AssumptionVerdict("fails", partial, f"p-series, p={rule.p} <= 1/2")
-    return AssumptionVerdict("undecided", partial, "no analytic tail rule")
+    if rule.c == 0.0 or rule.p > 0.5:
+        return AssumptionVerdict("holds", partial, f"p-series, p={rule.p} > 1/2")
+    return AssumptionVerdict("fails", partial, f"p-series, p={rule.p} <= 1/2")
 
 
 @dataclass(frozen=True)
 class NoArbitrageVerdict:
     passed: bool
     flagged: tuple[int, ...]     # 1-based coordinates with a one-sided tail
-    undecided: tuple[int, ...]   # coordinates without a tail oracle
     tails: tuple[tuple[float, float], ...]  # (P(eps<b), P(eps>b)) per coordinate
 
 
 def check_no_arbitrage(model: MarketModel) -> NoArbitrageVerdict:
     """Per-coordinate check that P(eps_i < b_i) and P(eps_i > b_i) are positive."""
-    flagged, undecided, tails = [], [], []
+    flagged, tails = [], []
     for i, dist in enumerate(model.noise):
         lo = tail_probability(dist, float(model.b[i]), "below")
         hi = tail_probability(dist, float(model.b[i]), "above")
@@ -291,9 +284,8 @@ def check_no_arbitrage(model: MarketModel) -> NoArbitrageVerdict:
         if lo <= 0.0 or hi <= 0.0:
             flagged.append(i + 1)
     return NoArbitrageVerdict(
-        passed=not flagged and not undecided,
+        passed=not flagged,
         flagged=tuple(flagged),
-        undecided=tuple(undecided),
         tails=tuple(tails),
     )
 

@@ -3,8 +3,8 @@
 Two per-coordinate constructions, combined into a product density:
 
 * logistic tilt: density factor psi(a (eps - b)) / E[psi(a (eps - b))]
-  with psi(x) = 1/2 + 1/(1 + e^x), a calibrated by bisection so the
-  tilted mean of eps equals b;
+  with psi(x) = 1 - tanh(x/2)/2 = 1/2 + 1/(1 + e^x), a calibrated by
+  bisection so the tilted mean of eps equals b;
 * utility-gradient fallback: u'(phi* (eps - b)) / E[u'(phi* (eps - b))]
   with u the kinked power utility and phi* the one-asset optimizer, whose
   stationarity makes the tilted mean exact as well.
@@ -19,12 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .distributions import DistributionSpec, tail_probability
 from .market import ArbitrageError, FactorStrategy, MarketModel, check_no_arbitrage
 from .optimize import DiscretePayoff, optimize_single_asset
-from .scenarios import ScenarioSet, expectation
+from .scenarios import ScenarioSet, enumerate_scenarios, expectation
 from .utility import appendix_power, eval_u_prime
 
 __all__ = [
@@ -47,9 +46,10 @@ class TiltBracketError(RuntimeError):
 
 
 def psi(x):
-    """1/2 + 1/(1+e^x): strictly decreasing, psi(0)=1, range (1/2, 3/2)."""
+    """1/2 + 1/(1+e^x) = 1 - tanh(x/2)/2: strictly decreasing, psi(0)=1,
+    range (1/2, 3/2)."""
     x = np.asarray(x, dtype=float)
-    out = 0.5 + expit(-x)
+    out = 1.0 - 0.5 * np.tanh(0.5 * x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -166,7 +166,6 @@ def build_tilted_measure(model: MarketModel, fallback_alpha: float = 0.5,
 @dataclass(frozen=True)
 class MeasureReport:
     moments: dict            # {"dQ/dP": {w: value}, "dP/dQ": {w: value}}
-    max_pricing_residual: float
     tilt_to_drift: tuple[float, ...]  # |a_i| / |b_i| where both defined
     fitted_c: float          # log-moment vs sum(a^2 + b^2) ratio
 
@@ -174,7 +173,6 @@ class MeasureReport:
         return {
             "moments": {k: {str(w): v for w, v in tab.items()}
                         for k, tab in self.moments.items()},
-            "max_pricing_residual": self.max_pricing_residual,
             "tilt_to_drift": list(self.tilt_to_drift),
             "fitted_c": self.fitted_c,
         }
@@ -213,9 +211,13 @@ def verify_pricing(Q: TiltedMeasure, model: MarketModel,
                    s: ScenarioSet | None = None) -> dict:
     """Residuals of E_Q[R_i] for every asset and E_Q[V(phi)] for the
     supplied strategies, computed on the scenario set."""
-    from .scenarios import enumerate_scenarios
     s = s or enumerate_scenarios(model)
-    dens = Q.density(s.draws)
+    return _pricing_residuals(model, s, Q.density(s.draws), strategies)
+
+
+def _pricing_residuals(model: MarketModel, s: ScenarioSet, dens: np.ndarray,
+                       strategies: tuple[FactorStrategy, ...] = ()) -> dict:
+    """verify_pricing's residuals for a density already evaluated on s."""
     centered = s.draws - model.b
     B = model.loading_matrix()
     asset_resid = [expectation(s, dens * (centered @ B[i]))
@@ -240,14 +242,12 @@ def measure_moments(Q: TiltedMeasure, s: ScenarioSet,
     quad = float(np.sum(a ** 2) + np.sum(Q.model.b ** 2))
     ratios = [math.log(v) / quad for v in list(fwd.values()) + list(rev.values())
               if v > 0 and quad > 0]
-    pricing = verify_pricing(Q, Q.model, s=s)
     drift_ratio = tuple(
         float(abs(c.a) / abs(b)) for c, b in zip(Q.coords, Q.model.b)
         if c.a is not None and b != 0.0
     )
     return MeasureReport(
         moments={"dQ/dP": fwd, "dP/dQ": rev},
-        max_pricing_residual=pricing["max_residual"],
         tilt_to_drift=drift_ratio,
         fitted_c=max(ratios, default=0.0),
     )

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .distributions import DistributionSpec
 from .market import (ArbitrageError, FactorStrategy, MarketModel,
@@ -147,8 +146,6 @@ class LevelResult:
     grad_norm: float
     iterations: int
     converged: bool
-    unbounded: bool = False
-    witness: np.ndarray | None = None
 
 
 def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
@@ -214,7 +211,6 @@ class OptimizationReport:
                     "grad_norm": lv.grad_norm,
                     "iterations": lv.iterations,
                     "converged": lv.converged,
-                    "unbounded": lv.unbounded,
                 }
                 for lv in self.levels
             ],
@@ -251,17 +247,23 @@ def detect_unbounded(model: MarketModel, s: ScenarioSet,
     > 0 on some (scenario-set arbitrage).
 
     Solved as an LP over the box ||phi||_inf <= 1: maximize the total
-    payoff subject to per-scenario nonnegativity.  "Not found" is not a
-    proof of absence beyond the scenario budget.
+    payoff subject to nonnegativity on the first direction_budget
+    scenarios.  The direction is then checked on every scenario, so a
+    returned witness is valid on the whole set; "not found" is not a proof
+    of absence beyond the scenario budget.
     """
-    X = _centered(model, s, model.K)[:direction_budget]
+    # imported here so that importing apmopt loads no scipy module
+    from scipy.optimize import linprog
+
+    X_all = _centered(model, s, model.K)
+    X = X_all[:direction_budget]
     c = -X.sum(axis=0)
     res = linprog(c, A_ub=-X, b_ub=np.zeros(X.shape[0]),
                   bounds=[(-1.0, 1.0)] * model.K, method="highs")
     if res.status != 0:
         return False, None
     phi = res.x
-    vals = X @ phi
+    vals = X_all @ phi
     if vals.min() >= -1e-12 and vals.max() > 1e-9:
         return True, phi
     return False, None

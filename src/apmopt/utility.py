@@ -67,11 +67,6 @@ class Utility:
     def with_growth(self, growth: GrowthBounds) -> "Utility":
         return Utility(self.kind, self.alpha, self.c, self.xs, self.ys, growth)
 
-    def scaled(self, factor: float) -> "Utility":
-        """c*u as a tabulated utility (used only by scale-covariance tests)."""
-        xs = np.linspace(-200.0, 200.0, 40_001)
-        return tabulated(xs, factor * eval_u(self, xs))
-
 
 def appendix_power(alpha: float, growth: GrowthBounds | None = None) -> Utility:
     if not 0.0 < alpha < 1.0:

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from apmopt import build_market, rademacher
+from apmopt import build_market, eval_u, rademacher, tabulated
 
 
 def rademacher_market(b, m=1):
@@ -14,6 +15,12 @@ def rademacher_market(b, m=1):
         beta_bar=[1.0] * K,
         noise=rademacher(),
     )
+
+
+def scaled_utility(u, factor):
+    """factor * u as a tabulated utility, for scale-covariance tests."""
+    xs = np.linspace(-200.0, 200.0, 40_001)
+    return tabulated(xs, factor * eval_u(u, xs))
 
 
 @pytest.fixture

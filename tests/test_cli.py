@@ -1,12 +1,18 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import apmopt
+from apmopt import cli, diagnostics, measures, optimize
 from apmopt.cli import main
 from apmopt.config import ConfigError, parse_config
 
-CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def run(command, config, tmp_path, *extra):
@@ -96,6 +102,13 @@ class TestExitCodes:
         p.write_text("{}")
         assert main(["check", "--config", str(p)]) == 1
 
+    def test_bad_seed_env_exits_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SEED", "abc")
+        code, _ = run("check", CONFIGS / "demo.json", tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "SEED" in err
+
     def test_measure_demo(self, tmp_path):
         code, out = run("measure", CONFIGS / "demo.json", tmp_path)
         assert code == 0
@@ -141,3 +154,60 @@ class TestDeterminism:
         assert code == 0
         report = json.load(open(out / "report.json"))
         assert report["seed"] == 3
+
+
+class TestRunShape:
+    def test_import_loads_no_scipy(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, apmopt.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_report_builds_the_measure_once(self, tmp_path, monkeypatch):
+        counts = {"build_tilted_measure": 0, "verify_pricing": 0, "density": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("build_tilted_measure", "verify_pricing"):
+            fn = getattr(measures, name)
+            for mod in (apmopt, cli, diagnostics, measures):
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counted(name, fn))
+        monkeypatch.setattr(measures.TiltedMeasure, "density",
+                            counted("density", measures.TiltedMeasure.density))
+        code, _ = run("report", CONFIGS / "demo.json", tmp_path)
+        assert code == 0
+        assert counts["build_tilted_measure"] == 1
+        assert counts["verify_pricing"] == 1
+        assert counts["density"] <= 3
+
+    def test_ladder_uses_scenarios_flag(self, tmp_path, monkeypatch):
+        config = {
+            "model": {"m": 1, "K": 2, "mu": [-0.1, -0.05], "beta": [[0.0]],
+                      "beta_bar": [1.0, 1.0],
+                      "noise": {"family": "standardized_uniform"}},
+            "solver": {"max_iter": 20, "ladder": [1, 2]},
+            "scenario": {"mode": "monte_carlo", "n": 500, "seed": 1},
+        }
+        p = tmp_path / "mc.json"
+        p.write_text(json.dumps(config))
+        ladder_rows = []
+        sample = optimize.sample_scenarios
+
+        def recording(model, n, seed):
+            ladder_rows.append(n)
+            return sample(model, n, seed)
+
+        monkeypatch.setattr(optimize, "sample_scenarios", recording)
+        code, _ = run("optimize", p, tmp_path, "--scenarios", "300")
+        assert code == 0
+        assert ladder_rows == [300, 300]

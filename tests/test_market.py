@@ -97,8 +97,14 @@ class TestConvertPortfolio:
         assert strat.phi == pytest.approx([6.0])
 
     def test_budget_violation_rejected(self):
-        with pytest.raises(ValueError, match="budget"):
-            AssetPortfolio((1.0, 1.0))
+        for psi in [(1.0, 1.0), (0.1, 0.2, -0.2)]:
+            with pytest.raises(ValueError, match="budget"):
+                AssetPortfolio(psi)
+
+    def test_decimal_rounding_accepted(self):
+        # the exact sum of these doubles is 2.8e-17, not 0.0
+        assert math.fsum((0.1, 0.2, -0.3)) != 0.0
+        assert AssetPortfolio((0.1, 0.2, -0.3)).psi == (0.1, 0.2, -0.3)
 
     def test_payoff_preserved_scenario_by_scenario(self):
         m = build_market(2, 4, mu=[0.1, -0.2, 0.05, 0.3],

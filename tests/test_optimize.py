@@ -8,7 +8,7 @@ from apmopt import (ArbitrageError, DiscretePayoff, SolverConfig, appendix_power
                     optimize_single_asset, optimize_truncated, rademacher,
                     truncation_ladder)
 from apmopt.optimize import OneSidedPayoffError, saa_gradient, saa_objective
-from conftest import rademacher_market
+from conftest import rademacher_market, scaled_utility
 
 
 class TestSingleAsset:
@@ -131,7 +131,7 @@ class TestGradient:
         u = appendix_power(0.5)
         phi0, val0 = optimize_single_asset(payoff, u)
         for c in (0.5, 2.0):
-            phi, val = optimize_single_asset(payoff, u.scaled(c))
+            phi, val = optimize_single_asset(payoff, scaled_utility(u, c))
             assert phi == pytest.approx(phi0, abs=1e-3)
             assert val == pytest.approx(c * val0, abs=1e-4)
 
@@ -180,3 +180,10 @@ class TestDetectUnbounded:
         s = enumerate_scenarios(market_k3)
         found, _ = detect_unbounded(market_k3, s)
         assert not found
+
+    def test_budget_prefix_gives_no_false_witness(self):
+        # the first 8 enumerated rows hold eps_1 = 1 fixed; a direction
+        # feasible there, e.g. (1, -0.75, 0, 0), goes negative on later rows
+        model = rademacher_market([0.4 / i for i in range(1, 5)])
+        s = enumerate_scenarios(model)
+        assert detect_unbounded(model, s, direction_budget=8) == (False, None)

@@ -4,6 +4,7 @@ import pytest
 from apmopt import (GrowthBounds, appendix_power, capped_power, certify_growth,
                     eval_u, eval_u_prime, tabulated)
 from apmopt.utility import check_shape
+from conftest import scaled_utility
 
 
 class TestEval:
@@ -116,7 +117,7 @@ class TestCertify:
 
 class TestScaled:
     def test_positive_rescale_keeps_shape(self):
-        u = appendix_power(0.5).scaled(2.0)
+        u = scaled_utility(appendix_power(0.5), 2.0)
         xs = np.linspace(-50, 50, 101)
         assert eval_u(u, xs) == pytest.approx(2.0 * eval_u(appendix_power(0.5), xs),
                                               abs=1e-6)
