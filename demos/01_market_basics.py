@@ -38,8 +38,8 @@ big = build_market(m=1, K=50, mu=[-0.4 / (i + 1) for i in range(50)],
                    noise=rademacher(), b_rule=BRule("power", c=0.4, p=1.0))
 print("\ndrift series verdict (p=1):", check_assumption_b(big).verdict)
 
-slow = build_market(m=1, K=50, mu=[0.0] * 50, beta=[[0.0]] * 49,
-                    beta_bar=[1.0] * 50, noise=rademacher(),
+slow = build_market(m=1, K=50, mu=[-0.4 / (i + 1) ** 0.5 for i in range(50)],
+                    beta=[[0.0]] * 49, beta_bar=[1.0] * 50, noise=rademacher(),
                     b_rule=BRule("power", c=0.4, p=0.5))
 print("drift series verdict (p=1/2):", check_assumption_b(slow).verdict)
 

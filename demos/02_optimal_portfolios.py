@@ -2,8 +2,9 @@
 
 Three solvers: a bisection solver for the one-asset problem, gradient
 ascent with backtracking for the K-coordinate problem, and a truncation
-ladder that re-solves at growing K to probe convergence toward the
-infinite-asset optimum.
+ladder that solves at growing K on the first K columns of one scenario set
+(here the exact enumeration at K=8), so the levels nest and the values
+rise toward the infinite-asset optimum.
 """
 
 import numpy as np

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -57,17 +56,10 @@ def _resolve_seed(cfg: ExperimentConfig, args) -> int:
     return cfg.seed
 
 
-def _scenarios(cfg: ExperimentConfig, seed: int, n: int):
+def _scenarios(cfg: ExperimentConfig, seed: int, n_override):
     if cfg.scenario_mode == "exact":
         return enumerate_scenarios(cfg.model)
-    return sample_scenarios(cfg.model, n, seed)
-
-
-def _check_sections(cfg: ExperimentConfig) -> dict:
-    return {
-        "subgauss": subgaussian_scan(cfg.model),
-        "relevant": check_assumption_relevant(cfg.model),
-    }
+    return sample_scenarios(cfg.model, n_override or cfg.n_scenarios, seed)
 
 
 def _assumptions_ok(cfg: ExperimentConfig) -> bool:
@@ -75,17 +67,13 @@ def _assumptions_ok(cfg: ExperimentConfig) -> bool:
             and check_no_arbitrage(cfg.model).passed)
 
 
-def _optimizer_section(cfg: ExperimentConfig, s, seed: int, n: int) -> dict:
+def _optimizer_section(cfg: ExperimentConfig, s) -> dict:
     found, witness = detect_unbounded(cfg.model, s)
     if found:
         raise ArbitrageError(
             "scenario-set arbitrage direction found: "
             + np.array2string(witness, precision=6))
-    cfg_solver = cfg.solver
-    if not cfg_solver.ladder:
-        cfg_solver = replace(cfg_solver, ladder=(cfg.model.K,))
-    rep = truncation_ladder(cfg.model, cfg.utility, cfg_solver, n=n, seed=seed)
-    return rep.to_dict()
+    return truncation_ladder(cfg.model, cfg.utility, cfg.solver, s).to_dict()
 
 
 def _measure_section(cfg: ExperimentConfig, Q, s) -> dict:
@@ -111,21 +99,19 @@ def run_command(command: str, cfg: ExperimentConfig, seed: int,
                 n_override=None) -> int:
     sections: dict = {"seed": seed}
     model = cfg.model
-    n = n_override or cfg.n_scenarios or 100_000  # Monte Carlo rows
+    ok = _assumptions_ok(cfg)
 
-    if command in ("check", "report"):
-        sections.update(_check_sections(cfg))
+    if command in ("check", "report") or not ok:
+        sections["subgauss"] = subgaussian_scan(model)
+        sections["relevant"] = check_assumption_relevant(model)
     if command == "check":
-        report = assemble_report(model, sections)
-        emit_report(report, cfg.out_dir)
-        ok = (report["verdicts"]["assumption_b"] != "fails"
-              and report["verdicts"]["novum_na"] == "holds")
+        emit_report(assemble_report(model, sections), cfg.out_dir)
         return EXIT_OK if ok else EXIT_ASSUMPTION
 
-    if not _assumptions_ok(cfg):
-        report = assemble_report(model, {**sections, **_check_sections(cfg)})
+    if not ok:
+        report = assemble_report(model, sections)
         try:
-            found, witness = detect_unbounded(model, _scenarios(cfg, seed, n))
+            found, witness = detect_unbounded(model, _scenarios(cfg, seed, n_override))
             if found:
                 report["arbitrage_witness"] = [float(x) for x in witness]
         except EnumerationCapError:
@@ -137,11 +123,11 @@ def run_command(command: str, cfg: ExperimentConfig, seed: int,
                   file=sys.stderr)
         return EXIT_ASSUMPTION
 
-    s = _scenarios(cfg, seed, n)
+    s = _scenarios(cfg, seed, n_override)
 
     try:
         if command in ("optimize", "report"):
-            sections["optimizer"] = _optimizer_section(cfg, s, seed, n)
+            sections["optimizer"] = _optimizer_section(cfg, s)
         if command in ("measure", "report"):
             Q = build_tilted_measure(model, cfg.fallback_alpha)
             sections["measure"] = _measure_section(cfg, Q, s)

@@ -10,6 +10,8 @@ import json
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distributions import (DistributionSpec, dyadic_two_sided, finite_discrete,
                             rademacher, standardized_two_point,
                             standardized_uniform)
@@ -39,7 +41,17 @@ class ExperimentConfig:
     out_dir: str
 
 
+def _object(value, errors: list[str], where: str) -> dict | None:
+    """value if it is a JSON object; otherwise None, and a violation."""
+    if isinstance(value, dict):
+        return value
+    errors.append(f"{where}: must be a JSON object, got {type(value).__name__}")
+    return None
+
+
 def _noise_from_dict(d: dict, errors: list[str], where: str) -> DistributionSpec | None:
+    if _object(d, errors, where) is None:
+        return None
     family = d.get("family")
     try:
         if family == "rademacher":
@@ -68,10 +80,11 @@ def _build_model(md: dict, errors: list[str]) -> MarketModel | None:
         return None
     noise_raw = md["noise"]
     K = md["K"]
-    if isinstance(noise_raw, dict):
-        noise_raw = [noise_raw] * int(K)
-    noise = [_noise_from_dict(n, errors, f"model.noise[{i}]")
-             for i, n in enumerate(noise_raw)]
+    if isinstance(noise_raw, list):
+        noise = [_noise_from_dict(n, errors, f"model.noise[{i}]")
+                 for i, n in enumerate(noise_raw)]
+    else:  # one law for every coordinate
+        noise = [_noise_from_dict(noise_raw, errors, "model.noise")] * int(K)
     if any(n is None for n in noise):
         return None
     b_rule = BRule()
@@ -84,11 +97,16 @@ def _build_model(md: dict, errors: list[str]) -> MarketModel | None:
             errors.append(f"model.b_rule: {exc}")
             return None
     try:
-        return build_market(int(md["m"]), int(K), md["mu"], md.get("beta", ()),
-                            md["beta_bar"], tuple(noise), b_rule)
+        model = build_market(int(md["m"]), int(K), md["mu"], md.get("beta", ()),
+                             md["beta_bar"], tuple(noise), b_rule)
     except (ValueError, TypeError) as exc:
         errors.append(f"model: {exc}")
         return None
+    head = b_rule.c * np.arange(1.0, model.K + 1) ** -b_rule.p
+    if b_rule.kind == "power" and not np.allclose(model.b, head, rtol=1e-12, atol=0):
+        errors.append(f"model.b_rule: power rule gives b = {head.tolist()} "
+                      f"but mu gives b = {model.b.tolist()}")
+    return model
 
 
 def _build_utility(ud: dict, errors: list[str]) -> Utility | None:
@@ -128,6 +146,8 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError([f"cannot read config: {exc}"])
     except json.JSONDecodeError as exc:
         raise ConfigError([f"malformed JSON: {exc}"])
+    if not isinstance(raw, dict):
+        raise ConfigError([f"config: must be a JSON object, got {type(raw).__name__}"])
 
     md = raw.get("model")
     if isinstance(md, str):  # model may live in its own file
@@ -142,28 +162,31 @@ def parse_config(path: str) -> ExperimentConfig:
         except json.JSONDecodeError as exc:
             errors.append(f"model file: malformed JSON: {exc}")
             md = None
+    model = None
     if md is None:
         errors.append("model: section missing")
-        model = None
-    else:
+    elif _object(md, errors, "model") is not None:
         model = _build_model(md, errors)
 
-    utility = _build_utility(raw.get("utility", {}), errors)
+    ud = _object(raw.get("utility", {}), errors, "utility")
+    utility = None if ud is None else _build_utility(ud, errors)
 
-    sd = raw.get("solver", {})
+    sd = _object(raw.get("solver", {}), errors, "solver") or {}
     try:
         solver = SolverConfig(
             grad_tol=float(sd.get("grad_tol", 1e-8)),
             max_iter=int(sd.get("max_iter", 10_000)),
-            init_step=float(sd.get("init_step", 1.0)),
-            shrink=float(sd.get("shrink", 0.5)),
             ladder=tuple(int(k) for k in sd.get("ladder", ())),
         )
     except (ValueError, TypeError) as exc:
         errors.append(f"solver: {exc}")
         solver = None
+    if model is not None and solver is not None and not all(
+            model.m <= k <= model.K for k in solver.ladder):
+        errors.append(f"solver.ladder: levels {list(solver.ladder)} must lie in "
+                      f"[{model.m}, {model.K}]")
 
-    msec = raw.get("measure", {})
+    msec = _object(raw.get("measure", {}), errors, "measure") or {}
     fallback_alpha = float(msec.get("fallback_alpha", 0.5))
     if not 0.0 < fallback_alpha < 1.0:
         errors.append("measure.fallback_alpha: must lie in (0,1)")
@@ -171,7 +194,7 @@ def parse_config(path: str) -> ExperimentConfig:
     exponents = tuple(float(w) for w in msec.get(
         "moment_exponents", [-2.0, -1.0, 1.0, 2.0, moment_p, -moment_p]))
 
-    sc = raw.get("scenario", {"mode": "exact"})
+    sc = _object(raw.get("scenario", {}), errors, "scenario") or {}
     mode = sc.get("mode", "exact")
     n = int(sc.get("n", 0) or 0)
     seed = sc.get("seed")

@@ -4,8 +4,9 @@ The one-asset problem sup_phi E[u(phi X)] is solved by bisection on the
 (nonincreasing) derivative.  The K-coordinate problem maximizes the
 scenario expectation of u(V(phi)) by gradient ascent with Armijo
 backtracking; the objective is concave, so this is robust at the small
-dimensions we care about.  A linear program searches for scenario-set
-arbitrage directions, which make the supremum unattained.
+dimensions we care about.  The truncation ladder solves every level on
+one scenario set.  A linear program searches for scenario-set arbitrage
+directions, which make the supremum unattained.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 from .distributions import DistributionSpec
 from .market import (ArbitrageError, FactorStrategy, MarketModel,
                      check_no_arbitrage, truncate_model)
-from .scenarios import (EnumerationCapError, ScenarioSet, enumerate_scenarios,
-                        expectation, sample_scenarios)
+from .scenarios import ScenarioSet, enumerate_scenarios, expectation
 from .utility import Utility, eval_u, eval_u_prime
 
 __all__ = [
@@ -115,15 +115,11 @@ def optimize_single_asset(payoff: DiscretePayoff, u: Utility,
 class SolverConfig:
     grad_tol: float = 1e-8
     max_iter: int = 10_000
-    init_step: float = 1.0
-    shrink: float = 0.5
     ladder: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie in (0,1)")
 
 
 def _centered(model: MarketModel, s: ScenarioSet, K: int) -> np.ndarray:
@@ -149,8 +145,7 @@ class LevelResult:
 
 
 def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
-                       s: ScenarioSet, cfg: SolverConfig | None = None,
-                       check_arbitrage: bool = True) -> LevelResult:
+                       s: ScenarioSet, cfg: SolverConfig | None = None) -> LevelResult:
     """Maximize the scenario expectation of u(V(phi)) over phi in R^K.
 
     The scenario set must cover at least K coordinates of the model's
@@ -158,13 +153,15 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
     """
     cfg = cfg or SolverConfig()
     K = model.K if K is None else K
+    top = min(model.K, s.draws.shape[1])
+    if not model.m <= K <= top:
+        raise ValueError(f"truncation level {K} outside [{model.m}, {top}]")
     sub = truncate_model(model, K) if K < model.K else model
-    if check_arbitrage:
-        na = check_no_arbitrage(sub)
-        if not na.passed:
-            raise ArbitrageError(
-                f"no-arbitrage condition fails at coordinates {na.flagged}"
-            )
+    na = check_no_arbitrage(sub)
+    if not na.passed:
+        raise ArbitrageError(
+            f"no-arbitrage condition fails at coordinates {na.flagged}"
+        )
     X = _centered(model, s, K)
     w = s.weights
     phi = np.zeros(K)
@@ -175,13 +172,13 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
         gn = float(np.linalg.norm(g))
         if gn <= cfg.grad_tol:
             break
-        t = cfg.init_step
+        t = 1.0
         while t > 1e-18:
             cand = phi + t * g
             fc = saa_objective(u, X, w, cand)
             if fc >= f + 1e-4 * t * gn * gn:
                 break
-            t *= cfg.shrink
+            t *= 0.5
         if t <= 1e-18:
             break  # no ascent step; report best iterate
         phi, f = cand, fc
@@ -219,25 +216,19 @@ class OptimizationReport:
 
 
 def truncation_ladder(model: MarketModel, u: Utility, cfg: SolverConfig,
-                      n: int = 100_000, seed: int = 0) -> OptimizationReport:
-    """Solve the problem at each ladder level and record convergence.
+                      s: ScenarioSet | None = None) -> OptimizationReport:
+    """Solve the problem at each ladder level (default: K = model.K alone).
 
-    Exact enumeration is used per level when the joint support fits the
-    cap; otherwise Monte Carlo with the given (n, seed).
+    Every level reads the first K columns of the same rows of s (default:
+    the exact enumeration), so the levels' strategies nest and the
+    differences between levels measure truncation, not sampling noise.
     """
-    levels = []
-    for K in cfg.ladder:
-        sub = truncate_model(model, K)
-        try:
-            s = enumerate_scenarios(sub)
-        except EnumerationCapError:
-            s = sample_scenarios(sub, n, seed)
-        levels.append(optimize_truncated(sub, u, None, s, cfg))
-    diffs = []
-    for prev, cur in zip(levels, levels[1:]):
-        pad = np.zeros(cur.K)
-        pad[: prev.K] = prev.phi_star
-        diffs.append(float(np.linalg.norm(cur.phi_star - pad)))
+    s = s or enumerate_scenarios(model)
+    levels = [optimize_truncated(model, u, K, s, cfg)
+              for K in cfg.ladder or (model.K,)]
+    diffs = [float(np.linalg.norm(
+        cur.phi_star - np.pad(prev.phi_star, (0, cur.K - prev.K))))
+        for prev, cur in zip(levels, levels[1:])]
     return OptimizationReport(levels=tuple(levels), diff_norms=tuple(diffs))
 
 

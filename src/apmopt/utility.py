@@ -64,9 +64,6 @@ class Utility:
     def certified(self) -> bool:
         return self.growth is not None
 
-    def with_growth(self, growth: GrowthBounds) -> "Utility":
-        return Utility(self.kind, self.alpha, self.c, self.xs, self.ys, growth)
-
 
 def appendix_power(alpha: float, growth: GrowthBounds | None = None) -> Utility:
     if not 0.0 < alpha < 1.0:

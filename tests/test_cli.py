@@ -7,12 +7,19 @@ import sys
 import pytest
 
 import apmopt
-from apmopt import cli, diagnostics, measures, optimize
+from apmopt import cli, diagnostics, measures, optimize, scenarios
 from apmopt.cli import main
 from apmopt.config import ConfigError, parse_config
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
+DEMO = json.loads((CONFIGS / "demo.json").read_text())
+MC_LADDER = {
+    "model": {"m": 1, "K": 2, "mu": [-0.1, -0.05], "beta": [[0.0]],
+              "beta_bar": [1.0, 1.0], "noise": {"family": "rademacher"}},
+    "solver": {"max_iter": 20, "ladder": [1, 2]},
+    "scenario": {"mode": "monte_carlo", "n": 500, "seed": 1},
+}
 
 
 def run(command, config, tmp_path, *extra):
@@ -75,6 +82,27 @@ class TestParseConfig:
         cfg = parse_config(str(tmp_path / "cfg.json"))
         assert cfg.model.K == 1
 
+    @pytest.mark.parametrize("ladder", [[1, 8], [0, 2]])
+    def test_ladder_level_outside_model_listed(self, tmp_path, ladder):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**DEMO, "solver": {"ladder": ladder}}))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(str(p))
+        assert any(v.startswith("solver.ladder") for v in exc.value.violations)
+
+    def test_power_rule_must_match_drifts(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        model = {**DEMO["model"], "b_rule": {"kind": "power", "c": 0.4, "p": 1.0}}
+        p.write_text(json.dumps({**DEMO, "model": model}))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(str(p))
+        assert exc.value.violations == [
+            "model.b_rule: power rule gives b = [0.4, 0.2, 0.13333333333333333, "
+            "0.1] but mu gives b = [0.2, 0.1, 0.05, 0.025]"]
+        # b = (0.4, 0.4 / sqrt 2) is the head of its rule 0.4 * i^-0.5
+        cfg = parse_config(str(CONFIGS / "divergent_b.json"))
+        assert cfg.model.spec.b_rule.kind == "power"
+
 
 class TestExitCodes:
     def test_check_demo_ok(self, tmp_path):
@@ -101,6 +129,21 @@ class TestExitCodes:
         p = tmp_path / "bad.json"
         p.write_text("{}")
         assert main(["check", "--config", str(p)]) == 1
+
+    @pytest.mark.parametrize("config, section", [
+        ([], "config"),
+        ({**DEMO, "solver": "fast"}, "solver"),
+        ({**DEMO, "model": {**DEMO["model"],
+                            "noise": ["rademacher"] * 4}}, "model.noise[0]"),
+    ])
+    def test_non_object_section_exits_1(self, tmp_path, capsys, config, section):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(config))
+        code, _ = run("check", p, tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"- {section}: must be a JSON object" in err
 
     def test_bad_seed_env_exits_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SEED", "abc")
@@ -191,23 +234,41 @@ class TestRunShape:
         assert counts["density"] <= 3
 
     def test_ladder_uses_scenarios_flag(self, tmp_path, monkeypatch):
-        config = {
-            "model": {"m": 1, "K": 2, "mu": [-0.1, -0.05], "beta": [[0.0]],
-                      "beta_bar": [1.0, 1.0],
-                      "noise": {"family": "standardized_uniform"}},
-            "solver": {"max_iter": 20, "ladder": [1, 2]},
-            "scenario": {"mode": "monte_carlo", "n": 500, "seed": 1},
-        }
         p = tmp_path / "mc.json"
-        p.write_text(json.dumps(config))
+        p.write_text(json.dumps(MC_LADDER))
         ladder_rows = []
-        sample = optimize.sample_scenarios
+        ladder = cli.truncation_ladder
 
-        def recording(model, n, seed):
-            ladder_rows.append(n)
-            return sample(model, n, seed)
+        def recording(model, u, cfg, s=None):
+            ladder_rows.append(s.n)
+            return ladder(model, u, cfg, s)
 
-        monkeypatch.setattr(optimize, "sample_scenarios", recording)
+        monkeypatch.setattr(cli, "truncation_ladder", recording)
         code, _ = run("optimize", p, tmp_path, "--scenarios", "300")
         assert code == 0
-        assert ladder_rows == [300, 300]
+        assert ladder_rows == [300]
+
+    @pytest.mark.parametrize("config, built", [
+        (MC_LADDER, {"sample_scenarios": 1, "enumerate_scenarios": 0}),
+        (DEMO, {"sample_scenarios": 0, "enumerate_scenarios": 1}),
+    ])
+    def test_report_builds_one_scenario_set(self, tmp_path, monkeypatch,
+                                            config, built):
+        counts = dict.fromkeys(built, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            fn = getattr(scenarios, name)
+            for mod in (apmopt, cli, diagnostics, measures, optimize, scenarios):
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counted(name, fn))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config))
+        code, _ = run("report", p, tmp_path)
+        assert code == 0
+        assert counts == built

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apmopt import (ArbitrageError, DiscretePayoff, SolverConfig, appendix_power,
-                    detect_unbounded, enumerate_scenarios, eval_u,
+                    build_market, detect_unbounded, enumerate_scenarios, eval_u,
                     optimize_single_asset, optimize_truncated, rademacher,
-                    truncation_ladder)
+                    sample_scenarios, standardized_uniform, truncation_ladder)
 from apmopt.optimize import OneSidedPayoffError, saa_gradient, saa_objective
 from conftest import rademacher_market, scaled_utility
 
@@ -159,6 +159,46 @@ class TestLadder:
         res = optimize_truncated(market_k3, appendix_power(0.5), None, s, cfg)
         assert rep.levels[0].value == pytest.approx(res.value, abs=1e-12)
         assert rep.diff_norms == ()
+
+    def test_empty_ladder_solves_full_model(self, market_k3):
+        u = appendix_power(0.5)
+        rep = truncation_ladder(market_k3, u, SolverConfig())
+        assert [lv.K for lv in rep.levels] == [3]
+        assert rep.values() == truncation_ladder(
+            market_k3, u, SolverConfig(ladder=(3,))).values()
+
+    def test_levels_read_one_monte_carlo_set(self):
+        # every level is the direct solve on the first K columns of the same
+        # rows, so the nested levels' values cannot fall with K
+        model = build_market(m=1, K=3, mu=[-0.3, -0.2, -0.1], beta=[[0.0]] * 2,
+                             beta_bar=[1.0] * 3, noise=standardized_uniform())
+        s = sample_scenarios(model, 2000, seed=5)
+        u = appendix_power(0.5)
+        cfg = SolverConfig(ladder=(1, 2, 3))
+        rep = truncation_ladder(model, u, cfg, s)
+        for K, level in zip(cfg.ladder, rep.levels):
+            direct = optimize_truncated(model, u, K, s, cfg)
+            assert level.K == direct.K
+            assert np.array_equal(level.phi_star, direct.phi_star)
+            assert (level.value, level.grad_norm, level.iterations,
+                    level.converged) == (direct.value, direct.grad_norm,
+                                         direct.iterations, direct.converged)
+        v = rep.values()
+        assert all(b >= a for a, b in zip(v, v[1:]))
+
+    @pytest.mark.parametrize("K", [0, 8])
+    def test_level_outside_model_rejected(self, K):
+        model = rademacher_market([0.2, 0.1, 0.05, 0.025])
+        s = enumerate_scenarios(model)
+        with pytest.raises(ValueError, match=f"truncation level {K} outside"):
+            optimize_truncated(model, appendix_power(0.5), K, s)
+        with pytest.raises(ValueError, match=f"truncation level {K} outside"):
+            truncation_ladder(model, appendix_power(0.5), SolverConfig(ladder=(1, K)))
+
+    def test_level_beyond_set_columns_rejected(self, market_k3):
+        s = enumerate_scenarios(rademacher_market([0.2, 0.1]))
+        with pytest.raises(ValueError, match=r"outside \[1, 2\]"):
+            optimize_truncated(market_k3, appendix_power(0.5), 3, s)
 
 
 class TestDetectUnbounded:
