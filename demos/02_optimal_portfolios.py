@@ -21,7 +21,7 @@ phi, val = optimize_single_asset(payoff, u)
 print(f"one-asset optimum phi* = {phi:.9f} (closed form -25/24 = {-25/24:.9f})")
 print(f"optimal expected utility = {val:.9f}")
 
-# --- K = 3 market: exact enumeration + gradient ascent -----------------------
+# --- K = 3 market: exact enumeration + damped Newton ascent ------------------
 model = build_market(m=1, K=3, mu=[-0.2, -0.1, -0.05], beta=[[0.0], [0.0]],
                      beta_bar=[1.0, 1.0, 1.0], noise=rademacher())
 s = enumerate_scenarios(model)

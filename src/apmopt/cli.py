@@ -73,7 +73,12 @@ def _optimizer_section(cfg: ExperimentConfig, s) -> dict:
         raise ArbitrageError(
             "scenario-set arbitrage direction found: "
             + np.array2string(witness, precision=6))
-    return truncation_ladder(cfg.model, cfg.utility, cfg.solver, s).to_dict()
+    rep = truncation_ladder(cfg.model, cfg.utility, cfg.solver, s)
+    for lv in rep.levels:
+        if not lv.converged:
+            print(f"solver did not converge at K={lv.K}: {lv.iterations} "
+                  f"iterations, grad_norm {lv.grad_norm:.3e}", file=sys.stderr)
+    return rep.to_dict()
 
 
 def _measure_section(cfg: ExperimentConfig, Q, s) -> dict:

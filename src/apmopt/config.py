@@ -49,6 +49,21 @@ def _object(value, errors: list[str], where: str) -> dict | None:
     return None
 
 
+def _convert(conv, value, errors: list[str], where: str):
+    """conv(value); None, and a violation naming where, if it fails."""
+    try:
+        return conv(value)
+    except (ValueError, TypeError) as exc:
+        errors.append(f"{where}: {exc}")
+        return None
+
+
+def _floats(values) -> tuple[float, ...]:
+    if not isinstance(values, list):
+        raise TypeError(f"must be a list of numbers, got {type(values).__name__}")
+    return tuple(map(float, values))
+
+
 def _noise_from_dict(d: dict, errors: list[str], where: str) -> DistributionSpec | None:
     if _object(d, errors, where) is None:
         return None
@@ -187,25 +202,30 @@ def parse_config(path: str) -> ExperimentConfig:
                       f"[{model.m}, {model.K}]")
 
     msec = _object(raw.get("measure", {}), errors, "measure") or {}
-    fallback_alpha = float(msec.get("fallback_alpha", 0.5))
-    if not 0.0 < fallback_alpha < 1.0:
+    fallback_alpha = _convert(float, msec.get("fallback_alpha", 0.5), errors,
+                              "measure.fallback_alpha")
+    if fallback_alpha is not None and not 0.0 < fallback_alpha < 1.0:
         errors.append("measure.fallback_alpha: must lie in (0,1)")
-    moment_p = float(msec.get("p", 2.0))
-    exponents = tuple(float(w) for w in msec.get(
-        "moment_exponents", [-2.0, -1.0, 1.0, 2.0, moment_p, -moment_p]))
+    moment_p = _convert(float, msec.get("p", 2.0), errors, "measure.p")
+    exponents = None
+    if "moment_exponents" in msec:
+        exponents = _convert(_floats, msec["moment_exponents"], errors,
+                             "measure.moment_exponents")
+    elif moment_p is not None:
+        exponents = (-2.0, -1.0, 1.0, 2.0, moment_p, -moment_p)
 
     sc = _object(raw.get("scenario", {}), errors, "scenario") or {}
     mode = sc.get("mode", "exact")
-    n = int(sc.get("n", 0) or 0)
+    n = _convert(int, sc.get("n", 0) or 0, errors, "scenario.n")
     seed = sc.get("seed")
     if mode not in ("exact", "monte_carlo"):
         errors.append(f"scenario.mode: unknown mode {mode!r}")
     if mode == "monte_carlo":
-        if n < 1:
+        if n is not None and n < 1:
             errors.append("scenario.n: monte_carlo mode needs n >= 1")
         if seed is None:
             errors.append("scenario.seed: monte_carlo mode needs a seed")
-    seed = int(seed) if seed is not None else 0
+    seed = _convert(int, seed, errors, "scenario.seed") if seed is not None else 0
 
     if errors:
         raise ConfigError(errors)

@@ -112,8 +112,13 @@ def enumerate_scenarios(model: MarketModel, cap: int = ENUMERATION_CAP) -> Scena
 
 
 def expectation(s: ScenarioSet, values) -> float:
-    """Weighted mean with compensated summation."""
+    """Weighted mean by numpy's pairwise summation.
+
+    The rounding error is at most about log2(n) * 2^-52 * sum |w * v|
+    (3e-15 relative at 2^19 rows), and the result does not depend on the
+    BLAS thread count, as a ``np.dot`` could.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape[0] != s.n:
         raise ValueError("values length does not match scenario count")
-    return math.fsum(s.weights * values)
+    return float(np.sum(s.weights * values))

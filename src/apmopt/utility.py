@@ -6,7 +6,8 @@ Built-in kinds:
   (x+1)**alpha - 1 for x > 0; continuously differentiable, u' <= alpha.
 * ``capped_power(alpha, c)`` -- u(x) = x**alpha for x >= 0, c*x for x < 0.
 * ``tabulated(xs, ys)`` -- monotone interpolation of a user table;
-  derivative falls back to finite differences (flagged).
+  derivative falls back to finite differences (flagged), second
+  derivative is taken as 0 (piecewise linear).
 
 A GrowthBounds certificate records constants (alpha, beta, C1, C2) for the
 caps u(x) <= C1(x**alpha + 1) on x >= 0 and u(x) <= C2(-|x|**beta + 1) on
@@ -30,6 +31,7 @@ __all__ = [
     "tabulated",
     "eval_u",
     "eval_u_prime",
+    "eval_u_second",
     "certify_growth",
     "check_shape",
 ]
@@ -118,6 +120,33 @@ def eval_u_prime(u: Utility, x):
     elif u.kind == "tabulated":
         h = 1e-6 * np.maximum(1.0, np.abs(x))
         out = (np.interp(x + h, u.xs, u.ys) - np.interp(x - h, u.xs, u.ys)) / (2 * h)
+    else:
+        raise ValueError(f"unknown utility kind {u.kind!r}")
+    return float(out) if out.ndim == 0 else out
+
+
+# capped_power's u'' ~ x**(alpha-2) at 0+ is evaluated no closer to 0 than
+# this, so |u''| <= 1e200 and Hessian sums over scenarios stay finite
+_CAPPED_FLOOR = 1e-100
+
+
+def eval_u_second(u: Utility, x):
+    """u''(x), vectorized; left second derivative at kinks (0 at x = 0).
+
+    capped_power's is clipped at x = 1e-100 from the right; tabulated
+    utilities are piecewise linear, so theirs is 0.
+    """
+    x = np.asarray(x, dtype=float)
+    if u.kind == "appendix_power":
+        pos = np.maximum(x, 0.0)
+        k = u.alpha * (u.alpha - 1.0)
+        out = np.where(x > 0, k * (pos + 1.0) ** (u.alpha - 2.0), 0.0)
+    elif u.kind == "capped_power":
+        pos = np.maximum(x, _CAPPED_FLOOR)
+        k = u.alpha * (u.alpha - 1.0)
+        out = np.where(x > 0, k * pos ** (u.alpha - 2.0), 0.0)
+    elif u.kind == "tabulated":
+        out = np.zeros_like(x)
     else:
         raise ValueError(f"unknown utility kind {u.kind!r}")
     return float(out) if out.ndim == 0 else out

@@ -211,7 +211,7 @@ def test_criterion_09_arbitrage_detection(tmp_path):
     found, witness = detect_unbounded(model, s)
     code = main(["optimize", "--config", str(CONFIGS / "arbitrage.json"),
                  "--out", str(tmp_path)])
-    report = json.load(open(tmp_path / "report.json"))
+    report = json.loads((tmp_path / "report.json").read_text())
     ok = (not verdict.passed and verdict.flagged == (1,)
           and found and "arbitrage_witness" in report and code == 2)
     _emit(9, ok, f"flagged coords={verdict.flagged}, witness={witness}, "

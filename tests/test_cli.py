@@ -108,21 +108,21 @@ class TestExitCodes:
     def test_check_demo_ok(self, tmp_path):
         code, out = run("check", CONFIGS / "demo.json", tmp_path)
         assert code == 0
-        report = json.load(open(out / "report.json"))
+        report = json.loads((out / "report.json").read_text())
         assert report["verdicts"]["assumption_b"] == "holds"
         assert report["verdicts"]["novum_na"] == "holds"
 
     def test_optimize_arbitrage_fixture_exits_2(self, tmp_path, capsys):
         code, out = run("optimize", CONFIGS / "arbitrage.json", tmp_path)
         assert code == 2
-        report = json.load(open(out / "report.json"))
+        report = json.loads((out / "report.json").read_text())
         assert report["na_flagged_coordinates"] == [1]
         assert "arbitrage_witness" in report
 
     def test_check_divergent_b_exits_2(self, tmp_path):
         code, out = run("check", CONFIGS / "divergent_b.json", tmp_path)
         assert code == 2
-        report = json.load(open(out / "report.json"))
+        report = json.loads((out / "report.json").read_text())
         assert report["verdicts"]["assumption_b"] == "fails"
 
     def test_bad_config_exits_1(self, tmp_path):
@@ -145,6 +145,21 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert f"- {section}: must be a JSON object" in err
 
+    @pytest.mark.parametrize("section, value, key", [
+        ("measure", {"fallback_alpha": [1]}, "measure.fallback_alpha"),
+        ("measure", {"moment_exponents": 5}, "measure.moment_exponents"),
+        ("measure", {"fallback_alpha": "x"}, "measure.fallback_alpha"),
+        ("scenario", {"n": "abc"}, "scenario.n"),
+    ], ids=["alpha-list", "exponents-int", "alpha-str", "n-str"])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, section, value, key):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({**DEMO, section: value}))
+        code, _ = run("check", p, tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"- {key}: " in err
+
     def test_bad_seed_env_exits_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SEED", "abc")
         code, _ = run("check", CONFIGS / "demo.json", tmp_path)
@@ -155,17 +170,30 @@ class TestExitCodes:
     def test_measure_demo(self, tmp_path):
         code, out = run("measure", CONFIGS / "demo.json", tmp_path)
         assert code == 0
-        report = json.load(open(out / "report.json"))
+        report = json.loads((out / "report.json").read_text())
         assert report["measure"]["max_pricing_residual"] <= 1e-10
         assert (out / "tables" / "tilt_coordinates.csv").exists()
 
     def test_optimize_demo_artifacts(self, tmp_path):
         code, out = run("optimize", CONFIGS / "demo.json", tmp_path)
         assert code == 0
-        report = json.load(open(out / "report.json"))
+        report = json.loads((out / "report.json").read_text())
         values = [lv["value"] for lv in report["optimizer"]["levels"]]
         assert values == sorted(values)
         assert (out / "tables" / "ladder.csv").exists()
+
+    def test_unconverged_levels_reported(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**DEMO, "solver": {**DEMO["solver"], "max_iter": 1}}))
+        code, out = run("optimize", p, tmp_path)
+        assert code == 0
+        levels = json.loads((out / "report.json").read_text())["optimizer"]["levels"]
+        assert not any(lv["converged"] for lv in levels)
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"solver did not converge at K={lv['K']}: 1 iterations, "
+                         f"grad_norm {lv['grad_norm']:.3e}" for lv in levels]
+        run("optimize", CONFIGS / "demo.json", tmp_path)
+        assert capsys.readouterr().err == ""
 
 
 class TestDeterminism:
@@ -188,14 +216,14 @@ class TestDeterminism:
         monkeypatch.setenv("SEED", "99")
         code, out = run("check", CONFIGS / "demo.json", tmp_path, "--seed", "3")
         assert code == 0
-        report = json.load(open(out / "report.json"))
+        report = json.loads((out / "report.json").read_text())
         assert report["seed"] == 99
 
     def test_seed_flag_overrides_config(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SEED", raising=False)
         code, out = run("check", CONFIGS / "demo.json", tmp_path, "--seed", "3")
         assert code == 0
-        report = json.load(open(out / "report.json"))
+        report = json.loads((out / "report.json").read_text())
         assert report["seed"] == 3
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -131,14 +132,14 @@ class TestReportEmission:
         files1 = emit_report(report, str(d1))
         files2 = emit_report(report, str(d2))
         for f1, f2 in zip(files1, files2):
-            assert open(f1, "rb").read() == open(f2, "rb").read()
+            assert pathlib.Path(f1).read_bytes() == pathlib.Path(f2).read_bytes()
 
     def test_missing_sections_marked_skipped(self, market_k3, tmp_path):
         report = assemble_report(market_k3, {})
         assert report["optimizer"] == "skipped"
         assert report["verdicts"]["relevant_tails"] == "skipped"
         emit_report(report, str(tmp_path))
-        loaded = json.load(open(tmp_path / "report.json"))
+        loaded = json.loads((tmp_path / "report.json").read_text())
         assert loaded["verdicts"]["assumption_b"] == "holds"
 
     def test_bundle_has_all_verdict_fields(self, market_k3, tmp_path):

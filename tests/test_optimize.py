@@ -1,14 +1,26 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from apmopt import (ArbitrageError, DiscretePayoff, SolverConfig, appendix_power,
-                    build_market, detect_unbounded, enumerate_scenarios, eval_u,
-                    optimize_single_asset, optimize_truncated, rademacher,
-                    sample_scenarios, standardized_uniform, truncation_ladder)
+                    build_market, capped_power, detect_unbounded,
+                    enumerate_scenarios, eval_u, optimize_single_asset,
+                    optimize_truncated, rademacher, sample_scenarios,
+                    standardized_two_point, standardized_uniform, tabulated,
+                    truncation_ladder)
 from apmopt.optimize import OneSidedPayoffError, saa_gradient, saa_objective
 from conftest import rademacher_market, scaled_utility
+
+
+def two_point_market(ps, fracs):
+    """m=1 market of standardized two-point laws with P(up) = ps[i]; drift
+    b_i sits at fraction fracs[i] of the way up its law's support."""
+    noise = tuple(standardized_two_point(p) for p in ps)
+    b = [n.points[1] + f * (n.points[0] - n.points[1]) for n, f in zip(noise, fracs)]
+    K = len(ps)
+    return build_market(1, K, mu=[-x for x in b], beta=[[0.0]] * (K - 1),
+                        beta_bar=[1.0] * K, noise=noise)
 
 
 class TestSingleAsset:
@@ -81,6 +93,33 @@ class TestTruncated:
         res = optimize_truncated(market_k3, appendix_power(0.5), None, s, cfg)
         assert not res.converged and res.iterations == 3
 
+    def test_exact_k12_converges(self):
+        model = rademacher_market([0.4 / i for i in range(1, 13)])
+        res = optimize_truncated(model, appendix_power(0.5), None,
+                                 enumerate_scenarios(model))
+        assert res.converged and res.grad_norm <= 1e-8
+
+    def test_tabulated_utility_takes_gradient_steps(self):
+        # u'' = 0 for a table, so every step is a shifted gradient step;
+        # the table holds appendix_power(0.5) at its nodes
+        model = rademacher_market([0.2])
+        xs = np.linspace(-10.0, 10.0, 2001)
+        u = tabulated(xs, eval_u(appendix_power(0.5), xs))
+        res = optimize_truncated(model, u, None, enumerate_scenarios(model))
+        assert res.value == pytest.approx(1.0 / 24.0, abs=1e-9)
+        assert res.phi_star[0] == pytest.approx(-25.0 / 24.0, abs=1e-4)
+
+    def test_step_too_small_to_move_phi_stops(self):
+        # near ||g|| ~ 2e-11 the objective cannot register the Newton step's
+        # gain, so backtracking shrinks the step until phi stops moving
+        model = build_market(1, 1, mu=[-0.7], beta=[], beta_bar=[1.0],
+                             noise=standardized_two_point(0.3))
+        res = optimize_truncated(model, appendix_power(0.3), None,
+                                 enumerate_scenarios(model),
+                                 SolverConfig(grad_tol=1e-15))
+        assert not res.converged and res.iterations < 50
+        assert res.grad_norm < 1e-9
+
     def test_value_recomputation_consistent(self, market_k3):
         s = enumerate_scenarios(market_k3)
         res = optimize_truncated(market_k3, appendix_power(0.5), None, s)
@@ -134,6 +173,52 @@ class TestGradient:
             phi, val = optimize_single_asset(payoff, scaled_utility(u, c))
             assert phi == pytest.approx(phi0, abs=1e-3)
             assert val == pytest.approx(c * val0, abs=1e-4)
+
+
+class TestNewtonOracles:
+    @settings(deadline=None, max_examples=50)
+    @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), st.floats(0.1, 0.9))
+    def test_k1_matches_bisection(self, p, frac, alpha):
+        model = two_point_market([p], [frac])
+        u = appendix_power(alpha)
+        phi1, val1 = optimize_single_asset(
+            DiscretePayoff.from_noise(model.noise[0], model.b[0]), u)
+        # far optima are flat, and there the oracle's 1e-10 tolerance on the
+        # derivative no longer pins phi to 1e-6
+        assume(abs(phi1) <= 20.0)
+        res = optimize_truncated(model, u, None, enumerate_scenarios(model),
+                                 SolverConfig(grad_tol=1e-12, max_iter=100))
+        assert res.phi_star[0] == pytest.approx(phi1, abs=1e-6)
+        assert res.value == pytest.approx(val1, abs=1e-10)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9)),
+           st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9)),
+           st.floats(0.2, 0.8))
+    def test_k2_value_reaches_grid_maximum(self, ps, fracs, alpha):
+        model = two_point_market(ps, fracs)
+        s = enumerate_scenarios(model)
+        u = appendix_power(alpha)
+        res = optimize_truncated(model, u, None, s)
+        g = np.linspace(-4.0, 4.0, 801)
+        values = np.stack(np.meshgrid(g, g), axis=-1) @ (s.draws - model.b).T
+        assert res.value >= float((eval_u(u, values) @ s.weights).max()) - 1e-9
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "capped_power is not concave: u'(0+) is infinite and u'(0-) = c, so "
+        "the objective has convex kinks where V = 0 and the solver can stop "
+        "at a local maximum"))
+    def test_capped_power_reaches_global_maximum(self):
+        model = build_market(1, 2, mu=[-0.06, 0.29], beta=[[0.0]],
+                             beta_bar=[1.0, 1.0],
+                             noise=(standardized_two_point(0.77),
+                                    standardized_two_point(0.28)))
+        s = enumerate_scenarios(model)
+        u = capped_power(0.43, 1.57)
+        res = optimize_truncated(model, u, None, s)
+        assert res.converged
+        assert res.value >= saa_objective(u, s.draws - model.b, s.weights,
+                                          np.array([0.22, 0.23])) - 1e-9
 
 
 class TestLadder:

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from apmopt import (EnumerationCapError, build_market, enumerate_scenarios,
-                    expectation, rademacher, sample_scenarios,
-                    standardized_two_point, standardized_uniform)
+from apmopt import (EnumerationCapError, ScenarioSet, build_market,
+                    enumerate_scenarios, expectation, rademacher,
+                    sample_scenarios, standardized_two_point,
+                    standardized_uniform)
 from apmopt.scenarios import _BLOCK
 from conftest import rademacher_market
 
@@ -57,6 +60,18 @@ class TestExpectation:
         s = enumerate_scenarios(m)
         vals = np.where(s.draws[:, 0] > 0, 1.0, -1.0)
         assert expectation(s, vals) == pytest.approx(0.28)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 1 << 17), st.integers(0, 2 ** 32 - 1))
+    def test_within_pairwise_bound_of_exact_sum(self, n, seed):
+        # signed values over 16 decades; math.fsum is the correctly rounded sum
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        w = gen.random(n) + 1e-3
+        w /= w.sum()
+        v = gen.choice([-1.0, 1.0], n) * 10.0 ** gen.uniform(-8.0, 8.0, n)
+        s = ScenarioSet(np.zeros((n, 1)), w, "test")
+        bound = 64 * 2.0 ** -52 * math.fsum(np.abs(w * v))
+        assert abs(expectation(s, v) - math.fsum(w * v)) <= bound
 
     def test_length_mismatch(self, market_zero_drift):
         s = enumerate_scenarios(market_zero_drift)

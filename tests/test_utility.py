@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from apmopt import (GrowthBounds, appendix_power, capped_power, certify_growth,
-                    eval_u, eval_u_prime, tabulated)
+                    eval_u, eval_u_prime, eval_u_second, tabulated)
 from apmopt.utility import check_shape
 from conftest import scaled_utility
 
@@ -46,6 +46,32 @@ class TestEval:
         h = 1e-6 * np.maximum(1.0, np.abs(xs))
         fd = (eval_u(u, xs + h) - eval_u(u, xs - h)) / (2 * h)
         assert eval_u_prime(u, xs) == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("u", [appendix_power(0.5), capped_power(0.3, 2.0)])
+    def test_second_matches_finite_differences(self, u):
+        xs = np.concatenate([np.linspace(-1000, -0.5, 200),
+                             np.linspace(0.5, 1000, 200)])
+        h = 1e-6 * np.maximum(1.0, np.abs(xs))
+        fd = (eval_u_prime(u, xs + h) - eval_u_prime(u, xs - h)) / (2 * h)
+        assert eval_u_second(u, xs) == pytest.approx(fd, rel=1e-5, abs=1e-12)
+
+    def test_second_left_value_at_kink(self):
+        assert eval_u_second(appendix_power(0.5), 0.0) == 0.0
+        assert eval_u_second(appendix_power(0.5), 3.0) == pytest.approx(-1.0 / 32.0)
+        assert eval_u_second(capped_power(0.5, 2.0), 0.0) == 0.0
+        assert eval_u_second(capped_power(0.5, 2.0), -1.0) == 0.0
+
+    def test_capped_second_finite_near_zero(self):
+        # x**(alpha - 2) overflows below x ~ 1e-162 at alpha = 0.1; the clip
+        # at 1e-100 keeps it finite
+        u = capped_power(0.1, 1.0)
+        out = eval_u_second(u, np.array([5e-324, 1e-300, 1e-120, 1e-100]))
+        assert np.all(np.isfinite(out)) and np.all(out < 0)
+        assert out[0] == out[1] == out[2] == out[3]
+
+    def test_tabulated_second_is_zero(self):
+        u = tabulated([-1.0, 0.0, 1.0], [-1.0, 0.0, 0.5])
+        assert np.array_equal(eval_u_second(u, np.linspace(-2, 2, 9)), np.zeros(9))
 
 
 class TestShape:
