@@ -18,8 +18,7 @@ from .optimize import (DiscretePayoff, OptimizationReport, SolverConfig,
                        optimize_truncated, truncation_ladder)
 from .scenarios import (EnumerationCapError, ScenarioSet, enumerate_scenarios,
                         expectation, sample_scenarios)
-from .utility import (GrowthBounds, Utility, appendix_power, capped_power,
-                      certify_growth, eval_u, eval_u_prime, eval_u_second,
-                      tabulated)
+from .utility import (GrowthBounds, Utility, appendix_power, certify_growth,
+                      eval_u, eval_u_prime, eval_u_second, tabulated)
 
 __version__ = "0.1.0"

@@ -129,6 +129,7 @@ def run_command(command: str, cfg: ExperimentConfig, seed: int,
         return EXIT_ASSUMPTION
 
     s = _scenarios(cfg, seed, n_override)
+    sections["scenario_set"] = {"provenance": s.provenance, "rows": s.n}
 
     try:
         if command in ("optimize", "report"):

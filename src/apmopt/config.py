@@ -10,14 +10,12 @@ import json
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .distributions import (DistributionSpec, dyadic_two_sided, finite_discrete,
                             rademacher, standardized_two_point,
                             standardized_uniform)
 from .market import BRule, MarketModel, build_market
 from .optimize import SolverConfig
-from .utility import GrowthBounds, Utility, appendix_power, capped_power, tabulated
+from .utility import GrowthBounds, Utility, appendix_power, tabulated
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config"]
 
@@ -117,10 +115,6 @@ def _build_model(md: dict, errors: list[str]) -> MarketModel | None:
     except (ValueError, TypeError) as exc:
         errors.append(f"model: {exc}")
         return None
-    head = b_rule.c * np.arange(1.0, model.K + 1) ** -b_rule.p
-    if b_rule.kind == "power" and not np.allclose(model.b, head, rtol=1e-12, atol=0):
-        errors.append(f"model.b_rule: power rule gives b = {head.tolist()} "
-                      f"but mu gives b = {model.b.tolist()}")
     return model
 
 
@@ -138,9 +132,6 @@ def _build_utility(ud: dict, errors: list[str]) -> Utility | None:
     try:
         if kind == "appendix_power":
             return appendix_power(float(ud.get("alpha", 0.5)), growth)
-        if kind == "capped_power":
-            return capped_power(float(ud.get("alpha", 0.5)),
-                                float(ud.get("c", 1.0)), growth)
         if kind == "tabulated":
             return tabulated(ud["xs"], ud["ys"], growth)
     except (KeyError, ValueError, TypeError) as exc:

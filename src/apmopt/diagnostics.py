@@ -182,7 +182,7 @@ def assemble_report(model: MarketModel, sections: dict) -> dict:
         "na_flagged_coordinates": list(na.flagged),
     }
     for key in ("subgauss", "relevant", "exp_moment", "holder", "optimizer",
-                "measure", "seed"):
+                "measure", "scenario_set", "seed"):
         report[key] = sections.get(key, "skipped")
     return report
 

@@ -37,10 +37,12 @@ _SQRT3 = math.sqrt(3.0)
 class DistributionSpec:
     """A standardized noise distribution (mean 0, variance 1).
 
-    family is one of "finite_discrete", "rademacher",
-    "standardized_two_point", "standardized_uniform", "dyadic_two_sided".
-    Discrete families carry explicit (points, probs); dyadic_two_sided
-    carries the geometric ratio q and is queried analytically.
+    family is one of "finite_discrete", "standardized_uniform",
+    "dyadic_two_sided"; ``__post_init__`` rejects any other, so every
+    query below ends in the dyadic branch.  finite_discrete carries
+    explicit (points, probs), and ``rademacher()`` and
+    ``standardized_two_point(p)`` build it too; dyadic_two_sided carries
+    the geometric ratio q and is queried analytically.
     """
 
     family: str
@@ -49,7 +51,7 @@ class DistributionSpec:
     q: float = 0.0  # dyadic_two_sided only
 
     def __post_init__(self):
-        if self.family in ("finite_discrete", "rademacher", "standardized_two_point"):
+        if self.family == "finite_discrete":
             pts = np.asarray(self.points, dtype=float)
             pr = np.asarray(self.probs, dtype=float)
             if pts.shape != pr.shape or pts.ndim != 1 or pts.size < 2:
@@ -72,11 +74,7 @@ class DistributionSpec:
 
     @property
     def is_discrete(self) -> bool:
-        return self.family in ("finite_discrete", "rademacher", "standardized_two_point")
-
-    @property
-    def support_size(self) -> int | None:
-        return len(self.points) if self.is_discrete else None
+        return self.family == "finite_discrete"
 
     # --- dyadic helpers -------------------------------------------------
     def _dyadic_scale(self) -> float:
@@ -95,21 +93,19 @@ class DistributionSpec:
             idx = np.searchsorted(cum, u, side="right")
             idx = np.clip(idx, 0, len(pts) - 1)
             return pts[order][idx]
-        if self.family == "dyadic_two_sided":
-            # symmetric: sign from u<0.5, magnitude index geometric
-            s = self._dyadic_scale()
-            v = np.where(u < 0.5, 1.0 - 2.0 * u, 2.0 * u - 1.0)  # in (0,1]
-            v = np.clip(v, 1e-300, 1.0)
-            # tail mass beyond index k (one side, renormalized): q^k
-            k = np.floor(np.log(v) / math.log(self.q))
-            k = np.clip(k, 0, 4096)
-            mag = s * np.exp2(k)
-            return np.where(u < 0.5, -mag, mag)
-        raise AssertionError(self.family)
+        # dyadic_two_sided, symmetric: sign from u<0.5, magnitude index geometric
+        s = self._dyadic_scale()
+        v = np.where(u < 0.5, 1.0 - 2.0 * u, 2.0 * u - 1.0)  # in (0,1]
+        v = np.clip(v, 1e-300, 1.0)
+        # tail mass beyond index k (one side, renormalized): q^k
+        k = np.floor(np.log(v) / math.log(self.q))
+        k = np.clip(k, 0, 4096)
+        mag = s * np.exp2(k)
+        return np.where(u < 0.5, -mag, mag)
 
 
 def rademacher() -> DistributionSpec:
-    return DistributionSpec("rademacher", points=(1.0, -1.0), probs=(0.5, 0.5))
+    return finite_discrete((1.0, -1.0), (0.5, 0.5))
 
 
 def standardized_two_point(p: float) -> DistributionSpec:
@@ -121,7 +117,7 @@ def standardized_two_point(p: float) -> DistributionSpec:
         raise ValueError("p must lie in (0,1)")
     up = math.sqrt((1.0 - p) / p)
     dn = -math.sqrt(p / (1.0 - p))
-    return DistributionSpec("standardized_two_point", points=(up, dn), probs=(p, 1.0 - p))
+    return finite_discrete((up, dn), (p, 1.0 - p))
 
 
 def standardized_uniform() -> DistributionSpec:
@@ -153,23 +149,21 @@ def tail_probability(dist: DistributionSpec, x: float, side: str) -> float:
         if side == "above":
             return float(np.clip((_SQRT3 - x) / (2 * _SQRT3), 0.0, 1.0))
         return float(np.clip((x + _SQRT3) / (2 * _SQRT3), 0.0, 1.0))
-    if dist.family == "dyadic_two_sided":
-        s = dist._dyadic_scale()
-        q = dist.q
+    s = dist._dyadic_scale()  # dyadic_two_sided
+    q = dist.q
 
-        def upper(t: float) -> float:
-            # P(eps > t) for t >= 0: smallest k with s*2^k > t
-            if t < s:
-                return 0.5
-            k0 = math.floor(math.log2(t / s)) + 1
-            if s * 2 ** (k0 - 1) > t:  # guard float rounding
-                k0 -= 1
-            return 0.5 * q ** k0
+    def upper(t: float) -> float:
+        # P(eps > t) for t >= 0: smallest k with s*2^k > t
+        if t < s:
+            return 0.5
+        k0 = math.floor(math.log2(t / s)) + 1
+        if s * 2 ** (k0 - 1) > t:  # guard float rounding
+            k0 -= 1
+        return 0.5 * q ** k0
 
-        if side == "above":
-            return upper(x) if x >= 0 else 1.0 - upper(-x) - _dyadic_atom(dist, -x)
-        return upper(-x) if x <= 0 else 1.0 - upper(x) - _dyadic_atom(dist, x)
-    raise AssertionError(dist.family)
+    if side == "above":
+        return upper(x) if x >= 0 else 1.0 - upper(-x) - _dyadic_atom(dist, -x)
+    return upper(-x) if x <= 0 else 1.0 - upper(x) - _dyadic_atom(dist, x)
 
 
 def _dyadic_atom(dist: DistributionSpec, x: float) -> float:
@@ -196,9 +190,7 @@ def estimate_exp_moment(dist: DistributionSpec, gamma: float) -> float:
         return float(pr @ np.exp(gamma * pts))
     if dist.family == "standardized_uniform":
         return (math.exp(gamma * _SQRT3) - 1.0) / (gamma * _SQRT3)
-    if dist.family == "dyadic_two_sided":
-        return math.inf  # e^{gamma 2^k} dominates q^k for every gamma > 0
-    raise AssertionError(dist.family)
+    return math.inf  # dyadic_two_sided: e^{gamma 2^k} dominates q^k for every gamma > 0
 
 
 def truncated_second_moment(dist: DistributionSpec, N: float) -> float:
@@ -215,14 +207,12 @@ def truncated_second_moment(dist: DistributionSpec, N: float) -> float:
             return 0.0
         # 2 * int_N^{sqrt3} x^2 / (2 sqrt3) dx
         return (_SQRT3 ** 3 - N ** 3) / (3.0 * _SQRT3)
-    if dist.family == "dyadic_two_sided":
-        s = dist._dyadic_scale()
-        q = dist.q
-        if N <= s:
-            return 1.0
-        k0 = math.ceil(math.log2(N / s))
-        if s * 2 ** (k0 - 1) >= N:
-            k0 -= 1
-        # sum_{k>=k0} 2 * (1-q)/2 q^k * s^2 4^k = (4q)^{k0}
-        return (4.0 * q) ** k0
-    raise AssertionError(dist.family)
+    s = dist._dyadic_scale()  # dyadic_two_sided
+    q = dist.q
+    if N <= s:
+        return 1.0
+    k0 = math.ceil(math.log2(N / s))
+    if s * 2 ** (k0 - 1) >= N:
+        k0 -= 1
+    # sum_{k>=k0} 2 * (1-q)/2 q^k * s^2 4^k = (4q)^{k0}
+    return (4.0 * q) ** k0

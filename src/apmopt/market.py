@@ -140,6 +140,8 @@ def build_market(m, K, mu, beta=(), beta_bar=(), noise=None, b_rule=None) -> Mar
 
     b_i = -mu_i / bbar_i for i <= m;
     b_i = -mu_i / bbar_i + sum_j mu_j beta[i,j] / (bbar_j bbar_i) for i > m.
+    A ``power`` b_rule must give these drifts as its head c * i**-p, to a
+    relative 1e-12; otherwise this raises ValueError.
     """
     spec = _spec(m, K, mu, beta, beta_bar, noise, b_rule)
     b = np.empty(K)
@@ -151,6 +153,12 @@ def build_market(m, K, mu, beta=(), beta_bar=(), noise=None, b_rule=None) -> Mar
                 spec.mu[j] * spec.beta[i - m][j] / (spec.beta_bar[j] * bb)
                 for j in range(m)
             )
+    rule = spec.b_rule
+    if rule.kind == "power":
+        head = rule.c * np.arange(1.0, K + 1) ** -rule.p
+        if not np.allclose(b, head, rtol=1e-12, atol=0):
+            raise ValueError(f"b_rule: power rule gives b = {head.tolist()} "
+                             f"but mu gives b = {b.tolist()}")
     M = math.sqrt(math.fsum(x * x for x in b))
     return MarketModel(spec=spec, b=b, M=M)
 

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistributionSpec
-from .market import (ArbitrageError, FactorStrategy, MarketModel,
-                     check_no_arbitrage, truncate_model)
+from .market import ArbitrageError, MarketModel, check_no_arbitrage
 from .scenarios import ScenarioSet, enumerate_scenarios
 from .utility import Utility, eval_u, eval_u_prime, eval_u_second
 
@@ -169,11 +168,10 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
     top = min(model.K, s.draws.shape[1])
     if not model.m <= K <= top:
         raise ValueError(f"truncation level {K} outside [{model.m}, {top}]")
-    sub = truncate_model(model, K) if K < model.K else model
-    na = check_no_arbitrage(sub)
-    if not na.passed:
+    flagged = tuple(i for i in check_no_arbitrage(model).flagged if i <= K)
+    if flagged:
         raise ArbitrageError(
-            f"no-arbitrage condition fails at coordinates {na.flagged}"
+            f"no-arbitrage condition fails at coordinates {flagged}"
         )
     X = _centered(model, s, K)
     w = s.weights

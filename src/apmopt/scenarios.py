@@ -8,7 +8,7 @@ chunked across workers.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,26 +88,22 @@ def sample_scenarios(model: MarketModel, n: int, seed: int) -> ScenarioSet:
 
 def enumerate_scenarios(model: MarketModel, cap: int = ENUMERATION_CAP) -> ScenarioSet:
     """Exact joint support of the product noise law, with product weights."""
-    sizes = []
     for dist in model.noise:
         if not dist.is_discrete:
             raise EnumerationCapError(
                 f"coordinate family {dist.family!r} is not finite-discrete"
             )
-        sizes.append(dist.support_size)
-    total = math.prod(sizes)
+    total = math.prod(len(d.points) for d in model.noise)
     if total > cap:
         raise EnumerationCapError(
             f"joint support has {total} scenarios (> cap {cap}); use Monte Carlo"
         )
-    point_lists = [np.asarray(d.points) for d in model.noise]
-    prob_lists = [np.asarray(d.probs) for d in model.noise]
-    draws = np.array(list(itertools.product(*point_lists)), dtype=float)
-    weights = np.ones(total)
-    for k in range(model.K):
-        reps = math.prod(sizes[k + 1:])
-        tiles = math.prod(sizes[:k])
-        weights *= np.tile(np.repeat(prob_lists[k], reps), tiles)
+    # row-major (last coordinate fastest), the order of itertools.product
+    grids = np.meshgrid(*(np.asarray(d.points) for d in model.noise),
+                        indexing="ij", copy=False)
+    draws = np.stack(grids, axis=-1).reshape(total, model.K)
+    weights = functools.reduce(np.multiply.outer,
+                               (np.asarray(d.probs) for d in model.noise)).ravel()
     return ScenarioSet(draws, weights, "exact_enumeration")
 
 

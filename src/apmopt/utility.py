@@ -3,11 +3,15 @@
 Built-in kinds:
 
 * ``appendix_power(alpha)`` -- u(x) = alpha*x for x <= 0 and
-  (x+1)**alpha - 1 for x > 0; continuously differentiable, u' <= alpha.
-* ``capped_power(alpha, c)`` -- u(x) = x**alpha for x >= 0, c*x for x < 0.
-* ``tabulated(xs, ys)`` -- monotone interpolation of a user table;
+  (x+1)**alpha - 1 for x > 0; continuously differentiable, u' <= alpha,
+  concave and nondecreasing for every alpha in (0,1).
+* ``tabulated(xs, ys)`` -- piecewise linear interpolation of a user table;
   derivative falls back to finite differences (flagged), second
-  derivative is taken as 0 (piecewise linear).
+  derivative is taken as 0.  Shape is the caller's responsibility:
+  ``check_shape`` tests a table for monotonicity and concavity.
+
+``Utility`` rejects any other kind when it is built, so each evaluator
+below is a two-way branch.
 
 A GrowthBounds certificate records constants (alpha, beta, C1, C2) for the
 caps u(x) <= C1(x**alpha + 1) on x >= 0 and u(x) <= C2(-|x|**beta + 1) on
@@ -27,7 +31,6 @@ __all__ = [
     "Utility",
     "GrowthVerdict",
     "appendix_power",
-    "capped_power",
     "tabulated",
     "eval_u",
     "eval_u_prime",
@@ -55,12 +58,15 @@ class GrowthBounds:
 
 @dataclass(frozen=True)
 class Utility:
-    kind: str                      # "appendix_power" | "capped_power" | "tabulated"
+    kind: str                      # "appendix_power" | "tabulated"
     alpha: float = 0.5
-    c: float = 1.0                 # capped_power negative slope
     xs: tuple[float, ...] = ()     # tabulated only
     ys: tuple[float, ...] = ()
     growth: GrowthBounds | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("appendix_power", "tabulated"):
+            raise ValueError(f"unknown utility kind {self.kind!r}")
 
     @property
     def certified(self) -> bool:
@@ -71,12 +77,6 @@ def appendix_power(alpha: float, growth: GrowthBounds | None = None) -> Utility:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
     return Utility("appendix_power", alpha=alpha, growth=growth)
-
-
-def capped_power(alpha: float, c: float, growth: GrowthBounds | None = None) -> Utility:
-    if not 0.0 < alpha < 1.0 or c <= 0:
-        raise ValueError("need alpha in (0,1) and c > 0")
-    return Utility("capped_power", alpha=alpha, c=c, growth=growth)
 
 
 def tabulated(xs, ys, growth: GrowthBounds | None = None) -> Utility:
@@ -93,13 +93,8 @@ def eval_u(u: Utility, x):
     if u.kind == "appendix_power":
         pos = np.maximum(x, 0.0)
         out = np.where(x > 0, (pos + 1.0) ** u.alpha - 1.0, u.alpha * x)
-    elif u.kind == "capped_power":
-        pos = np.maximum(x, 0.0)
-        out = np.where(x >= 0, pos ** u.alpha, u.c * x)
-    elif u.kind == "tabulated":
-        out = np.interp(x, u.xs, u.ys)
     else:
-        raise ValueError(f"unknown utility kind {u.kind!r}")
+        out = np.interp(x, u.xs, u.ys)
     return float(out) if out.ndim == 0 else out
 
 
@@ -114,41 +109,24 @@ def eval_u_prime(u: Utility, x):
         pos = np.maximum(x, 0.0)
         # both one-sided derivatives at 0 equal alpha
         out = np.where(x > 0, u.alpha * (pos + 1.0) ** (u.alpha - 1.0), u.alpha)
-    elif u.kind == "capped_power":
-        pos = np.maximum(x, 1e-300)
-        out = np.where(x > 0, u.alpha * pos ** (u.alpha - 1.0), u.c)
-    elif u.kind == "tabulated":
+    else:
         h = 1e-6 * np.maximum(1.0, np.abs(x))
         out = (np.interp(x + h, u.xs, u.ys) - np.interp(x - h, u.xs, u.ys)) / (2 * h)
-    else:
-        raise ValueError(f"unknown utility kind {u.kind!r}")
     return float(out) if out.ndim == 0 else out
-
-
-# capped_power's u'' ~ x**(alpha-2) at 0+ is evaluated no closer to 0 than
-# this, so |u''| <= 1e200 and Hessian sums over scenarios stay finite
-_CAPPED_FLOOR = 1e-100
 
 
 def eval_u_second(u: Utility, x):
     """u''(x), vectorized; left second derivative at kinks (0 at x = 0).
 
-    capped_power's is clipped at x = 1e-100 from the right; tabulated
-    utilities are piecewise linear, so theirs is 0.
+    Tabulated utilities are piecewise linear, so theirs is 0.
     """
     x = np.asarray(x, dtype=float)
     if u.kind == "appendix_power":
         pos = np.maximum(x, 0.0)
         k = u.alpha * (u.alpha - 1.0)
         out = np.where(x > 0, k * (pos + 1.0) ** (u.alpha - 2.0), 0.0)
-    elif u.kind == "capped_power":
-        pos = np.maximum(x, _CAPPED_FLOOR)
-        k = u.alpha * (u.alpha - 1.0)
-        out = np.where(x > 0, k * pos ** (u.alpha - 2.0), 0.0)
-    elif u.kind == "tabulated":
-        out = np.zeros_like(x)
     else:
-        raise ValueError(f"unknown utility kind {u.kind!r}")
+        out = np.zeros_like(x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -183,11 +161,11 @@ def certify_growth(u: Utility, g: GrowthBounds) -> GrowthVerdict:
     """Check u(x) <= C1(x**alpha + 1) on x >= 0 and u(x) <= C2(-|x|**beta + 1)
     on x < 0, by log-spaced witness scan up to 1e8 on both sides.
 
-    For the built-in power kinds the positive side is also decided
-    analytically through the exponents (a grid cannot rule out a crossover
-    beyond its range when the utility's exponent exceeds the certified one).
+    For appendix_power the positive side is also decided analytically
+    through the exponents (a grid cannot rule out a crossover beyond its
+    range when the utility's exponent exceeds the certified one).
     """
-    if u.kind in ("appendix_power", "capped_power") and u.alpha > g.alpha:
+    if u.kind == "appendix_power" and u.alpha > g.alpha:
         # u grows like x**u.alpha; the cap only allows x**g.alpha
         x = max(10.0, (2 * g.C1) ** (2.0 / (u.alpha - g.alpha)))
         while eval_u(u, x) <= g.C1 * (x ** g.alpha + 1):

@@ -97,7 +97,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(str(p))
         assert exc.value.violations == [
-            "model.b_rule: power rule gives b = [0.4, 0.2, 0.13333333333333333, "
+            "model: b_rule: power rule gives b = [0.4, 0.2, 0.13333333333333333, "
             "0.1] but mu gives b = [0.2, 0.1, 0.05, 0.025]"]
         # b = (0.4, 0.4 / sqrt 2) is the head of its rule 0.4 * i^-0.5
         cfg = parse_config(str(CONFIGS / "divergent_b.json"))
@@ -150,7 +150,8 @@ class TestExitCodes:
         ("measure", {"moment_exponents": 5}, "measure.moment_exponents"),
         ("measure", {"fallback_alpha": "x"}, "measure.fallback_alpha"),
         ("scenario", {"n": "abc"}, "scenario.n"),
-    ], ids=["alpha-list", "exponents-int", "alpha-str", "n-str"])
+        ("utility", {"kind": "crra"}, "utility"),
+    ], ids=["alpha-list", "exponents-int", "alpha-str", "n-str", "kind-unknown"])
     def test_bad_value_names_its_key(self, tmp_path, capsys, section, value, key):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({**DEMO, section: value}))
@@ -194,6 +195,37 @@ class TestExitCodes:
                          f"grad_norm {lv['grad_norm']:.3e}" for lv in levels]
         run("optimize", CONFIGS / "demo.json", tmp_path)
         assert capsys.readouterr().err == ""
+
+
+class TestScenarioProvenance:
+    @pytest.mark.parametrize("command", ["optimize", "measure", "report"])
+    def test_demo_reports_exact_enumeration(self, tmp_path, command):
+        code, out = run(command, CONFIGS / "demo.json", tmp_path)
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["scenario_set"] == {"provenance": "exact_enumeration",
+                                          "rows": 16}
+
+    def test_monte_carlo_reports_seed_and_rows(self, tmp_path):
+        p = tmp_path / "mc.json"
+        p.write_text(json.dumps(MC_LADDER))
+        code, out = run("report", p, tmp_path, "--scenarios", "300")
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["scenario_set"] == {
+            "provenance": "monte_carlo(seed=1, n=300)", "rows": 300}
+
+    @pytest.mark.parametrize("command, config, exit_code", [
+        ("check", "demo.json", 0),
+        ("optimize", "arbitrage.json", 2),
+        ("report", "divergent_b.json", 2),
+    ])
+    def test_check_and_failed_assumptions_skip(self, tmp_path, command, config,
+                                               exit_code):
+        code, out = run(command, CONFIGS / config, tmp_path)
+        assert code == exit_code
+        report = json.loads((out / "report.json").read_text())
+        assert report["scenario_set"] == "skipped"
 
 
 class TestDeterminism:

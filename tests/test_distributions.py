@@ -28,6 +28,11 @@ class TestStandardization:
         assert d.points == pytest.approx((0.75, -4.0 / 3.0))
         assert d.probs == (0.64, 0.36)
 
+    def test_named_laws_are_finite_discrete(self):
+        assert rademacher() == finite_discrete([1.0, -1.0], [0.5, 0.5])
+        d = standardized_two_point(0.64)
+        assert d == finite_discrete(d.points, d.probs)
+
     @given(st.floats(min_value=1e-3, max_value=1 - 1e-3))
     def test_two_point_standardized(self, p):
         mean, var = exact_mean_var(standardized_two_point(p))

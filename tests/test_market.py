@@ -153,10 +153,20 @@ class TestAssumptionB:
     def test_power_rule_criterion(self):
         for p, verdict in [(0.3, "fails"), (0.5, "fails"), (0.51, "holds"),
                            (1.0, "holds"), (2.0, "holds")]:
-            m = rademacher_market([0.1], m=1)
-            m = build_market(1, 1, mu=[-0.1], beta=[], beta_bar=[1.0],
+            # b_1 = 1 = c * 1**-p for every p
+            m = build_market(1, 1, mu=[-1.0], beta=[], beta_bar=[1.0],
                              noise=rademacher(), b_rule=BRule("power", c=1.0, p=p))
             assert check_assumption_b(m).verdict == verdict, p
+
+    def test_power_rule_must_match_drifts(self):
+        with pytest.raises(ValueError, match="b_rule: power rule gives b = "
+                                             r"\[0.4, 0.2\] but mu gives b = "
+                                             r"\[0.2, 0.1\]"):
+            build_market(1, 2, mu=[-0.2, -0.1], beta=[[0.0]], beta_bar=[1.0, 1.0],
+                         noise=rademacher(), b_rule=BRule("power", c=0.4, p=1.0))
+        m = build_market(1, 2, mu=[-0.2, -0.1], beta=[[0.0]], beta_bar=[1.0, 1.0],
+                         noise=rademacher(), b_rule=BRule("power", c=0.2, p=1.0))
+        assert m.b.tolist() == [0.2, 0.1]
 
     def test_explicit_always_holds(self):
         m = rademacher_market([0.5, 0.5, 0.5])

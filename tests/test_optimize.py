@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from apmopt import (ArbitrageError, DiscretePayoff, SolverConfig, appendix_power,
-                    build_market, capped_power, detect_unbounded,
+                    build_market, detect_unbounded,
                     enumerate_scenarios, eval_u, optimize_single_asset,
                     optimize_truncated, rademacher, sample_scenarios,
                     standardized_two_point, standardized_uniform, tabulated,
@@ -203,22 +203,6 @@ class TestNewtonOracles:
         g = np.linspace(-4.0, 4.0, 801)
         values = np.stack(np.meshgrid(g, g), axis=-1) @ (s.draws - model.b).T
         assert res.value >= float((eval_u(u, values) @ s.weights).max()) - 1e-9
-
-    @pytest.mark.xfail(strict=True, reason=(
-        "capped_power is not concave: u'(0+) is infinite and u'(0-) = c, so "
-        "the objective has convex kinks where V = 0 and the solver can stop "
-        "at a local maximum"))
-    def test_capped_power_reaches_global_maximum(self):
-        model = build_market(1, 2, mu=[-0.06, 0.29], beta=[[0.0]],
-                             beta_bar=[1.0, 1.0],
-                             noise=(standardized_two_point(0.77),
-                                    standardized_two_point(0.28)))
-        s = enumerate_scenarios(model)
-        u = capped_power(0.43, 1.57)
-        res = optimize_truncated(model, u, None, s)
-        assert res.converged
-        assert res.value >= saa_objective(u, s.draws - model.b, s.weights,
-                                          np.array([0.22, 0.23])) - 1e-9
 
 
 class TestLadder:

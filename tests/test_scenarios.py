@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apmopt import (EnumerationCapError, ScenarioSet, build_market,
-                    enumerate_scenarios, expectation, rademacher,
+                    enumerate_scenarios, expectation, finite_discrete, rademacher,
                     sample_scenarios, standardized_two_point,
                     standardized_uniform)
 from apmopt.scenarios import _BLOCK
@@ -43,6 +44,43 @@ class TestEnumeration:
         for k in range(2):
             assert abs(expectation(s, s.draws[:, k])) <= 1e-12
             assert abs(expectation(s, s.draws[:, k] ** 2) - 1.0) <= 1e-12
+
+
+def standardized_law(raw_points, raw_probs):
+    """finite_discrete law of the given points, shifted and scaled to mean 0
+    and variance 1; probabilities normalized to sum to 1."""
+    pts = np.asarray(raw_points, dtype=float)
+    pr = np.asarray(raw_probs, dtype=float)
+    pr = pr / math.fsum(pr)
+    pr[-1] = 1.0 - math.fsum(pr[:-1])
+    mean = pts @ pr
+    return finite_discrete((pts - mean) / math.sqrt((pts - mean) ** 2 @ pr), pr)
+
+
+@st.composite
+def discrete_law(draw):
+    size = draw(st.integers(2, 4))
+    pts = draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size,
+                        unique=True))
+    probs = draw(st.lists(st.integers(1, 20), min_size=size, max_size=size))
+    return standardized_law(pts, probs)
+
+
+class TestEnumerationOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(discrete_law(), min_size=1, max_size=5))
+    def test_rows_and_weights_match_product_reference(self, laws):
+        K = len(laws)
+        m = build_market(1, K, mu=[0.0] * K, beta=[[0.0]] * (K - 1),
+                         beta_bar=[1.0] * K, noise=tuple(laws))
+        s = enumerate_scenarios(m)
+        # reference: itertools.product rows, weights multiplied left to right
+        ref_draws = np.array(list(itertools.product(*(d.points for d in laws))),
+                             dtype=float)
+        ref_weights = np.array([math.prod(row) for row in
+                                itertools.product(*(d.probs for d in laws))])
+        assert np.array_equal(s.draws, ref_draws)
+        assert np.array_equal(s.weights, ref_weights)
 
 
 class TestExpectation:

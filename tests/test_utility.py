@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from apmopt import (GrowthBounds, appendix_power, capped_power, certify_growth,
+from apmopt import (GrowthBounds, Utility, appendix_power, certify_growth,
                     eval_u, eval_u_prime, eval_u_second, tabulated)
 from apmopt.utility import check_shape
 from conftest import scaled_utility
@@ -29,11 +29,9 @@ class TestEval:
         xs = np.linspace(-50, 50, 1001)
         assert np.all(eval_u_prime(u, xs) <= 0.7 + 1e-15)
 
-    def test_capped_power(self):
-        u = capped_power(0.5, 2.0)
-        assert eval_u(u, 4.0) == 2.0
-        assert eval_u(u, -3.0) == -6.0
-        assert eval_u_prime(u, 0.0) == 2.0  # left derivative at the kink
+    def test_unknown_kind_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown utility kind 'crra'"):
+            Utility("crra")
 
     def test_tabulated_interpolates(self):
         u = tabulated([-1.0, 0.0, 1.0], [-1.0, 0.0, 0.5])
@@ -47,7 +45,7 @@ class TestEval:
         fd = (eval_u(u, xs + h) - eval_u(u, xs - h)) / (2 * h)
         assert eval_u_prime(u, xs) == pytest.approx(fd, rel=1e-6)
 
-    @pytest.mark.parametrize("u", [appendix_power(0.5), capped_power(0.3, 2.0)])
+    @pytest.mark.parametrize("u", [appendix_power(0.5)])
     def test_second_matches_finite_differences(self, u):
         xs = np.concatenate([np.linspace(-1000, -0.5, 200),
                              np.linspace(0.5, 1000, 200)])
@@ -58,16 +56,6 @@ class TestEval:
     def test_second_left_value_at_kink(self):
         assert eval_u_second(appendix_power(0.5), 0.0) == 0.0
         assert eval_u_second(appendix_power(0.5), 3.0) == pytest.approx(-1.0 / 32.0)
-        assert eval_u_second(capped_power(0.5, 2.0), 0.0) == 0.0
-        assert eval_u_second(capped_power(0.5, 2.0), -1.0) == 0.0
-
-    def test_capped_second_finite_near_zero(self):
-        # x**(alpha - 2) overflows below x ~ 1e-162 at alpha = 0.1; the clip
-        # at 1e-100 keeps it finite
-        u = capped_power(0.1, 1.0)
-        out = eval_u_second(u, np.array([5e-324, 1e-300, 1e-120, 1e-100]))
-        assert np.all(np.isfinite(out)) and np.all(out < 0)
-        assert out[0] == out[1] == out[2] == out[3]
 
     def test_tabulated_second_is_zero(self):
         u = tabulated([-1.0, 0.0, 1.0], [-1.0, 0.0, 0.5])
@@ -78,12 +66,6 @@ class TestShape:
     @pytest.mark.parametrize("u", [appendix_power(0.2), appendix_power(0.9)])
     def test_builtins_concave_nondecreasing(self, u):
         assert check_shape(u)
-
-    @pytest.mark.parametrize("u", [capped_power(0.5, 1.0), capped_power(0.3, 4.0)])
-    def test_capped_power_convex_kink_detected(self, u):
-        # x**alpha has infinite right-derivative at 0, so the junction with
-        # any finite-slope linear branch is a convex kink the grid must flag
-        assert not check_shape(u)
 
     def test_graph_below_tangent_at_zero(self):
         # concavity: u(x) <= u'(0) x everywhere, with equality for x <= 0
@@ -124,8 +106,8 @@ class TestCertify:
         assert eval_u(u, v.witness) > g.C2 * (-abs(v.witness) ** 1.5 + 1)
 
     def test_exponent_mismatch_fails_with_witness(self):
-        # x^0.5 > x^0.4 + 1 for large x, e.g. x = 1e4
-        u = capped_power(0.5, 1.0)
+        # (x+1)^0.5 - 1 > x^0.4 + 1 for large x, e.g. x = 1e4
+        u = appendix_power(0.5)
         g = GrowthBounds(alpha=0.4, beta=2.0, C1=1.0, C2=1.0)
         v = certify_growth(u, g)
         assert not v.holds and v.side == "positive"
