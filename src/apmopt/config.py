@@ -118,6 +118,25 @@ def _build_model(md: dict, errors: list[str]) -> MarketModel | None:
     return model
 
 
+def _check_table(xs: tuple[float, ...], ys: tuple[float, ...]) -> None:
+    """Raise ValueError unless the table interpolates a nondecreasing
+    concave utility: xs strictly increasing, and slopes that are >= 0 and
+    never rise, to a relative 1e-12 of the steepest.  The table's own
+    slopes decide; ``check_shape`` cannot, since np.interp clamps below
+    xs[0], a convex kink of every increasing table."""
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise ValueError("tabulated xs must be strictly increasing")
+    slopes = [(y1 - y0) / (x1 - x0)
+              for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]
+    tol = 1e-12 * max(map(abs, slopes))
+    if min(slopes) < -tol:
+        raise ValueError("tabulated ys must be nondecreasing")
+    for k, (a, b) in enumerate(zip(slopes, slopes[1:])):
+        if b > a + tol:
+            raise ValueError(f"tabulated utility is not concave: slope rises "
+                             f"from {a:.6g} to {b:.6g} at x = {xs[k + 1]:.6g}")
+
+
 def _build_utility(ud: dict, errors: list[str]) -> Utility | None:
     kind = ud.get("kind", "appendix_power")
     growth = None
@@ -133,7 +152,9 @@ def _build_utility(ud: dict, errors: list[str]) -> Utility | None:
         if kind == "appendix_power":
             return appendix_power(float(ud.get("alpha", 0.5)), growth)
         if kind == "tabulated":
-            return tabulated(ud["xs"], ud["ys"], growth)
+            u = tabulated(ud["xs"], ud["ys"], growth)
+            _check_table(u.xs, u.ys)
+            return u
     except (KeyError, ValueError, TypeError) as exc:
         errors.append(f"utility: {exc}")
         return None

@@ -9,8 +9,15 @@ semidefinite because u'' <= 0 for every utility kind, so the shifted
 system is positive definite; the shift vanishes with g near the optimum,
 where the step is the Newton step, and for a tabulated utility (u'' = 0)
 the step is a scaled gradient step.  The truncation ladder solves every level on one
-scenario set.  A linear program searches for scenario-set arbitrage
-directions, which make the supremum unattained.
+scenario set.
+
+``detect_unbounded`` decides whether the scenario set admits an arbitrage
+direction, which makes the supremum unattained.  On an exact product set
+the answer is a closed form in each coordinate's support.  On a sampled
+set the same Newton loop minimizes Rogers' log E[exp(lam . X)]; its
+tilted weights give a bound that rules every witness out.  Only when that
+bound is not small enough does a HiGHS linear program (scipy, imported
+then) search for a direction.
 """
 
 from __future__ import annotations
@@ -146,6 +153,70 @@ def _newton_pass(u: Utility, X: np.ndarray, w: np.ndarray, phi: np.ndarray):
     return f, g, H
 
 
+_CERTIFICATE_MAX_ITER = 50
+
+
+def _log_mgf(X: np.ndarray, w: np.ndarray, lam: np.ndarray) -> float:
+    """L(lam) = log sum_j w_j exp(x_j . lam), max-shifted."""
+    z = X @ lam
+    zmax = float(z.max())
+    return zmax + math.log(float(np.sum(w * np.exp(z - zmax))))
+
+
+def _rogers_pass(X: np.ndarray, w: np.ndarray, lam: np.ndarray):
+    """L(lam), the tilted weights y = w e^z / sum(w e^z), the gradient
+    r = X^T y and the Hessian X^T diag(y) X - r r^T from one product z = X @ lam."""
+    z = X @ lam
+    zmax = float(z.max())
+    e = w * np.exp(z - zmax)
+    total = float(np.sum(e))
+    y = e / total
+    r = X.T @ y
+    H = (X.T * y) @ X - np.outer(r, r)
+    return zmax + math.log(total), y, r, H
+
+
+def _no_arbitrage_certificate(X: np.ndarray, w: np.ndarray) -> bool:
+    """True if no phi with ||phi||_inf <= 1 and X @ phi >= 0 reaches 1e-9
+    on any row.
+
+    Minimizes the convex L(lam) = log sum_j w_j exp(x_j . lam) (Rogers
+    1994) from lam = 0 with the solver's damped Newton step
+    -(H + ||r||^2 I)^{-1} r and Armijo halving; a rise of L within its
+    rounding counts as none, since L is flat to rounding near its minimum.
+    At every lam the tilted weights y are strictly positive, and for such
+    a phi  max_j (X phi)_j <= y . X phi / min_j y_j = r . phi / min_j y_j
+    <= ||r||_1 / min_j y_j.  The certificate holds once that bound is below
+    1e-9.  A small gradient alone proves nothing: under an arbitrage lam
+    runs off along it and min_j y_j -> 0.  The loop stops after a step
+    whose predicted decrease is below L's rounding, or after
+    _CERTIFICATE_MAX_ITER passes; False means undecided.
+    """
+    lam = np.zeros(X.shape[1])
+    flat = False
+    for _ in range(_CERTIFICATE_MAX_ITER):
+        L, y, r, H = _rogers_pass(X, w, lam)
+        if float(np.abs(r).sum()) < 1e-9 * float(y.min()):
+            return True
+        if flat:
+            return False  # the last step could not lower L beyond rounding
+        gn = float(np.linalg.norm(r))
+        d = -np.linalg.solve(H + gn * gn * np.eye(lam.size), r)
+        slope = float(r @ d)
+        slack = 1e-14 * max(1.0, abs(L))
+        flat = -slope <= slack
+        t = 1.0
+        while t > 1e-18:
+            cand = lam + t * d
+            if _log_mgf(X, w, cand) <= L + 1e-4 * t * slope + slack:
+                break
+            t *= 0.5
+        if t <= 1e-18 or np.array_equal(cand, lam):
+            return False  # no descent step that moves lam
+        lam = cand
+    return False
+
+
 @dataclass(frozen=True)
 class LevelResult:
     K: int
@@ -248,24 +319,48 @@ def detect_unbounded(model: MarketModel, s: ScenarioSet,
     """Search for a direction phi with V(phi) >= 0 on all scenarios and
     > 0 on some (scenario-set arbitrage).
 
-    Solved as an LP over the box ||phi||_inf <= 1: maximize the total
-    payoff subject to nonnegativity on the first direction_budget
-    scenarios.  The direction is then checked on every scenario, so a
-    returned witness is valid on the whole set; "not found" is not a proof
-    of absence beyond the scenario budget.
+    Three deciders, tried in order:
+
+    * exact product sets: min over rows of V(phi) is sum_i min_j phi_i x_ij,
+      so an arbitrage exists iff some coordinate's centred support points
+      eps_i - b_i share one sign and are not all zero, and then +-e_i is a
+      witness.  Zero-weight support points count as rows.
+    * sampled sets with every weight > 0: a Rogers certificate (see
+      ``_no_arbitrage_certificate``) proves that no direction in the box
+      ||phi||_inf <= 1 reaches 1e-9 on any row while staying >= 0 on all.
+    * otherwise, an LP over the box: maximize the total payoff subject to
+      nonnegativity on the first direction_budget scenarios (the budget
+      caps only this fallback).  scipy is imported for it alone.
+
+    A returned witness is checked on every scenario, so it is valid on the
+    whole set; the LP's "not found" is not a proof of absence beyond the
+    scenario budget.
     """
-    # imported here so that importing apmopt loads no scipy module
+    K = model.K
+    if s.is_exact:
+        for i, dist in enumerate(model.noise):
+            x = np.asarray(dist.points) - model.b[i]
+            if (x.min() >= 0 or x.max() <= 0) and x.any():
+                phi = np.zeros(K)
+                phi[i] = 1.0 if x.max() > 0 else -1.0
+                if _pays_off(_centered(model, s, K), phi):
+                    return True, phi
+        return False, None
+    X_all = _centered(model, s, K)
+    if s.weights.min() > 0 and _no_arbitrage_certificate(X_all, s.weights):
+        return False, None
+    # imported here so that apmopt loads scipy only for this fallback
     from scipy.optimize import linprog
 
-    X_all = _centered(model, s, model.K)
     X = X_all[:direction_budget]
-    c = -X.sum(axis=0)
-    res = linprog(c, A_ub=-X, b_ub=np.zeros(X.shape[0]),
-                  bounds=[(-1.0, 1.0)] * model.K, method="highs")
-    if res.status != 0:
-        return False, None
-    phi = res.x
-    vals = X_all @ phi
-    if vals.min() >= -1e-12 and vals.max() > 1e-9:
-        return True, phi
+    res = linprog(-X.sum(axis=0), A_ub=-X, b_ub=np.zeros(X.shape[0]),
+                  bounds=[(-1.0, 1.0)] * K, method="highs")
+    if res.status == 0 and _pays_off(X_all, res.x):
+        return True, res.x
     return False, None
+
+
+def _pays_off(X: np.ndarray, phi: np.ndarray) -> bool:
+    """X @ phi is >= 0 on every row (to -1e-12) and > 1e-9 on some."""
+    vals = X @ phi
+    return bool(vals.min() >= -1e-12 and vals.max() > 1e-9)

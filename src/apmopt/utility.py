@@ -8,7 +8,8 @@ Built-in kinds:
 * ``tabulated(xs, ys)`` -- piecewise linear interpolation of a user table;
   derivative falls back to finite differences (flagged), second
   derivative is taken as 0.  Shape is the caller's responsibility:
-  ``check_shape`` tests a table for monotonicity and concavity.
+  ``check_shape`` tests a table for monotonicity and concavity, and a
+  config file's table is checked from its own slopes when it is parsed.
 
 ``Utility`` rejects any other kind when it is built, so each evaluator
 below is a two-way branch.

@@ -103,6 +103,30 @@ class TestParseConfig:
         cfg = parse_config(str(CONFIGS / "divergent_b.json"))
         assert cfg.model.spec.b_rule.kind == "power"
 
+    @pytest.mark.parametrize("xs, ys, message", [
+        ([-10, 0, 10], [-1, 0, 5], "tabulated utility is not concave: slope "
+                                   "rises from 0.1 to 0.5 at x = 0"),
+        ([-1, 0, 1], [1, 0, 1], "tabulated ys must be nondecreasing"),
+        ([0, -1, 1], [-1, 0, 1], "tabulated xs must be strictly increasing"),
+    ], ids=["convex-kink", "decreasing", "xs-unsorted"])
+    def test_tabulated_utility_must_be_concave(self, tmp_path, capsys, xs, ys,
+                                               message):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(
+            {**DEMO, "utility": {"kind": "tabulated", "xs": xs, "ys": ys}}))
+        code, _ = run("optimize", p, tmp_path)
+        assert code == 1
+        assert f"- utility: {message}\n" in capsys.readouterr().err
+
+    def test_concave_tabulated_utility_parses(self, tmp_path):
+        # slopes 5, 3, 3, 3 in decimal; in binary the second 3 exceeds the
+        # first by 3 ulps, a rise the relative tolerance forgives
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**DEMO, "utility": {
+            "kind": "tabulated", "xs": [-10, 0, 0.1, 0.3, 0.7],
+            "ys": [-50, 0, 0.3, 0.9, 2.1]}}))
+        assert parse_config(str(p)).utility.ys == (-50.0, 0.0, 0.3, 0.9, 2.1)
+
 
 class TestExitCodes:
     def test_check_demo_ok(self, tmp_path):
@@ -260,16 +284,28 @@ class TestDeterminism:
 
 
 class TestRunShape:
-    def test_import_loads_no_scipy(self):
+    def test_import_loads_no_scipy(self, tmp_path):
+        # neither the import nor an exact or a Monte Carlo report loads
+        # scipy: the closed form and the certificate decide arbitrage
+        mc = tmp_path / "mc.json"
+        mc.write_text(json.dumps(MC_LADDER))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        env.pop("SEED", None)
+        script = (
+            "import sys, apmopt.cli\n"
+            "def scipy(): return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "print(scipy())\n"
+            "out, *configs = sys.argv[1:]\n"
+            "for i, config in enumerate(configs):\n"
+            "    code = apmopt.cli.main(['report', '--config', config, '--out', f'{out}/{i}'])\n"
+            "    print(code, scipy())\n")
         out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, apmopt.cli; "
-             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+            [sys.executable, "-c", script, str(tmp_path),
+             str(CONFIGS / "demo.json"), str(mc)],
             env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.splitlines() == ["[]", "0 []", "0 []"]
 
     def test_report_builds_the_measure_once(self, tmp_path, monkeypatch):
         counts = {"build_tilted_measure": 0, "verify_pricing": 0, "density": 0}

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from apmopt import (ArbitrageError, DiscretePayoff, SolverConfig, appendix_power,
-                    build_market, detect_unbounded,
-                    enumerate_scenarios, eval_u, optimize_single_asset,
-                    optimize_truncated, rademacher, sample_scenarios,
-                    standardized_two_point, standardized_uniform, tabulated,
-                    truncation_ladder)
+from apmopt import (ArbitrageError, DiscretePayoff, ScenarioSet, SolverConfig,
+                    appendix_power, build_market, detect_unbounded,
+                    enumerate_scenarios, eval_u, finite_discrete,
+                    optimize_single_asset, optimize_truncated, rademacher,
+                    sample_scenarios, standardized_two_point,
+                    standardized_uniform, tabulated, truncation_ladder)
+from apmopt import optimize
 from apmopt.optimize import OneSidedPayoffError, saa_gradient, saa_objective
 from conftest import rademacher_market, scaled_utility
 
@@ -21,6 +22,68 @@ def two_point_market(ps, fracs):
     K = len(ps)
     return build_market(1, K, mu=[-x for x in b], beta=[[0.0]] * (K - 1),
                         beta_bar=[1.0] * K, noise=noise)
+
+
+def lp_finds_witness(X):
+    """Oracle: the box LP over every row, with the library's witness test."""
+    from scipy.optimize import linprog
+    res = linprog(-X.sum(axis=0), A_ub=-X, b_ub=np.zeros(X.shape[0]),
+                  bounds=[(-1.0, 1.0)] * X.shape[1], method="highs")
+    if res.status != 0:
+        return False
+    vals = X @ res.x
+    return bool(vals.min() >= -1e-12 and vals.max() > 1e-9)
+
+
+def assert_witness(X, phi):
+    vals = X @ phi
+    assert vals.min() >= -1e-12 and vals.max() > 1e-9
+
+
+@st.composite
+def exact_markets(draw):
+    """m=1 markets of 1-4 finite-discrete laws with 2-4 points, some of
+    probability zero.  A third of the coordinates are one-sided, with b_i
+    at an end of the support or one unit outside it; the rest have b_i at
+    an inner support point or the midpoint of two neighbouring points.
+    Zero-probability points count as support.  Points start on a 1/4 grid,
+    so every centred point is exactly 0 or far from it: within ~1e-12 of 0
+    the LP's feasibility tolerance and the witness test's -1e-12 would
+    decide differently from any exact rule."""
+    K = draw(st.integers(1, 4))
+    noise, b = [], []
+    for _ in range(K):
+        grid = draw(st.lists(st.integers(-8, 8), min_size=2, max_size=4, unique=True))
+        raw = [draw(st.integers(1, 3)) for _ in range(2)]  # a law with variance
+        raw += [draw(st.integers(0, 3)) for _ in grid[2:]]
+        pr = np.array(raw, dtype=float) / sum(raw)
+        pts = np.array(grid, dtype=float) / 4.0
+        mean = float(pts @ pr)
+        pts = (pts - mean) / float(np.sqrt((pts - mean) ** 2 @ pr))
+        noise.append(finite_discrete(pts, pr))
+        srt = np.sort(pts)
+        if draw(st.integers(0, 2)) == 0:  # one-sided
+            b.append(draw(st.sampled_from(
+                [srt[0], srt[-1], srt[0] - 1.0, srt[-1] + 1.0])))
+        else:
+            b.append(draw(st.sampled_from(
+                list(srt[1:-1]) + list(0.5 * (srt[:-1] + srt[1:])))))
+    return build_market(1, K, mu=[-x for x in b], beta=[[0.0]] * (K - 1),
+                        beta_bar=[1.0] * K, noise=tuple(noise))
+
+
+@st.composite
+def sampled_sets(draw):
+    """Row sets with every weight > 0; entries on a 1/4 grid and b on a
+    1/8 grid, so that LP vertices sit far from the tolerances."""
+    K = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 40))
+    cells = draw(st.lists(st.integers(-6, 6), min_size=n * K, max_size=n * K))
+    raw = np.array(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)),
+                   dtype=float)
+    model = rademacher_market([draw(st.integers(-4, 4)) / 8.0 for _ in range(K)])
+    draws = np.array(cells, dtype=float).reshape(n, K) / 4.0
+    return model, ScenarioSet(draws, raw / raw.sum(), "sampled")
 
 
 class TestSingleAsset:
@@ -296,3 +359,68 @@ class TestDetectUnbounded:
         model = rademacher_market([0.4 / i for i in range(1, 5)])
         s = enumerate_scenarios(model)
         assert detect_unbounded(model, s, direction_budget=8) == (False, None)
+
+    @settings(deadline=None, max_examples=100)
+    @given(exact_markets())
+    def test_exact_verdict_matches_lp_over_every_row(self, model):
+        s = enumerate_scenarios(model)
+        X = s.draws - model.b
+        found, phi = detect_unbounded(model, s)
+        assert found == lp_finds_witness(X)
+        if found:
+            assert_witness(X, phi)
+        else:
+            assert phi is None
+
+    @settings(deadline=None, max_examples=100)
+    @given(sampled_sets())
+    def test_sampled_verdict_matches_lp_over_every_row(self, case):
+        model, s = case
+        X = s.draws - model.b
+        lp_found = lp_finds_witness(X)
+        if optimize._no_arbitrage_certificate(X, s.weights):
+            assert not lp_found
+        found, phi = detect_unbounded(model, s)
+        assert found == lp_found
+        if found:
+            assert_witness(X, phi)
+
+    def test_certificate_decides_without_the_lp(self, market_k3, monkeypatch):
+        import scipy.optimize
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("the LP ran")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
+        s = sample_scenarios(market_k3, 2000, seed=1)
+        assert detect_unbounded(market_k3, s) == (False, None)
+
+    def test_planted_arbitrage_goes_to_the_lp(self, market_k3, monkeypatch):
+        # keep only rows where phi = (1, -0.5, 0.25) pays >= 0
+        s0 = sample_scenarios(market_k3, 400, seed=2)
+        rows = s0.draws[(s0.draws - market_k3.b) @ np.array([1.0, -0.5, 0.25]) >= 0]
+        s = ScenarioSet(rows, np.full(len(rows), 1.0 / len(rows)), "planted")
+        verdicts = []
+        certificate = optimize._no_arbitrage_certificate
+
+        def spy(X, w):
+            verdicts.append(certificate(X, w))
+            return verdicts[-1]
+
+        monkeypatch.setattr(optimize, "_no_arbitrage_certificate", spy)
+        found, phi = detect_unbounded(market_k3, s)
+        assert verdicts == [False]
+        assert found
+        assert_witness(rows - market_k3.b, phi)
+
+    def test_zero_weight_skips_the_certificate(self, market_k3, monkeypatch):
+        s0 = sample_scenarios(market_k3, 200, seed=3)
+        w = s0.weights.copy()
+        w[0] = 0.0
+        s = ScenarioSet(s0.draws, w / w.sum(), "zero weight")
+        calls = []
+        monkeypatch.setattr(optimize, "_no_arbitrage_certificate",
+                            lambda X, w: calls.append(1))
+        found, _ = detect_unbounded(market_k3, s)
+        assert calls == []
+        assert found == lp_finds_witness(s.draws - market_k3.b)
