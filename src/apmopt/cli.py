@@ -44,22 +44,31 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _checked_seed(seed: int, source: str) -> int:
+    # the Monte Carlo stream is keyed by (seed << 64) | block
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"{source} must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _resolve_seed(cfg: ExperimentConfig, args) -> int:
     env = os.environ.get("SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ValueError(f"SEED must be an integer, got {env!r}") from None
+        return _checked_seed(seed, "SEED")
     if args.seed is not None:
-        return args.seed
+        return _checked_seed(args.seed, "--seed")
     return cfg.seed
 
 
 def _scenarios(cfg: ExperimentConfig, seed: int, n_override):
     if cfg.scenario_mode == "exact":
         return enumerate_scenarios(cfg.model)
-    return sample_scenarios(cfg.model, n_override or cfg.n_scenarios, seed)
+    n = cfg.n_scenarios if n_override is None else n_override
+    return sample_scenarios(cfg.model, n, seed)
 
 
 def _assumptions_ok(cfg: ExperimentConfig) -> bool:
@@ -161,7 +170,9 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         seed = _resolve_seed(cfg, args)
-    except ValueError as exc:  # ConfigError or a malformed SEED
+        if args.scenarios is not None and args.scenarios < 1:
+            raise ValueError(f"--scenarios must be at least 1, got {args.scenarios}")
+    except ValueError as exc:  # ConfigError, a bad seed or scenario count
         print(str(exc), file=sys.stderr)
         return EXIT_INTERNAL
     if args.out:

@@ -122,7 +122,7 @@ def _check_table(xs: tuple[float, ...], ys: tuple[float, ...]) -> None:
     """Raise ValueError unless the table interpolates a nondecreasing
     concave utility: xs strictly increasing, and slopes that are >= 0 and
     never rise, to a relative 1e-12 of the steepest.  The table's own
-    slopes decide; ``check_shape`` cannot, since np.interp clamps below
+    slopes decide, not a grid of eval_u values: np.interp clamps below
     xs[0], a convex kink of every increasing table."""
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("tabulated xs must be strictly increasing")
@@ -238,6 +238,8 @@ def parse_config(path: str) -> ExperimentConfig:
         if seed is None:
             errors.append("scenario.seed: monte_carlo mode needs a seed")
     seed = _convert(int, seed, errors, "scenario.seed") if seed is not None else 0
+    if seed is not None and not 0 <= seed < 2 ** 64:
+        errors.append(f"scenario.seed: must lie in [0, 2**64), got {seed}")
 
     if errors:
         raise ConfigError(errors)

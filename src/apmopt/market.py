@@ -257,7 +257,6 @@ def strategy_values(model: MarketModel, phi: np.ndarray, draws: np.ndarray) -> n
 class AssumptionVerdict:
     verdict: str                 # "holds" | "fails"
     partial_sums: np.ndarray     # cumulative sum of b_i^2 up to K
-    detail: str = ""
 
 
 def check_assumption_b(model: MarketModel) -> AssumptionVerdict:
@@ -268,34 +267,23 @@ def check_assumption_b(model: MarketModel) -> AssumptionVerdict:
     """
     partial = np.cumsum(model.b ** 2)
     rule = model.spec.b_rule
-    if rule.kind in ("explicit", "zero"):
-        return AssumptionVerdict("holds", partial, "finite tail")
-    if rule.c == 0.0 or rule.p > 0.5:
-        return AssumptionVerdict("holds", partial, f"p-series, p={rule.p} > 1/2")
-    return AssumptionVerdict("fails", partial, f"p-series, p={rule.p} <= 1/2")
+    holds = rule.kind in ("explicit", "zero") or rule.c == 0.0 or rule.p > 0.5
+    return AssumptionVerdict("holds" if holds else "fails", partial)
 
 
 @dataclass(frozen=True)
 class NoArbitrageVerdict:
     passed: bool
     flagged: tuple[int, ...]     # 1-based coordinates with a one-sided tail
-    tails: tuple[tuple[float, float], ...]  # (P(eps<b), P(eps>b)) per coordinate
 
 
 def check_no_arbitrage(model: MarketModel) -> NoArbitrageVerdict:
     """Per-coordinate check that P(eps_i < b_i) and P(eps_i > b_i) are positive."""
-    flagged, tails = [], []
-    for i, dist in enumerate(model.noise):
-        lo = tail_probability(dist, float(model.b[i]), "below")
-        hi = tail_probability(dist, float(model.b[i]), "above")
-        tails.append((lo, hi))
-        if lo <= 0.0 or hi <= 0.0:
-            flagged.append(i + 1)
-    return NoArbitrageVerdict(
-        passed=not flagged,
-        flagged=tuple(flagged),
-        tails=tuple(tails),
-    )
+    flagged = tuple(
+        i + 1 for i, dist in enumerate(model.noise)
+        if tail_probability(dist, float(model.b[i]), "below") <= 0.0
+        or tail_probability(dist, float(model.b[i]), "above") <= 0.0)
+    return NoArbitrageVerdict(passed=not flagged, flagged=flagged)
 
 
 def truncate_model(model: MarketModel, K: int) -> MarketModel:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, tail_probability
 from .market import ArbitrageError, FactorStrategy, MarketModel, check_no_arbitrage
-from .optimize import DiscretePayoff, optimize_single_asset
+from .optimize import DiscretePayoff, _bisect, optimize_single_asset
 from .scenarios import ScenarioSet, enumerate_scenarios, expectation
 from .utility import appendix_power, eval_u_prime
 
@@ -80,19 +80,10 @@ def solve_tilt(dist: DistributionSpec, b: float, tol: float = 1e-12,
         raise TiltBracketError(
             f"no sign change of the tilt residual within |a| <= {bracket}"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(gm) <= tol:
-            return mid
-        if gm > 0:
-            lo = mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    if abs(g(mid)) > tol:
-        raise TiltBracketError("bisection budget exhausted above tolerance")
-    return mid
+    a, ga = _bisect(g, lo, hi, tol, 200)
+    if abs(ga) > tol:
+        raise TiltBracketError("bisection stalled above tolerance")
+    return a
 
 
 @dataclass(frozen=True)
@@ -236,8 +227,11 @@ def measure_moments(Q: TiltedMeasure, s: ScenarioSet,
     """Tabulate E[(dQ/dP)^w] and E[(dP/dQ)^w] and fit the log-moment
     growth constant c in log E[(dQ/dP)^w] <= c sum(a_i^2 + b_i^2)."""
     dens = Q.density(s.draws)
-    fwd = {float(w): expectation(s, dens ** w) for w in w_list}
-    rev = {float(w): expectation(s, dens ** (-w)) for w in w_list}
+    # E[(dP/dQ)^w] = E[(dQ/dP)^-w]: one pass per distinct exponent
+    ws = [float(w) for w in w_list]
+    power = {e: expectation(s, dens ** e) for e in {*ws, *(-w for w in ws)}}
+    fwd = {w: power[w] for w in ws}
+    rev = {w: power[-w] for w in ws}
     a = np.array([c.a if c.a is not None else 0.0 for c in Q.coords])
     quad = float(np.sum(a ** 2) + np.sum(Q.model.b ** 2))
     ratios = [math.log(v) / quad for v in list(fwd.values()) + list(rev.values())

@@ -1,15 +1,17 @@
 """Expected-utility maximization over scenario sets.
 
-The one-asset problem sup_phi E[u(phi X)] is solved by bisection on the
-(nonincreasing) derivative.  The K-coordinate problem maximizes the
-scenario expectation of u(V(phi)) by damped Newton ascent: the direction
-is (-H + ||g||^2 I)^{-1} g, with gradient g and Hessian H taken from one
-pass over X @ phi, and Armijo backtracking picks the step.  -H is positive
-semidefinite because u'' <= 0 for every utility kind, so the shifted
-system is positive definite; the shift vanishes with g near the optimum,
-where the step is the Newton step, and for a tabulated utility (u'' = 0)
-the step is a scaled gradient step.  The truncation ladder solves every level on one
-scenario set.
+Two loops serve the package.  ``_bisect`` finds the root of a
+nonincreasing function: the one-asset problem sup_phi E[u(phi X)] bisects
+its derivative, and ``measures.solve_tilt`` bisects the tilt residual.
+``_damped_newton`` ascends a concave function: the direction is
+(-H + ||g||^2 I)^{-1} g, with gradient g and Hessian H taken from one pass,
+and Armijo backtracking picks the step.  The K-coordinate problem runs it
+on the scenario expectation of u(V(phi)), with one pass over X @ phi.  -H
+is positive semidefinite because u'' <= 0 for every utility kind, so the
+shifted system is positive definite; the shift vanishes with g near the
+optimum, where the step is the Newton step, and for a tabulated utility
+(u'' = 0) the step is a scaled gradient step.  The truncation ladder
+solves every level on one scenario set.
 
 ``detect_unbounded`` decides whether the scenario set admits an arbitrage
 direction, which makes the supremum unattained.  On an exact product set
@@ -77,6 +79,26 @@ class DiscretePayoff:
         return bool(pr[pts > 0].sum() > 0 and pr[pts < 0].sum() > 0)
 
 
+def _bisect(h, lo: float, hi: float, tol: float,
+            max_iter: int) -> tuple[float, float]:
+    """Bisect a nonincreasing h with h(lo) >= 0 >= h(hi).
+
+    Returns (x, h(x)) at the first midpoint x where |h(x)| <= tol or the
+    bracket is narrower than 1e-15 relative to x, or at the last midpoint
+    after max_iter halvings.
+    """
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        hm = h(mid)
+        if abs(hm) <= tol or hi - lo < 1e-15 * max(1.0, abs(mid)):
+            break
+        if hm > 0:
+            lo = mid
+        else:
+            hi = mid
+    return mid, hm
+
+
 def optimize_single_asset(payoff: DiscretePayoff, u: Utility,
                           tol: float = 1e-10) -> tuple[float, float]:
     """Maximize phi -> E[u(phi X)] over the reals.
@@ -105,16 +127,7 @@ def optimize_single_asset(payoff: DiscretePayoff, u: Utility,
         hi *= 2.0
     if h(lo) < 0 or h(hi) > 0:
         raise OneSidedPayoffError("could not bracket a stationary point")
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        hm = h(mid)
-        if abs(hm) <= tol or hi - lo < 1e-15 * max(1.0, abs(mid)):
-            break
-        if hm > 0:
-            lo = mid
-        else:
-            hi = mid
-    phi_star = 0.5 * (lo + hi)
+    phi_star, _ = _bisect(h, lo, hi, tol, 400)
     if abs(h(0.0)) <= tol:  # symmetric payoffs: keep the exact stationary point
         phi_star = 0.0
     value = float(math.fsum(w * eval_u(u, phi_star * x)))
@@ -153,27 +166,48 @@ def _newton_pass(u: Utility, X: np.ndarray, w: np.ndarray, phi: np.ndarray):
     return f, g, H
 
 
-_CERTIFICATE_MAX_ITER = 50
+def _damped_newton(step_pass, value, x: np.ndarray, done, max_iter: int,
+                   slack: float):
+    """Ascend a concave f from x; step_pass(x) gives (f, g, H, aux) and
+    value(x) gives f alone, for the line search.
+
+    The direction is d = (||g||^2 I - H)^{-1} g, and Armijo halving picks
+    the step, accepting a fall of f within slack * max(1, |f|).  The loop
+    stops when done(g, aux) holds, after max_iter steps, when no step
+    moves x, or after a step whose predicted gain g . d is within that
+    slack.  Returns (x, f, g, aux, steps).
+    """
+    f, g, H, aux = step_pass(x)
+    steps = 0
+    flat = False
+    while steps < max_iter and not flat and not done(g, aux):
+        gn = float(np.linalg.norm(g))
+        d = np.linalg.solve(gn * gn * np.eye(x.size) - H, g)
+        slope = float(g @ d)
+        tol = slack * max(1.0, abs(f))
+        flat = slope <= tol
+        t = 1.0
+        while t > 1e-18:
+            cand = x + t * d
+            if value(cand) >= f + 1e-4 * t * slope - tol:
+                break
+            t *= 0.5
+        if t <= 1e-18 or np.array_equal(cand, x):
+            break  # no ascent step that moves x; report the best iterate
+        x = cand
+        f, g, H, aux = step_pass(x)
+        steps += 1
+    return x, f, g, aux, steps
 
 
-def _log_mgf(X: np.ndarray, w: np.ndarray, lam: np.ndarray) -> float:
-    """L(lam) = log sum_j w_j exp(x_j . lam), max-shifted."""
-    z = X @ lam
-    zmax = float(z.max())
-    return zmax + math.log(float(np.sum(w * np.exp(z - zmax))))
-
-
-def _rogers_pass(X: np.ndarray, w: np.ndarray, lam: np.ndarray):
-    """L(lam), the tilted weights y = w e^z / sum(w e^z), the gradient
-    r = X^T y and the Hessian X^T diag(y) X - r r^T from one product z = X @ lam."""
+def _tilt(X: np.ndarray, w: np.ndarray, lam: np.ndarray):
+    """L(lam) = log sum_j w_j exp(x_j . lam), max-shifted, and the tilted
+    weights y = w e^{X lam} / sum(w e^{X lam})."""
     z = X @ lam
     zmax = float(z.max())
     e = w * np.exp(z - zmax)
     total = float(np.sum(e))
-    y = e / total
-    r = X.T @ y
-    H = (X.T * y) @ X - np.outer(r, r)
-    return zmax + math.log(total), y, r, H
+    return zmax + math.log(total), e / total
 
 
 def _no_arbitrage_certificate(X: np.ndarray, w: np.ndarray) -> bool:
@@ -181,40 +215,28 @@ def _no_arbitrage_certificate(X: np.ndarray, w: np.ndarray) -> bool:
     on any row.
 
     Minimizes the convex L(lam) = log sum_j w_j exp(x_j . lam) (Rogers
-    1994) from lam = 0 with the solver's damped Newton step
-    -(H + ||r||^2 I)^{-1} r and Armijo halving; a rise of L within its
-    rounding counts as none, since L is flat to rounding near its minimum.
-    At every lam the tilted weights y are strictly positive, and for such
-    a phi  max_j (X phi)_j <= y . X phi / min_j y_j = r . phi / min_j y_j
-    <= ||r||_1 / min_j y_j.  The certificate holds once that bound is below
-    1e-9.  A small gradient alone proves nothing: under an arbitrage lam
-    runs off along it and min_j y_j -> 0.  The loop stops after a step
-    whose predicted decrease is below L's rounding, or after
-    _CERTIFICATE_MAX_ITER passes; False means undecided.
+    1994) from lam = 0 by running the solver's loop on -L, with gradient
+    -r = -X^T y and Hessian r r^T - X^T diag(y) X.  A rise of L within
+    1e-14 max(1, |L|) counts as none, since L is flat to rounding near its
+    minimum.  At every lam the tilted weights y are strictly positive, and
+    for such a phi  max_j (X phi)_j <= y . X phi / min_j y_j
+    = r . phi / min_j y_j <= ||r||_1 / min_j y_j.  The certificate holds
+    once that bound is below 1e-9.  A small gradient alone proves nothing:
+    under an arbitrage lam runs off along it and min_j y_j -> 0.  False
+    (after at most 50 passes) means undecided.
     """
-    lam = np.zeros(X.shape[1])
-    flat = False
-    for _ in range(_CERTIFICATE_MAX_ITER):
-        L, y, r, H = _rogers_pass(X, w, lam)
-        if float(np.abs(r).sum()) < 1e-9 * float(y.min()):
-            return True
-        if flat:
-            return False  # the last step could not lower L beyond rounding
-        gn = float(np.linalg.norm(r))
-        d = -np.linalg.solve(H + gn * gn * np.eye(lam.size), r)
-        slope = float(r @ d)
-        slack = 1e-14 * max(1.0, abs(L))
-        flat = -slope <= slack
-        t = 1.0
-        while t > 1e-18:
-            cand = lam + t * d
-            if _log_mgf(X, w, cand) <= L + 1e-4 * t * slope + slack:
-                break
-            t *= 0.5
-        if t <= 1e-18 or np.array_equal(cand, lam):
-            return False  # no descent step that moves lam
-        lam = cand
-    return False
+    def rogers_pass(lam):
+        L, y = _tilt(X, w, lam)
+        r = X.T @ y
+        return -L, -r, np.outer(r, r) - (X.T * y) @ X, y
+
+    def bound_small(g, y):
+        return float(np.abs(g).sum()) < 1e-9 * float(y.min())
+
+    _, _, g, y, _ = _damped_newton(rogers_pass, lambda lam: -_tilt(X, w, lam)[0],
+                                   np.zeros(X.shape[1]), bound_small,
+                                   max_iter=49, slack=1e-14)  # <= 50 passes
+    return bound_small(g, y)
 
 
 @dataclass(frozen=True)
@@ -246,27 +268,13 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
         )
     X = _centered(model, s, K)
     w = s.weights
-    phi = np.zeros(K)
-    f, g, H = _newton_pass(u, X, w, phi)
-    it = 0
-    while it < cfg.max_iter:
-        gn = float(np.linalg.norm(g))
-        if gn <= cfg.grad_tol:
-            break
-        d = np.linalg.solve(gn * gn * np.eye(K) - H, g)
-        slope = float(g @ d)
-        t = 1.0
-        while t > 1e-18:
-            cand = phi + t * d
-            fc = saa_objective(u, X, w, cand)
-            if fc >= f + 1e-4 * t * slope:
-                break
-            t *= 0.5
-        if t <= 1e-18 or np.array_equal(cand, phi):
-            break  # no ascent step that moves phi; report best iterate
-        phi = cand
-        f, g, H = _newton_pass(u, X, w, phi)
-        it += 1
+    phi, f, g, _, it = _damped_newton(
+        lambda p: (*_newton_pass(u, X, w, p), None),
+        # saa_objective is looked up at call time, so a wrapper bound on
+        # the module counts the line-search trials
+        lambda p: saa_objective(u, X, w, p),
+        np.zeros(K), lambda g, _: float(np.linalg.norm(g)) <= cfg.grad_tol,
+        cfg.max_iter, slack=0.0)
     gn = float(np.linalg.norm(g))
     return LevelResult(K=K, phi_star=phi, value=f, grad_norm=gn,
                        iterations=it, converged=gn <= cfg.grad_tol)

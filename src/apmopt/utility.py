@@ -7,8 +7,7 @@ Built-in kinds:
   concave and nondecreasing for every alpha in (0,1).
 * ``tabulated(xs, ys)`` -- piecewise linear interpolation of a user table;
   derivative falls back to finite differences (flagged), second
-  derivative is taken as 0.  Shape is the caller's responsibility:
-  ``check_shape`` tests a table for monotonicity and concavity, and a
+  derivative is taken as 0.  Shape is the caller's responsibility; a
   config file's table is checked from its own slopes when it is parsed.
 
 ``Utility`` rejects any other kind when it is built, so each evaluator
@@ -37,7 +36,6 @@ __all__ = [
     "eval_u_prime",
     "eval_u_second",
     "certify_growth",
-    "check_shape",
 ]
 
 
@@ -129,18 +127,6 @@ def eval_u_second(u: Utility, x):
     else:
         out = np.zeros_like(x)
     return float(out) if out.ndim == 0 else out
-
-
-def check_shape(u: Utility, lo: float = -100.0, hi: float = 100.0,
-                n: int = 10_000, tol: float = 1e-9) -> bool:
-    """Grid check that u is nondecreasing and concave on [lo, hi]."""
-    xs = np.linspace(lo, hi, n)
-    ys = eval_u(u, xs)
-    d1 = np.diff(ys)
-    scale = max(1.0, float(np.max(np.abs(ys))))
-    if np.any(d1 < -tol * scale):
-        return False
-    return not np.any(np.diff(d1) > tol * scale)
 
 
 @dataclass(frozen=True)

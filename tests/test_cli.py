@@ -192,6 +192,45 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "SEED" in err
 
+    @pytest.mark.parametrize("config, extra, env, source", [
+        (DEMO, ("--seed", "-1"), None, "--seed"),
+        (MC_LADDER, ("--seed", str(2 ** 64)), None, "--seed"),
+        (DEMO, (), "-1", "SEED"),
+        (MC_LADDER, (), str(2 ** 64), "SEED"),
+        ({**MC_LADDER, "scenario": {"mode": "monte_carlo", "n": 500, "seed": -1}},
+         (), None, "- scenario.seed: "),
+        ({**MC_LADDER, "scenario": {"mode": "monte_carlo", "n": 500, "seed": 2 ** 64}},
+         (), None, "- scenario.seed: "),
+        (MC_LADDER, ("--scenarios", "0"), None, "--scenarios"),
+        (DEMO, ("--scenarios", "-3"), None, "--scenarios"),
+    ], ids=["flag-negative", "flag-2**64", "env-negative", "env-2**64",
+            "config-negative", "config-2**64", "scenarios-zero", "scenarios-negative"])
+    def test_bad_seed_or_scenario_count_exits_1(self, tmp_path, monkeypatch, capsys,
+                                                config, extra, env, source):
+        # each used to exit 1 with "internal error: key must be positive ..."
+        # or, for --scenarios 0, to sample the config's n rows and exit 0
+        if env is None:
+            monkeypatch.delenv("SEED", raising=False)
+        else:
+            monkeypatch.setenv("SEED", env)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config))
+        code, _ = run("optimize", p, tmp_path, *extra)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert source in err
+        assert "[0, 2**64)" in err or "at least 1" in err
+        assert "internal error" not in err and "Traceback" not in err
+
+    def test_largest_seed_runs(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SEED", raising=False)
+        p = tmp_path / "mc.json"
+        p.write_text(json.dumps(MC_LADDER))
+        code, out = run("optimize", p, tmp_path, "--seed", str(2 ** 64 - 1))
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["seed"] == 2 ** 64 - 1
+
     def test_measure_demo(self, tmp_path):
         code, out = run("measure", CONFIGS / "demo.json", tmp_path)
         assert code == 0

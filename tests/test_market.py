@@ -189,8 +189,7 @@ class TestNoArbitrage:
     def test_boundary_drift_flagged(self):
         m = rademacher_market([-1.0, 0.0])
         v = check_no_arbitrage(m)
-        assert not v.passed and v.flagged == (1,)
-        assert v.tails[0][0] == 0.0  # P(eps < -1) = 0, strict
+        assert not v.passed and v.flagged == (1,)  # P(eps < -1) = 0, strict
 
     def test_zero_drift_passes(self, market_zero_drift):
         assert check_no_arbitrage(market_zero_drift).passed

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apmopt import (ArbitrageError, DiscretePayoff, FactorStrategy,
-                    build_tilted_measure, enumerate_scenarios, expectation,
-                    measure_moments, psi, rademacher, single_asset_measure,
-                    solve_tilt, standardized_two_point, verify_pricing)
+                    build_market, build_tilted_measure, enumerate_scenarios,
+                    expectation, finite_discrete, measure_moments, psi,
+                    rademacher, single_asset_measure, solve_tilt,
+                    standardized_two_point, verify_pricing)
 from apmopt.measures import _tilt_residual
 from conftest import rademacher_market
 
@@ -142,7 +145,58 @@ class TestSingleAssetMeasure:
             single_asset_measure(DiscretePayoff((1.0, 2.0), (0.5, 0.5)), 0.5)
 
 
+@st.composite
+def discrete_markets(draw):
+    """m=1 markets of 1-4 standardized finite-discrete laws with 2-4
+    points of positive probability, each b_i strictly inside its law's
+    support.  A b_i near an end of the support needs a tilt beyond the
+    bracket, so both tilt methods occur."""
+    K = draw(st.integers(1, 4))
+    noise, b = [], []
+    for _ in range(K):
+        k = draw(st.integers(2, 4))
+        pts = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=k, max_size=k,
+                                     unique=True)))
+        pr = np.array(draw(st.lists(st.integers(1, 9), min_size=k, max_size=k)),
+                      dtype=float)
+        pr /= pr.sum()
+        spread = float(np.sqrt((pts - pts @ pr) ** 2 @ pr))
+        if spread < 1e-3:
+            pts = np.arange(k, dtype=float)
+            spread = float(np.sqrt((pts - pts @ pr) ** 2 @ pr))
+        pts = (pts - pts @ pr) / spread
+        noise.append(finite_discrete(pts, pr))
+        frac = draw(st.sampled_from([1e-3, 0.02]) | st.floats(0.2, 0.8))
+        b.append(pts.min() + frac * (pts.max() - pts.min()))
+    return build_market(1, K, mu=[-x for x in b], beta=[[0.0]] * (K - 1),
+                        beta_bar=[1.0] * K, noise=tuple(noise))
+
+
 class TestMoments:
+    def test_reverse_moments_are_forward_moments_at_minus_w(self):
+        model = rademacher_market([0.2, 0.1, -0.05])
+        rep = measure_moments(build_tilted_measure(model),
+                              enumerate_scenarios(model),
+                              w_list=(-3.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0))
+        fwd, rev = rep.moments["dQ/dP"], rep.moments["dP/dQ"]
+        for w in rev:
+            assert rev[w] == fwd[-w]
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=discrete_markets())
+    def test_moments_factorise_over_coordinates(self, model):
+        # on an exact product set E[(dQ/dP)^w] = prod_i E[f_i^w], with f_i
+        # coordinate i's density factor on its own law's support
+        Q = build_tilted_measure(model)
+        w_list = (-2.0, -1.0, 0.5, 1.0, 2.0)
+        rep = measure_moments(Q, enumerate_scenarios(model), w_list)
+        factors = [(Q.coordinate_factor(i, np.asarray(d.points)), np.asarray(d.probs))
+                   for i, d in enumerate(model.noise)]
+        for w in w_list:
+            for key, e in (("dQ/dP", w), ("dP/dQ", -w)):
+                oracle = math.prod(float(p @ f ** e) for f, p in factors)
+                assert rep.moments[key][w] == pytest.approx(oracle, rel=1e-12)
+
     def test_identity_measure_all_ones(self, market_zero_drift):
         Q = build_tilted_measure(market_zero_drift)
         s = enumerate_scenarios(market_zero_drift)

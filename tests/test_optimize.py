@@ -413,6 +413,35 @@ class TestDetectUnbounded:
         assert found
         assert_witness(rows - market_k3.b, phi)
 
+    def test_undecided_certificate_goes_to_the_lp(self, monkeypatch):
+        # b_5 = 1.5 sits near the top of the uniform's support sqrt(3), so
+        # min y is too small for the bound: the certificate is undecided on
+        # a sample without arbitrage, and the LP decides
+        import scipy.optimize
+
+        b = [0.1, 0.05, 0.2, -0.1, 1.5, 0.0]
+        model = build_market(1, 6, mu=[-x for x in b], beta=[[0.0]] * 5,
+                             beta_bar=[1.0] * 6, noise=standardized_uniform())
+        s = sample_scenarios(model, 2000, seed=1)
+        verdicts, lp_calls = [], []
+        certificate = optimize._no_arbitrage_certificate
+        linprog = scipy.optimize.linprog
+
+        def spy(X, w):
+            verdicts.append(certificate(X, w))
+            return verdicts[-1]
+
+        def counted_linprog(*args, **kwargs):
+            lp_calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "_no_arbitrage_certificate", spy)
+        monkeypatch.setattr(scipy.optimize, "linprog", counted_linprog)
+        found, phi = detect_unbounded(model, s)
+        assert verdicts == [False] and lp_calls == [1]
+        assert not found and phi is None
+        assert not lp_finds_witness(s.draws - model.b)
+
     def test_zero_weight_skips_the_certificate(self, market_k3, monkeypatch):
         s0 = sample_scenarios(market_k3, 200, seed=3)
         w = s0.weights.copy()
