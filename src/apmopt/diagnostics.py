@@ -25,7 +25,7 @@ from .distributions import estimate_exp_moment, tail_probability, truncated_seco
 from .market import MarketModel, check_assumption_b, check_no_arbitrage
 from .measures import TiltedMeasure, _pricing_residuals
 from .scenarios import ScenarioSet, expectation
-from .utility import Utility, eval_u
+from .utility import Utility, certify_growth, eval_u
 
 __all__ = [
     "random_strategies",
@@ -37,8 +37,9 @@ __all__ = [
     "emit_report",
 ]
 
-GAMMA_GRID = (0.25, 0.5, 1.0, 2.0)
-DELTA_GRID = (0.25, 0.5, 1.0)
+GAMMA_GRID = (0.25, 0.5, 1.0, 2.0)  # subgaussian_scan's exponents
+X_GRID = (0.0, 0.5, 1.0, 2.0, 4.0)  # check_assumption_relevant's tail levels
+N_GRID = (1.0, 2.0, 4.0, 8.0)       # and its truncation levels
 
 
 def random_strategies(K: int, count: int, max_norm: float, seed: int) -> np.ndarray:
@@ -82,15 +83,16 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
 
     with Y = V(phi), C' = (E[(dP/dQ)^(alpha/(1-alpha))])^(1-alpha) and
     C'' = (E[(dQ/dP)^(beta/(beta-1))])^(alpha (beta-1)/beta), everything
-    by scenario expectation.  Requires a growth certificate on u and a
-    measure whose pricing residual is at tolerance.
+    by scenario expectation, with u evaluated once per strategy: u(Y+) and
+    u(-Y-) are u(Y) where Y has that sign and u(0) elsewhere.  Requires
+    growth bounds on u, and reports whether they hold as ``growth_certified``;
+    on an exact set the measure must price every asset to 1e-10.
     """
     if not u.certified:
         raise ValueError("utility carries no growth certificate; refusing")
     g = u.growth
     dens = Q.density(s.draws)
-    pricing = _pricing_residuals(model, s, dens)
-    if pricing["max_residual"] > 1e-10 and s.is_exact:
+    if s.is_exact and _pricing_residuals(model, s, dens)["max_residual"] > 1e-10:
         raise ValueError("measure does not price assets to tolerance")
     if g.alpha > 0:
         c_prime = expectation(s, dens ** (-g.alpha / (1.0 - g.alpha))) ** (1.0 - g.alpha)
@@ -99,25 +101,27 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
     else:
         c_prime = c_dprime = 1.0
     centered = s.draws - model.b
+    u0 = eval_u(u, 0.0)
     margins = []
     for phi in np.atleast_2d(strategies):
         y = centered[:, : phi.size] @ phi
-        lhs = expectation(s, eval_u(u, np.maximum(y, 0.0)))
-        neg = expectation(s, eval_u(u, -np.maximum(-y, 0.0)))
+        uy = eval_u(u, y)
+        lhs = expectation(s, np.where(y > 0, uy, u0))
+        neg = expectation(s, np.where(y < 0, uy, u0))
         inner = -neg / g.C2 + 1.0
         rhs = g.C1 * (c_prime * c_dprime * inner ** (g.alpha / g.beta) + 1.0)
         margins.append(rhs - lhs)
     return {"C_prime": c_prime, "C_dprime": c_dprime,
-            "margins": margins, "min_margin": min(margins)}
+            "margins": margins, "min_margin": min(margins),
+            "growth_certified": certify_growth(u, g).holds}
 
 
-def check_assumption_relevant(model: MarketModel, x_grid=(0.0, 0.5, 1.0, 2.0, 4.0),
-                              N_grid=(1.0, 2.0, 4.0, 8.0)) -> dict:
+def check_assumption_relevant(model: MarketModel) -> dict:
     """Tail positivity at every grid level plus vanishing truncated second
     moments; bounded noise always fails the tail part beyond its support."""
     first_failing = None
     tail_trace = []
-    for x in x_grid:
+    for x in X_GRID:
         above = min(tail_probability(d, x, "above") for d in model.noise)
         below = min(tail_probability(d, -x, "below") for d in model.noise)
         tail_trace.append({"x": x, "inf_above": above, "inf_below": below})
@@ -126,7 +130,7 @@ def check_assumption_relevant(model: MarketModel, x_grid=(0.0, 0.5, 1.0, 2.0, 4.
     ui_trace = [
         {"N": N, "sup_trunc_moment": max(truncated_second_moment(d, N)
                                          for d in model.noise)}
-        for N in N_grid
+        for N in N_GRID
     ]
     # any finite family of square-integrable coordinates satisfies the
     # vanishing-tail condition in the limit; the trace is the diagnostic
@@ -142,11 +146,11 @@ def check_assumption_relevant(model: MarketModel, x_grid=(0.0, 0.5, 1.0, 2.0, 4.
     }
 
 
-def subgaussian_scan(model: MarketModel, gamma_grid=GAMMA_GRID) -> dict:
+def subgaussian_scan(model: MarketModel) -> dict:
     """sup over coordinates of E[exp(gamma |eps|)] per grid gamma; the
     largest gamma with a finite supremum is reported (None if none pass)."""
     table = {}
-    for gamma in gamma_grid:
+    for gamma in GAMMA_GRID:
         sup = max(estimate_exp_moment(d, gamma) for d in model.noise)
         table[gamma] = sup
     passing = [g for g, v in table.items() if math.isfinite(v)]

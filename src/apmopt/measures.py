@@ -10,13 +10,14 @@ Two per-coordinate constructions, combined into a product density:
   stationarity makes the tilted mean exact as well.
 
 Both factors are strictly positive, so the product measure is equivalent
-to the physical one and prices every asset to zero.
+to the physical one and prices every asset to zero.  Payoffs are linear in
+eps - b, so pricing is checked through the K tilted means E_Q[eps_i - b_i].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +40,8 @@ __all__ = [
 ]
 
 TILT_BRACKET = 50.0
+TILT_TOL = 1e-12
+RECIPROCAL_POWERS = (1.0, 2.0)  # single_asset_measure's E_W[(dW/dP)^-p]
 
 
 class TiltBracketError(RuntimeError):
@@ -60,8 +63,7 @@ def _tilt_residual(dist: DistributionSpec, b: float, a: float) -> float:
     return float(math.fsum(pr * psi(a * pts) * pts))
 
 
-def solve_tilt(dist: DistributionSpec, b: float, tol: float = 1e-12,
-               bracket: float = TILT_BRACKET) -> float:
+def solve_tilt(dist: DistributionSpec, b: float) -> float:
     """Find a with E[psi(a (eps - b)) (eps - b)] = 0 by bisection.
 
     g is strictly decreasing (psi' < 0 weighs the two tails against each
@@ -75,13 +77,13 @@ def solve_tilt(dist: DistributionSpec, b: float, tol: float = 1e-12,
     if b == 0.0:
         return 0.0
     g = lambda a: _tilt_residual(dist, b, a)
-    lo, hi = (-bracket, 0.0) if b > 0 else (0.0, bracket)
+    lo, hi = (-TILT_BRACKET, 0.0) if b > 0 else (0.0, TILT_BRACKET)
     if g(lo) < 0 or g(hi) > 0:
         raise TiltBracketError(
-            f"no sign change of the tilt residual within |a| <= {bracket}"
+            f"no sign change of the tilt residual within |a| <= {TILT_BRACKET}"
         )
-    a, ga = _bisect(g, lo, hi, tol, 200)
-    if abs(ga) > tol:
+    a, ga = _bisect(g, lo, hi, TILT_TOL, 200)
+    if abs(ga) > TILT_TOL:
         raise TiltBracketError("bisection stalled above tolerance")
     return a
 
@@ -93,6 +95,12 @@ class CoordinateTilt:
     z: float             # normalizer E[factor numerator]
     phi_star: float      # fallback optimizer (0.0 for logistic)
     alpha: float         # fallback utility exponent
+
+    def numerator(self, x):
+        """Unnormalised factor at centred noise x: psi(a x) or u'_alpha(phi* x)."""
+        if self.method == "logistic_tilt":
+            return psi(self.a * x)
+        return eval_u_prime(appendix_power(self.alpha), self.phi_star * x)
 
 
 @dataclass(frozen=True)
@@ -111,11 +119,7 @@ class TiltedMeasure:
     def coordinate_factor(self, i: int, eps_col: np.ndarray) -> np.ndarray:
         """Density factor of coordinate i (0-based) at noise values."""
         c = self.coords[i]
-        centered = eps_col - self.model.b[i]
-        if c.method == "logistic_tilt":
-            return psi(c.a * centered) / c.z
-        u = appendix_power(c.alpha)
-        return eval_u_prime(u, c.phi_star * centered) / c.z
+        return c.numerator(eps_col - self.model.b[i]) / c.z
 
     def density(self, draws: np.ndarray) -> np.ndarray:
         """dQ/dP on each scenario row: product of coordinate factors."""
@@ -125,8 +129,7 @@ class TiltedMeasure:
         return out
 
 
-def build_tilted_measure(model: MarketModel, fallback_alpha: float = 0.5,
-                         tol: float = 1e-12) -> TiltedMeasure:
+def build_tilted_measure(model: MarketModel, fallback_alpha: float = 0.5) -> TiltedMeasure:
     """Calibrate every coordinate; logistic tilt first, utility-gradient
     fallback where the tilt residual cannot be driven to tolerance.
 
@@ -139,18 +142,16 @@ def build_tilted_measure(model: MarketModel, fallback_alpha: float = 0.5,
     coords = []
     for i, dist in enumerate(model.noise):
         b = float(model.b[i])
-        pts = np.asarray(dist.points) - b
-        pr = np.asarray(dist.probs)
         try:
-            a = solve_tilt(dist, b, tol=tol)
-            z = float(math.fsum(pr * psi(a * pts)))
-            coords.append(CoordinateTilt("logistic_tilt", a, z, 0.0, fallback_alpha))
+            c = CoordinateTilt("logistic_tilt", solve_tilt(dist, b), 1.0, 0.0,
+                               fallback_alpha)
         except TiltBracketError:
             u = appendix_power(fallback_alpha)
             phi_star, _ = optimize_single_asset(DiscretePayoff.from_noise(dist, b), u)
-            z = float(math.fsum(pr * eval_u_prime(u, phi_star * pts)))
-            coords.append(CoordinateTilt("utility_gradient", None, z, phi_star,
-                                         fallback_alpha))
+            c = CoordinateTilt("utility_gradient", None, 1.0, phi_star, fallback_alpha)
+        pts = np.asarray(dist.points) - b
+        z = float(math.fsum(np.asarray(dist.probs) * c.numerator(pts)))
+        coords.append(replace(c, z=z))
     return TiltedMeasure(model=model, coords=tuple(coords))
 
 
@@ -169,8 +170,7 @@ class MeasureReport:
         }
 
 
-def single_asset_measure(payoff: DiscretePayoff, alpha: float,
-                         p_list=(1.0, 2.0)) -> tuple[np.ndarray, dict]:
+def single_asset_measure(payoff: DiscretePayoff, alpha: float) -> tuple[np.ndarray, dict]:
     """The utility-gradient measure for a single payoff X.
 
     dW/dP = u'(phi* X) / E[u'(phi* X)] with the kinked power utility;
@@ -192,7 +192,8 @@ def single_asset_measure(payoff: DiscretePayoff, alpha: float,
         "E_W[X]": float(math.fsum(w * dens * x)),
         "density_max": float(dens.max()),
         "density_bound": alpha / norm,
-        "reciprocal_moments": {p: float(math.fsum(w * dens ** (-p))) for p in p_list},
+        "reciprocal_moments": {p: float(math.fsum(w * dens ** (-p)))
+                               for p in RECIPROCAL_POWERS},
     }
     return dens, report
 
@@ -200,8 +201,8 @@ def single_asset_measure(payoff: DiscretePayoff, alpha: float,
 def verify_pricing(Q: TiltedMeasure, model: MarketModel,
                    strategies: tuple[FactorStrategy, ...] = (),
                    s: ScenarioSet | None = None) -> dict:
-    """Residuals of E_Q[R_i] for every asset and E_Q[V(phi)] for the
-    supplied strategies, computed on the scenario set."""
+    """Residuals of E_Q[R_i] for every asset and E_Q[V(phi)] for the given
+    strategies, priced from the coordinate means E_Q[eps_i - b_i] on s."""
     s = s or enumerate_scenarios(model)
     return _pricing_residuals(model, s, Q.density(s.draws), strategies)
 
@@ -209,12 +210,11 @@ def verify_pricing(Q: TiltedMeasure, model: MarketModel,
 def _pricing_residuals(model: MarketModel, s: ScenarioSet, dens: np.ndarray,
                        strategies: tuple[FactorStrategy, ...] = ()) -> dict:
     """verify_pricing's residuals for a density already evaluated on s."""
-    centered = s.draws - model.b
+    m = np.array([expectation(s, dens * (s.draws[:, i] - model.b[i]))
+                  for i in range(model.K)])
     B = model.loading_matrix()
-    asset_resid = [expectation(s, dens * (centered @ B[i]))
-                   for i in range(model.K)]
-    strat_resid = [expectation(s, dens * (centered[:, :f.phi.size] @ f.phi))
-                   for f in strategies]
+    asset_resid = [math.fsum(B[i] * m) for i in range(model.K)]
+    strat_resid = [math.fsum(f.phi * m[:f.phi.size]) for f in strategies]
     return {
         "asset_residuals": asset_resid,
         "strategy_residuals": strat_resid,

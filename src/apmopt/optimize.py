@@ -48,6 +48,8 @@ __all__ = [
     "saa_gradient",
 ]
 
+SINGLE_ASSET_TOL = 1e-10  # |E[u'(phi X) X]| at which the one-asset bisection stops
+
 
 class OneSidedPayoffError(ValueError):
     """The payoff never takes both signs; no interior maximizer guaranteed."""
@@ -99,8 +101,7 @@ def _bisect(h, lo: float, hi: float, tol: float,
     return mid, hm
 
 
-def optimize_single_asset(payoff: DiscretePayoff, u: Utility,
-                          tol: float = 1e-10) -> tuple[float, float]:
+def optimize_single_asset(payoff: DiscretePayoff, u: Utility) -> tuple[float, float]:
     """Maximize phi -> E[u(phi X)] over the reals.
 
     The derivative h(phi) = E[u'(phi X) X] is nonincreasing by concavity;
@@ -127,8 +128,8 @@ def optimize_single_asset(payoff: DiscretePayoff, u: Utility,
         hi *= 2.0
     if h(lo) < 0 or h(hi) > 0:
         raise OneSidedPayoffError("could not bracket a stationary point")
-    phi_star, _ = _bisect(h, lo, hi, tol, 400)
-    if abs(h(0.0)) <= tol:  # symmetric payoffs: keep the exact stationary point
+    phi_star, _ = _bisect(h, lo, hi, SINGLE_ASSET_TOL, 400)
+    if abs(h(0.0)) <= SINGLE_ASSET_TOL:  # symmetric payoff: keep phi* = 0 exactly
         phi_star = 0.0
     value = float(math.fsum(w * eval_u(u, phi_star * x)))
     return phi_star, value

@@ -52,13 +52,6 @@ class ScenarioSet:
     def is_exact(self) -> bool:
         return self.provenance == "exact_enumeration"
 
-    def to_csv(self, path) -> None:
-        K = self.draws.shape[1]
-        header = ",".join(f"eps_{i+1}" for i in range(K)) + ",weight"
-        data = np.column_stack([self.draws, self.weights])
-        np.savetxt(path, data, delimiter=",", header=header, comments="",
-                   fmt="%.17g")
-
 
 def _uniform_block(seed: int, block: int, count: int, K: int) -> np.ndarray:
     key = (int(seed) << 64) | block
@@ -86,7 +79,7 @@ def sample_scenarios(model: MarketModel, n: int, seed: int) -> ScenarioSet:
     return ScenarioSet(out, weights, f"monte_carlo(seed={seed}, n={n})")
 
 
-def enumerate_scenarios(model: MarketModel, cap: int = ENUMERATION_CAP) -> ScenarioSet:
+def enumerate_scenarios(model: MarketModel) -> ScenarioSet:
     """Exact joint support of the product noise law, with product weights."""
     for dist in model.noise:
         if not dist.is_discrete:
@@ -94,10 +87,9 @@ def enumerate_scenarios(model: MarketModel, cap: int = ENUMERATION_CAP) -> Scena
                 f"coordinate family {dist.family!r} is not finite-discrete"
             )
     total = math.prod(len(d.points) for d in model.noise)
-    if total > cap:
-        raise EnumerationCapError(
-            f"joint support has {total} scenarios (> cap {cap}); use Monte Carlo"
-        )
+    if total > ENUMERATION_CAP:
+        raise EnumerationCapError(f"joint support has {total} scenarios "
+                                  f"(> cap {ENUMERATION_CAP}); use Monte Carlo")
     # row-major (last coordinate fastest), the order of itertools.product
     grids = np.meshgrid(*(np.asarray(d.points) for d in model.noise),
                         indexing="ij", copy=False)

@@ -33,6 +33,14 @@ def market_zero_drift():
     return rademacher_market([0.0, 0.0, 0.0])
 
 
+def pytest_configure(config):
+    """Unclosed files and exceptions in finalizers fail this suite.  Set here
+    rather than in pyproject.toml so the filters cover tests/ alone."""
+    for spec in ("error::ResourceWarning",
+                 "error::pytest.PytestUnraisableExceptionWarning"):
+        config.addinivalue_line("filterwarnings", spec)
+
+
 def pytest_terminal_summary(terminalreporter):
     """Echo the acceptance module's one-line-per-criterion verdicts."""
     try:

@@ -238,6 +238,14 @@ class TestExitCodes:
         assert report["measure"]["max_pricing_residual"] <= 1e-10
         assert (out / "tables" / "tilt_coordinates.csv").exists()
 
+    def test_report_demo_growth_bounds_not_certified(self, tmp_path):
+        # the demo's bounds (0.5, 1.5, 1, 1) fail on appendix_power's linear
+        # negative side; the Hoelder chain still runs and says so
+        code, out = run("report", CONFIGS / "demo.json", tmp_path)
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["holder"]["growth_certified"] is False
+
     def test_optimize_demo_artifacts(self, tmp_path):
         code, out = run("optimize", CONFIGS / "demo.json", tmp_path)
         assert code == 0

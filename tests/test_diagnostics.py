@@ -8,7 +8,9 @@ import pytest
 
 from apmopt import (GrowthBounds, appendix_power, build_market,
                     build_tilted_measure, dyadic_two_sided,
-                    enumerate_scenarios)
+                    enumerate_scenarios, eval_u, expectation,
+                    sample_scenarios, tabulated)
+from apmopt import diagnostics
 from apmopt.diagnostics import (assemble_report, check_assumption_relevant,
                                 emit_report, exp_ui_bound, holder_chain_check,
                                 random_strategies, subgaussian_scan)
@@ -96,6 +98,51 @@ class TestHolderChain:
             holder_chain_check(market_k3, Q, appendix_power(0.5),
                                np.zeros((1, 3)), s)
 
+    @pytest.mark.parametrize("u", [
+        appendix_power(0.5, GrowthBounds(0.5, 1.5, 1.0, 1.0)),
+        tabulated((-10.0, -1.0, 0.0, 1.0, 10.0), (-30.0, -2.0, 0.2, 1.0, 3.0),
+                  GrowthBounds(0.5, 1.5, 2.0, 2.0)),
+    ], ids=["appendix_power", "tabulated_u0_nonzero"])
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
+    def test_margins_match_two_evaluation_oracle(self, market_k3, u, exact):
+        s = (enumerate_scenarios(market_k3) if exact
+             else sample_scenarios(market_k3, 500, 5))
+        strategies = random_strategies(3, 20, 2.0, seed=6)
+        strategies[0] = 0.0
+        out = holder_chain_check(market_k3, build_tilted_measure(market_k3), u,
+                                 strategies, s)
+        g = u.growth
+        oracle = []
+        for phi in strategies:
+            y = (s.draws - market_k3.b) @ phi
+            lhs = expectation(s, eval_u(u, np.maximum(y, 0.0)))
+            neg = expectation(s, eval_u(u, -np.maximum(-y, 0.0)))
+            inner = (-neg / g.C2 + 1.0) ** (g.alpha / g.beta)
+            oracle.append(g.C1 * (out["C_prime"] * out["C_dprime"] * inner + 1.0) - lhs)
+        assert out["margins"] == oracle
+
+    def test_sampled_set_skips_pricing_guard(self, market_k3, certified_u,
+                                             monkeypatch):
+        calls = []
+        monkeypatch.setattr(diagnostics, "_pricing_residuals",
+                            lambda *args: calls.append(args))
+        s = sample_scenarios(market_k3, 200, 1)
+        holder_chain_check(market_k3, build_tilted_measure(market_k3),
+                           certified_u, np.zeros((1, 3)), s)
+        assert calls == []
+
+    def test_growth_certificate_reported(self, market_k3, certified_u):
+        # appendix_power is linear below 0, so the -|x|^1.5 cap fails there
+        Q = build_tilted_measure(market_k3)
+        s = enumerate_scenarios(market_k3)
+        out = holder_chain_check(market_k3, Q, certified_u, np.zeros((1, 3)), s)
+        assert out["growth_certified"] is False
+        xs = np.concatenate([-np.logspace(8, -8, 400), [0.0], np.logspace(-8, 8, 400)])
+        steep = tabulated(xs, np.where(xs >= 0, np.maximum(xs, 0) ** 0.5,
+                                       -np.abs(xs) ** 1.5), certified_u.growth)
+        out = holder_chain_check(market_k3, Q, steep, np.zeros((1, 3)), s)
+        assert out["growth_certified"] is True
+
 
 class TestAssumptionSets:
     def test_bounded_noise_fails_relevant_passes_novum(self, market_k3):
@@ -116,8 +163,10 @@ class TestAssumptionSets:
         assert scan["largest_passing_gamma"] is None
 
     def test_truncated_moment_zero_beyond_support(self, market_k3):
-        rel = check_assumption_relevant(market_k3, N_grid=(2.0, 4.0))
-        assert all(row["sup_trunc_moment"] == 0.0 for row in rel["ui_trace"])
+        # Rademacher: E[eps^2 1{|eps| >= N}] is 1 at N = 1 and 0 beyond
+        rel = check_assumption_relevant(market_k3)
+        assert [(row["N"], row["sup_trunc_moment"]) for row in rel["ui_trace"]] == [
+            (1.0, 1.0), (2.0, 0.0), (4.0, 0.0), (8.0, 0.0)]
 
 
 class TestReportEmission:

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apmopt import (ArbitrageError, DiscretePayoff, FactorStrategy,
-                    build_market, build_tilted_measure, enumerate_scenarios,
-                    expectation, finite_discrete, measure_moments, psi,
-                    rademacher, single_asset_measure, solve_tilt,
+                    GrowthBounds, appendix_power, build_market,
+                    build_tilted_measure, enumerate_scenarios, expectation,
+                    finite_discrete, measure_moments, psi, rademacher,
+                    sample_scenarios, single_asset_measure, solve_tilt,
                     standardized_two_point, verify_pricing)
-from apmopt.measures import _tilt_residual
+from apmopt.diagnostics import holder_chain_check
+from apmopt.measures import _pricing_residuals, _tilt_residual
 from conftest import rademacher_market
 
 
@@ -197,6 +199,35 @@ class TestMoments:
                 oracle = math.prod(float(p @ f ** e) for f, p in factors)
                 assert rep.moments[key][w] == pytest.approx(oracle, rel=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(model=discrete_markets(),
+           growth=st.sampled_from([GrowthBounds(0.5, 1.5, 1.0, 1.0),
+                                   GrowthBounds(0.3, 2.0, 1.0, 1.0)]))
+    @example(model=rademacher_market([0.65, 0.1]),  # one coordinate per method
+             growth=GrowthBounds(0.5, 1.5, 1.0, 1.0))
+    def test_holder_constants_factorise_over_coordinates(self, model, growth):
+        # C' and C'' are powers of E[(dQ/dP)^e], which factorises as above
+        Q = build_tilted_measure(model)
+        u = appendix_power(0.5, growth)
+        s = enumerate_scenarios(model)
+        strategies = np.zeros((1, model.K))
+        if verify_pricing(Q, model, s=s)["max_residual"] > 1e-10:
+            with pytest.raises(ValueError, match="tolerance"):
+                holder_chain_check(model, Q, u, strategies, s)
+            return
+        out = holder_chain_check(model, Q, u, strategies, s)
+        factors = [(Q.coordinate_factor(i, np.asarray(d.points)), np.asarray(d.probs))
+                   for i, d in enumerate(model.noise)]
+        a, beta = growth.alpha, growth.beta
+
+        def moment(e):
+            return math.prod(float(p @ f ** e) for f, p in factors)
+
+        c_prime = moment(-a / (1.0 - a)) ** (1.0 - a)
+        c_dprime = moment(beta / (beta - 1.0)) ** (a * (beta - 1.0) / beta)
+        assert out["C_prime"] == pytest.approx(c_prime, rel=1e-12)
+        assert out["C_dprime"] == pytest.approx(c_dprime, rel=1e-12)
+
     def test_identity_measure_all_ones(self, market_zero_drift):
         Q = build_tilted_measure(market_zero_drift)
         s = enumerate_scenarios(market_zero_drift)
@@ -251,3 +282,50 @@ class TestPricing:
         strat = FactorStrategy(np.array([1.0, -2.0, 0.5]))
         out = verify_pricing(Q, market_k3, strategies=(strat,))
         assert abs(out["strategy_residuals"][0]) <= 1e-10
+
+
+@st.composite
+def cross_loaded_markets(draw):
+    """m in {1, 2}, K <= 5, random cross and own loadings, and i.i.d.
+    two- or three-point noise."""
+    m = draw(st.integers(1, 2))
+    K = draw(st.integers(m, 5))
+    coef = st.floats(-2.0, 2.0)
+    own = st.floats(0.3, 2.0) | st.floats(-2.0, -0.3)
+    k = draw(st.integers(2, 3))
+    pts = np.sort(draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k,
+                                unique=True))).astype(float)
+    pr = np.array(draw(st.lists(st.integers(1, 9), min_size=k, max_size=k)), float)
+    pr /= pr.sum()
+    pts = (pts - pts @ pr) / np.sqrt((pts - pts @ pr) ** 2 @ pr)
+    return build_market(m, K, mu=draw(st.lists(coef, min_size=K, max_size=K)),
+                        beta=draw(st.lists(st.lists(coef, min_size=m, max_size=m),
+                                           min_size=K - m, max_size=K - m)),
+                        beta_bar=draw(st.lists(own, min_size=K, max_size=K)),
+                        noise=finite_discrete(pts, pr))
+
+
+class TestPricingOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(model=cross_loaded_markets(), exact=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_residuals_match_row_payoff_sums(self, model, exact, seed):
+        # an arbitrary positive density makes the residuals O(1), so the
+        # comparison sees more than rounding noise
+        s = enumerate_scenarios(model) if exact else sample_scenarios(model, 200, seed)
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        dens = gen.uniform(0.1, 3.0, s.n)
+        strategies = tuple(FactorStrategy(gen.uniform(-2.0, 2.0, size))
+                           for size in range(1, model.K + 1))
+        out = _pricing_residuals(model, s, dens, strategies)
+        centered = s.draws - model.b
+        B = model.loading_matrix()
+        payoffs = ([[math.fsum(B[i] * row) for row in centered] for i in range(model.K)]
+                   + [[math.fsum(f.phi * row[:f.phi.size]) for row in centered]
+                      for f in strategies])
+        got = out["asset_residuals"] + out["strategy_residuals"]
+        assert len(got) == len(payoffs)
+        wd = s.weights * dens
+        for resid, pay in zip(got, map(np.array, payoffs)):
+            assert abs(resid - math.fsum(wd * pay)) <= 1e-12 * math.fsum(wd * np.abs(pay))
+

@@ -156,13 +156,3 @@ class TestSampling:
     def test_weights_uniform(self, market_k3):
         s = sample_scenarios(market_k3, 10, seed=3)
         assert np.all(s.weights == 0.1)
-
-
-class TestCsvExport:
-    def test_roundtrip(self, market_k3, tmp_path):
-        s = enumerate_scenarios(market_k3)
-        path = tmp_path / "scenarios.csv"
-        s.to_csv(path)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == (8, 4)
-        assert data[:, -1] == pytest.approx(s.weights)
