@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import estimate_exp_moment, tail_probability, truncated_second_moment
 from .market import MarketModel, check_assumption_b, check_no_arbitrage
-from .measures import TiltedMeasure, _pricing_residuals
+from .measures import TiltedMeasure, _density, _pricing_residuals
 from .scenarios import ScenarioSet, expectation
 from .utility import Utility, certify_growth, eval_u
 
@@ -40,6 +40,7 @@ __all__ = [
 GAMMA_GRID = (0.25, 0.5, 1.0, 2.0)  # subgaussian_scan's exponents
 X_GRID = (0.0, 0.5, 1.0, 2.0, 4.0)  # check_assumption_relevant's tail levels
 N_GRID = (1.0, 2.0, 4.0, 8.0)       # and its truncation levels
+STRATEGY_BLOCK = 8  # strategies per gemm; an (8, n) block stays under the solver's peak
 
 
 def random_strategies(K: int, count: int, max_norm: float, seed: int) -> np.ndarray:
@@ -53,20 +54,27 @@ def random_strategies(K: int, count: int, max_norm: float, seed: int) -> np.ndar
     return raw / norms * targets
 
 
+def _strategy_rows(X: np.ndarray, phis: np.ndarray):
+    """Yield X @ phi for each row phi of phis, STRATEGY_BLOCK rows at a
+    time from one gemm phis[block] @ X.T."""
+    for start in range(0, len(phis), STRATEGY_BLOCK):
+        yield from phis[start:start + STRATEGY_BLOCK] @ X.T
+
+
 def exp_ui_bound(model: MarketModel, s: ScenarioSet, delta: float,
                  trials: int, seed: int) -> dict:
     """Measure E[exp|sum phi_i eps_i|] for random small strategies and fit
     C in the cap 2 exp(C ||phi||^2).
 
     Uses the raw (uncentered) noise; on the scenario set the expectation
-    is exact whenever the set is an exact enumeration.
+    is exact whenever the set is an exact enumeration.  The sums phi . eps
+    come from one gemm per STRATEGY_BLOCK strategies.
     """
     phis = random_strategies(model.K, trials, delta, seed)
     rows = []
     worst = 0.0
-    for phi in phis:
-        z = np.abs(s.draws @ phi)
-        val = expectation(s, np.exp(z))
+    for phi, v in zip(phis, _strategy_rows(s.draws, phis)):
+        val = expectation(s, np.exp(np.abs(v)))
         nsq = float(phi @ phi)
         rows.append({"norm": math.sqrt(nsq), "value": val})
         if nsq > 0 and val > 2.0:
@@ -84,14 +92,15 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
     with Y = V(phi), C' = (E[(dP/dQ)^(alpha/(1-alpha))])^(1-alpha) and
     C'' = (E[(dQ/dP)^(beta/(beta-1))])^(alpha (beta-1)/beta), everything
     by scenario expectation, with u evaluated once per strategy: u(Y+) and
-    u(-Y-) are u(Y) where Y has that sign and u(0) elsewhere.  Requires
+    u(-Y-) are u(Y) where Y has that sign and u(0) elsewhere.  The payoffs
+    Y come from one gemm per STRATEGY_BLOCK strategies.  Requires
     growth bounds on u, and reports whether they hold as ``growth_certified``;
     on an exact set the measure must price every asset to 1e-10.
     """
     if not u.certified:
         raise ValueError("utility carries no growth certificate; refusing")
     g = u.growth
-    dens = Q.density(s.draws)
+    dens = _density(Q, s)
     if s.is_exact and _pricing_residuals(model, s, dens)["max_residual"] > 1e-10:
         raise ValueError("measure does not price assets to tolerance")
     if g.alpha > 0:
@@ -100,11 +109,11 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
             g.alpha * (g.beta - 1.0) / g.beta)
     else:
         c_prime = c_dprime = 1.0
-    centered = s.draws - model.b
+    strategies = np.atleast_2d(strategies)
+    centered = (s.draws - model.b)[:, : strategies.shape[1]]
     u0 = eval_u(u, 0.0)
     margins = []
-    for phi in np.atleast_2d(strategies):
-        y = centered[:, : phi.size] @ phi
+    for y in _strategy_rows(centered, strategies):
         uy = eval_u(u, y)
         lhs = expectation(s, np.where(y > 0, uy, u0))
         neg = expectation(s, np.where(y < 0, uy, u0))

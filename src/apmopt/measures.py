@@ -12,10 +12,16 @@ Two per-coordinate constructions, combined into a product density:
 Both factors are strictly positive, so the product measure is equivalent
 to the physical one and prices every asset to zero.  Payoffs are linear in
 eps - b, so pricing is checked through the K tilted means E_Q[eps_i - b_i].
+
+Pricing, the density moments and the Hoelder chain read dQ/dP on every row
+of a scenario set.  On an exact enumeration it is built in product form:
+one factor per coordinate on that law's support, combined by outer
+products, bit for bit the row-by-row density.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -129,6 +135,22 @@ class TiltedMeasure:
         return out
 
 
+def _density(Q: TiltedMeasure, s: ScenarioSet) -> np.ndarray:
+    """Q.density(s.draws), bit for bit, for a scenario set of Q's market.
+
+    An exact enumeration lists the product of the coordinate supports, last
+    coordinate fastest, so there the density is the outer product of the K
+    coordinate factors, each evaluated on its law's support alone, in
+    TiltedMeasure.density's order of multiplication.
+    """
+    supports = [np.asarray(d.points) for d in Q.model.noise]
+    if (s.is_exact and s.draws.shape[1] == len(Q.coords)
+            and s.n == math.prod(map(len, supports))):
+        factors = [Q.coordinate_factor(i, pts) for i, pts in enumerate(supports)]
+        return functools.reduce(np.multiply.outer, factors).ravel()
+    return Q.density(s.draws)
+
+
 def build_tilted_measure(model: MarketModel, fallback_alpha: float = 0.5) -> TiltedMeasure:
     """Calibrate every coordinate; logistic tilt first, utility-gradient
     fallback where the tilt residual cannot be driven to tolerance.
@@ -204,7 +226,7 @@ def verify_pricing(Q: TiltedMeasure, model: MarketModel,
     """Residuals of E_Q[R_i] for every asset and E_Q[V(phi)] for the given
     strategies, priced from the coordinate means E_Q[eps_i - b_i] on s."""
     s = s or enumerate_scenarios(model)
-    return _pricing_residuals(model, s, Q.density(s.draws), strategies)
+    return _pricing_residuals(model, s, _density(Q, s), strategies)
 
 
 def _pricing_residuals(model: MarketModel, s: ScenarioSet, dens: np.ndarray,
@@ -226,7 +248,7 @@ def measure_moments(Q: TiltedMeasure, s: ScenarioSet,
                     w_list=(-2.0, -1.0, 1.0, 2.0)) -> MeasureReport:
     """Tabulate E[(dQ/dP)^w] and E[(dP/dQ)^w] and fit the log-moment
     growth constant c in log E[(dQ/dP)^w] <= c sum(a_i^2 + b_i^2)."""
-    dens = Q.density(s.draws)
+    dens = _density(Q, s)
     # E[(dP/dQ)^w] = E[(dQ/dP)^-w]: one pass per distinct exponent
     ws = [float(w) for w in w_list]
     power = {e: expectation(s, dens ** e) for e in {*ws, *(-w for w in ws)}}

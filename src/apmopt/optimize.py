@@ -48,7 +48,9 @@ __all__ = [
     "saa_gradient",
 ]
 
-SINGLE_ASSET_TOL = 1e-10  # |E[u'(phi X) X]| at which the one-asset bisection stops
+# |E[u'(phi X) X]| at which the one-asset bisection stops: rounding level,
+# since the fallback tilt prices its coordinate to about this over E[u'(phi X)]
+SINGLE_ASSET_TOL = 1e-14
 
 
 class OneSidedPayoffError(ValueError):

@@ -86,14 +86,26 @@ def tabulated(xs, ys, growth: GrowthBounds | None = None) -> Utility:
     return Utility("tabulated", xs=xs, ys=ys, growth=growth)
 
 
+def _kinked(x, pos, rest):
+    """pos(x) where x > 0 and rest(x) elsewhere, evaluating pos only where
+    x > 0; a 0-d x gives a float.  Bit for bit np.where(x > 0, pos(x),
+    rest(x)): a 0-d x stays a numpy scalar, as it did there, because
+    numpy's scalar pow can differ from its array pow in the last bit."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        x = x[()]
+        return float(pos(x) if x > 0 else rest(x))
+    out = rest(x)
+    live = x > 0
+    out[live] = pos(x[live])
+    return out
+
+
 def eval_u(u: Utility, x):
     """u(x), vectorized."""
-    x = np.asarray(x, dtype=float)
     if u.kind == "appendix_power":
-        pos = np.maximum(x, 0.0)
-        out = np.where(x > 0, (pos + 1.0) ** u.alpha - 1.0, u.alpha * x)
-    else:
-        out = np.interp(x, u.xs, u.ys)
+        return _kinked(x, lambda p: (p + 1.0) ** u.alpha - 1.0, lambda v: u.alpha * v)
+    out = np.interp(np.asarray(x, dtype=float), u.xs, u.ys)
     return float(out) if out.ndim == 0 else out
 
 
@@ -103,14 +115,13 @@ def eval_u_prime(u: Utility, x):
     For tabulated utilities this is a central finite difference (flagged
     second-class: excluded from measure construction).
     """
-    x = np.asarray(x, dtype=float)
     if u.kind == "appendix_power":
-        pos = np.maximum(x, 0.0)
         # both one-sided derivatives at 0 equal alpha
-        out = np.where(x > 0, u.alpha * (pos + 1.0) ** (u.alpha - 1.0), u.alpha)
-    else:
-        h = 1e-6 * np.maximum(1.0, np.abs(x))
-        out = (np.interp(x + h, u.xs, u.ys) - np.interp(x - h, u.xs, u.ys)) / (2 * h)
+        return _kinked(x, lambda p: u.alpha * (p + 1.0) ** (u.alpha - 1.0),
+                       lambda v: np.full_like(v, u.alpha))
+    x = np.asarray(x, dtype=float)
+    h = 1e-6 * np.maximum(1.0, np.abs(x))
+    out = (np.interp(x + h, u.xs, u.ys) - np.interp(x - h, u.xs, u.ys)) / (2 * h)
     return float(out) if out.ndim == 0 else out
 
 
@@ -119,13 +130,10 @@ def eval_u_second(u: Utility, x):
 
     Tabulated utilities are piecewise linear, so theirs is 0.
     """
-    x = np.asarray(x, dtype=float)
     if u.kind == "appendix_power":
-        pos = np.maximum(x, 0.0)
         k = u.alpha * (u.alpha - 1.0)
-        out = np.where(x > 0, k * (pos + 1.0) ** (u.alpha - 2.0), 0.0)
-    else:
-        out = np.zeros_like(x)
+        return _kinked(x, lambda p: k * (p + 1.0) ** (u.alpha - 2.0), np.zeros_like)
+    out = np.zeros_like(np.asarray(x, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 

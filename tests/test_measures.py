@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from apmopt import (ArbitrageError, DiscretePayoff, FactorStrategy,
                     sample_scenarios, single_asset_measure, solve_tilt,
                     standardized_two_point, verify_pricing)
 from apmopt.diagnostics import holder_chain_check
-from apmopt.measures import _pricing_residuals, _tilt_residual
+from apmopt.measures import (TiltedMeasure, _density, _pricing_residuals,
+                             _tilt_residual)
 from conftest import rademacher_market
 
 
@@ -174,6 +177,48 @@ def discrete_markets(draw):
                         beta_bar=[1.0] * K, noise=tuple(noise))
 
 
+def with_zero_probability_point(model):
+    """The same market with a probability-0 point appended to coordinate
+    1's law, above its support: the exact set lists it, with weight 0."""
+    d = model.noise[0]
+    law = finite_discrete(d.points + (max(d.points) + 1.0,), d.probs + (0.0,))
+    return replace(model, spec=replace(model.spec, noise=(law, *model.noise[1:])))
+
+
+class TestProductDensity:
+    @settings(max_examples=100, deadline=None)
+    @given(model=discrete_markets(), zero_point=st.booleans())
+    @example(model=rademacher_market([0.65, 0.1]), zero_point=True)  # both methods
+    def test_matches_row_density_bit_for_bit(self, model, zero_point):
+        if zero_point:
+            model = with_zero_probability_point(model)
+        Q = build_tilted_measure(model)
+        s = enumerate_scenarios(model)
+        with mock.patch.object(TiltedMeasure, "density", side_effect=AssertionError):
+            dens = _density(Q, s)  # the product form, never the row loop
+        assert np.array_equal(dens, Q.density(s.draws))
+
+    def test_sampled_sets_use_the_rows(self):
+        model = rademacher_market([0.2, -0.3])
+        Q = build_tilted_measure(model)
+        s = sample_scenarios(model, 4, 7)  # as many rows as the exact set
+        assert np.array_equal(_density(Q, s), Q.density(s.draws))
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=discrete_markets())
+    @example(model=rademacher_market([0.6, 0.7, 0.9]))
+    def test_fallback_coordinates_price_to_rounding(self, model):
+        # the utility-gradient factor's tilted mean is E[u'(phi* x) x] / z,
+        # which the one-asset bisection drives to rounding
+        Q = build_tilted_measure(model)
+        for i, (c, d) in enumerate(zip(Q.coords, model.noise)):
+            if c.method == "utility_gradient":
+                pts = np.asarray(d.points)
+                mean = math.fsum(np.asarray(d.probs) * Q.coordinate_factor(i, pts)
+                                 * (pts - model.b[i]))
+                assert abs(mean) <= 1e-11
+
+
 class TestMoments:
     def test_reverse_moments_are_forward_moments_at_minus_w(self):
         model = rademacher_market([0.2, 0.1, -0.05])
@@ -211,10 +256,8 @@ class TestMoments:
         u = appendix_power(0.5, growth)
         s = enumerate_scenarios(model)
         strategies = np.zeros((1, model.K))
-        if verify_pricing(Q, model, s=s)["max_residual"] > 1e-10:
-            with pytest.raises(ValueError, match="tolerance"):
-                holder_chain_check(model, Q, u, strategies, s)
-            return
+        # both tilt methods price to rounding, so the chain never refuses
+        assert verify_pricing(Q, model, s=s)["max_residual"] <= 1e-10
         out = holder_chain_check(model, Q, u, strategies, s)
         factors = [(Q.coordinate_factor(i, np.asarray(d.points)), np.asarray(d.probs))
                    for i, d in enumerate(model.noise)]

@@ -246,7 +246,7 @@ class TestNewtonOracles:
         u = appendix_power(alpha)
         phi1, val1 = optimize_single_asset(
             DiscretePayoff.from_noise(model.noise[0], model.b[0]), u)
-        # far optima are flat, and there the oracle's 1e-10 tolerance on the
+        # far optima are flat, and there the oracle's tolerance on the
         # derivative no longer pins phi to 1e-6
         assume(abs(phi1) <= 20.0)
         res = optimize_truncated(model, u, None, enumerate_scenarios(model),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apmopt import (GrowthBounds, Utility, appendix_power, certify_growth,
                     eval_u, eval_u_prime, eval_u_second, tabulated)
@@ -59,6 +61,45 @@ class TestEval:
     def test_tabulated_second_is_zero(self):
         u = tabulated([-1.0, 0.0, 1.0], [-1.0, 0.0, 0.5])
         assert np.array_equal(eval_u_second(u, np.linspace(-2, 2, 9)), np.zeros(9))
+
+
+def where_formulas(alpha, x):
+    """u, u', u'' of appendix_power as np.where over both branches: the
+    reference the live-branch evaluators must match bit for bit."""
+    x = np.asarray(x, dtype=float)
+    pos = np.maximum(x, 0.0)
+    outs = (np.where(x > 0, (pos + 1.0) ** alpha - 1.0, alpha * x),
+            np.where(x > 0, alpha * (pos + 1.0) ** (alpha - 1.0), alpha),
+            np.where(x > 0, alpha * (alpha - 1.0) * (pos + 1.0) ** (alpha - 2.0), 0.0))
+    return [float(out) if out.ndim == 0 else out for out in outs]
+
+
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-17, 1.0, -1.0,
+         1e300, -1e300, np.inf, -np.inf, np.nan]
+REALS = st.sampled_from(EDGES) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestLiveBranch:
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.floats(0.01, 0.99), xs=st.lists(REALS, max_size=40))
+    def test_arrays_match_where_bit_for_bit(self, alpha, xs):
+        u = appendix_power(alpha)
+        x = np.array(EDGES + xs)
+        for arr in (x, x.reshape(2, -1) if x.size % 2 == 0 else x[None, :]):
+            got = [f(u, arr) for f in (eval_u, eval_u_prime, eval_u_second)]
+            for g, ref in zip(got, where_formulas(alpha, arr)):
+                assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.floats(0.01, 0.99), x=REALS)
+    def test_scalars_match_where_bit_for_bit(self, alpha, x):
+        u = appendix_power(alpha)
+        refs = where_formulas(alpha, x)
+        for arg in (x, np.float64(x), np.array(x)):
+            got = [f(u, arg) for f in (eval_u, eval_u_prime, eval_u_second)]
+            for g, ref in zip(got, refs):
+                assert type(g) is float
+                assert np.float64(g).tobytes() == np.float64(ref).tobytes()
 
 
 class TestShape:
