@@ -122,8 +122,8 @@ def _check_table(xs: tuple[float, ...], ys: tuple[float, ...]) -> None:
     """Raise ValueError unless the table interpolates a nondecreasing
     concave utility: xs strictly increasing, and slopes that are >= 0 and
     never rise, to a relative 1e-12 of the steepest.  The table's own
-    slopes decide, not a grid of eval_u values: np.interp clamps below
-    xs[0], a convex kink of every increasing table."""
+    slopes decide: eval_u continues the first slope below xs[0] and holds
+    ys[-1] above xs[-1], so these slopes are all of u's shape."""
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("tabulated xs must be strictly increasing")
     slopes = [(y1 - y0) / (x1 - x0)

@@ -23,7 +23,8 @@ import numpy as np
 
 from .distributions import estimate_exp_moment, tail_probability, truncated_second_moment
 from .market import MarketModel, check_assumption_b, check_no_arbitrage
-from .measures import TiltedMeasure, _density, _pricing_residuals
+from .measures import (TiltedMeasure, _coordinate_means, _density_moments, _residuals,
+                       _support_factors)
 from .scenarios import ScenarioSet, expectation
 from .utility import Utility, certify_growth, eval_u
 
@@ -95,18 +96,24 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
     u(-Y-) are u(Y) where Y has that sign and u(0) elsewhere.  The payoffs
     Y come from one gemm per STRATEGY_BLOCK strategies.  Requires
     growth bounds on u, and reports whether they hold as ``growth_certified``;
-    on an exact set the measure must price every asset to 1e-10.
+    on an exact set the measure must price every asset to 1e-10.  On an
+    exact enumeration of Q's market that guard and the moments behind C'
+    and C'' are products of the K coordinates' support sums, and no
+    per-row density is built; on other sets the density is built once.
     """
     if not u.certified:
         raise ValueError("utility carries no growth certificate; refusing")
     g = u.growth
-    dens = _density(Q, s)
-    if s.is_exact and _pricing_residuals(model, s, dens)["max_residual"] > 1e-10:
-        raise ValueError("measure does not price assets to tolerance")
+    sup = _support_factors(Q, s)
+    if s.is_exact:
+        m = _coordinate_means(Q, model, s, sup)
+        if _residuals(model, m)["max_residual"] > 1e-10:
+            raise ValueError("measure does not price assets to tolerance")
     if g.alpha > 0:
-        c_prime = expectation(s, dens ** (-g.alpha / (1.0 - g.alpha))) ** (1.0 - g.alpha)
-        c_dprime = expectation(s, dens ** (g.beta / (g.beta - 1.0))) ** (
-            g.alpha * (g.beta - 1.0) / g.beta)
+        e_prime, e_dprime = -g.alpha / (1.0 - g.alpha), g.beta / (g.beta - 1.0)
+        power = _density_moments(Q, s, (e_prime, e_dprime), sup)
+        c_prime = power[e_prime] ** (1.0 - g.alpha)
+        c_dprime = power[e_dprime] ** (g.alpha * (g.beta - 1.0) / g.beta)
     else:
         c_prime = c_dprime = 1.0
     strategies = np.atleast_2d(strategies)

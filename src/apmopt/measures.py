@@ -13,10 +13,15 @@ Both factors are strictly positive, so the product measure is equivalent
 to the physical one and prices every asset to zero.  Payoffs are linear in
 eps - b, so pricing is checked through the K tilted means E_Q[eps_i - b_i].
 
-Pricing, the density moments and the Hoelder chain read dQ/dP on every row
-of a scenario set.  On an exact enumeration it is built in product form:
-one factor per coordinate on that law's support, combined by outer
-products, bit for bit the row-by-row density.
+On an exact enumeration every expectation of a product of per-coordinate
+functions factorises: E_Q[eps_i - b_i] = E[f_i (eps_i - b_i)] prod_{j != i}
+E[f_j] and E[(dQ/dP)^e] = prod_i E[f_i^e], with f_i coordinate i's factor,
+so the density moments and the Hoelder chain's pricing guard read K
+support sums and no per-row density.  ``verify_pricing`` checks the
+residual on the rows: there the density is built in product form, one
+factor per coordinate on that law's support combined by outer products,
+bit for bit the row-by-row density.  Sampled sets evaluate the density
+on their rows.
 """
 
 from __future__ import annotations
@@ -135,20 +140,56 @@ class TiltedMeasure:
         return out
 
 
-def _density(Q: TiltedMeasure, s: ScenarioSet) -> np.ndarray:
-    """Q.density(s.draws), bit for bit, for a scenario set of Q's market.
+def _support_factors(Q: TiltedMeasure, s: ScenarioSet):
+    """On an exact enumeration of Q's market, [(x_i, p_i, f_i)] per
+    coordinate: its law's support points, their probabilities and the
+    density factor there; None on any other set.
 
     An exact enumeration lists the product of the coordinate supports, last
-    coordinate fastest, so there the density is the outer product of the K
-    coordinate factors, each evaluated on its law's support alone, in
-    TiltedMeasure.density's order of multiplication.
+    coordinate fastest, with product weights, so every expectation of a
+    product of per-coordinate functions is the product of K support sums.
     """
-    supports = [np.asarray(d.points) for d in Q.model.noise]
-    if (s.is_exact and s.draws.shape[1] == len(Q.coords)
-            and s.n == math.prod(map(len, supports))):
-        factors = [Q.coordinate_factor(i, pts) for i, pts in enumerate(supports)]
-        return functools.reduce(np.multiply.outer, factors).ravel()
-    return Q.density(s.draws)
+    laws = Q.model.noise
+    if not (s.is_exact and s.draws.shape[1] == len(Q.coords)
+            and s.n == math.prod(len(d.points) for d in laws)):
+        return None
+    return [(np.asarray(d.points), np.asarray(d.probs),
+             Q.coordinate_factor(i, np.asarray(d.points)))
+            for i, d in enumerate(laws)]
+
+
+def _density(Q: TiltedMeasure, s: ScenarioSet) -> np.ndarray:
+    """Q.density(s.draws), bit for bit, for a scenario set of Q's market:
+    on an exact enumeration the outer product of the coordinate factors,
+    in TiltedMeasure.density's order of multiplication."""
+    sup = _support_factors(Q, s)
+    if sup is None:
+        return Q.density(s.draws)
+    return functools.reduce(np.multiply.outer, [f for _, _, f in sup]).ravel()
+
+
+def _density_moments(Q: TiltedMeasure, s: ScenarioSet, exponents, sup) -> dict:
+    """{e: E[(dQ/dP)^e]} over s: prod_i E[f_i^e] from the support sums sup
+    = _support_factors(Q, s) on an exact enumeration, else one density
+    over the rows."""
+    if sup is None:
+        dens = Q.density(s.draws)
+        return {e: expectation(s, dens ** e) for e in exponents}
+    return {e: math.prod(math.fsum(p * f ** e) for _, p, f in sup)
+            for e in exponents}
+
+
+def _coordinate_means(Q: TiltedMeasure, model: MarketModel, s: ScenarioSet,
+                      sup) -> np.ndarray:
+    """E_Q[eps_i - b_i] over s: E[f_i (eps_i - b_i)] prod_{j != i} E[f_j]
+    from the support sums sup = _support_factors(Q, s) on an exact
+    enumeration, else over the rows."""
+    if sup is None:
+        return _row_means(model, s, Q.density(s.draws))
+    mass = [math.fsum(p * f) for _, p, f in sup]
+    return np.array([math.fsum(p * f * (x - model.b[i]))
+                     * math.prod(mass[:i] + mass[i + 1:])
+                     for i, (x, p, f) in enumerate(sup)])
 
 
 def build_tilted_measure(model: MarketModel, fallback_alpha: float = 0.5) -> TiltedMeasure:
@@ -226,14 +267,18 @@ def verify_pricing(Q: TiltedMeasure, model: MarketModel,
     """Residuals of E_Q[R_i] for every asset and E_Q[V(phi)] for the given
     strategies, priced from the coordinate means E_Q[eps_i - b_i] on s."""
     s = s or enumerate_scenarios(model)
-    return _pricing_residuals(model, s, _density(Q, s), strategies)
+    return _residuals(model, _row_means(model, s, _density(Q, s)), strategies)
 
 
-def _pricing_residuals(model: MarketModel, s: ScenarioSet, dens: np.ndarray,
-                       strategies: tuple[FactorStrategy, ...] = ()) -> dict:
-    """verify_pricing's residuals for a density already evaluated on s."""
-    m = np.array([expectation(s, dens * (s.draws[:, i] - model.b[i]))
-                  for i in range(model.K)])
+def _row_means(model: MarketModel, s: ScenarioSet, dens: np.ndarray) -> np.ndarray:
+    """E_Q[eps_i - b_i] for a density already evaluated on the rows of s."""
+    return np.array([expectation(s, dens * (s.draws[:, i] - model.b[i]))
+                     for i in range(model.K)])
+
+
+def _residuals(model: MarketModel, m: np.ndarray,
+               strategies: tuple[FactorStrategy, ...] = ()) -> dict:
+    """Asset and strategy residuals priced from the coordinate means m."""
     B = model.loading_matrix()
     asset_resid = [math.fsum(B[i] * m) for i in range(model.K)]
     strat_resid = [math.fsum(f.phi * m[:f.phi.size]) for f in strategies]
@@ -248,10 +293,9 @@ def measure_moments(Q: TiltedMeasure, s: ScenarioSet,
                     w_list=(-2.0, -1.0, 1.0, 2.0)) -> MeasureReport:
     """Tabulate E[(dQ/dP)^w] and E[(dP/dQ)^w] and fit the log-moment
     growth constant c in log E[(dQ/dP)^w] <= c sum(a_i^2 + b_i^2)."""
-    dens = _density(Q, s)
-    # E[(dP/dQ)^w] = E[(dQ/dP)^-w]: one pass per distinct exponent
+    # E[(dP/dQ)^w] = E[(dQ/dP)^-w]: one moment per distinct exponent
     ws = [float(w) for w in w_list]
-    power = {e: expectation(s, dens ** e) for e in {*ws, *(-w for w in ws)}}
+    power = _density_moments(Q, s, {*ws, *(-w for w in ws)}, _support_factors(Q, s))
     fwd = {w: power[w] for w in ws}
     rev = {w: power[-w] for w in ws}
     a = np.array([c.a if c.a is not None else 0.0 for c in Q.coords])

@@ -6,12 +6,15 @@ its derivative, and ``measures.solve_tilt`` bisects the tilt residual.
 ``_damped_newton`` ascends a concave function: the direction is
 (-H + ||g||^2 I)^{-1} g, with gradient g and Hessian H taken from one pass,
 and Armijo backtracking picks the step.  The K-coordinate problem runs it
-on the scenario expectation of u(V(phi)), with one pass over X @ phi.  -H
-is positive semidefinite because u'' <= 0 for every utility kind, so the
-shifted system is positive definite; the shift vanishes with g near the
-optimum, where the step is the Newton step, and for a tabulated utility
-(u'' = 0) the step is a scaled gradient step.  The truncation ladder
-solves every level on one scenario set.
+on the scenario expectation of u(V(phi)): the line search's product
+v = X @ phi at the accepted step feeds the next pass, which walks X once
+in fixed-order blocks of ROW_BLOCK rows for the gradient and the Hessian,
+so up to K = 96 the result does not depend on the BLAS thread count.  -H is positive
+semidefinite because u'' <= 0 for every utility kind, so the shifted
+system is positive definite; the shift vanishes with g near the optimum,
+where the step is the Newton step, and for a tabulated utility (u'' = 0)
+the step is a scaled gradient step.  The truncation ladder solves every
+level on one scenario set.
 
 ``detect_unbounded`` decides whether the scenario set admits an arbitrage
 direction, which makes the supremum unattained.  On an exact product set
@@ -51,6 +54,12 @@ __all__ = [
 # |E[u'(phi X) X]| at which the one-asset bisection stops: rounding level,
 # since the fallback tilt prices its coordinate to about this over E[u'(phi X)]
 SINGLE_ASSET_TOL = 1e-14
+# rows per block of the Newton pass's reductions.  OpenBLAS splits a gemv
+# this short over its K outputs only, so in fixed block order the gradient
+# does not depend on the BLAS thread count; the Hessian's syrk does not
+# either up to K = 96, but at K = 100 or 150 it is threaded with other last
+# bits (tests compare 1 and 2 threads at K <= 96 and a K = 50 report)
+ROW_BLOCK = 4096
 
 
 class OneSidedPayoffError(ValueError):
@@ -152,27 +161,52 @@ def _centered(model: MarketModel, s: ScenarioSet, K: int) -> np.ndarray:
     return s.draws[:, :K] - model.b[:K]
 
 
+def _objective_at(u: Utility, X: np.ndarray, w: np.ndarray, phi: np.ndarray):
+    """(f, v): the scenario expectation f of u(v) with v = X @ phi, and v
+    for the Newton pass at phi."""
+    v = X @ phi
+    return float(np.sum(w * eval_u(u, v))), v
+
+
 def saa_objective(u: Utility, X: np.ndarray, w: np.ndarray, phi: np.ndarray) -> float:
-    return float(np.sum(w * eval_u(u, X @ phi)))
+    return _objective_at(u, X, w, phi)[0]
 
 
 def saa_gradient(u: Utility, X: np.ndarray, w: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return X.T @ (w * eval_u_prime(u, X @ phi))
 
 
-def _newton_pass(u: Utility, X: np.ndarray, w: np.ndarray, phi: np.ndarray):
-    """Objective, gradient and Hessian at phi from one product v = X @ phi."""
-    v = X @ phi
-    f = float(np.sum(w * eval_u(u, v)))
-    g = X.T @ (w * eval_u_prime(u, v))
-    H = (X.T * (w * eval_u_second(u, v))) @ X
-    return f, g, H
+def _row_blocks(X: np.ndarray, a: np.ndarray, c: np.ndarray):
+    """X.T @ a and X.T diag(c) X for c >= 0, accumulated over ROW_BLOCK-row
+    blocks of X in order, so the sums do not depend on the BLAS thread
+    count.  The second is a sum of S_b.T @ S_b with S_b = X_b sqrt(c_b),
+    written into one reused buffer; numpy runs each product as a syrk."""
+    n, K = X.shape
+    g = np.zeros(K)
+    G = np.zeros((K, K))
+    root = np.sqrt(c)
+    buf = np.empty((min(n, ROW_BLOCK), K))
+    for start in range(0, n, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        Xb = X[rows]
+        S = np.multiply(Xb, root[rows, None], out=buf[:len(Xb)])
+        g += Xb.T @ a[rows]
+        G += S.T @ S
+    return g, G
+
+
+def _newton_pass(u: Utility, X: np.ndarray, w: np.ndarray, v: np.ndarray):
+    """Gradient and Hessian at phi from v = X @ phi; -w u'' >= 0 for every
+    utility kind."""
+    g, G = _row_blocks(X, w * eval_u_prime(u, v), -w * eval_u_second(u, v))
+    return g, -G, None
 
 
 def _damped_newton(step_pass, value, x: np.ndarray, done, max_iter: int,
                    slack: float):
-    """Ascend a concave f from x; step_pass(x) gives (f, g, H, aux) and
-    value(x) gives f alone, for the line search.
+    """Ascend a concave f from x.  value(x) gives (f, memo), and
+    step_pass(memo) gives (g, H, aux) at that point, so the line search's
+    accepted trial is never evaluated again.
 
     The direction is d = (||g||^2 I - H)^{-1} g, and Armijo halving picks
     the step, accepting a fall of f within slack * max(1, |f|).  The loop
@@ -180,7 +214,8 @@ def _damped_newton(step_pass, value, x: np.ndarray, done, max_iter: int,
     moves x, or after a step whose predicted gain g . d is within that
     slack.  Returns (x, f, g, aux, steps).
     """
-    f, g, H, aux = step_pass(x)
+    f, memo = value(x)
+    g, H, aux = step_pass(memo)
     steps = 0
     flat = False
     while steps < max_iter and not flat and not done(g, aux):
@@ -192,13 +227,14 @@ def _damped_newton(step_pass, value, x: np.ndarray, done, max_iter: int,
         t = 1.0
         while t > 1e-18:
             cand = x + t * d
-            if value(cand) >= f + 1e-4 * t * slope - tol:
+            f_cand, memo = value(cand)
+            if f_cand >= f + 1e-4 * t * slope - tol:
                 break
             t *= 0.5
         if t <= 1e-18 or np.array_equal(cand, x):
             break  # no ascent step that moves x; report the best iterate
-        x = cand
-        f, g, H, aux = step_pass(x)
+        x, f = cand, f_cand
+        g, H, aux = step_pass(memo)
         steps += 1
     return x, f, g, aux, steps
 
@@ -228,15 +264,18 @@ def _no_arbitrage_certificate(X: np.ndarray, w: np.ndarray) -> bool:
     under an arbitrage lam runs off along it and min_j y_j -> 0.  False
     (after at most 50 passes) means undecided.
     """
-    def rogers_pass(lam):
+    def neg_log_mass(lam):
         L, y = _tilt(X, w, lam)
-        r = X.T @ y
-        return -L, -r, np.outer(r, r) - (X.T * y) @ X, y
+        return -L, y
+
+    def rogers_pass(y):
+        r, G = _row_blocks(X, y, y)
+        return -r, np.outer(r, r) - G, y
 
     def bound_small(g, y):
         return float(np.abs(g).sum()) < 1e-9 * float(y.min())
 
-    _, _, g, y, _ = _damped_newton(rogers_pass, lambda lam: -_tilt(X, w, lam)[0],
+    _, _, g, y, _ = _damped_newton(rogers_pass, neg_log_mass,
                                    np.zeros(X.shape[1]), bound_small,
                                    max_iter=49, slack=1e-14)  # <= 50 passes
     return bound_small(g, y)
@@ -272,10 +311,8 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
     X = _centered(model, s, K)
     w = s.weights
     phi, f, g, _, it = _damped_newton(
-        lambda p: (*_newton_pass(u, X, w, p), None),
-        # saa_objective is looked up at call time, so a wrapper bound on
-        # the module counts the line-search trials
-        lambda p: saa_objective(u, X, w, p),
+        lambda v: _newton_pass(u, X, w, v),
+        lambda p: _objective_at(u, X, w, p),
         np.zeros(K), lambda g, _: float(np.linalg.norm(g)) <= cfg.grad_tol,
         cfg.max_iter, slack=0.0)
     gn = float(np.linalg.norm(g))

@@ -5,9 +5,11 @@ Built-in kinds:
 * ``appendix_power(alpha)`` -- u(x) = alpha*x for x <= 0 and
   (x+1)**alpha - 1 for x > 0; continuously differentiable, u' <= alpha,
   concave and nondecreasing for every alpha in (0,1).
-* ``tabulated(xs, ys)`` -- piecewise linear interpolation of a user table;
-  derivative falls back to finite differences (flagged), second
-  derivative is taken as 0.  Shape is the caller's responsibility; a
+* ``tabulated(xs, ys)`` -- piecewise linear interpolation of a user table,
+  continued below xs[0] along the first segment and held at ys[-1] above
+  xs[-1], so a table with nonnegative, nonincreasing slopes gives a
+  concave nondecreasing u on the whole line; u' is a central finite
+  difference of u and u'' is 0.  Shape is the caller's responsibility; a
   config file's table is checked from its own slopes when it is parsed.
 
 ``Utility`` rejects any other kind when it is built, so each evaluator
@@ -105,15 +107,20 @@ def eval_u(u: Utility, x):
     """u(x), vectorized."""
     if u.kind == "appendix_power":
         return _kinked(x, lambda p: (p + 1.0) ** u.alpha - 1.0, lambda v: u.alpha * v)
-    out = np.interp(np.asarray(x, dtype=float), u.xs, u.ys)
+    x = np.asarray(x, dtype=float)
+    first = (u.ys[1] - u.ys[0]) / (u.xs[1] - u.xs[0])
+    out = np.interp(x, u.xs, u.ys) + first * np.minimum(x - u.xs[0], 0.0)
     return float(out) if out.ndim == 0 else out
 
 
 def eval_u_prime(u: Utility, x):
     """u'(x), vectorized; left derivative at kinks, common value when equal.
 
-    For tabulated utilities this is a central finite difference (flagged
-    second-class: excluded from measure construction).
+    For tabulated utilities this is a central finite difference of u with
+    step 1e-6 max(1, |x|): the segment slope away from the nodes, and
+    between the two slopes within a step of a node.  The one-sided slope
+    would never vanish at a maximum on a node, and the Newton loop would
+    not stop there before max_iter.
     """
     if u.kind == "appendix_power":
         # both one-sided derivatives at 0 equal alpha
@@ -121,7 +128,7 @@ def eval_u_prime(u: Utility, x):
                        lambda v: np.full_like(v, u.alpha))
     x = np.asarray(x, dtype=float)
     h = 1e-6 * np.maximum(1.0, np.abs(x))
-    out = (np.interp(x + h, u.xs, u.ys) - np.interp(x - h, u.xs, u.ys)) / (2 * h)
+    out = (eval_u(u, x + h) - eval_u(u, x - h)) / (2 * h)
     return float(out) if out.ndim == 0 else out
 
 

@@ -315,8 +315,8 @@ class TestDeterminism:
                 else (out2 / rel).read_bytes()
             assert b1 == b2, rel
 
-    def test_report_bytes_identical_across_blas_thread_counts(self, tmp_path):
-        # the gemm blocks of the verification layer reduce over K alone
+    @staticmethod
+    def bundles_per_thread_count(config, tmp_path):
         bundles = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
@@ -325,10 +325,34 @@ class TestDeterminism:
             env.pop("SEED", None)
             out = tmp_path / f"t{threads}"
             subprocess.run([sys.executable, "-m", "apmopt.cli", "report", "--config",
-                            str(CONFIGS / "demo.json"), "--out", str(out)],
+                            str(config), "--out", str(out)],
                            env=env, check=True)
             bundles.append({p.relative_to(out): p.read_bytes()
                             for p in sorted(out.rglob("*")) if p.is_file()})
+        return bundles
+
+    def test_report_bytes_identical_across_blas_thread_counts(self, tmp_path):
+        # the gemm blocks of the verification layer reduce over K alone
+        bundles = self.bundles_per_thread_count(CONFIGS / "demo.json", tmp_path)
+        assert len(bundles[0]) == 6
+        assert bundles[0] == bundles[1]
+
+    def test_large_sampled_ladder_identical_across_blas_thread_counts(self, tmp_path):
+        # the demo's 16 rows fit in one block; here the Newton and Rogers
+        # passes reduce over several ROW_BLOCK blocks at K = 50
+        K = 50
+        config = tmp_path / "k50.json"
+        config.write_text(json.dumps({
+            "model": {"m": 1, "K": K, "mu": [-0.4 / i for i in range(1, K + 1)],
+                      "beta": [[0.0]] * (K - 1), "beta_bar": [1.0] * K,
+                      "noise": {"family": "rademacher"}},
+            "utility": DEMO["utility"],
+            "solver": {"grad_tol": 1e-8, "max_iter": 50, "ladder": [25, 50]},
+            "measure": DEMO["measure"],
+            "scenario": {"mode": "monte_carlo", "n": 3 * optimize.ROW_BLOCK + 1000,
+                         "seed": 42},
+        }))
+        bundles = self.bundles_per_thread_count(config, tmp_path)
         assert len(bundles[0]) == 6
         assert bundles[0] == bundles[1]
 

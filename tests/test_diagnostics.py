@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,10 +122,20 @@ class TestHolderChain:
             oracle.append(g.C1 * (out["C_prime"] * out["C_dprime"] * inner + 1.0) - lhs)
         assert out["margins"] == oracle
 
+    def test_mispriced_measure_refused_on_exact_set(self, market_k3, certified_u):
+        # the guard reads the product-form means; a wrong tilt must trip it
+        Q = build_tilted_measure(market_k3)
+        coords = (replace(Q.coords[0], a=Q.coords[0].a + 0.1), *Q.coords[1:])
+        bad = replace(Q, coords=coords)
+        s = enumerate_scenarios(market_k3)
+        with pytest.raises(ValueError, match="does not price"):
+            holder_chain_check(market_k3, bad, certified_u, np.zeros((1, 3)), s)
+        holder_chain_check(market_k3, Q, certified_u, np.zeros((1, 3)), s)
+
     def test_sampled_set_skips_pricing_guard(self, market_k3, certified_u,
                                              monkeypatch):
         calls = []
-        monkeypatch.setattr(diagnostics, "_pricing_residuals",
+        monkeypatch.setattr(diagnostics, "_coordinate_means",
                             lambda *args: calls.append(args))
         s = sample_scenarios(market_k3, 200, 1)
         holder_chain_check(market_k3, build_tilted_measure(market_k3),

@@ -14,8 +14,9 @@ from apmopt import (ArbitrageError, DiscretePayoff, FactorStrategy,
                     sample_scenarios, single_asset_measure, solve_tilt,
                     standardized_two_point, verify_pricing)
 from apmopt.diagnostics import holder_chain_check
-from apmopt.measures import (TiltedMeasure, _density, _pricing_residuals,
-                             _tilt_residual)
+from apmopt.measures import (TiltedMeasure, _coordinate_means, _density,
+                             _density_moments, _residuals, _row_means,
+                             _support_factors, _tilt_residual)
 from conftest import rademacher_market
 
 
@@ -198,6 +199,29 @@ class TestProductDensity:
             dens = _density(Q, s)  # the product form, never the row loop
         assert np.array_equal(dens, Q.density(s.draws))
 
+    @settings(max_examples=100, deadline=None)
+    @given(model=discrete_markets(), zero_point=st.booleans())
+    @example(model=rademacher_market([0.65, 0.1]), zero_point=True)  # both methods
+    def test_support_sums_match_row_sums(self, model, zero_point):
+        # E_Q[eps_i - b_i] and E[(dQ/dP)^e] from K support sums against
+        # the same expectations over every enumerated row
+        if zero_point:
+            model = with_zero_probability_point(model)
+        Q = build_tilted_measure(model)
+        s = enumerate_scenarios(model)
+        dens = Q.density(s.draws)
+        with mock.patch.object(TiltedMeasure, "density", side_effect=AssertionError):
+            sup = _support_factors(Q, s)
+            m = _coordinate_means(Q, model, s, sup)
+            exps = (-3.0, -1.0, -0.5, 1.0, 1.5, 3.0)
+            power = _density_moments(Q, s, exps, sup)
+        for i in range(model.K):
+            pay = s.draws[:, i] - model.b[i]
+            assert abs(m[i] - expectation(s, dens * pay)) <= 1e-12 * expectation(
+                s, dens * np.abs(pay))
+        for e in exps:
+            assert power[e] == pytest.approx(expectation(s, dens ** e), rel=1e-12)
+
     def test_sampled_sets_use_the_rows(self):
         model = rademacher_market([0.2, -0.3])
         Q = build_tilted_measure(model)
@@ -360,7 +384,7 @@ class TestPricingOracle:
         dens = gen.uniform(0.1, 3.0, s.n)
         strategies = tuple(FactorStrategy(gen.uniform(-2.0, 2.0, size))
                            for size in range(1, model.K + 1))
-        out = _pricing_residuals(model, s, dens, strategies)
+        out = _residuals(model, _row_means(model, s, dens), strategies)
         centered = s.draws - model.b
         B = model.loading_matrix()
         payoffs = ([[math.fsum(B[i] * row) for row in centered] for i in range(model.K)]

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -172,6 +177,18 @@ class TestTruncated:
         assert res.value == pytest.approx(1.0 / 24.0, abs=1e-9)
         assert res.phi_star[0] == pytest.approx(-25.0 / 24.0, abs=1e-4)
 
+    def test_tabulated_left_tail_keeps_falling(self):
+        # phi = 3 pays 1 w.p. 0.9 and -9 w.p. 0.1; a table held at u(-1)
+        # below its first node would value that at 0.35 > 0 = u(0)
+        model = build_market(1, 1, mu=[0.0], beta=[], beta_bar=[1.0],
+                             noise=standardized_two_point(0.9))
+        s = enumerate_scenarios(model)
+        u = tabulated([-1.0, 0.0, 1.0], [-1.0, 0.0, 0.5])
+        res = optimize_truncated(model, u, None, s)
+        X = s.draws - model.b
+        assert saa_objective(u, X, s.weights, np.array([3.0])) <= res.value
+        assert res.value == 0.0
+
     def test_step_too_small_to_move_phi_stops(self):
         # near ||g|| ~ 2e-11 the objective cannot register the Newton step's
         # gain, so backtracking shrinks the step until phi stops moving
@@ -238,6 +255,49 @@ class TestGradient:
             assert val == pytest.approx(c * val0, abs=1e-4)
 
 
+class TestRowBlocks:
+    @settings(deadline=None, max_examples=40)
+    @given(st.sampled_from([1, 7, optimize.ROW_BLOCK - 1, optimize.ROW_BLOCK,
+                            optimize.ROW_BLOCK + 1, 3 * optimize.ROW_BLOCK + 17]),
+           st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    def test_matches_whole_array_products(self, n, K, seed):
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        X = gen.standard_normal((n, K))
+        a = gen.standard_normal(n)
+        c = gen.uniform(0.0, 2.0, n) * (gen.random(n) < 0.9)  # some zeros
+        g, G = optimize._row_blocks(X, a, c)
+        # bounds on the rounding of either summation order
+        assert np.all(np.abs(g - X.T @ a) <= 1e-12 * (np.abs(X).T @ np.abs(a)))
+        assert np.all(np.abs(G - (X.T * c) @ X) <= 1e-12 * ((np.abs(X).T * c) @ np.abs(X)))
+        assert np.array_equal(G, G.T)
+
+    @staticmethod
+    def hashes_per_thread_count(Ks):
+        code = ("import hashlib, numpy as np\n"
+                "from apmopt import optimize\n"
+                f"for K in {tuple(Ks)}:\n"
+                "    gen = np.random.Generator(np.random.Philox(key=K))\n"
+                "    X = gen.standard_normal((3 * optimize.ROW_BLOCK + 17, K))\n"
+                "    g, G = optimize._row_blocks(X, X[:, 0], np.abs(X[:, -1]))\n"
+                "    print(K, hashlib.sha256(g.tobytes() + G.tobytes()).hexdigest())\n")
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [src] + [p for p in [env.get("PYTHONPATH")] if p])
+            outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                       capture_output=True, text=True).stdout)
+        return outs
+
+    def test_identical_across_blas_thread_counts(self):
+        # the blocks keep the gradient's gemv unthreaded-equivalent; the
+        # Hessian's syrk is fixed-order up to K = 96 on OpenBLAS (threaded
+        # at K = 100 or 150, its last bits move with the thread count)
+        one, two = self.hashes_per_thread_count((1, 19, 50, 96))
+        assert one == two
+
+
 class TestNewtonOracles:
     @settings(deadline=None, max_examples=50)
     @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), st.floats(0.1, 0.9))
@@ -266,6 +326,32 @@ class TestNewtonOracles:
         g = np.linspace(-4.0, 4.0, 801)
         values = np.stack(np.meshgrid(g, g), axis=-1) @ (s.draws - model.b).T
         assert res.value >= float((eval_u(u, values) @ s.weights).max()) - 1e-9
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.lists(st.integers(-20, 20), min_size=2, max_size=6, unique=True),
+           st.lists(st.integers(0, 8), min_size=5, max_size=5),
+           st.integers(-8, 8), st.floats(0.05, 0.95), st.floats(0.05, 0.95))
+    def test_tabulated_value_reaches_grid_maximum(self, nodes, slopes, y0, p, frac):
+        # a concave table: nonincreasing slopes on a 1/4 grid, the first > 0
+        xs = np.sort(np.array(nodes, dtype=float)) / 4.0
+        slopes = np.sort(slopes[:xs.size - 1])[::-1] / 4.0
+        assume(slopes[0] > 0)
+        u = tabulated(xs, y0 / 4.0 + np.concatenate([[0.0], np.cumsum(slopes * np.diff(xs))]))
+        model = two_point_market([p], [frac])
+        s = enumerate_scenarios(model)
+        X = (s.draws - model.b)[:, 0]
+        res = optimize_truncated(model, u, None, s)
+        # the loop stops by itself (about 20 steps, 34 the most in 4000
+        # draws), though often short of grad_tol near a kink maximum
+        assert res.iterations <= 100
+        # the optimum pays a table node in some scenario, inside this range
+        reach = np.abs(xs).max() / np.abs(X).min() + 1.0
+        grid = np.linspace(-reach, reach, 40_001)
+        best = float((eval_u(u, np.outer(grid, X)) @ s.weights).max())
+        # u' is a central difference, blurring each node over a relative
+        # 1e-6, so the loop may stop that close to a kink maximum (gaps of
+        # up to 5e-8 relative seen in 4000 draws)
+        assert res.value >= best - 1e-6 * max(1.0, abs(best))
 
 
 class TestLadder:

@@ -58,6 +58,36 @@ class TestEval:
         assert eval_u_second(appendix_power(0.5), 0.0) == 0.0
         assert eval_u_second(appendix_power(0.5), 3.0) == pytest.approx(-1.0 / 32.0)
 
+    def test_tabulated_continues_first_slope_below_table(self):
+        u = tabulated([-1.0, 0.0, 1.0], [-1.0, 0.0, 0.5])
+        xs = np.array([-9.0, -1.5, -1.0, 0.5, 1.0, 4.0])
+        assert np.array_equal(eval_u(u, xs), [-9.0, -1.5, -1.0, 0.25, 0.5, 0.5])
+        assert eval_u(u, -3.0) == -3.0
+
+    def test_tabulated_prime_continues_first_slope_below_table(self):
+        # the first slope below the table, the segment slopes inside, 0 above
+        u = tabulated([-1.0, 0.0, 1.0], [-1.0, 0.0, 0.5])
+        xs = np.array([-5.0, -1.5, -0.5, 0.5, 1.5, 4.0])
+        assert eval_u_prime(u, xs) == pytest.approx([1.0, 1.0, 1.0, 0.5, 0.0, 0.0],
+                                                    abs=1e-9)
+        assert type(eval_u_prime(u, -3.0)) is float
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-20, 20), min_size=2, max_size=6, unique=True),
+           st.lists(st.integers(0, 8), min_size=6, max_size=6),
+           st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=20))
+    def test_tabulated_prime_matches_one_sided_difference(self, nodes, drops, x):
+        # slopes from a decreasing list of integers: a concave table
+        xs = np.sort(np.array(nodes, dtype=float)) / 4.0
+        slopes = np.cumsum(drops[:len(xs) - 1])[::-1] / 8.0
+        ys = np.concatenate([[0.0], np.cumsum(slopes * np.diff(xs))])
+        u = tabulated(xs, ys)
+        h = 1e-7
+        # away from the nodes both differences see one segment
+        x = np.array([v for v in x if np.abs(v - xs).min() > 2e-6 * max(1.0, abs(v))])
+        fd = (eval_u(u, x) - eval_u(u, x - h)) / h
+        assert eval_u_prime(u, x) == pytest.approx(fd, abs=1e-6)
+
     def test_tabulated_second_is_zero(self):
         u = tabulated([-1.0, 0.0, 1.0], [-1.0, 0.0, 0.5])
         assert np.array_equal(eval_u_second(u, np.linspace(-2, 2, 9)), np.zeros(9))
