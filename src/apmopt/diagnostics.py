@@ -10,6 +10,11 @@ Three families of checks:
 * the two alternative assumption sets (tail positivity + uniform
   integrability vs sub-Gaussian moments + per-coordinate no-arbitrage),
   which are logically independent of each other.
+
+The first two read every strategy's payoff on every scenario row.  Each
+walks the rows once, in the solver's fixed-order blocks of
+``optimize.ROW_BLOCK`` rows, with all strategies' payoffs of a block from
+one gemm, so its temporaries are a block's size, never a column's.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from .distributions import estimate_exp_moment, tail_probability, truncated_seco
 from .market import MarketModel, check_assumption_b, check_no_arbitrage
 from .measures import (TiltedMeasure, _coordinate_means, _density_moments, _residuals,
                        _support_factors)
-from .scenarios import ScenarioSet, expectation
+from .optimize import ROW_BLOCK
+from .scenarios import ScenarioSet
 from .utility import Utility, certify_growth, eval_u
 
 __all__ = [
@@ -41,7 +47,6 @@ __all__ = [
 GAMMA_GRID = (0.25, 0.5, 1.0, 2.0)  # subgaussian_scan's exponents
 X_GRID = (0.0, 0.5, 1.0, 2.0, 4.0)  # check_assumption_relevant's tail levels
 N_GRID = (1.0, 2.0, 4.0, 8.0)       # and its truncation levels
-STRATEGY_BLOCK = 8  # strategies per gemm; an (8, n) block stays under the solver's peak
 
 
 def random_strategies(K: int, count: int, max_norm: float, seed: int) -> np.ndarray:
@@ -55,11 +60,42 @@ def random_strategies(K: int, count: int, max_norm: float, seed: int) -> np.ndar
     return raw / norms * targets
 
 
-def _strategy_rows(X: np.ndarray, phis: np.ndarray):
-    """Yield X @ phi for each row phi of phis, STRATEGY_BLOCK rows at a
-    time from one gemm phis[block] @ X.T."""
-    for start in range(0, len(phis), STRATEGY_BLOCK):
-        yield from phis[start:start + STRATEGY_BLOCK] @ X.T
+def _pow2_ceil(n: int) -> int:
+    return 1 << (n - 1).bit_length()
+
+
+def _strategy_sums(s: ScenarioSet, phis: np.ndarray, shift: np.ndarray,
+                   values) -> np.ndarray:
+    """(q, T) array of E[v(Y)] for each of the q arrays v(Y) that values(Y)
+    returns, with Y = phis @ (eps - shift).T the T strategies' payoffs on
+    a block of rows; the walk weights those arrays in place.
+
+    One walk over the rows of s in fixed-order blocks of ROW_BLOCK rows:
+    each block forms every strategy's payoffs in one gemm, which reduces
+    over the K columns alone, and sums its weighted values pairwise; the
+    block sums are then summed pairwise in order, so the rounding stays
+    within expectation's log2(n) * 2^-52 * sum |w * v|.  A short last
+    block is padded with zero rows to a power of two, like ROW_BLOCK:
+    OpenBLAS splits a threaded product over the scenario rows, and a
+    ragged row count (4095, say) splits unevenly and changes the last
+    bits, while 2 threads split every power of two tested (1 to 4096 rows,
+    K <= 96) without.  So the sums do not depend on the BLAS thread count.
+    """
+    k = phis.shape[1]
+    X = np.empty((min(ROW_BLOCK, _pow2_ceil(s.n)), k))
+    blocks = []
+    for start in range(0, s.n, ROW_BLOCK):
+        count = min(ROW_BLOCK, s.n - start)
+        rows = _pow2_ceil(count)
+        np.subtract(s.draws[start:start + count, :k], shift[:k], out=X[:count])
+        X[count:rows] = 0.0
+        w = s.weights[start:start + count]
+        sums = []
+        for v in values((phis @ X[:rows].T)[:, :count]):
+            v *= w
+            sums.append(np.sum(v, axis=1))
+        blocks.append(np.stack(sums))
+    return np.sum(np.stack(blocks, axis=-1), axis=-1)
 
 
 def exp_ui_bound(model: MarketModel, s: ScenarioSet, delta: float,
@@ -68,14 +104,19 @@ def exp_ui_bound(model: MarketModel, s: ScenarioSet, delta: float,
     C in the cap 2 exp(C ||phi||^2).
 
     Uses the raw (uncentered) noise; on the scenario set the expectation
-    is exact whenever the set is an exact enumeration.  The sums phi . eps
-    come from one gemm per STRATEGY_BLOCK strategies.
+    is exact whenever the set is an exact enumeration.  All trials share
+    one walk over the rows (``_strategy_sums``).
     """
     phis = random_strategies(model.K, trials, delta, seed)
+
+    def exp_abs(y):
+        v = np.abs(y)
+        return (np.exp(v, out=v),)
+
+    (vals,) = _strategy_sums(s, phis, np.zeros(model.K), exp_abs)
     rows = []
     worst = 0.0
-    for phi, v in zip(phis, _strategy_rows(s.draws, phis)):
-        val = expectation(s, np.exp(np.abs(v)))
+    for phi, val in zip(phis, vals.tolist()):
         nsq = float(phi @ phi)
         rows.append({"norm": math.sqrt(nsq), "value": val})
         if nsq > 0 and val > 2.0:
@@ -92,17 +133,25 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
 
     with Y = V(phi), C' = (E[(dP/dQ)^(alpha/(1-alpha))])^(1-alpha) and
     C'' = (E[(dQ/dP)^(beta/(beta-1))])^(alpha (beta-1)/beta), everything
-    by scenario expectation, with u evaluated once per strategy: u(Y+) and
-    u(-Y-) are u(Y) where Y has that sign and u(0) elsewhere.  The payoffs
-    Y come from one gemm per STRATEGY_BLOCK strategies.  Requires
-    growth bounds on u, and reports whether they hold as ``growth_certified``;
-    on an exact set the measure must price every asset to 1e-10.  On an
-    exact enumeration of Q's market that guard and the moments behind C'
-    and C'' are products of the K coordinates' support sums, and no
-    per-row density is built; on other sets the density is built once.
+    by scenario expectation.  The strategies (one per row, at most K
+    columns, at least one row) share one walk over the rows
+    (``_strategy_sums``), which centres each block of rows at b and
+    evaluates u(Y+) and u(-Y-) there, with Y+ = max(Y, 0) and
+    -Y- = Y - Y+.  Requires growth bounds on u, and reports
+    whether they hold as ``growth_certified``; on an exact set the measure
+    must price every asset to 1e-10.  On an exact enumeration of Q's
+    market that guard and the moments behind C' and C'' are products of
+    the K coordinates' support sums, and no per-row density is built; on
+    other sets the density is built once.
     """
     if not u.certified:
         raise ValueError("utility carries no growth certificate; refusing")
+    strategies = np.atleast_2d(strategies)
+    if strategies.shape[0] == 0:
+        raise ValueError("holder_chain_check needs at least one strategy")
+    if strategies.shape[1] > model.K:
+        raise ValueError(f"strategies have {strategies.shape[1]} coordinates; "
+                         f"the market has K={model.K}")
     g = u.growth
     sup = _support_factors(Q, s)
     if s.is_exact:
@@ -116,14 +165,14 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
         c_dprime = power[e_dprime] ** (g.alpha * (g.beta - 1.0) / g.beta)
     else:
         c_prime = c_dprime = 1.0
-    strategies = np.atleast_2d(strategies)
-    centered = (s.draws - model.b)[:, : strategies.shape[1]]
-    u0 = eval_u(u, 0.0)
+
+    def sides(y):
+        gain = np.maximum(y, 0.0)
+        return eval_u(u, gain), eval_u(u, y - gain)
+
     margins = []
-    for y in _strategy_rows(centered, strategies):
-        uy = eval_u(u, y)
-        lhs = expectation(s, np.where(y > 0, uy, u0))
-        neg = expectation(s, np.where(y < 0, uy, u0))
+    gains, losses = _strategy_sums(s, strategies, model.b, sides)
+    for lhs, neg in zip(gains.tolist(), losses.tolist()):
         inner = -neg / g.C2 + 1.0
         rhs = g.C1 * (c_prime * c_dprime * inner ** (g.alpha / g.beta) + 1.0)
         margins.append(rhs - lhs)

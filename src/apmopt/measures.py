@@ -16,17 +16,14 @@ eps - b, so pricing is checked through the K tilted means E_Q[eps_i - b_i].
 On an exact enumeration every expectation of a product of per-coordinate
 functions factorises: E_Q[eps_i - b_i] = E[f_i (eps_i - b_i)] prod_{j != i}
 E[f_j] and E[(dQ/dP)^e] = prod_i E[f_i^e], with f_i coordinate i's factor,
-so the density moments and the Hoelder chain's pricing guard read K
-support sums and no per-row density.  ``verify_pricing`` checks the
-residual on the rows: there the density is built in product form, one
-factor per coordinate on that law's support combined by outer products,
-bit for bit the row-by-row density.  Sampled sets evaluate the density
-on their rows.
+so the density moments and the pricing residuals, those of
+``verify_pricing`` and of the Hoelder chain's guard alike, read K support
+sums and no per-row density.  Sampled sets evaluate the density on their
+rows.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -158,16 +155,6 @@ def _support_factors(Q: TiltedMeasure, s: ScenarioSet):
             for i, d in enumerate(laws)]
 
 
-def _density(Q: TiltedMeasure, s: ScenarioSet) -> np.ndarray:
-    """Q.density(s.draws), bit for bit, for a scenario set of Q's market:
-    on an exact enumeration the outer product of the coordinate factors,
-    in TiltedMeasure.density's order of multiplication."""
-    sup = _support_factors(Q, s)
-    if sup is None:
-        return Q.density(s.draws)
-    return functools.reduce(np.multiply.outer, [f for _, _, f in sup]).ravel()
-
-
 def _density_moments(Q: TiltedMeasure, s: ScenarioSet, exponents, sup) -> dict:
     """{e: E[(dQ/dP)^e]} over s: prod_i E[f_i^e] from the support sums sup
     = _support_factors(Q, s) on an exact enumeration, else one density
@@ -265,9 +252,11 @@ def verify_pricing(Q: TiltedMeasure, model: MarketModel,
                    strategies: tuple[FactorStrategy, ...] = (),
                    s: ScenarioSet | None = None) -> dict:
     """Residuals of E_Q[R_i] for every asset and E_Q[V(phi)] for the given
-    strategies, priced from the coordinate means E_Q[eps_i - b_i] on s."""
+    strategies, priced from the coordinate means E_Q[eps_i - b_i] on s:
+    K support sums on an exact enumeration, else the rows."""
     s = s or enumerate_scenarios(model)
-    return _residuals(model, _row_means(model, s, _density(Q, s)), strategies)
+    return _residuals(model, _coordinate_means(Q, model, s, _support_factors(Q, s)),
+                      strategies)
 
 
 def _row_means(model: MarketModel, s: ScenarioSet, dens: np.ndarray) -> np.ndarray:

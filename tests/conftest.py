@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -21,6 +26,20 @@ def scaled_utility(u, factor):
     """factor * u as a tabulated utility, for scale-covariance tests."""
     xs = np.linspace(-200.0, 200.0, 40_001)
     return tabulated(xs, factor * eval_u(u, xs))
+
+
+def stdout_per_blas_thread_count(code):
+    """The stdout of `python -c code`, with src/ on the path, under
+    OPENBLAS_NUM_THREADS=1 and =2."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, text=True).stdout)
+    return outs
 
 
 @pytest.fixture

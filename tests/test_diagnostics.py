@@ -6,16 +6,83 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apmopt import (GrowthBounds, appendix_power, build_market,
                     build_tilted_measure, dyadic_two_sided,
-                    enumerate_scenarios, eval_u, expectation,
-                    sample_scenarios, tabulated)
+                    enumerate_scenarios, eval_u, eval_u_prime, expectation,
+                    rademacher, sample_scenarios, standardized_two_point,
+                    tabulated)
 from apmopt import diagnostics
 from apmopt.diagnostics import (assemble_report, check_assumption_relevant,
                                 emit_report, exp_ui_bound, holder_chain_check,
                                 random_strategies, subgaussian_scan)
-from conftest import rademacher_market
+from apmopt.optimize import ROW_BLOCK
+from conftest import rademacher_market, stdout_per_blas_thread_count
+
+
+BLOCK_EDGES = (1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 17)
+CERTIFIED_UTILITIES = (
+    appendix_power(0.5, GrowthBounds(0.5, 1.5, 1.0, 1.0)),
+    tabulated((-10.0, -1.0, 0.0, 1.0, 10.0), (-30.0, -2.0, 0.2, 1.0, 3.0),
+              GrowthBounds(0.5, 1.5, 2.0, 2.0)),
+)
+
+
+@st.composite
+def sampled_markets(draw):
+    """m=1 markets of 1-8 coordinates, each Rademacher or a standardized
+    two-point law, with b_i strictly inside its support."""
+    K = draw(st.integers(1, 8))
+    noise, b = [], []
+    for _ in range(K):
+        law = draw(st.sampled_from([rademacher(), standardized_two_point(0.3),
+                                    standardized_two_point(0.8)]))
+        frac = draw(st.floats(0.05, 0.95))
+        noise.append(law)
+        b.append(min(law.points) + frac * (max(law.points) - min(law.points)))
+    return build_market(1, K, mu=[-x for x in b], beta=[[0.0]] * (K - 1),
+                        beta_bar=[1.0] * K, noise=tuple(noise))
+
+
+def side_bound(s, v, slope, X, phi):
+    """How far a sum over the row blocks may stray from expectation(s, v)
+    with v = f(X @ phi): expectation's pairwise rounding bound
+    log2(n) 2^-52 sum |w v| once for each summation order, plus the
+    payoffs, which the block gemm and this whole-array product may round
+    differently, by up to k 2^-52 sum_i |phi_i x_i| per row, times
+    |f'| <= slope."""
+    k = phi.size
+    dy = k * 2.0 ** -52 * (np.abs(X[:, :k]) @ np.abs(phi))
+    return (2.0 * math.log2(s.n) * 2.0 ** -52 * float(np.sum(np.abs(s.weights * v)))
+            + float(np.sum(s.weights * slope * dy)))
+
+
+def assert_margins_match_oracle(out, model, u, strategies, s):
+    """Each margin against the two-evaluation oracle: E[u(Y+)] and
+    E[u(-Y-)] from whole-array expectations, each within side_bound, and
+    the margin, which falls as either side rises, between the margins at
+    the two ends of those intervals (to 8 ulps of the chain's terms)."""
+    g = u.growth
+    slope = float(eval_u_prime(u, -1e3))  # concave u: the largest slope right of -1e3
+
+    def margin(lhs, neg):
+        inner = (-neg / g.C2 + 1.0) ** (g.alpha / g.beta)
+        rhs = g.C1 * (out["C_prime"] * out["C_dprime"] * inner + 1.0)
+        return rhs - lhs, 8 * 2.0 ** -52 * (abs(rhs) + abs(lhs))
+
+    X = s.draws - model.b
+    assert len(out["margins"]) == len(strategies)
+    for m, phi in zip(out["margins"], strategies):
+        y = X[:, :phi.size] @ phi
+        gains, losses = eval_u(u, np.maximum(y, 0.0)), eval_u(u, -np.maximum(-y, 0.0))
+        lhs, neg = expectation(s, gains), expectation(s, losses)
+        tl = side_bound(s, gains, slope, X, phi)
+        tn = side_bound(s, losses, slope, X, phi)
+        lo, slack_lo = margin(lhs + tl, neg + tn)
+        hi, slack_hi = margin(lhs - tl, neg - tn)
+        assert lo - slack_lo <= m <= hi + slack_hi
 
 
 class TestRandomStrategies:
@@ -63,6 +130,29 @@ class TestExpMomentBound:
                 assert float(np.sum(s.weights * z2 * (z2 > 1000.0))) < 1e-6
 
 
+class TestStrategySums:
+    def test_identical_across_blas_thread_counts(self):
+        # the payoffs and their sums: every block's gemm has ROW_BLOCK
+        # columns; unpadded, a ragged last block (ROW_BLOCK - 1 columns,
+        # say) is threaded with other last bits
+        code = ("import hashlib, numpy as np\n"
+                "from apmopt import ScenarioSet, diagnostics, optimize\n"
+                "for n in (optimize.ROW_BLOCK - 1, 3 * optimize.ROW_BLOCK + 17):\n"
+                "    for K in (3, 19, 50):\n"
+                "        gen = np.random.Generator(np.random.Philox(key=K))\n"
+                "        draws = gen.standard_normal((n, K))\n"
+                "        s = ScenarioSet(draws, np.full(n, 1.0 / n), 'test')\n"
+                "        phis = gen.uniform(-1.0, 1.0, (25, K))\n"
+                "        h = hashlib.sha256()\n"
+                "        def values(y):\n"
+                "            h.update(y.tobytes())\n"
+                "            return (y,)\n"
+                "        h.update(diagnostics._strategy_sums(s, phis, draws[0], values))\n"
+                "        print(n, K, h.hexdigest())\n")
+        one, two = stdout_per_blas_thread_count(code)
+        assert one == two
+
+
 class TestHolderChain:
     @pytest.fixture
     def certified_u(self):
@@ -99,11 +189,8 @@ class TestHolderChain:
             holder_chain_check(market_k3, Q, appendix_power(0.5),
                                np.zeros((1, 3)), s)
 
-    @pytest.mark.parametrize("u", [
-        appendix_power(0.5, GrowthBounds(0.5, 1.5, 1.0, 1.0)),
-        tabulated((-10.0, -1.0, 0.0, 1.0, 10.0), (-30.0, -2.0, 0.2, 1.0, 3.0),
-                  GrowthBounds(0.5, 1.5, 2.0, 2.0)),
-    ], ids=["appendix_power", "tabulated_u0_nonzero"])
+    @pytest.mark.parametrize("u", CERTIFIED_UTILITIES,
+                             ids=["appendix_power", "tabulated_u0_nonzero"])
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
     def test_margins_match_two_evaluation_oracle(self, market_k3, u, exact):
         s = (enumerate_scenarios(market_k3) if exact
@@ -112,15 +199,41 @@ class TestHolderChain:
         strategies[0] = 0.0
         out = holder_chain_check(market_k3, build_tilted_measure(market_k3), u,
                                  strategies, s)
-        g = u.growth
-        oracle = []
-        for phi in strategies:
-            y = (s.draws - market_k3.b) @ phi
-            lhs = expectation(s, eval_u(u, np.maximum(y, 0.0)))
-            neg = expectation(s, eval_u(u, -np.maximum(-y, 0.0)))
-            inner = (-neg / g.C2 + 1.0) ** (g.alpha / g.beta)
-            oracle.append(g.C1 * (out["C_prime"] * out["C_dprime"] * inner + 1.0) - lhs)
-        assert out["margins"] == oracle
+        assert_margins_match_oracle(out, market_k3, u, strategies, s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=sampled_markets(), n=st.sampled_from(BLOCK_EDGES),
+           u=st.sampled_from(CERTIFIED_UTILITIES), count=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_block_walk_matches_whole_array_oracles(self, model, n, u, count,
+                                                    seed, data):
+        # the row walk's first, last, partial and exactly full blocks
+        s = sample_scenarios(model, n, seed)
+        exp_out = exp_ui_bound(model, s, delta=2.0, trials=count, seed=seed)
+        phis = random_strategies(model.K, count, 2.0, seed)
+        assert len(exp_out["measurements"]) == count
+        for phi, row in zip(phis, exp_out["measurements"]):
+            y = s.draws @ phi
+            v = np.exp(np.abs(y))
+            assert abs(row["value"] - expectation(s, v)) <= side_bound(
+                s, v, v, s.draws, phi)
+        k = data.draw(st.integers(1, model.K))
+        strategies = random_strategies(k, count, 2.0, seed + 1)
+        out = holder_chain_check(model, build_tilted_measure(model), u,
+                                 strategies, s)
+        assert_margins_match_oracle(out, model, u, strategies, s)
+
+    def test_no_strategies_refused(self, market_k3, certified_u):
+        Q = build_tilted_measure(market_k3)
+        s = enumerate_scenarios(market_k3)
+        with pytest.raises(ValueError, match="at least one strategy"):
+            holder_chain_check(market_k3, Q, certified_u, np.zeros((0, 3)), s)
+
+    def test_strategy_wider_than_market_refused(self, market_k3, certified_u):
+        Q = build_tilted_measure(market_k3)
+        s = enumerate_scenarios(market_k3)
+        with pytest.raises(ValueError, match="4 coordinates; the market has K=3"):
+            holder_chain_check(market_k3, Q, certified_u, np.zeros((2, 4)), s)
 
     def test_mispriced_measure_refused_on_exact_set(self, market_k3, certified_u):
         # the guard reads the product-form means; a wrong tilt must trip it

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from apmopt import (ArbitrageError, DiscretePayoff, FactorStrategy,
@@ -14,9 +14,9 @@ from apmopt import (ArbitrageError, DiscretePayoff, FactorStrategy,
                     sample_scenarios, single_asset_measure, solve_tilt,
                     standardized_two_point, verify_pricing)
 from apmopt.diagnostics import holder_chain_check
-from apmopt.measures import (TiltedMeasure, _coordinate_means, _density,
-                             _density_moments, _residuals, _row_means,
-                             _support_factors, _tilt_residual)
+from apmopt.measures import (TILT_TOL, TiltBracketError, TiltedMeasure,
+                             _coordinate_means, _density_moments, _residuals,
+                             _row_means, _support_factors, _tilt_residual)
 from conftest import rademacher_market
 
 
@@ -63,7 +63,6 @@ class TestSolveTilt:
             assert solve_tilt(rademacher(), -b) > 0
 
     def test_drift_beyond_tilt_capacity_raises(self):
-        from apmopt.measures import TiltBracketError
         with pytest.raises(TiltBracketError):
             solve_tilt(rademacher(), 0.6)
 
@@ -75,6 +74,31 @@ class TestSolveTilt:
     def test_one_sided_rejected(self):
         with pytest.raises(ArbitrageError):
             solve_tilt(rademacher(), -1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pts=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=5, unique=True),
+           weights=st.lists(st.integers(1, 9), min_size=5, max_size=5),
+           frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_tilt_prices_or_signals_fallback(self, pts, weights, frac):
+        # any standardized finite law and any b strictly inside its support:
+        # the tilt meets TILT_TOL or says it cannot, and the measure (tilt or
+        # fallback) prices the coordinate
+        pr = np.array(weights[:len(pts)], dtype=float) / sum(weights[:len(pts)])
+        pts = np.array(pts)
+        spread = float(np.sqrt((pts - pts @ pr) ** 2 @ pr))
+        assume(spread > 1e-3)
+        law = finite_discrete((pts - pts @ pr) / spread, pr)
+        lo, hi = min(law.points), max(law.points)
+        b = lo + frac * (hi - lo)
+        assume(lo < b < hi)
+        try:
+            a = solve_tilt(law, b)
+        except TiltBracketError:
+            pass
+        else:
+            assert abs(_tilt_residual(law, b, a)) <= TILT_TOL
+        model = build_market(1, 1, mu=[-b], beta=[], beta_bar=[1.0], noise=(law,))
+        assert verify_pricing(build_tilted_measure(model), model)["max_residual"] <= 1e-10
 
     def test_residual_strictly_decreasing(self):
         gen = np.random.Generator(np.random.Philox(key=5))
@@ -190,18 +214,6 @@ class TestProductDensity:
     @settings(max_examples=100, deadline=None)
     @given(model=discrete_markets(), zero_point=st.booleans())
     @example(model=rademacher_market([0.65, 0.1]), zero_point=True)  # both methods
-    def test_matches_row_density_bit_for_bit(self, model, zero_point):
-        if zero_point:
-            model = with_zero_probability_point(model)
-        Q = build_tilted_measure(model)
-        s = enumerate_scenarios(model)
-        with mock.patch.object(TiltedMeasure, "density", side_effect=AssertionError):
-            dens = _density(Q, s)  # the product form, never the row loop
-        assert np.array_equal(dens, Q.density(s.draws))
-
-    @settings(max_examples=100, deadline=None)
-    @given(model=discrete_markets(), zero_point=st.booleans())
-    @example(model=rademacher_market([0.65, 0.1]), zero_point=True)  # both methods
     def test_support_sums_match_row_sums(self, model, zero_point):
         # E_Q[eps_i - b_i] and E[(dQ/dP)^e] from K support sums against
         # the same expectations over every enumerated row
@@ -221,12 +233,6 @@ class TestProductDensity:
                 s, dens * np.abs(pay))
         for e in exps:
             assert power[e] == pytest.approx(expectation(s, dens ** e), rel=1e-12)
-
-    def test_sampled_sets_use_the_rows(self):
-        model = rademacher_market([0.2, -0.3])
-        Q = build_tilted_measure(model)
-        s = sample_scenarios(model, 4, 7)  # as many rows as the exact set
-        assert np.array_equal(_density(Q, s), Q.density(s.draws))
 
     @settings(max_examples=200, deadline=None)
     @given(model=discrete_markets())
@@ -396,3 +402,25 @@ class TestPricingOracle:
         for resid, pay in zip(got, map(np.array, payoffs)):
             assert abs(resid - math.fsum(wd * pay)) <= 1e-12 * math.fsum(wd * np.abs(pay))
 
+    @settings(max_examples=100, deadline=None)
+    @given(model=discrete_markets(), zero_point=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(model=rademacher_market([0.65, 0.1]), zero_point=True, seed=0)
+    def test_exact_set_pricing_matches_row_payoff_sums(self, model, zero_point, seed):
+        # verify_pricing reads K support sums on an exact set; the oracle
+        # sums every row's payoff under the row-by-row density
+        if zero_point:
+            model = with_zero_probability_point(model)
+        Q = build_tilted_measure(model)
+        s = enumerate_scenarios(model)
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        strategies = tuple(FactorStrategy(gen.uniform(-2.0, 2.0, size))
+                           for size in range(1, model.K + 1))
+        out = verify_pricing(Q, model, strategies, s)
+        centered = s.draws - model.b
+        payoffs = ([centered @ row for row in model.loading_matrix()]
+                   + [centered[:, :f.phi.size] @ f.phi for f in strategies])
+        wd = s.weights * Q.density(s.draws)
+        for resid, pay in zip(out["asset_residuals"] + out["strategy_residuals"],
+                              payoffs):
+            assert abs(resid - math.fsum(wd * pay)) <= 1e-12 * math.fsum(wd * np.abs(pay))

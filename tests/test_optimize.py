@@ -1,8 +1,3 @@
-import os
-import pathlib
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,7 +11,7 @@ from apmopt import (ArbitrageError, DiscretePayoff, ScenarioSet, SolverConfig,
                     standardized_uniform, tabulated, truncation_ladder)
 from apmopt import optimize
 from apmopt.optimize import OneSidedPayoffError, saa_gradient, saa_objective
-from conftest import rademacher_market, scaled_utility
+from conftest import rademacher_market, scaled_utility, stdout_per_blas_thread_count
 
 
 def two_point_market(ps, fracs):
@@ -280,15 +275,7 @@ class TestRowBlocks:
                 "    X = gen.standard_normal((3 * optimize.ROW_BLOCK + 17, K))\n"
                 "    g, G = optimize._row_blocks(X, X[:, 0], np.abs(X[:, -1]))\n"
                 "    print(K, hashlib.sha256(g.tobytes() + G.tobytes()).hexdigest())\n")
-        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-        outs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(
-                [src] + [p for p in [env.get("PYTHONPATH")] if p])
-            outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                       capture_output=True, text=True).stdout)
-        return outs
+        return stdout_per_blas_thread_count(code)
 
     def test_identical_across_blas_thread_counts(self):
         # the blocks keep the gradient's gemv unthreaded-equivalent; the
