@@ -18,8 +18,9 @@ functions factorises: E_Q[eps_i - b_i] = E[f_i (eps_i - b_i)] prod_{j != i}
 E[f_j] and E[(dQ/dP)^e] = prod_i E[f_i^e], with f_i coordinate i's factor,
 so the density moments and the pricing residuals, those of
 ``verify_pricing`` and of the Hoelder chain's guard alike, read K support
-sums and no per-row density.  Sampled sets evaluate the density on their
-rows.
+sums and no per-row density; ``verify_pricing`` without a set prices the
+exact enumeration from the laws alone.  Sampled sets evaluate the density
+on their rows.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .distributions import DistributionSpec, tail_probability
 from .market import ArbitrageError, FactorStrategy, MarketModel, check_no_arbitrage
 from .optimize import DiscretePayoff, _bisect, optimize_single_asset
-from .scenarios import ScenarioSet, enumerate_scenarios, expectation
+from .scenarios import ScenarioSet, _exact_laws, expectation
 from .utility import appendix_power, eval_u_prime
 
 __all__ = [
@@ -137,22 +138,17 @@ class TiltedMeasure:
         return out
 
 
-def _support_factors(Q: TiltedMeasure, s: ScenarioSet):
-    """On an exact enumeration of Q's market, [(x_i, p_i, f_i)] per
-    coordinate: its law's support points, their probabilities and the
-    density factor there; None on any other set.
-
-    An exact enumeration lists the product of the coordinate supports, last
-    coordinate fastest, with product weights, so every expectation of a
-    product of per-coordinate functions is the product of K support sums.
+def _support_factors(Q: TiltedMeasure, s: ScenarioSet | None):
+    """On an exact enumeration of Q's market (s = None stands for it, see
+    ``scenarios._exact_laws``), [(x_i, p_i, f_i)] per coordinate: its law's
+    support points, their probabilities and the density factor there; None
+    on any other set.  Every expectation of a product of per-coordinate
+    functions over that set is the product of K support sums.
     """
-    laws = Q.model.noise
-    if not (s.is_exact and s.draws.shape[1] == len(Q.coords)
-            and s.n == math.prod(len(d.points) for d in laws)):
+    laws = _exact_laws(Q.model, s)
+    if laws is None:
         return None
-    return [(np.asarray(d.points), np.asarray(d.probs),
-             Q.coordinate_factor(i, np.asarray(d.points)))
-            for i, d in enumerate(laws)]
+    return [(x, p, Q.coordinate_factor(i, x)) for i, (x, p) in enumerate(laws)]
 
 
 def _density_moments(Q: TiltedMeasure, s: ScenarioSet, exponents, sup) -> dict:
@@ -253,8 +249,10 @@ def verify_pricing(Q: TiltedMeasure, model: MarketModel,
                    s: ScenarioSet | None = None) -> dict:
     """Residuals of E_Q[R_i] for every asset and E_Q[V(phi)] for the given
     strategies, priced from the coordinate means E_Q[eps_i - b_i] on s:
-    K support sums on an exact enumeration, else the rows."""
-    s = s or enumerate_scenarios(model)
+    K support sums on an exact enumeration, else the rows.  Without s,
+    the set is the exact enumeration of Q's market, whose rows are never
+    built; a market that ``enumerate_scenarios`` refuses raises its
+    EnumerationCapError."""
     return _residuals(model, _coordinate_means(Q, model, s, _support_factors(Q, s)),
                       strategies)
 

@@ -6,15 +6,19 @@ its derivative, and ``measures.solve_tilt`` bisects the tilt residual.
 ``_damped_newton`` ascends a concave function: the direction is
 (-H + ||g||^2 I)^{-1} g, with gradient g and Hessian H taken from one pass,
 and Armijo backtracking picks the step.  The K-coordinate problem runs it
-on the scenario expectation of u(V(phi)): the line search's product
-v = X @ phi at the accepted step feeds the next pass, which walks X once
-in fixed-order blocks of ROW_BLOCK rows for the gradient and the Hessian,
-so up to K = 96 the result does not depend on the BLAS thread count.  -H is positive
-semidefinite because u'' <= 0 for every utility kind, so the shifted
-system is positive definite; the shift vanishes with g near the optimum,
-where the step is the Newton step, and for a tabulated utility (u'' = 0)
-the step is a scaled gradient step.  The truncation ladder solves every
-level on one scenario set.
+on the scenario expectation of u(V(phi)), with X = eps - b the centred
+noise: the line search's payoffs v = X @ phi at the accepted step feed the
+next pass, which reduces X.T a and X.T diag(c) X for the gradient and the
+Hessian.  On an exact enumeration X is never formed: v is the outer sum of
+the K coordinates' centred supports times phi, and both reductions are
+marginal sums over the product of the supports, with no BLAS call, so the
+result does not depend on the BLAS thread count at any K.  Other sets walk
+X in fixed-order blocks of ROW_BLOCK rows, which holds that up to K = 96.
+-H is positive semidefinite because u'' <= 0 for every utility kind, so
+the shifted system is positive definite; the shift vanishes with g near
+the optimum, where the step is the Newton step, and for a tabulated
+utility (u'' = 0) the step is a scaled gradient step.  The truncation
+ladder solves every level on one scenario set.
 
 ``detect_unbounded`` decides whether the scenario set admits an arbitrage
 direction, which makes the supremum unattained.  On an exact product set
@@ -34,7 +38,7 @@ import numpy as np
 
 from .distributions import DistributionSpec
 from .market import ArbitrageError, MarketModel, check_no_arbitrage
-from .scenarios import ScenarioSet, enumerate_scenarios
+from .scenarios import ScenarioSet, _exact_laws, _product_weights, enumerate_scenarios
 from .utility import Utility, eval_u, eval_u_prime, eval_u_second
 
 __all__ = [
@@ -195,10 +199,75 @@ def _row_blocks(X: np.ndarray, a: np.ndarray, c: np.ndarray):
     return g, G
 
 
-def _newton_pass(u: Utility, X: np.ndarray, w: np.ndarray, v: np.ndarray):
-    """Gradient and Hessian at phi from v = X @ phi; -w u'' >= 0 for every
-    utility kind."""
-    g, G = _row_blocks(X, w * eval_u_prime(u, v), -w * eval_u_second(u, v))
+def _outer_sum(xs, phi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """v = X @ phi on the product of the supports xs, last coordinate
+    fastest, written into out: sum_i phi_i x_i, added from the last
+    coordinate to the first.  Each step prepends an axis: chunk j of the
+    grown prefix is phi_i x_ij plus the old prefix, which chunk 0 holds."""
+    size = 1
+    out[0] = 0.0
+    for i in range(len(xs) - 1, -1, -1):
+        t = phi[i] * xs[i]
+        old = out[:size]
+        for j in range(t.size - 1, 0, -1):
+            np.add(old, t[j], out=out[j * size:(j + 1) * size])
+        old += t[0]
+        size *= t.size
+    return out[:size]
+
+
+def _fold(slices: np.ndarray) -> np.ndarray:
+    """The elementwise sum of the slices, in order, written over the first."""
+    for j in range(1, len(slices)):
+        np.add(slices[0], slices[j], out=slices[0])
+    return slices[0]
+
+
+def _marginals(a: np.ndarray, sizes) -> list[np.ndarray]:
+    """The marginal sums of a, laid out over a product of axes of the given
+    sizes (last fastest), on each axis; a is overwritten.  Peeling the
+    leading axis, its marginal is a pairwise sum along the contiguous
+    remainder, and the sum of its slices is the array left for the next."""
+    out = []
+    for m in sizes:
+        slices = a.reshape(m, -1)
+        out.append(slices.sum(axis=1))
+        a = _fold(slices)
+    return out
+
+
+def _product_blocks(xs, a: np.ndarray, c: np.ndarray):
+    """X.T @ a and X.T diag(c) X on the product of the supports xs, from
+    marginals: g_i = x_i . (marginal of a on axis i), and row i of G,
+    peeling axis i off c, is x_i^2 . (marginal of c on axis i) on the
+    diagonal and x_k . (marginal on axis k of the x_i-weighted sum of c's
+    slices) beyond it.  a and c are overwritten, and a then serves as
+    scratch.  No reduction runs in BLAS, so the sums do not depend on the
+    BLAS thread count at any K."""
+    sizes = [x.size for x in xs]
+    K = len(xs)
+    g = np.array([np.sum(x * m) for x, m in zip(xs, _marginals(a, sizes))])
+    G = np.empty((K, K))
+    for i, x in enumerate(xs):
+        slices = c.reshape(x.size, -1)
+        rest = slices.shape[1]
+        G[i, i] = np.sum(x * x * slices.sum(axis=1))
+        weighted, tmp = a[:rest], a[rest:2 * rest]
+        np.multiply(slices[0], x[0], out=weighted)
+        for j in range(1, x.size):
+            weighted += np.multiply(slices[j], x[j], out=tmp)
+        G[i, i + 1:] = [np.sum(y * m) for y, m in
+                        zip(xs[i + 1:], _marginals(weighted, sizes[i + 1:]))]
+        G[i + 1:, i] = G[i, i + 1:]
+        c = _fold(slices)
+    return g, G
+
+
+def _newton_pass(u: Utility, blocks, w: np.ndarray, v: np.ndarray):
+    """Gradient and Hessian at phi from the payoffs v = X @ phi, with
+    blocks(a, c) = (X.T @ a, X.T diag(c) X); -w u'' >= 0 for every utility
+    kind."""
+    g, G = blocks(w * eval_u_prime(u, v), -w * eval_u_second(u, v))
     return g, -G, None
 
 
@@ -297,6 +366,10 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
 
     The scenario set must cover at least K coordinates of the model's
     noise; extra columns are ignored (marginalization keeps exactness).
+    On the model's exact enumeration the solve runs in product form over
+    the first K coordinates' supports: the level's grid points, weighted by
+    the product of their K laws' probabilities, stand for the duplicated
+    rows, and no centred copy of the draws is made.
     """
     cfg = cfg or SolverConfig()
     K = model.K if K is None else K
@@ -308,11 +381,27 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
         raise ArbitrageError(
             f"no-arbitrage condition fails at coordinates {flagged}"
         )
-    X = _centered(model, s, K)
-    w = s.weights
+    laws = _exact_laws(model, s)
+    if laws is None:
+        X = _centered(model, s, K)
+        w = s.weights
+        blocks = lambda a, c: _row_blocks(X, a, c)
+        value = lambda p: _objective_at(u, X, w, p)
+    else:
+        xs = [x - b for (x, _), b in zip(laws[:K], model.b)]
+        # at K = model.K the level's weights are s's own
+        w = (s.weights if K == model.K
+             else _product_weights([p for _, p in laws[:K]]))
+        buf = np.empty(w.size)
+        blocks = lambda a, c: _product_blocks(xs, a, c)
+
+        def value(p):
+            # v lives in buf until the next call; _damped_newton passes on
+            # only the line search's last trial, so one buffer serves
+            v = _outer_sum(xs, p, buf)
+            return float(np.sum(w * eval_u(u, v))), v
     phi, f, g, _, it = _damped_newton(
-        lambda v: _newton_pass(u, X, w, v),
-        lambda p: _objective_at(u, X, w, p),
+        lambda v: _newton_pass(u, blocks, w, v), value,
         np.zeros(K), lambda g, _: float(np.linalg.norm(g)) <= cfg.grad_tol,
         cfg.max_iter, slack=0.0)
     gn = float(np.linalg.norm(g))
@@ -385,13 +474,15 @@ def detect_unbounded(model: MarketModel, s: ScenarioSet,
     scenario budget.
     """
     K = model.K
-    if s.is_exact:
-        for i, dist in enumerate(model.noise):
-            x = np.asarray(dist.points) - model.b[i]
+    laws = _exact_laws(model, s)
+    if laws is not None:
+        for i, (pts, _) in enumerate(laws):
+            x = pts - model.b[i]
             if (x.min() >= 0 or x.max() <= 0) and x.any():
                 phi = np.zeros(K)
                 phi[i] = 1.0 if x.max() > 0 else -1.0
-                if _pays_off(_centered(model, s, K), phi):
+                # the rows' payoffs under +-e_i are coordinate i's points
+                if _pays_off(x[:, None], phi[i:i + 1]):
                     return True, phi
         return False, None
     X_all = _centered(model, s, K)

@@ -79,8 +79,9 @@ def sample_scenarios(model: MarketModel, n: int, seed: int) -> ScenarioSet:
     return ScenarioSet(out, weights, f"monte_carlo(seed={seed}, n={n})")
 
 
-def enumerate_scenarios(model: MarketModel) -> ScenarioSet:
-    """Exact joint support of the product noise law, with product weights."""
+def _enumerable(model: MarketModel) -> int:
+    """Rows of model's exact enumeration; raises EnumerationCapError for a
+    law that is not finite-discrete or a joint support over the cap."""
     for dist in model.noise:
         if not dist.is_discrete:
             raise EnumerationCapError(
@@ -90,12 +91,39 @@ def enumerate_scenarios(model: MarketModel) -> ScenarioSet:
     if total > ENUMERATION_CAP:
         raise EnumerationCapError(f"joint support has {total} scenarios "
                                   f"(> cap {ENUMERATION_CAP}); use Monte Carlo")
+    return total
+
+
+def _product_weights(probs) -> np.ndarray:
+    """Product of the laws' probabilities, last coordinate fastest."""
+    return functools.reduce(np.multiply.outer, probs).ravel()
+
+
+def _exact_laws(model: MarketModel, s: ScenarioSet | None):
+    """[(points, probs)] of model's K laws if s is model's exact
+    enumeration, else None.  s = None stands for that enumeration, after
+    enumerate_scenarios' checks, without building its rows.
+
+    An exact enumeration lists the product of the coordinate supports, last
+    coordinate fastest, with product weights, so its row sums factor over
+    the K supports.
+    """
+    if s is None:
+        _enumerable(model)
+    elif not (s.is_exact and s.draws.shape[1] == model.K
+              and s.n == math.prod(len(d.points) for d in model.noise)):
+        return None
+    return [(np.asarray(d.points), np.asarray(d.probs)) for d in model.noise]
+
+
+def enumerate_scenarios(model: MarketModel) -> ScenarioSet:
+    """Exact joint support of the product noise law, with product weights."""
+    total = _enumerable(model)
     # row-major (last coordinate fastest), the order of itertools.product
     grids = np.meshgrid(*(np.asarray(d.points) for d in model.noise),
                         indexing="ij", copy=False)
     draws = np.stack(grids, axis=-1).reshape(total, model.K)
-    weights = functools.reduce(np.multiply.outer,
-                               (np.asarray(d.probs) for d in model.noise)).ravel()
+    weights = _product_weights([np.asarray(d.probs) for d in model.noise])
     return ScenarioSet(draws, weights, "exact_enumeration")
 
 

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from apmopt import (ArbitrageError, DiscretePayoff, FactorStrategy,
+from apmopt import (ArbitrageError, DiscretePayoff, EnumerationCapError, FactorStrategy,
                     GrowthBounds, appendix_power, build_market,
                     build_tilted_measure, enumerate_scenarios, expectation,
                     finite_discrete, measure_moments, psi, rademacher,
                     sample_scenarios, single_asset_measure, solve_tilt,
-                    standardized_two_point, verify_pricing)
+                    standardized_two_point, standardized_uniform, verify_pricing)
 from apmopt.diagnostics import holder_chain_check
 from apmopt.measures import (TILT_TOL, TiltBracketError, TiltedMeasure,
                              _coordinate_means, _density_moments, _residuals,
@@ -355,6 +355,33 @@ class TestPricing:
         strat = FactorStrategy(np.array([1.0, -2.0, 0.5]))
         out = verify_pricing(Q, market_k3, strategies=(strat,))
         assert abs(out["strategy_residuals"][0]) <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=discrete_markets(), zero_point=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_without_a_set_prices_from_the_laws(self, model, zero_point, seed):
+        # no rows are built, and the residuals are those of the enumeration
+        if zero_point:
+            model = with_zero_probability_point(model)
+        Q = build_tilted_measure(model)
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        strategies = tuple(FactorStrategy(gen.uniform(-2.0, 2.0, size))
+                           for size in range(1, model.K + 1))
+        with mock.patch("apmopt.scenarios.enumerate_scenarios", side_effect=AssertionError), \
+                mock.patch("apmopt.measures.enumerate_scenarios", create=True,
+                           side_effect=AssertionError):
+            out = verify_pricing(Q, model, strategies)
+        assert out == verify_pricing(Q, model, strategies, enumerate_scenarios(model))
+
+    def test_without_a_set_refuses_what_enumeration_refuses(self):
+        big = rademacher_market([0.1] * 20)  # 2^20 rows
+        with pytest.raises(EnumerationCapError, match="cap"):
+            verify_pricing(build_tilted_measure(big), big)
+        cont = build_market(1, 2, mu=[-0.1, -0.2], beta=[[0.0]], beta_bar=[1.0, 1.0],
+                            noise=standardized_uniform())
+        Q = replace(build_tilted_measure(rademacher_market([0.1, 0.2])), model=cont)
+        with pytest.raises(EnumerationCapError, match="not finite-discrete"):
+            verify_pricing(Q, cont)
 
 
 @st.composite

@@ -1,3 +1,7 @@
+import itertools
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -282,6 +286,100 @@ class TestRowBlocks:
         # Hessian's syrk is fixed-order up to K = 96 on OpenBLAS (threaded
         # at K = 100 or 150, its last bits move with the thread count)
         one, two = self.hashes_per_thread_count((1, 19, 50, 96))
+        assert one == two
+
+
+@st.composite
+def product_supports(draw):
+    """1-8 coordinates, each with 1-4 centred support points and their
+    probabilities, some of them 0."""
+    xs, probs = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        k = draw(st.integers(1, 4))
+        # on a 1/100 grid: products of subnormal points round absolutely
+        grid = draw(st.lists(st.integers(-400, 400), min_size=k, max_size=k, unique=True))
+        xs.append(np.array(grid) / 100.0)
+        raw = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+        probs.append(np.array(raw, dtype=float) / sum(raw))
+    return xs, probs
+
+
+def row_path_set(s):
+    """The rows and weights of s under another provenance, so the solver
+    takes the row path."""
+    return ScenarioSet(s.draws, s.weights, "rows")
+
+
+class TestProductPass:
+    @settings(deadline=None, max_examples=100)
+    @given(product_supports(), st.integers(0, 2 ** 32 - 1))
+    def test_matches_whole_array_products(self, supports, seed):
+        # rows listed as itertools.product lists them: last coordinate fastest
+        xs, probs = supports
+        X = np.array(list(itertools.product(*xs)))
+        w = np.array([math.prod(p) for p in itertools.product(*probs)])
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        phi = gen.uniform(-3.0, 3.0, len(xs))
+        a = w * gen.standard_normal(w.size)
+        c = w * gen.uniform(0.0, 2.0, w.size)
+        v = optimize._outer_sum(xs, phi, np.empty(w.size))
+        assert np.all(np.abs(v - X @ phi) <= 1e-12 * (np.abs(X) @ np.abs(phi)))
+        g, G = optimize._product_blocks(xs, a.copy(), c.copy())
+        assert np.all(np.abs(g - X.T @ a) <= 1e-12 * (np.abs(X).T @ np.abs(a)))
+        assert np.all(np.abs(G - (X.T * c) @ X) <= 1e-12 * ((np.abs(X).T * c) @ np.abs(X)))
+        assert np.array_equal(G, G.T)
+
+    @pytest.mark.parametrize("drifts, levels", [
+        ([0.2, 0.1, 0.05], (None, 1, 2)),
+        ([0.4 / i for i in range(1, 11)], (None, 3, 7)),
+        ([0.4 * 2.0 ** -(i + 1) for i in range(8)], (None, 4)),
+    ])
+    @pytest.mark.parametrize("u", [appendix_power(0.5), appendix_power(0.2)])
+    def test_solve_matches_row_path(self, drifts, levels, u):
+        model = rademacher_market(drifts)
+        s = enumerate_scenarios(model)
+        for K in levels:
+            prod = optimize_truncated(model, u, K, s)
+            rows = optimize_truncated(model, u, K, row_path_set(s))
+            assert (prod.iterations, prod.converged) == (rows.iterations, rows.converged)
+            assert np.linalg.norm(prod.phi_star - rows.phi_star) <= 1e-12 * np.linalg.norm(
+                rows.phi_star)
+            assert prod.value == pytest.approx(rows.value, rel=1e-12)
+
+    def test_two_point_ladder_matches_row_path(self):
+        # unequal probabilities, so a level below K weighs its grid points
+        # by the product of its own laws
+        model = two_point_market([0.3, 0.6, 0.8, 0.45], [0.4, 0.55, 0.3, 0.6])
+        s = enumerate_scenarios(model)
+        u = appendix_power(0.5)
+        for K in (1, 2, 3, 4):
+            prod = optimize_truncated(model, u, K, s)
+            rows = optimize_truncated(model, u, K, row_path_set(s))
+            assert (prod.iterations, prod.converged) == (rows.iterations, rows.converged)
+            assert np.linalg.norm(prod.phi_star - rows.phi_star) <= 1e-12 * np.linalg.norm(
+                rows.phi_star)
+            assert prod.value == pytest.approx(rows.value, rel=1e-12)
+
+    def test_exact_sets_never_form_the_centred_matrix(self, market_k3, monkeypatch):
+        s = enumerate_scenarios(market_k3)
+        monkeypatch.setattr(optimize, "_centered", mock.Mock(side_effect=AssertionError))
+        assert optimize_truncated(market_k3, appendix_power(0.5), 2, s).converged
+        assert detect_unbounded(market_k3, s) == (False, None)
+        model = rademacher_market([-1.0, 0.0])
+        found, phi = detect_unbounded(model, enumerate_scenarios(model))
+        assert found and phi.tolist() == [1.0, 0.0]
+
+    def test_identical_across_blas_thread_counts(self):
+        # no reduction of the product pass runs in BLAS, at any K
+        code = ("import hashlib, numpy as np\n"
+                "from apmopt import optimize\n"
+                "K = 19\n"
+                "gen = np.random.Generator(np.random.Philox(key=K))\n"
+                "xs = [gen.standard_normal(2) for _ in range(K)]\n"
+                "v = optimize._outer_sum(xs, gen.standard_normal(K), np.empty(2 ** K))\n"
+                "g, G = optimize._product_blocks(xs, v.copy(), np.abs(v))\n"
+                "print(hashlib.sha256(v.tobytes() + g.tobytes() + G.tobytes()).hexdigest())\n")
+        one, two = stdout_per_blas_thread_count(code)
         assert one == two
 
 
