@@ -12,9 +12,11 @@ Three families of checks:
   which are logically independent of each other.
 
 The first two read every strategy's payoff on every scenario row.  Each
-walks the rows once, in the solver's fixed-order blocks of
-``optimize.ROW_BLOCK`` rows, with all strategies' payoffs of a block from
-one gemm, so its temporaries are a block's size, never a column's.
+walks the rows once, in fixed-order blocks of at most
+``optimize.ROW_BLOCK`` rows, so its temporaries are a block's size, never
+a column's.  On an exact enumeration the payoffs are outer sums over the K
+coordinate laws, as in the solver, and the rows are never built; on other
+sets all strategies' payoffs of a block come from one gemm.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .distributions import estimate_exp_moment, tail_probability, truncated_seco
 from .market import MarketModel, check_assumption_b, check_no_arbitrage
 from .measures import (TiltedMeasure, _coordinate_means, _density_moments, _residuals,
                        _support_factors)
-from .optimize import ROW_BLOCK
+from .optimize import ROW_BLOCK, _outer_sum
 from .scenarios import ScenarioSet
 from .utility import Utility, certify_growth, eval_u
 
@@ -70,32 +72,109 @@ def _strategy_sums(s: ScenarioSet, phis: np.ndarray, shift: np.ndarray,
     returns, with Y = phis @ (eps - shift).T the T strategies' payoffs on
     a block of rows; the walk weights those arrays in place.
 
-    One walk over the rows of s in fixed-order blocks of ROW_BLOCK rows:
-    each block forms every strategy's payoffs in one gemm, which reduces
-    over the K columns alone, and sums its weighted values pairwise; the
-    block sums are then summed pairwise in order, so the rounding stays
-    within expectation's log2(n) * 2^-52 * sum |w * v|.  A short last
-    block is padded with zero rows to a power of two, like ROW_BLOCK:
-    OpenBLAS splits a threaded product over the scenario rows, and a
-    ragged row count (4095, say) splits unevenly and changes the last
-    bits, while 2 threads split every power of two tested (1 to 4096 rows,
-    K <= 96) without.  So the sums do not depend on the BLAS thread count.
+    One walk over the rows of s in fixed-order blocks: each block sums its
+    weighted values pairwise, and the block sums are then summed pairwise
+    in order, so the rounding stays within expectation's
+    log2(n) * 2^-52 * sum |w * v|.  An exact enumeration takes
+    ``_product_payoffs``, which makes no BLAS call, any other set
+    ``_row_payoffs``, whose gemm blocks split alike over 1 and 2 BLAS
+    threads; so the sums do not depend on the BLAS thread count.
+    """
+    walk = _product_payoffs if s._laws is not None else _row_payoffs
+    blocks = []
+    for y, w in walk(s, phis, shift):
+        sums = []
+        for v in values(y):
+            v *= w
+            sums.append(np.sum(v, axis=1))
+        blocks.append(np.stack(sums))
+    return np.sum(np.stack(blocks, axis=-1), axis=-1)
+
+
+def _row_payoffs(s: ScenarioSet, phis: np.ndarray, shift: np.ndarray):
+    """(Y, w) per block of ROW_BLOCK rows of s, in order: the payoffs of a
+    block from one gemm, which reduces over the K columns alone, and the
+    block's weights.  A short last block is padded with zero rows to a
+    power of two, like ROW_BLOCK: OpenBLAS splits a threaded product over
+    the scenario rows, and a ragged row count (4095, say) splits unevenly
+    and changes the last bits, while 2 threads split every power of two
+    tested (1 to 4096 rows, K <= 96) without.
     """
     k = phis.shape[1]
     X = np.empty((min(ROW_BLOCK, _pow2_ceil(s.n)), k))
-    blocks = []
     for start in range(0, s.n, ROW_BLOCK):
         count = min(ROW_BLOCK, s.n - start)
         rows = _pow2_ceil(count)
         np.subtract(s.draws[start:start + count, :k], shift[:k], out=X[:count])
         X[count:rows] = 0.0
-        w = s.weights[start:start + count]
-        sums = []
-        for v in values((phis @ X[:rows].T)[:, :count]):
-            v *= w
-            sums.append(np.sum(v, axis=1))
-        blocks.append(np.stack(sums))
-    return np.sum(np.stack(blocks, axis=-1), axis=-1)
+        yield (phis @ X[:rows].T)[:, :count], s.weights[start:start + count]
+
+
+def _grid_payoffs(xs, phis: np.ndarray) -> np.ndarray:
+    """(T, prod of sizes) payoffs of the T strategies phis on the product of
+    the supports xs, last coordinate fastest, adding the coordinates first
+    to last as the row walk's gemm does: ``_outer_sum`` over the reversed
+    coordinates lays the grid out first coordinate fastest, and a transpose
+    restores the enumeration's order."""
+    sizes = [x.size for x in xs]
+    out = np.empty((phis.shape[0], math.prod(sizes)))
+    for row, phi in zip(out, phis):
+        _outer_sum(xs[::-1], phi[::-1], row)
+    axes = range(len(sizes), 0, -1)
+    return out.reshape(out.shape[0], *sizes[::-1]).transpose(0, *axes).reshape(out.shape)
+
+
+def _product_payoffs(s: ScenarioSet, phis: np.ndarray, shift: np.ndarray):
+    """(Y, w) per block of an exact enumeration's rows, in order, from its
+    K laws (``_grid_blocks``).  Strategies narrower than K pay nothing on
+    the other coordinates.
+    """
+    k = phis.shape[1]
+    xs = [x - b for (x, _), b in zip(s._laws, shift[:k])]
+    xs += [x for x, _ in s._laws[k:]]
+    full = np.zeros((phis.shape[0], len(xs)))
+    full[:, :k] = phis
+    start = 0
+    for y in _grid_blocks(xs, full):
+        yield y, s.weights[start:start + y.shape[1]]
+        start += y.shape[1]
+
+
+def _grid_blocks(xs, phis: np.ndarray):
+    """The payoffs of the T strategies phis on the product of the supports
+    xs, in row order (last coordinate fastest), as blocks of at most
+    ROW_BLOCK rows.  No BLAS call runs, so sums over the blocks do not
+    depend on the BLAS thread count at any K.
+
+    The tile is the longest suffix of coordinates whose support product is
+    at most ROW_BLOCK, and at least the last coordinate.  The payoffs on
+    the tile are outer sums, formed once, and each grid point of the
+    leading coordinates adds its own outer sum there, one constant per
+    strategy; a block holds as many whole tiles as fit in ROW_BLOCK rows.
+    The leading coordinates' outer sums come block by block from the same
+    walk over their own product, and a last coordinate with more than
+    ROW_BLOCK points is cut into ROW_BLOCK-point pieces, so every
+    temporary is a block's size.
+    """
+    lead, tile = len(xs) - 1, xs[-1].size
+    while lead > 0 and tile * xs[lead - 1].size <= ROW_BLOCK:
+        lead -= 1
+        tile *= xs[lead].size
+    if tile > ROW_BLOCK:  # the last coordinate alone, formed piece by piece
+        pieces = [[xs[-1][c:c + ROW_BLOCK]] for c in range(0, tile, ROW_BLOCK)]
+        tails = lambda: (_grid_payoffs(p, phis[:, lead:]) for p in pieces)
+    else:
+        tail = _grid_payoffs(xs[lead:], phis[:, lead:])
+        tails = lambda: (tail,)
+    if lead == 0:
+        yield from tails()
+        return
+    group = max(1, ROW_BLOCK // tile)
+    for heads in _grid_blocks(xs[:lead], phis[:, :lead]):
+        for j in range(0, heads.shape[1], group):
+            h = heads[:, j:j + group, None]
+            for tail in tails():
+                yield (h + tail[:, None, :]).reshape(len(phis), -1)
 
 
 def exp_ui_bound(model: MarketModel, s: ScenarioSet, delta: float,

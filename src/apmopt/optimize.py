@@ -203,14 +203,14 @@ def _outer_sum(xs, phi: np.ndarray, out: np.ndarray) -> np.ndarray:
     """v = X @ phi on the product of the supports xs, last coordinate
     fastest, written into out: sum_i phi_i x_i, added from the last
     coordinate to the first.  Each step prepends an axis: chunk j of the
-    grown prefix is phi_i x_ij plus the old prefix, which chunk 0 holds."""
+    grown prefix is phi_i x_ij plus the old prefix, which chunk 0 holds;
+    chunks 1 to m_i - 1 come from one broadcast add."""
     size = 1
     out[0] = 0.0
     for i in range(len(xs) - 1, -1, -1):
         t = phi[i] * xs[i]
         old = out[:size]
-        for j in range(t.size - 1, 0, -1):
-            np.add(old, t[j], out=out[j * size:(j + 1) * size])
+        np.add(t[1:, None], old, out=out[size:t.size * size].reshape(-1, size))
         old += t[0]
         size *= t.size
     return out[:size]
@@ -373,7 +373,7 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
     """
     cfg = cfg or SolverConfig()
     K = model.K if K is None else K
-    top = min(model.K, s.draws.shape[1])
+    top = min(model.K, s.K)
     if not model.m <= K <= top:
         raise ValueError(f"truncation level {K} outside [{model.m}, {top}]")
     flagged = tuple(i for i in check_no_arbitrage(model).flagged if i <= K)

@@ -1,16 +1,17 @@
 """Scenario sets: exact product enumeration and counter-based Monte Carlo.
 
 Every expectation in the library is a weighted sum over a ScenarioSet.
-Exact enumeration is the brute-force oracle; Monte Carlo rows are a pure
-function of (seed, row index), so results never depend on how the work is
-chunked across workers.
+An exact enumeration is the product of the K coordinate laws and keeps
+those laws, not its rows: every library path reads it in product form, and
+its (n, K) rows are built only when a caller reads ``draws``.  Monte Carlo
+rows are a pure function of (seed, row index), so results never depend on
+how the work is chunked across workers.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,21 +33,55 @@ class EnumerationCapError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
 class ScenarioSet:
-    draws: np.ndarray    # (n, K)
-    weights: np.ndarray  # (n,), nonnegative, sums to 1
-    provenance: str
+    """Scenario rows and their weights (nonnegative, summing to 1).
 
-    def __post_init__(self):
-        if self.draws.shape[0] != self.weights.shape[0]:
+    ``ScenarioSet(draws, weights, provenance)`` holds its (n, K) rows.  An
+    exact enumeration (``enumerate_scenarios``) holds its K coordinate laws
+    instead, as (points, probs) pairs: its rows are their product, last
+    coordinate fastest, with product weights, and ``draws`` builds them on
+    first read and keeps them.
+    """
+
+    def __init__(self, draws: np.ndarray, weights: np.ndarray, provenance: str):
+        if draws.shape[0] != weights.shape[0]:
             raise ValueError("draws/weights length mismatch")
-        if abs(math.fsum(self.weights) - 1.0) > 1e-12:
+        self._draws = draws
+        self._laws = None
+        self._set_weights(weights, provenance)
+
+    @classmethod
+    def _product(cls, laws) -> ScenarioSet:
+        """The product set of laws = [(points, probs)], rows not built."""
+        s = cls.__new__(cls)
+        s._draws = None
+        s._laws = tuple(laws)
+        s._set_weights(_product_weights([p for _, p in laws]), "exact_enumeration")
+        return s
+
+    def _set_weights(self, weights: np.ndarray, provenance: str) -> None:
+        if abs(math.fsum(weights) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
+        self.weights = weights
+        self.provenance = provenance
+
+    @property
+    def draws(self) -> np.ndarray:
+        """(n, K) rows; on a product set built on first read."""
+        if self._draws is None:
+            grids = np.meshgrid(*(x for x, _ in self._laws), indexing="ij",
+                                copy=False)
+            self._draws = np.stack(grids, axis=-1).reshape(self.n, self.K)
+        return self._draws
 
     @property
     def n(self) -> int:
-        return self.draws.shape[0]
+        return self.weights.shape[0]
+
+    @property
+    def K(self) -> int:
+        """Columns: noise coordinates per row."""
+        return len(self._laws) if self._draws is None else self._draws.shape[1]
 
     @property
     def is_exact(self) -> bool:
@@ -79,9 +114,9 @@ def sample_scenarios(model: MarketModel, n: int, seed: int) -> ScenarioSet:
     return ScenarioSet(out, weights, f"monte_carlo(seed={seed}, n={n})")
 
 
-def _enumerable(model: MarketModel) -> int:
-    """Rows of model's exact enumeration; raises EnumerationCapError for a
-    law that is not finite-discrete or a joint support over the cap."""
+def _enumerable(model: MarketModel) -> None:
+    """Raise EnumerationCapError for a law that is not finite-discrete or a
+    joint support over the cap."""
     for dist in model.noise:
         if not dist.is_discrete:
             raise EnumerationCapError(
@@ -91,7 +126,6 @@ def _enumerable(model: MarketModel) -> int:
     if total > ENUMERATION_CAP:
         raise EnumerationCapError(f"joint support has {total} scenarios "
                                   f"(> cap {ENUMERATION_CAP}); use Monte Carlo")
-    return total
 
 
 def _product_weights(probs) -> np.ndarray:
@@ -99,32 +133,35 @@ def _product_weights(probs) -> np.ndarray:
     return functools.reduce(np.multiply.outer, probs).ravel()
 
 
+def _model_laws(model: MarketModel):
+    return [(np.asarray(d.points, dtype=float), np.asarray(d.probs, dtype=float))
+            for d in model.noise]
+
+
 def _exact_laws(model: MarketModel, s: ScenarioSet | None):
     """[(points, probs)] of model's K laws if s is model's exact
     enumeration, else None.  s = None stands for that enumeration, after
     enumerate_scenarios' checks, without building its rows.
 
-    An exact enumeration lists the product of the coordinate supports, last
-    coordinate fastest, with product weights, so its row sums factor over
-    the K supports.
+    s qualifies only if it holds laws equal to the model's, points and
+    probabilities alike: the rows of an enumeration of another market, or
+    rows given as a matrix, are read as rows.
     """
+    laws = _model_laws(model)
     if s is None:
         _enumerable(model)
-    elif not (s.is_exact and s.draws.shape[1] == model.K
-              and s.n == math.prod(len(d.points) for d in model.noise)):
+    elif s._laws is None or len(s._laws) != len(laws) or not all(
+            np.array_equal(x, y) and np.array_equal(p, q)
+            for (x, p), (y, q) in zip(s._laws, laws)):
         return None
-    return [(np.asarray(d.points), np.asarray(d.probs)) for d in model.noise]
+    return laws
 
 
 def enumerate_scenarios(model: MarketModel) -> ScenarioSet:
-    """Exact joint support of the product noise law, with product weights."""
-    total = _enumerable(model)
-    # row-major (last coordinate fastest), the order of itertools.product
-    grids = np.meshgrid(*(np.asarray(d.points) for d in model.noise),
-                        indexing="ij", copy=False)
-    draws = np.stack(grids, axis=-1).reshape(total, model.K)
-    weights = _product_weights([np.asarray(d.probs) for d in model.noise])
-    return ScenarioSet(draws, weights, "exact_enumeration")
+    """Exact joint support of the product noise law, with product weights:
+    the K laws and the weights, rows built only when ``draws`` is read."""
+    _enumerable(model)
+    return ScenarioSet._product(_model_laws(model))
 
 
 def expectation(s: ScenarioSet, values) -> float:

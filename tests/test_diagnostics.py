@@ -6,14 +6,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apmopt import (GrowthBounds, appendix_power, build_market,
+from apmopt import (GrowthBounds, ScenarioSet, appendix_power, build_market,
                     build_tilted_measure, dyadic_two_sided,
                     enumerate_scenarios, eval_u, eval_u_prime, expectation,
-                    rademacher, sample_scenarios, standardized_two_point,
-                    tabulated)
+                    finite_discrete, rademacher, sample_scenarios,
+                    standardized_two_point, tabulated)
 from apmopt import diagnostics
 from apmopt.diagnostics import (assemble_report, check_assumption_relevant,
                                 emit_report, exp_ui_bound, holder_chain_check,
@@ -44,6 +44,41 @@ def sampled_markets(draw):
         b.append(min(law.points) + frac * (max(law.points) - min(law.points)))
     return build_market(1, K, mu=[-x for x in b], beta=[[0.0]] * (K - 1),
                         beta_bar=[1.0] * K, noise=tuple(noise))
+
+
+@st.composite
+def product_laws(draw):
+    """(points, probs) laws of 1-14 coordinates with 1-5 support points
+    each, on a 1/100 grid, some probabilities 0, at most 2^16 rows in all.
+    Some draws give one coordinate more than ROW_BLOCK points."""
+    K = draw(st.integers(1, 14))
+    big = draw(st.one_of(st.none(), st.integers(0, K - 1)))
+    big_size = draw(st.integers(ROW_BLOCK + 1, ROW_BLOCK + 300))
+    rows = 1 if big is None else big_size
+    laws = []
+    for i in range(K):
+        if i == big:
+            pts = np.linspace(-2.0, 2.0, big_size)
+            raw = np.arange(1.0, big_size + 1)
+        else:
+            m = draw(st.integers(1, max(1, min(5, (1 << 16) // rows))))
+            rows *= m
+            pts = np.array(draw(st.lists(st.integers(-400, 400), min_size=m,
+                                         max_size=m, unique=True))) / 100.0
+            raw = np.array(draw(st.lists(st.integers(0, 3), min_size=m,
+                                         max_size=m).filter(any)), dtype=float)
+        laws.append((pts, raw / raw.sum()))
+    return laws
+
+
+THREE_POINT = (np.array([-1.5, 0.25, 1.25]), np.array([0.25, 0.5, 0.25]))
+LONG_LAW = (np.linspace(-2.0, 2.0, ROW_BLOCK + 101),
+            np.arange(1.0, ROW_BLOCK + 102) / ((ROW_BLOCK + 101) * (ROW_BLOCK + 102) / 2))
+
+
+def row_set(s):
+    """The rows and weights of s as a plain row set, walked by the gemm."""
+    return ScenarioSet(s.draws, s.weights, "rows")
 
 
 def side_bound(s, v, slope, X, phi):
@@ -134,9 +169,12 @@ class TestStrategySums:
     def test_identical_across_blas_thread_counts(self):
         # the payoffs and their sums: every block's gemm has ROW_BLOCK
         # columns; unpadded, a ragged last block (ROW_BLOCK - 1 columns,
-        # say) is threaded with other last bits
-        code = ("import hashlib, numpy as np\n"
-                "from apmopt import ScenarioSet, diagnostics, optimize\n"
+        # say) is threaded with other last bits.  Then an exact K = 19
+        # set's exp-moment and Hoelder checks, whose product walk makes no
+        # BLAS call
+        code = ("import hashlib, json, numpy as np\n"
+                "from apmopt import *\n"
+                "from apmopt import diagnostics, optimize\n"
                 "for n in (optimize.ROW_BLOCK - 1, 3 * optimize.ROW_BLOCK + 17):\n"
                 "    for K in (3, 19, 50):\n"
                 "        gen = np.random.Generator(np.random.Philox(key=K))\n"
@@ -148,9 +186,58 @@ class TestStrategySums:
                 "            h.update(y.tobytes())\n"
                 "            return (y,)\n"
                 "        h.update(diagnostics._strategy_sums(s, phis, draws[0], values))\n"
-                "        print(n, K, h.hexdigest())\n")
+                "        print(n, K, h.hexdigest())\n"
+                "K = 19\n"
+                "model = build_market(1, K, [-0.4 / i for i in range(1, K + 1)],\n"
+                "                     [[0.0]] * (K - 1), [1.0] * K, rademacher())\n"
+                "u = appendix_power(0.5, GrowthBounds(0.5, 1.5, 1.0, 1.0))\n"
+                "s = enumerate_scenarios(model)\n"
+                "Q = build_tilted_measure(model)\n"
+                "out = [diagnostics.exp_ui_bound(model, s, 1.0, 25, 311),\n"
+                "       diagnostics.holder_chain_check(\n"
+                "           model, Q, u, diagnostics.random_strategies(K, 25, 1.0, 312), s)]\n"
+                "print('exact', hashlib.sha256(json.dumps(out).encode()).hexdigest())\n")
         one, two = stdout_per_blas_thread_count(code)
         assert one == two
+
+    @settings(max_examples=60, deadline=None)
+    @given(laws=product_laws(), count=st.integers(1, 12),
+           u=st.sampled_from(CERTIFIED_UTILITIES), width=st.integers(1, 14),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # nine blocks of a 2187-row tile; a long leading law in pieces under
+    # 682-tile blocks; a long last law in pieces, with narrower strategies
+    @example(laws=[THREE_POINT] * 9, count=5, u=CERTIFIED_UTILITIES[0], width=9, seed=1)
+    @example(laws=[LONG_LAW, THREE_POINT, (np.array([-0.5, 1.0]), np.array([0.6, 0.4]))],
+             count=7, u=CERTIFIED_UTILITIES[1], width=3, seed=2)
+    @example(laws=[THREE_POINT, THREE_POINT, LONG_LAW], count=3,
+             u=CERTIFIED_UTILITIES[0], width=2, seed=3)
+    def test_product_walk_matches_row_walk(self, laws, count, u, width, seed):
+        # exp|Y| and the Hoelder chain's two sides, as exp_ui_bound and
+        # holder_chain_check take them, on the product walk and on the
+        # rows' gemm walk, to 1e-12 of the values' and payoffs' scale
+        s = ScenarioSet._product(laws)
+        K = len(laws)
+        k = min(width, K)
+        phis = random_strategies(k, count, 2.0, seed)
+        shift = np.random.Generator(np.random.Philox(key=seed)).uniform(-1.0, 1.0, K)
+
+        def values(y):
+            gain = np.maximum(y, 0.0)
+            return np.exp(np.abs(y)), eval_u(u, gain), eval_u(u, y - gain)
+
+        prod = diagnostics._strategy_sums(s, phis, shift, values)
+        assert s._draws is None  # the product walk reads the laws alone
+        rows = diagnostics._strategy_sums(row_set(s), phis, shift, values)
+        # the scale: E|v| plus E[|v'| sum_i |phi_i x_i|], since either walk
+        # may round each payoff by a few ulps of sum_i |phi_i x_i|
+        X = s.draws[:, :k] - shift[:k]
+        y = phis @ X.T
+        reach = np.abs(phis) @ np.abs(X).T
+        slope = float(eval_u_prime(u, -1e3))  # concave u: the largest slope right of -1e3
+        exp_abs = np.exp(np.abs(y))
+        scale = np.array([(exp_abs + exp_abs * reach) @ s.weights]
+                         + [(np.abs(v) + slope * reach) @ s.weights for v in values(y)[1:]])
+        assert np.all(np.abs(prod - rows) <= 1e-12 * scale)
 
 
 class TestHolderChain:
@@ -191,15 +278,30 @@ class TestHolderChain:
 
     @pytest.mark.parametrize("u", CERTIFIED_UTILITIES,
                              ids=["appendix_power", "tabulated_u0_nonzero"])
-    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
-    def test_margins_match_two_evaluation_oracle(self, market_k3, u, exact):
-        s = (enumerate_scenarios(market_k3) if exact
-             else sample_scenarios(market_k3, 500, 5))
-        strategies = random_strategies(3, 20, 2.0, seed=6)
+    @pytest.mark.parametrize("case", ["exact", "exact_three_point_k9", "sampled"])
+    def test_margins_match_two_evaluation_oracle(self, market_k3, u, case):
+        # three-point K = 9: 3^9 rows in nine blocks of a 2187-row tile,
+        # and strategies on the first 6 coordinates
+        model, k = market_k3, 3
+        if case == "exact_three_point_k9":
+            law = finite_discrete((-math.sqrt(2.0), 0.0, math.sqrt(2.0)), (0.25, 0.5, 0.25))
+            model = build_market(1, 9, mu=[-0.3 / i for i in range(1, 10)],
+                                 beta=[[0.0]] * 8, beta_bar=[1.0] * 9, noise=law)
+            k = 6
+        s = (sample_scenarios(model, 500, 5) if case == "sampled"
+             else enumerate_scenarios(model))
+        strategies = random_strategies(k, 20, 2.0, seed=6)
         strategies[0] = 0.0
-        out = holder_chain_check(market_k3, build_tilted_measure(market_k3), u,
-                                 strategies, s)
-        assert_margins_match_oracle(out, market_k3, u, strategies, s)
+        Q = build_tilted_measure(model)
+        out = holder_chain_check(model, Q, u, strategies, s)
+        assert_margins_match_oracle(out, model, u, strategies, s)
+        if s.is_exact:
+            # the product walk against the rows' gemm walk
+            rows = holder_chain_check(model, Q, u, strategies, row_set(s))
+            assert out["margins"] == pytest.approx(rows["margins"], rel=1e-12, abs=1e-12)
+            exp_vals = [[r["value"] for r in exp_ui_bound(model, t, 2.0, 20, 7)["measurements"]]
+                        for t in (s, row_set(s))]
+            assert exp_vals[0] == pytest.approx(exp_vals[1], rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(model=sampled_markets(), n=st.sampled_from(BLOCK_EDGES),

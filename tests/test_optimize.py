@@ -324,6 +324,12 @@ class TestProductPass:
         c = w * gen.uniform(0.0, 2.0, w.size)
         v = optimize._outer_sum(xs, phi, np.empty(w.size))
         assert np.all(np.abs(v - X @ phi) <= 1e-12 * (np.abs(X) @ np.abs(phi)))
+        # bit for bit the row loop that adds the last coordinate first
+        loop = [0.0] * len(X)
+        for r, row in enumerate(X):
+            for p, x in reversed(list(zip(phi, row))):
+                loop[r] += p * x
+        assert np.array_equal(v, loop)
         g, G = optimize._product_blocks(xs, a.copy(), c.copy())
         assert np.all(np.abs(g - X.T @ a) <= 1e-12 * (np.abs(X).T @ np.abs(a)))
         assert np.all(np.abs(G - (X.T * c) @ X) <= 1e-12 * ((np.abs(X).T * c) @ np.abs(X)))
@@ -368,6 +374,35 @@ class TestProductPass:
         model = rademacher_market([-1.0, 0.0])
         found, phi = detect_unbounded(model, enumerate_scenarios(model))
         assert found and phi.tolist() == [1.0, 0.0]
+
+    @staticmethod
+    def uniform_drift_market(noise, mu):
+        return build_market(1, 3, mu=[mu] * 3, beta=[[0.0]] * 2,
+                            beta_bar=[1.0] * 3, noise=noise)
+
+    def test_enumeration_of_another_market_is_read_as_rows(self):
+        # B's laws have the shape, provenance and row count of A's
+        # enumeration but other points: the solve must read A's rows
+        A = self.uniform_drift_market(rademacher(), -0.1)
+        B = self.uniform_drift_market(standardized_two_point(0.3), -0.1)
+        s = enumerate_scenarios(A)
+        u = appendix_power(0.5)
+        got = optimize_truncated(B, u, None, s)
+        rows = optimize_truncated(B, u, None, row_path_set(s))
+        assert got.value == rows.value == pytest.approx(0.0361, abs=1e-4)
+        assert np.array_equal(got.phi_star, rows.phi_star)
+        assert got.phi_star == pytest.approx([-0.6166] * 3, abs=1e-4)
+
+    def test_arbitrage_on_another_markets_enumeration(self):
+        # b = 1.2 lies inside B's support but above every Rademacher row,
+        # so -e_i pays off on A's enumeration
+        A = self.uniform_drift_market(rademacher(), -1.2)
+        B = self.uniform_drift_market(standardized_two_point(0.3), -1.2)
+        assert detect_unbounded(B, enumerate_scenarios(B)) == (False, None)
+        s = enumerate_scenarios(A)
+        found, phi = detect_unbounded(B, s)
+        assert found
+        assert_witness(s.draws - B.b, phi)
 
     def test_identical_across_blas_thread_counts(self):
         # no reduction of the product pass runs in BLAS, at any K

@@ -1,15 +1,19 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apmopt import (EnumerationCapError, ScenarioSet, build_market,
-                    enumerate_scenarios, expectation, finite_discrete, rademacher,
-                    sample_scenarios, standardized_two_point,
-                    standardized_uniform)
+from apmopt import (EnumerationCapError, GrowthBounds, ScenarioSet, SolverConfig,
+                    appendix_power, build_market, build_tilted_measure,
+                    detect_unbounded, enumerate_scenarios, expectation,
+                    finite_discrete, measure_moments, optimize_truncated,
+                    rademacher, sample_scenarios, standardized_two_point,
+                    standardized_uniform, verify_pricing)
+from apmopt import diagnostics
 from apmopt.scenarios import _BLOCK
 from conftest import rademacher_market
 
@@ -81,6 +85,78 @@ class TestEnumerationOracle:
                                 itertools.product(*(d.probs for d in laws))])
         assert np.array_equal(s.draws, ref_draws)
         assert np.array_equal(s.weights, ref_weights)
+        assert (s.n, s.K, s.is_exact) == (len(ref_draws), K, True)
+
+
+class TestRowsOnRead:
+    def test_rows_built_once_on_first_read(self, market_k3):
+        s = enumerate_scenarios(market_k3)
+        assert (s.n, s.K) == (8, 3)
+        assert s.draws is s.draws
+        assert s.draws.shape == (8, 3)
+
+    def test_positional_constructor_keeps_its_rows(self):
+        draws = np.arange(6.0).reshape(3, 2)
+        s = ScenarioSet(draws, np.full(3, 1.0 / 3.0), "given")
+        assert s.draws is draws
+        assert (s.n, s.K, s.is_exact, s.provenance) == (3, 2, False, "given")
+        with pytest.raises(ValueError, match="length mismatch"):
+            ScenarioSet(draws, np.full(2, 0.5), "given")
+        with pytest.raises(ValueError, match="sum to 1"):
+            ScenarioSet(draws, np.full(3, 0.5), "given")
+
+
+class TestExactSetMemory:
+    """An exact enumeration keeps its K laws, and no library call on it
+    builds the (n, K) rows: at K = 19 those are 80 MB."""
+
+    K = 19
+
+    @pytest.fixture
+    def model(self):
+        K = self.K
+        return build_market(1, K, mu=[-0.4 / i for i in range(1, K + 1)],
+                            beta=[[0.0]] * (K - 1), beta_bar=[1.0] * K,
+                            noise=rademacher())
+
+    @staticmethod
+    def traced_peak_mb(work):
+        tracemalloc.start()
+        try:
+            out = work()
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20, out
+        finally:
+            tracemalloc.stop()
+
+    def test_enumeration_peak(self, model):
+        # the 4 MB of product weights and their outer-product temporaries
+        peak, s = self.traced_peak_mb(lambda: enumerate_scenarios(model))
+        assert s.n == 2 ** self.K
+        assert peak <= 16.0
+
+    def test_session_peak(self, model, tmp_path):
+        # every library call of an exact session on one enumeration
+        u = appendix_power(0.5, GrowthBounds(0.5, 1.5, 1.0, 1.0))
+
+        def session():
+            s = enumerate_scenarios(model)
+            detect_unbounded(model, s)
+            optimize_truncated(model, u, None, s, SolverConfig(grad_tol=1e-8, max_iter=25))
+            Q = build_tilted_measure(model)
+            verify_pricing(Q, model, s=s)
+            measure_moments(Q, s)
+            sections = {
+                "exp_moment": diagnostics.exp_ui_bound(model, s, 1.0, 25, seed=3),
+                "holder": diagnostics.holder_chain_check(
+                    model, Q, u, diagnostics.random_strategies(self.K, 25, 1.0, 4), s),
+            }
+            diagnostics.emit_report(diagnostics.assemble_report(model, sections),
+                                    str(tmp_path))
+            return s
+
+        peak, s = self.traced_peak_mb(session)
+        assert peak <= 64.0
+        assert s._draws is None  # no call read the rows
 
 
 class TestExpectation:
