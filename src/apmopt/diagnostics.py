@@ -34,7 +34,7 @@ from .measures import (TiltedMeasure, _coordinate_means, _density_moments, _resi
                        _support_factors)
 from .optimize import ROW_BLOCK, _outer_sum
 from .scenarios import ScenarioSet
-from .utility import Utility, certify_growth, eval_u
+from .utility import Utility, _live_bits, certify_growth, eval_u
 
 __all__ = [
     "random_strategies",
@@ -204,6 +204,27 @@ def exp_ui_bound(model: MarketModel, s: ScenarioSet, delta: float,
             "fitted_C": worst, "measurements": rows}
 
 
+def _split_u(u: Utility):
+    """values(Y) for the Hoelder walk: (u(Y+), u(-Y-)) from one evaluation
+    of u on the payoffs Y, with u(0) evaluated once.  u(Y+) is u(Y) where
+    Y > 0 and u(0) elsewhere, u(-Y-) the reverse, so both equal
+    eval_u(u, max(Y, 0)) and eval_u(u, Y - max(Y, 0)) bit for bit on
+    non-NaN Y, whatever the shape of u.  The halves are joined by bit
+    masks, in place: no boolean gather or scatter runs."""
+    zero = eval_u(u, np.zeros(1)).view(np.int64)[0]  # the array path's u(0)
+
+    def split(y):
+        val = eval_u(u, y).view(np.int64)
+        flip = _live_bits(y)
+        val ^= zero
+        flip &= val  # where Y > 0, the bits that turn u(0) into u(Y)
+        val ^= flip
+        val ^= zero
+        flip ^= zero
+        return flip.view(float), val.view(float)
+    return split
+
+
 def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
                        strategies: np.ndarray, s: ScenarioSet) -> dict:
     """Both sides of the chain
@@ -215,13 +236,13 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
     by scenario expectation.  The strategies (one per row, at most K
     columns, at least one row) share one walk over the rows
     (``_strategy_sums``), which centres each block of rows at b and
-    evaluates u(Y+) and u(-Y-) there, with Y+ = max(Y, 0) and
-    -Y- = Y - Y+.  Requires growth bounds on u, and reports
-    whether they hold as ``growth_certified``; on an exact set the measure
-    must price every asset to 1e-10.  On an exact enumeration of Q's
-    market that guard and the moments behind C' and C'' are products of
-    the K coordinates' support sums, and no per-row density is built; on
-    other sets the density is built once.
+    splits one evaluation of u(Y) there into u(Y+) and u(-Y-), with
+    Y+ = max(Y, 0) and -Y- = Y - Y+ (``_split_u``).  Requires growth
+    bounds on u, and reports whether they hold as ``growth_certified``;
+    on an exact set the measure must price every asset to 1e-10.  On an
+    exact enumeration of Q's market that guard and the moments behind C'
+    and C'' are products of the K coordinates' support sums, and no
+    per-row density is built; on other sets the density is built once.
     """
     if not u.certified:
         raise ValueError("utility carries no growth certificate; refusing")
@@ -245,12 +266,8 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
     else:
         c_prime = c_dprime = 1.0
 
-    def sides(y):
-        gain = np.maximum(y, 0.0)
-        return eval_u(u, gain), eval_u(u, y - gain)
-
     margins = []
-    gains, losses = _strategy_sums(s, strategies, model.b, sides)
+    gains, losses = _strategy_sums(s, strategies, model.b, _split_u(u))
     for lhs, neg in zip(gains.tolist(), losses.tolist()):
         inner = -neg / g.C2 + 1.0
         rhs = g.C1 * (c_prime * c_dprime * inner ** (g.alpha / g.beta) + 1.0)

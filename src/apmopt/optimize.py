@@ -165,11 +165,18 @@ def _centered(model: MarketModel, s: ScenarioSet, K: int) -> np.ndarray:
     return s.draws[:, :K] - model.b[:K]
 
 
+def _expected_u(u: Utility, w: np.ndarray, v: np.ndarray) -> float:
+    """sum_j w_j u(v_j), weighted in place."""
+    uv = eval_u(u, v)
+    uv *= w
+    return float(np.sum(uv))
+
+
 def _objective_at(u: Utility, X: np.ndarray, w: np.ndarray, phi: np.ndarray):
     """(f, v): the scenario expectation f of u(v) with v = X @ phi, and v
     for the Newton pass at phi."""
     v = X @ phi
-    return float(np.sum(w * eval_u(u, v))), v
+    return _expected_u(u, w, v), v
 
 
 def saa_objective(u: Utility, X: np.ndarray, w: np.ndarray, phi: np.ndarray) -> float:
@@ -216,23 +223,21 @@ def _outer_sum(xs, phi: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out[:size]
 
 
-def _fold(slices: np.ndarray) -> np.ndarray:
-    """The elementwise sum of the slices, in order, written over the first."""
-    for j in range(1, len(slices)):
-        np.add(slices[0], slices[j], out=slices[0])
-    return slices[0]
-
-
 def _marginals(a: np.ndarray, sizes) -> list[np.ndarray]:
     """The marginal sums of a, laid out over a product of axes of the given
-    sizes (last fastest), on each axis; a is overwritten.  Peeling the
-    leading axis, its marginal is a pairwise sum along the contiguous
-    remainder, and the sum of its slices is the array left for the next."""
+    sizes (last fastest), on each axis.  Peeling the leading axis, its
+    marginal is a pairwise sum along the contiguous remainder, and the sum
+    of its slices is the array left for the next, none after the last.
+
+    numpy sums axis 0 of a C-ordered (m, rest) array slice after slice when
+    rest >= 2, which holds before the last axis since every law has two
+    or more points; at rest = 1 it would sum pairwise."""
     out = []
-    for m in sizes:
+    for k, m in enumerate(sizes):
         slices = a.reshape(m, -1)
         out.append(slices.sum(axis=1))
-        a = _fold(slices)
+        if k + 1 < len(sizes):
+            a = slices.sum(axis=0)
     return out
 
 
@@ -241,33 +246,36 @@ def _product_blocks(xs, a: np.ndarray, c: np.ndarray):
     marginals: g_i = x_i . (marginal of a on axis i), and row i of G,
     peeling axis i off c, is x_i^2 . (marginal of c on axis i) on the
     diagonal and x_k . (marginal on axis k of the x_i-weighted sum of c's
-    slices) beyond it.  a and c are overwritten, and a then serves as
-    scratch.  No reduction runs in BLAS, so the sums do not depend on the
-    BLAS thread count at any K."""
+    slices) beyond it.  a serves as scratch once its marginals are read.
+    Every step is a numpy reduction over a whole axis, with no loop over
+    support points.  No reduction runs in BLAS, so the sums do not depend
+    on the BLAS thread count at any K."""
     sizes = [x.size for x in xs]
     K = len(xs)
     g = np.array([np.sum(x * m) for x, m in zip(xs, _marginals(a, sizes))])
     G = np.empty((K, K))
     for i, x in enumerate(xs):
         slices = c.reshape(x.size, -1)
-        rest = slices.shape[1]
         G[i, i] = np.sum(x * x * slices.sum(axis=1))
-        weighted, tmp = a[:rest], a[rest:2 * rest]
-        np.multiply(slices[0], x[0], out=weighted)
-        for j in range(1, x.size):
-            weighted += np.multiply(slices[j], x[j], out=tmp)
+        if i + 1 == K:
+            break
+        weighted = np.multiply(slices, x[:, None], out=a[:c.size].reshape(slices.shape))
         G[i, i + 1:] = [np.sum(y * m) for y, m in
-                        zip(xs[i + 1:], _marginals(weighted, sizes[i + 1:]))]
+                        zip(xs[i + 1:], _marginals(weighted.sum(axis=0), sizes[i + 1:]))]
         G[i + 1:, i] = G[i, i + 1:]
-        c = _fold(slices)
+        c = slices.sum(axis=0)
     return g, G
 
 
 def _newton_pass(u: Utility, blocks, w: np.ndarray, v: np.ndarray):
     """Gradient and Hessian at phi from the payoffs v = X @ phi, with
     blocks(a, c) = (X.T @ a, X.T diag(c) X); -w u'' >= 0 for every utility
-    kind."""
-    g, G = blocks(w * eval_u_prime(u, v), -w * eval_u_second(u, v))
+    kind.  Both are weighted in place."""
+    a = eval_u_prime(u, v)
+    a *= w
+    c = eval_u_second(u, v)
+    c *= w
+    g, G = blocks(a, np.negative(c, out=c))
     return g, -G, None
 
 
@@ -399,7 +407,7 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
             # v lives in buf until the next call; _damped_newton passes on
             # only the line search's last trial, so one buffer serves
             v = _outer_sum(xs, p, buf)
-            return float(np.sum(w * eval_u(u, v))), v
+            return _expected_u(u, w, v), v
     phi, f, g, _, it = _damped_newton(
         lambda v: _newton_pass(u, blocks, w, v), value,
         np.zeros(K), lambda g, _: float(np.linalg.norm(g)) <= cfg.grad_tol,

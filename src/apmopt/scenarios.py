@@ -48,19 +48,23 @@ class ScenarioSet:
             raise ValueError("draws/weights length mismatch")
         self._draws = draws
         self._laws = None
-        self._set_weights(weights, provenance)
+        self._set_weights(weights, math.fsum(weights), provenance)
 
     @classmethod
     def _product(cls, laws) -> ScenarioSet:
-        """The product set of laws = [(points, probs)], rows not built."""
+        """The product set of laws = [(points, probs)], rows not built.  Its
+        weights sum to the product of the laws' sums, which is checked in
+        place of a sum over all n of them."""
         s = cls.__new__(cls)
         s._draws = None
         s._laws = tuple(laws)
-        s._set_weights(_product_weights([p for _, p in laws]), "exact_enumeration")
+        probs = [p for _, p in laws]
+        s._set_weights(_product_weights(probs), math.prod(map(math.fsum, probs)),
+                       "exact_enumeration")
         return s
 
-    def _set_weights(self, weights: np.ndarray, provenance: str) -> None:
-        if abs(math.fsum(weights) - 1.0) > 1e-12:
+    def _set_weights(self, weights: np.ndarray, total: float, provenance: str) -> None:
+        if abs(total - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
         self.weights = weights
         self.provenance = provenance

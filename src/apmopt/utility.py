@@ -15,6 +15,14 @@ Built-in kinds:
 ``Utility`` rejects any other kind when it is built, so each evaluator
 below is a two-way branch.
 
+On arrays the appendix-power evaluators are branch-free and run in
+fixed chunks of ``_CHUNK`` elements: the x > 0 formula is applied to
+max(x, 0) and joined to the x <= 0 formula by arithmetic or a bit mask,
+with no boolean gather or scatter, so the time per element does not
+depend on the signs' pattern and every temporary is one chunk, whatever
+the array's size.  Values are bit for bit those of np.where over the two
+formulas; a 0-d argument gives a float from numpy's scalar arithmetic.
+
 A GrowthBounds certificate records constants (alpha, beta, C1, C2) for the
 caps u(x) <= C1(x**alpha + 1) on x >= 0 and u(x) <= C2(-|x|**beta + 1) on
 x < 0.  ``certify_growth`` checks the caps and returns a verdict with a
@@ -88,25 +96,62 @@ def tabulated(xs, ys, growth: GrowthBounds | None = None) -> Utility:
     return Utility("tabulated", xs=xs, ys=ys, growth=growth)
 
 
-def _kinked(x, pos, rest):
-    """pos(x) where x > 0 and rest(x) elsewhere, evaluating pos only where
-    x > 0; a 0-d x gives a float.  Bit for bit np.where(x > 0, pos(x),
-    rest(x)): a 0-d x stays a numpy scalar, as it did there, because
-    numpy's scalar pow can differ from its array pow in the last bit."""
+_CHUNK = 1 << 14  # elements per kernel pass: 128 KB temporaries stay in cache
+
+
+def _kinked(x, scalar, kernel):
+    """An appendix-power evaluator: scalar(x) on a 0-d x, as a float, and
+    otherwise a new C-ordered array of x's shape that kernel(xc, out, tmp)
+    fills _CHUNK elements at a time, xc holding them in C order and tmp
+    one chunk of scratch.  The 0-d path keeps numpy's scalar pow, which
+    can differ from its array pow in the last bit.
+
+    Each kernel is branch-free: it applies the x > 0 formula to max(x, 0),
+    which leaves x > 0 as it is and maps the rest to 0, where that formula
+    is exact, and joins the x <= 0 formula arithmetically or by a bit
+    mask.  No boolean gather or scatter runs, every temporary is one
+    chunk, and the result equals np.where(x > 0, x > 0 formula, x <= 0
+    formula) bit for bit, -0.0, infinities and NaN payloads included.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
-        x = x[()]
-        return float(pos(x) if x > 0 else rest(x))
-    out = rest(x)
-    live = x > 0
-    out[live] = pos(x[live])
+        return float(scalar(x[()]))
+    out = np.empty(x.shape)
+    flat = out.reshape(-1)
+    src = x.reshape(-1) if x.flags.c_contiguous else x.flat
+    tmp = np.empty(min(_CHUNK, flat.size))
+    for start in range(0, flat.size, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        xc = src[chunk]
+        kernel(xc, flat[chunk], tmp[:xc.size])
     return out
+
+
+def _live_bits(x, out=None):
+    """int64 all ones where x > 0 and 0 elsewhere (NaN included): a mask
+    that selects by bits, with no branch per element."""
+    return np.subtract(0, x > 0, out=out, dtype=np.int64)
 
 
 def eval_u(u: Utility, x):
     """u(x), vectorized."""
     if u.kind == "appendix_power":
-        return _kinked(x, lambda p: (p + 1.0) ** u.alpha - 1.0, lambda v: u.alpha * v)
+        a = u.alpha
+
+        def kernel(xc, out, tmp):
+            # a min(0, x) - (1 - (max(x, 0) + 1)**a).  On x <= 0 the second
+            # term is +0.0, which subtracts exactly even from -0.0, and
+            # min(0, x) keeps x's -0.0 and NaN; on x > 0 the first is +0.0,
+            # and 0 - (1 - p) = p - 1 exactly.  fmax maps NaN to 0.
+            np.fmax(xc, 0.0, out=tmp)
+            tmp += 1.0
+            np.power(tmp, a, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            np.minimum(0.0, xc, out=out)
+            out *= a
+            out -= tmp
+
+        return _kinked(x, lambda v: (v + 1.0) ** a - 1.0 if v > 0 else a * v, kernel)
     x = np.asarray(x, dtype=float)
     first = (u.ys[1] - u.ys[0]) / (u.xs[1] - u.xs[0])
     out = np.interp(x, u.xs, u.ys) + first * np.minimum(x - u.xs[0], 0.0)
@@ -123,9 +168,17 @@ def eval_u_prime(u: Utility, x):
     not stop there before max_iter.
     """
     if u.kind == "appendix_power":
-        # both one-sided derivatives at 0 equal alpha
-        return _kinked(x, lambda p: u.alpha * (p + 1.0) ** (u.alpha - 1.0),
-                       lambda v: np.full_like(v, u.alpha))
+        a = u.alpha
+
+        def kernel(xc, out, tmp):
+            # a (max(x, 0) + 1)**(a - 1): on x <= 0 and NaN, a * 1**(a - 1)
+            # = a, the value at and below the kink
+            np.fmax(xc, 0.0, out=out)
+            out += 1.0
+            np.power(out, a - 1.0, out=out)
+            out *= a
+
+        return _kinked(x, lambda v: a * (v + 1.0) ** (a - 1.0) if v > 0 else a, kernel)
     x = np.asarray(x, dtype=float)
     h = 1e-6 * np.maximum(1.0, np.abs(x))
     out = (eval_u(u, x + h) - eval_u(u, x - h)) / (2 * h)
@@ -138,8 +191,20 @@ def eval_u_second(u: Utility, x):
     Tabulated utilities are piecewise linear, so theirs is 0.
     """
     if u.kind == "appendix_power":
-        k = u.alpha * (u.alpha - 1.0)
-        return _kinked(x, lambda p: k * (p + 1.0) ** (u.alpha - 2.0), np.zeros_like)
+        a = u.alpha
+        k = a * (a - 1.0)
+
+        def kernel(xc, out, tmp):
+            # k (max(x, 0) + 1)**(a - 2), its bits masked to +0.0 off x > 0:
+            # k < 0, so no product with a 0/1 mask gives +0.0 there
+            np.fmax(xc, 0.0, out=out)
+            out += 1.0
+            np.power(out, a - 2.0, out=out)
+            out *= k
+            bits = out.view(np.int64)
+            bits &= _live_bits(xc, tmp.view(np.int64))
+
+        return _kinked(x, lambda v: k * (v + 1.0) ** (a - 2.0) if v > 0 else 0.0, kernel)
     out = np.zeros_like(np.asarray(x, dtype=float))
     return float(out) if out.ndim == 0 else out
 

@@ -303,6 +303,53 @@ class TestHolderChain:
                         for t in (s, row_set(s))]
             assert exp_vals[0] == pytest.approx(exp_vals[1], rel=1e-12)
 
+    @pytest.mark.parametrize("u", CERTIFIED_UTILITIES,
+                             ids=["appendix_power", "tabulated_u0_nonzero"])
+    @pytest.mark.parametrize("case", ["exact", "exact_k14", "sampled"])
+    def test_split_matches_two_evaluations_bit_for_bit(self, market_k3, u, case,
+                                                       monkeypatch):
+        # every block's u(Y+) and u(-Y-) from one evaluation of u against
+        # eval_u on max(Y, 0) and on Y - max(Y, 0)
+        model = market_k3
+        if case == "exact_k14":  # 2^14 rows: four full blocks
+            model = rademacher_market([0.3 / i for i in range(1, 15)])
+        s = (sample_scenarios(model, 3 * ROW_BLOCK + 17, 5) if case == "sampled"
+             else enumerate_scenarios(model))
+        split_u = diagnostics._split_u
+        blocks = []
+
+        def checked(u_):
+            split = split_u(u_)
+
+            def values(y):
+                y = y.copy()
+                gain, loss = split(y)
+                pos = np.maximum(y, 0.0)
+                assert gain.tobytes() == eval_u(u, pos).tobytes()
+                assert loss.tobytes() == eval_u(u, y - pos).tobytes()
+                blocks.append(y.shape)
+                return gain, loss
+            return values
+
+        monkeypatch.setattr(diagnostics, "_split_u", checked)
+        strategies = random_strategies(model.K, 20, 2.0, seed=6)
+        strategies[0] = 0.0
+        out = holder_chain_check(model, build_tilted_measure(model), u, strategies, s)
+        assert len(out["margins"]) == 20
+        assert sum(shape[1] for shape in blocks) == s.n
+        assert all(shape[0] == 20 for shape in blocks)
+
+    @pytest.mark.parametrize("u", CERTIFIED_UTILITIES,
+                             ids=["appendix_power", "tabulated_u0_nonzero"])
+    def test_split_keeps_signed_zeros(self, u):
+        # payoffs at and next to 0, where u(Y) ties u(0) as +0.0 against -0.0
+        y = np.array([[0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300],
+                      [1e-17, -1e-17, 1.0, -1.0, 20.0, -20.0]])
+        gain, loss = diagnostics._split_u(u)(y.copy())
+        pos = np.maximum(y, 0.0)
+        assert gain.tobytes() == eval_u(u, pos).tobytes()
+        assert loss.tobytes() == eval_u(u, y - pos).tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(model=sampled_markets(), n=st.sampled_from(BLOCK_EDGES),
            u=st.sampled_from(CERTIFIED_UTILITIES), count=st.integers(1, 12),

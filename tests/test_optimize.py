@@ -366,6 +366,30 @@ class TestProductPass:
                 rows.phi_star)
             assert prod.value == pytest.approx(rows.value, rel=1e-12)
 
+    @pytest.mark.parametrize("where", ["alone", "first", "last"])
+    def test_long_law_matches_row_path(self, where):
+        # a 20 000-point law: its axis is reduced whole, with no loop over
+        # its points, and as the last axis it is never folded
+        gen = np.random.Generator(np.random.Philox(key=20_000))
+        probs = gen.dirichlet(np.full(20_000, 5.0))
+        pts = gen.standard_normal(20_000)
+        pts -= pts @ probs
+        long = finite_discrete(pts / math.sqrt(pts ** 2 @ probs), probs)
+        noise = {"alone": (long,), "first": (long, standardized_two_point(0.3)),
+                 "last": (rademacher(), standardized_two_point(0.3), long)}[where]
+        K = len(noise)
+        model = build_market(1, K, mu=[0.05, -0.1, 0.02][:K], beta=[[0.0]] * (K - 1),
+                             beta_bar=[1.0] * K, noise=noise)
+        s = enumerate_scenarios(model)
+        u = appendix_power(0.5)
+        prod = optimize_truncated(model, u, None, s)
+        rows = optimize_truncated(model, u, None, row_path_set(s))
+        assert prod.converged and rows.converged
+        assert prod.iterations == rows.iterations
+        assert np.linalg.norm(prod.phi_star - rows.phi_star) <= 1e-12 * np.linalg.norm(
+            rows.phi_star)
+        assert prod.value == pytest.approx(rows.value, rel=1e-12)
+
     def test_exact_sets_never_form_the_centred_matrix(self, market_k3, monkeypatch):
         s = enumerate_scenarios(market_k3)
         monkeypatch.setattr(optimize, "_centered", mock.Mock(side_effect=AssertionError))

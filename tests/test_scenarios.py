@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -104,6 +105,47 @@ class TestRowsOnRead:
             ScenarioSet(draws, np.full(2, 0.5), "given")
         with pytest.raises(ValueError, match="sum to 1"):
             ScenarioSet(draws, np.full(3, 0.5), "given")
+
+
+class TestWeightCheck:
+    """A product set checks the product of its K laws' sums; a set given by
+    rows sums all its weights."""
+
+    @staticmethod
+    def off_law(eps):
+        # a Rademacher law whose probabilities sum to 1 + eps: within
+        # DistributionSpec's 1e-12, and standardized to 1e-10
+        return finite_discrete([-1.0, 1.0], [0.5, 0.5 + eps])
+
+    @pytest.mark.parametrize("eps", [0.9e-12, -0.9e-12])
+    def test_laws_off_within_tolerance_pass_alone(self, eps):
+        m = build_market(1, 1, mu=[0.0], beta=[], beta_bar=[1.0], noise=self.off_law(eps))
+        assert enumerate_scenarios(m).n == 2
+
+    @pytest.mark.parametrize("K", [2, 3, 8])
+    @pytest.mark.parametrize("eps", [0.9e-12, -0.9e-12])
+    def test_products_of_laws_off_within_tolerance_refused(self, K, eps):
+        law = self.off_law(eps)
+        m = build_market(1, K, mu=[0.0] * K, beta=[[0.0]] * (K - 1), beta_bar=[1.0] * K,
+                         noise=law)
+        with pytest.raises(ValueError, match="sum to 1"):
+            enumerate_scenarios(m)
+        # the same rows and weights given as a matrix: the full sum refuses them
+        probs = [np.array(law.probs)] * K
+        weights = functools.reduce(np.multiply.outer, probs).ravel()
+        draws = np.array(list(itertools.product(*[law.points] * K)))
+        assert abs(math.fsum(weights) - 1.0) > 1e-12
+        with pytest.raises(ValueError, match="sum to 1"):
+            ScenarioSet(draws, weights, "given")
+
+    def test_positional_set_sums_every_weight(self, market_k3):
+        # one weight off by 2e-12 in a set whose laws would pass
+        s = enumerate_scenarios(market_k3)
+        weights = s.weights.copy()
+        weights[5] += 2e-12
+        with pytest.raises(ValueError, match="sum to 1"):
+            ScenarioSet(s.draws, weights, "given")
+        assert ScenarioSet(s.draws, s.weights.copy(), "given").n == 8
 
 
 class TestExactSetMemory:

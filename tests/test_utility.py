@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from apmopt import (GrowthBounds, Utility, appendix_power, certify_growth,
                     eval_u, eval_u_prime, eval_u_second, tabulated)
+from apmopt.utility import _CHUNK as CHUNK
 from conftest import scaled_utility
 
 
@@ -130,6 +133,48 @@ class TestLiveBranch:
             for g, ref in zip(got, refs):
                 assert type(g) is float
                 assert np.float64(g).tobytes() == np.float64(ref).tobytes()
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
+    def test_lengths_around_the_chunk_match_where_bit_for_bit(self, n):
+        # edge values at both ends of every chunk, random signs between
+        x = np.random.default_rng(n).standard_normal(n) * 10.0 ** (n % 7)
+        for start in range(0, n, CHUNK):
+            for end in (start, min(start + CHUNK, n) - len(EDGES)):
+                x[end:end + len(EDGES)] = EDGES[:n - end]
+        u = appendix_power(0.37)
+        refs = where_formulas(u.alpha, x)
+        strided = np.stack([x, -x], axis=1)[:, 0]  # x's values, not contiguous
+        for f, ref in zip((eval_u, eval_u_prime, eval_u_second), refs):
+            assert f(u, x).tobytes() == ref.tobytes()
+            assert f(u, strided).tobytes() == ref.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(alpha=st.floats(0.01, 0.99), xs=st.lists(REALS, min_size=1, max_size=60))
+    def test_layouts_match_where_bit_for_bit(self, alpha, xs):
+        # non-contiguous, Fortran-ordered and 3-d inputs read in C order
+        u = appendix_power(alpha)
+        x = np.array((EDGES + xs) * 4)
+        n = x.size // 12 * 12
+        cube = x[:n].reshape(2, 3, -1)
+        for arr in (x[::3], x[1::2][::-1], np.asfortranarray(x[:n].reshape(4, -1)),
+                    cube, cube.transpose(2, 0, 1), cube[:, ::2, 1:]):
+            refs = where_formulas(alpha, np.ascontiguousarray(arr))
+            for f, ref in zip((eval_u, eval_u_prime, eval_u_second), refs):
+                got = f(u, arr)
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    def test_no_full_size_temporaries(self):
+        # the output plus a few chunks, never a second array of x's size
+        u = appendix_power(0.5)
+        x = np.random.default_rng(0).standard_normal(1 << 19)
+        for f in (eval_u, eval_u_prime, eval_u_second):
+            tracemalloc.start()
+            try:
+                out = f(u, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= out.nbytes + 4 * CHUNK * 8
 
 
 class TestShape:
