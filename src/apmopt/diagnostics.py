@@ -93,21 +93,24 @@ def _strategy_sums(s: ScenarioSet, phis: np.ndarray, shift: np.ndarray,
 
 def _row_payoffs(s: ScenarioSet, phis: np.ndarray, shift: np.ndarray):
     """(Y, w) per block of ROW_BLOCK rows of s, in order: the payoffs of a
-    block from one gemm, which reduces over the K columns alone, and the
-    block's weights.  A short last block is padded with zero rows to a
-    power of two, like ROW_BLOCK: OpenBLAS splits a threaded product over
-    the scenario rows, and a ragged row count (4095, say) splits unevenly
-    and changes the last bits, while 2 threads split every power of two
-    tested (1 to 4096 rows, K <= 96) without.
+    block from one gemm, which reduces over the K coordinates alone, and the
+    block's weights.  The block is centred into a C-ordered (k, rows)
+    buffer, one contiguous row per coordinate, which a column-major sample
+    fills from contiguous columns.  A short last block is padded with zero
+    columns to a power of two, like ROW_BLOCK: OpenBLAS splits a threaded
+    product over the scenarios, and a ragged count (4095, say) splits
+    unevenly and changes the last bits, while 2 threads split every power
+    of two tested (1 to 4096 rows, K <= 96) without.
     """
     k = phis.shape[1]
-    X = np.empty((min(ROW_BLOCK, _pow2_ceil(s.n)), k))
+    buf = np.empty(k * min(ROW_BLOCK, _pow2_ceil(s.n)))
     for start in range(0, s.n, ROW_BLOCK):
         count = min(ROW_BLOCK, s.n - start)
         rows = _pow2_ceil(count)
-        np.subtract(s.draws[start:start + count, :k], shift[:k], out=X[:count])
-        X[count:rows] = 0.0
-        yield (phis @ X[:rows].T)[:, :count], s.weights[start:start + count]
+        X = buf[:k * rows].reshape(k, rows)
+        np.subtract(s.draws[start:start + count, :k].T, shift[:k, None], out=X[:, :count])
+        X[:, count:] = 0.0
+        yield (phis @ X)[:, :count], s.weights[start:start + count]
 
 
 def _grid_payoffs(xs, phis: np.ndarray) -> np.ndarray:

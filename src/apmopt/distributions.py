@@ -90,6 +90,8 @@ class DistributionSpec:
             pts = np.asarray(self.points, dtype=float)
             order = np.argsort(pts)
             cum = np.cumsum(np.asarray(self.probs, dtype=float)[order])
+            if len(pts) == 2:  # searchsorted's index is 0 iff u < cum[0]
+                return pts[order][::-1][(u < cum[0]).view(np.uint8)]
             idx = np.searchsorted(cum, u, side="right")
             idx = np.clip(idx, 0, len(pts) - 1)
             return pts[order][idx]

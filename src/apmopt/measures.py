@@ -20,7 +20,8 @@ so the density moments and the pricing residuals, those of
 ``verify_pricing`` and of the Hoelder chain's guard alike, read K support
 sums and no per-row density; ``verify_pricing`` without a set prices the
 exact enumeration from the laws alone.  Sampled sets evaluate the density
-on their rows.
+on their rows once per measure: the set keeps the last measure's density,
+so pricing, the moments and the Hoelder constants share one evaluation.
 """
 
 from __future__ import annotations
@@ -151,12 +152,23 @@ def _support_factors(Q: TiltedMeasure, s: ScenarioSet | None):
     return [(x, p, Q.coordinate_factor(i, x)) for i, (x, p) in enumerate(laws)]
 
 
+def _row_density(Q: TiltedMeasure, s: ScenarioSet) -> np.ndarray:
+    """Q.density on the rows of s, read-only.  s keeps the last one with
+    its Q, and a call for that same Q reads it back: Q is matched by
+    identity, which the kept reference keeps from being reused."""
+    if s._density is None or s._density[0] is not Q:
+        dens = Q.density(s.draws)
+        dens.flags.writeable = False
+        s._density = (Q, dens)
+    return s._density[1]
+
+
 def _density_moments(Q: TiltedMeasure, s: ScenarioSet, exponents, sup) -> dict:
     """{e: E[(dQ/dP)^e]} over s: prod_i E[f_i^e] from the support sums sup
-    = _support_factors(Q, s) on an exact enumeration, else one density
-    over the rows."""
+    = _support_factors(Q, s) on an exact enumeration, else the density
+    over the rows (``_row_density``)."""
     if sup is None:
-        dens = Q.density(s.draws)
+        dens = _row_density(Q, s)
         return {e: expectation(s, dens ** e) for e in exponents}
     return {e: math.prod(math.fsum(p * f ** e) for _, p, f in sup)
             for e in exponents}
@@ -168,7 +180,7 @@ def _coordinate_means(Q: TiltedMeasure, model: MarketModel, s: ScenarioSet,
     from the support sums sup = _support_factors(Q, s) on an exact
     enumeration, else over the rows."""
     if sup is None:
-        return _row_means(model, s, Q.density(s.draws))
+        return _row_means(model, s, _row_density(Q, s))
     mass = [math.fsum(p * f) for _, p, f in sup]
     return np.array([math.fsum(p * f * (x - model.b[i]))
                      * math.prod(mass[:i] + mass[i + 1:])

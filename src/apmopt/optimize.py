@@ -12,8 +12,10 @@ next pass, which reduces X.T a and X.T diag(c) X for the gradient and the
 Hessian.  On an exact enumeration X is never formed: v is the outer sum of
 the K coordinates' centred supports times phi, and both reductions are
 marginal sums over the product of the supports, with no BLAS call, so the
-result does not depend on the BLAS thread count at any K.  Other sets walk
-X in fixed-order blocks of ROW_BLOCK rows, which holds that up to K = 96.
+result does not depend on the BLAS thread count at any K.  Other sets hold
+X transposed, as a C-ordered (K, n) matrix whose rows are the centred
+coordinates, and form v and both reductions in fixed-order blocks of
+scenarios and panels of at most PANEL coordinates, which holds that too.
 -H is positive semidefinite because u'' <= 0 for every utility kind, so
 the shifted system is positive definite; the shift vanishes with g near
 the optimum, where the step is the Newton step, and for a tabulated
@@ -58,12 +60,16 @@ __all__ = [
 # |E[u'(phi X) X]| at which the one-asset bisection stops: rounding level,
 # since the fallback tilt prices its coordinate to about this over E[u'(phi X)]
 SINGLE_ASSET_TOL = 1e-14
-# rows per block of the Newton pass's reductions.  OpenBLAS splits a gemv
-# this short over its K outputs only, so in fixed block order the gradient
-# does not depend on the BLAS thread count; the Hessian's syrk does not
-# either up to K = 96, but at K = 100 or 150 it is threaded with other last
-# bits (tests compare 1 and 2 threads at K <= 96 and a K = 50 report)
+# scenarios per block of the Newton pass's reductions
 ROW_BLOCK = 4096
+# coordinates per panel of those reductions.  On a block, OpenBLAS splits a
+# gemv of up to 96 outputs over the outputs alone, and runs a syrk of up
+# to 96 coordinates in one fixed order, whatever its thread count; wider
+# ones are threaded with other last bits (the gemv at K = 113 or 150, the
+# syrk at K = 100 or 150, say).  A product of two panels splits over its
+# outputs alone.  So in fixed block order the gradient and the Hessian do
+# not depend on the BLAS thread count at any K
+PANEL = 96
 
 
 class OneSidedPayoffError(ValueError):
@@ -162,7 +168,12 @@ class SolverConfig:
 
 
 def _centered(model: MarketModel, s: ScenarioSet, K: int) -> np.ndarray:
-    return s.draws[:, :K] - model.b[:K]
+    """X = eps - b on the first K coordinates, transposed: a C-ordered
+    (K, n) matrix whose row i is coordinate i's centred column, from draws
+    in either memory order (a column-major sample copies contiguously)."""
+    X = np.empty((K, s.n))
+    np.subtract(s.draws[:, :K].T, model.b[:K, None], out=X)
+    return X
 
 
 def _expected_u(u: Utility, w: np.ndarray, v: np.ndarray) -> float:
@@ -172,15 +183,31 @@ def _expected_u(u: Utility, w: np.ndarray, v: np.ndarray) -> float:
     return float(np.sum(uv))
 
 
+def _payoffs(X: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """phi @ X for the (K, n) matrix X, one gemv per block of columns: of
+    ROW_BLOCK columns, then the rest in power-of-two widths.  OpenBLAS
+    splits a threaded gemv of this shape over its columns, and a ragged
+    width (50 001, say) splits unevenly and changes the last bits, while
+    a power of two splits alike over 1 and 2 threads."""
+    n = X.shape[1]
+    v = np.empty(n)
+    start = 0
+    while start < n:
+        width = min(ROW_BLOCK, 1 << ((n - start).bit_length() - 1))
+        np.matmul(phi, X[:, start:start + width], out=v[start:start + width])
+        start += width
+    return v
+
+
 def _objective_at(u: Utility, X: np.ndarray, w: np.ndarray, phi: np.ndarray):
-    """(f, v): the scenario expectation f of u(v) with v = X @ phi, and v
-    for the Newton pass at phi."""
-    v = X @ phi
+    """(f, v): the scenario expectation f of u(v) with v = phi @ X the
+    payoffs of the (K, n) matrix X, and v for the Newton pass at phi."""
+    v = _payoffs(X, phi)
     return _expected_u(u, w, v), v
 
 
 def saa_objective(u: Utility, X: np.ndarray, w: np.ndarray, phi: np.ndarray) -> float:
-    return _objective_at(u, X, w, phi)[0]
+    return _expected_u(u, w, X @ phi)
 
 
 def saa_gradient(u: Utility, X: np.ndarray, w: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -188,21 +215,34 @@ def saa_gradient(u: Utility, X: np.ndarray, w: np.ndarray, phi: np.ndarray) -> n
 
 
 def _row_blocks(X: np.ndarray, a: np.ndarray, c: np.ndarray):
-    """X.T @ a and X.T diag(c) X for c >= 0, accumulated over ROW_BLOCK-row
-    blocks of X in order, so the sums do not depend on the BLAS thread
-    count.  The second is a sum of S_b.T @ S_b with S_b = X_b sqrt(c_b),
-    written into one reused buffer; numpy runs each product as a syrk."""
-    n, K = X.shape
+    """X @ a and X diag(c) X.T for the (K, n) matrix X and c >= 0,
+    accumulated over blocks of ROW_BLOCK columns of X in order, so the sums
+    do not depend on the BLAS thread count.  The second is a sum of
+    S_b @ S_b.T with S_b = X_b sqrt(c_b), written into one reused buffer; a
+    block whose c is all zero adds only zeros there and is skipped.  Both
+    are formed on panels of at most PANEL rows of X_b and S_b: numpy runs a
+    panel's own product with itself as a syrk, and the upper panel pairs'
+    products are mirrored once at the end."""
+    K, n = X.shape
     g = np.zeros(K)
     G = np.zeros((K, K))
     root = np.sqrt(c)
-    buf = np.empty((min(n, ROW_BLOCK), K))
+    buf = np.empty(K * min(n, ROW_BLOCK))
+    panels = [slice(i, i + PANEL) for i in range(0, K, PANEL)]
     for start in range(0, n, ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        Xb = X[rows]
-        S = np.multiply(Xb, root[rows, None], out=buf[:len(Xb)])
-        g += Xb.T @ a[rows]
-        G += S.T @ S
+        cols = slice(start, start + ROW_BLOCK)
+        Xb = X[:, cols]
+        for p in panels:
+            g[p] += Xb[p] @ a[cols]
+        if not c[cols].any():
+            continue
+        S = np.multiply(Xb, root[cols], out=buf[:Xb.size].reshape(Xb.shape))
+        for i, p in enumerate(panels):
+            for q in panels[i:]:
+                G[p, q] += S[p] @ S[q].T
+    for i, p in enumerate(panels):
+        for q in panels[i + 1:]:
+            G[q, p] = G[p, q].T
     return g, G
 
 
@@ -318,8 +358,9 @@ def _damped_newton(step_pass, value, x: np.ndarray, done, max_iter: int,
 
 def _tilt(X: np.ndarray, w: np.ndarray, lam: np.ndarray):
     """L(lam) = log sum_j w_j exp(x_j . lam), max-shifted, and the tilted
-    weights y = w e^{X lam} / sum(w e^{X lam})."""
-    z = X @ lam
+    weights y = w e^{z} / sum(w e^{z}), with z = lam @ X for the (K, n)
+    matrix X."""
+    z = _payoffs(X, lam)
     zmax = float(z.max())
     e = w * np.exp(z - zmax)
     total = float(np.sum(e))
@@ -327,8 +368,8 @@ def _tilt(X: np.ndarray, w: np.ndarray, lam: np.ndarray):
 
 
 def _no_arbitrage_certificate(X: np.ndarray, w: np.ndarray) -> bool:
-    """True if no phi with ||phi||_inf <= 1 and X @ phi >= 0 reaches 1e-9
-    on any row.
+    """True if no phi with ||phi||_inf <= 1 and phi @ X >= 0 reaches 1e-9
+    on any column of the (K, n) matrix X, that is, on any scenario.
 
     Minimizes the convex L(lam) = log sum_j w_j exp(x_j . lam) (Rogers
     1994) from lam = 0 by running the solver's loop on -L, with gradient
@@ -353,7 +394,7 @@ def _no_arbitrage_certificate(X: np.ndarray, w: np.ndarray) -> bool:
         return float(np.abs(g).sum()) < 1e-9 * float(y.min())
 
     _, _, g, y, _ = _damped_newton(rogers_pass, neg_log_mass,
-                                   np.zeros(X.shape[1]), bound_small,
+                                   np.zeros(X.shape[0]), bound_small,
                                    max_iter=49, slack=1e-14)  # <= 50 passes
     return bound_small(g, y)
 
@@ -490,7 +531,7 @@ def detect_unbounded(model: MarketModel, s: ScenarioSet,
                 phi = np.zeros(K)
                 phi[i] = 1.0 if x.max() > 0 else -1.0
                 # the rows' payoffs under +-e_i are coordinate i's points
-                if _pays_off(x[:, None], phi[i:i + 1]):
+                if _pays_off(x[None, :], phi[i:i + 1]):
                     return True, phi
         return False, None
     X_all = _centered(model, s, K)
@@ -499,7 +540,7 @@ def detect_unbounded(model: MarketModel, s: ScenarioSet,
     # imported here so that apmopt loads scipy only for this fallback
     from scipy.optimize import linprog
 
-    X = X_all[:direction_budget]
+    X = X_all[:, :direction_budget].T
     res = linprog(-X.sum(axis=0), A_ub=-X, b_ub=np.zeros(X.shape[0]),
                   bounds=[(-1.0, 1.0)] * K, method="highs")
     if res.status == 0 and _pays_off(X_all, res.x):
@@ -508,6 +549,7 @@ def detect_unbounded(model: MarketModel, s: ScenarioSet,
 
 
 def _pays_off(X: np.ndarray, phi: np.ndarray) -> bool:
-    """X @ phi is >= 0 on every row (to -1e-12) and > 1e-9 on some."""
-    vals = X @ phi
+    """phi @ X is >= 0 on every column of the (K, n) matrix X (to -1e-12)
+    and > 1e-9 on some."""
+    vals = _payoffs(X, phi)
     return bool(vals.min() >= -1e-12 and vals.max() > 1e-9)

@@ -5,7 +5,9 @@ An exact enumeration is the product of the K coordinate laws and keeps
 those laws, not its rows: every library path reads it in product form, and
 its (n, K) rows are built only when a caller reads ``draws``.  Monte Carlo
 rows are a pure function of (seed, row index), so results never depend on
-how the work is chunked across workers.
+how the work is chunked across workers; a sampled set stores them
+column-major, one contiguous array per noise coordinate, which is the
+layout the solver's and the verification layer's row walks read.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ class EnumerationCapError(RuntimeError):
 class ScenarioSet:
     """Scenario rows and their weights (nonnegative, summing to 1).
 
-    ``ScenarioSet(draws, weights, provenance)`` holds its (n, K) rows.  An
+    ``ScenarioSet(draws, weights, provenance)`` holds its (n, K) rows, in
+    either memory order; ``sample_scenarios`` gives them column-major.  An
     exact enumeration (``enumerate_scenarios``) holds its K coordinate laws
     instead, as (points, probs) pairs: its rows are their product, last
     coordinate fastest, with product weights, and ``draws`` builds them on
@@ -68,6 +71,7 @@ class ScenarioSet:
             raise ValueError("weights must sum to 1")
         self.weights = weights
         self.provenance = provenance
+        self._density = None  # (Q, dQ/dP on the rows): measures' memo
 
     @property
     def draws(self) -> np.ndarray:
@@ -103,19 +107,21 @@ def sample_scenarios(model: MarketModel, n: int, seed: int) -> ScenarioSet:
 
     Row j is a deterministic function of (seed, j): uniforms come from a
     Philox stream keyed by (seed, j // block) and each row consumes exactly
-    K draws, so any partition of [0, n) reproduces the same rows.
+    K draws, so any partition of [0, n) reproduces the same rows.  The rows
+    are stored column-major: ``draws`` is the transpose of a C-ordered
+    (K, n) array, filled one contiguous coordinate at a time.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     K = model.K
-    out = np.empty((n, K))
+    cols = np.empty((K, n))
     for start in range(0, n, _BLOCK):
         count = min(_BLOCK, n - start)
         u = _uniform_block(seed, start // _BLOCK, count, K)
         for k, dist in enumerate(model.noise):
-            out[start:start + count, k] = dist.ppf(u[:, k])
+            cols[k, start:start + count] = dist.ppf(u[:, k])
     weights = np.full(n, 1.0 / n)
-    return ScenarioSet(out, weights, f"monte_carlo(seed={seed}, n={n})")
+    return ScenarioSet(cols.T, weights, f"monte_carlo(seed={seed}, n={n})")
 
 
 def _enumerable(model: MarketModel) -> None:

@@ -28,6 +28,18 @@ def scaled_utility(u, factor):
     return tabulated(xs, factor * eval_u(u, xs))
 
 
+def searchsorted_ppf(dist, u):
+    """The inverse CDF by searchsorted on every law's cumulative
+    probabilities, a reference for DistributionSpec.ppf: discrete laws
+    and the standardized uniform."""
+    if not dist.is_discrete:
+        return (2.0 * u - 1.0) * np.sqrt(3.0)
+    pts = np.asarray(dist.points)
+    order = np.argsort(pts)
+    cum = np.cumsum(np.asarray(dist.probs)[order])
+    return pts[order][np.clip(np.searchsorted(cum, u, side="right"), 0, len(pts) - 1)]
+
+
 def stdout_per_blas_thread_count(code):
     """The stdout of `python -c code`, with src/ on the path, under
     OPENBLAS_NUM_THREADS=1 and =2."""

@@ -416,6 +416,13 @@ class TestRunShape:
         assert counts["build_tilted_measure"] == 1
         assert counts["verify_pricing"] == 1
         assert counts["density"] == 0  # exact sets build it in product form
+        # a sampled set evaluates the density once, for pricing, the
+        # moments and the Hoelder constants alike
+        config = tmp_path / "mc.json"
+        config.write_text(json.dumps(dict(DEMO, scenario=MC_LADDER["scenario"])))
+        code, out = run("report", config, tmp_path)
+        assert code == 0 and "holder" in json.loads((out / "report.json").read_text())
+        assert counts["density"] == 1
 
     def test_ladder_uses_scenarios_flag(self, tmp_path, monkeypatch):
         p = tmp_path / "mc.json"

@@ -169,9 +169,10 @@ class TestStrategySums:
     def test_identical_across_blas_thread_counts(self):
         # the payoffs and their sums: every block's gemm has ROW_BLOCK
         # columns; unpadded, a ragged last block (ROW_BLOCK - 1 columns,
-        # say) is threaded with other last bits.  Then an exact K = 19
-        # set's exp-moment and Hoelder checks, whose product walk makes no
-        # BLAS call
+        # say) is threaded with other last bits.  The rows are C-ordered
+        # (a ScenarioSet of a matrix) and column-major (a sample).  Then an
+        # exact K = 19 set's exp-moment and Hoelder checks, whose product
+        # walk makes no BLAS call
         code = ("import hashlib, json, numpy as np\n"
                 "from apmopt import *\n"
                 "from apmopt import diagnostics, optimize\n"
@@ -179,14 +180,18 @@ class TestStrategySums:
                 "    for K in (3, 19, 50):\n"
                 "        gen = np.random.Generator(np.random.Philox(key=K))\n"
                 "        draws = gen.standard_normal((n, K))\n"
-                "        s = ScenarioSet(draws, np.full(n, 1.0 / n), 'test')\n"
+                "        model = build_market(1, K, [0.1] * K, [[0.0]] * (K - 1), [1.0] * K,\n"
+                "                             standardized_uniform())\n"
+                "        sampled = sample_scenarios(model, n, K)\n"
+                "        assert sampled.draws.flags.f_contiguous\n"
                 "        phis = gen.uniform(-1.0, 1.0, (25, K))\n"
-                "        h = hashlib.sha256()\n"
-                "        def values(y):\n"
-                "            h.update(y.tobytes())\n"
-                "            return (y,)\n"
-                "        h.update(diagnostics._strategy_sums(s, phis, draws[0], values))\n"
-                "        print(n, K, h.hexdigest())\n"
+                "        for s in (ScenarioSet(draws, np.full(n, 1.0 / n), 'test'), sampled):\n"
+                "            h = hashlib.sha256()\n"
+                "            def values(y):\n"
+                "                h.update(y.tobytes())\n"
+                "                return (y,)\n"
+                "            h.update(diagnostics._strategy_sums(s, phis, draws[0], values))\n"
+                "            print(n, K, s.provenance, h.hexdigest())\n"
                 "K = 19\n"
                 "model = build_market(1, K, [-0.4 / i for i in range(1, K + 1)],\n"
                 "                     [[0.0]] * (K - 1), [1.0] * K, rademacher())\n"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from apmopt import (dyadic_two_sided, estimate_exp_moment, finite_discrete,
                     rademacher, standardized_two_point, standardized_uniform,
                     tail_probability, truncated_second_moment)
+from conftest import searchsorted_ppf
 
 
 def exact_mean_var(dist):
@@ -131,6 +132,17 @@ class TestSampling:
         vals = d.ppf(u)
         frac_up = (vals == max(d.points)).mean()
         assert frac_up == pytest.approx(p, abs=2e-3)
+
+    @pytest.mark.parametrize("d", [rademacher(), standardized_two_point(0.3)])
+    def test_two_point_ppf_matches_searchsorted(self, d):
+        # one comparison against the first cumulative probability picks
+        # the point that searchsorted picks, at that probability and below
+        lo, hi = sorted(d.points)
+        cum0 = d.probs[d.points.index(lo)]
+        u = np.array([cum0, np.nextafter(cum0, 0.0), 0.0, 1.0 - 2.0 ** -53])
+        vals = d.ppf(u)
+        assert vals.tolist() == [hi, lo, lo, hi]
+        assert vals.tobytes() == searchsorted_ppf(d, u).tobytes()
 
     def test_uniform_ppf_range(self):
         d = standardized_uniform()

@@ -261,14 +261,46 @@ class TestRowBlocks:
            st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
     def test_matches_whole_array_products(self, n, K, seed):
         gen = np.random.Generator(np.random.Philox(key=seed))
-        X = gen.standard_normal((n, K))
+        X = gen.standard_normal((K, n))
         a = gen.standard_normal(n)
         c = gen.uniform(0.0, 2.0, n) * (gen.random(n) < 0.9)  # some zeros
         g, G = optimize._row_blocks(X, a, c)
         # bounds on the rounding of either summation order
-        assert np.all(np.abs(g - X.T @ a) <= 1e-12 * (np.abs(X).T @ np.abs(a)))
-        assert np.all(np.abs(G - (X.T * c) @ X) <= 1e-12 * ((np.abs(X).T * c) @ np.abs(X)))
+        assert np.all(np.abs(g - X @ a) <= 1e-12 * (np.abs(X) @ np.abs(a)))
+        assert np.all(np.abs(G - (X * c) @ X.T) <= 1e-12 * ((np.abs(X) * c) @ np.abs(X).T))
         assert np.array_equal(G, G.T)
+
+    @staticmethod
+    def unskipped_row_blocks(X, a, c):
+        """The kernel's loop without its zero-curvature skip, on one panel."""
+        K, n = X.shape
+        g, G = np.zeros(K), np.zeros((K, K))
+        root = np.sqrt(c)
+        for start in range(0, n, optimize.ROW_BLOCK):
+            cols = slice(start, start + optimize.ROW_BLOCK)
+            S = np.ascontiguousarray(X[:, cols] * root[cols])
+            g += X[:, cols] @ a[cols]
+            G += S @ S.T
+        return g, G
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 5 * optimize.ROW_BLOCK), st.integers(1, optimize.PANEL),
+           st.integers(0, 2 ** 32 - 1))
+    def test_zero_curvature_blocks_add_nothing(self, n, K, seed):
+        # c vanishes on whole blocks (the first pass of a ladder level has
+        # c = 0 everywhere): skipping their syrk keeps every bit
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        X = gen.standard_normal((K, n))
+        a = gen.standard_normal(n)
+        c = gen.uniform(0.0, 2.0, n) * (gen.random(n) < 0.9)  # some zeros
+        blocks = -(-n // optimize.ROW_BLOCK)
+        for b in gen.choice(blocks, gen.integers(0, blocks + 1), replace=False):
+            c[b * optimize.ROW_BLOCK:(b + 1) * optimize.ROW_BLOCK] = 0.0
+        g, G = optimize._row_blocks(X, a, c)
+        g0, G0 = self.unskipped_row_blocks(X, a, c)
+        assert np.array_equal(g, g0) and np.array_equal(G, G0)
+        g, G = optimize._row_blocks(X, a, np.zeros(n))
+        assert np.array_equal(g, g0) and not G.any()
 
     @staticmethod
     def hashes_per_thread_count(Ks):
@@ -276,16 +308,19 @@ class TestRowBlocks:
                 "from apmopt import optimize\n"
                 f"for K in {tuple(Ks)}:\n"
                 "    gen = np.random.Generator(np.random.Philox(key=K))\n"
-                "    X = gen.standard_normal((3 * optimize.ROW_BLOCK + 17, K))\n"
-                "    g, G = optimize._row_blocks(X, X[:, 0], np.abs(X[:, -1]))\n"
-                "    print(K, hashlib.sha256(g.tobytes() + G.tobytes()).hexdigest())\n")
+                "    X = gen.standard_normal((K, 3 * optimize.ROW_BLOCK + 17))\n"
+                "    g, G = optimize._row_blocks(X, X[0], np.abs(X[-1]))\n"
+                "    v = optimize._payoffs(X, X[:, 0])\n"
+                "    print(K, hashlib.sha256(g.tobytes() + G.tobytes() + v.tobytes()).hexdigest())\n")
         return stdout_per_blas_thread_count(code)
 
     def test_identical_across_blas_thread_counts(self):
-        # the blocks keep the gradient's gemv unthreaded-equivalent; the
-        # Hessian's syrk is fixed-order up to K = 96 on OpenBLAS (threaded
-        # at K = 100 or 150, its last bits move with the thread count)
-        one, two = self.hashes_per_thread_count((1, 19, 50, 96))
+        # the panels keep each block's gemv and syrk at most PANEL = 96
+        # wide: OpenBLAS threads wider ones (K = 113 or 150, K = 100 or
+        # 150) with other last bits.  The payoffs' gemv blocks have
+        # power-of-two widths: a ragged one (n = 3 ROW_BLOCK + 17) is
+        # threaded with other last bits
+        one, two = self.hashes_per_thread_count((1, 19, 50, 96, 100, 150))
         assert one == two
 
 
@@ -395,6 +430,12 @@ class TestProductPass:
         monkeypatch.setattr(optimize, "_centered", mock.Mock(side_effect=AssertionError))
         assert optimize_truncated(market_k3, appendix_power(0.5), 2, s).converged
         assert detect_unbounded(market_k3, s) == (False, None)
+        # the mock guards the path that sampled sets take
+        sampled = sample_scenarios(market_k3, 100, seed=1)
+        with pytest.raises(AssertionError):
+            optimize_truncated(market_k3, appendix_power(0.5), 2, sampled)
+        with pytest.raises(AssertionError):
+            detect_unbounded(market_k3, sampled)
         model = rademacher_market([-1.0, 0.0])
         found, phi = detect_unbounded(model, enumerate_scenarios(model))
         assert found and phi.tolist() == [1.0, 0.0]
@@ -608,7 +649,7 @@ class TestDetectUnbounded:
         model, s = case
         X = s.draws - model.b
         lp_found = lp_finds_witness(X)
-        if optimize._no_arbitrage_certificate(X, s.weights):
+        if optimize._no_arbitrage_certificate(np.ascontiguousarray(X.T), s.weights):
             assert not lp_found
         found, phi = detect_unbounded(model, s)
         assert found == lp_found

@@ -16,7 +16,7 @@ from apmopt import (EnumerationCapError, GrowthBounds, ScenarioSet, SolverConfig
                     standardized_uniform, verify_pricing)
 from apmopt import diagnostics
 from apmopt.scenarios import _BLOCK
-from conftest import rademacher_market
+from conftest import rademacher_market, searchsorted_ppf
 
 
 class TestEnumeration:
@@ -246,6 +246,27 @@ class TestSampling:
         a = sample_scenarios(market_k3, 3 * _BLOCK + 17, seed=9)
         b = sample_scenarios(market_k3, _BLOCK + 5, seed=9)
         assert np.array_equal(a.draws[: _BLOCK + 5], b.draws)
+
+    def test_rows_match_the_row_major_sampler(self):
+        # the column-major sampler against a reference that fills C-ordered
+        # rows from one C-ordered uniform block per _BLOCK rows and maps
+        # every column by searchsorted
+        noise = [rademacher(), standardized_two_point(0.3),
+                 finite_discrete((1.0, -2.0, 0.0), (1 / 3, 1 / 6, 1 / 2)),
+                 standardized_uniform()]
+        model = build_market(1, 4, mu=[0.1, 0.05, -0.2, 0.3], beta=[[0.0]] * 3,
+                             beta_bar=[1.0] * 4, noise=noise)
+        n, seed = 2 * _BLOCK + 5, 17
+        ref = np.empty((n, 4))
+        for start in range(0, n, _BLOCK):
+            count = min(_BLOCK, n - start)
+            gen = np.random.Generator(np.random.Philox(key=(seed << 64) | start // _BLOCK))
+            u = gen.random((count, 4))
+            for k, dist in enumerate(noise):
+                ref[start:start + count, k] = searchsorted_ppf(dist, u[:, k])
+        s = sample_scenarios(model, n, seed)
+        assert s.draws.shape == (n, 4) and s.draws.flags.f_contiguous
+        assert s.draws.tobytes() == ref.tobytes()
 
     def test_seed_changes_rows(self, market_k3):
         a = sample_scenarios(market_k3, 100, seed=1)
