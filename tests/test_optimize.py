@@ -316,10 +316,10 @@ class TestRowBlocks:
 
     def test_identical_across_blas_thread_counts(self):
         # the panels keep each block's gemv and syrk at most PANEL = 96
-        # wide: OpenBLAS threads wider ones (K = 113 or 150, K = 100 or
-        # 150) with other last bits.  The payoffs' gemv blocks have
-        # power-of-two widths: a ragged one (n = 3 ROW_BLOCK + 17) is
-        # threaded with other last bits
+        # wide: OpenBLAS threads wider ones (the gemv at K = 113 or 150,
+        # the syrk at K = 100 or 150) with other last bits.  The payoffs'
+        # gemv blocks have power-of-two widths: a ragged one (n =
+        # 3 ROW_BLOCK + 17) is threaded with other last bits
         one, two = self.hashes_per_thread_count((1, 19, 50, 96, 100, 150))
         assert one == two
 
