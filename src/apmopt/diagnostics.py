@@ -80,7 +80,7 @@ def _strategy_sums(s: ScenarioSet, phis: np.ndarray, shift: np.ndarray,
     ``_row_payoffs``, whose gemm blocks split alike over 1 and 2 BLAS
     threads; so the sums do not depend on the BLAS thread count.
     """
-    walk = _product_payoffs if s._laws is not None else _row_payoffs
+    walk = _product_payoffs if s.is_exact else _row_payoffs
     blocks = []
     for y, w in walk(s, phis, shift):
         sums = []
@@ -242,10 +242,11 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
     splits one evaluation of u(Y) there into u(Y+) and u(-Y-), with
     Y+ = max(Y, 0) and -Y- = Y - Y+ (``_split_u``).  Requires growth
     bounds on u, and reports whether they hold as ``growth_certified``;
-    on an exact set the measure must price every asset to 1e-10.  On an
-    exact enumeration of Q's market that guard and the moments behind C'
-    and C'' are products of the K coordinates' support sums, and no
-    per-row density is built; on other sets the density is built once.
+    on an exact set the measure must price every asset to 1e-10.  There
+    that guard, the moments behind C' and C'' and the walk all read the
+    set's own laws: the guard and the moments are products of the K
+    coordinates' support sums, and no per-row density is built; on a row
+    set the density is built once.
     """
     if not u.certified:
         raise ValueError("utility carries no growth certificate; refusing")

@@ -13,15 +13,15 @@ Both factors are strictly positive, so the product measure is equivalent
 to the physical one and prices every asset to zero.  Payoffs are linear in
 eps - b, so pricing is checked through the K tilted means E_Q[eps_i - b_i].
 
-On an exact enumeration every expectation of a product of per-coordinate
-functions factorises: E_Q[eps_i - b_i] = E[f_i (eps_i - b_i)] prod_{j != i}
-E[f_j] and E[(dQ/dP)^e] = prod_i E[f_i^e], with f_i coordinate i's factor,
-so the density moments and the pricing residuals, those of
-``verify_pricing`` and of the Hoelder chain's guard alike, read K support
-sums and no per-row density; ``verify_pricing`` without a set prices the
-exact enumeration from the laws alone.  Sampled sets evaluate the density
-on their rows once per measure: the set keeps the last measure's density,
-so pricing, the moments and the Hoelder constants share one evaluation.
+On an exact set every expectation of a product of per-coordinate functions
+factorises: E_Q[eps_i - b_i] = E[f_i (eps_i - b_i)] prod_{j != i} E[f_j]
+and E[(dQ/dP)^e] = prod_i E[f_i^e], with f_i coordinate i's factor, so the
+density moments and the pricing residuals, those of ``verify_pricing`` and
+of the Hoelder chain's guard alike, read K support sums over the set's own
+laws and no per-row density; ``verify_pricing`` without a set prices from
+the laws of Q's market alone.  Row sets evaluate the density on their rows
+once per measure: the set keeps the last measure's density, so pricing,
+the moments and the Hoelder constants share one evaluation.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .distributions import DistributionSpec, tail_probability
 from .market import ArbitrageError, FactorStrategy, MarketModel, check_no_arbitrage
 from .optimize import DiscretePayoff, _bisect, optimize_single_asset
-from .scenarios import ScenarioSet, _exact_laws, expectation
+from .scenarios import ScenarioSet, _enumerable, expectation
 from .utility import appendix_power, eval_u_prime
 
 __all__ = [
@@ -140,16 +140,21 @@ class TiltedMeasure:
 
 
 def _support_factors(Q: TiltedMeasure, s: ScenarioSet | None):
-    """On an exact enumeration of Q's market (s = None stands for it, see
-    ``scenarios._exact_laws``), [(x_i, p_i, f_i)] per coordinate: its law's
-    support points, their probabilities and the density factor there; None
-    on any other set.  Every expectation of a product of per-coordinate
-    functions over that set is the product of K support sums.
+    """On an exact set s, [(x_i, p_i, f_i)] for each of the K coordinates
+    of Q's market: s's own law's support points, their probabilities and
+    the density factor there; None on a row set.  s = None stands for the
+    laws of Q's market (``scenarios._enumerable``).  Every expectation of a
+    product of per-coordinate functions over the set is the product of K
+    support sums.
     """
-    laws = _exact_laws(Q.model, s)
+    laws = _enumerable(Q.model) if s is None else s._laws
     if laws is None:
         return None
-    return [(x, p, Q.coordinate_factor(i, x)) for i, (x, p) in enumerate(laws)]
+    if len(laws) < Q.model.K:
+        raise ValueError(f"scenario set has {len(laws)} coordinates; "
+                         f"the measure's market has K={Q.model.K}")
+    return [(x, p, Q.coordinate_factor(i, x))
+            for i, (x, p) in enumerate(laws[:Q.model.K])]
 
 
 def _row_density(Q: TiltedMeasure, s: ScenarioSet) -> np.ndarray:
@@ -165,8 +170,8 @@ def _row_density(Q: TiltedMeasure, s: ScenarioSet) -> np.ndarray:
 
 def _density_moments(Q: TiltedMeasure, s: ScenarioSet, exponents, sup) -> dict:
     """{e: E[(dQ/dP)^e]} over s: prod_i E[f_i^e] from the support sums sup
-    = _support_factors(Q, s) on an exact enumeration, else the density
-    over the rows (``_row_density``)."""
+    = _support_factors(Q, s) on an exact set, else the density over the
+    rows (``_row_density``)."""
     if sup is None:
         dens = _row_density(Q, s)
         return {e: expectation(s, dens ** e) for e in exponents}
@@ -177,8 +182,8 @@ def _density_moments(Q: TiltedMeasure, s: ScenarioSet, exponents, sup) -> dict:
 def _coordinate_means(Q: TiltedMeasure, model: MarketModel, s: ScenarioSet,
                       sup) -> np.ndarray:
     """E_Q[eps_i - b_i] over s: E[f_i (eps_i - b_i)] prod_{j != i} E[f_j]
-    from the support sums sup = _support_factors(Q, s) on an exact
-    enumeration, else over the rows."""
+    from the support sums sup = _support_factors(Q, s) on an exact set,
+    else over the rows."""
     if sup is None:
         return _row_means(model, s, _row_density(Q, s))
     mass = [math.fsum(p * f) for _, p, f in sup]
@@ -261,10 +266,10 @@ def verify_pricing(Q: TiltedMeasure, model: MarketModel,
                    s: ScenarioSet | None = None) -> dict:
     """Residuals of E_Q[R_i] for every asset and E_Q[V(phi)] for the given
     strategies, priced from the coordinate means E_Q[eps_i - b_i] on s:
-    K support sums on an exact enumeration, else the rows.  Without s,
-    the set is the exact enumeration of Q's market, whose rows are never
-    built; a market that ``enumerate_scenarios`` refuses raises its
-    EnumerationCapError."""
+    K support sums over its own laws on an exact set, else the rows.
+    Without s, the sums run over the laws of Q's market, as on its exact
+    enumeration, which is never built; a market that
+    ``enumerate_scenarios`` refuses raises its EnumerationCapError."""
     return _residuals(model, _coordinate_means(Q, model, s, _support_factors(Q, s)),
                       strategies)
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .distributions import DistributionSpec
 from .market import ArbitrageError, MarketModel, check_no_arbitrage
-from .scenarios import ScenarioSet, _exact_laws, _product_weights, enumerate_scenarios
+from .scenarios import ScenarioSet, _product_weights, enumerate_scenarios
 from .utility import Utility, eval_u, eval_u_prime, eval_u_second
 
 __all__ = [
@@ -163,8 +163,12 @@ class SolverConfig:
     ladder: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
+        if any(b <= a for a, b in zip(self.ladder, self.ladder[1:])):
+            raise ValueError(f"ladder levels {list(self.ladder)} must be strictly increasing")
 
 
 def _centered(model: MarketModel, s: ScenarioSet, K: int) -> np.ndarray:
@@ -197,13 +201,6 @@ def _payoffs(X: np.ndarray, phi: np.ndarray) -> np.ndarray:
         np.matmul(phi, X[:, start:start + width], out=v[start:start + width])
         start += width
     return v
-
-
-def _objective_at(u: Utility, X: np.ndarray, w: np.ndarray, phi: np.ndarray):
-    """(f, v): the scenario expectation f of u(v) with v = phi @ X the
-    payoffs of the (K, n) matrix X, and v for the Newton pass at phi."""
-    v = _payoffs(X, phi)
-    return _expected_u(u, w, v), v
 
 
 def saa_objective(u: Utility, X: np.ndarray, w: np.ndarray, phi: np.ndarray) -> float:
@@ -415,9 +412,9 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
 
     The scenario set must cover at least K coordinates of the model's
     noise; extra columns are ignored (marginalization keeps exactness).
-    On the model's exact enumeration the solve runs in product form over
-    the first K coordinates' supports: the level's grid points, weighted by
-    the product of their K laws' probabilities, stand for the duplicated
+    On an exact set the solve runs in product form over the first K of the
+    set's own laws' supports: the level's grid points, weighted by
+    the product of those K laws' probabilities, stand for the duplicated
     rows, and no centred copy of the draws is made.
     """
     cfg = cfg or SolverConfig()
@@ -430,25 +427,24 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
         raise ArbitrageError(
             f"no-arbitrage condition fails at coordinates {flagged}"
         )
-    laws = _exact_laws(model, s)
-    if laws is None:
+    if s.is_exact:
+        xs = [x - b for (x, _), b in zip(s._laws[:K], model.b)]
+        # at K = s.K the level's weights are s's own
+        w = s.weights if K == s.K else _product_weights([p for _, p in s._laws[:K]])
+        # v lives in buf until the next call; _damped_newton passes on only
+        # the line search's last trial, so one buffer serves
+        buf = np.empty(w.size)
+        payoffs = lambda p: _outer_sum(xs, p, buf)
+        blocks = lambda a, c: _product_blocks(xs, a, c)
+    else:
         X = _centered(model, s, K)
         w = s.weights
+        payoffs = lambda p: _payoffs(X, p)
         blocks = lambda a, c: _row_blocks(X, a, c)
-        value = lambda p: _objective_at(u, X, w, p)
-    else:
-        xs = [x - b for (x, _), b in zip(laws[:K], model.b)]
-        # at K = model.K the level's weights are s's own
-        w = (s.weights if K == model.K
-             else _product_weights([p for _, p in laws[:K]]))
-        buf = np.empty(w.size)
-        blocks = lambda a, c: _product_blocks(xs, a, c)
 
-        def value(p):
-            # v lives in buf until the next call; _damped_newton passes on
-            # only the line search's last trial, so one buffer serves
-            v = _outer_sum(xs, p, buf)
-            return _expected_u(u, w, v), v
+    def value(p):
+        v = payoffs(p)
+        return _expected_u(u, w, v), v
     phi, f, g, _, it = _damped_newton(
         lambda v: _newton_pass(u, blocks, w, v), value,
         np.zeros(K), lambda g, _: float(np.linalg.norm(g)) <= cfg.grad_tol,
@@ -509,8 +505,9 @@ def detect_unbounded(model: MarketModel, s: ScenarioSet,
 
     * exact product sets: min over rows of V(phi) is sum_i min_j phi_i x_ij,
       so an arbitrage exists iff some coordinate's centred support points
-      eps_i - b_i share one sign and are not all zero, and then +-e_i is a
-      witness.  Zero-weight support points count as rows.
+      eps_i - b_i, read from the set's own laws, share one sign and are
+      not all zero, and then +-e_i is a witness.  Zero-weight support
+      points count as rows.
     * sampled sets with every weight > 0: a Rogers certificate (see
       ``_no_arbitrage_certificate``) proves that no direction in the box
       ||phi||_inf <= 1 reaches 1e-9 on any row while staying >= 0 on all.
@@ -523,9 +520,10 @@ def detect_unbounded(model: MarketModel, s: ScenarioSet,
     scenario budget.
     """
     K = model.K
-    laws = _exact_laws(model, s)
-    if laws is not None:
-        for i, (pts, _) in enumerate(laws):
+    if s.K < K:
+        raise ValueError(f"scenario set has {s.K} coordinates; the market has K={K}")
+    if s.is_exact:
+        for i, (pts, _) in enumerate(s._laws[:K]):
             x = pts - model.b[i]
             if (x.min() >= 0 or x.max() <= 0) and x.any():
                 phi = np.zeros(K)

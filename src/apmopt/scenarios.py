@@ -2,12 +2,15 @@
 
 Every expectation in the library is a weighted sum over a ScenarioSet.
 An exact enumeration is the product of the K coordinate laws and keeps
-those laws, not its rows: every library path reads it in product form, and
-its (n, K) rows are built only when a caller reads ``draws``.  Monte Carlo
-rows are a pure function of (seed, row index), so results never depend on
-how the work is chunked across workers; a sampled set stores them
-column-major, one contiguous array per noise coordinate, which is the
-layout the solver's and the verification layer's row walks read.
+those laws, not its rows.  Holding laws is the one test for an exact set:
+every library path reads such a set in product form through its own laws,
+whichever market it is paired with, and its (n, K) rows are built only
+when a caller reads ``draws``.  A set built from rows is a row set, read
+row by row, whatever its ``provenance``, which only labels the report.
+Monte Carlo rows are a pure function of (seed, row index), so results
+never depend on how the work is chunked across workers; a sampled set
+stores them column-major, one contiguous array per noise coordinate, which
+is the layout the solver's and the verification layer's row walks read.
 """
 
 from __future__ import annotations
@@ -93,7 +96,8 @@ class ScenarioSet:
 
     @property
     def is_exact(self) -> bool:
-        return self.provenance == "exact_enumeration"
+        """The set holds its coordinate laws: an exact enumeration."""
+        return self._laws is not None
 
 
 def _uniform_block(seed: int, block: int, count: int, K: int) -> np.ndarray:
@@ -124,9 +128,10 @@ def sample_scenarios(model: MarketModel, n: int, seed: int) -> ScenarioSet:
     return ScenarioSet(cols.T, weights, f"monte_carlo(seed={seed}, n={n})")
 
 
-def _enumerable(model: MarketModel) -> None:
-    """Raise EnumerationCapError for a law that is not finite-discrete or a
-    joint support over the cap."""
+def _enumerable(model: MarketModel):
+    """model's K coordinate laws as (points, probs) arrays; raise
+    EnumerationCapError for a law that is not finite-discrete or a joint
+    support over the cap."""
     for dist in model.noise:
         if not dist.is_discrete:
             raise EnumerationCapError(
@@ -136,6 +141,8 @@ def _enumerable(model: MarketModel) -> None:
     if total > ENUMERATION_CAP:
         raise EnumerationCapError(f"joint support has {total} scenarios "
                                   f"(> cap {ENUMERATION_CAP}); use Monte Carlo")
+    return [(np.asarray(d.points, dtype=float), np.asarray(d.probs, dtype=float))
+            for d in model.noise]
 
 
 def _product_weights(probs) -> np.ndarray:
@@ -143,35 +150,10 @@ def _product_weights(probs) -> np.ndarray:
     return functools.reduce(np.multiply.outer, probs).ravel()
 
 
-def _model_laws(model: MarketModel):
-    return [(np.asarray(d.points, dtype=float), np.asarray(d.probs, dtype=float))
-            for d in model.noise]
-
-
-def _exact_laws(model: MarketModel, s: ScenarioSet | None):
-    """[(points, probs)] of model's K laws if s is model's exact
-    enumeration, else None.  s = None stands for that enumeration, after
-    enumerate_scenarios' checks, without building its rows.
-
-    s qualifies only if it holds laws equal to the model's, points and
-    probabilities alike: the rows of an enumeration of another market, or
-    rows given as a matrix, are read as rows.
-    """
-    laws = _model_laws(model)
-    if s is None:
-        _enumerable(model)
-    elif s._laws is None or len(s._laws) != len(laws) or not all(
-            np.array_equal(x, y) and np.array_equal(p, q)
-            for (x, p), (y, q) in zip(s._laws, laws)):
-        return None
-    return laws
-
-
 def enumerate_scenarios(model: MarketModel) -> ScenarioSet:
     """Exact joint support of the product noise law, with product weights:
     the K laws and the weights, rows built only when ``draws`` is read."""
-    _enumerable(model)
-    return ScenarioSet._product(_model_laws(model))
+    return ScenarioSet._product(_enumerable(model))
 
 
 def expectation(s: ScenarioSet, values) -> float:

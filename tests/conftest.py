@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from apmopt import build_market, eval_u, rademacher, tabulated
+from apmopt import ScenarioSet, build_market, eval_u, rademacher, tabulated
 
 
 def rademacher_market(b, m=1):
@@ -20,6 +20,12 @@ def rademacher_market(b, m=1):
         beta_bar=[1.0] * K,
         noise=rademacher(),
     )
+
+
+def row_set(s):
+    """The rows and weights of s as a row set.  It holds no laws, so every
+    path reads it row by row, though it keeps s's provenance label."""
+    return ScenarioSet(s.draws, s.weights, s.provenance)
 
 
 def scaled_utility(u, factor):

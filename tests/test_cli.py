@@ -90,6 +90,19 @@ class TestParseConfig:
             parse_config(str(p))
         assert any(v.startswith("solver.ladder") for v in exc.value.violations)
 
+    def test_decreasing_ladder_listed(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**DEMO, "solver": {"ladder": [4, 2]}}))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(str(p))
+        assert exc.value.violations == [
+            "solver: ladder levels [4, 2] must be strictly increasing"]
+        code, _ = run("optimize", p, tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "- solver: ladder levels [4, 2]" in err
+        assert "internal error" not in err
+
     def test_power_rule_must_match_drifts(self, tmp_path):
         p = tmp_path / "cfg.json"
         model = {**DEMO["model"], "b_rule": {"kind": "power", "c": 0.4, "p": 1.0}}
@@ -175,7 +188,11 @@ class TestExitCodes:
         ("measure", {"fallback_alpha": "x"}, "measure.fallback_alpha"),
         ("scenario", {"n": "abc"}, "scenario.n"),
         ("utility", {"kind": "crra"}, "utility"),
-    ], ids=["alpha-list", "exponents-int", "alpha-str", "n-str", "kind-unknown"])
+        ("solver", {"grad_tol": float("nan")}, "solver"),
+        ("solver", {"grad_tol": float("inf")}, "solver"),
+        ("solver", {"max_iter": -1}, "solver"),
+    ], ids=["alpha-list", "exponents-int", "alpha-str", "n-str", "kind-unknown",
+            "grad-tol-nan", "grad-tol-inf", "max-iter-negative"])
     def test_bad_value_names_its_key(self, tmp_path, capsys, section, value, key):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({**DEMO, section: value}))

@@ -19,7 +19,7 @@ from apmopt.diagnostics import (assemble_report, check_assumption_relevant,
                                 emit_report, exp_ui_bound, holder_chain_check,
                                 random_strategies, subgaussian_scan)
 from apmopt.optimize import ROW_BLOCK
-from conftest import rademacher_market, stdout_per_blas_thread_count
+from conftest import rademacher_market, row_set, stdout_per_blas_thread_count
 
 
 BLOCK_EDGES = (1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 17)
@@ -74,11 +74,6 @@ def product_laws(draw):
 THREE_POINT = (np.array([-1.5, 0.25, 1.25]), np.array([0.25, 0.5, 0.25]))
 LONG_LAW = (np.linspace(-2.0, 2.0, ROW_BLOCK + 101),
             np.arange(1.0, ROW_BLOCK + 102) / ((ROW_BLOCK + 101) * (ROW_BLOCK + 102) / 2))
-
-
-def row_set(s):
-    """The rows and weights of s as a plain row set, walked by the gemm."""
-    return ScenarioSet(s.draws, s.weights, "rows")
 
 
 def side_bound(s, v, slope, X, phi):

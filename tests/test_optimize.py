@@ -15,7 +15,7 @@ from apmopt import (ArbitrageError, DiscretePayoff, ScenarioSet, SolverConfig,
                     standardized_uniform, tabulated, truncation_ladder)
 from apmopt import optimize
 from apmopt.optimize import OneSidedPayoffError, saa_gradient, saa_objective
-from conftest import rademacher_market, scaled_utility, stdout_per_blas_thread_count
+from conftest import rademacher_market, row_set, scaled_utility, stdout_per_blas_thread_count
 
 
 def two_point_market(ps, fracs):
@@ -339,12 +339,6 @@ def product_supports(draw):
     return xs, probs
 
 
-def row_path_set(s):
-    """The rows and weights of s under another provenance, so the solver
-    takes the row path."""
-    return ScenarioSet(s.draws, s.weights, "rows")
-
-
 class TestProductPass:
     @settings(deadline=None, max_examples=100)
     @given(product_supports(), st.integers(0, 2 ** 32 - 1))
@@ -381,7 +375,7 @@ class TestProductPass:
         s = enumerate_scenarios(model)
         for K in levels:
             prod = optimize_truncated(model, u, K, s)
-            rows = optimize_truncated(model, u, K, row_path_set(s))
+            rows = optimize_truncated(model, u, K, row_set(s))
             assert (prod.iterations, prod.converged) == (rows.iterations, rows.converged)
             assert np.linalg.norm(prod.phi_star - rows.phi_star) <= 1e-12 * np.linalg.norm(
                 rows.phi_star)
@@ -395,7 +389,7 @@ class TestProductPass:
         u = appendix_power(0.5)
         for K in (1, 2, 3, 4):
             prod = optimize_truncated(model, u, K, s)
-            rows = optimize_truncated(model, u, K, row_path_set(s))
+            rows = optimize_truncated(model, u, K, row_set(s))
             assert (prod.iterations, prod.converged) == (rows.iterations, rows.converged)
             assert np.linalg.norm(prod.phi_star - rows.phi_star) <= 1e-12 * np.linalg.norm(
                 rows.phi_star)
@@ -418,7 +412,7 @@ class TestProductPass:
         s = enumerate_scenarios(model)
         u = appendix_power(0.5)
         prod = optimize_truncated(model, u, None, s)
-        rows = optimize_truncated(model, u, None, row_path_set(s))
+        rows = optimize_truncated(model, u, None, row_set(s))
         assert prod.converged and rows.converged
         assert prod.iterations == rows.iterations
         assert np.linalg.norm(prod.phi_star - rows.phi_star) <= 1e-12 * np.linalg.norm(
@@ -445,17 +439,20 @@ class TestProductPass:
         return build_market(1, 3, mu=[mu] * 3, beta=[[0.0]] * 2,
                             beta_bar=[1.0] * 3, noise=noise)
 
-    def test_enumeration_of_another_market_is_read_as_rows(self):
-        # B's laws have the shape, provenance and row count of A's
-        # enumeration but other points: the solve must read A's rows
+    def test_enumeration_of_another_market_is_solved_from_its_own_laws(self):
+        # B's laws have the shape and row count of A's but other points:
+        # the solve reads A's laws, whichever market it is paired with
         A = self.uniform_drift_market(rademacher(), -0.1)
         B = self.uniform_drift_market(standardized_two_point(0.3), -0.1)
         s = enumerate_scenarios(A)
         u = appendix_power(0.5)
         got = optimize_truncated(B, u, None, s)
-        rows = optimize_truncated(B, u, None, row_path_set(s))
-        assert got.value == rows.value == pytest.approx(0.0361, abs=1e-4)
-        assert np.array_equal(got.phi_star, rows.phi_star)
+        assert s._draws is None
+        rows = optimize_truncated(B, u, None, row_set(s))
+        assert got.value == pytest.approx(0.0361, abs=1e-4)
+        assert got.value == pytest.approx(rows.value, rel=1e-12)
+        assert np.linalg.norm(got.phi_star - rows.phi_star) <= 1e-12 * np.linalg.norm(
+            rows.phi_star)
         assert got.phi_star == pytest.approx([-0.6166] * 3, abs=1e-4)
 
     def test_arbitrage_on_another_markets_enumeration(self):
@@ -596,7 +593,23 @@ class TestLadder:
         with pytest.raises(ValueError, match=f"truncation level {K} outside"):
             optimize_truncated(model, appendix_power(0.5), K, s)
         with pytest.raises(ValueError, match=f"truncation level {K} outside"):
-            truncation_ladder(model, appendix_power(0.5), SolverConfig(ladder=(1, K)))
+            truncation_ladder(model, appendix_power(0.5),
+                              SolverConfig(ladder=tuple(sorted((1, K)))))
+
+    @pytest.mark.parametrize("ladder", [(4, 2), (2, 2), (1, 3, 2)])
+    def test_ladder_levels_must_increase(self, ladder):
+        with pytest.raises(ValueError, match="must be strictly increasing"):
+            SolverConfig(ladder=ladder)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"grad_tol": math.nan}, "grad_tol must be finite and positive"),
+        ({"grad_tol": math.inf}, "grad_tol must be finite and positive"),
+        ({"grad_tol": 0.0}, "grad_tol must be finite and positive"),
+        ({"max_iter": -1}, "max_iter must be >= 0"),
+    ], ids=["grad-tol-nan", "grad-tol-inf", "grad-tol-zero", "max-iter-negative"])
+    def test_solver_settings_validated(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**kwargs)
 
     def test_level_beyond_set_columns_rejected(self, market_k3):
         s = enumerate_scenarios(rademacher_market([0.2, 0.1]))
@@ -605,6 +618,12 @@ class TestLadder:
 
 
 class TestDetectUnbounded:
+    def test_set_narrower_than_market_rejected(self, market_k3):
+        s = enumerate_scenarios(rademacher_market([0.2, 0.1]))
+        for t in (s, row_set(s)):
+            with pytest.raises(ValueError, match="scenario set has 2 coordinates"):
+                detect_unbounded(market_k3, t)
+
     def test_boundary_coordinate_witness(self):
         model = rademacher_market([-1.0, 0.0])
         s = enumerate_scenarios(model)

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from apmopt import (EnumerationCapError, GrowthBounds, ScenarioSet, SolverConfig,
                     appendix_power, build_market, build_tilted_measure,
-                    detect_unbounded, enumerate_scenarios, expectation,
+                    detect_unbounded, enumerate_scenarios, eval_u, expectation,
                     finite_discrete, measure_moments, optimize_truncated,
                     rademacher, sample_scenarios, standardized_two_point,
-                    standardized_uniform, verify_pricing)
+                    standardized_uniform, truncation_ladder, verify_pricing)
 from apmopt import diagnostics
+from apmopt.optimize import saa_objective
 from apmopt.scenarios import _BLOCK
-from conftest import rademacher_market, searchsorted_ppf
+from conftest import rademacher_market, row_set, searchsorted_ppf
 
 
 class TestEnumeration:
@@ -63,12 +64,35 @@ def standardized_law(raw_points, raw_probs):
 
 
 @st.composite
-def discrete_law(draw):
-    size = draw(st.integers(2, 4))
+def discrete_law(draw, max_size=4, max_weight=20):
+    size = draw(st.integers(2, max_size))
     pts = draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size,
                         unique=True))
-    probs = draw(st.lists(st.integers(1, 20), min_size=size, max_size=size))
+    probs = draw(st.lists(st.integers(1, max_weight), min_size=size, max_size=size))
     return standardized_law(pts, probs)
+
+
+@st.composite
+def clt_markets(draw):
+    """(model, level): an m = 1 market of 1-3 standardized laws of 2-3
+    points, each probability at least 1/9 and each b_i in the middle three
+    fifths of its law's range, and a truncation level in [1, K].  Every
+    joint atom has probability at least 1/729, so 2 * 10^4 rows hold about
+    27 or more of each, and a sample's standard error sees every atom."""
+    laws = draw(st.lists(discrete_law(max_size=3, max_weight=4), min_size=1, max_size=3))
+    K = len(laws)
+    b = [min(d.points) + draw(st.floats(0.2, 0.8)) * (max(d.points) - min(d.points))
+         for d in laws]
+    model = build_market(1, K, mu=[-x for x in b], beta=[[0.0]] * (K - 1),
+                         beta_bar=[1.0] * K, noise=tuple(laws))
+    return model, draw(st.integers(1, K))
+
+
+def assert_within_clt_band(estimate, truth, samples):
+    """|estimate - truth| within 5 standard errors of the samples' mean,
+    the error estimated from the samples themselves (plus rounding)."""
+    se = float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
+    assert abs(estimate - truth) <= 5.0 * se + 1e-12 * max(1.0, abs(truth))
 
 
 class TestEnumerationOracle:
@@ -105,6 +129,53 @@ class TestRowsOnRead:
             ScenarioSet(draws, np.full(2, 0.5), "given")
         with pytest.raises(ValueError, match="sum to 1"):
             ScenarioSet(draws, np.full(3, 0.5), "given")
+
+    def test_rows_make_a_row_set_whatever_the_label(self, market_k3):
+        s = enumerate_scenarios(market_k3)
+        labelled = ScenarioSet(s.draws, s.weights, s.provenance)
+        assert s.is_exact and not labelled.is_exact
+        assert labelled.provenance == "exact_enumeration"
+
+
+class TestExactSetsReadTheirOwnLaws:
+    @staticmethod
+    def uniform_drift_market(noise):
+        return build_market(1, 3, mu=[-0.1] * 3, beta=[[0.0]] * 2,
+                            beta_bar=[1.0] * 3, noise=noise)
+
+    @pytest.mark.parametrize("paired", ["same market", "another market"])
+    def test_no_call_builds_the_rows(self, paired):
+        # A's enumeration, paired with A or with B, which has A's K and
+        # drifts but other laws: every call reads A's laws, builds no rows,
+        # and matches the same call on A's rows.  Q is A's measure, which
+        # prices A's laws, so the Hoelder guard passes under either pairing
+        A = self.uniform_drift_market(rademacher())
+        model = (A if paired == "same market"
+                 else self.uniform_drift_market(standardized_two_point(0.3)))
+        u = appendix_power(0.5, GrowthBounds(0.5, 1.5, 1.0, 1.0))
+        Q = build_tilted_measure(A)
+        strategies = diagnostics.random_strategies(3, 10, 1.0, seed=4)
+
+        def calls(s):
+            found = detect_unbounded(model, s)
+            ladder = truncation_ladder(model, u, SolverConfig(ladder=(1, 2, 3)), s)
+            pricing = verify_pricing(Q, model, s=s)
+            moments = measure_moments(Q, s).moments
+            exp_moment = diagnostics.exp_ui_bound(model, s, 1.0, 10, seed=3)
+            holder = diagnostics.holder_chain_check(model, Q, u, strategies, s)
+            values = [*ladder.values(),
+                      *(v for tab in moments.values() for v in tab.values()),
+                      *(r["value"] for r in exp_moment["measurements"]),
+                      *holder["margins"]]
+            return found, values, pricing["asset_residuals"]
+
+        s = enumerate_scenarios(A)
+        found, values, residuals = calls(s)
+        assert s._draws is None
+        rows_found, rows_values, rows_residuals = calls(row_set(s))
+        assert found == rows_found == (False, None)
+        assert values == pytest.approx(rows_values, rel=1e-12)
+        assert residuals == pytest.approx(rows_residuals, abs=1e-12)
 
 
 class TestWeightCheck:
@@ -295,3 +366,28 @@ class TestSampling:
     def test_weights_uniform(self, market_k3):
         s = sample_scenarios(market_k3, 10, seed=3)
         assert np.all(s.weights == 0.1)
+
+
+class TestMonteCarloAgainstEnumeration:
+    @settings(max_examples=30, deadline=None)
+    @given(clt_markets(), st.integers(0, 2 ** 64 - 1))
+    def test_within_clt_bands(self, market, seed):
+        # the density moments at w = +-1, +-2 and one level's objective at
+        # its exact optimizer, on 2 * 10^4 sampled rows, against their
+        # exact values; a 5-standard-error miss has probability near 6e-7
+        # per comparison
+        model, level = market
+        s_exact = enumerate_scenarios(model)
+        s_mc = sample_scenarios(model, 20_000, seed)
+        Q = build_tilted_measure(model)
+        ws = (-2.0, -1.0, 1.0, 2.0)
+        exact = measure_moments(Q, s_exact, ws).moments["dQ/dP"]
+        sampled = measure_moments(Q, s_mc, ws).moments["dQ/dP"]
+        dens = Q.density(s_mc.draws)
+        for w in ws:
+            assert_within_clt_band(sampled[w], exact[w], dens ** w)
+        u = appendix_power(0.5)
+        res = optimize_truncated(model, u, level, s_exact)
+        X = s_mc.draws[:, :level] - model.b[:level]
+        assert_within_clt_band(saa_objective(u, X, s_mc.weights, res.phi_star),
+                               res.value, eval_u(u, X @ res.phi_star))
