@@ -32,9 +32,9 @@ from .distributions import estimate_exp_moment, tail_probability, truncated_seco
 from .market import MarketModel, check_assumption_b, check_no_arbitrage
 from .measures import (TiltedMeasure, _coordinate_means, _density_moments, _residuals,
                        _support_factors)
-from .optimize import ROW_BLOCK, _outer_sum
+from .optimize import ROW_BLOCK, _outer_sum, _require_width
 from .scenarios import ScenarioSet
-from .utility import Utility, _live_bits, certify_growth, eval_u
+from .utility import Utility, _split_u, certify_growth
 
 __all__ = [
     "random_strategies",
@@ -187,8 +187,10 @@ def exp_ui_bound(model: MarketModel, s: ScenarioSet, delta: float,
 
     Uses the raw (uncentered) noise; on the scenario set the expectation
     is exact whenever the set is an exact enumeration.  All trials share
-    one walk over the rows (``_strategy_sums``).
+    one walk over the rows (``_strategy_sums``).  The set must have at
+    least the market's K coordinates.
     """
+    _require_width(model, s)
     phis = random_strategies(model.K, trials, delta, seed)
 
     def exp_abs(y):
@@ -205,27 +207,6 @@ def exp_ui_bound(model: MarketModel, s: ScenarioSet, delta: float,
             worst = max(worst, math.log(val / 2.0) / nsq)
     return {"delta": delta, "trials": trials, "seed": seed,
             "fitted_C": worst, "measurements": rows}
-
-
-def _split_u(u: Utility):
-    """values(Y) for the Hoelder walk: (u(Y+), u(-Y-)) from one evaluation
-    of u on the payoffs Y, with u(0) evaluated once.  u(Y+) is u(Y) where
-    Y > 0 and u(0) elsewhere, u(-Y-) the reverse, so both equal
-    eval_u(u, max(Y, 0)) and eval_u(u, Y - max(Y, 0)) bit for bit on
-    non-NaN Y, whatever the shape of u.  The halves are joined by bit
-    masks, in place: no boolean gather or scatter runs."""
-    zero = eval_u(u, np.zeros(1)).view(np.int64)[0]  # the array path's u(0)
-
-    def split(y):
-        val = eval_u(u, y).view(np.int64)
-        flip = _live_bits(y)
-        val ^= zero
-        flip &= val  # where Y > 0, the bits that turn u(0) into u(Y)
-        val ^= flip
-        val ^= zero
-        flip ^= zero
-        return flip.view(float), val.view(float)
-    return split
 
 
 def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
@@ -256,6 +237,7 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
     if strategies.shape[1] > model.K:
         raise ValueError(f"strategies have {strategies.shape[1]} coordinates; "
                          f"the market has K={model.K}")
+    _require_width(model, s)
     g = u.growth
     sup = _support_factors(Q, s)
     if s.is_exact:

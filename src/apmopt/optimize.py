@@ -4,13 +4,14 @@ Two loops serve the package.  ``_bisect`` finds the root of a
 nonincreasing function: the one-asset problem sup_phi E[u(phi X)] bisects
 its derivative, and ``measures.solve_tilt`` bisects the tilt residual.
 ``_damped_newton`` ascends a concave function: the direction is
-(-H + ||g||^2 I)^{-1} g, with gradient g and Hessian H taken from one pass,
-and Armijo backtracking picks the step.  The K-coordinate problem runs it
-on the scenario expectation of u(V(phi)), with X = eps - b the centred
-noise: the line search's payoffs v = X @ phi at the accepted step feed the
-next pass, which reduces X.T a and X.T diag(c) X for the gradient and the
-Hessian.  On an exact enumeration X is never formed: v is the outer sum of
-the K coordinates' centred supports times phi, and both reductions are
+(-H + ||g||^2 I)^{-1} g, with gradient g and Hessian H taken at one point,
+H only when a step is taken from there, and Armijo backtracking picks the
+step.  The K-coordinate problem runs it on the scenario expectation of
+u(V(phi)), with X = eps - b the centred noise: the line search's payoffs
+v = X @ phi at the accepted step feed the next pass, which reduces X.T a
+for the gradient and, when asked, X.T diag(c) X for the Hessian.  On an
+exact enumeration X is never formed: v is the outer sum of the K
+coordinates' centred supports times phi, and both reductions are
 marginal sums over the product of the supports, with no BLAS call, so the
 result does not depend on the BLAS thread count at any K.  Other sets hold
 X transposed, as a C-ordered (K, n) matrix whose rows are the centred
@@ -180,9 +181,9 @@ def _centered(model: MarketModel, s: ScenarioSet, K: int) -> np.ndarray:
     return X
 
 
-def _expected_u(u: Utility, w: np.ndarray, v: np.ndarray) -> float:
-    """sum_j w_j u(v_j), weighted in place."""
-    uv = eval_u(u, v)
+def _expected_u(u: Utility, w: np.ndarray, v: np.ndarray, out=None) -> float:
+    """sum_j w_j u(v_j), weighted in place in out (default: a new array)."""
+    uv = eval_u(u, v, out=out)
     uv *= w
     return float(np.sum(uv))
 
@@ -211,35 +212,42 @@ def saa_gradient(u: Utility, X: np.ndarray, w: np.ndarray, phi: np.ndarray) -> n
     return X.T @ (w * eval_u_prime(u, X @ phi))
 
 
-def _row_blocks(X: np.ndarray, a: np.ndarray, c: np.ndarray):
-    """X @ a and X diag(c) X.T for the (K, n) matrix X and c >= 0,
+def _row_blocks(X: np.ndarray, a: np.ndarray | None, c: np.ndarray | None):
+    """(X @ a, X diag(c) X.T) for the (K, n) matrix X and c >= 0,
     accumulated over blocks of ROW_BLOCK columns of X in order, so the sums
-    do not depend on the BLAS thread count.  The second is a sum of
-    S_b @ S_b.T with S_b = X_b sqrt(c_b), written into one reused buffer; a
-    block whose c is all zero adds only zeros there and is skipped.  Both
-    are formed on panels of at most PANEL rows of X_b and S_b: numpy runs a
-    panel's own product with itself as a syrk, and the upper panel pairs'
-    products are mirrored once at the end."""
+    do not depend on the BLAS thread count.  With a or c None that half is
+    None and is not formed; each half's sweep is the same alone as with
+    the other, bit for bit.  The second is a sum of S_b @ S_b.T with
+    S_b = X_b sqrt(c_b), written into one reused buffer; a block whose c
+    is all zero adds only zeros there and is skipped.  Both are formed on
+    panels of at most PANEL rows of X_b and S_b: numpy runs a panel's own
+    product with itself as a syrk, and the upper panel pairs' products are
+    mirrored once at the end."""
     K, n = X.shape
-    g = np.zeros(K)
-    G = np.zeros((K, K))
-    root = np.sqrt(c)
-    buf = np.empty(K * min(n, ROW_BLOCK))
     panels = [slice(i, i + PANEL) for i in range(0, K, PANEL)]
-    for start in range(0, n, ROW_BLOCK):
-        cols = slice(start, start + ROW_BLOCK)
-        Xb = X[:, cols]
-        for p in panels:
-            g[p] += Xb[p] @ a[cols]
-        if not c[cols].any():
-            continue
-        S = np.multiply(Xb, root[cols], out=buf[:Xb.size].reshape(Xb.shape))
+    g = G = None
+    if a is not None:
+        g = np.zeros(K)
+        for start in range(0, n, ROW_BLOCK):
+            cols = slice(start, start + ROW_BLOCK)
+            for p in panels:
+                g[p] += X[p, cols] @ a[cols]
+    if c is not None:
+        G = np.zeros((K, K))
+        root = np.sqrt(c)
+        buf = np.empty(K * min(n, ROW_BLOCK))
+        for start in range(0, n, ROW_BLOCK):
+            cols = slice(start, start + ROW_BLOCK)
+            if not c[cols].any():
+                continue
+            Xb = X[:, cols]
+            S = np.multiply(Xb, root[cols], out=buf[:Xb.size].reshape(Xb.shape))
+            for i, p in enumerate(panels):
+                for q in panels[i:]:
+                    G[p, q] += S[p] @ S[q].T
         for i, p in enumerate(panels):
-            for q in panels[i:]:
-                G[p, q] += S[p] @ S[q].T
-    for i, p in enumerate(panels):
-        for q in panels[i + 1:]:
-            G[q, p] = G[p, q].T
+            for q in panels[i + 1:]:
+                G[q, p] = G[p, q].T
     return g, G
 
 
@@ -278,49 +286,73 @@ def _marginals(a: np.ndarray, sizes) -> list[np.ndarray]:
     return out
 
 
-def _product_blocks(xs, a: np.ndarray, c: np.ndarray):
-    """X.T @ a and X.T diag(c) X on the product of the supports xs, from
+def _product_blocks(xs, a: np.ndarray | None, c: np.ndarray | None):
+    """(X.T @ a, X.T diag(c) X) on the product of the supports xs, from
     marginals: g_i = x_i . (marginal of a on axis i), and row i of G,
     peeling axis i off c, is x_i^2 . (marginal of c on axis i) on the
     diagonal and x_k . (marginal on axis k of the x_i-weighted sum of c's
-    slices) beyond it.  a serves as scratch once its marginals are read.
-    Every step is a numpy reduction over a whole axis, with no loop over
-    support points.  No reduction runs in BLAS, so the sums do not depend
-    on the BLAS thread count at any K."""
+    slices) beyond it.  With a or c None that half is None and is not
+    formed.  G is zero, with no reduction, when c is all zero, as on a
+    solve's first pass, where u''(0) = 0.  Every step is a numpy reduction
+    over a whole axis, with no loop over support points.  No reduction
+    runs in BLAS, so the sums do not depend on the BLAS thread count at
+    any K.
+
+    The weighted slices need scratch of c's size: a, once its marginals
+    are read, or, when a is None, c itself, each of whose slices is summed
+    before it is weighted."""
     sizes = [x.size for x in xs]
     K = len(xs)
-    g = np.array([np.sum(x * m) for x, m in zip(xs, _marginals(a, sizes))])
-    G = np.empty((K, K))
+    g = G = None
+    if a is not None:
+        g = np.array([np.sum(x * m) for x, m in zip(xs, _marginals(a, sizes))])
+    if c is None:
+        return g, G
+    G = np.zeros((K, K))
+    if not c.any():
+        return g, G
+    scratch = c if a is None else a
     for i, x in enumerate(xs):
         slices = c.reshape(x.size, -1)
         G[i, i] = np.sum(x * x * slices.sum(axis=1))
         if i + 1 == K:
             break
-        weighted = np.multiply(slices, x[:, None], out=a[:c.size].reshape(slices.shape))
+        rest = slices.sum(axis=0)
+        weighted = np.multiply(slices, x[:, None],
+                               out=scratch[:c.size].reshape(slices.shape))
         G[i, i + 1:] = [np.sum(y * m) for y, m in
                         zip(xs[i + 1:], _marginals(weighted.sum(axis=0), sizes[i + 1:]))]
         G[i + 1:, i] = G[i, i + 1:]
-        c = slices.sum(axis=0)
+        c = rest
     return g, G
 
 
-def _newton_pass(u: Utility, blocks, w: np.ndarray, v: np.ndarray):
-    """Gradient and Hessian at phi from the payoffs v = X @ phi, with
-    blocks(a, c) = (X.T @ a, X.T diag(c) X); -w u'' >= 0 for every utility
-    kind.  Both are weighted in place."""
-    a = eval_u_prime(u, v)
+def _newton_pass(u: Utility, blocks, w: np.ndarray, v: np.ndarray,
+                 a: np.ndarray, c: np.ndarray):
+    """The gradient at phi from the payoffs v = X @ phi, and a callable for
+    the Hessian there, with blocks(a, c) = (X.T @ a, X.T diag(c) X) and
+    either argument None to form one half; -w u'' >= 0 for every utility
+    kind.  w u'(v) is written into a and w u''(v) into c, which must keep
+    v until the Hessian is formed."""
+    eval_u_prime(u, v, out=a)
     a *= w
-    c = eval_u_second(u, v)
-    c *= w
-    g, G = blocks(a, np.negative(c, out=c))
-    return g, -G, None
+    g, _ = blocks(a, None)
+
+    def hessian():
+        curv = eval_u_second(u, v, out=c)
+        curv *= w
+        return -blocks(None, np.negative(curv, out=curv))[1]
+    return g, hessian, None
 
 
 def _damped_newton(step_pass, value, x: np.ndarray, done, max_iter: int,
                    slack: float):
     """Ascend a concave f from x.  value(x) gives (f, memo), and
-    step_pass(memo) gives (g, H, aux) at that point, so the line search's
-    accepted trial is never evaluated again.
+    step_pass(memo) gives (g, hessian, aux) at that point, so the line
+    search's accepted trial is never evaluated again.  hessian() gives H
+    there; the loop calls it only to take a step, after done(g, aux) has
+    failed and before the next value call, so no pass that ends the loop
+    forms a Hessian.
 
     The direction is d = (||g||^2 I - H)^{-1} g, and Armijo halving picks
     the step, accepting a fall of f within slack * max(1, |f|).  The loop
@@ -329,12 +361,12 @@ def _damped_newton(step_pass, value, x: np.ndarray, done, max_iter: int,
     slack.  Returns (x, f, g, aux, steps).
     """
     f, memo = value(x)
-    g, H, aux = step_pass(memo)
+    g, hessian, aux = step_pass(memo)
     steps = 0
     flat = False
     while steps < max_iter and not flat and not done(g, aux):
         gn = float(np.linalg.norm(g))
-        d = np.linalg.solve(gn * gn * np.eye(x.size) - H, g)
+        d = np.linalg.solve(gn * gn * np.eye(x.size) - hessian(), g)
         slope = float(g @ d)
         tol = slack * max(1.0, abs(f))
         flat = slope <= tol
@@ -348,7 +380,7 @@ def _damped_newton(step_pass, value, x: np.ndarray, done, max_iter: int,
         if t <= 1e-18 or np.array_equal(cand, x):
             break  # no ascent step that moves x; report the best iterate
         x, f = cand, f_cand
-        g, H, aux = step_pass(memo)
+        g, hessian, aux = step_pass(memo)
         steps += 1
     return x, f, g, aux, steps
 
@@ -384,8 +416,8 @@ def _no_arbitrage_certificate(X: np.ndarray, w: np.ndarray) -> bool:
         return -L, y
 
     def rogers_pass(y):
-        r, G = _row_blocks(X, y, y)
-        return -r, np.outer(r, r) - G, y
+        r, _ = _row_blocks(X, y, None)
+        return -r, lambda: np.outer(r, r) - _row_blocks(X, None, y)[1], y
 
     def bound_small(g, y):
         return float(np.abs(g).sum()) < 1e-9 * float(y.min())
@@ -415,7 +447,9 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
     On an exact set the solve runs in product form over the first K of the
     set's own laws' supports: the level's grid points, weighted by
     the product of those K laws' probabilities, stand for the duplicated
-    rows, and no centred copy of the draws is made.
+    rows, and no centred copy of the draws is made.  Two n-length buffers
+    live as long as the solve: one for w u'(v), one for w u''(v) and the
+    line search's w u(v), which never hold live values at once.
     """
     cfg = cfg or SolverConfig()
     K = model.K if K is None else K
@@ -442,11 +476,13 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
         payoffs = lambda p: _payoffs(X, p)
         blocks = lambda a, c: _row_blocks(X, a, c)
 
+    a_buf, c_buf = np.empty(w.size), np.empty(w.size)
+
     def value(p):
         v = payoffs(p)
-        return _expected_u(u, w, v), v
+        return _expected_u(u, w, v, c_buf), v
     phi, f, g, _, it = _damped_newton(
-        lambda v: _newton_pass(u, blocks, w, v), value,
+        lambda v: _newton_pass(u, blocks, w, v, a_buf, c_buf), value,
         np.zeros(K), lambda g, _: float(np.linalg.norm(g)) <= cfg.grad_tol,
         cfg.max_iter, slack=0.0)
     gn = float(np.linalg.norm(g))
@@ -520,8 +556,7 @@ def detect_unbounded(model: MarketModel, s: ScenarioSet,
     scenario budget.
     """
     K = model.K
-    if s.K < K:
-        raise ValueError(f"scenario set has {s.K} coordinates; the market has K={K}")
+    _require_width(model, s)
     if s.is_exact:
         for i, (pts, _) in enumerate(s._laws[:K]):
             x = pts - model.b[i]
@@ -544,6 +579,12 @@ def detect_unbounded(model: MarketModel, s: ScenarioSet,
     if res.status == 0 and _pays_off(X_all, res.x):
         return True, res.x
     return False, None
+
+
+def _require_width(model: MarketModel, s: ScenarioSet) -> None:
+    """Refuse a scenario set with fewer coordinates than the market."""
+    if s.K < model.K:
+        raise ValueError(f"scenario set has {s.K} coordinates; the market has K={model.K}")
 
 
 def _pays_off(X: np.ndarray, phi: np.ndarray) -> bool:

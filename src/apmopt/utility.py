@@ -23,6 +23,16 @@ depend on the signs' pattern and every temporary is one chunk, whatever
 the array's size.  Values are bit for bit those of np.where over the two
 formulas; a 0-d argument gives a float from numpy's scalar arithmetic.
 
+Each evaluator takes a keyword-only ``out``, as numpy's ufuncs do: a
+C-contiguous float64 array of x's shape that receives the values and is
+returned, bit for bit the allocating call's, so a caller that evaluates
+at every step can reuse one buffer.  Without it a new array is returned.
+
+``_split_u(u)`` gives the Hoelder walk's evaluator of the pair
+(u(Y+), u(-Y-)), one branch per kind: appendix power evaluates its two
+terms apart in the same chunks, with no u(0) and no mask; a tabulated u
+evaluates u(Y) once and splits it by bit masks.
+
 A GrowthBounds certificate records constants (alpha, beta, C1, C2) for the
 caps u(x) <= C1(x**alpha + 1) on x >= 0 and u(x) <= C2(-|x|**beta + 1) on
 x < 0.  ``certify_growth`` checks the caps and returns a verdict with a
@@ -99,12 +109,35 @@ def tabulated(xs, ys, growth: GrowthBounds | None = None) -> Utility:
 _CHUNK = 1 << 14  # elements per kernel pass: 128 KB temporaries stay in cache
 
 
-def _kinked(x, scalar, kernel):
-    """An appendix-power evaluator: scalar(x) on a 0-d x, as a float, and
-    otherwise a new C-ordered array of x's shape that kernel(xc, out, tmp)
-    fills _CHUNK elements at a time, xc holding them in C order and tmp
-    one chunk of scratch.  The 0-d path keeps numpy's scalar pow, which
-    can differ from its array pow in the last bit.
+def _target(x: np.ndarray, out):
+    """out, checked to be a C-ordered float array of x's shape, or a new
+    one when out is None."""
+    if out is None:
+        return np.empty(x.shape)
+    if out.shape != x.shape or out.dtype != float or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {x.shape}")
+    return out
+
+
+def _chunks(kernel, x: np.ndarray, *outs: np.ndarray) -> None:
+    """kernel(xc, *out chunks, tmp) on _CHUNK elements of x at a time: xc
+    holds them in C order, each out chunk the same elements of one of the
+    C-ordered outs, and tmp one chunk of scratch."""
+    flats = [o.reshape(-1) for o in outs]
+    src = x.reshape(-1) if x.flags.c_contiguous else x.flat
+    tmp = np.empty(min(_CHUNK, x.size))
+    for start in range(0, x.size, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        xc = src[chunk]
+        kernel(xc, *[f[chunk] for f in flats], tmp[:xc.size])
+
+
+def _kinked(x, scalar, kernel, out=None):
+    """An appendix-power evaluator: scalar(x) on a 0-d x, as a float (or
+    written into out and out returned), and otherwise out, or a new
+    C-ordered array of x's shape, that kernel(xc, out, tmp) fills _CHUNK
+    elements at a time (``_chunks``).  The 0-d path keeps numpy's scalar
+    pow, which can differ from its array pow in the last bit.
 
     Each kernel is branch-free: it applies the x > 0 formula to max(x, 0),
     which leaves x > 0 as it is and maps the rest to 0, where that formula
@@ -112,19 +145,27 @@ def _kinked(x, scalar, kernel):
     mask.  No boolean gather or scatter runs, every temporary is one
     chunk, and the result equals np.where(x > 0, x > 0 formula, x <= 0
     formula) bit for bit, -0.0, infinities and NaN payloads included.
+    Each kernel reads an element of xc before it writes that element of
+    out, so out may be x itself.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
+    if x.ndim == 0 and out is None:
         return float(scalar(x[()]))
-    out = np.empty(x.shape)
-    flat = out.reshape(-1)
-    src = x.reshape(-1) if x.flags.c_contiguous else x.flat
-    tmp = np.empty(min(_CHUNK, flat.size))
-    for start in range(0, flat.size, _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        xc = src[chunk]
-        kernel(xc, flat[chunk], tmp[:xc.size])
+    out = _target(x, out)
+    if x.ndim == 0:
+        out[()] = scalar(x[()])
+    else:
+        _chunks(kernel, x, out)
     return out
+
+
+def _plain(x: np.ndarray, out, values: np.ndarray):
+    """A tabulated evaluator's whole-array values: a float on a 0-d x with
+    no out, else written into out (or returned as they are)."""
+    if out is not None:
+        _target(x, out)[...] = values
+        return out
+    return float(values) if values.ndim == 0 else values
 
 
 def _live_bits(x, out=None):
@@ -133,8 +174,8 @@ def _live_bits(x, out=None):
     return np.subtract(0, x > 0, out=out, dtype=np.int64)
 
 
-def eval_u(u: Utility, x):
-    """u(x), vectorized."""
+def eval_u(u: Utility, x, *, out=None):
+    """u(x), vectorized; written into out when given."""
     if u.kind == "appendix_power":
         a = u.alpha
 
@@ -151,15 +192,15 @@ def eval_u(u: Utility, x):
             out *= a
             out -= tmp
 
-        return _kinked(x, lambda v: (v + 1.0) ** a - 1.0 if v > 0 else a * v, kernel)
+        return _kinked(x, lambda v: (v + 1.0) ** a - 1.0 if v > 0 else a * v, kernel, out)
     x = np.asarray(x, dtype=float)
     first = (u.ys[1] - u.ys[0]) / (u.xs[1] - u.xs[0])
-    out = np.interp(x, u.xs, u.ys) + first * np.minimum(x - u.xs[0], 0.0)
-    return float(out) if out.ndim == 0 else out
+    return _plain(x, out, np.interp(x, u.xs, u.ys) + first * np.minimum(x - u.xs[0], 0.0))
 
 
-def eval_u_prime(u: Utility, x):
-    """u'(x), vectorized; left derivative at kinks, common value when equal.
+def eval_u_prime(u: Utility, x, *, out=None):
+    """u'(x), vectorized; left derivative at kinks, common value when equal;
+    written into out when given.
 
     For tabulated utilities this is a central finite difference of u with
     step 1e-6 max(1, |x|): the segment slope away from the nodes, and
@@ -178,15 +219,15 @@ def eval_u_prime(u: Utility, x):
             np.power(out, a - 1.0, out=out)
             out *= a
 
-        return _kinked(x, lambda v: a * (v + 1.0) ** (a - 1.0) if v > 0 else a, kernel)
+        return _kinked(x, lambda v: a * (v + 1.0) ** (a - 1.0) if v > 0 else a, kernel, out)
     x = np.asarray(x, dtype=float)
     h = 1e-6 * np.maximum(1.0, np.abs(x))
-    out = (eval_u(u, x + h) - eval_u(u, x - h)) / (2 * h)
-    return float(out) if out.ndim == 0 else out
+    return _plain(x, out, (eval_u(u, x + h) - eval_u(u, x - h)) / (2 * h))
 
 
-def eval_u_second(u: Utility, x):
-    """u''(x), vectorized; left second derivative at kinks (0 at x = 0).
+def eval_u_second(u: Utility, x, *, out=None):
+    """u''(x), vectorized; left second derivative at kinks (0 at x = 0);
+    written into out when given.
 
     Tabulated utilities are piecewise linear, so theirs is 0.
     """
@@ -197,16 +238,64 @@ def eval_u_second(u: Utility, x):
         def kernel(xc, out, tmp):
             # k (max(x, 0) + 1)**(a - 2), its bits masked to +0.0 off x > 0:
             # k < 0, so no product with a 0/1 mask gives +0.0 there
+            live = _live_bits(xc, tmp.view(np.int64))
             np.fmax(xc, 0.0, out=out)
             out += 1.0
             np.power(out, a - 2.0, out=out)
             out *= k
             bits = out.view(np.int64)
-            bits &= _live_bits(xc, tmp.view(np.int64))
+            bits &= live
 
-        return _kinked(x, lambda v: k * (v + 1.0) ** (a - 2.0) if v > 0 else 0.0, kernel)
-    out = np.zeros_like(np.asarray(x, dtype=float))
-    return float(out) if out.ndim == 0 else out
+        return _kinked(x, lambda v: k * (v + 1.0) ** (a - 2.0) if v > 0 else 0.0, kernel, out)
+    x = np.asarray(x, dtype=float)
+    return _plain(x, out, np.zeros(x.shape))
+
+
+def _split_u(u: Utility):
+    """values(Y) for the Hoelder walk: the pair (u(Y+), u(-Y-)) of new
+    C-ordered arrays of Y's shape, with Y+ = max(Y, 0) and -Y- = Y - Y+.
+    On non-NaN Y both equal eval_u(u, max(Y, 0)) and eval_u(u, Y - max(Y,
+    0)) bit for bit, -0.0 included, and no boolean gather or scatter runs.
+
+    Appendix power takes the two terms of u apart, in _CHUNK-element
+    chunks: u(Y+) = (max(Y, 0) + 1)**alpha - 1, where Y <= 0 gives +0.0
+    = u(0), and u(-Y-) = alpha min(0, Y), where Y > 0 gives +0.0.  No u(0)
+    and no mask is needed.  A tabulated u is evaluated once on Y, with u(0)
+    evaluated once per split, and the halves are joined by bit masks:
+    u(Y+) is u(Y) where Y > 0 and u(0) elsewhere, u(-Y-) the reverse.
+    max/min of u(Y) and u(0) would not do, since np.interp is not monotone
+    in the last bit next to a node.
+    """
+    if u.kind == "appendix_power":
+        a = u.alpha
+
+        def kernel(yc, gain, loss, tmp):
+            np.maximum(yc, 0.0, out=gain)
+            gain += 1.0
+            np.power(gain, a, out=gain)
+            gain -= 1.0
+            np.minimum(0.0, yc, out=loss)
+            loss *= a
+
+        def split(y):
+            y = np.asarray(y, dtype=float)
+            gain, loss = np.empty(y.shape), np.empty(y.shape)
+            _chunks(kernel, y, gain, loss)
+            return gain, loss
+        return split
+
+    zero = eval_u(u, np.zeros(1)).view(np.int64)[0]  # the array path's u(0)
+
+    def split(y):
+        val = eval_u(u, y).view(np.int64)
+        flip = _live_bits(y)
+        val ^= zero
+        flip &= val  # where Y > 0, the bits that turn u(0) into u(Y)
+        val ^= flip
+        val ^= zero
+        flip ^= zero
+        return flip.view(float), val.view(float)
+    return split
 
 
 @dataclass(frozen=True)
