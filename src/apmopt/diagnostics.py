@@ -220,8 +220,10 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
     by scenario expectation.  The strategies (one per row, at most K
     columns, at least one row) share one walk over the rows
     (``_strategy_sums``), which centres each block of rows at b and
-    splits one evaluation of u(Y) there into u(Y+) and u(-Y-), with
-    Y+ = max(Y, 0) and -Y- = Y - Y+ (``_split_u``).  Requires growth
+    evaluates u(Y+) and u(-Y-) there, with Y+ = max(Y, 0) and
+    -Y- = Y - Y+, by the utility kind's own split (``_split_u``: two
+    terms for appendix power, one u(Y) split by masks for a table).  The
+    set must have at least the market's K coordinates.  Requires growth
     bounds on u, and reports whether they hold as ``growth_certified``;
     on an exact set the measure must price every asset to 1e-10.  There
     that guard, the moments behind C' and C'' and the walk all read the

@@ -286,7 +286,8 @@ def _marginals(a: np.ndarray, sizes) -> list[np.ndarray]:
     return out
 
 
-def _product_blocks(xs, a: np.ndarray | None, c: np.ndarray | None):
+def _product_blocks(xs, a: np.ndarray | None, c: np.ndarray | None,
+                    scratch: np.ndarray | None = None):
     """(X.T @ a, X.T diag(c) X) on the product of the supports xs, from
     marginals: g_i = x_i . (marginal of a on axis i), and row i of G,
     peeling axis i off c, is x_i^2 . (marginal of c on axis i) on the
@@ -296,11 +297,10 @@ def _product_blocks(xs, a: np.ndarray | None, c: np.ndarray | None):
     solve's first pass, where u''(0) = 0.  Every step is a numpy reduction
     over a whole axis, with no loop over support points.  No reduction
     runs in BLAS, so the sums do not depend on the BLAS thread count at
-    any K.
-
-    The weighted slices need scratch of c's size: a, once its marginals
-    are read, or, when a is None, c itself, each of whose slices is summed
-    before it is weighted."""
+    any K.  The G half writes the weighted slices into scratch, an array
+    of at least c's size (default a, whose marginals are read first).
+    Weighting c in place would need the next axis's slices summed first,
+    and that sum and the weighted one would be alive together."""
     sizes = [x.size for x in xs]
     K = len(xs)
     g = G = None
@@ -311,19 +311,17 @@ def _product_blocks(xs, a: np.ndarray | None, c: np.ndarray | None):
     G = np.zeros((K, K))
     if not c.any():
         return g, G
-    scratch = c if a is None else a
+    scratch = a if scratch is None else scratch
     for i, x in enumerate(xs):
         slices = c.reshape(x.size, -1)
         G[i, i] = np.sum(x * x * slices.sum(axis=1))
         if i + 1 == K:
             break
-        rest = slices.sum(axis=0)
-        weighted = np.multiply(slices, x[:, None],
-                               out=scratch[:c.size].reshape(slices.shape))
+        weighted = np.multiply(slices, x[:, None], out=scratch[:c.size].reshape(slices.shape))
         G[i, i + 1:] = [np.sum(y * m) for y, m in
                         zip(xs[i + 1:], _marginals(weighted.sum(axis=0), sizes[i + 1:]))]
         G[i + 1:, i] = G[i, i + 1:]
-        c = rest
+        c = slices.sum(axis=0)
     return g, G
 
 
@@ -332,8 +330,9 @@ def _newton_pass(u: Utility, blocks, w: np.ndarray, v: np.ndarray,
     """The gradient at phi from the payoffs v = X @ phi, and a callable for
     the Hessian there, with blocks(a, c) = (X.T @ a, X.T diag(c) X) and
     either argument None to form one half; -w u'' >= 0 for every utility
-    kind.  w u'(v) is written into a and w u''(v) into c, which must keep
-    v until the Hessian is formed."""
+    kind.  a and c are buffers of v's length: w u'(v) is written into a,
+    and the callable writes -w u''(v) into c, so v must not change before
+    it runs."""
     eval_u_prime(u, v, out=a)
     a *= w
     g, _ = blocks(a, None)
@@ -448,8 +447,9 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
     set's own laws' supports: the level's grid points, weighted by
     the product of those K laws' probabilities, stand for the duplicated
     rows, and no centred copy of the draws is made.  Two n-length buffers
-    live as long as the solve: one for w u'(v), one for w u''(v) and the
-    line search's w u(v), which never hold live values at once.
+    live as long as the solve: one for w u'(v), which an exact set's
+    Hessian then takes as scratch, and one for w u''(v) and the line
+    search's w u(v), since w u''(v) is dead once the Hessian is formed.
     """
     cfg = cfg or SolverConfig()
     K = model.K if K is None else K
@@ -469,7 +469,8 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
         # the line search's last trial, so one buffer serves
         buf = np.empty(w.size)
         payoffs = lambda p: _outer_sum(xs, p, buf)
-        blocks = lambda a, c: _product_blocks(xs, a, c)
+        # w u'(v) is dead once g is formed, so the Hessian half reuses it
+        blocks = lambda a, c: _product_blocks(xs, a, c, a_buf)
     else:
         X = _centered(model, s, K)
         w = s.weights

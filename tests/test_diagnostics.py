@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from apmopt import (GrowthBounds, ScenarioSet, appendix_power, build_market,
@@ -30,20 +30,24 @@ CERTIFIED_UTILITIES = (
 )
 
 
+def fraction_market(noise, fracs):
+    """m=1 market on the given laws with b_i at fraction fracs[i] of the
+    way up law i's support."""
+    K = len(noise)
+    b = [min(law.points) + frac * (max(law.points) - min(law.points))
+         for law, frac in zip(noise, fracs)]
+    return build_market(1, K, mu=[-x for x in b], beta=[[0.0]] * (K - 1),
+                        beta_bar=[1.0] * K, noise=tuple(noise))
+
+
 @st.composite
 def sampled_markets(draw):
     """m=1 markets of 1-8 coordinates, each Rademacher or a standardized
     two-point law, with b_i strictly inside its support."""
     K = draw(st.integers(1, 8))
-    noise, b = [], []
-    for _ in range(K):
-        law = draw(st.sampled_from([rademacher(), standardized_two_point(0.3),
-                                    standardized_two_point(0.8)]))
-        frac = draw(st.floats(0.05, 0.95))
-        noise.append(law)
-        b.append(min(law.points) + frac * (max(law.points) - min(law.points)))
-    return build_market(1, K, mu=[-x for x in b], beta=[[0.0]] * (K - 1),
-                        beta_bar=[1.0] * K, noise=tuple(noise))
+    laws = [rademacher(), standardized_two_point(0.3), standardized_two_point(0.8)]
+    noise = [draw(st.sampled_from(laws)) for _ in range(K)]
+    return fraction_market(noise, [draw(st.floats(0.05, 0.95)) for _ in range(K)])
 
 
 @st.composite
@@ -80,12 +84,13 @@ def side_bound(s, v, slope, X, phi):
     """How far a sum over the row blocks may stray from expectation(s, v)
     with v = f(X @ phi): expectation's pairwise rounding bound
     log2(n) 2^-52 sum |w v| once for each summation order, plus the
-    payoffs, which the block gemm and this whole-array product may round
-    differently, by up to k 2^-52 sum_i |phi_i x_i| per row, times
-    |f'| <= slope."""
+    rounding of each f(y) and w f(y) to its own ulp, 2^-52 sum |w v| once
+    for each order, plus the payoffs, which the block gemm and this
+    whole-array product may round differently, by up to
+    k 2^-52 sum_i |phi_i x_i| per row, times |f'| <= slope."""
     k = phi.size
     dy = k * 2.0 ** -52 * (np.abs(X[:, :k]) @ np.abs(phi))
-    return (2.0 * math.log2(s.n) * 2.0 ** -52 * float(np.sum(np.abs(s.weights * v)))
+    return (2.0 * (math.log2(s.n) + 1.0) * 2.0 ** -52 * float(np.sum(np.abs(s.weights * v)))
             + float(np.sum(s.weights * slope * dy)))
 
 
@@ -353,10 +358,17 @@ class TestHolderChain:
     @settings(max_examples=40, deadline=None)
     @given(model=sampled_markets(), n=st.sampled_from(BLOCK_EDGES),
            u=st.sampled_from(CERTIFIED_UTILITIES), count=st.integers(1, 12),
-           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+           seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 8))
+    # one row, where a 1-ulp difference in the rounding of exp meets a
+    # pairwise-sum slack of log2(1) = 0
+    @example(model=fraction_market((standardized_two_point(0.3),
+                                    standardized_two_point(0.8)), (0.5, 0.5)),
+             n=1, u=CERTIFIED_UTILITIES[0], count=9, seed=2784566, k=2)
     def test_block_walk_matches_whole_array_oracles(self, model, n, u, count,
-                                                    seed, data):
-        # the row walk's first, last, partial and exactly full blocks
+                                                    seed, k):
+        # the row walk's first, last, partial and exactly full blocks, with
+        # Hoelder strategies of k <= K coordinates
+        assume(k <= model.K)
         s = sample_scenarios(model, n, seed)
         exp_out = exp_ui_bound(model, s, delta=2.0, trials=count, seed=seed)
         phis = random_strategies(model.K, count, 2.0, seed)
@@ -366,7 +378,6 @@ class TestHolderChain:
             v = np.exp(np.abs(y))
             assert abs(row["value"] - expectation(s, v)) <= side_bound(
                 s, v, v, s.draws, phi)
-        k = data.draw(st.integers(1, model.K))
         strategies = random_strategies(k, count, 2.0, seed + 1)
         out = holder_chain_check(model, build_tilted_measure(model), u,
                                  strategies, s)
@@ -383,6 +394,18 @@ class TestHolderChain:
         s = enumerate_scenarios(market_k3)
         with pytest.raises(ValueError, match="4 coordinates; the market has K=3"):
             holder_chain_check(market_k3, Q, certified_u, np.zeros((2, 4)), s)
+
+    @pytest.mark.parametrize("kind", ["exact", "rows"])
+    def test_set_narrower_than_market_refused(self, market_k3, certified_u, kind):
+        # both walks name the mismatch before they read a row or a law
+        narrow = rademacher_market([0.2, 0.1])
+        s = enumerate_scenarios(narrow)
+        s = s if kind == "exact" else row_set(s)
+        Q = build_tilted_measure(market_k3)
+        with pytest.raises(ValueError, match="^scenario set has 2 coordinates; the market has K=3$"):
+            exp_ui_bound(market_k3, s, delta=1.0, trials=3, seed=0)
+        with pytest.raises(ValueError, match="^scenario set has 2 coordinates; the market has K=3$"):
+            holder_chain_check(market_k3, Q, certified_u, np.zeros((1, 2)), s)
 
     def test_mispriced_measure_refused_on_exact_set(self, market_k3, certified_u):
         # the guard reads the product-form means; a wrong tilt must trip it

@@ -480,6 +480,101 @@ class TestProductPass:
         assert one == two
 
 
+class TestHessianOnDemand:
+    """A step needs the Hessian where it starts; the pass that ends a loop
+    does not, and a product pass with c = 0 needs no reduction for it."""
+
+    @staticmethod
+    def log_halves(monkeypatch, name):
+        """Wrap the blocks kernel optimize.<name> to log the halves each call
+        forms: "g", "H", or "H0" for a Hessian half with c all zero."""
+        calls = []
+        kernel = getattr(optimize, name)
+
+        def logged(x, a, c, *scratch):
+            calls.append("g" if c is None else "H" if c.any() else "H0")
+            assert (a is None) != (c is None)
+            return kernel(x, a, c, *scratch)
+        monkeypatch.setattr(optimize, name, logged)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["exact", "rows", "sampled"])
+    def test_solve_forms_one_hessian_per_step(self, monkeypatch, kind):
+        # every solve starts at phi = 0, where u''(0) = 0: its first
+        # Hessian half has c = 0
+        model = rademacher_market([0.4 / i for i in range(1, 7)])
+        s = enumerate_scenarios(model)
+        s = {"exact": s, "rows": row_set(s),
+             "sampled": sample_scenarios(model, 3 * optimize.ROW_BLOCK + 17, 3)}[kind]
+        calls = self.log_halves(monkeypatch,
+                                "_product_blocks" if kind == "exact" else "_row_blocks")
+        second = mock.Mock(wraps=optimize.eval_u_second)
+        monkeypatch.setattr(optimize, "eval_u_second", second)
+        res = optimize_truncated(model, appendix_power(0.5), None, s)
+        it = res.iterations
+        assert res.converged and it >= 2
+        assert second.call_count == it
+        assert calls == ["g", "H0"] + ["g", "H"] * (it - 1) + ["g"]
+
+    def test_ladder_levels_form_one_hessian_per_step(self, monkeypatch):
+        model = rademacher_market([0.4 / i for i in range(1, 7)])
+        s = sample_scenarios(model, 5000, 8)
+        calls = self.log_halves(monkeypatch, "_row_blocks")
+        second = mock.Mock(wraps=optimize.eval_u_second)
+        monkeypatch.setattr(optimize, "eval_u_second", second)
+        report = truncation_ladder(model, appendix_power(0.5),
+                                   SolverConfig(ladder=(2, 4, 6)), s)
+        its = [lv.iterations for lv in report.levels]
+        assert second.call_count == sum(its)
+        assert calls == [c for it in its for c in ["g", "H0"] + ["g", "H"] * (it - 1) + ["g"]]
+
+    def test_certificate_forms_one_hessian_per_step(self, monkeypatch):
+        model = rademacher_market([0.3, 0.1, 0.05])
+        s = sample_scenarios(model, 2000, 4)
+        calls = self.log_halves(monkeypatch, "_row_blocks")
+        loop = optimize._damped_newton
+        steps = []
+
+        def counted(*args, **kwargs):
+            out = loop(*args, **kwargs)
+            steps.append(out[-1])
+            return out
+        monkeypatch.setattr(optimize, "_damped_newton", counted)
+        assert detect_unbounded(model, s) == (False, None)
+        assert len(steps) == 1 and steps[0] >= 1
+        assert calls == ["g", "H"] * steps[0] + ["g"]
+
+    def test_zero_curvature_product_pass_runs_no_reduction(self, monkeypatch):
+        xs = [np.array([-1.0, 0.5, 1.0]) - b for b in (0.2, 0.1, 0.05, 0.3)]
+        n = 3 ** 4
+        marginals = mock.Mock(wraps=optimize._marginals)
+        monkeypatch.setattr(optimize, "_marginals", marginals)
+        g, G = optimize._product_blocks(xs, None, np.zeros(n))
+        assert g is None and G.shape == (4, 4) and not G.any()
+        assert marginals.call_count == 0
+        g, G = optimize._product_blocks(xs, np.ones(n), None)
+        assert G is None and marginals.call_count == 1
+        optimize._product_blocks(xs, None, np.ones(n), np.empty(n))
+        assert marginals.call_count == 1 + 3  # one per coordinate past the first
+
+    @settings(deadline=None, max_examples=30)
+    @given(product_supports(), st.integers(0, 2 ** 32 - 1))
+    def test_halves_alone_match_both_bit_for_bit(self, supports, seed):
+        xs, _ = supports
+        n = math.prod(x.size for x in xs)
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        a = gen.standard_normal(n)
+        c = gen.uniform(0.0, 2.0, n) * (gen.random(n) < 0.9)
+        g, G = optimize._product_blocks(xs, a.copy(), c.copy())
+        assert optimize._product_blocks(xs, a.copy(), None)[0].tobytes() == g.tobytes()
+        assert optimize._product_blocks(xs, None, c.copy(), np.empty(n))[1].tobytes() == G.tobytes()
+        X = gen.standard_normal((len(xs), 3 * optimize.ROW_BLOCK + 17))
+        a, c = X[0].copy(), np.abs(X[-1])
+        g, G = optimize._row_blocks(X, a, c)
+        assert optimize._row_blocks(X, a, None)[0].tobytes() == g.tobytes()
+        assert optimize._row_blocks(X, None, c)[1].tobytes() == G.tobytes()
+
+
 class TestNewtonOracles:
     @settings(deadline=None, max_examples=50)
     @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), st.floats(0.1, 0.9))

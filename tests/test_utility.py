@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from apmopt import (GrowthBounds, Utility, appendix_power, certify_growth,
                     eval_u, eval_u_prime, eval_u_second, tabulated)
 from apmopt.utility import _CHUNK as CHUNK
+from apmopt.utility import _split_u
 from conftest import scaled_utility
 
 
@@ -175,6 +176,109 @@ class TestLiveBranch:
             finally:
                 tracemalloc.stop()
             assert peak <= out.nbytes + 4 * CHUNK * 8
+
+
+TABLE = tabulated((-10.0, -1.0, 0.0, 1.0, 10.0), (-30.0, -2.0, 0.2, 1.0, 3.0))
+
+
+FINITE_EDGES = [e for e in EDGES if np.isfinite(e)]
+
+
+def edged(n, edges=EDGES):
+    """n values with the edge values at both ends of every chunk and
+    random signs and scales between."""
+    x = np.random.default_rng(n).standard_normal(n) * 10.0 ** (n % 7)
+    for start in range(0, n, CHUNK):
+        for end in (start, min(start + CHUNK, n) - len(edges)):
+            x[end:end + len(edges)] = edges[:n - end]
+    return x
+
+
+class TestOut:
+    @pytest.mark.parametrize("u", [appendix_power(0.37), TABLE],
+                             ids=["appendix_power", "tabulated"])
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_out_is_returned_bit_for_bit(self, u, n):
+        # a table's continuation is inf - inf at infinities: finite values
+        x = edged(n, EDGES if u.kind == "appendix_power" else FINITE_EDGES)
+        for f in (eval_u, eval_u_prime, eval_u_second):
+            out = np.full(n, np.nan)
+            got = f(u, x, out=out)
+            assert got is out
+            assert out.tobytes() == f(u, x).tobytes()
+            # a strided x, and 2-d: read in C order like the allocating call
+            out2 = np.empty((1, n))
+            assert f(u, x[None, ::-1], out=out2) is out2
+            assert out2.tobytes() == f(u, x[None, ::-1]).tobytes()
+
+    @pytest.mark.parametrize("u", [appendix_power(0.37), TABLE],
+                             ids=["appendix_power", "tabulated"])
+    def test_out_on_a_scalar_holds_the_float(self, u):
+        for f in (eval_u, eval_u_prime, eval_u_second):
+            for x in (-2.5, 0.0, 3.0):
+                out = np.empty(())
+                assert f(u, x, out=out) is out
+                assert out[()] == f(u, x)
+
+    def test_out_may_be_x(self):
+        u = appendix_power(0.37)
+        x = edged(CHUNK + 1)
+        for f in (eval_u, eval_u_prime, eval_u_second):
+            y = x.copy()
+            assert f(u, y, out=y).tobytes() == f(u, x).tobytes()
+
+    @pytest.mark.parametrize("u", [appendix_power(0.37), TABLE],
+                             ids=["appendix_power", "tabulated"])
+    def test_wrong_out_refused(self, u):
+        x = np.zeros(8)
+        for bad in (np.empty(7), np.empty(8, dtype=np.float32), np.empty(16)[::2]):
+            with pytest.raises(ValueError, match="C-contiguous float64 array of shape"):
+                eval_u(u, x, out=bad)
+
+
+def split_oracle(u, y):
+    """u(Y+) and u(-Y-) as two whole-array evaluations of u."""
+    pos = np.maximum(y, 0.0)
+    return eval_u(u, pos), eval_u(u, y - pos)
+
+
+class TestSplit:
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
+    def test_lengths_around_the_chunk_match_two_evaluations(self, n):
+        # payoffs are finite; the oracle's Y - max(Y, 0) is NaN at +inf
+        x = edged(n, FINITE_EDGES)
+        u = appendix_power(0.37)
+        strided = np.stack([x, -x], axis=1)[:, 0]
+        for y in (x, strided, x[:n // 2 * 2].reshape(2, -1)):
+            gain, loss = _split_u(u)(y)
+            ref_gain, ref_loss = split_oracle(u, np.ascontiguousarray(y))
+            assert gain.shape == loss.shape == y.shape
+            assert gain.tobytes() == ref_gain.tobytes()
+            assert loss.tobytes() == ref_loss.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=st.floats(0.01, 0.99),
+           xs=st.lists(st.sampled_from(FINITE_EDGES)
+                       | st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    def test_matches_two_evaluations_bit_for_bit(self, alpha, xs):
+        u = appendix_power(alpha)
+        y = np.array(FINITE_EDGES + xs)
+        gain, loss = _split_u(u)(y)
+        ref_gain, ref_loss = split_oracle(u, y)
+        assert gain.tobytes() == ref_gain.tobytes()
+        assert loss.tobytes() == ref_loss.tobytes()
+
+    def test_no_full_size_temporaries(self):
+        # its two outputs plus a few chunks, and no u(0)
+        u = appendix_power(0.5)
+        y = np.random.default_rng(0).standard_normal((25, 1 << 14))
+        tracemalloc.start()
+        try:
+            gain, loss = _split_u(u)(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= gain.nbytes + loss.nbytes + 4 * CHUNK * 8
 
 
 class TestShape:
