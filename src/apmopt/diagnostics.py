@@ -11,12 +11,18 @@ Three families of checks:
   integrability vs sub-Gaussian moments + per-coordinate no-arbitrage),
   which are logically independent of each other.
 
-The first two read every strategy's payoff on every scenario row.  Each
-walks the rows once, in fixed-order blocks of at most
+The Hoelder chain reads every strategy's payoff on every scenario row.
+It walks the rows once, in fixed-order blocks of at most
 ``optimize.ROW_BLOCK`` rows, so its temporaries are a block's size, never
 a column's.  On an exact enumeration the payoffs are outer sums over the K
 coordinate laws, as in the solver, and the rows are never built; on other
-sets all strategies' payoffs of a block come from one gemm.
+sets all strategies' payoffs of a block come from one gemm.  The
+exponential moment takes the same walk on row sets.  On an exact
+enumeration it is a closed form instead, wherever that runs fewer exps:
+each payoff splits into a sum over a tile of trailing coordinates and one
+over the leading coordinates, which are independent, and sorted prefix
+and suffix sums over the tile give the expectation with exp run on the
+tile's and the leading coordinates' payoffs, not on every row.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .market import MarketModel, check_assumption_b, check_no_arbitrage
 from .measures import (TiltedMeasure, _coordinate_means, _density_moments, _residuals,
                        _support_factors)
 from .optimize import ROW_BLOCK, _outer_sum, _require_width
-from .scenarios import ScenarioSet
+from .scenarios import ScenarioSet, _product_weights
 from .utility import Utility, _split_u, certify_growth
 
 __all__ = [
@@ -53,7 +59,12 @@ N_GRID = (1.0, 2.0, 4.0, 8.0)       # and its truncation levels
 
 def random_strategies(K: int, count: int, max_norm: float, seed: int) -> np.ndarray:
     """(count, K) strategies: i.i.d. uniform[-1,1] coordinates rescaled so
-    the norms sweep (0, max_norm]."""
+    the norms sweep (0, max_norm].  A negative count and a negative or
+    non-finite max_norm are refused with a ValueError."""
+    if count < 0:
+        raise ValueError(f"strategy count must be >= 0, got {count}")
+    if not 0.0 <= max_norm < math.inf:
+        raise ValueError(f"max_norm must be finite and >= 0, got {max_norm}")
     gen = np.random.Generator(np.random.Philox(key=seed))
     raw = gen.uniform(-1.0, 1.0, size=(count, K))
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
@@ -143,6 +154,17 @@ def _product_payoffs(s: ScenarioSet, phis: np.ndarray, shift: np.ndarray):
         start += y.shape[1]
 
 
+def _tile_split(xs) -> tuple[int, int]:
+    """(lead, tile): the tile is the longest suffix xs[lead:] of the
+    supports whose product has at most ROW_BLOCK points, and at least the
+    last support; tile is its number of points."""
+    lead, tile = len(xs) - 1, xs[-1].size
+    while lead > 0 and tile * xs[lead - 1].size <= ROW_BLOCK:
+        lead -= 1
+        tile *= xs[lead].size
+    return lead, tile
+
+
 def _grid_blocks(xs, phis: np.ndarray):
     """The payoffs of the T strategies phis on the product of the supports
     xs, in row order (last coordinate fastest), as blocks of at most
@@ -150,19 +172,17 @@ def _grid_blocks(xs, phis: np.ndarray):
     depend on the BLAS thread count at any K.
 
     The tile is the longest suffix of coordinates whose support product is
-    at most ROW_BLOCK, and at least the last coordinate.  The payoffs on
-    the tile are outer sums, formed once, and each grid point of the
-    leading coordinates adds its own outer sum there, one constant per
-    strategy; a block holds as many whole tiles as fit in ROW_BLOCK rows.
+    at most ROW_BLOCK, and at least the last coordinate (``_tile_split``).
+    The payoffs on the tile are outer sums, formed once, and each grid
+    point of the leading coordinates adds its own outer sum there, one
+    constant per strategy; a block holds as many whole tiles as fit in
+    ROW_BLOCK rows.
     The leading coordinates' outer sums come block by block from the same
     walk over their own product, and a last coordinate with more than
     ROW_BLOCK points is cut into ROW_BLOCK-point pieces, so every
     temporary is a block's size.
     """
-    lead, tile = len(xs) - 1, xs[-1].size
-    while lead > 0 and tile * xs[lead - 1].size <= ROW_BLOCK:
-        lead -= 1
-        tile *= xs[lead].size
+    lead, tile = _tile_split(xs)
     if tile > ROW_BLOCK:  # the last coordinate alone, formed piece by piece
         pieces = [[xs[-1][c:c + ROW_BLOCK]] for c in range(0, tile, ROW_BLOCK)]
         tails = lambda: (_grid_payoffs(p, phis[:, lead:]) for p in pieces)
@@ -180,15 +200,121 @@ def _grid_blocks(xs, phis: np.ndarray):
                 yield (h + tail[:, None, :]).reshape(len(phis), -1)
 
 
+def _running_sums(terms: np.ndarray) -> np.ndarray:
+    """The L + 1 sums of the first 0, 1, ..., L of the L terms, in order:
+    one after the other within pieces of at most ROW_BLOCK terms, each
+    piece added to the total before it."""
+    sums = np.empty(terms.size + 1)
+    sums[0] = 0.0
+    for start in range(0, terms.size, ROW_BLOCK):
+        piece = sums[start + 1:start + 1 + ROW_BLOCK]
+        np.cumsum(terms[start:start + ROW_BLOCK], out=piece)
+        piece += sums[start]
+    return sums
+
+
+def _tiles_pay(xs) -> bool:
+    """Whether ``_product_exp_abs`` on the product of the supports xs runs
+    fewer exps than a row walk: two per tile point and per head against
+    one per row.  A set of one long law, or a short tile under many heads,
+    gains nothing."""
+    lead, tile = _tile_split(xs)
+    heads = math.prod(x.size for x in xs[:lead])
+    return 2 * (tile + heads) < tile * heads
+
+
+def _product_exp_abs(laws, phis: np.ndarray) -> np.ndarray:
+    """E[exp|Y|] for each of the strategies phis, with Y = sum_i phi_i
+    eps_i on the product of laws = [(points, probs)], in closed form.
+    Strategies narrower than the laws pay nothing on the other
+    coordinates.
+
+    Each payoff splits as Y = h + t over the tile of trailing coordinates
+    (``_tile_split``), h on the leading coordinates and t on the tile,
+    which are independent under the product weights, so
+
+        E[exp|Y|] = sum_h w_h (e^(h + t_max) sum_{t > -h} w_t e^(t - t_max)
+                               + e^-(h + t_min) sum_{t <= -h} w_t e^(t_min - t)).
+
+    Per strategy the tile's payoffs are sorted, with zero-probability
+    points left out, by a heapsort: as fast here as numpy's default
+    quicksort, which numpy may run as a SIMD kernel that orders ties
+    differently by machine.  The two sums are suffix and prefix sums there
+    (``_running_sums``), and every head h finds its split by one
+    searchsorted on -h.  So exp runs on the tile and the heads, not on
+    every row.  The shifts keep each term at most its weight, and every
+    term is positive, so nothing cancels:
+
+    * an empty side is a zero sum times e^x with x <= 0, exactly 0;
+    * where exp|Y| overflows at a point of positive weight, its side is
+      e^x = inf times a positive sum, so the value is inf where the row
+      walk's is; zero-probability points add nothing, even where the row
+      walk's inf * 0 gives NaN;
+    * a tile sum of L terms is within (ROW_BLOCK + L / ROW_BLOCK) 2^-53 of
+      its exact value, relatively, and the pairwise sum over the heads
+      within log2(heads) 2^-53; each exp and its rounded argument add a
+      few 2^-53 (1 + |h| + |t| + |t_max| + |t_min|).  At payoffs of order
+      1 that is at most about 5e-13 of the value, inside the 1e-12 by
+      which an exact set's results may differ from its rows'.
+
+    No BLAS call runs.  The strategies are taken one at a time, with the
+    heads in blocks of at most ROW_BLOCK (``_grid_blocks``), so every
+    temporary holds at most ROW_BLOCK values or the tile's.
+    """
+    xs = [x for x, _ in laws]
+    lead, _ = _tile_split(xs)
+    w_tile = _product_weights([p for _, p in laws[lead:]])
+    live = w_tile > 0
+    w_tile = w_tile[live]
+    w_head = _product_weights([p for _, p in laws[:lead]]) if lead else np.ones(1)
+    full = np.zeros((len(phis), len(xs)))
+    full[:, :phis.shape[1]] = phis
+    values = np.empty(len(phis))
+    for j in range(len(full)):
+        phi = full[j:j + 1]
+        t = _grid_payoffs(xs[lead:], phi[:, lead:])[0, live]
+        order = np.argsort(t, kind="heapsort")
+        t, w = t[order], w_tile[order]
+        above = np.exp(t - t[-1])
+        above *= w
+        above = _running_sums(above[::-1])[::-1]  # above[k]: over t[k:]
+        below = np.exp(t[0] - t)
+        below *= w
+        below = _running_sums(below)  # below[k]: over t[:k]
+        heads = _grid_blocks(xs[:lead], phi[:, :lead]) if lead else [np.zeros((1, 1))]
+        sums, start = [], 0
+        for (h,) in heads:
+            wh = w_head[start:start + h.size]
+            start += h.size
+            if not wh.all():
+                keep = wh > 0
+                h, wh = h[keep], wh[keep]
+            k = np.searchsorted(t, -h, side="right")  # the points t <= -h
+            v = np.exp(h + t[-1])
+            v *= above[k]
+            down = np.exp(-(h + t[0]))
+            down *= below[k]
+            v += down
+            v *= wh
+            sums.append(np.sum(v))
+        values[j] = np.sum(sums)
+    return values
+
+
 def exp_ui_bound(model: MarketModel, s: ScenarioSet, delta: float,
                  trials: int, seed: int) -> dict:
     """Measure E[exp|sum phi_i eps_i|] for random small strategies and fit
     C in the cap 2 exp(C ||phi||^2).
 
     Uses the raw (uncentered) noise; on the scenario set the expectation
-    is exact whenever the set is an exact enumeration.  All trials share
-    one walk over the rows (``_strategy_sums``).  The set must have at
-    least the market's K coordinates.
+    is exact whenever the set is an exact enumeration.  There it is taken
+    in closed form from the set's laws, with exp on the tile and head
+    payoffs alone (``_product_exp_abs``), wherever that runs fewer exps
+    than the rows (``_tiles_pay``), within 1e-12 of the row walk's value;
+    otherwise all trials share one walk over the rows
+    (``_strategy_sums``).  The set must have at least the market's K
+    coordinates.  A negative trial count and a negative or non-finite
+    delta are refused (``random_strategies``).
     """
     _require_width(model, s)
     phis = random_strategies(model.K, trials, delta, seed)
@@ -197,7 +323,10 @@ def exp_ui_bound(model: MarketModel, s: ScenarioSet, delta: float,
         v = np.abs(y)
         return (np.exp(v, out=v),)
 
-    (vals,) = _strategy_sums(s, phis, np.zeros(model.K), exp_abs)
+    if s.is_exact and _tiles_pay([x for x, _ in s._laws]):
+        vals = _product_exp_abs(s._laws, phis)
+    else:
+        (vals,) = _strategy_sums(s, phis, np.zeros(model.K), exp_abs)
     rows = []
     worst = 0.0
     for phi, val in zip(phis, vals.tolist()):

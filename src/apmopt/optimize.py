@@ -268,26 +268,31 @@ def _outer_sum(xs, phi: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out[:size]
 
 
-def _marginals(a: np.ndarray, sizes) -> list[np.ndarray]:
+def _marginals(a: np.ndarray, sizes, spare: np.ndarray) -> list[np.ndarray]:
     """The marginal sums of a, laid out over a product of axes of the given
     sizes (last fastest), on each axis.  Peeling the leading axis, its
     marginal is a pairwise sum along the contiguous remainder, and the sum
     of its slices is the array left for the next, none after the last.
 
-    numpy sums axis 0 of a C-ordered (m, rest) array slice after slice when
-    rest >= 2, which holds before the last axis since every law has two
-    or more points; at rest = 1 it would sum pairwise."""
+    Those partial sums go alternately into spare, of at least
+    a.size // sizes[0] values, and over a, whose values are dead once the
+    first is formed; so a is overwritten, and no partial sum is allocated.
+    numpy sums axis 0 of a C-ordered (m, rest) array slice
+    after slice when rest >= 2, which holds before the last axis since
+    every law has two or more points; at rest = 1 it would sum pairwise."""
     out = []
+    buffers = (spare, a)
     for k, m in enumerate(sizes):
         slices = a.reshape(m, -1)
         out.append(slices.sum(axis=1))
         if k + 1 < len(sizes):
-            a = slices.sum(axis=0)
+            a = np.sum(slices, axis=0, out=buffers[k % 2][:slices.shape[1]])
     return out
 
 
 def _product_blocks(xs, a: np.ndarray | None, c: np.ndarray | None,
-                    scratch: np.ndarray | None = None):
+                    scratch: np.ndarray | None = None,
+                    spare: np.ndarray | None = None):
     """(X.T @ a, X.T diag(c) X) on the product of the supports xs, from
     marginals: g_i = x_i . (marginal of a on axis i), and row i of G,
     peeling axis i off c, is x_i^2 . (marginal of c on axis i) on the
@@ -297,31 +302,45 @@ def _product_blocks(xs, a: np.ndarray | None, c: np.ndarray | None,
     solve's first pass, where u''(0) = 0.  Every step is a numpy reduction
     over a whole axis, with no loop over support points.  No reduction
     runs in BLAS, so the sums do not depend on the BLAS thread count at
-    any K.  The G half writes the weighted slices into scratch, an array
-    of at least c's size (default a, whose marginals are read first).
+    any K.
+
+    a and c are overwritten.  The G half writes the weighted slices into
+    scratch, an array of at least c's size (default a, whose marginals are
+    read first).  Every partial sum goes into spare, of at least
+    n // xs[0].size values (default a new one), or over a buffer whose
+    values are dead: the sums of c's slices alternate between spare and
+    c, and a weighted sum and its partial sums take the one of the two
+    that c's current slices are not in, and scratch.  So a caller that
+    keeps spare and scratch allocates no grid-sized array per pass.
     Weighting c in place would need the next axis's slices summed first,
     and that sum and the weighted one would be alive together."""
     sizes = [x.size for x in xs]
     K = len(xs)
+    n = math.prod(sizes)
+    spare = np.empty(n // sizes[0]) if spare is None else spare
     g = G = None
     if a is not None:
-        g = np.array([np.sum(x * m) for x, m in zip(xs, _marginals(a, sizes))])
+        g = np.array([np.sum(x * m) for x, m in zip(xs, _marginals(a, sizes, spare))])
     if c is None:
         return g, G
     G = np.zeros((K, K))
     if not c.any():
         return g, G
     scratch = a if scratch is None else scratch
+    held, free = c, spare  # the buffer of c's current slices, and the other
     for i, x in enumerate(xs):
         slices = c.reshape(x.size, -1)
         G[i, i] = np.sum(x * x * slices.sum(axis=1))
         if i + 1 == K:
             break
+        rest = slices.shape[1]
         weighted = np.multiply(slices, x[:, None], out=scratch[:c.size].reshape(slices.shape))
+        summed = np.sum(weighted, axis=0, out=free[:rest])
         G[i, i + 1:] = [np.sum(y * m) for y, m in
-                        zip(xs[i + 1:], _marginals(weighted.sum(axis=0), sizes[i + 1:]))]
+                        zip(xs[i + 1:], _marginals(summed, sizes[i + 1:], scratch))]
         G[i + 1:, i] = G[i, i + 1:]
-        c = slices.sum(axis=0)
+        c = np.sum(slices, axis=0, out=free[:rest])
+        held, free = free, held
     return g, G
 
 
@@ -450,6 +469,8 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
     live as long as the solve: one for w u'(v), which an exact set's
     Hessian then takes as scratch, and one for w u''(v) and the line
     search's w u(v), since w u''(v) is dead once the Hessian is formed.
+    On an exact set a third, of n over the first law's size, takes the
+    product pass's partial sums.
     """
     cfg = cfg or SolverConfig()
     K = model.K if K is None else K
@@ -469,8 +490,10 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
         # the line search's last trial, so one buffer serves
         buf = np.empty(w.size)
         payoffs = lambda p: _outer_sum(xs, p, buf)
-        # w u'(v) is dead once g is formed, so the Hessian half reuses it
-        blocks = lambda a, c: _product_blocks(xs, a, c, a_buf)
+        # w u'(v) is dead once g is formed, so the Hessian half reuses it;
+        # both halves write their partial sums into one spare buffer
+        spare = np.empty(w.size // xs[0].size)
+        blocks = lambda a, c: _product_blocks(xs, a, c, a_buf, spare)
     else:
         X = _centered(model, s, K)
         w = s.weights

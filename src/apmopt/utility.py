@@ -174,6 +174,11 @@ def _live_bits(x, out=None):
     return np.subtract(0, x > 0, out=out, dtype=np.int64)
 
 
+def _first_slope(u: Utility) -> float:
+    """A table's first segment slope, which u continues below the table."""
+    return (u.ys[1] - u.ys[0]) / (u.xs[1] - u.xs[0])
+
+
 def eval_u(u: Utility, x, *, out=None):
     """u(x), vectorized; written into out when given."""
     if u.kind == "appendix_power":
@@ -194,8 +199,8 @@ def eval_u(u: Utility, x, *, out=None):
 
         return _kinked(x, lambda v: (v + 1.0) ** a - 1.0 if v > 0 else a * v, kernel, out)
     x = np.asarray(x, dtype=float)
-    first = (u.ys[1] - u.ys[0]) / (u.xs[1] - u.xs[0])
-    return _plain(x, out, np.interp(x, u.xs, u.ys) + first * np.minimum(x - u.xs[0], 0.0))
+    return _plain(x, out, np.interp(x, u.xs, u.ys)
+                  + _first_slope(u) * np.minimum(x - u.xs[0], 0.0))
 
 
 def eval_u_prime(u: Utility, x, *, out=None):
@@ -206,7 +211,9 @@ def eval_u_prime(u: Utility, x, *, out=None):
     step 1e-6 max(1, |x|): the segment slope away from the nodes, and
     between the two slopes within a step of a node.  The one-sided slope
     would never vanish at a maximum on a node, and the Newton loop would
-    not stop there before max_iter.
+    not stop there before max_iter.  At x = -inf it is the first segment's
+    slope, which u continues below the table, and at +inf 0, where u is
+    held; there the step would be infinite.
     """
     if u.kind == "appendix_power":
         a = u.alpha
@@ -221,8 +228,11 @@ def eval_u_prime(u: Utility, x, *, out=None):
 
         return _kinked(x, lambda v: a * (v + 1.0) ** (a - 1.0) if v > 0 else a, kernel, out)
     x = np.asarray(x, dtype=float)
-    h = 1e-6 * np.maximum(1.0, np.abs(x))
-    return _plain(x, out, (eval_u(u, x + h) - eval_u(u, x - h)) / (2 * h))
+    ends = np.isinf(x)
+    xf = np.where(ends, 0.0, x)
+    h = 1e-6 * np.maximum(1.0, np.abs(xf))
+    slope = (eval_u(u, xf + h) - eval_u(u, xf - h)) / (2 * h)
+    return _plain(x, out, np.where(ends, np.where(x < 0, _first_slope(u), 0.0), slope))
 
 
 def eval_u_second(u: Utility, x, *, out=None):

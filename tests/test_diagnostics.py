@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -130,6 +131,26 @@ class TestRandomStrategies:
         assert np.array_equal(random_strategies(4, 5, 1.0, 7),
                               random_strategies(4, 5, 1.0, 7))
 
+    def test_negative_count_refused(self, market_k3):
+        # before, numpy's "negative dimensions are not allowed"
+        s = enumerate_scenarios(market_k3)
+        with pytest.raises(ValueError, match="^strategy count must be >= 0, got -1$"):
+            random_strategies(3, -1, 1.0, seed=0)
+        with pytest.raises(ValueError, match="^strategy count must be >= 0, got -1$"):
+            exp_ui_bound(market_k3, s, delta=1.0, trials=-1, seed=0)
+        assert exp_ui_bound(market_k3, s, delta=1.0, trials=0, seed=0)["measurements"] == []
+
+    @pytest.mark.parametrize("max_norm", [math.nan, math.inf, -math.inf, -0.5])
+    def test_bad_max_norm_refused(self, market_k3, max_norm):
+        # before, delta = NaN gave NaN values and fitted_C = 0.0
+        s = enumerate_scenarios(market_k3)
+        message = f"^max_norm must be finite and >= 0, got {max_norm}$"
+        with pytest.raises(ValueError, match=message):
+            random_strategies(3, 4, max_norm, seed=0)
+        with pytest.raises(ValueError, match=message):
+            exp_ui_bound(market_k3, s, delta=max_norm, trials=4, seed=0)
+        assert not random_strategies(3, 4, 0.0, seed=0).any()
+
 
 class TestExpMomentBound:
     def test_cosh_product_cap(self, market_k3):
@@ -163,6 +184,118 @@ class TestExpMomentBound:
                 big = float(np.sum(s.weights * z2 * (z2 > T_big)))
                 assert big <= small
                 assert float(np.sum(s.weights * z2 * (z2 > 1000.0))) < 1e-6
+
+
+def exp_abs(y):
+    return (np.exp(np.abs(y)),)
+
+
+class TestExpMomentClosedForm:
+    """exp_ui_bound on an exact set, in closed form from sorted tile sums
+    (``_product_exp_abs``), against the row walk over the set's rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(laws=product_laws(), count=st.integers(1, 12), width=st.integers(1, 14),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # a 2187-row tile under nine heads; a long leading law as 4197 heads over
+    # a 6-point tile; a long last law as the tile, with narrower strategies;
+    # a zero-probability point at each end of a law
+    @example(laws=[THREE_POINT] * 9, count=5, width=9, seed=1)
+    @example(laws=[LONG_LAW, THREE_POINT, (np.array([-0.5, 1.0]), np.array([0.6, 0.4]))],
+             count=7, width=3, seed=2)
+    @example(laws=[THREE_POINT, THREE_POINT, LONG_LAW], count=3, width=2, seed=3)
+    @example(laws=[(np.array([-4.0, -1.0, 0.5, 4.0]), np.array([0.0, 0.5, 0.5, 0.0]))] * 6,
+             count=6, width=6, seed=4)
+    def test_matches_row_walk(self, laws, count, width, seed):
+        # to 1e-12 of the values' scale: E exp|Y| plus E[exp|Y| sum_i
+        # |phi_i x_i|], since either side may round each payoff by a few
+        # ulps of sum_i |phi_i x_i|
+        s = ScenarioSet._product(laws)
+        k = min(width, len(laws))
+        phis = random_strategies(k, count, 2.0, seed)
+        closed = diagnostics._product_exp_abs(s._laws, phis)
+        assert s._draws is None  # the closed form reads the laws alone
+        (rows,) = diagnostics._strategy_sums(row_set(s), phis, np.zeros(k), exp_abs)
+        X = s.draws[:, :k]
+        exp_y = np.exp(np.abs(phis @ X.T))
+        scale = (exp_y + exp_y * (np.abs(phis) @ np.abs(X).T)) @ s.weights
+        assert np.all(np.abs(closed - rows) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("laws", [[THREE_POINT] * 9, [LONG_LAW, THREE_POINT],
+                                      [THREE_POINT, LONG_LAW]],
+                             ids=["three_point_k9", "long_first", "long_last"])
+    def test_zero_strategy_gives_one(self, laws):
+        # the weights' sum: 1 to rounding
+        vals = diagnostics._product_exp_abs(laws, np.zeros((2, len(laws))))
+        assert np.all(np.abs(vals - 1.0) <= 1e-14)
+
+    def test_overflow_gives_inf_not_nan(self):
+        # payoffs beyond log(max float) ~ 709.8 on one side, then on both;
+        # the row walk overflows on the same strategies
+        laws = [THREE_POINT] * 9
+        phis = np.zeros((3, 9))
+        phis[0, 0] = 1.0
+        phis[1, :] = 80.0  # Y from -1080 to 900
+        phis[2, :3] = -500.0  # Y from -375 to 2250
+        s = ScenarioSet._product(laws)
+        with np.errstate(over="ignore"):
+            closed = diagnostics._product_exp_abs(laws, phis)
+            (rows,) = diagnostics._strategy_sums(row_set(s), phis, np.zeros(9), exp_abs)
+        assert np.isfinite(closed[0]) and closed[0] == pytest.approx(rows[0], rel=1e-12)
+        assert np.array_equal(closed[1:], [math.inf, math.inf])
+        assert np.array_equal(rows[1:], [math.inf, math.inf])
+
+    def test_zero_probability_points_add_nothing(self):
+        # a point of probability 0 far out: the row walk's inf * 0 is NaN,
+        # the closed form leaves the point out, and equals its value on the
+        # law without that point
+        far = (np.array([-1.5, 0.25, 1.25, 900.0]), np.array([0.25, 0.5, 0.25, 0.0]))
+        phis = random_strategies(9, 4, 2.0, seed=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            (walk,) = diagnostics._strategy_sums(row_set(ScenarioSet._product([far] * 9)),
+                                                 phis, np.zeros(9), exp_abs)
+        assert np.isnan(walk).all()
+        closed = diagnostics._product_exp_abs([far] * 9, phis)
+        assert closed == pytest.approx(
+            diagnostics._product_exp_abs([THREE_POINT] * 9, phis), rel=1e-13)
+
+    def test_long_law_peak_memory(self):
+        # 100 trials on one 10^5-point law as the tile: one strategy at a
+        # time, about 7 MB (the row walk of the same set takes 11-13 MB)
+        n = 10 ** 5
+        laws = [(np.linspace(-2.0, 2.0, n), np.full(n, 1.0 / n))]
+        phis = random_strategies(1, 100, 1.0, seed=3)
+        tracemalloc.start()
+        try:
+            vals = diagnostics._product_exp_abs(laws, phis)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12.0
+        assert np.all(vals >= 1.0) and np.all(np.isfinite(vals))
+
+    def test_exp_ui_bound_takes_closed_form_where_it_pays(self, monkeypatch):
+        # two exps per tile point and head against one per row: a 4096-row
+        # tile under 4 heads pays (K = 14 Rademacher), under 2 it does not,
+        # nor does a set of one long law or a 2-point tile under many heads;
+        # row sets always walk
+        assert diagnostics._tiles_pay([np.array([-1.0, 1.0])] * 14)
+        assert not diagnostics._tiles_pay([np.array([-1.0, 1.0])] * 13)
+        assert not diagnostics._tiles_pay([LONG_LAW[0]])
+        assert not diagnostics._tiles_pay([LONG_LAW[0], THREE_POINT[0][:2]])
+        model = rademacher_market([0.3 / i for i in range(1, 15)])
+        s = enumerate_scenarios(model)
+        walks = []
+        real = diagnostics._strategy_sums
+        monkeypatch.setattr(diagnostics, "_strategy_sums",
+                            lambda *args: walks.append(args[0]) or real(*args))
+        closed = exp_ui_bound(model, s, delta=2.0, trials=20, seed=7)
+        assert walks == [] and s._draws is None
+        rows = exp_ui_bound(model, row_set(s), delta=2.0, trials=20, seed=7)
+        assert len(walks) == 1
+        assert closed["fitted_C"] == pytest.approx(rows["fitted_C"], rel=1e-12)
+        assert [r["value"] for r in closed["measurements"]] == pytest.approx(
+            [r["value"] for r in rows["measurements"]], rel=1e-12)
 
 
 class TestStrategySums:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -363,6 +364,41 @@ class TestProductPass:
         assert np.all(np.abs(g - X.T @ a) <= 1e-12 * (np.abs(X).T @ np.abs(a)))
         assert np.all(np.abs(G - (X.T * c) @ X) <= 1e-12 * ((np.abs(X).T * c) @ np.abs(X)))
         assert np.array_equal(G, G.T)
+
+    @settings(deadline=None, max_examples=30)
+    @given(product_supports(), st.integers(0, 2 ** 32 - 1))
+    def test_kept_buffers_match_own_bit_for_bit(self, supports, seed):
+        # the partial sums in a caller's spare buffer, as the solver keeps
+        # it, against a pass that allocates its own
+        xs, _ = supports
+        n = math.prod(x.size for x in xs)
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        a = gen.standard_normal(n)
+        c = gen.uniform(0.0, 2.0, n) * (gen.random(n) < 0.9)
+        g, G = optimize._product_blocks(xs, a.copy(), c.copy())
+        scratch, spare = np.empty(n), np.empty(n // xs[0].size)
+        assert optimize._product_blocks(xs, a.copy(), None, scratch, spare)[0].tobytes() == g.tobytes()
+        assert optimize._product_blocks(xs, None, c.copy(), scratch, spare)[1].tobytes() == G.tobytes()
+
+    @pytest.mark.parametrize("sizes", [(2,) * 17, (3, 2) * 6 + (3,)], ids=["two_point", "mixed"])
+    def test_kept_buffers_hold_every_partial_sum(self, sizes):
+        # with scratch and spare kept, neither half allocates a partial sum:
+        # the largest would be n / 2 values (n / 3 on the mixed grid), 4n
+        # bytes or more.  What is left is numpy's own ufunc buffer, at most
+        # 8192 values, and arrays of a law's size
+        gen = np.random.Generator(np.random.Philox(key=len(sizes)))
+        xs = [gen.uniform(-1.0, 1.0, m) for m in sizes]
+        n = math.prod(sizes)
+        a, c = gen.standard_normal(n), gen.uniform(0.0, 2.0, n)
+        scratch, spare = np.empty(n), np.empty(n // sizes[0])
+        tracemalloc.start()
+        try:
+            optimize._product_blocks(xs, a, None, scratch, spare)
+            optimize._product_blocks(xs, None, c, scratch, spare)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n
 
     @pytest.mark.parametrize("drifts, levels", [
         ([0.2, 0.1, 0.05], (None, 1, 2)),

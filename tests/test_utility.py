@@ -76,6 +76,25 @@ class TestEval:
                                                     abs=1e-9)
         assert type(eval_u_prime(u, -3.0)) is float
 
+    def test_tabulated_prime_at_infinities(self):
+        # the first slope at -inf and 0 at +inf, with no inf - inf step (a
+        # RuntimeWarning is an error here); NaN stays NaN, and finite
+        # arguments keep the finite difference's bits
+        u = tabulated([-1.0, 0.0, 1.0], [-1.0, 0.0, 0.5])
+        xs = np.array([-np.inf, np.inf, np.nan, -5.0, 0.5, 4.0])
+        finite = eval_u_prime(u, xs[3:])
+        got = eval_u_prime(u, xs)
+        assert np.array_equal(got[:2], [1.0, 0.0]) and np.isnan(got[2])
+        assert got[3:].tobytes() == finite.tobytes()
+        assert eval_u_prime(u, -np.inf) == 1.0 and eval_u_prime(u, np.inf) == 0.0
+        assert type(eval_u_prime(u, np.inf)) is float
+        assert np.isnan(eval_u_prime(u, np.nan))
+        out = np.empty(xs.shape)
+        assert eval_u_prime(u, xs, out=out) is out
+        assert out.tobytes() == got.tobytes()
+        scalar = np.empty(())
+        assert eval_u_prime(u, -np.inf, out=scalar) is scalar and scalar[()] == 1.0
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(-20, 20), min_size=2, max_size=6, unique=True),
            st.lists(st.integers(0, 8), min_size=6, max_size=6),
