@@ -14,9 +14,10 @@ Three families of checks:
 The Hoelder chain reads every strategy's payoff on every scenario row.
 It walks the rows once, in fixed-order blocks of at most
 ``optimize.ROW_BLOCK`` rows, so its temporaries are a block's size, never
-a column's.  On an exact enumeration the payoffs are outer sums over the K
-coordinate laws, as in the solver, and the rows are never built; on other
-sets all strategies' payoffs of a block come from one gemm.  The
+a column's.  Its payoffs come from the solver's kernels: outer sums over
+the K coordinate laws on an exact enumeration, whose rows are never
+built, and on other sets a centred block (``optimize._centered``) and
+gemms of power-of-two widths (``optimize._payoffs``).  The
 exponential moment takes the same walk on row sets.  On an exact
 enumeration it is a closed form instead, wherever that runs fewer exps:
 each payoff splits into a sum over a tile of trailing coordinates and one
@@ -38,7 +39,7 @@ from .distributions import estimate_exp_moment, tail_probability, truncated_seco
 from .market import MarketModel, check_assumption_b, check_no_arbitrage
 from .measures import (TiltedMeasure, _coordinate_means, _density_moments, _residuals,
                        _support_factors)
-from .optimize import ROW_BLOCK, _outer_sum, _require_width
+from .optimize import ROW_BLOCK, _centered, _outer_sum, _payoffs, _require_width
 from .scenarios import ScenarioSet, _product_weights
 from .utility import Utility, _split_u, certify_growth
 
@@ -59,10 +60,15 @@ N_GRID = (1.0, 2.0, 4.0, 8.0)       # and its truncation levels
 
 def random_strategies(K: int, count: int, max_norm: float, seed: int) -> np.ndarray:
     """(count, K) strategies: i.i.d. uniform[-1,1] coordinates rescaled so
-    the norms sweep (0, max_norm].  A negative count and a negative or
-    non-finite max_norm are refused with a ValueError."""
+    the norms sweep (0, max_norm].  A negative K or count, a negative or
+    non-finite max_norm and a seed outside the Philox key range [0,
+    2**128) are refused with a ValueError."""
+    if K < 0:
+        raise ValueError(f"strategy width K must be >= 0, got {K}")
     if count < 0:
         raise ValueError(f"strategy count must be >= 0, got {count}")
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
     if not 0.0 <= max_norm < math.inf:
         raise ValueError(f"max_norm must be finite and >= 0, got {max_norm}")
     gen = np.random.Generator(np.random.Philox(key=seed))
@@ -71,10 +77,6 @@ def random_strategies(K: int, count: int, max_norm: float, seed: int) -> np.ndar
     norms[norms == 0] = 1.0
     targets = max_norm * (np.arange(1, count + 1) / count)[:, None]
     return raw / norms * targets
-
-
-def _pow2_ceil(n: int) -> int:
-    return 1 << (n - 1).bit_length()
 
 
 def _strategy_sums(s: ScenarioSet, phis: np.ndarray, shift: np.ndarray,
@@ -104,38 +106,28 @@ def _strategy_sums(s: ScenarioSet, phis: np.ndarray, shift: np.ndarray,
 
 def _row_payoffs(s: ScenarioSet, phis: np.ndarray, shift: np.ndarray):
     """(Y, w) per block of ROW_BLOCK rows of s, in order: the payoffs of a
-    block from one gemm, which reduces over the K coordinates alone, and the
-    block's weights.  The block is centred into a C-ordered (k, rows)
-    buffer, one contiguous row per coordinate, which a column-major sample
-    fills from contiguous columns.  A short last block is padded with zero
-    columns to a power of two, like ROW_BLOCK: OpenBLAS splits a threaded
-    product over the scenarios, and a ragged count (4095, say) splits
-    unevenly and changes the last bits, while 2 threads split every power
-    of two tested (1 to 4096 rows, K <= 96) without.
-    """
+    block and its weights.  The block is centred into a C-ordered (k, rows)
+    buffer (``_centered``), which a column-major sample fills from
+    contiguous columns, and its payoffs come from ``_payoffs``, whose
+    power-of-two widths keep them independent of the BLAS thread count."""
     k = phis.shape[1]
-    buf = np.empty(k * min(ROW_BLOCK, _pow2_ceil(s.n)))
+    buf = np.empty(k * min(ROW_BLOCK, s.n))
     for start in range(0, s.n, ROW_BLOCK):
-        count = min(ROW_BLOCK, s.n - start)
-        rows = _pow2_ceil(count)
-        X = buf[:k * rows].reshape(k, rows)
-        np.subtract(s.draws[start:start + count, :k].T, shift[:k, None], out=X[:, :count])
-        X[:, count:] = 0.0
-        yield (phis @ X)[:, :count], s.weights[start:start + count]
+        rows = slice(start, start + ROW_BLOCK)
+        draws = s.draws[rows, :k]
+        X = _centered(draws, shift[:k], buf[:draws.size].reshape(draws.shape[::-1]))
+        yield _payoffs(X, phis), s.weights[rows]
 
 
 def _grid_payoffs(xs, phis: np.ndarray) -> np.ndarray:
     """(T, prod of sizes) payoffs of the T strategies phis on the product of
-    the supports xs, last coordinate fastest, adding the coordinates first
-    to last as the row walk's gemm does: ``_outer_sum`` over the reversed
-    coordinates lays the grid out first coordinate fastest, and a transpose
-    restores the enumeration's order."""
-    sizes = [x.size for x in xs]
-    out = np.empty((phis.shape[0], math.prod(sizes)))
+    the supports xs, last coordinate fastest: each row is the solver's
+    ``_outer_sum``, which adds the coordinates from the last to the
+    first."""
+    out = np.empty((phis.shape[0], math.prod(x.size for x in xs)))
     for row, phi in zip(out, phis):
-        _outer_sum(xs[::-1], phi[::-1], row)
-    axes = range(len(sizes), 0, -1)
-    return out.reshape(out.shape[0], *sizes[::-1]).transpose(0, *axes).reshape(out.shape)
+        _outer_sum(xs, phi, row)
+    return out
 
 
 def _product_payoffs(s: ScenarioSet, phis: np.ndarray, shift: np.ndarray):

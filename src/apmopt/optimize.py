@@ -172,13 +172,11 @@ class SolverConfig:
             raise ValueError(f"ladder levels {list(self.ladder)} must be strictly increasing")
 
 
-def _centered(model: MarketModel, s: ScenarioSet, K: int) -> np.ndarray:
-    """X = eps - b on the first K coordinates, transposed: a C-ordered
+def _centered(draws: np.ndarray, shift: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """X = draws - shift for (n, K) draws, transposed into out: a C-ordered
     (K, n) matrix whose row i is coordinate i's centred column, from draws
     in either memory order (a column-major sample copies contiguously)."""
-    X = np.empty((K, s.n))
-    np.subtract(s.draws[:, :K].T, model.b[:K, None], out=X)
-    return X
+    return np.subtract(draws.T, shift[:, None], out=out)
 
 
 def _expected_u(u: Utility, w: np.ndarray, v: np.ndarray, out=None) -> float:
@@ -188,18 +186,19 @@ def _expected_u(u: Utility, w: np.ndarray, v: np.ndarray, out=None) -> float:
     return float(np.sum(uv))
 
 
-def _payoffs(X: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """phi @ X for the (K, n) matrix X, one gemv per block of columns: of
-    ROW_BLOCK columns, then the rest in power-of-two widths.  OpenBLAS
-    splits a threaded gemv of this shape over its columns, and a ragged
-    width (50 001, say) splits unevenly and changes the last bits, while
-    a power of two splits alike over 1 and 2 threads."""
+def _payoffs(X: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """phis @ X for the (K, n) matrix X and one strategy (K,) or several
+    (T, K), one product per block of columns: of ROW_BLOCK columns, then
+    the rest in power-of-two widths.  OpenBLAS splits a threaded gemv or
+    gemm of this shape over its columns, and a ragged width (50 001, say)
+    splits unevenly and changes the last bits, while a power of two splits
+    alike over 1 and 2 threads."""
     n = X.shape[1]
-    v = np.empty(n)
+    v = np.empty(phis.shape[:-1] + (n,))
     start = 0
     while start < n:
         width = min(ROW_BLOCK, 1 << ((n - start).bit_length() - 1))
-        np.matmul(phi, X[:, start:start + width], out=v[start:start + width])
+        np.matmul(phis, X[:, start:start + width], out=v[..., start:start + width])
         start += width
     return v
 
@@ -291,8 +290,7 @@ def _marginals(a: np.ndarray, sizes, spare: np.ndarray) -> list[np.ndarray]:
 
 
 def _product_blocks(xs, a: np.ndarray | None, c: np.ndarray | None,
-                    scratch: np.ndarray | None = None,
-                    spare: np.ndarray | None = None):
+                    scratch: np.ndarray, spare: np.ndarray):
     """(X.T @ a, X.T diag(c) X) on the product of the supports xs, from
     marginals: g_i = x_i . (marginal of a on axis i), and row i of G,
     peeling axis i off c, is x_i^2 . (marginal of c on axis i) on the
@@ -305,9 +303,9 @@ def _product_blocks(xs, a: np.ndarray | None, c: np.ndarray | None,
     any K.
 
     a and c are overwritten.  The G half writes the weighted slices into
-    scratch, an array of at least c's size (default a, whose marginals are
-    read first).  Every partial sum goes into spare, of at least
-    n // xs[0].size values (default a new one), or over a buffer whose
+    scratch, an array of at least c's size (the solver passes a's buffer,
+    whose values are dead once g is formed).  Every partial sum goes into
+    spare, of at least n // xs[0].size values, or over a buffer whose
     values are dead: the sums of c's slices alternate between spare and
     c, and a weighted sum and its partial sums take the one of the two
     that c's current slices are not in, and scratch.  So a caller that
@@ -316,8 +314,6 @@ def _product_blocks(xs, a: np.ndarray | None, c: np.ndarray | None,
     and that sum and the weighted one would be alive together."""
     sizes = [x.size for x in xs]
     K = len(xs)
-    n = math.prod(sizes)
-    spare = np.empty(n // sizes[0]) if spare is None else spare
     g = G = None
     if a is not None:
         g = np.array([np.sum(x * m) for x, m in zip(xs, _marginals(a, sizes, spare))])
@@ -326,7 +322,6 @@ def _product_blocks(xs, a: np.ndarray | None, c: np.ndarray | None,
     G = np.zeros((K, K))
     if not c.any():
         return g, G
-    scratch = a if scratch is None else scratch
     held, free = c, spare  # the buffer of c's current slices, and the other
     for i, x in enumerate(xs):
         slices = c.reshape(x.size, -1)
@@ -495,7 +490,7 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
         spare = np.empty(w.size // xs[0].size)
         blocks = lambda a, c: _product_blocks(xs, a, c, a_buf, spare)
     else:
-        X = _centered(model, s, K)
+        X = _centered(s.draws[:, :K], model.b[:K], np.empty((K, s.n)))
         w = s.weights
         payoffs = lambda p: _payoffs(X, p)
         blocks = lambda a, c: _row_blocks(X, a, c)
@@ -591,7 +586,7 @@ def detect_unbounded(model: MarketModel, s: ScenarioSet,
                 if _pays_off(x[None, :], phi[i:i + 1]):
                     return True, phi
         return False, None
-    X_all = _centered(model, s, K)
+    X_all = _centered(s.draws[:, :K], model.b, np.empty((K, s.n)))
     if s.weights.min() > 0 and _no_arbitrage_certificate(X_all, s.weights):
         return False, None
     # imported here so that apmopt loads scipy only for this fallback

@@ -13,15 +13,20 @@ Built-in kinds:
   config file's table is checked from its own slopes when it is parsed.
 
 ``Utility`` rejects any other kind when it is built, so each evaluator
-below is a two-way branch.
+below picks its kernel by a two-way branch.
 
-On arrays the appendix-power evaluators are branch-free and run in
-fixed chunks of ``_CHUNK`` elements: the x > 0 formula is applied to
-max(x, 0) and joined to the x <= 0 formula by arithmetic or a bit mask,
-with no boolean gather or scatter, so the time per element does not
-depend on the signs' pattern and every temporary is one chunk, whatever
-the array's size.  Values are bit for bit those of np.where over the two
-formulas; a 0-d argument gives a float from numpy's scalar arithmetic.
+Each evaluator is one per-chunk kernel per kind, run by one driver
+(``_evaluate``) over fixed chunks of ``_CHUNK`` elements, so every
+temporary is a chunk or a few, whatever the array's size; a 0-d argument
+is one element of the same kernel, so its float is the one-element
+array's value bit for bit.  The appendix-power kernels are branch-free:
+each applies the x > 0 formula to max(x, 0), which leaves x > 0 as it is
+and maps the rest to 0, where that formula is exact, and joins the x <= 0
+formula by arithmetic or a bit mask, with no boolean gather or scatter,
+so the time per element does not depend on the signs' pattern.  Their
+values are bit for bit those of np.where over the two formulas, -0.0,
+infinities and NaN payloads included; a table's are those of its
+formulas on the whole array.
 
 Each evaluator takes a keyword-only ``out``, as numpy's ufuncs do: a
 C-contiguous float64 array of x's shape that receives the values and is
@@ -29,9 +34,9 @@ returned, bit for bit the allocating call's, so a caller that evaluates
 at every step can reuse one buffer.  Without it a new array is returned.
 
 ``_split_u(u)`` gives the Hoelder walk's evaluator of the pair
-(u(Y+), u(-Y-)), one branch per kind: appendix power evaluates its two
-terms apart in the same chunks, with no u(0) and no mask; a tabulated u
-evaluates u(Y) once and splits it by bit masks.
+(u(Y+), u(-Y-)), one chunk kernel per kind under one driver: appendix
+power evaluates its two terms apart, with no u(0) and no mask; a
+tabulated u evaluates u(Y) once and splits it by bit masks.
 
 A GrowthBounds certificate records constants (alpha, beta, C1, C2) for the
 caps u(x) <= C1(x**alpha + 1) on x >= 0 and u(x) <= C2(-|x|**beta + 1) on
@@ -109,16 +114,6 @@ def tabulated(xs, ys, growth: GrowthBounds | None = None) -> Utility:
 _CHUNK = 1 << 14  # elements per kernel pass: 128 KB temporaries stay in cache
 
 
-def _target(x: np.ndarray, out):
-    """out, checked to be a C-ordered float array of x's shape, or a new
-    one when out is None."""
-    if out is None:
-        return np.empty(x.shape)
-    if out.shape != x.shape or out.dtype != float or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {x.shape}")
-    return out
-
-
 def _chunks(kernel, x: np.ndarray, *outs: np.ndarray) -> None:
     """kernel(xc, *out chunks, tmp) on _CHUNK elements of x at a time: xc
     holds them in C order, each out chunk the same elements of one of the
@@ -132,40 +127,21 @@ def _chunks(kernel, x: np.ndarray, *outs: np.ndarray) -> None:
         kernel(xc, *[f[chunk] for f in flats], tmp[:xc.size])
 
 
-def _kinked(x, scalar, kernel, out=None):
-    """An appendix-power evaluator: scalar(x) on a 0-d x, as a float (or
-    written into out and out returned), and otherwise out, or a new
-    C-ordered array of x's shape, that kernel(xc, out, tmp) fills _CHUNK
-    elements at a time (``_chunks``).  The 0-d path keeps numpy's scalar
-    pow, which can differ from its array pow in the last bit.
-
-    Each kernel is branch-free: it applies the x > 0 formula to max(x, 0),
-    which leaves x > 0 as it is and maps the rest to 0, where that formula
-    is exact, and joins the x <= 0 formula arithmetically or by a bit
-    mask.  No boolean gather or scatter runs, every temporary is one
-    chunk, and the result equals np.where(x > 0, x > 0 formula, x <= 0
-    formula) bit for bit, -0.0, infinities and NaN payloads included.
-    Each kernel reads an element of xc before it writes that element of
-    out, so out may be x itself.
-    """
+def _evaluate(kernel, x, out):
+    """out, or a new C-ordered array of x's shape, that kernel(xc, out,
+    tmp) fills _CHUNK elements at a time (``_chunks``); on a 0-d x with no
+    out, its one value as a float.  A 0-d x is one element of the same
+    kernel, so its value is the one-element array's bit for bit.  Each
+    kernel reads an element of xc before it writes that element of out, so
+    out may be x itself."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0 and out is None:
-        return float(scalar(x[()]))
-    out = _target(x, out)
-    if x.ndim == 0:
-        out[()] = scalar(x[()])
-    else:
-        _chunks(kernel, x, out)
-    return out
-
-
-def _plain(x: np.ndarray, out, values: np.ndarray):
-    """A tabulated evaluator's whole-array values: a float on a 0-d x with
-    no out, else written into out (or returned as they are)."""
-    if out is not None:
-        _target(x, out)[...] = values
-        return out
-    return float(values) if values.ndim == 0 else values
+    scalar = out is None and x.ndim == 0
+    if out is None:
+        out = np.empty(x.shape)
+    elif out.shape != x.shape or out.dtype != float or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {x.shape}")
+    _chunks(kernel, x, out)
+    return float(out[()]) if scalar else out
 
 
 def _live_bits(x, out=None):
@@ -179,8 +155,8 @@ def _first_slope(u: Utility) -> float:
     return (u.ys[1] - u.ys[0]) / (u.xs[1] - u.xs[0])
 
 
-def eval_u(u: Utility, x, *, out=None):
-    """u(x), vectorized; written into out when given."""
+def _u_kernel(u: Utility):
+    """The kernel(xc, out, tmp) that writes u(xc) into out."""
     if u.kind == "appendix_power":
         a = u.alpha
 
@@ -196,11 +172,23 @@ def eval_u(u: Utility, x, *, out=None):
             np.minimum(0.0, xc, out=out)
             out *= a
             out -= tmp
+        return kernel
+    xs, ys = np.array(u.xs), np.array(u.ys)
+    first = _first_slope(u)
 
-        return _kinked(x, lambda v: (v + 1.0) ** a - 1.0 if v > 0 else a * v, kernel, out)
-    x = np.asarray(x, dtype=float)
-    return _plain(x, out, np.interp(x, u.xs, u.ys)
-                  + _first_slope(u) * np.minimum(x - u.xs[0], 0.0))
+    def kernel(xc, out, tmp):
+        # the interpolant plus first * min(x - xs[0], 0), which continues
+        # the first segment below the table
+        np.subtract(xc, xs[0], out=tmp)
+        np.minimum(tmp, 0.0, out=tmp)
+        tmp *= first
+        np.add(np.interp(xc, xs, ys), tmp, out=out)
+    return kernel
+
+
+def eval_u(u: Utility, x, *, out=None):
+    """u(x), vectorized; written into out when given."""
+    return _evaluate(_u_kernel(u), x, out)
 
 
 def eval_u_prime(u: Utility, x, *, out=None):
@@ -225,14 +213,26 @@ def eval_u_prime(u: Utility, x, *, out=None):
             out += 1.0
             np.power(out, a - 1.0, out=out)
             out *= a
+    else:
+        value, first = _u_kernel(u), _first_slope(u)
 
-        return _kinked(x, lambda v: a * (v + 1.0) ** (a - 1.0) if v > 0 else a, kernel, out)
-    x = np.asarray(x, dtype=float)
-    ends = np.isinf(x)
-    xf = np.where(ends, 0.0, x)
-    h = 1e-6 * np.maximum(1.0, np.abs(xf))
-    slope = (eval_u(u, xf + h) - eval_u(u, xf - h)) / (2 * h)
-    return _plain(x, out, np.where(ends, np.where(x < 0, _first_slope(u), 0.0), slope))
+        def kernel(xc, out, tmp):
+            ends = np.isinf(xc)
+            low = ends & (xc < 0)
+            xf = np.where(ends, 0.0, xc)
+            h = np.abs(xf)
+            np.maximum(1.0, h, out=h)
+            h *= 1e-6
+            up = xf + h
+            xf -= h
+            value(up, up, tmp)
+            value(xf, xf, tmp)
+            up -= xf
+            h *= 2.0
+            np.divide(up, h, out=out)
+            np.copyto(out, 0.0, where=ends)
+            np.copyto(out, first, where=low)
+    return _evaluate(kernel, x, out)
 
 
 def eval_u_second(u: Utility, x, *, out=None):
@@ -255,26 +255,26 @@ def eval_u_second(u: Utility, x, *, out=None):
             out *= k
             bits = out.view(np.int64)
             bits &= live
-
-        return _kinked(x, lambda v: k * (v + 1.0) ** (a - 2.0) if v > 0 else 0.0, kernel, out)
-    x = np.asarray(x, dtype=float)
-    return _plain(x, out, np.zeros(x.shape))
+    else:
+        def kernel(xc, out, tmp):
+            out.fill(0.0)
+    return _evaluate(kernel, x, out)
 
 
 def _split_u(u: Utility):
     """values(Y) for the Hoelder walk: the pair (u(Y+), u(-Y-)) of new
-    C-ordered arrays of Y's shape, with Y+ = max(Y, 0) and -Y- = Y - Y+.
+    C-ordered arrays of Y's shape, with Y+ = max(Y, 0) and -Y- = Y - Y+,
+    filled _CHUNK elements at a time (``_chunks``) by the kind's kernel.
     On non-NaN Y both equal eval_u(u, max(Y, 0)) and eval_u(u, Y - max(Y,
     0)) bit for bit, -0.0 included, and no boolean gather or scatter runs.
 
-    Appendix power takes the two terms of u apart, in _CHUNK-element
-    chunks: u(Y+) = (max(Y, 0) + 1)**alpha - 1, where Y <= 0 gives +0.0
-    = u(0), and u(-Y-) = alpha min(0, Y), where Y > 0 gives +0.0.  No u(0)
-    and no mask is needed.  A tabulated u is evaluated once on Y, with u(0)
-    evaluated once per split, and the halves are joined by bit masks:
-    u(Y+) is u(Y) where Y > 0 and u(0) elsewhere, u(-Y-) the reverse.
-    max/min of u(Y) and u(0) would not do, since np.interp is not monotone
-    in the last bit next to a node.
+    Appendix power takes the two terms of u apart: u(Y+) = (max(Y, 0) +
+    1)**alpha - 1, where Y <= 0 gives +0.0 = u(0), and u(-Y-) = alpha
+    min(0, Y), where Y > 0 gives +0.0.  No u(0) and no mask is needed.  A
+    tabulated u is evaluated once on Y, with u(0) evaluated once per split,
+    and the halves are joined by bit masks: u(Y+) is u(Y) where Y > 0 and
+    u(0) elsewhere, u(-Y-) the reverse.  max/min of u(Y) and u(0) would not
+    do, since np.interp is not monotone in the last bit next to a node.
     """
     if u.kind == "appendix_power":
         a = u.alpha
@@ -286,25 +286,24 @@ def _split_u(u: Utility):
             gain -= 1.0
             np.minimum(0.0, yc, out=loss)
             loss *= a
+    else:
+        value = _u_kernel(u)
+        zero = np.float64(eval_u(u, 0.0)).view(np.int64)
 
-        def split(y):
-            y = np.asarray(y, dtype=float)
-            gain, loss = np.empty(y.shape), np.empty(y.shape)
-            _chunks(kernel, y, gain, loss)
-            return gain, loss
-        return split
-
-    zero = eval_u(u, np.zeros(1)).view(np.int64)[0]  # the array path's u(0)
+        def kernel(yc, gain, loss, tmp):
+            value(yc, loss, tmp)
+            val, flip = loss.view(np.int64), _live_bits(yc, gain.view(np.int64))
+            val ^= zero
+            flip &= val  # where Y > 0, the bits that turn u(0) into u(Y)
+            val ^= flip
+            val ^= zero
+            flip ^= zero
 
     def split(y):
-        val = eval_u(u, y).view(np.int64)
-        flip = _live_bits(y)
-        val ^= zero
-        flip &= val  # where Y > 0, the bits that turn u(0) into u(Y)
-        val ^= flip
-        val ^= zero
-        flip ^= zero
-        return flip.view(float), val.view(float)
+        y = np.asarray(y, dtype=float)
+        gain, loss = np.empty(y.shape), np.empty(y.shape)
+        _chunks(kernel, y, gain, loss)
+        return gain, loss
     return split
 
 

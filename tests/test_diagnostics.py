@@ -140,6 +140,25 @@ class TestRandomStrategies:
             exp_ui_bound(market_k3, s, delta=1.0, trials=-1, seed=0)
         assert exp_ui_bound(market_k3, s, delta=1.0, trials=0, seed=0)["measurements"] == []
 
+    def test_negative_width_refused(self):
+        # before, numpy's "negative dimensions are not allowed"
+        with pytest.raises(ValueError, match="^strategy width K must be >= 0, got -1$"):
+            random_strategies(-1, 3, 1.0, seed=0)
+        assert random_strategies(0, 3, 1.0, seed=0).shape == (3, 0)
+
+    @pytest.mark.parametrize("seed", [-5, 2 ** 128])
+    def test_seed_outside_key_range_refused(self, seed):
+        # before, numpy's "key must be positive and less than 2**128."
+        with pytest.raises(ValueError, match=fr"^seed must lie in \[0, 2\*\*128\), got {seed}$"):
+            random_strategies(2, 3, 1.0, seed)
+
+    def test_seed_past_the_cli_range_accepted(self):
+        # the CLI draws the Hoelder strategies at seed + 1 for a seed below
+        # 2**64, so 2**64 itself must work, as must the largest key
+        for seed in (2 ** 64, 2 ** 128 - 1):
+            phis = random_strategies(2, 3, 1.0, seed)
+            assert phis.shape == (3, 2) and np.all(np.isfinite(phis))
+
     @pytest.mark.parametrize("max_norm", [math.nan, math.inf, -math.inf, -0.5])
     def test_bad_max_norm_refused(self, market_k3, max_norm):
         # before, delta = NaN gave NaN values and fitted_C = 0.0
@@ -300,12 +319,12 @@ class TestExpMomentClosedForm:
 
 class TestStrategySums:
     def test_identical_across_blas_thread_counts(self):
-        # the payoffs and their sums: every block's gemm has ROW_BLOCK
-        # columns; unpadded, a ragged last block (ROW_BLOCK - 1 columns,
-        # say) is threaded with other last bits.  The rows are C-ordered
-        # (a ScenarioSet of a matrix) and column-major (a sample).  Then an
-        # exact K = 19 set's exp-moment and Hoelder checks, whose product
-        # walk makes no BLAS call
+        # the payoffs and their sums: every block's gemms have power-of-two
+        # widths (``optimize._payoffs``); a ragged last block taken whole
+        # (ROW_BLOCK - 1 columns, say) is threaded with other last bits.
+        # The rows are C-ordered (a ScenarioSet of a matrix) and
+        # column-major (a sample).  Then an exact K = 19 set's exp-moment
+        # and Hoelder checks, whose product walk makes no BLAS call
         code = ("import hashlib, json, numpy as np\n"
                 "from apmopt import *\n"
                 "from apmopt import diagnostics, optimize\n"

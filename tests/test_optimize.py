@@ -312,15 +312,18 @@ class TestRowBlocks:
                 "    X = gen.standard_normal((K, 3 * optimize.ROW_BLOCK + 17))\n"
                 "    g, G = optimize._row_blocks(X, X[0], np.abs(X[-1]))\n"
                 "    v = optimize._payoffs(X, X[:, 0])\n"
-                "    print(K, hashlib.sha256(g.tobytes() + G.tobytes() + v.tobytes()).hexdigest())\n")
+                "    V = optimize._payoffs(X, gen.uniform(-1.0, 1.0, (25, K)))\n"
+                "    h = hashlib.sha256(g.tobytes() + G.tobytes() + v.tobytes() + V.tobytes())\n"
+                "    print(K, h.hexdigest())\n")
         return stdout_per_blas_thread_count(code)
 
     def test_identical_across_blas_thread_counts(self):
         # the panels keep each block's gemv and syrk at most PANEL = 96
         # wide: OpenBLAS threads wider ones (the gemv at K = 113 or 150,
         # the syrk at K = 100 or 150) with other last bits.  The payoffs'
-        # gemv blocks have power-of-two widths: a ragged one (n =
-        # 3 ROW_BLOCK + 17) is threaded with other last bits
+        # gemv blocks, and the gemm blocks of 25 strategies' payoffs, have
+        # power-of-two widths: a ragged one (n = 3 ROW_BLOCK + 17) is
+        # threaded with other last bits
         one, two = self.hashes_per_thread_count((1, 19, 50, 96, 100, 150))
         assert one == two
 
@@ -338,6 +341,14 @@ def product_supports(draw):
         raw = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
         probs.append(np.array(raw, dtype=float) / sum(raw))
     return xs, probs
+
+
+def buffers(xs):
+    """Fresh scratch and spare buffers for a product pass on the supports
+    xs, as the solver allocates them: the grid's size and the grid's over
+    the first support's."""
+    n = math.prod(x.size for x in xs)
+    return np.empty(n), np.empty(n // xs[0].size)
 
 
 class TestProductPass:
@@ -360,7 +371,7 @@ class TestProductPass:
             for p, x in reversed(list(zip(phi, row))):
                 loop[r] += p * x
         assert np.array_equal(v, loop)
-        g, G = optimize._product_blocks(xs, a.copy(), c.copy())
+        g, G = optimize._product_blocks(xs, a.copy(), c.copy(), *buffers(xs))
         assert np.all(np.abs(g - X.T @ a) <= 1e-12 * (np.abs(X).T @ np.abs(a)))
         assert np.all(np.abs(G - (X.T * c) @ X) <= 1e-12 * ((np.abs(X).T * c) @ np.abs(X)))
         assert np.array_equal(G, G.T)
@@ -368,17 +379,18 @@ class TestProductPass:
     @settings(deadline=None, max_examples=30)
     @given(product_supports(), st.integers(0, 2 ** 32 - 1))
     def test_kept_buffers_match_own_bit_for_bit(self, supports, seed):
-        # the partial sums in a caller's spare buffer, as the solver keeps
-        # it, against a pass that allocates its own
+        # the partial sums in buffers a solve has kept, dirty from earlier
+        # passes, against fresh buffers
         xs, _ = supports
         n = math.prod(x.size for x in xs)
         gen = np.random.Generator(np.random.Philox(key=seed))
         a = gen.standard_normal(n)
         c = gen.uniform(0.0, 2.0, n) * (gen.random(n) < 0.9)
-        g, G = optimize._product_blocks(xs, a.copy(), c.copy())
-        scratch, spare = np.empty(n), np.empty(n // xs[0].size)
-        assert optimize._product_blocks(xs, a.copy(), None, scratch, spare)[0].tobytes() == g.tobytes()
-        assert optimize._product_blocks(xs, None, c.copy(), scratch, spare)[1].tobytes() == G.tobytes()
+        g, G = optimize._product_blocks(xs, a.copy(), c.copy(), *buffers(xs))
+        scratch, spare = (gen.standard_normal(b.size) for b in buffers(xs))
+        for _ in range(2):
+            assert optimize._product_blocks(xs, a.copy(), None, scratch, spare)[0].tobytes() == g.tobytes()
+            assert optimize._product_blocks(xs, None, c.copy(), scratch, spare)[1].tobytes() == G.tobytes()
 
     @pytest.mark.parametrize("sizes", [(2,) * 17, (3, 2) * 6 + (3,)], ids=["two_point", "mixed"])
     def test_kept_buffers_hold_every_partial_sum(self, sizes):
@@ -510,7 +522,8 @@ class TestProductPass:
                 "gen = np.random.Generator(np.random.Philox(key=K))\n"
                 "xs = [gen.standard_normal(2) for _ in range(K)]\n"
                 "v = optimize._outer_sum(xs, gen.standard_normal(K), np.empty(2 ** K))\n"
-                "g, G = optimize._product_blocks(xs, v.copy(), np.abs(v))\n"
+                "g, G = optimize._product_blocks(xs, v.copy(), np.abs(v), np.empty(2 ** K),\n"
+                "                                np.empty(2 ** (K - 1)))\n"
                 "print(hashlib.sha256(v.tobytes() + g.tobytes() + G.tobytes()).hexdigest())\n")
         one, two = stdout_per_blas_thread_count(code)
         assert one == two
@@ -585,12 +598,12 @@ class TestHessianOnDemand:
         n = 3 ** 4
         marginals = mock.Mock(wraps=optimize._marginals)
         monkeypatch.setattr(optimize, "_marginals", marginals)
-        g, G = optimize._product_blocks(xs, None, np.zeros(n))
+        g, G = optimize._product_blocks(xs, None, np.zeros(n), *buffers(xs))
         assert g is None and G.shape == (4, 4) and not G.any()
         assert marginals.call_count == 0
-        g, G = optimize._product_blocks(xs, np.ones(n), None)
+        g, G = optimize._product_blocks(xs, np.ones(n), None, *buffers(xs))
         assert G is None and marginals.call_count == 1
-        optimize._product_blocks(xs, None, np.ones(n), np.empty(n))
+        optimize._product_blocks(xs, None, np.ones(n), *buffers(xs))
         assert marginals.call_count == 1 + 3  # one per coordinate past the first
 
     @settings(deadline=None, max_examples=30)
@@ -601,9 +614,9 @@ class TestHessianOnDemand:
         gen = np.random.Generator(np.random.Philox(key=seed))
         a = gen.standard_normal(n)
         c = gen.uniform(0.0, 2.0, n) * (gen.random(n) < 0.9)
-        g, G = optimize._product_blocks(xs, a.copy(), c.copy())
-        assert optimize._product_blocks(xs, a.copy(), None)[0].tobytes() == g.tobytes()
-        assert optimize._product_blocks(xs, None, c.copy(), np.empty(n))[1].tobytes() == G.tobytes()
+        g, G = optimize._product_blocks(xs, a.copy(), c.copy(), *buffers(xs))
+        assert optimize._product_blocks(xs, a.copy(), None, *buffers(xs))[0].tobytes() == g.tobytes()
+        assert optimize._product_blocks(xs, None, c.copy(), *buffers(xs))[1].tobytes() == G.tobytes()
         X = gen.standard_normal((len(xs), 3 * optimize.ROW_BLOCK + 17))
         a, c = X[0].copy(), np.abs(X[-1])
         g, G = optimize._row_blocks(X, a, c)

@@ -121,10 +121,9 @@ def where_formulas(alpha, x):
     reference the live-branch evaluators must match bit for bit."""
     x = np.asarray(x, dtype=float)
     pos = np.maximum(x, 0.0)
-    outs = (np.where(x > 0, (pos + 1.0) ** alpha - 1.0, alpha * x),
+    return (np.where(x > 0, (pos + 1.0) ** alpha - 1.0, alpha * x),
             np.where(x > 0, alpha * (pos + 1.0) ** (alpha - 1.0), alpha),
             np.where(x > 0, alpha * (alpha - 1.0) * (pos + 1.0) ** (alpha - 2.0), 0.0))
-    return [float(out) if out.ndim == 0 else out for out in outs]
 
 
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-17, 1.0, -1.0,
@@ -146,13 +145,15 @@ class TestLiveBranch:
     @settings(max_examples=300, deadline=None)
     @given(alpha=st.floats(0.01, 0.99), x=REALS)
     def test_scalars_match_where_bit_for_bit(self, alpha, x):
+        # a 0-d x is one element of the array kernel: numpy's scalar pow,
+        # which can differ from its array pow in the last bit, never runs
         u = appendix_power(alpha)
-        refs = where_formulas(alpha, x)
+        refs = where_formulas(alpha, [x])
         for arg in (x, np.float64(x), np.array(x)):
             got = [f(u, arg) for f in (eval_u, eval_u_prime, eval_u_second)]
             for g, ref in zip(got, refs):
                 assert type(g) is float
-                assert np.float64(g).tobytes() == np.float64(ref).tobytes()
+                assert np.float64(g).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
     def test_lengths_around_the_chunk_match_where_bit_for_bit(self, n):
@@ -298,6 +299,88 @@ class TestSplit:
         finally:
             tracemalloc.stop()
         assert peak <= gain.nbytes + loss.nbytes + 4 * CHUNK * 8
+
+
+def table_u(u, x):
+    """A tabulated u as whole-array numpy: the interpolant plus its first
+    slope continued below the table."""
+    first = (u.ys[1] - u.ys[0]) / (u.xs[1] - u.xs[0])
+    return np.interp(x, u.xs, u.ys) + first * np.minimum(x - u.xs[0], 0.0)
+
+
+def table_formulas(u, x):
+    """u, u', u'' of a tabulated u as whole-array numpy: the reference its
+    chunk kernels must match bit for bit."""
+    first = (u.ys[1] - u.ys[0]) / (u.xs[1] - u.xs[0])
+    ends = np.isinf(x)
+    xf = np.where(ends, 0.0, x)
+    h = 1e-6 * np.maximum(1.0, np.abs(xf))
+    slope = (table_u(u, xf + h) - table_u(u, xf - h)) / (2 * h)
+    return (table_u(u, x), np.where(ends, np.where(x < 0, first, 0.0), slope),
+            np.zeros(x.shape))
+
+
+def layouts(x):
+    """x itself, strided, Fortran-ordered, 3-d and a transposed 3-d view."""
+    n = x.size // 6 * 6
+    cube = x[:n].reshape(2, 3, -1)
+    return [x, np.stack([x, -x], axis=1)[:, 0], np.asfortranarray(x[:n].reshape(6, -1)),
+            cube, cube.transpose(2, 0, 1)]
+
+
+class TestTabulatedChunks:
+    """A tabulated u runs the chunk driver that appendix power runs, with
+    the values of the whole-array formulas it replaced."""
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
+    def test_layouts_match_whole_array_formulas_bit_for_bit(self, n):
+        x = edged(n)
+        for arr in layouts(x):
+            refs = table_formulas(TABLE, np.ascontiguousarray(arr))
+            for f, ref in zip((eval_u, eval_u_prime, eval_u_second), refs):
+                got = f(TABLE, arr)
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+                y = np.array(arr, order="C")
+                assert f(TABLE, y, out=y) is y and y.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
+    def test_split_matches_whole_array_formulas_bit_for_bit(self, n):
+        # payoffs are finite; Y - max(Y, 0) is NaN at +inf
+        x = edged(n, FINITE_EDGES)
+        for arr in layouts(x):
+            y = np.ascontiguousarray(arr)
+            pos = np.maximum(y, 0.0)
+            gain, loss = _split_u(TABLE)(arr)
+            assert gain.shape == loss.shape == y.shape
+            assert gain.tobytes() == table_u(TABLE, pos).tobytes()
+            assert loss.tobytes() == table_u(TABLE, y - pos).tobytes()
+
+    def test_scalars_are_one_element_arrays(self):
+        for f in (eval_u, eval_u_prime, eval_u_second):
+            for x in EDGES:
+                got = f(TABLE, x)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == f(TABLE, np.array([x])).tobytes()
+
+    def test_no_full_size_temporaries(self):
+        # the output plus a few chunks: np.interp's result and the finite
+        # difference's steps are a chunk each
+        x = np.random.default_rng(0).standard_normal(1 << 19) * 5.0
+        for f, chunks in ((eval_u, 3), (eval_u_prime, 6), (eval_u_second, 2)):
+            tracemalloc.start()
+            try:
+                out = f(TABLE, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= out.nbytes + chunks * CHUNK * 8
+        tracemalloc.start()
+        try:
+            gain, loss = _split_u(TABLE)(x.reshape(32, -1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= gain.nbytes + loss.nbytes + 3 * CHUNK * 8
 
 
 class TestShape:
