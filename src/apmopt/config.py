@@ -120,12 +120,11 @@ def _build_model(md: dict, errors: list[str]) -> MarketModel | None:
 
 def _check_table(xs: tuple[float, ...], ys: tuple[float, ...]) -> None:
     """Raise ValueError unless the table interpolates a nondecreasing
-    concave utility: xs strictly increasing, and slopes that are >= 0 and
-    never rise, to a relative 1e-12 of the steepest.  The table's own
-    slopes decide: eval_u continues the first slope below xs[0] and holds
-    ys[-1] above xs[-1], so these slopes are all of u's shape."""
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ValueError("tabulated xs must be strictly increasing")
+    concave utility: slopes that are >= 0 and never rise, to a relative
+    1e-12 of the steepest.  The table's own slopes decide: eval_u
+    continues the first slope below xs[0] and holds ys[-1] above xs[-1],
+    so these slopes are all of u's shape.  ``Utility`` has checked that
+    the table is finite and xs strictly increasing."""
     slopes = [(y1 - y0) / (x1 - x0)
               for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]
     tol = 1e-12 * max(map(abs, slopes))

@@ -35,7 +35,7 @@ from .distributions import DistributionSpec, tail_probability
 from .market import ArbitrageError, FactorStrategy, MarketModel, check_no_arbitrage
 from .optimize import DiscretePayoff, _bisect, optimize_single_asset
 from .scenarios import ScenarioSet, _enumerable, expectation
-from .utility import appendix_power, eval_u_prime
+from .utility import Utility, appendix_power, eval_u_prime
 
 __all__ = [
     "TiltedMeasure",
@@ -104,13 +104,13 @@ class CoordinateTilt:
     a: float | None      # logistic tilt parameter (None for fallback)
     z: float             # normalizer E[factor numerator]
     phi_star: float      # fallback optimizer (0.0 for logistic)
-    alpha: float         # fallback utility exponent
+    utility: Utility | None  # fallback utility (None for logistic)
 
     def numerator(self, x):
         """Unnormalised factor at centred noise x: psi(a x) or u'_alpha(phi* x)."""
         if self.method == "logistic_tilt":
             return psi(self.a * x)
-        return eval_u_prime(appendix_power(self.alpha), self.phi_star * x)
+        return eval_u_prime(self.utility, self.phi_star * x)
 
 
 @dataclass(frozen=True)
@@ -206,12 +206,11 @@ def build_tilted_measure(model: MarketModel, fallback_alpha: float = 0.5) -> Til
     for i, dist in enumerate(model.noise):
         b = float(model.b[i])
         try:
-            c = CoordinateTilt("logistic_tilt", solve_tilt(dist, b), 1.0, 0.0,
-                               fallback_alpha)
+            c = CoordinateTilt("logistic_tilt", solve_tilt(dist, b), 1.0, 0.0, None)
         except TiltBracketError:
             u = appendix_power(fallback_alpha)
             phi_star, _ = optimize_single_asset(DiscretePayoff.from_noise(dist, b), u)
-            c = CoordinateTilt("utility_gradient", None, 1.0, phi_star, fallback_alpha)
+            c = CoordinateTilt("utility_gradient", None, 1.0, phi_star, u)
         pts = np.asarray(dist.points) - b
         z = float(math.fsum(np.asarray(dist.probs) * c.numerator(pts)))
         coords.append(replace(c, z=z))

@@ -12,8 +12,13 @@ Built-in kinds:
   difference of u and u'' is 0.  Shape is the caller's responsibility; a
   config file's table is checked from its own slopes when it is parsed.
 
-``Utility`` rejects any other kind when it is built, so each evaluator
-below picks its kernel by a two-way branch.
+Each kind has one builder (``_BUILDERS``) that checks its parameters and
+returns its kernel set: the per-chunk kernels of u, u', u'' and the
+Hoelder split, and u's growth exponent above 0.  ``Utility.__post_init__``
+runs it once, when the utility is made, and is the one place that reads
+``kind``.  So alpha outside (0,1), or a table with fewer than two points,
+unequal lengths, a non-finite node or xs that do not increase strictly,
+raises ValueError there, and a table becomes arrays once, not per call.
 
 Each evaluator is one per-chunk kernel per kind, run by one driver
 (``_evaluate``) over fixed chunks of ``_CHUNK`` elements, so every
@@ -38,16 +43,19 @@ at every step can reuse one buffer.  Without it a new array is returned.
 power evaluates its two terms apart, with no u(0) and no mask; a
 tabulated u evaluates u(Y) once and splits it by bit masks.
 
-A GrowthBounds certificate records constants (alpha, beta, C1, C2) for the
-caps u(x) <= C1(x**alpha + 1) on x >= 0 and u(x) <= C2(-|x|**beta + 1) on
-x < 0.  ``certify_growth`` checks the caps and returns a verdict with a
-witness on failure; note the negative-side cap forces decay at least like
--|x|**beta, which linear-below utilities violate for large |x|.
+A GrowthBounds certificate records finite constants (alpha, beta, C1,
+C2) for the caps u(x) <= C1(x**alpha + 1) on x >= 0 and
+u(x) <= C2(-|x|**beta + 1) on x < 0.  ``certify_growth`` checks the caps
+and returns a verdict with a witness on failure; note the negative-side
+cap forces decay at least like -|x|**beta, which linear-below utilities
+violate for large |x|.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -74,10 +82,19 @@ class GrowthBounds:
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("need 0 <= alpha < 1")
-        if not self.beta > 1.0:
-            raise ValueError("need beta > 1 strictly")
-        if self.C1 <= 0 or self.C2 <= 0:
-            raise ValueError("need C1, C2 > 0")
+        if not 1.0 < self.beta < math.inf:
+            raise ValueError("need finite beta > 1 strictly")
+        if not (0.0 < self.C1 < math.inf and 0.0 < self.C2 < math.inf):
+            raise ValueError("need finite C1, C2 > 0")
+
+
+class _Kernels(NamedTuple):
+    """A utility's kernel set, each kernel run per chunk by ``_chunks``."""
+    value: Callable   # kernel(xc, out, tmp) that writes u(xc) into out
+    prime: Callable   # the same for u'
+    second: Callable  # the same for u''
+    split: Callable   # kernel(yc, gain, loss, tmp): u(Y+) and u(-Y-)
+    growth: float     # u grows like x**growth as x -> +inf
 
 
 @dataclass(frozen=True)
@@ -89,8 +106,14 @@ class Utility:
     growth: GrowthBounds | None = None
 
     def __post_init__(self):
-        if self.kind not in ("appendix_power", "tabulated"):
+        build = _BUILDERS.get(self.kind)
+        if build is None:
             raise ValueError(f"unknown utility kind {self.kind!r}")
+        object.__setattr__(self, "_kernels", build(self))
+
+    def __reduce__(self):
+        # the kernels are closures: pickle the fields and build them again
+        return Utility, (self.kind, self.alpha, self.xs, self.ys, self.growth)
 
     @property
     def certified(self) -> bool:
@@ -98,17 +121,12 @@ class Utility:
 
 
 def appendix_power(alpha: float, growth: GrowthBounds | None = None) -> Utility:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0,1)")
     return Utility("appendix_power", alpha=alpha, growth=growth)
 
 
 def tabulated(xs, ys, growth: GrowthBounds | None = None) -> Utility:
-    xs = tuple(map(float, xs))
-    ys = tuple(map(float, ys))
-    if len(xs) != len(ys) or len(xs) < 2:
-        raise ValueError("need matching tables with at least two points")
-    return Utility("tabulated", xs=xs, ys=ys, growth=growth)
+    return Utility("tabulated", xs=tuple(map(float, xs)), ys=tuple(map(float, ys)),
+                   growth=growth)
 
 
 _CHUNK = 1 << 14  # elements per kernel pass: 128 KB temporaries stay in cache
@@ -150,45 +168,119 @@ def _live_bits(x, out=None):
     return np.subtract(0, x > 0, out=out, dtype=np.int64)
 
 
-def _first_slope(u: Utility) -> float:
-    """A table's first segment slope, which u continues below the table."""
-    return (u.ys[1] - u.ys[0]) / (u.xs[1] - u.xs[0])
+def _appendix_power_kernels(u: Utility) -> _Kernels:
+    a = u.alpha
+    if not 0.0 < a < 1.0:
+        raise ValueError("alpha must lie in (0,1)")
+    k = a * (a - 1.0)
+
+    def value(xc, out, tmp):
+        # a min(0, x) - (1 - (max(x, 0) + 1)**a).  On x <= 0 the second
+        # term is +0.0, which subtracts exactly even from -0.0, and
+        # min(0, x) keeps x's -0.0 and NaN; on x > 0 the first is +0.0,
+        # and 0 - (1 - p) = p - 1 exactly.  fmax maps NaN to 0.
+        np.fmax(xc, 0.0, out=tmp)
+        tmp += 1.0
+        np.power(tmp, a, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        np.minimum(0.0, xc, out=out)
+        out *= a
+        out -= tmp
+
+    def prime(xc, out, tmp):
+        # a (max(x, 0) + 1)**(a - 1): on x <= 0 and NaN, a * 1**(a - 1)
+        # = a, the value at and below the kink
+        np.fmax(xc, 0.0, out=out)
+        out += 1.0
+        np.power(out, a - 1.0, out=out)
+        out *= a
+
+    def second(xc, out, tmp):
+        # k (max(x, 0) + 1)**(a - 2), its bits masked to +0.0 off x > 0:
+        # k < 0, so no product with a 0/1 mask gives +0.0 there
+        live = _live_bits(xc, tmp.view(np.int64))
+        np.fmax(xc, 0.0, out=out)
+        out += 1.0
+        np.power(out, a - 2.0, out=out)
+        out *= k
+        bits = out.view(np.int64)
+        bits &= live
+
+    def split(yc, gain, loss, tmp):
+        # u's two terms apart: u(Y+) = (max(Y, 0) + 1)**a - 1, where Y <= 0
+        # gives +0.0 = u(0), and u(-Y-) = a min(0, Y), where Y > 0 gives +0.0
+        np.maximum(yc, 0.0, out=gain)
+        gain += 1.0
+        np.power(gain, a, out=gain)
+        gain -= 1.0
+        np.minimum(0.0, yc, out=loss)
+        loss *= a
+    return _Kernels(value, prime, second, split, a)
 
 
-def _u_kernel(u: Utility):
-    """The kernel(xc, out, tmp) that writes u(xc) into out."""
-    if u.kind == "appendix_power":
-        a = u.alpha
+def _tabulated_kernels(u: Utility) -> _Kernels:
+    xs, ys = np.array(u.xs, dtype=float), np.array(u.ys, dtype=float)
+    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
+        raise ValueError("need matching tables with at least two points")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("tabulated xs and ys must be finite")
+    if np.any(xs[1:] <= xs[:-1]):
+        raise ValueError("tabulated xs must be strictly increasing")
+    first = (ys[1] - ys[0]) / (xs[1] - xs[0])  # u's slope below the table
 
-        def kernel(xc, out, tmp):
-            # a min(0, x) - (1 - (max(x, 0) + 1)**a).  On x <= 0 the second
-            # term is +0.0, which subtracts exactly even from -0.0, and
-            # min(0, x) keeps x's -0.0 and NaN; on x > 0 the first is +0.0,
-            # and 0 - (1 - p) = p - 1 exactly.  fmax maps NaN to 0.
-            np.fmax(xc, 0.0, out=tmp)
-            tmp += 1.0
-            np.power(tmp, a, out=tmp)
-            np.subtract(1.0, tmp, out=tmp)
-            np.minimum(0.0, xc, out=out)
-            out *= a
-            out -= tmp
-        return kernel
-    xs, ys = np.array(u.xs), np.array(u.ys)
-    first = _first_slope(u)
-
-    def kernel(xc, out, tmp):
+    def value(xc, out, tmp):
         # the interpolant plus first * min(x - xs[0], 0), which continues
         # the first segment below the table
         np.subtract(xc, xs[0], out=tmp)
         np.minimum(tmp, 0.0, out=tmp)
         tmp *= first
         np.add(np.interp(xc, xs, ys), tmp, out=out)
-    return kernel
+
+    def prime(xc, out, tmp):
+        # the central difference; the first slope at -inf and 0 at +inf
+        ends = np.isinf(xc)
+        low = ends & (xc < 0)
+        xf = np.where(ends, 0.0, xc)
+        h = np.abs(xf)
+        np.maximum(1.0, h, out=h)
+        h *= 1e-6
+        up = xf + h
+        xf -= h
+        value(up, up, tmp)
+        value(xf, xf, tmp)
+        up -= xf
+        h *= 2.0
+        np.divide(up, h, out=out)
+        np.copyto(out, 0.0, where=ends)
+        np.copyto(out, first, where=low)
+
+    def second(xc, out, tmp):
+        out.fill(0.0)
+
+    zero = np.float64(_evaluate(value, 0.0, None)).view(np.int64)
+
+    def split(yc, gain, loss, tmp):
+        # u(Y) once, joined with u(0) by bit masks: u(Y+) is u(Y) where
+        # Y > 0 and u(0) elsewhere, u(-Y-) the reverse.  max/min of u(Y)
+        # and u(0) would not do: np.interp is not monotone in the last bit
+        # next to a node.
+        value(yc, loss, tmp)
+        val, flip = loss.view(np.int64), _live_bits(yc, gain.view(np.int64))
+        val ^= zero
+        flip &= val  # where Y > 0, the bits that turn u(0) into u(Y)
+        val ^= flip
+        val ^= zero
+        flip ^= zero
+    return _Kernels(value, prime, second, split, 0.0)
+
+
+_BUILDERS = {"appendix_power": _appendix_power_kernels,
+             "tabulated": _tabulated_kernels}
 
 
 def eval_u(u: Utility, x, *, out=None):
     """u(x), vectorized; written into out when given."""
-    return _evaluate(_u_kernel(u), x, out)
+    return _evaluate(u._kernels.value, x, out)
 
 
 def eval_u_prime(u: Utility, x, *, out=None):
@@ -203,36 +295,7 @@ def eval_u_prime(u: Utility, x, *, out=None):
     slope, which u continues below the table, and at +inf 0, where u is
     held; there the step would be infinite.
     """
-    if u.kind == "appendix_power":
-        a = u.alpha
-
-        def kernel(xc, out, tmp):
-            # a (max(x, 0) + 1)**(a - 1): on x <= 0 and NaN, a * 1**(a - 1)
-            # = a, the value at and below the kink
-            np.fmax(xc, 0.0, out=out)
-            out += 1.0
-            np.power(out, a - 1.0, out=out)
-            out *= a
-    else:
-        value, first = _u_kernel(u), _first_slope(u)
-
-        def kernel(xc, out, tmp):
-            ends = np.isinf(xc)
-            low = ends & (xc < 0)
-            xf = np.where(ends, 0.0, xc)
-            h = np.abs(xf)
-            np.maximum(1.0, h, out=h)
-            h *= 1e-6
-            up = xf + h
-            xf -= h
-            value(up, up, tmp)
-            value(xf, xf, tmp)
-            up -= xf
-            h *= 2.0
-            np.divide(up, h, out=out)
-            np.copyto(out, 0.0, where=ends)
-            np.copyto(out, first, where=low)
-    return _evaluate(kernel, x, out)
+    return _evaluate(u._kernels.prime, x, out)
 
 
 def eval_u_second(u: Utility, x, *, out=None):
@@ -241,63 +304,17 @@ def eval_u_second(u: Utility, x, *, out=None):
 
     Tabulated utilities are piecewise linear, so theirs is 0.
     """
-    if u.kind == "appendix_power":
-        a = u.alpha
-        k = a * (a - 1.0)
-
-        def kernel(xc, out, tmp):
-            # k (max(x, 0) + 1)**(a - 2), its bits masked to +0.0 off x > 0:
-            # k < 0, so no product with a 0/1 mask gives +0.0 there
-            live = _live_bits(xc, tmp.view(np.int64))
-            np.fmax(xc, 0.0, out=out)
-            out += 1.0
-            np.power(out, a - 2.0, out=out)
-            out *= k
-            bits = out.view(np.int64)
-            bits &= live
-    else:
-        def kernel(xc, out, tmp):
-            out.fill(0.0)
-    return _evaluate(kernel, x, out)
+    return _evaluate(u._kernels.second, x, out)
 
 
 def _split_u(u: Utility):
     """values(Y) for the Hoelder walk: the pair (u(Y+), u(-Y-)) of new
     C-ordered arrays of Y's shape, with Y+ = max(Y, 0) and -Y- = Y - Y+,
-    filled _CHUNK elements at a time (``_chunks``) by the kind's kernel.
-    On non-NaN Y both equal eval_u(u, max(Y, 0)) and eval_u(u, Y - max(Y,
-    0)) bit for bit, -0.0 included, and no boolean gather or scatter runs.
-
-    Appendix power takes the two terms of u apart: u(Y+) = (max(Y, 0) +
-    1)**alpha - 1, where Y <= 0 gives +0.0 = u(0), and u(-Y-) = alpha
-    min(0, Y), where Y > 0 gives +0.0.  No u(0) and no mask is needed.  A
-    tabulated u is evaluated once on Y, with u(0) evaluated once per split,
-    and the halves are joined by bit masks: u(Y+) is u(Y) where Y > 0 and
-    u(0) elsewhere, u(-Y-) the reverse.  max/min of u(Y) and u(0) would not
-    do, since np.interp is not monotone in the last bit next to a node.
-    """
-    if u.kind == "appendix_power":
-        a = u.alpha
-
-        def kernel(yc, gain, loss, tmp):
-            np.maximum(yc, 0.0, out=gain)
-            gain += 1.0
-            np.power(gain, a, out=gain)
-            gain -= 1.0
-            np.minimum(0.0, yc, out=loss)
-            loss *= a
-    else:
-        value = _u_kernel(u)
-        zero = np.float64(eval_u(u, 0.0)).view(np.int64)
-
-        def kernel(yc, gain, loss, tmp):
-            value(yc, loss, tmp)
-            val, flip = loss.view(np.int64), _live_bits(yc, gain.view(np.int64))
-            val ^= zero
-            flip &= val  # where Y > 0, the bits that turn u(0) into u(Y)
-            val ^= flip
-            val ^= zero
-            flip ^= zero
+    filled _CHUNK elements at a time (``_chunks``) by the kind's split
+    kernel.  On non-NaN Y both equal eval_u(u, max(Y, 0)) and eval_u(u,
+    Y - max(Y, 0)) bit for bit, -0.0 included, and no boolean gather or
+    scatter runs."""
+    kernel = u._kernels.split
 
     def split(y):
         y = np.asarray(y, dtype=float)
@@ -326,13 +343,14 @@ def certify_growth(u: Utility, g: GrowthBounds) -> GrowthVerdict:
     """Check u(x) <= C1(x**alpha + 1) on x >= 0 and u(x) <= C2(-|x|**beta + 1)
     on x < 0, by log-spaced witness scan up to 1e8 on both sides.
 
-    For appendix_power the positive side is also decided analytically
-    through the exponents (a grid cannot rule out a crossover beyond its
-    range when the utility's exponent exceeds the certified one).
+    Where u's growth exponent (alpha for appendix_power, 0 for a table)
+    exceeds the certified one, the positive side is decided analytically
+    instead: a grid cannot rule out a crossover beyond its range.
     """
-    if u.kind == "appendix_power" and u.alpha > g.alpha:
-        # u grows like x**u.alpha; the cap only allows x**g.alpha
-        x = max(10.0, (2 * g.C1) ** (2.0 / (u.alpha - g.alpha)))
+    a = u._kernels.growth
+    if a > g.alpha:
+        # u grows like x**a; the cap only allows x**g.alpha
+        x = max(10.0, (2 * g.C1) ** (2.0 / (a - g.alpha)))
         while eval_u(u, x) <= g.C1 * (x ** g.alpha + 1):
             x *= 10.0
         return GrowthVerdict(False, x, "positive")

@@ -9,7 +9,9 @@ import pytest
 import apmopt
 from apmopt import cli, diagnostics, measures, optimize, scenarios
 from apmopt.cli import main
-from apmopt.config import ConfigError, parse_config
+from apmopt.config import ConfigError, _noise_from_dict, parse_config
+from apmopt.distributions import (dyadic_two_sided, finite_discrete,
+                                  standardized_two_point, standardized_uniform)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -121,7 +123,8 @@ class TestParseConfig:
                                    "rises from 0.1 to 0.5 at x = 0"),
         ([-1, 0, 1], [1, 0, 1], "tabulated ys must be nondecreasing"),
         ([0, -1, 1], [-1, 0, 1], "tabulated xs must be strictly increasing"),
-    ], ids=["convex-kink", "decreasing", "xs-unsorted"])
+        ([-1, float("nan"), 1], [-1, 0, 1], "tabulated xs and ys must be finite"),
+    ], ids=["convex-kink", "decreasing", "xs-unsorted", "xs-nan"])
     def test_tabulated_utility_must_be_concave(self, tmp_path, capsys, xs, ys,
                                                message):
         p = tmp_path / "cfg.json"
@@ -139,6 +142,23 @@ class TestParseConfig:
             "kind": "tabulated", "xs": [-10, 0, 0.1, 0.3, 0.7],
             "ys": [-50, 0, 0.3, 0.9, 2.1]}}))
         assert parse_config(str(p)).utility.ys == (-50.0, 0.0, 0.3, 0.9, 2.1)
+
+    @pytest.mark.parametrize("noise, spec", [
+        ({"family": "standardized_two_point", "p": 0.3}, standardized_two_point(0.3)),
+        ({"family": "standardized_uniform"}, standardized_uniform()),
+        ({"family": "finite_discrete", "points": [2, -0.5], "probs": [0.2, 0.8]},
+         finite_discrete([2.0, -0.5], [0.2, 0.8])),
+        ({"family": "dyadic_two_sided", "q": 0.1}, dyadic_two_sided(0.1)),
+    ], ids=["two-point", "uniform", "finite-discrete", "dyadic"])
+    def test_noise_family_gives_its_factory_spec(self, noise, spec):
+        errors = []
+        assert _noise_from_dict(noise, errors, "model.noise") == spec
+        assert errors == []
+
+    def test_moment_exponents_list_parses(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**DEMO, "measure": {"moment_exponents": [1, -2.5, 3]}}))
+        assert parse_config(str(p)).moment_exponents == (1.0, -2.5, 3.0)
 
 
 class TestExitCodes:
@@ -188,11 +208,14 @@ class TestExitCodes:
         ("measure", {"fallback_alpha": "x"}, "measure.fallback_alpha"),
         ("scenario", {"n": "abc"}, "scenario.n"),
         ("utility", {"kind": "crra"}, "utility"),
+        ("utility", {**DEMO["utility"], "growth": {**DEMO["utility"]["growth"],
+                                                   "C1": float("nan")}},
+         "utility.growth"),
         ("solver", {"grad_tol": float("nan")}, "solver"),
         ("solver", {"grad_tol": float("inf")}, "solver"),
         ("solver", {"max_iter": -1}, "solver"),
     ], ids=["alpha-list", "exponents-int", "alpha-str", "n-str", "kind-unknown",
-            "grad-tol-nan", "grad-tol-inf", "max-iter-negative"])
+            "growth-c1-nan", "grad-tol-nan", "grad-tol-inf", "max-iter-negative"])
     def test_bad_value_names_its_key(self, tmp_path, capsys, section, value, key):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({**DEMO, section: value}))

@@ -71,6 +71,21 @@ class TestTails:
             assert tail_probability(d, x, "above") > 0
             assert tail_probability(d, -x, "below") > 0
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_dyadic_atom_is_the_gap_between_strict_tails(self, k):
+        # at x = -s 2^k and +s 2^k the two strict tails miss the atom's
+        # mass (1 - q) q^k / 2; inside (-s, s) and halfway to the next atom
+        # they miss nothing
+        q = 0.2
+        d = dyadic_two_sided(q)
+        s = math.sqrt((1 - 4 * q) / (1 - q))
+        for x in (-s * 2 ** k, s * 2 ** k):
+            both = tail_probability(d, x, "above") + tail_probability(d, x, "below")
+            assert 1.0 - both == pytest.approx((1 - q) * q ** k / 2, rel=1e-12)
+            for y in (x / 2 ** (k + 1), 1.5 * x):
+                both = tail_probability(d, y, "above") + tail_probability(d, y, "below")
+                assert both == pytest.approx(1.0, rel=1e-12)
+
     def test_dyadic_tail_closed_form(self):
         # support s*2^k with s = sqrt((1-4q)/(1-q)); P(eps > s*2^k - eps') = q^{k}/2
         q = 0.2
@@ -123,6 +138,18 @@ class TestTruncatedSecondMoment:
         assert truncated_second_moment(d, 0.0) == pytest.approx(1.0)
 
 
+    @pytest.mark.parametrize("N", [-1.0, 0.0, 0.5, 1.0, 1.7, math.sqrt(3), 2.0])
+    def test_uniform_closed_form(self, N):
+        # 1 - N^3 / 3^(3/2) for N in [0, sqrt 3], and a midpoint rule over
+        # the uniform law on [-sqrt 3, sqrt 3]
+        r = math.sqrt(3)
+        val = truncated_second_moment(standardized_uniform(), N)
+        assert val == pytest.approx(1.0 - min(max(N, 0.0), r) ** 3 / r ** 3,
+                                    rel=1e-12, abs=1e-15)
+        x = ((np.arange(10 ** 6) + 0.5) / 10 ** 6 * 2.0 - 1.0) * r
+        assert val == pytest.approx(np.mean(x ** 2 * (np.abs(x) >= N)), abs=1e-5)
+
+
 class TestSampling:
     @settings(deadline=None, max_examples=20)
     @given(st.floats(min_value=0.05, max_value=0.95))
@@ -148,3 +175,17 @@ class TestSampling:
         d = standardized_uniform()
         vals = d.ppf(np.array([0.0, 0.5, 1.0]))
         assert vals == pytest.approx([-math.sqrt(3), 0.0, math.sqrt(3)])
+
+    def test_dyadic_ppf_on_a_grid_gives_the_atom_masses(self):
+        # u = (i + 1/2) / n puts about n (1 - q) q^k / 2 points on each of
+        # -s 2^k and s 2^k, and none off the atoms
+        q, n = 0.1, 100_000
+        d = dyadic_two_sided(q)
+        s = math.sqrt((1 - 4 * q) / (1 - q))
+        vals = d.ppf((np.arange(n) + 0.5) / n)
+        k = np.log2(np.abs(vals) / s)
+        assert np.array_equal(k, np.round(k)) and k.min() == 0.0
+        for k in range(4):
+            for atom in (-s * 2 ** k, s * 2 ** k):
+                assert np.mean(vals == atom) == pytest.approx((1 - q) * q ** k / 2,
+                                                              abs=2 / n)

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from apmopt import (ArbitrageError, DiscretePayoff, EnumerationCapError, FactorStrategy,
                     GrowthBounds, appendix_power, build_market,
-                    build_tilted_measure, enumerate_scenarios, expectation,
-                    finite_discrete, measure_moments, psi, rademacher,
+                    build_tilted_measure, enumerate_scenarios, eval_u_prime,
+                    expectation, finite_discrete, measure_moments, psi, rademacher,
                     sample_scenarios, single_asset_measure, solve_tilt,
                     standardized_two_point, standardized_uniform, verify_pricing)
+from apmopt import measures
 from apmopt.diagnostics import holder_chain_check
 from apmopt.measures import (TILT_TOL, TiltBracketError, TiltedMeasure,
                              _coordinate_means, _density_moments, _residuals,
@@ -141,6 +142,19 @@ class TestTiltedMeasure:
         dens = Q.density(s.draws)
         assert dens.min() > 0.0
         assert expectation(s, dens) == pytest.approx(1.0, abs=1e-12)
+
+    def test_fallback_factor_uses_its_kept_utility(self):
+        # b near the support's edge leaves no logistic root, so the
+        # coordinate falls back; its factor reads the utility it kept
+        model = rademacher_market([0.999])
+        Q = build_tilted_measure(model, 0.3)
+        (c,) = Q.coords
+        assert c.method == "utility_gradient" and c.utility == appendix_power(0.3)
+        pts = np.array([1.0, -1.0])
+        with mock.patch.object(measures, "appendix_power", side_effect=AssertionError):
+            factor = Q.coordinate_factor(0, pts)
+        assert factor.tobytes() == (eval_u_prime(c.utility, c.phi_star * (pts - 0.999))
+                                    / c.z).tobytes()
 
     def test_arbitrage_market_hard_error(self):
         model = rademacher_market([-1.0, 0.0])

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -398,7 +399,70 @@ class TestShape:
         assert np.all(eval_u(u, xs) - 0.5 * xs <= 1e-12)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestConstruction:
+    """A kind's parameters are checked once, when the utility is made,
+    through its factory and through Utility(...) alike."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.2, NAN, INF])
+    def test_alpha_outside_the_unit_interval_refused(self, alpha):
+        for make in (lambda: appendix_power(alpha),
+                     lambda: Utility("appendix_power", alpha=alpha)):
+            with pytest.raises(ValueError, match=r"alpha must lie in \(0,1\)"):
+                make()
+
+    @pytest.mark.parametrize("xs, ys, message", [
+        ((), (), "at least two points"),
+        ((0.0,), (0.0,), "at least two points"),
+        ((0.0, 1.0), (0.0,), "matching tables"),
+        ((0.0, NAN, 2.0), (0.0, 1.0, 1.5), "must be finite"),
+        ((-INF, 0.0), (0.0, 1.0), "must be finite"),
+        ((0.0, 1.0), (0.0, INF), "must be finite"),
+        ((0.0, 1.0), (NAN, 1.0), "must be finite"),
+        ((1.0, 0.0), (0.0, 1.0), "xs must be strictly increasing"),
+        ((0.0, 0.0, 1.0), (0.0, 0.5, 1.0), "xs must be strictly increasing"),
+    ], ids=["empty", "one-point", "lengths", "xs-nan", "xs-inf", "ys-inf", "ys-nan",
+            "xs-decreasing", "xs-repeated"])
+    def test_bad_table_refused(self, xs, ys, message):
+        for make in (lambda: tabulated(xs, ys), lambda: Utility("tabulated", xs=xs, ys=ys)):
+            with pytest.raises(ValueError, match=message):
+                make()
+
+    @pytest.mark.parametrize("u", [appendix_power(0.37), TABLE],
+                             ids=["appendix_power", "tabulated"])
+    def test_pickle_round_trip_builds_the_kernels_again(self, u):
+        v = pickle.loads(pickle.dumps(u))
+        x = edged(CHUNK + 1, FINITE_EDGES)
+        assert v == u and eval_u(v, x).tobytes() == eval_u(u, x).tobytes()
+
+    def test_table_is_not_converted_per_call(self):
+        # 16 points on a 40,001-point table allocate less than the table:
+        # its arrays are built once, with the utility
+        u = scaled_utility(appendix_power(0.5), 1.0)
+        x = np.linspace(-250.0, 250.0, 16)
+        for f in (eval_u, eval_u_prime):
+            f(u, x)
+            tracemalloc.start()
+            try:
+                f(u, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < len(u.xs) * 8
+
+
 class TestGrowthBounds:
+    @pytest.mark.parametrize("field", ["beta", "C1", "C2"])
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_non_finite_constants_refused(self, field, value):
+        # with a NaN C2 no negative-side comparison could fail, so
+        # certify_growth would hold
+        bounds = {"alpha": 0.5, "beta": 1.5, "C1": 1.0, "C2": 1.0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            GrowthBounds(**bounds)
+
     def test_beta_must_exceed_one(self):
         with pytest.raises(ValueError):
             GrowthBounds(alpha=0.5, beta=1.0, C1=1.0, C2=1.0)

@@ -1,0 +1,95 @@
+"""Run every CLI command on a fixed set of configs and keep all it produced.
+
+    python tools/same_numbers.py OUT [--checkout DIR]
+
+For each config, each of `check`, `optimize`, `measure` and `report` runs
+as `python -m apmopt.cli COMMAND --config ... --out ... --seed 42` with
+`OPENBLAS_NUM_THREADS=1` and the checkout's `src/` on the path.  Its
+bundle goes to OUT/<config>/<command>/bundle, and its stdout, stderr and
+exit code to stdout.txt, stderr.txt and exit_code.txt beside it.
+
+The configs are the checkout's configs/*.json, perfbench's
+`mc_report_config(101)`, and both of those markets with a 4,001-point table
+of appendix_power(0.5) on [-200, 200] in place of the utility
+(`*_tabulated`).  They are copied to OUT/configs, and every command runs
+from OUT with relative paths, so no output names the directory it ran in.
+
+Two checkouts give the same numbers when `diff -r OUT_A OUT_B` prints
+nothing.  `--checkout` points at a checkout other than the one holding
+this script, such as an older commit that does not have it.  Only the
+standard library is imported here; the commands need numpy and scipy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import json
+import os
+import subprocess
+import sys
+
+COMMANDS = ("check", "optimize", "measure", "report")
+SEED = "42"
+MC_SEED = 101
+TABLE_ALPHA = 0.5
+
+
+def power_table() -> dict:
+    """appendix_power(TABLE_ALPHA) at x = -200, -199.9, ..., 200 as a
+    tabulated utility section, under the demo's growth certificate."""
+    xs = [(i - 2000) / 10 for i in range(4001)]
+    ys = [TABLE_ALPHA * x if x <= 0 else (x + 1.0) ** TABLE_ALPHA - 1.0 for x in xs]
+    return {"kind": "tabulated", "xs": xs, "ys": ys,
+            "growth": {"alpha": 0.5, "beta": 1.5, "C1": 1.0, "C2": 1.0}}
+
+
+def configs(checkout: str) -> dict[str, dict]:
+    """Every config to run, by name."""
+    sys.path.insert(0, os.path.join(checkout, "perfbench"))
+    import workloads  # perfbench/workloads.py: standard library only
+
+    out = {}
+    for path in sorted(glob.glob(os.path.join(checkout, "configs", "*.json"))):
+        with open(path) as fh:
+            out[os.path.basename(path)[:-5]] = json.load(fh)
+    out[f"mc_report_{MC_SEED}"] = workloads.mc_report_config(MC_SEED)
+    for name in ("demo", f"mc_report_{MC_SEED}"):
+        out[f"{name}_tabulated"] = {**out[name], "utility": power_table()}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("out", help="directory for the outputs; must not exist")
+    ap.add_argument("--checkout", default=os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))),
+        help="the checkout whose src/ runs (default: this script's)")
+    args = ap.parse_args(argv)
+    checkout = os.path.abspath(args.checkout)
+    out = os.path.abspath(args.out)
+    os.makedirs(os.path.join(out, "configs"))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.join(checkout, "src"))
+    env.pop("SEED", None)  # it would override --seed
+    for name, config in configs(checkout).items():
+        config_path = os.path.join("configs", f"{name}.json")
+        with open(os.path.join(out, config_path), "w") as fh:
+            json.dump(config, fh, indent=1)
+        for command in COMMANDS:
+            run_dir = os.path.join(name, command)
+            os.makedirs(os.path.join(out, run_dir))
+            proc = subprocess.run(
+                [sys.executable, "-m", "apmopt.cli", command, "--config", config_path,
+                 "--out", os.path.join(run_dir, "bundle"), "--seed", SEED],
+                cwd=out, env=env, capture_output=True, text=True)
+            for file, text in (("stdout.txt", proc.stdout), ("stderr.txt", proc.stderr),
+                               ("exit_code.txt", f"{proc.returncode}\n")):
+                with open(os.path.join(out, run_dir, file), "w") as fh:
+                    fh.write(text)
+            print(f"{name} {command}: exit {proc.returncode}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
