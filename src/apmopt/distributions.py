@@ -9,12 +9,23 @@ The ``dyadic_two_sided`` family (mass at +/- s*2^k) is a test fixture:
 it is unbounded on both sides but has infinite exponential moments for
 every gamma > 0, which is exactly what negative tests of the moment
 conditions need.
+
+Each family has one builder (``_FAMILIES``) that checks its parameters
+and returns its query set (``_Law``): inverse CDF, both strict tails,
+exponential and truncated second moments.  ``DistributionSpec.__post_init__``
+runs it once, when the law is made, and is the one place that reads
+``family``: a bad law (discrete points and probabilities that do not
+match, are not finite, are negative, do not sum to 1 or are not
+standardized; a dyadic q outside (0, 1/4)) raises ValueError there, and
+a discrete law is sorted and summed once, not per query.  The uniform
+and dyadic laws are symmetric: one tail formula, P(eps < x) = P(eps > -x).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,16 +44,25 @@ __all__ = [
 _SQRT3 = math.sqrt(3.0)
 
 
+class _Law(NamedTuple):
+    """A noise law's query set, built once by its family's builder."""
+    ppf: Callable         # ppf(u) -> the inverse CDF at a float array u
+    above: Callable       # above(x) -> P(eps > x), x not NaN
+    below: Callable       # below(x) -> P(eps < x)
+    exp_moment: Callable  # exp_moment(gamma) -> E[exp(gamma |eps|)], 0 < gamma < inf
+    trunc2: Callable      # trunc2(N) -> E[eps^2 1{|eps| >= N}]
+    discrete: bool        # finite support: enumerable and tilt-calibratable
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """A standardized noise distribution (mean 0, variance 1).
 
     family is one of "finite_discrete", "standardized_uniform",
-    "dyadic_two_sided"; ``__post_init__`` rejects any other, so every
-    query below ends in the dyadic branch.  finite_discrete carries
-    explicit (points, probs), and ``rademacher()`` and
-    ``standardized_two_point(p)`` build it too; dyadic_two_sided carries
-    the geometric ratio q and is queried analytically.
+    "dyadic_two_sided"; ``__post_init__`` rejects any other.
+    finite_discrete carries explicit (points, probs), and ``rademacher()``
+    and ``standardized_two_point(p)`` build it too; dyadic_two_sided
+    carries the geometric ratio q and is queried analytically.
     """
 
     family: str
@@ -51,59 +71,151 @@ class DistributionSpec:
     q: float = 0.0  # dyadic_two_sided only
 
     def __post_init__(self):
-        if self.family == "finite_discrete":
-            pts = np.asarray(self.points, dtype=float)
-            pr = np.asarray(self.probs, dtype=float)
-            if pts.shape != pr.shape or pts.ndim != 1 or pts.size < 2:
-                raise ValueError("discrete family needs matching points/probs")
-            if np.any(pr < 0):
-                raise ValueError("negative probability")
-            if abs(pr.sum() - 1.0) > 1e-12:
-                raise ValueError("probabilities must sum to 1")
-            mean = float(pts @ pr)
-            var = float((pts - mean) ** 2 @ pr)
-            if abs(mean) > 1e-10 or abs(var - 1.0) > 1e-10:
-                raise ValueError(
-                    f"noise must be standardized: mean={mean:.3g}, var={var:.3g}"
-                )
-        elif self.family == "dyadic_two_sided":
-            if not 0.0 < self.q < 0.25:
-                raise ValueError("dyadic_two_sided needs 0 < q < 1/4")
-        elif self.family != "standardized_uniform":
+        build = _FAMILIES.get(self.family)
+        if build is None:
             raise ValueError(f"unknown family {self.family!r}")
+        object.__setattr__(self, "_law", build(self))
+
+    def __reduce__(self):
+        # the queries are closures: pickle the fields and build them again
+        return DistributionSpec, (self.family, self.points, self.probs, self.q)
 
     @property
     def is_discrete(self) -> bool:
-        return self.family == "finite_discrete"
-
-    # --- dyadic helpers -------------------------------------------------
-    def _dyadic_scale(self) -> float:
-        # var = s^2 (1-q)/(1-4q) sum over both sides => s = sqrt((1-4q)/(1-q))
-        return math.sqrt((1.0 - 4.0 * self.q) / (1.0 - self.q))
+        return self._law.discrete
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF, vectorized; the single uniform-draw sampler."""
-        u = np.asarray(u, dtype=float)
-        if self.family == "standardized_uniform":
-            return (2.0 * u - 1.0) * _SQRT3
-        if self.is_discrete:
-            pts = np.asarray(self.points, dtype=float)
-            order = np.argsort(pts)
-            cum = np.cumsum(np.asarray(self.probs, dtype=float)[order])
-            if len(pts) == 2:  # searchsorted's index is 0 iff u < cum[0]
-                return pts[order][::-1][(u < cum[0]).view(np.uint8)]
-            idx = np.searchsorted(cum, u, side="right")
-            idx = np.clip(idx, 0, len(pts) - 1)
-            return pts[order][idx]
-        # dyadic_two_sided, symmetric: sign from u<0.5, magnitude index geometric
-        s = self._dyadic_scale()
+        return self._law.ppf(np.asarray(u, dtype=float))
+
+
+def _discrete_law(d: DistributionSpec) -> _Law:
+    pts = np.asarray(d.points, dtype=float)
+    pr = np.asarray(d.probs, dtype=float)
+    if pts.shape != pr.shape or pts.ndim != 1 or pts.size < 2:
+        raise ValueError("discrete family needs matching points/probs")
+    if not (np.isfinite(pts).all() and np.isfinite(pr).all()):
+        raise ValueError("discrete family needs finite points and probabilities")
+    if np.any(pr < 0):
+        raise ValueError("negative probability")
+    if abs(pr.sum() - 1.0) > 1e-12:
+        raise ValueError("probabilities must sum to 1")
+    mean = float(pts @ pr)
+    var = float((pts - mean) ** 2 @ pr)
+    if abs(mean) > 1e-10 or abs(var - 1.0) > 1e-10:
+        raise ValueError(f"noise must be standardized: mean={mean:.3g}, var={var:.3g}")
+    order = np.argsort(pts)
+    ordered, cum = pts[order], np.cumsum(pr[order])
+    # a point of zero probability adds exp(0) * 0, even where its own
+    # exponential would overflow and give inf * 0
+    mags = np.where(pr > 0, np.abs(pts), 0.0)
+
+    if pts.size == 2:  # searchsorted's index is 0 iff u < cum[0]
+        flipped, cum0 = ordered[::-1], cum[0]
+
+        def ppf(u):
+            return flipped[(u < cum0).view(np.uint8)]
+    else:
+        last = pts.size - 1
+
+        def ppf(u):
+            return ordered[np.clip(np.searchsorted(cum, u, side="right"), 0, last)]
+
+    def exp_moment(gamma):
+        with np.errstate(over="ignore"):  # an overflow is the moment's inf
+            return float(pr @ np.exp(gamma * mags))
+
+    def trunc2(N):
+        mask = np.abs(pts) >= N
+        return float(pr[mask] @ pts[mask] ** 2)
+
+    return _Law(ppf=ppf, above=lambda x: float(pr[pts > x].sum()),
+                below=lambda x: float(pr[pts < x].sum()),
+                exp_moment=exp_moment, trunc2=trunc2, discrete=True)
+
+
+def _uniform_law(d: DistributionSpec) -> _Law:
+    def above(x):
+        return float(np.clip((_SQRT3 - x) / (2 * _SQRT3), 0.0, 1.0))
+
+    def exp_moment(gamma):
+        t = gamma * _SQRT3
+        try:
+            return (math.exp(t) - 1.0) / t
+        except OverflowError:  # e^t past the float range
+            return math.inf
+
+    def trunc2(N):
+        if N <= 0:
+            return 1.0
+        if N >= _SQRT3:
+            return 0.0
+        # 2 * int_N^{sqrt3} x^2 / (2 sqrt3) dx
+        return (_SQRT3 ** 3 - N ** 3) / (3.0 * _SQRT3)
+
+    return _Law(ppf=lambda u: (2.0 * u - 1.0) * _SQRT3, above=above,
+                below=lambda x: above(-x), exp_moment=exp_moment, trunc2=trunc2,
+                discrete=False)
+
+
+def _dyadic_law(d: DistributionSpec) -> _Law:
+    q = d.q
+    if not 0.0 < q < 0.25:
+        raise ValueError("dyadic_two_sided needs 0 < q < 1/4")
+    # var = s^2 (1-q)/(1-4q) sum over both sides => s = sqrt((1-4q)/(1-q))
+    s = math.sqrt((1.0 - 4.0 * q) / (1.0 - q))
+    log_q = math.log(q)
+    ms, es = math.frexp(s)
+    far = math.ldexp(s, 600)  # an atom's mass q^k (1-q)/2 past it underflows to 0
+
+    def ppf(u):
+        # symmetric: sign from u<0.5, magnitude index geometric
         v = np.where(u < 0.5, 1.0 - 2.0 * u, 2.0 * u - 1.0)  # in (0,1]
         v = np.clip(v, 1e-300, 1.0)
         # tail mass beyond index k (one side, renormalized): q^k
-        k = np.floor(np.log(v) / math.log(self.q))
+        k = np.floor(np.log(v) / log_q)
         k = np.clip(k, 0, 4096)
         mag = s * np.exp2(k)
         return np.where(u < 0.5, -mag, mag)
+
+    def upper(t):
+        # P(eps > t) for t >= 0: 0.5 q^k for the smallest k with s*2^k > t,
+        # read off the binary exponents, so no t overflows it
+        if t < s:
+            return 0.5
+        if t == math.inf:
+            return 0.0
+        mt, et = math.frexp(t)
+        return 0.5 * q ** (et - es + (mt >= ms))
+
+    def atom(x):
+        # P(eps == x) for x > 0, within 1e-12 in log2
+        if not s <= x < far:
+            return 0.0
+        k = math.log2(x / s)
+        kr = round(k)
+        return 0.5 * (1 - q) * q ** kr if abs(k - kr) < 1e-12 else 0.0
+
+    def above(x):
+        return upper(x) if x >= 0 else 1.0 - upper(-x) - atom(-x)
+
+    def trunc2(N):
+        if N <= s:
+            return 1.0
+        if N == math.inf:
+            return 0.0
+        # sum_{k>=k0} 2 * (1-q)/2 q^k * s^2 4^k = (4q)^{k0}, for the
+        # smallest k0 with s*2^k0 >= N
+        mN, eN = math.frexp(N)
+        return (4.0 * q) ** (eN - es + (mN > ms))
+
+    # e^{gamma 2^k} dominates q^k for every gamma > 0
+    return _Law(ppf=ppf, above=above, below=lambda x: above(-x),
+                exp_moment=lambda gamma: math.inf, trunc2=trunc2, discrete=False)
+
+
+_FAMILIES = {"finite_discrete": _discrete_law, "standardized_uniform": _uniform_law,
+             "dyadic_two_sided": _dyadic_law}
 
 
 def rademacher() -> DistributionSpec:
@@ -138,83 +250,27 @@ def dyadic_two_sided(q: float) -> DistributionSpec:
 def tail_probability(dist: DistributionSpec, x: float, side: str) -> float:
     """P(eps > x) for side="above", P(eps < x) for side="below".
 
-    Strict inequalities on both sides; exact for discrete families.
+    Strict inequalities on both sides; exact for discrete families.  An
+    infinite x gives the limits 0 and 1; a NaN x raises ValueError.
     """
     if side not in ("above", "below"):
         raise ValueError("side must be 'above' or 'below'")
-    if dist.is_discrete:
-        pts = np.asarray(dist.points)
-        pr = np.asarray(dist.probs)
-        mask = pts > x if side == "above" else pts < x
-        return float(pr[mask].sum())
-    if dist.family == "standardized_uniform":
-        if side == "above":
-            return float(np.clip((_SQRT3 - x) / (2 * _SQRT3), 0.0, 1.0))
-        return float(np.clip((x + _SQRT3) / (2 * _SQRT3), 0.0, 1.0))
-    s = dist._dyadic_scale()  # dyadic_two_sided
-    q = dist.q
-
-    def upper(t: float) -> float:
-        # P(eps > t) for t >= 0: smallest k with s*2^k > t
-        if t < s:
-            return 0.5
-        k0 = math.floor(math.log2(t / s)) + 1
-        if s * 2 ** (k0 - 1) > t:  # guard float rounding
-            k0 -= 1
-        return 0.5 * q ** k0
-
-    if side == "above":
-        return upper(x) if x >= 0 else 1.0 - upper(-x) - _dyadic_atom(dist, -x)
-    return upper(-x) if x <= 0 else 1.0 - upper(x) - _dyadic_atom(dist, x)
-
-
-def _dyadic_atom(dist: DistributionSpec, x: float) -> float:
-    """P(eps == x) for the dyadic family (x on one side)."""
-    s = dist._dyadic_scale()
-    if x <= 0:
-        x = -x
-    if x < s:
-        return 0.0
-    k = math.log2(x / s)
-    kr = round(k)
-    if abs(k - kr) < 1e-12:
-        return 0.5 * (1 - dist.q) * dist.q ** kr
-    return 0.0
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
+    return dist._law.above(x) if side == "above" else dist._law.below(x)
 
 
 def estimate_exp_moment(dist: DistributionSpec, gamma: float) -> float:
-    """E[exp(gamma * |eps|)], exact; math.inf when the moment diverges."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if dist.is_discrete:
-        pts = np.abs(np.asarray(dist.points))
-        pr = np.asarray(dist.probs)
-        return float(pr @ np.exp(gamma * pts))
-    if dist.family == "standardized_uniform":
-        return (math.exp(gamma * _SQRT3) - 1.0) / (gamma * _SQRT3)
-    return math.inf  # dyadic_two_sided: e^{gamma 2^k} dominates q^k for every gamma > 0
+    """E[exp(gamma * |eps|)], exact; math.inf when the moment diverges or
+    passes the float range.  gamma must be positive and finite."""
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
+    return dist._law.exp_moment(gamma)
 
 
 def truncated_second_moment(dist: DistributionSpec, N: float) -> float:
-    """E[eps^2 * 1{|eps| >= N}], exact."""
-    if dist.is_discrete:
-        pts = np.asarray(dist.points)
-        pr = np.asarray(dist.probs)
-        mask = np.abs(pts) >= N
-        return float(pr[mask] @ pts[mask] ** 2)
-    if dist.family == "standardized_uniform":
-        if N <= 0:
-            return 1.0
-        if N >= _SQRT3:
-            return 0.0
-        # 2 * int_N^{sqrt3} x^2 / (2 sqrt3) dx
-        return (_SQRT3 ** 3 - N ** 3) / (3.0 * _SQRT3)
-    s = dist._dyadic_scale()  # dyadic_two_sided
-    q = dist.q
-    if N <= s:
-        return 1.0
-    k0 = math.ceil(math.log2(N / s))
-    if s * 2 ** (k0 - 1) >= N:
-        k0 -= 1
-    # sum_{k>=k0} 2 * (1-q)/2 q^k * s^2 4^k = (4q)^{k0}
-    return (4.0 * q) ** k0
+    """E[eps^2 * 1{|eps| >= N}], exact; 0 at N = inf, and a NaN N raises
+    ValueError."""
+    if math.isnan(N):
+        raise ValueError("N must not be NaN")
+    return dist._law.trunc2(N)

@@ -214,8 +214,17 @@ class TestExitCodes:
         ("solver", {"grad_tol": float("nan")}, "solver"),
         ("solver", {"grad_tol": float("inf")}, "solver"),
         ("solver", {"max_iter": -1}, "solver"),
+        ("model", {**DEMO["model"], "noise": {"family": "finite_discrete",
+                                              "points": [1.0, -1.0],
+                                              "probs": [float("nan")] * 2}},
+         "model.noise"),
+        ("model", {**DEMO["model"], "noise": {"family": "finite_discrete",
+                                              "points": [1.0, -1.0, float("nan")],
+                                              "probs": [0.5, 0.5, 0.0]}},
+         "model.noise"),
     ], ids=["alpha-list", "exponents-int", "alpha-str", "n-str", "kind-unknown",
-            "growth-c1-nan", "grad-tol-nan", "grad-tol-inf", "max-iter-negative"])
+            "growth-c1-nan", "grad-tol-nan", "grad-tol-inf", "max-iter-negative",
+            "noise-probs-nan", "noise-point-nan"])
     def test_bad_value_names_its_key(self, tmp_path, capsys, section, value, key):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({**DEMO, section: value}))

@@ -1,14 +1,27 @@
 import math
+import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from apmopt import (dyadic_two_sided, estimate_exp_moment, finite_discrete,
                     rademacher, standardized_two_point, standardized_uniform,
                     tail_probability, truncated_second_moment)
 from conftest import searchsorted_ppf
+
+# one law per family and per discrete ppf path (two points, more)
+LAWS = pytest.mark.parametrize("d", [
+    rademacher(), standardized_two_point(0.106),
+    finite_discrete((-1.5, 0.0, 1.5), (2 / 9, 5 / 9, 2 / 9)),
+    standardized_uniform(), dyadic_two_sided(0.1)],
+    ids=["rademacher", "two-point", "three-point", "uniform", "dyadic"])
+
+
+def dyadic_scale(q):
+    return math.sqrt((1 - 4 * q) / (1 - q))
 
 
 def exact_mean_var(dist):
@@ -47,6 +60,17 @@ class TestStandardization:
     def test_bad_probs_rejected(self):
         with pytest.raises(ValueError):
             finite_discrete([1.0, -1.0], [0.7, 0.4])
+
+    @pytest.mark.parametrize("points, probs", [
+        ([1.0, -1.0], [math.nan, math.nan]),
+        ([math.inf, -math.inf], [0.5, 0.5]),
+        ([1.0, -1.0, math.nan], [0.5, 0.5, 0.0]),
+        ([1.0, -1.0, math.inf], [0.5, 0.5, 0.0]),
+    ], ids=["nan-probs", "inf-points", "nan-point", "inf-point"])
+    def test_non_finite_law_rejected(self, points, probs):
+        # NaN fails no comparison in the other checks, so it is refused first
+        with pytest.raises(ValueError, match="finite points and probabilities"):
+            finite_discrete(points, probs)
 
 
 class TestTails:
@@ -189,3 +213,115 @@ class TestSampling:
             for atom in (-s * 2 ** k, s * 2 ** k):
                 assert np.mean(vals == atom) == pytest.approx((1 - q) * q ** k / 2,
                                                               abs=2 / n)
+
+
+class TestEdgeArguments:
+    @LAWS
+    def test_nan_argument_raises(self, d):
+        for side in ("above", "below"):
+            with pytest.raises(ValueError, match="NaN"):
+                tail_probability(d, math.nan, side)
+        with pytest.raises(ValueError, match="NaN"):
+            truncated_second_moment(d, math.nan)
+        for gamma in (math.nan, 0.0, -1.0, math.inf):
+            with pytest.raises(ValueError, match="gamma"):
+                estimate_exp_moment(d, gamma)
+
+    @LAWS
+    def test_infinite_argument_gives_the_limits(self, d):
+        assert tail_probability(d, math.inf, "above") == 0.0
+        assert tail_probability(d, -math.inf, "below") == 0.0
+        assert tail_probability(d, -math.inf, "above") == pytest.approx(1.0, abs=1e-12)
+        assert tail_probability(d, math.inf, "below") == pytest.approx(1.0, abs=1e-12)
+        assert truncated_second_moment(d, math.inf) == 0.0
+        assert truncated_second_moment(d, -math.inf) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [standardized_uniform(), rademacher()],
+                             ids=["uniform", "rademacher"])
+    def test_exp_moment_past_the_float_range_is_inf(self, d):
+        # warnings are errors here: an overflow must not warn
+        assert estimate_exp_moment(d, 1e3) == math.inf
+
+    def test_zero_probability_point_adds_nothing_to_the_exp_moment(self):
+        # e^800 overflows at the zero-probability point, and inf * 0 is NaN
+        d = finite_discrete((1.0, -1.0, 800.0), (0.5, 0.5, 0.0))
+        assert estimate_exp_moment(d, 1.0) == pytest.approx(math.e)
+
+    @pytest.mark.parametrize("q", [0.1, 0.2, 0.2499])
+    @pytest.mark.parametrize("x", [1e3, 1e100, 1e300, 1.7e308])
+    def test_dyadic_far_arguments_match_the_atom_index(self, q, x):
+        # k0, the first atom index with s 2^k0 >= x, found exactly; past
+        # s 2^537 the tails underflow to 0, but (4q)^k0 need not
+        d = dyadic_two_sided(q)
+        s = dyadic_scale(q)
+        k0 = 0
+        while Fraction(s) * 2 ** k0 < Fraction(x):
+            k0 += 1
+        assert truncated_second_moment(d, x) == (4 * q) ** k0
+        assert tail_probability(d, x, "above") == 0.5 * q ** k0
+        assert tail_probability(d, -x, "above") == 1.0 - 0.5 * q ** k0
+
+    @pytest.mark.parametrize("q", [0.1, 0.2])
+    @pytest.mark.parametrize("k", [1, 3, 4, 40])
+    def test_dyadic_truncated_moment_drops_an_atom_just_below_N(self, q, k):
+        # N one ulp past the atom s 2^k leaves that atom out
+        d = dyadic_two_sided(q)
+        atom = dyadic_scale(q) * 2 ** k
+        assert truncated_second_moment(d, atom) == (4 * q) ** k
+        assert truncated_second_moment(d, math.nextafter(atom, math.inf)) == (4 * q) ** (k + 1)
+
+    @pytest.mark.parametrize("d", [standardized_uniform(), dyadic_two_sided(0.1),
+                                   dyadic_two_sided(0.2)],
+                             ids=["uniform", "dyadic-0.1", "dyadic-0.2"])
+    @given(x=st.floats(allow_nan=False) | st.sampled_from(
+        [0.0, -0.0, 1.0, math.sqrt(3), dyadic_scale(0.1) * 8, dyadic_scale(0.2) * 2]))
+    def test_symmetric_below_is_above_of_minus_x(self, d, x):
+        for y in (x, -x):
+            assert (tail_probability(d, y, "below").hex()
+                    == tail_probability(d, -y, "above").hex())
+
+    @LAWS
+    def test_pickle_round_trip_builds_the_queries_again(self, d):
+        e = pickle.loads(pickle.dumps(d))
+        u = np.linspace(0.0, 1.0 - 2.0 ** -53, 1001)
+        assert e == d and e.is_discrete == d.is_discrete
+        assert e.ppf(u).tobytes() == d.ppf(u).tobytes()
+        for x in (-2.0, -1.0, 0.0, 0.5, 1.7, 3.0):
+            for side in ("above", "below"):
+                assert tail_probability(e, x, side) == tail_probability(d, x, side)
+            assert truncated_second_moment(e, x) == truncated_second_moment(d, x)
+        assert estimate_exp_moment(e, 0.5) == estimate_exp_moment(d, 0.5)
+
+
+@st.composite
+def standardized_laws(draw):
+    """A finite_discrete law of 3 to 17 distinct points, some of zero
+    probability, shifted and scaled to mean 0 and variance 1."""
+    size = draw(st.integers(3, 17))
+    pts = np.array(draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size,
+                                 unique=True)), dtype=float)
+    weights = draw(st.lists(st.integers(0, 20), min_size=size - 1, max_size=size - 1))
+    pr = np.array(weights + [draw(st.integers(1, 20))], dtype=float)
+    assume(np.count_nonzero(pr) >= 2)
+    pr /= math.fsum(pr)
+    pr[-1] = 1.0 - math.fsum(pr[:-1])
+    mean = pts @ pr
+    return finite_discrete((pts - mean) / math.sqrt((pts - mean) ** 2 @ pr), pr)
+
+
+class TestDiscreteOracles:
+    @settings(max_examples=100, deadline=None)
+    @given(d=standardized_laws(), x=st.floats(-10.0, 10.0),
+           gamma=st.floats(0.01, 5.0))
+    def test_queries_match_mask_sums(self, d, x, gamma):
+        pairs = list(zip(d.points, d.probs))
+        for y in (x, -x, *d.points):
+            above = math.fsum(p for v, p in pairs if v > y)
+            below = math.fsum(p for v, p in pairs if v < y)
+            trunc2 = math.fsum(p * v * v for v, p in pairs if abs(v) >= abs(y))
+            assert tail_probability(d, y, "above") == pytest.approx(above, rel=1e-12, abs=1e-15)
+            assert tail_probability(d, y, "below") == pytest.approx(below, rel=1e-12, abs=1e-15)
+            assert truncated_second_moment(d, abs(y)) == pytest.approx(trunc2, rel=1e-12,
+                                                                       abs=1e-15)
+        moment = math.fsum(p * math.exp(gamma * abs(v)) for v, p in pairs)
+        assert estimate_exp_moment(d, gamma) == pytest.approx(moment, rel=1e-12)

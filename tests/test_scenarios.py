@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apmopt import (EnumerationCapError, GrowthBounds, ScenarioSet, SolverConfig,
-                    appendix_power, build_market, build_tilted_measure,
-                    detect_unbounded, enumerate_scenarios, eval_u, expectation,
+from apmopt import (DistributionSpec, EnumerationCapError, GrowthBounds,
+                    ScenarioSet, SolverConfig, appendix_power, build_market,
+                    build_tilted_measure, detect_unbounded, dyadic_two_sided,
+                    enumerate_scenarios, eval_u, expectation,
                     finite_discrete, measure_moments, optimize_truncated,
                     rademacher, sample_scenarios, standardized_two_point,
                     standardized_uniform, truncation_ladder, verify_pricing)
@@ -338,6 +339,24 @@ class TestSampling:
         s = sample_scenarios(model, n, seed)
         assert s.draws.shape == (n, 4) and s.draws.flags.f_contiguous
         assert s.draws.tobytes() == ref.tobytes()
+
+    def test_ppf_runs_once_per_coordinate_and_block(self, monkeypatch):
+        # every draw goes through the class attribute DistributionSpec.ppf,
+        # one call per coordinate and _BLOCK rows, where a wrapper counts it
+        calls = []
+        ppf = DistributionSpec.ppf
+
+        def counted(dist, u):
+            calls.append((dist.family, u.size))
+            return ppf(dist, u)
+
+        monkeypatch.setattr(DistributionSpec, "ppf", counted)
+        noise = [rademacher(), standardized_uniform(), dyadic_two_sided(0.1)]
+        model = build_market(1, 3, mu=[0.1, 0.05, -0.2], beta=[[0.0]] * 2,
+                             beta_bar=[1.0] * 3, noise=noise)
+        sample_scenarios(model, 2 * _BLOCK + 5, seed=3)
+        assert calls == [(d.family, count) for count in (_BLOCK, _BLOCK, 5)
+                         for d in noise]
 
     def test_seed_changes_rows(self, market_k3):
         a = sample_scenarios(market_k3, 100, seed=1)

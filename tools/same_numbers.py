@@ -9,10 +9,14 @@ bundle goes to OUT/<config>/<command>/bundle, and its stdout, stderr and
 exit code to stdout.txt, stderr.txt and exit_code.txt beside it.
 
 The configs are the checkout's configs/*.json, perfbench's
-`mc_report_config(101)`, and both of those markets with a 4,001-point table
+`mc_report_config(101)`, both of those markets with a 4,001-point table
 of appendix_power(0.5) on [-200, 200] in place of the utility
-(`*_tabulated`).  They are copied to OUT/configs, and every command runs
-from OUT with relative paths, so no output names the directory it ran in.
+(`*_tabulated`), and three in other noise laws (`NOISE_VARIANTS`):
+`mc_report_101` in standardized uniform and in dyadic (q = 0.1) noise,
+and the demo in a three-point law.  So every noise family, and the
+discrete sampler's path for more than two points, reaches a bundle.
+They are copied to OUT/configs, and every command runs from OUT with
+relative paths, so no output names the directory it ran in.
 
 Two checkouts give the same numbers when `diff -r OUT_A OUT_B` prints
 nothing.  `--checkout` points at a checkout other than the one holding
@@ -33,6 +37,16 @@ COMMANDS = ("check", "optimize", "measure", "report")
 SEED = "42"
 MC_SEED = 101
 TABLE_ALPHA = 0.5
+# (variant name, base config, noise section)
+NOISE_VARIANTS = (
+    (f"mc_report_{MC_SEED}_uniform", f"mc_report_{MC_SEED}",
+     {"family": "standardized_uniform"}),
+    (f"mc_report_{MC_SEED}_dyadic", f"mc_report_{MC_SEED}",
+     {"family": "dyadic_two_sided", "q": 0.1}),
+    ("demo_three_point", "demo",
+     {"family": "finite_discrete", "points": [-1.5, 0.0, 1.5],
+      "probs": [2 / 9, 5 / 9, 2 / 9]}),
+)
 
 
 def power_table() -> dict:
@@ -56,6 +70,8 @@ def configs(checkout: str) -> dict[str, dict]:
     out[f"mc_report_{MC_SEED}"] = workloads.mc_report_config(MC_SEED)
     for name in ("demo", f"mc_report_{MC_SEED}"):
         out[f"{name}_tabulated"] = {**out[name], "utility": power_table()}
+    for name, base, noise in NOISE_VARIANTS:
+        out[name] = {**out[base], "model": {**out[base]["model"], "noise": noise}}
     return out
 
 
