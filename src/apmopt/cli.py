@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .config import ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, parse_config
 from .diagnostics import (assemble_report, check_assumption_relevant,
                           emit_report, exp_ui_bound, holder_chain_check,
                           random_strategies, subgaussian_scan)
@@ -69,6 +69,18 @@ def _scenarios(cfg: ExperimentConfig, seed: int, n_override):
         return enumerate_scenarios(cfg.model)
     n = cfg.n_scenarios if n_override is None else n_override
     return sample_scenarios(cfg.model, n, seed)
+
+
+def _require_runnable(command: str, cfg: ExperimentConfig) -> None:
+    """Raise ConfigError, before any work, for a config that parses but
+    cannot run command: measure and report calibrate a tilt on every
+    noise coordinate, which needs a finite-discrete law."""
+    if command in ("measure", "report"):
+        for i, dist in enumerate(cfg.model.noise):
+            if not dist.is_discrete:
+                raise ConfigError([f"model.noise: {command} calibrates a tilt on every "
+                                   f"coordinate, which needs a finite-discrete law; "
+                                   f"coordinate {i + 1} is {dist.family!r}"])
 
 
 def _assumptions_ok(cfg: ExperimentConfig) -> bool:
@@ -169,6 +181,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
+        _require_runnable(args.command, cfg)
         seed = _resolve_seed(cfg, args)
         if args.scenarios is not None and args.scenarios < 1:
             raise ValueError(f"--scenarios must be at least 1, got {args.scenarios}")

@@ -12,18 +12,22 @@ Three families of checks:
   which are logically independent of each other.
 
 The Hoelder chain reads every strategy's payoff on every scenario row.
-It walks the rows once, in fixed-order blocks of at most
+On a row set it walks the rows once, in fixed-order blocks of at most
 ``optimize.ROW_BLOCK`` rows, so its temporaries are a block's size, never
-a column's.  Its payoffs come from the solver's kernels: outer sums over
-the K coordinate laws on an exact enumeration, whose rows are never
-built, and on other sets a centred block (``optimize._centered``) and
-gemms of power-of-two widths (``optimize._payoffs``).  The
-exponential moment takes the same walk on row sets.  On an exact
-enumeration it is a closed form instead, wherever that runs fewer exps:
+a column's, and its payoffs come from the solver's kernels: a centred
+block (``optimize._centered``) and gemms of power-of-two widths
+(``optimize._payoffs``).  An exact enumeration's rows are never built:
 each payoff splits into a sum over a tile of trailing coordinates and one
-over the leading coordinates, which are independent, and sorted prefix
-and suffix sums over the tile give the expectation with exp run on the
-tile's and the leading coordinates' payoffs, not on every row.
+over the leading coordinates (a head), which are independent.  With each
+strategy's tile payoffs sorted, a row h + t is above 0 exactly on a
+suffix of the tile, found by one searchsorted per head, so where that
+pays each row is evaluated once, by the side's own kernel, and u(0)
+enters through the tile weights' prefix and suffix sums; otherwise the
+walk forms the blocks as outer sums over the K coordinate laws.  The
+exponential moment takes the walk on row sets; on an exact enumeration
+it is a closed form over the same sorted tiles, wherever that runs fewer
+exps, with exp run on the tile's and the heads' payoffs, not on every
+row.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .measures import (TiltedMeasure, _coordinate_means, _density_moments, _resi
                        _support_factors)
 from .optimize import ROW_BLOCK, _centered, _outer_sum, _payoffs, _require_width
 from .scenarios import ScenarioSet, _product_weights
-from .utility import Utility, _split_u, certify_growth
+from .utility import Utility, _sides_u, _split_u, certify_growth, eval_u
 
 __all__ = [
     "random_strategies",
@@ -130,18 +134,23 @@ def _grid_payoffs(xs, phis: np.ndarray) -> np.ndarray:
     return out
 
 
-def _product_payoffs(s: ScenarioSet, phis: np.ndarray, shift: np.ndarray):
-    """(Y, w) per block of an exact enumeration's rows, in order, from its
-    K laws (``_grid_blocks``).  Strategies narrower than K pay nothing on
-    the other coordinates.
-    """
+def _product_grid(laws, phis: np.ndarray, shift: np.ndarray):
+    """(xs, full): the supports of laws, the first k = phis.shape[1] of them
+    less shift[:k], and phis padded with zeros to all the laws' coordinates,
+    so strategies narrower than the laws pay nothing on the others."""
     k = phis.shape[1]
-    xs = [x - b for (x, _), b in zip(s._laws, shift[:k])]
-    xs += [x for x, _ in s._laws[k:]]
+    xs = [x - b for (x, _), b in zip(laws, shift[:k])]
+    xs += [x for x, _ in laws[k:]]
     full = np.zeros((phis.shape[0], len(xs)))
     full[:, :k] = phis
+    return xs, full
+
+
+def _product_payoffs(s: ScenarioSet, phis: np.ndarray, shift: np.ndarray):
+    """(Y, w) per block of an exact enumeration's rows, in order, from its
+    K laws (``_grid_blocks``)."""
     start = 0
-    for y in _grid_blocks(xs, full):
+    for y in _grid_blocks(*_product_grid(s._laws, phis, shift)):
         yield y, s.weights[start:start + y.shape[1]]
         start += y.shape[1]
 
@@ -215,27 +224,64 @@ def _tiles_pay(xs) -> bool:
     return 2 * (tile + heads) < tile * heads
 
 
+def _sorted_tiles(laws, phis: np.ndarray, shift: np.ndarray):
+    """Per strategy of phis, in order, (t, w, heads) on the product of laws
+    = [(points, probs)], with supports shifted as ``_product_grid`` does.
+    Each payoff splits as Y = h + t over the tile of trailing coordinates
+    (``_tile_split``), h on the leading coordinates and t on the tile,
+    which are independent under the product weights.
+
+    t holds the strategy's tile payoffs, zero-probability points left out,
+    sorted by a heapsort: as fast here as numpy's default quicksort, which
+    numpy may run as a SIMD kernel that orders ties differently by
+    machine; w holds their weights.  heads yields blocks (h, wh, k) of at
+    most ROW_BLOCK head payoffs h (``_grid_blocks``), zero-weight heads
+    left out, with their weights wh and their splits k = the number of
+    t <= -h, by one searchsorted on -h.  A row h + t is the product
+    walk's payoff (``_product_payoffs``) bit for bit, and it is > 0
+    exactly where t > -h, that is on t[k:]: -h is exact, and a sum of two
+    floats rounds to 0 only where it is 0.
+    """
+    xs, full = _product_grid(laws, phis, shift)
+    lead, _ = _tile_split(xs)
+    w_tile = _product_weights([p for _, p in laws[lead:]])
+    live = w_tile > 0
+    w_tile = w_tile[live]
+    w_head = _product_weights([p for _, p in laws[:lead]]) if lead else np.ones(1)
+
+    def heads(phi, t):
+        start = 0
+        for (h,) in _grid_blocks(xs[:lead], phi[:, :lead]) if lead else [np.zeros((1, 1))]:
+            wh = w_head[start:start + h.size]
+            start += h.size
+            if not wh.all():
+                keep = wh > 0
+                h, wh = h[keep], wh[keep]
+            yield h, wh, np.searchsorted(t, -h, side="right")
+
+    for j in range(len(full)):
+        phi = full[j:j + 1]
+        t = _grid_payoffs(xs[lead:], phi[:, lead:])[0, live]
+        order = np.argsort(t, kind="heapsort")
+        t = t[order]
+        yield t, w_tile[order], heads(phi, t)
+
+
 def _product_exp_abs(laws, phis: np.ndarray) -> np.ndarray:
     """E[exp|Y|] for each of the strategies phis, with Y = sum_i phi_i
     eps_i on the product of laws = [(points, probs)], in closed form.
     Strategies narrower than the laws pay nothing on the other
     coordinates.
 
-    Each payoff splits as Y = h + t over the tile of trailing coordinates
-    (``_tile_split``), h on the leading coordinates and t on the tile,
-    which are independent under the product weights, so
+    On the split Y = h + t of ``_sorted_tiles``,
 
         E[exp|Y|] = sum_h w_h (e^(h + t_max) sum_{t > -h} w_t e^(t - t_max)
                                + e^-(h + t_min) sum_{t <= -h} w_t e^(t_min - t)).
 
-    Per strategy the tile's payoffs are sorted, with zero-probability
-    points left out, by a heapsort: as fast here as numpy's default
-    quicksort, which numpy may run as a SIMD kernel that orders ties
-    differently by machine.  The two sums are suffix and prefix sums there
-    (``_running_sums``), and every head h finds its split by one
-    searchsorted on -h.  So exp runs on the tile and the heads, not on
-    every row.  The shifts keep each term at most its weight, and every
-    term is positive, so nothing cancels:
+    The two sums are suffix and prefix sums over the sorted tile
+    (``_running_sums``), read at each head's split.  So exp runs on the
+    tile and the heads, not on every row.  The shifts keep each term at
+    most its weight, and every term is positive, so nothing cancels:
 
     * an empty side is a zero sum times e^x with x <= 0, exactly 0;
     * where exp|Y| overflows at a point of positive weight, its side is
@@ -250,38 +296,19 @@ def _product_exp_abs(laws, phis: np.ndarray) -> np.ndarray:
       which an exact set's results may differ from its rows'.
 
     No BLAS call runs.  The strategies are taken one at a time, with the
-    heads in blocks of at most ROW_BLOCK (``_grid_blocks``), so every
-    temporary holds at most ROW_BLOCK values or the tile's.
+    heads in blocks of at most ROW_BLOCK, so every temporary holds at most
+    ROW_BLOCK values or the tile's.
     """
-    xs = [x for x, _ in laws]
-    lead, _ = _tile_split(xs)
-    w_tile = _product_weights([p for _, p in laws[lead:]])
-    live = w_tile > 0
-    w_tile = w_tile[live]
-    w_head = _product_weights([p for _, p in laws[:lead]]) if lead else np.ones(1)
-    full = np.zeros((len(phis), len(xs)))
-    full[:, :phis.shape[1]] = phis
     values = np.empty(len(phis))
-    for j in range(len(full)):
-        phi = full[j:j + 1]
-        t = _grid_payoffs(xs[lead:], phi[:, lead:])[0, live]
-        order = np.argsort(t, kind="heapsort")
-        t, w = t[order], w_tile[order]
+    for j, (t, w, heads) in enumerate(_sorted_tiles(laws, phis, np.zeros(phis.shape[1]))):
         above = np.exp(t - t[-1])
         above *= w
         above = _running_sums(above[::-1])[::-1]  # above[k]: over t[k:]
         below = np.exp(t[0] - t)
         below *= w
         below = _running_sums(below)  # below[k]: over t[:k]
-        heads = _grid_blocks(xs[:lead], phi[:, :lead]) if lead else [np.zeros((1, 1))]
-        sums, start = [], 0
-        for (h,) in heads:
-            wh = w_head[start:start + h.size]
-            start += h.size
-            if not wh.all():
-                keep = wh > 0
-                h, wh = h[keep], wh[keep]
-            k = np.searchsorted(t, -h, side="right")  # the points t <= -h
+        sums = []
+        for h, wh, k in heads:
             v = np.exp(h + t[-1])
             v *= above[k]
             down = np.exp(-(h + t[0]))
@@ -291,6 +318,77 @@ def _product_exp_abs(laws, phis: np.ndarray) -> np.ndarray:
             sums.append(np.sum(v))
         values[j] = np.sum(sums)
     return values
+
+
+def _sides_pay(xs) -> bool:
+    """Whether ``_product_sides`` on the product of the supports xs costs
+    less than the row walk.  Per row it does about a third of the walk's
+    work (appendix power's pow on the rows above 0 alone), and it adds a
+    heapsort of each strategy's tile and a fixed run of numpy calls per
+    head.  Measured with appendix power at a 4096-point tile on one CPU
+    (2.2 against 7.6 ns a row, 46 ns a tile point, 6.5 us a head), in
+    units of the saving per row a tile point costs about log2(tile) rows
+    and a head about ROW_BLOCK / 4.  So few heads, or a short tile under
+    many heads, keep the walk."""
+    lead, tile = _tile_split(xs)
+    heads = math.prod(x.size for x in xs[:lead])
+    return heads * tile > tile * math.log2(tile) + heads * (ROW_BLOCK // 4)
+
+
+def _product_sides(laws, phis: np.ndarray, shift: np.ndarray, u: Utility):
+    """(gains, losses): E[u(Y+)] and E[u(-Y-)] for each of the strategies
+    phis, with Y = sum_i phi_i (eps_i - shift_i) on the product of laws =
+    [(points, probs)].  Strategies narrower than the laws pay nothing on
+    the other coordinates.
+
+    On the split Y = h + t of ``_sorted_tiles``, the rows h + t with
+    t > -h are those with Y > 0, the suffix t[k:] of the sorted tile, so
+
+        E[u(Y+)] = sum_h w_h (sum_{t > -h} w_t u(h + t) + u(0) W_{t <= -h}),
+        E[u(-Y-)] = sum_h w_h (sum_{t <= -h} w_t u(h + t) + u(0) W_{t > -h}),
+
+    with W the tile weights' prefix and suffix sums (``_running_sums``)
+    read at the split.  Each row's u(h + t) is evaluated once, on its own
+    side, by the kind's own kernel (``_sides_u``): for appendix power pow
+    runs on the rows above 0 alone, and a table's u(0) != 0 enters through
+    W.  Each row's value is the row walk's bit for bit; the sums are
+    taken in another order.  A head's sum of L weighted values is within
+    about log2(L) 2^-53 of its exact value, relatively to the sum of their
+    magnitudes, its u(0) W term and its weight w_h add two roundings, and
+    the pairwise sums over the heads add log2(heads) 2^-53, so the result
+    is within about (log2(n) + 3) 2^-53 E|v| of the exact sum, as close as
+    the walk's log2(n) 2^-52.
+
+    No BLAS call runs.  The strategies are taken one at a time and the
+    heads one by one, so every temporary holds the tile or a block of
+    heads.
+    """
+    sides, add = _sides_u(u), np.add.reduce  # np.sum's pairwise sum, less overhead
+    u0 = eval_u(u, 0.0)
+    gains, losses = np.empty(len(phis)), np.empty(len(phis))
+    for j, (t, w, heads) in enumerate(_sorted_tiles(laws, phis, shift)):
+        below = _running_sums(w)  # below[k]: the weight of t[:k]
+        above = _running_sums(w[::-1])[::-1]  # above[k]: that of t[k:]
+        y, tmp = np.empty(t.size), np.empty(t.size)
+        gain_sums, loss_sums = [], []
+        for h, wh, k in heads:
+            pos, neg = [], []
+            for hi, ki in zip(h.tolist(), k.tolist()):
+                np.add(t, hi, out=y)  # the rows h + t, > 0 on y[ki:]
+                sides(y, ki, tmp)
+                y *= w
+                pos.append(add(y[ki:]))
+                neg.append(add(y[:ki]))
+            gain = u0 * below[k]
+            gain += pos
+            gain *= wh
+            loss = u0 * above[k]
+            loss += neg
+            loss *= wh
+            gain_sums.append(np.sum(gain))
+            loss_sums.append(np.sum(loss))
+        gains[j], losses[j] = np.sum(gain_sums), np.sum(loss_sums)
+    return gains, losses
 
 
 def exp_ui_bound(model: MarketModel, s: ScenarioSet, delta: float,
@@ -338,19 +436,22 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
 
     with Y = V(phi), C' = (E[(dP/dQ)^(alpha/(1-alpha))])^(1-alpha) and
     C'' = (E[(dQ/dP)^(beta/(beta-1))])^(alpha (beta-1)/beta), everything
-    by scenario expectation.  The strategies (one per row, at most K
-    columns, at least one row) share one walk over the rows
-    (``_strategy_sums``), which centres each block of rows at b and
-    evaluates u(Y+) and u(-Y-) there, with Y+ = max(Y, 0) and
-    -Y- = Y - Y+, by the utility kind's own split (``_split_u``: two
-    terms for appendix power, one u(Y) split by masks for a table).  The
-    set must have at least the market's K coordinates.  Requires growth
-    bounds on u, and reports whether they hold as ``growth_certified``;
-    on an exact set the measure must price every asset to 1e-10.  There
-    that guard, the moments behind C' and C'' and the walk all read the
-    set's own laws: the guard and the moments are products of the K
-    coordinates' support sums, and no per-row density is built; on a row
-    set the density is built once.
+    by scenario expectation, with Y+ = max(Y, 0) and -Y- = Y - Y+.  The
+    strategies (one per row, at most K columns, at least one row) are
+    centred at b.  On an exact set whose tiles pay (``_sides_pay``, from
+    its support sizes alone), each strategy's payoffs split over a sorted
+    tile, and each row is evaluated once, on its own side, by the utility
+    kind's gain or loss kernel (``_product_sides``), within 1e-12 of the
+    walk's sums.  Otherwise they share one walk over the rows
+    (``_strategy_sums``), which evaluates u(Y+) and u(-Y-) on each block
+    by the kind's own split (``_split_u``: two terms for appendix power,
+    one u(Y) split by masks for a table).  The set must have at least the
+    market's K coordinates.  Requires growth bounds on u, and reports
+    whether they hold as ``growth_certified``; on an exact set the measure
+    must price every asset to 1e-10.  There that guard, the moments behind
+    C' and C'' and the sums all read the set's own laws: the guard and the
+    moments are products of the K coordinates' support sums, and no
+    per-row density is built; on a row set the density is built once.
     """
     if not u.certified:
         raise ValueError("utility carries no growth certificate; refusing")
@@ -376,7 +477,10 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
         c_prime = c_dprime = 1.0
 
     margins = []
-    gains, losses = _strategy_sums(s, strategies, model.b, _split_u(u))
+    if s.is_exact and _sides_pay([x for x, _ in s._laws]):
+        gains, losses = _product_sides(s._laws, strategies, model.b, u)
+    else:
+        gains, losses = _strategy_sums(s, strategies, model.b, _split_u(u))
     for lhs, neg in zip(gains.tolist(), losses.tolist()):
         inner = -neg / g.C2 + 1.0
         rhs = g.C1 * (c_prime * c_dprime * inner ** (g.alpha / g.beta) + 1.0)

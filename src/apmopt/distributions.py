@@ -100,9 +100,12 @@ def _discrete_law(d: DistributionSpec) -> _Law:
         raise ValueError("negative probability")
     if abs(pr.sum() - 1.0) > 1e-12:
         raise ValueError("probabilities must sum to 1")
-    mean = float(pts @ pr)
-    var = float((pts - mean) ** 2 @ pr)
-    if abs(mean) > 1e-10 or abs(var - 1.0) > 1e-10:
+    with np.errstate(all="ignore"):  # a square past the float range is inf
+        mean = float(pts @ pr)
+        var = float((pts - mean) ** 2 @ pr)
+    # written so that NaN fails: a zero-probability point whose square
+    # overflows gives inf * 0 = NaN
+    if not (abs(mean) <= 1e-10 and abs(var - 1.0) <= 1e-10):
         raise ValueError(f"noise must be standardized: mean={mean:.3g}, var={var:.3g}")
     order = np.argsort(pts)
     ordered, cum = pts[order], np.cumsum(pr[order])
@@ -189,12 +192,13 @@ def _dyadic_law(d: DistributionSpec) -> _Law:
         return 0.5 * q ** (et - es + (mt >= ms))
 
     def atom(x):
-        # P(eps == x) for x > 0, within 1e-12 in log2
+        # P(eps == x) for x > 0: x is the atom s*2^k, the float ppf
+        # samples, exactly when it has s's mantissa and an exponent k above
+        # s's
         if not s <= x < far:
             return 0.0
-        k = math.log2(x / s)
-        kr = round(k)
-        return 0.5 * (1 - q) * q ** kr if abs(k - kr) < 1e-12 else 0.0
+        mx, ex = math.frexp(x)
+        return 0.5 * (1 - q) * q ** (ex - es) if mx == ms else 0.0
 
     def above(x):
         return upper(x) if x >= 0 else 1.0 - upper(-x) - atom(-x)

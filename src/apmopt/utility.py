@@ -13,12 +13,13 @@ Built-in kinds:
   config file's table is checked from its own slopes when it is parsed.
 
 Each kind has one builder (``_BUILDERS``) that checks its parameters and
-returns its kernel set: the per-chunk kernels of u, u', u'' and the
-Hoelder split, and u's growth exponent above 0.  ``Utility.__post_init__``
-runs it once, when the utility is made, and is the one place that reads
-``kind``.  So alpha outside (0,1), or a table with fewer than two points,
-unequal lengths, a non-finite node or xs that do not increase strictly,
-raises ValueError there, and a table becomes arrays once, not per call.
+returns its kernel set: the per-chunk kernels of u, u', u'', the Hoelder
+split and its two sides, and u's growth exponent above 0.
+``Utility.__post_init__`` runs it once, when the utility is made, and is
+the one place that reads ``kind``.  So alpha outside (0,1), or a table
+with fewer than two points, unequal lengths, a non-finite node or xs that
+do not increase strictly, raises ValueError there, and a table becomes
+arrays once, not per call.
 
 Each evaluator is one per-chunk kernel per kind, run by one driver
 (``_evaluate``) over fixed chunks of ``_CHUNK`` elements, so every
@@ -42,6 +43,10 @@ at every step can reuse one buffer.  Without it a new array is returned.
 (u(Y+), u(-Y-)), one chunk kernel per kind under one driver: appendix
 power evaluates its two terms apart, with no u(0) and no mask; a
 tabulated u evaluates u(Y) once and splits it by bit masks.
+``_sides_u(u)`` gives the exact sets' evaluator, for payoffs already
+sorted by side: the kind's gain kernel on the payoffs above 0 and its
+loss kernel on the rest, so appendix power runs pow on the first alone,
+and a tabulated u evaluates its table once per payoff on either side.
 
 A GrowthBounds certificate records finite constants (alpha, beta, C1,
 C2) for the caps u(x) <= C1(x**alpha + 1) on x >= 0 and
@@ -89,11 +94,14 @@ class GrowthBounds:
 
 
 class _Kernels(NamedTuple):
-    """A utility's kernel set, each kernel run per chunk by ``_chunks``."""
+    """A utility's kernel set, each kernel run per chunk by ``_chunks``,
+    but gain and loss, which ``_sides_u`` runs on a tile's slices whole."""
     value: Callable   # kernel(xc, out, tmp) that writes u(xc) into out
     prime: Callable   # the same for u'
     second: Callable  # the same for u''
     split: Callable   # kernel(yc, gain, loss, tmp): u(Y+) and u(-Y-)
+    gain: Callable    # kernel(yc, out, tmp): u(Y) where every Y > 0
+    loss: Callable    # the same where every Y <= 0
     growth: float     # u grows like x**growth as x -> +inf
 
 
@@ -215,7 +223,17 @@ def _appendix_power_kernels(u: Utility) -> _Kernels:
         gain -= 1.0
         np.minimum(0.0, yc, out=loss)
         loss *= a
-    return _Kernels(value, prime, second, split, a)
+
+    def gain(yc, out, tmp):
+        # split's gain on Y > 0, where max(Y, 0) = Y: pow on these rows alone
+        np.add(yc, 1.0, out=out)
+        np.power(out, a, out=out)
+        out -= 1.0
+
+    def loss(yc, out, tmp):
+        # split's loss on Y <= 0, where min(0, Y) = Y, -0.0 included
+        np.multiply(yc, a, out=out)
+    return _Kernels(value, prime, second, split, gain, loss, a)
 
 
 def _tabulated_kernels(u: Utility) -> _Kernels:
@@ -271,7 +289,7 @@ def _tabulated_kernels(u: Utility) -> _Kernels:
         val ^= flip
         val ^= zero
         flip ^= zero
-    return _Kernels(value, prime, second, split, 0.0)
+    return _Kernels(value, prime, second, split, value, value, 0.0)
 
 
 _BUILDERS = {"appendix_power": _appendix_power_kernels,
@@ -322,6 +340,25 @@ def _split_u(u: Utility):
         _chunks(kernel, y, gain, loss)
         return gain, loss
     return split
+
+
+def _sides_u(u: Utility):
+    """sides(y, k, tmp) for the Hoelder chain on a sorted tile: y holds
+    payoffs with y[:k] <= 0 < y[k:], and sides writes u(y) over them in
+    place, the kind's loss kernel on y[:k] and its gain kernel on y[k:],
+    so each payoff is evaluated once, on its own side (for appendix power,
+    pow runs on y[k:] alone); tmp is scratch of y's size.  On non-NaN y
+    the values are bit for bit ``_split_u``'s u(-Y-) on y[:k] and its
+    u(Y+) on y[k:], -0.0 included.  The kernels take the slices whole, so
+    the temporaries are y's size."""
+    kernels = u._kernels
+    gain, loss = kernels.gain, kernels.loss
+
+    def sides(y, k, tmp):
+        low, high = y[:k], y[k:]
+        loss(low, low, tmp[:k])
+        gain(high, high, tmp[k:])
+    return sides
 
 
 @dataclass(frozen=True)

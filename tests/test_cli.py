@@ -271,6 +271,30 @@ class TestExitCodes:
         assert "[0, 2**64)" in err or "at least 1" in err
         assert "internal error" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("noise", [{"family": "standardized_uniform"},
+                                       {"family": "dyadic_two_sided", "q": 0.1}],
+                             ids=["uniform", "dyadic"])
+    @pytest.mark.parametrize("command", ["check", "optimize", "measure", "report"])
+    def test_tilt_commands_need_discrete_noise(self, tmp_path, monkeypatch, capsys,
+                                               noise, command):
+        # measure and report used to exit 1 with "internal error: tilt
+        # calibration needs a finite-discrete law" after sampling and, for
+        # report, solving; now they stop before any work, naming the key
+        monkeypatch.delenv("SEED", raising=False)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**MC_LADDER, "model": {**MC_LADDER["model"],
+                                                        "noise": noise}}))
+        code, out = run(command, p, tmp_path)
+        err = capsys.readouterr().err
+        if command in ("check", "optimize"):
+            assert code == 0 and (out / "report.json").exists()
+            return
+        assert code == 1 and not out.exists()
+        assert (f"- model.noise: {command} calibrates a tilt on every coordinate, "
+                f"which needs a finite-discrete law; coordinate 1 is "
+                f"{noise['family']!r}\n") in err
+        assert "internal error" not in err and "Traceback" not in err
+
     def test_largest_seed_runs(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SEED", raising=False)
         p = tmp_path / "mc.json"

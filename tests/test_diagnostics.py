@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from apmopt import (GrowthBounds, ScenarioSet, appendix_power, build_market,
                     enumerate_scenarios, eval_u, eval_u_prime, expectation,
                     finite_discrete, rademacher, sample_scenarios,
                     standardized_two_point, tabulated)
-from apmopt import diagnostics
+from apmopt import diagnostics, utility
 from apmopt.diagnostics import (assemble_report, check_assumption_relevant,
                                 emit_report, exp_ui_bound, holder_chain_check,
                                 random_strategies, subgaussian_scan)
@@ -435,25 +436,29 @@ class TestHolderChain:
 
     @pytest.mark.parametrize("u", CERTIFIED_UTILITIES,
                              ids=["appendix_power", "tabulated_u0_nonzero"])
-    @pytest.mark.parametrize("case", ["exact", "exact_three_point_k9", "sampled"])
+    @pytest.mark.parametrize("case", ["exact", "exact_three_point_k10", "sampled"])
     def test_margins_match_two_evaluation_oracle(self, market_k3, u, case):
-        # three-point K = 9: 3^9 rows in nine blocks of a 2187-row tile,
-        # and strategies on the first 6 coordinates
+        # three-point K = 10: 3^10 rows, a 2187-row tile under 27 heads,
+        # where the sorted-tile kernel runs, and strategies on the first 8
+        # coordinates; K = 3 takes the product walk
         model, k = market_k3, 3
-        if case == "exact_three_point_k9":
+        if case == "exact_three_point_k10":
             law = finite_discrete((-math.sqrt(2.0), 0.0, math.sqrt(2.0)), (0.25, 0.5, 0.25))
-            model = build_market(1, 9, mu=[-0.3 / i for i in range(1, 10)],
-                                 beta=[[0.0]] * 8, beta_bar=[1.0] * 9, noise=law)
-            k = 6
+            model = build_market(1, 10, mu=[-0.3 / i for i in range(1, 11)],
+                                 beta=[[0.0]] * 9, beta_bar=[1.0] * 10, noise=law)
+            k = 8
         s = (sample_scenarios(model, 500, 5) if case == "sampled"
              else enumerate_scenarios(model))
+        if s.is_exact:
+            sorted_tiles = diagnostics._sides_pay([x for x, _ in s._laws])
+            assert sorted_tiles == (case == "exact_three_point_k10")
         strategies = random_strategies(k, 20, 2.0, seed=6)
         strategies[0] = 0.0
         Q = build_tilted_measure(model)
         out = holder_chain_check(model, Q, u, strategies, s)
         assert_margins_match_oracle(out, model, u, strategies, s)
         if s.is_exact:
-            # the product walk against the rows' gemm walk
+            # the sorted tiles or the product walk against the rows' gemm walk
             rows = holder_chain_check(model, Q, u, strategies, row_set(s))
             assert out["margins"] == pytest.approx(rows["margins"], rel=1e-12, abs=1e-12)
             exp_vals = [[r["value"] for r in exp_ui_bound(model, t, 2.0, 20, 7)["measurements"]]
@@ -591,6 +596,149 @@ class TestHolderChain:
         out = holder_chain_check(market_k3, Q, steep, np.zeros((1, 3)), s)
         assert out["growth_certified"] is True
 
+
+def sides_oracle(laws, phis, shift, u):
+    """(T, 2, 3): per strategy and side, E[u(Y+)] or E[u(-Y-)] as a
+    math.fsum of w u(.) over the rows of itertools.product(*laws), with
+    Y = (x - shift) @ phi on the strategy's coordinates; E|u(.)|; and
+    E[|u'| sum_i |phi_i (x_i - shift_i)|], how far payoffs rounded by a
+    few ulps of that sum may move the value."""
+    rows = list(itertools.product(*(list(zip(x.tolist(), p.tolist())) for x, p in laws)))
+    w = np.array([math.prod(p for _, p in row) for row in rows])
+    k = phis.shape[1]
+    X = np.array([[x for x, _ in row[:k]] for row in rows]).reshape(len(rows), k) - shift[:k]
+    slope = float(eval_u_prime(u, -1e3))  # concave u: the largest slope right of -1e3
+    out = []
+    for phi in phis:
+        y = X @ phi
+        pos = np.maximum(y, 0.0)
+        reach = math.fsum(w * slope * (np.abs(X) @ np.abs(phi)))
+        for v in (eval_u(u, pos), eval_u(u, y - pos)):
+            out.append((math.fsum(w * v), math.fsum(w * np.abs(v)), reach))
+    return np.array(out).reshape(len(phis), 2, 3)
+
+
+@st.composite
+def sides_laws(draw):
+    """(points, probs) laws of 1-10 coordinates with 1-4 support points on
+    a 1/100 grid, some probabilities 0, at most 2^12 rows in all."""
+    K = draw(st.integers(1, 10))
+    laws, rows = [], 1
+    for _ in range(K):
+        m = draw(st.integers(1, max(1, min(4, (1 << 12) // rows))))
+        rows *= m
+        pts = np.array(draw(st.lists(st.integers(-300, 300), min_size=m, max_size=m,
+                                     unique=True))) / 100.0
+        raw = np.array(draw(st.lists(st.integers(0, 3), min_size=m,
+                                     max_size=m).filter(any)), dtype=float)
+        laws.append((pts, raw / raw.sum()))
+    return laws
+
+
+# THREE_POINT with a fourth point of probability 0: on the leading
+# coordinates it makes zero-weight heads, on the last zero-weight tile points
+THREE_POINT_ZERO = (np.append(THREE_POINT[0], 2.0), np.append(THREE_POINT[1], 0.0))
+
+
+class TestHolderSortedTiles:
+    """holder_chain_check on an exact set where the tiles pay: each row
+    h + t evaluated once, on its own side of a sorted tile
+    (``_product_sides``), against a row oracle and the row walk."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(laws=sides_laws(), count=st.integers(1, 6),
+           u=st.sampled_from(CERTIFIED_UTILITIES), width=st.integers(1, 10),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(laws=[THREE_POINT] * 10, count=3, u=CERTIFIED_UTILITIES[0], width=10, seed=1)
+    @example(laws=[THREE_POINT] * 10, count=3, u=CERTIFIED_UTILITIES[1], width=7, seed=2)
+    @example(laws=[THREE_POINT_ZERO] * 3 + [THREE_POINT] * 6 + [THREE_POINT_ZERO],
+             count=2, u=CERTIFIED_UTILITIES[1], width=10, seed=3)
+    def test_matches_fsum_row_oracle_and_row_walk(self, laws, count, u, width, seed):
+        # both kinds, a table with u(0) = 0.2; sets on both sides of the
+        # selection rule, which the @examples reach
+        s = ScenarioSet._product(laws)
+        K = len(laws)
+        k = min(width, K)
+        phis = random_strategies(k, count, 2.0, seed)
+        shift = np.random.Generator(np.random.Philox(key=seed)).uniform(-1.0, 1.0, K)
+        gains, losses = diagnostics._product_sides(s._laws, phis, shift, u)
+        assert s._draws is None  # the kernel reads the laws alone
+        oracle = sides_oracle(laws, phis, shift, u)
+        # the product walk's rows h + t are the kernel's bit for bit, so
+        # only the order of the sums differs; the rows' gemm walk and the
+        # oracle form their payoffs in other orders
+        product = diagnostics._strategy_sums(s, phis, shift, diagnostics._split_u(u))
+        rows = diagnostics._strategy_sums(row_set(s), phis, shift, diagnostics._split_u(u))
+        for j, got in enumerate((gains, losses)):
+            want, size, reach = oracle[:, j].T
+            assert np.all(np.abs(got - want) <= 1e-12 * (size + reach))
+            assert np.all(np.abs(got - product[j]) <= 1e-12 * size)
+            assert np.all(np.abs(got - rows[j]) <= 1e-12 * (size + reach))
+
+    @pytest.mark.parametrize("u", CERTIFIED_UTILITIES,
+                             ids=["appendix_power", "tabulated_u0_nonzero"])
+    def test_sides_match_split_bit_for_bit(self, u):
+        # sorted payoffs, k of them <= 0 (signed zeros, subnormals, a row
+        # at a table node): each side's kernel gives the split's values
+        y = np.array([-20.0, -1.0, -1e-300, -5e-324, -0.0, 0.0, 5e-324, 1e-17,
+                      1.0, 10.0, 20.0])
+        k = int(np.searchsorted(y, 0.0, side="right"))
+        got = y.copy()
+        utility._sides_u(u)(got, k, np.empty(y.size))
+        gain, loss = diagnostics._split_u(u)(y)
+        assert got[:k].tobytes() == loss[:k].tobytes()
+        assert got[k:].tobytes() == gain[k:].tobytes()
+
+    def test_holder_takes_sorted_tiles_where_they_pay(self, monkeypatch):
+        # K = 17 Rademacher: a 4096-row tile under 32 heads pays; 16 heads
+        # do not, nor a short tile under many heads (a 2-point tile under
+        # 20,001 heads) or one long law; row sets always walk
+        two = np.array([-1.0, 1.0])
+        assert diagnostics._sides_pay([two] * 17)
+        assert not diagnostics._sides_pay([two] * 16)
+        assert not diagnostics._sides_pay([np.linspace(-2.0, 2.0, 20_001), two])
+        assert not diagnostics._sides_pay([LONG_LAW[0]])
+        assert diagnostics._sides_pay([THREE_POINT[0]] * 10)
+        assert not diagnostics._sides_pay([THREE_POINT[0]] * 9)
+        model = rademacher_market([0.3 / i for i in range(1, 18)])
+        s = enumerate_scenarios(model)
+        Q = build_tilted_measure(model)
+        u = CERTIFIED_UTILITIES[0]
+        strategies = random_strategies(17, 6, 1.0, seed=8)
+        walks = []
+        real = diagnostics._strategy_sums
+        monkeypatch.setattr(diagnostics, "_strategy_sums",
+                            lambda *args: walks.append(args[0]) or real(*args))
+        out = holder_chain_check(model, Q, u, strategies, s)
+        assert walks == [] and s._draws is None
+        rows = holder_chain_check(model, Q, u, strategies, row_set(s))
+        assert len(walks) == 1
+        assert out["margins"] == pytest.approx(rows["margins"], rel=1e-12)
+        gains, losses = diagnostics._product_sides(s._laws, strategies, model.b, u)
+        walk = real(s, strategies, model.b, diagnostics._split_u(u))
+        assert gains == pytest.approx(walk[0], rel=1e-12)
+        assert losses == pytest.approx(walk[1], rel=1e-12)
+
+    def test_identical_across_blas_thread_counts(self):
+        # the kernel makes no BLAS call: K = 17 Rademacher and three-point
+        # K = 10 sets, both utility kinds, every bit of gains and losses
+        code = ("import numpy as np\n"
+                "from apmopt import *\n"
+                "from apmopt import diagnostics\n"
+                "g = GrowthBounds(0.5, 1.5, 2.0, 2.0)\n"
+                "xs = (-10.0, -1.0, 0.0, 1.0, 10.0)\n"
+                "us = (appendix_power(0.5, g), tabulated(xs, (-30.0, -2.0, 0.2, 1.0, 3.0), g))\n"
+                "three = finite_discrete((-2 ** 0.5, 0.0, 2 ** 0.5), (0.25, 0.5, 0.25))\n"
+                "for K, law in ((17, rademacher()), (10, three)):\n"
+                "    model = build_market(1, K, [-0.4 / i for i in range(1, K + 1)],\n"
+                "                         [[0.0]] * (K - 1), [1.0] * K, law)\n"
+                "    s = enumerate_scenarios(model)\n"
+                "    phis = diagnostics.random_strategies(K, 5, 1.0, 313)\n"
+                "    for u in us:\n"
+                "        for v in diagnostics._product_sides(s._laws, phis, model.b, u):\n"
+                "            print(K, u.kind, [x.hex() for x in v.tolist()])\n")
+        one, two = stdout_per_blas_thread_count(code)
+        assert one == two and one.count("\n") == 8
 
 class TestAssumptionSets:
     def test_bounded_noise_fails_relevant_passes_novum(self, market_k3):

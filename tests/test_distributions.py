@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +72,15 @@ class TestStandardization:
         # NaN fails no comparison in the other checks, so it is refused first
         with pytest.raises(ValueError, match="finite points and probabilities"):
             finite_discrete(points, probs)
+
+    def test_overflowing_variance_rejected_without_warning(self):
+        # 1e200 squared overflows, and times its probability 0 gives a NaN
+        # variance, which the standardization test must fail, not pass;
+        # it was accepted, with an overflow RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"standardized: mean=0, var=nan"):
+                finite_discrete([1.0, -1.0, 1e200], [0.5, 0.5, 0.0])
 
 
 class TestTails:
@@ -226,6 +236,28 @@ class TestEdgeArguments:
         for gamma in (math.nan, 0.0, -1.0, math.inf):
             with pytest.raises(ValueError, match="gamma"):
                 estimate_exp_moment(d, gamma)
+
+    @pytest.mark.parametrize("q", [0.1, 0.2])
+    @pytest.mark.parametrize("k", [0, 1, 3, 40])
+    def test_dyadic_tails_count_an_atom_only_at_its_float(self, q, k):
+        # the atoms are the floats s 2^k that ppf samples: at q = 0.2,
+        # s 2 = 0.9999999999999999, so x = 1.0 lies past that atom, and
+        # P(eps < 1) = 0.98, not the 0.9 of an atom placed at 1.0.  The
+        # oracle: P(eps < x) = 1 - q^k0 / 2 and P(eps > -x) the same, for
+        # the smallest k0 with s 2^k0 >= x, found exactly
+        d = dyadic_two_sided(q)
+        s = dyadic_scale(q)
+        atom = s * 2 ** k
+        for x in (atom, math.nextafter(atom, 0.0), math.nextafter(atom, math.inf),
+                  math.ldexp(1.0, math.frexp(atom)[1])):
+            k0 = 0
+            while Fraction(s) * 2 ** k0 < Fraction(x):
+                k0 += 1
+            expected = 1 - Fraction(q) ** k0 / 2
+            for value in (tail_probability(d, x, "below"),
+                          tail_probability(d, -x, "above")):
+                assert abs(Fraction(value) - expected) <= 2 ** -52 * expected
+        assert tail_probability(dyadic_two_sided(0.2), 1.0, "below") == 0.98
 
     @LAWS
     def test_infinite_argument_gives_the_limits(self, d):

@@ -9,8 +9,10 @@ bundle goes to OUT/<config>/<command>/bundle, and its stdout, stderr and
 exit code to stdout.txt, stderr.txt and exit_code.txt beside it.
 
 The configs are the checkout's configs/*.json, perfbench's
-`mc_report_config(101)`, both of those markets with a 4,001-point table
-of appendix_power(0.5) on [-200, 200] in place of the utility
+`mc_report_config(101)`, its `exact_session_config(311)` (K = 19, 2^19
+enumerated rows: a 4096-row tile under 128 heads) with the demo's
+`measure` section, those three markets with a 4,001-point table of
+appendix_power(0.5) on [-200, 200] in place of the utility
 (`*_tabulated`), and three in other noise laws (`NOISE_VARIANTS`):
 `mc_report_101` in standardized uniform and in dyadic (q = 0.1) noise,
 and the demo in a three-point law.  So every noise family, and the
@@ -36,6 +38,7 @@ import sys
 COMMANDS = ("check", "optimize", "measure", "report")
 SEED = "42"
 MC_SEED = 101
+EXACT_SEED = 311
 TABLE_ALPHA = 0.5
 # (variant name, base config, noise section)
 NOISE_VARIANTS = (
@@ -68,7 +71,9 @@ def configs(checkout: str) -> dict[str, dict]:
         with open(path) as fh:
             out[os.path.basename(path)[:-5]] = json.load(fh)
     out[f"mc_report_{MC_SEED}"] = workloads.mc_report_config(MC_SEED)
-    for name in ("demo", f"mc_report_{MC_SEED}"):
+    out[f"exact_session_{EXACT_SEED}"] = {**workloads.exact_session_config(EXACT_SEED),
+                                          "measure": out["demo"]["measure"]}
+    for name in ("demo", f"mc_report_{MC_SEED}", f"exact_session_{EXACT_SEED}"):
         out[f"{name}_tabulated"] = {**out[name], "utility": power_table()}
     for name, base, noise in NOISE_VARIANTS:
         out[name] = {**out[base], "model": {**out[base]["model"], "noise": noise}}
