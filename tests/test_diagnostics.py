@@ -653,6 +653,9 @@ class TestHolderSortedTiles:
     @example(laws=[THREE_POINT] * 10, count=3, u=CERTIFIED_UTILITIES[1], width=7, seed=2)
     @example(laws=[THREE_POINT_ZERO] * 3 + [THREE_POINT] * 6 + [THREE_POINT_ZERO],
              count=2, u=CERTIFIED_UTILITIES[1], width=10, seed=3)
+    # a long last law as the tile, under nine heads
+    @example(laws=[THREE_POINT, THREE_POINT, LONG_LAW], count=3,
+             u=CERTIFIED_UTILITIES[0], width=3, seed=4)
     def test_matches_fsum_row_oracle_and_row_walk(self, laws, count, u, width, seed):
         # both kinds, a table with u(0) = 0.2; sets on both sides of the
         # selection rule, which the @examples reach
