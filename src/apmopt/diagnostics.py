@@ -446,8 +446,9 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
     (``_strategy_sums``), which evaluates u(Y+) and u(-Y-) on each block
     by the kind's own split (``_split_u``: two terms for appendix power,
     one u(Y) split by masks for a table).  The set must have at least the
-    market's K coordinates.  Requires growth bounds on u, and reports
-    whether they hold as ``growth_certified``; on an exact set the measure
+    market's K coordinates, and a NaN or infinite strategy is refused.
+    Requires growth bounds on u, and reports whether they hold as
+    ``growth_certified``; on an exact set the measure
     must price every asset to 1e-10.  There that guard, the moments behind
     C' and C'' and the sums all read the set's own laws: the guard and the
     moments are products of the K coordinates' support sums, and no
@@ -461,6 +462,8 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
     if strategies.shape[1] > model.K:
         raise ValueError(f"strategies have {strategies.shape[1]} coordinates; "
                          f"the market has K={model.K}")
+    if not np.isfinite(strategies).all():
+        raise ValueError("holder_chain_check needs finite strategies")
     _require_width(model, s)
     g = u.growth
     sup = _support_factors(Q, s)

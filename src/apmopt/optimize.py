@@ -4,16 +4,17 @@ Two loops serve the package.  ``_bisect`` finds the root of a
 nonincreasing function: the one-asset problem sup_phi E[u(phi X)] bisects
 its derivative, and ``measures.solve_tilt`` bisects the tilt residual.
 ``_damped_newton`` ascends a concave function: the direction is
-(-H + ||g||^2 I)^{-1} g, with gradient g and Hessian H taken at one point,
-H only when a step is taken from there, and Armijo backtracking picks the
-step.  The K-coordinate problem runs it on the scenario expectation of
-u(V(phi)), with X = eps - b the centred noise: the line search's payoffs
-v = X @ phi at the accepted step feed the next pass, which reduces X.T a
-for the gradient and, when asked, X.T diag(c) X for the Hessian.  On an
-exact enumeration X is never formed: v is the outer sum of the K
-coordinates' centred supports times phi, and both reductions are
-marginal sums over the product of the supports, with no BLAS call, so the
-result does not depend on the BLAS thread count at any K.  Other sets hold
+(-H + ||g||^2 I)^{-1} g, with gradient g at the current point and Hessian
+H formed there or held from the last step (Newton-chord), and Armijo
+backtracking picks the step.  The K-coordinate problem runs it on the
+scenario expectation of u(V(phi)), with X = eps - b the centred noise:
+the line search's payoffs v = X @ phi at the accepted step feed the next
+pass, which reduces X.T a for the gradient and, when asked,
+X.T diag(c) X for the Hessian.  On an exact enumeration X is never
+formed: v is the outer sum of the K coordinates' centred supports
+times phi, and both reductions are marginal sums over the product of the
+supports, with no BLAS call, so the result does not depend on the BLAS
+thread count at any K.  Other sets hold
 X transposed, as a C-ordered (K, n) matrix whose rows are the centred
 coordinates, and form v and both reductions in fixed-order blocks of
 scenarios and panels of at most PANEL coordinates, which holds that too.
@@ -367,21 +368,32 @@ def _damped_newton(step_pass, value, x: np.ndarray, done, max_iter: int,
     failed and before the next value call, so no pass that ends the loop
     forms a Hessian.
 
-    The direction is d = (||g||^2 I - H)^{-1} g, and Armijo halving picks
-    the step, accepting a fall of f within slack * max(1, |f|).  The loop
-    stops when done(g, aux) holds, after max_iter steps, when no step
-    moves x, or after a step whose predicted gain g . d is within that
-    slack.  Returns (x, f, g, aux, steps).
+    The direction is d = (||g||^2 I - H)^{-1} g, with the current g, and
+    Armijo halving picks the step, accepting a fall of f within
+    slack * max(1, |f|).  H is a Newton-chord one: a step reuses the last
+    step's H, and forms it afresh only when that H is all zero (as at
+    u''(0) = 0, or for a table), when the last step backtracked or itself
+    reused H, or when the held H predicts a gain g . d within the slack,
+    which is then decided on a fresh H.  The loop stops when done(g, aux)
+    holds, after max_iter steps, when no step moves x, or after a step
+    whose predicted gain is within that slack.  Returns
+    (x, f, g, aux, steps).
     """
     f, memo = value(x)
     g, hessian, aux = step_pass(memo)
     steps = 0
-    flat = False
+    flat = reuse = False
     while steps < max_iter and not flat and not done(g, aux):
         gn = float(np.linalg.norm(g))
-        d = np.linalg.solve(gn * gn * np.eye(x.size) - hessian(), g)
-        slope = float(g @ d)
+        shift = gn * gn * np.eye(x.size)
         tol = slack * max(1.0, abs(f))
+        if not reuse:
+            H = hessian()
+        d = np.linalg.solve(shift - H, g)
+        if reuse and g @ d <= tol:  # a held H predicts a flat step
+            reuse, H = False, hessian()
+            d = np.linalg.solve(shift - H, g)
+        slope = float(g @ d)
         flat = slope <= tol
         t = 1.0
         while t > 1e-18:
@@ -395,6 +407,7 @@ def _damped_newton(step_pass, value, x: np.ndarray, done, max_iter: int,
         x, f = cand, f_cand
         g, hessian, aux = step_pass(memo)
         steps += 1
+        reuse = not reuse and t == 1.0 and bool(H.any())
     return x, f, g, aux, steps
 
 
@@ -465,7 +478,12 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
     Hessian then takes as scratch, and one for w u''(v) and the line
     search's w u(v), since w u''(v) is dead once the Hessian is formed.
     On an exact set a third, of n over the first law's size, takes the
-    product pass's partial sums.
+    product pass's partial sums.  The loop is ``_damped_newton``'s, with
+    its Newton-chord Hessian: the first step's, at phi = 0, is zero, since
+    u''(0) = 0, so the second step forms it again; from there the step
+    after a full step on a fresh Hessian reuses it, so a solve with no
+    backtracking forms about half as many Hessians as it takes steps (a
+    table, u'' = 0, forms one on every step).
     """
     cfg = cfg or SolverConfig()
     K = model.K if K is None else K

@@ -552,6 +552,21 @@ class TestHolderChain:
         with pytest.raises(ValueError, match="4 coordinates; the market has K=3"):
             holder_chain_check(market_k3, Q, certified_u, np.zeros((2, 4)), s)
 
+    @pytest.mark.parametrize("rows", [[0, 1, 2], [2, 1, 0]])
+    def test_non_finite_strategy_refused(self, market_k3, certified_u,
+                                         monkeypatch, rows):
+        # refused in either row order, before the measure's moments are read
+        Q = build_tilted_measure(market_k3)
+        s = enumerate_scenarios(market_k3)
+        strategies = np.array([[0.1, 0.2, 0.3], [np.nan, 0.0, 0.0],
+                               [np.inf, 0.0, 0.0]])[rows]
+        calls = []
+        monkeypatch.setattr(diagnostics, "_support_factors",
+                            lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="^holder_chain_check needs finite strategies$"):
+            holder_chain_check(market_k3, Q, certified_u, strategies, s)
+        assert calls == []
+
     @pytest.mark.parametrize("kind", ["exact", "rows"])
     def test_set_narrower_than_market_refused(self, market_k3, certified_u, kind):
         # both walks name the mismatch before they read a row or a law
