@@ -39,6 +39,31 @@ class ExperimentConfig:
     out_dir: str
 
 
+_TOP_KEYS = {"model", "utility", "solver", "measure", "scenario", "output"}
+_MODEL_KEYS = {"m", "K", "mu", "beta", "beta_bar", "noise", "b_rule"}
+_B_RULE_KEYS = {"kind", "c", "p"}
+_UTILITY_KEYS = {"appendix_power": {"kind", "alpha", "growth"},
+                 "tabulated": {"kind", "xs", "ys", "growth"}}
+_GROWTH_KEYS = {"alpha", "beta", "C1", "C2"}
+_SOLVER_KEYS = {"grad_tol", "max_iter", "ladder"}
+_MEASURE_KEYS = {"fallback_alpha", "p", "moment_exponents"}
+_SCENARIO_KEYS = {"mode", "n", "seed"}
+# each noise family's keys besides "family", and its factory on their values
+_NOISE_FAMILIES = {
+    "rademacher": ((), rademacher),
+    "standardized_two_point": (("p",), lambda p: standardized_two_point(float(p))),
+    "standardized_uniform": ((), standardized_uniform),
+    "finite_discrete": (("points", "probs"), finite_discrete),
+    "dyadic_two_sided": (("q",), lambda q: dyadic_two_sided(float(q))),
+}
+
+
+def _unknown_keys(d, known, errors: list[str], where: str) -> None:
+    """A violation for each key of d outside known, if d is an object."""
+    if isinstance(d, dict):
+        errors.extend(f"{where}: unknown key {k!r}" for k in d if k not in known)
+
+
 def _object(value, errors: list[str], where: str) -> dict | None:
     """value if it is a JSON object; otherwise None, and a violation."""
     if isinstance(value, dict):
@@ -66,18 +91,13 @@ def _noise_from_dict(d: dict, errors: list[str], where: str) -> DistributionSpec
     if _object(d, errors, where) is None:
         return None
     family = d.get("family")
-    try:
-        if family == "rademacher":
-            return rademacher()
-        if family == "standardized_two_point":
-            return standardized_two_point(float(d["p"]))
-        if family == "standardized_uniform":
-            return standardized_uniform()
-        if family == "finite_discrete":
-            return finite_discrete(d["points"], d["probs"])
-        if family == "dyadic_two_sided":
-            return dyadic_two_sided(float(d["q"]))
+    if not isinstance(family, str) or family not in _NOISE_FAMILIES:
         errors.append(f"{where}: unknown noise family {family!r}")
+        return None
+    keys, factory = _NOISE_FAMILIES[family]
+    _unknown_keys(d, {"family", *keys}, errors, where)
+    try:
+        return factory(*(d[k] for k in keys))
     except KeyError as exc:
         errors.append(f"{where}: missing key {exc}")
     except (ValueError, TypeError) as exc:
@@ -86,6 +106,7 @@ def _noise_from_dict(d: dict, errors: list[str], where: str) -> DistributionSpec
 
 
 def _build_model(md: dict, errors: list[str]) -> MarketModel | None:
+    _unknown_keys(md, _MODEL_KEYS, errors, "model")
     required = ["m", "K", "mu", "beta_bar", "noise"]
     missing = [k for k in required if k not in md]
     if missing:
@@ -103,6 +124,7 @@ def _build_model(md: dict, errors: list[str]) -> MarketModel | None:
     b_rule = BRule()
     if "b_rule" in md:
         br = md["b_rule"]
+        _unknown_keys(br, _B_RULE_KEYS, errors, "model.b_rule")
         try:
             b_rule = BRule(kind=br.get("kind", "explicit"),
                            c=float(br.get("c", 0.0)), p=float(br.get("p", 0.0)))
@@ -138,9 +160,14 @@ def _check_table(xs: tuple[float, ...], ys: tuple[float, ...]) -> None:
 
 def _build_utility(ud: dict, errors: list[str]) -> Utility | None:
     kind = ud.get("kind", "appendix_power")
+    if not isinstance(kind, str) or kind not in _UTILITY_KEYS:
+        errors.append(f"utility: unknown kind {kind!r}")
+        return None
+    _unknown_keys(ud, _UTILITY_KEYS[kind], errors, "utility")
     growth = None
     if "growth" in ud:
         g = ud["growth"]
+        _unknown_keys(g, _GROWTH_KEYS, errors, "utility.growth")
         try:
             growth = GrowthBounds(alpha=float(g["alpha"]), beta=float(g["beta"]),
                                   C1=float(g["C1"]), C2=float(g["C2"]))
@@ -157,8 +184,6 @@ def _build_utility(ud: dict, errors: list[str]) -> Utility | None:
     except (KeyError, ValueError, TypeError) as exc:
         errors.append(f"utility: {exc}")
         return None
-    errors.append(f"utility: unknown kind {kind!r}")
-    return None
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -174,6 +199,7 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError([f"malformed JSON: {exc}"])
     if not isinstance(raw, dict):
         raise ConfigError([f"config: must be a JSON object, got {type(raw).__name__}"])
+    _unknown_keys(raw, _TOP_KEYS, errors, "config")
 
     md = raw.get("model")
     if isinstance(md, str):  # model may live in its own file
@@ -198,6 +224,7 @@ def parse_config(path: str) -> ExperimentConfig:
     utility = None if ud is None else _build_utility(ud, errors)
 
     sd = _object(raw.get("solver", {}), errors, "solver") or {}
+    _unknown_keys(sd, _SOLVER_KEYS, errors, "solver")
     try:
         solver = SolverConfig(
             grad_tol=float(sd.get("grad_tol", 1e-8)),
@@ -213,6 +240,7 @@ def parse_config(path: str) -> ExperimentConfig:
                       f"[{model.m}, {model.K}]")
 
     msec = _object(raw.get("measure", {}), errors, "measure") or {}
+    _unknown_keys(msec, _MEASURE_KEYS, errors, "measure")
     fallback_alpha = _convert(float, msec.get("fallback_alpha", 0.5), errors,
                               "measure.fallback_alpha")
     if fallback_alpha is not None and not 0.0 < fallback_alpha < 1.0:
@@ -226,6 +254,7 @@ def parse_config(path: str) -> ExperimentConfig:
         exponents = (-2.0, -1.0, 1.0, 2.0, moment_p, -moment_p)
 
     sc = _object(raw.get("scenario", {}), errors, "scenario") or {}
+    _unknown_keys(sc, _SCENARIO_KEYS, errors, "scenario")
     mode = sc.get("mode", "exact")
     n = _convert(int, sc.get("n", 0) or 0, errors, "scenario.n")
     seed = sc.get("seed")

@@ -444,8 +444,8 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
     kind's gain or loss kernel (``_product_sides``), within 1e-12 of the
     walk's sums.  Otherwise they share one walk over the rows
     (``_strategy_sums``), which evaluates u(Y+) and u(-Y-) on each block
-    by the kind's own split (``_split_u``: two terms for appendix power,
-    one u(Y) split by masks for a table).  The set must have at least the
+    by the same two kernels (``_split_u``: gain on max(Y, 0), loss on
+    min(0, Y)).  The set must have at least the
     market's K coordinates, and a NaN or infinite strategy is refused.
     Requires growth bounds on u, and reports whether they hold as
     ``growth_certified``; on an exact set the measure

@@ -51,8 +51,8 @@ class ArbitrageError(RuntimeError):
 class BRule:
     """Analytic rule for the drift coefficients b_i beyond the truncation.
 
-    kind: "explicit" (finite list, zero tail), "power" (b_i = c * i**-p),
-    or "zero".  Only the square-summability check reads the tail.
+    kind: "explicit" (finite list, zero tail) or "power" (b_i = c * i**-p).
+    Only the square-summability check reads the tail.
     """
 
     kind: str = "explicit"
@@ -60,7 +60,7 @@ class BRule:
     p: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("explicit", "power", "zero"):
+        if self.kind not in ("explicit", "power"):
             raise ValueError(f"unknown b_rule kind {self.kind!r}")
 
 
@@ -184,10 +184,6 @@ class FactorStrategy:
     def __post_init__(self):
         object.__setattr__(self, "phi", np.atleast_1d(np.asarray(self.phi, dtype=float)))
 
-    @property
-    def norm(self) -> float:
-        return math.sqrt(math.fsum(x * x for x in self.phi))
-
 
 def asset_return(model: MarketModel, i: int, eps) -> float:
     """Return of asset i (1-based) on a realized noise vector.
@@ -262,12 +258,12 @@ class AssumptionVerdict:
 def check_assumption_b(model: MarketModel) -> AssumptionVerdict:
     """Decide square-summability of the full drift sequence.
 
-    Explicit/zero tails are finite sums; a power tail c*i**-p is square
+    An explicit tail is a finite sum; a power tail c*i**-p is square
     summable iff p > 1/2 (or c == 0).
     """
     partial = np.cumsum(model.b ** 2)
     rule = model.spec.b_rule
-    holds = rule.kind in ("explicit", "zero") or rule.c == 0.0 or rule.p > 0.5
+    holds = rule.kind == "explicit" or rule.c == 0.0 or rule.p > 0.5
     return AssumptionVerdict("holds" if holds else "fails", partial)
 
 

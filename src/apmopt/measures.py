@@ -33,7 +33,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, tail_probability
 from .market import ArbitrageError, FactorStrategy, MarketModel, check_no_arbitrage
-from .optimize import DiscretePayoff, _bisect, optimize_single_asset
+from .optimize import DiscretePayoff, _bisect, _require_width, optimize_single_asset
 from .scenarios import ScenarioSet, _enumerable, expectation
 from .utility import Utility, appendix_power, eval_u_prime
 
@@ -147,12 +147,11 @@ def _support_factors(Q: TiltedMeasure, s: ScenarioSet | None):
     product of per-coordinate functions over the set is the product of K
     support sums.
     """
+    if s is not None:
+        _require_width(Q.model, s)
     laws = _enumerable(Q.model) if s is None else s._laws
     if laws is None:
         return None
-    if len(laws) < Q.model.K:
-        raise ValueError(f"scenario set has {len(laws)} coordinates; "
-                         f"the measure's market has K={Q.model.K}")
     return [(x, p, Q.coordinate_factor(i, x))
             for i, (x, p) in enumerate(laws[:Q.model.K])]
 

@@ -13,8 +13,8 @@ Built-in kinds:
   config file's table is checked from its own slopes when it is parsed.
 
 Each kind has one builder (``_BUILDERS``) that checks its parameters and
-returns its kernel set: the per-chunk kernels of u, u', u'', the Hoelder
-split and its two sides, and u's growth exponent above 0.
+returns its kernel set: the per-chunk kernels of u, u', u'', u's gain
+and loss sides for the Hoelder chain, and u's growth exponent above 0.
 ``Utility.__post_init__`` runs it once, when the utility is made, and is
 the one place that reads ``kind``.  So alpha outside (0,1), or a table
 with fewer than two points, unequal lengths, a non-finite node or xs that
@@ -39,14 +39,14 @@ C-contiguous float64 array of x's shape that receives the values and is
 returned, bit for bit the allocating call's, so a caller that evaluates
 at every step can reuse one buffer.  Without it a new array is returned.
 
-``_split_u(u)`` gives the Hoelder walk's evaluator of the pair
-(u(Y+), u(-Y-)), one chunk kernel per kind under one driver: appendix
-power evaluates its two terms apart, with no u(0) and no mask; a
-tabulated u evaluates u(Y) once and splits it by bit masks.
+Each kind defines the Hoelder chain's two sides once, as its gain kernel
+(u on Y >= 0: appendix power's (Y + 1)**alpha - 1) and its loss kernel
+(u on Y <= 0: alpha Y); a table's are both its value kernel.
+``_split_u(u)`` gives the row walk's (u(Y+), u(-Y-)): gain on max(Y, 0)
+and loss on min(0, Y), chunk by chunk, so a table runs twice per payoff.
 ``_sides_u(u)`` gives the exact sets' evaluator, for payoffs already
-sorted by side: the kind's gain kernel on the payoffs above 0 and its
-loss kernel on the rest, so appendix power runs pow on the first alone,
-and a tabulated u evaluates its table once per payoff on either side.
+sorted by side: gain on the payoffs above 0 and loss on the rest, so
+each payoff is evaluated once, and pow runs on the first alone.
 
 A GrowthBounds certificate records finite constants (alpha, beta, C1,
 C2) for the caps u(x) <= C1(x**alpha + 1) on x >= 0 and
@@ -94,13 +94,12 @@ class GrowthBounds:
 
 
 class _Kernels(NamedTuple):
-    """A utility's kernel set, each kernel run per chunk by ``_chunks``,
-    but gain and loss, which ``_sides_u`` runs on a tile's slices whole."""
+    """A utility's kernel set, each kernel run per chunk by ``_chunks``;
+    gain and loss, u's two Hoelder sides, also on tile slices whole."""
     value: Callable   # kernel(xc, out, tmp) that writes u(xc) into out
     prime: Callable   # the same for u'
     second: Callable  # the same for u''
-    split: Callable   # kernel(yc, gain, loss, tmp): u(Y+) and u(-Y-)
-    gain: Callable    # kernel(yc, out, tmp): u(Y) where every Y > 0
+    gain: Callable    # kernel(yc, out, tmp): u(Y) where every Y >= 0
     loss: Callable    # the same where every Y <= 0
     growth: float     # u grows like x**growth as x -> +inf
 
@@ -170,12 +169,6 @@ def _evaluate(kernel, x, out):
     return float(out[()]) if scalar else out
 
 
-def _live_bits(x, out=None):
-    """int64 all ones where x > 0 and 0 elsewhere (NaN included): a mask
-    that selects by bits, with no branch per element."""
-    return np.subtract(0, x > 0, out=out, dtype=np.int64)
-
-
 def _appendix_power_kernels(u: Utility) -> _Kernels:
     a = u.alpha
     if not 0.0 < a < 1.0:
@@ -206,7 +199,7 @@ def _appendix_power_kernels(u: Utility) -> _Kernels:
     def second(xc, out, tmp):
         # k (max(x, 0) + 1)**(a - 2), its bits masked to +0.0 off x > 0:
         # k < 0, so no product with a 0/1 mask gives +0.0 there
-        live = _live_bits(xc, tmp.view(np.int64))
+        live = np.subtract(0, xc > 0, out=tmp.view(np.int64), dtype=np.int64)
         np.fmax(xc, 0.0, out=out)
         out += 1.0
         np.power(out, a - 2.0, out=out)
@@ -214,26 +207,16 @@ def _appendix_power_kernels(u: Utility) -> _Kernels:
         bits = out.view(np.int64)
         bits &= live
 
-    def split(yc, gain, loss, tmp):
-        # u's two terms apart: u(Y+) = (max(Y, 0) + 1)**a - 1, where Y <= 0
-        # gives +0.0 = u(0), and u(-Y-) = a min(0, Y), where Y > 0 gives +0.0
-        np.maximum(yc, 0.0, out=gain)
-        gain += 1.0
-        np.power(gain, a, out=gain)
-        gain -= 1.0
-        np.minimum(0.0, yc, out=loss)
-        loss *= a
-
     def gain(yc, out, tmp):
-        # split's gain on Y > 0, where max(Y, 0) = Y: pow on these rows alone
+        # u's x > 0 term (Y + 1)**a - 1 on Y >= 0, where Y = 0 gives +0.0
         np.add(yc, 1.0, out=out)
         np.power(out, a, out=out)
         out -= 1.0
 
     def loss(yc, out, tmp):
-        # split's loss on Y <= 0, where min(0, Y) = Y, -0.0 included
+        # u's x <= 0 term a Y on Y <= 0, -0.0 included
         np.multiply(yc, a, out=out)
-    return _Kernels(value, prime, second, split, gain, loss, a)
+    return _Kernels(value, prime, second, gain, loss, a)
 
 
 def _tabulated_kernels(u: Utility) -> _Kernels:
@@ -275,21 +258,7 @@ def _tabulated_kernels(u: Utility) -> _Kernels:
     def second(xc, out, tmp):
         out.fill(0.0)
 
-    zero = np.float64(_evaluate(value, 0.0, None)).view(np.int64)
-
-    def split(yc, gain, loss, tmp):
-        # u(Y) once, joined with u(0) by bit masks: u(Y+) is u(Y) where
-        # Y > 0 and u(0) elsewhere, u(-Y-) the reverse.  max/min of u(Y)
-        # and u(0) would not do: np.interp is not monotone in the last bit
-        # next to a node.
-        value(yc, loss, tmp)
-        val, flip = loss.view(np.int64), _live_bits(yc, gain.view(np.int64))
-        val ^= zero
-        flip &= val  # where Y > 0, the bits that turn u(0) into u(Y)
-        val ^= flip
-        val ^= zero
-        flip ^= zero
-    return _Kernels(value, prime, second, split, value, value, 0.0)
+    return _Kernels(value, prime, second, value, value, 0.0)
 
 
 _BUILDERS = {"appendix_power": _appendix_power_kernels,
@@ -328,11 +297,17 @@ def eval_u_second(u: Utility, x, *, out=None):
 def _split_u(u: Utility):
     """values(Y) for the Hoelder walk: the pair (u(Y+), u(-Y-)) of new
     C-ordered arrays of Y's shape, with Y+ = max(Y, 0) and -Y- = Y - Y+,
-    filled _CHUNK elements at a time (``_chunks``) by the kind's split
-    kernel.  On non-NaN Y both equal eval_u(u, max(Y, 0)) and eval_u(u,
-    Y - max(Y, 0)) bit for bit, -0.0 included, and no boolean gather or
-    scatter runs."""
-    kernel = u._kernels.split
+    filled _CHUNK elements at a time (``_chunks``) by the kind's gain
+    kernel on max(Y, 0) and its loss kernel on min(0, Y).  On non-NaN Y
+    both equal eval_u(u, max(Y, 0)) and eval_u(u, Y - max(Y, 0)) bit for
+    bit, -0.0 included, and no boolean gather or scatter runs."""
+    gain_of, loss_of = u._kernels.gain, u._kernels.loss
+
+    def kernel(yc, gain, loss, tmp):
+        np.maximum(yc, 0.0, out=gain)
+        gain_of(gain, gain, tmp)
+        np.minimum(0.0, yc, out=loss)
+        loss_of(loss, loss, tmp)
 
     def split(y):
         y = np.asarray(y, dtype=float)

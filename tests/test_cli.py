@@ -208,6 +208,8 @@ class TestExitCodes:
         ("measure", {"fallback_alpha": "x"}, "measure.fallback_alpha"),
         ("scenario", {"n": "abc"}, "scenario.n"),
         ("utility", {"kind": "crra"}, "utility"),
+        ("utility", {"kind": ["tabulated"]}, "utility"),
+        ("model", {**DEMO["model"], "noise": {"family": ["rademacher"]}}, "model.noise"),
         ("utility", {**DEMO["utility"], "growth": {**DEMO["utility"]["growth"],
                                                    "C1": float("nan")}},
          "utility.growth"),
@@ -223,6 +225,7 @@ class TestExitCodes:
                                               "probs": [0.5, 0.5, 0.0]}},
          "model.noise"),
     ], ids=["alpha-list", "exponents-int", "alpha-str", "n-str", "kind-unknown",
+            "kind-list", "family-list",
             "growth-c1-nan", "grad-tol-nan", "grad-tol-inf", "max-iter-negative",
             "noise-probs-nan", "noise-point-nan"])
     def test_bad_value_names_its_key(self, tmp_path, capsys, section, value, key):
@@ -233,6 +236,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"- {key}: " in err
+
+    @pytest.mark.parametrize("config, violation", [
+        ({**DEMO, "max_iters": 1}, "config: unknown key 'max_iters'"),
+        ({**DEMO, "model": {**DEMO["model"], "k": 4}}, "model: unknown key 'k'"),
+        ({**DEMO, "model": {**DEMO["model"], "b_rule": {"kind": "explicit", "q": 1.0}}},
+         "model.b_rule: unknown key 'q'"),
+        ({**DEMO, "model": {**DEMO["model"], "noise": {"family": "rademacher", "p": 0.3}}},
+         "model.noise: unknown key 'p'"),
+        ({**DEMO, "model": {**DEMO["model"], "noise": [{"family": "rademacher"}] * 3 + [
+            {"family": "dyadic_two_sided", "q": 0.1, "p": 0.3}]}},
+         "model.noise[3]: unknown key 'p'"),
+        ({**DEMO, "utility": {**DEMO["utility"], "xs": [-1, 0, 1]}},
+         "utility: unknown key 'xs'"),
+        ({**DEMO, "utility": {"kind": "tabulated", "alpha": 0.5, "xs": [-1, 0, 1],
+                              "ys": [-1, 0, 0.5]}}, "utility: unknown key 'alpha'"),
+        ({**DEMO, "utility": {**DEMO["utility"], "growth": {
+            **DEMO["utility"]["growth"], "gamma": 1.0}}},
+         "utility.growth: unknown key 'gamma'"),
+        ({**DEMO, "solver": {**DEMO["solver"], "grad_tl": 1e-3}},
+         "solver: unknown key 'grad_tl'"),
+        ({**DEMO, "measure": {**DEMO["measure"], "q": 2.0}}, "measure: unknown key 'q'"),
+        ({**DEMO, "scenario": {"mode": "exact", "mod": "monte_carlo"}},
+         "scenario: unknown key 'mod'"),
+    ], ids=["top", "model", "b-rule", "noise", "noise-list", "utility-power",
+            "utility-table", "growth", "solver", "measure", "scenario"])
+    def test_unknown_key_exits_1(self, tmp_path, capsys, config, violation):
+        # a key that nothing reads is named, not run on the defaults
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(config))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(str(p))
+        assert exc.value.violations == [violation]
+        code, _ = run("optimize", p, tmp_path)
+        assert code == 1
+        assert f"- {violation}\n" in capsys.readouterr().err
+
+    def test_every_shipped_config_parses(self, tmp_path, monkeypatch):
+        # configs/ and the two configs the benchmark generates
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+        for name, config in (("exact", workloads.exact_session_config(311)),
+                             ("mc", workloads.mc_report_config(311))):
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
+        for path in [*sorted(CONFIGS.glob("*.json")), *sorted(tmp_path.glob("*.json"))]:
+            parse_config(str(path))
 
     def test_bad_seed_env_exits_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SEED", "abc")

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from apmopt import (GrowthBounds, ScenarioSet, appendix_power, build_market,
                     build_tilted_measure, dyadic_two_sided,
                     enumerate_scenarios, eval_u, eval_u_prime, expectation,
-                    finite_discrete, rademacher, sample_scenarios,
-                    standardized_two_point, tabulated)
+                    finite_discrete, measure_moments, rademacher, sample_scenarios,
+                    standardized_two_point, tabulated, verify_pricing)
 from apmopt import diagnostics, utility
 from apmopt.diagnostics import (assemble_report, check_assumption_relevant,
                                 emit_report, exp_ui_bound, holder_chain_check,
@@ -569,15 +569,21 @@ class TestHolderChain:
 
     @pytest.mark.parametrize("kind", ["exact", "rows"])
     def test_set_narrower_than_market_refused(self, market_k3, certified_u, kind):
-        # both walks name the mismatch before they read a row or a law
+        # every walk, and pricing and the moments, name the mismatch before
+        # they read a row or a law
         narrow = rademacher_market([0.2, 0.1])
         s = enumerate_scenarios(narrow)
         s = s if kind == "exact" else row_set(s)
         Q = build_tilted_measure(market_k3)
-        with pytest.raises(ValueError, match="^scenario set has 2 coordinates; the market has K=3$"):
+        message = "^scenario set has 2 coordinates; the market has K=3$"
+        with pytest.raises(ValueError, match=message):
             exp_ui_bound(market_k3, s, delta=1.0, trials=3, seed=0)
-        with pytest.raises(ValueError, match="^scenario set has 2 coordinates; the market has K=3$"):
+        with pytest.raises(ValueError, match=message):
             holder_chain_check(market_k3, Q, certified_u, np.zeros((1, 2)), s)
+        with pytest.raises(ValueError, match=message):
+            verify_pricing(Q, market_k3, s=s)
+        with pytest.raises(ValueError, match=message):
+            measure_moments(Q, s)
 
     def test_mispriced_measure_refused_on_exact_set(self, market_k3, certified_u):
         # the guard reads the product-form means; a wrong tilt must trip it

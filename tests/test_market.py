@@ -158,6 +158,10 @@ class TestAssumptionB:
                              noise=rademacher(), b_rule=BRule("power", c=1.0, p=p))
             assert check_assumption_b(m).verdict == verdict, p
 
+    def test_zero_rule_refused(self):
+        with pytest.raises(ValueError, match="unknown b_rule kind 'zero'"):
+            BRule("zero")
+
     def test_power_rule_must_match_drifts(self):
         with pytest.raises(ValueError, match="b_rule: power rule gives b = "
                                              r"\[0.4, 0.2\] but mu gives b = "

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from apmopt import (ArbitrageError, DiscretePayoff, ScenarioSet, SolverConfig,
@@ -259,7 +259,12 @@ class TestRowBlocks:
     @settings(deadline=None, max_examples=40)
     @given(st.sampled_from([1, 7, optimize.ROW_BLOCK - 1, optimize.ROW_BLOCK,
                             optimize.ROW_BLOCK + 1, 3 * optimize.ROW_BLOCK + 17]),
-           st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+           st.one_of(st.integers(1, 8),
+                     st.sampled_from([optimize.PANEL + 1, 2 * optimize.PANEL + 5])),
+           st.integers(0, 2 ** 32 - 1))
+    # two and three panels: the off-diagonal products and their mirror
+    @example(optimize.ROW_BLOCK + 1, optimize.PANEL + 1, 0)
+    @example(3 * optimize.ROW_BLOCK + 17, 2 * optimize.PANEL + 5, 1)
     def test_matches_whole_array_products(self, n, K, seed):
         gen = np.random.Generator(np.random.Philox(key=seed))
         X = gen.standard_normal((K, n))
