@@ -81,6 +81,21 @@ def _convert(conv, value, errors: list[str], where: str):
         return None
 
 
+def _int(value) -> int:
+    """value as an int: a JSON number with no fractional part, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"must be an integer, got {type(value).__name__}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _ints(values) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise TypeError(f"must be a list of integers, got {type(values).__name__}")
+    return tuple(map(_int, values))
+
+
 def _floats(values) -> tuple[float, ...]:
     if not isinstance(values, list):
         raise TypeError(f"must be a list of numbers, got {type(values).__name__}")
@@ -112,28 +127,32 @@ def _build_model(md: dict, errors: list[str]) -> MarketModel | None:
     if missing:
         errors.append(f"model: missing keys {missing}")
         return None
+    m = _convert(_int, md["m"], errors, "model.m")
+    K = _convert(_int, md["K"], errors, "model.K")
     noise_raw = md["noise"]
-    K = md["K"]
     if isinstance(noise_raw, list):
-        noise = [_noise_from_dict(n, errors, f"model.noise[{i}]")
-                 for i, n in enumerate(noise_raw)]
-    else:  # one law for every coordinate
-        noise = [_noise_from_dict(noise_raw, errors, "model.noise")] * int(K)
-    if any(n is None for n in noise):
+        noise = tuple(_noise_from_dict(n, errors, f"model.noise[{i}]")
+                      for i, n in enumerate(noise_raw))
+        noise = None if None in noise else noise
+    else:  # one law for every coordinate, which build_market repeats
+        noise = _noise_from_dict(noise_raw, errors, "model.noise")
+    if m is None or K is None or noise is None:
         return None
     b_rule = BRule()
     if "b_rule" in md:
-        br = md["b_rule"]
+        br = _object(md["b_rule"], errors, "model.b_rule")
+        if br is None:
+            return None
         _unknown_keys(br, _B_RULE_KEYS, errors, "model.b_rule")
         try:
             b_rule = BRule(kind=br.get("kind", "explicit"),
                            c=float(br.get("c", 0.0)), p=float(br.get("p", 0.0)))
-        except (ValueError, TypeError, AttributeError) as exc:
+        except (ValueError, TypeError) as exc:
             errors.append(f"model.b_rule: {exc}")
             return None
     try:
-        model = build_market(int(md["m"]), int(K), md["mu"], md.get("beta", ()),
-                             md["beta_bar"], tuple(noise), b_rule)
+        model = build_market(m, K, md["mu"], md.get("beta", ()),
+                             md["beta_bar"], noise, b_rule)
     except (ValueError, TypeError) as exc:
         errors.append(f"model: {exc}")
         return None
@@ -225,15 +244,15 @@ def parse_config(path: str) -> ExperimentConfig:
 
     sd = _object(raw.get("solver", {}), errors, "solver") or {}
     _unknown_keys(sd, _SOLVER_KEYS, errors, "solver")
-    try:
-        solver = SolverConfig(
-            grad_tol=float(sd.get("grad_tol", 1e-8)),
-            max_iter=int(sd.get("max_iter", 10_000)),
-            ladder=tuple(int(k) for k in sd.get("ladder", ())),
-        )
-    except (ValueError, TypeError) as exc:
-        errors.append(f"solver: {exc}")
-        solver = None
+    max_iter = _convert(_int, sd.get("max_iter", 10_000), errors, "solver.max_iter")
+    ladder = _convert(_ints, sd.get("ladder", []), errors, "solver.ladder")
+    solver = None
+    if max_iter is not None and ladder is not None:
+        try:
+            solver = SolverConfig(grad_tol=float(sd.get("grad_tol", 1e-8)),
+                                  max_iter=max_iter, ladder=ladder)
+        except (ValueError, TypeError) as exc:
+            errors.append(f"solver: {exc}")
     if model is not None and solver is not None and not all(
             model.m <= k <= model.K for k in solver.ladder):
         errors.append(f"solver.ladder: levels {list(solver.ladder)} must lie in "
@@ -256,7 +275,8 @@ def parse_config(path: str) -> ExperimentConfig:
     sc = _object(raw.get("scenario", {}), errors, "scenario") or {}
     _unknown_keys(sc, _SCENARIO_KEYS, errors, "scenario")
     mode = sc.get("mode", "exact")
-    n = _convert(int, sc.get("n", 0) or 0, errors, "scenario.n")
+    n = sc.get("n")
+    n = 0 if n is None else _convert(_int, n, errors, "scenario.n")
     seed = sc.get("seed")
     if mode not in ("exact", "monte_carlo"):
         errors.append(f"scenario.mode: unknown mode {mode!r}")
@@ -265,7 +285,7 @@ def parse_config(path: str) -> ExperimentConfig:
             errors.append("scenario.n: monte_carlo mode needs n >= 1")
         if seed is None:
             errors.append("scenario.seed: monte_carlo mode needs a seed")
-    seed = _convert(int, seed, errors, "scenario.seed") if seed is not None else 0
+    seed = _convert(_int, seed, errors, "scenario.seed") if seed is not None else 0
     if seed is not None and not 0 <= seed < 2 ** 64:
         errors.append(f"scenario.seed: must lie in [0, 2**64), got {seed}")
 

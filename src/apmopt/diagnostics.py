@@ -43,7 +43,8 @@ from .distributions import estimate_exp_moment, tail_probability, truncated_seco
 from .market import MarketModel, check_assumption_b, check_no_arbitrage
 from .measures import (TiltedMeasure, _coordinate_means, _density_moments, _residuals,
                        _support_factors)
-from .optimize import ROW_BLOCK, _centered, _outer_sum, _payoffs, _require_width
+from .optimize import (ROW_BLOCK, _centered, _grid_payoffs, _payoffs, _require_width,
+                       _tile_split)
 from .scenarios import ScenarioSet, _product_weights
 from .utility import Utility, _sides_u, _split_u, certify_growth, eval_u
 
@@ -123,17 +124,6 @@ def _row_payoffs(s: ScenarioSet, phis: np.ndarray, shift: np.ndarray):
         yield _payoffs(X, phis), s.weights[rows]
 
 
-def _grid_payoffs(xs, phis: np.ndarray) -> np.ndarray:
-    """(T, prod of sizes) payoffs of the T strategies phis on the product of
-    the supports xs, last coordinate fastest: each row is the solver's
-    ``_outer_sum``, which adds the coordinates from the last to the
-    first."""
-    out = np.empty((phis.shape[0], math.prod(x.size for x in xs)))
-    for row, phi in zip(out, phis):
-        _outer_sum(xs, phi, row)
-    return out
-
-
 def _product_grid(laws, phis: np.ndarray, shift: np.ndarray):
     """(xs, full): the supports of laws, the first k = phis.shape[1] of them
     less shift[:k], and phis padded with zeros to all the laws' coordinates,
@@ -153,17 +143,6 @@ def _product_payoffs(s: ScenarioSet, phis: np.ndarray, shift: np.ndarray):
     for y in _grid_blocks(*_product_grid(s._laws, phis, shift)):
         yield y, s.weights[start:start + y.shape[1]]
         start += y.shape[1]
-
-
-def _tile_split(xs) -> tuple[int, int]:
-    """(lead, tile): the tile is the longest suffix xs[lead:] of the
-    supports whose product has at most ROW_BLOCK points, and at least the
-    last support; tile is its number of points."""
-    lead, tile = len(xs) - 1, xs[-1].size
-    while lead > 0 and tile * xs[lead - 1].size <= ROW_BLOCK:
-        lead -= 1
-        tile *= xs[lead].size
-    return lead, tile
 
 
 def _grid_blocks(xs, phis: np.ndarray):

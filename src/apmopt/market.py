@@ -93,12 +93,15 @@ class ModelSpec:
 
 
 def _spec(m, K, mu, beta, beta_bar, noise, b_rule=None) -> ModelSpec:
-    """Internal: normalize python containers into the frozen spec."""
+    """Internal: normalize python containers into the frozen spec.  One
+    noise law is repeated once per entry of mu, which the spec checks
+    against K, so a K far beyond mu's length builds nothing of its size."""
+    mu = tuple(map(float, mu))
     if isinstance(noise, DistributionSpec):
-        noise = (noise,) * K
+        noise = (noise,) * len(mu)
     return ModelSpec(
         m=m, K=K,
-        mu=tuple(map(float, mu)),
+        mu=mu,
         beta=tuple(tuple(map(float, row)) for row in beta),
         beta_bar=tuple(map(float, beta_bar)),
         noise=tuple(noise),

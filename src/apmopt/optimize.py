@@ -10,14 +10,18 @@ backtracking picks the step.  The K-coordinate problem runs it on the
 scenario expectation of u(V(phi)), with X = eps - b the centred noise:
 the line search's payoffs v = X @ phi at the accepted step feed the next
 pass, which reduces X.T a for the gradient and, when asked,
-X.T diag(c) X for the Hessian.  On an exact enumeration X is never
-formed: v is the outer sum of the K coordinates' centred supports
-times phi, and both reductions are marginal sums over the product of the
-supports, with no BLAS call, so the result does not depend on the BLAS
-thread count at any K.  Other sets hold
-X transposed, as a C-ordered (K, n) matrix whose rows are the centred
-coordinates, and form v and both reductions in fixed-order blocks of
-scenarios and panels of at most PANEL coordinates, which holds that too.
+X.T diag(c) X for the Hessian.  Sampled and row sets hold X transposed,
+as a C-ordered (K, n) matrix whose rows are the centred coordinates, and
+form v and both reductions in fixed-order blocks of scenarios and panels
+of at most PANEL coordinates (``_row_blocks``), so the result does not
+depend on the BLAS thread count at any K.  On an exact enumeration X is
+never formed: v is the outer sum of the K coordinates' centred supports
+times phi, with no BLAS call, and the reductions read a and c as an
+(H, T) matrix on the split the Hoelder chain takes, heads by a tile of
+trailing coordinates (``_split_blocks``): ``_row_blocks`` on the row and
+column sums and on the head and tile designs gives the gradient and the
+Hessian's diagonal blocks, and numpy reductions give each head's
+marginals on the tile for the cross block, which holds that too.
 -H is positive semidefinite because u'' <= 0 for every utility kind, so
 the shifted system is positive definite; the shift vanishes with g near
 the optimum, where the step is the Newton step, and for a tabulated
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -212,13 +217,15 @@ def saa_gradient(u: Utility, X: np.ndarray, w: np.ndarray, phi: np.ndarray) -> n
     return X.T @ (w * eval_u_prime(u, X @ phi))
 
 
-def _row_blocks(X: np.ndarray, a: np.ndarray | None, c: np.ndarray | None):
+def _row_blocks(X: np.ndarray, a: np.ndarray | None, c: np.ndarray | None,
+                buf: np.ndarray | None = None):
     """(X @ a, X diag(c) X.T) for the (K, n) matrix X and c >= 0,
     accumulated over blocks of ROW_BLOCK columns of X in order, so the sums
     do not depend on the BLAS thread count.  With a or c None that half is
     None and is not formed; each half's sweep is the same alone as with
     the other, bit for bit.  The second is a sum of S_b @ S_b.T with
-    S_b = X_b sqrt(c_b), written into one reused buffer; a block whose c
+    S_b = X_b sqrt(c_b), written with sqrt(c_b) into buf, of at least
+    (K + 1) min(n, ROW_BLOCK) values (default: a new one); a block whose c
     is all zero adds only zeros there and is skipped.  Both are formed on
     panels of at most PANEL rows of X_b and S_b: numpy runs a panel's own
     product with itself as a syrk, and the upper panel pairs' products are
@@ -234,14 +241,15 @@ def _row_blocks(X: np.ndarray, a: np.ndarray | None, c: np.ndarray | None):
                 g[p] += X[p, cols] @ a[cols]
     if c is not None:
         G = np.zeros((K, K))
-        root = np.sqrt(c)
-        buf = np.empty(K * min(n, ROW_BLOCK))
+        if buf is None:
+            buf = np.empty((K + 1) * min(n, ROW_BLOCK))
         for start in range(0, n, ROW_BLOCK):
             cols = slice(start, start + ROW_BLOCK)
             if not c[cols].any():
                 continue
             Xb = X[:, cols]
-            S = np.multiply(Xb, root[cols], out=buf[:Xb.size].reshape(Xb.shape))
+            root = np.sqrt(c[cols], out=buf[Xb.size:Xb.size + Xb.shape[1]])
+            S = np.multiply(Xb, root, out=buf[:Xb.size].reshape(Xb.shape))
             for i, p in enumerate(panels):
                 for q in panels[i:]:
                     G[p, q] += S[p] @ S[q].T
@@ -268,75 +276,114 @@ def _outer_sum(xs, phi: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out[:size]
 
 
-def _marginals(a: np.ndarray, sizes, spare: np.ndarray) -> list[np.ndarray]:
-    """The marginal sums of a, laid out over a product of axes of the given
-    sizes (last fastest), on each axis.  Peeling the leading axis, its
-    marginal is a pairwise sum along the contiguous remainder, and the sum
-    of its slices is the array left for the next, none after the last.
+def _tile_split(xs) -> tuple[int, int]:
+    """(lead, tile): the tile is the longest suffix xs[lead:] of the
+    supports whose product has at most ROW_BLOCK points, and at least the
+    last support; tile is its number of points."""
+    lead, tile = len(xs) - 1, xs[-1].size
+    while lead > 0 and tile * xs[lead - 1].size <= ROW_BLOCK:
+        lead -= 1
+        tile *= xs[lead].size
+    return lead, tile
 
-    Those partial sums go alternately into spare, of at least
-    a.size // sizes[0] values, and over a, whose values are dead once the
-    first is formed; so a is overwritten, and no partial sum is allocated.
-    numpy sums axis 0 of a C-ordered (m, rest) array slice
-    after slice when rest >= 2, which holds before the last axis since
-    every law has two or more points; at rest = 1 it would sum pairwise."""
-    out = []
-    buffers = (spare, a)
-    for k, m in enumerate(sizes):
-        slices = a.reshape(m, -1)
-        out.append(slices.sum(axis=1))
-        if k + 1 < len(sizes):
-            a = np.sum(slices, axis=0, out=buffers[k % 2][:slices.shape[1]])
+
+def _grid_payoffs(xs, phis: np.ndarray) -> np.ndarray:
+    """(T, prod of sizes) payoffs of the T strategies phis on the product of
+    the supports xs, last coordinate fastest: each row is ``_outer_sum``,
+    which adds the coordinates from the last to the first."""
+    out = np.empty((phis.shape[0], math.prod(x.size for x in xs)))
+    for row, phi in zip(out, phis):
+        _outer_sum(xs, phi, row)
     return out
 
 
-def _product_blocks(xs, a: np.ndarray | None, c: np.ndarray | None,
-                    scratch: np.ndarray, spare: np.ndarray):
-    """(X.T @ a, X.T diag(c) X) on the product of the supports xs, from
-    marginals: g_i = x_i . (marginal of a on axis i), and row i of G,
-    peeling axis i off c, is x_i^2 . (marginal of c on axis i) on the
-    diagonal and x_k . (marginal on axis k of the x_i-weighted sum of c's
-    slices) beyond it.  With a or c None that half is None and is not
-    formed.  G is zero, with no reduction, when c is all zero, as on a
-    solve's first pass, where u''(0) = 0.  Every step is a numpy reduction
-    over a whole axis, with no loop over support points.  No reduction
-    runs in BLAS, so the sums do not depend on the BLAS thread count at
-    any K.
+class _Split(NamedTuple):
+    """An exact grid read as an (H, T) matrix, by the split that the
+    Hoelder chain also takes (``_tile_split``): row h is the h-th point of
+    the H heads, the product of the leading supports, and its T columns
+    are the tile's points.  heads is the (lead, H) design of the leading
+    coordinates and tiles the (K - lead, T) design of the tile's, both
+    ``_grid_payoffs`` on unit strategies; xs are the tile's supports.
+    held takes the pass's small sums and ``_row_blocks``' Gram scratch."""
+    heads: np.ndarray
+    tiles: np.ndarray
+    xs: list
+    held: np.ndarray
 
-    a and c are overwritten.  The G half writes the weighted slices into
-    scratch, an array of at least c's size (the solver passes a's buffer,
-    whose values are dead once g is formed).  Every partial sum goes into
-    spare, of at least n // xs[0].size values, or over a buffer whose
-    values are dead: the sums of c's slices alternate between spare and
-    c, and a weighted sum and its partial sums take the one of the two
-    that c's current slices are not in, and scratch.  So a caller that
-    keeps spare and scratch allocates no grid-sized array per pass.
-    Weighting c in place would need the next axis's slices summed first,
-    and that sum and the weighted one would be alive together."""
-    sizes = [x.size for x in xs]
-    K = len(xs)
+
+def _split(xs) -> _Split:
+    """The designs and held buffer of a product pass on the supports xs."""
+    lead, _ = _tile_split(xs)
+    heads = _grid_payoffs(xs[:lead], np.eye(lead))
+    tiles = _grid_payoffs(xs[lead:], np.eye(len(xs) - lead))
+    (_, H), (kt, T) = heads.shape, tiles.shape
+    # the per-head marginals of the tile axes but the last, which is read
+    # in place, and the Gram scratch are never alive together
+    widest = max((x.size for x in xs[lead:-1]), default=0)
+    gram = max((lead + 1) * min(H, ROW_BLOCK), (kt + 1) * min(T, ROW_BLOCK))
+    return _Split(heads, tiles, xs[lead:], np.empty(max(H, T) + H + max(H * widest, gram)))
+
+
+def _split_blocks(split: _Split, a: np.ndarray | None, c: np.ndarray | None,
+                  scratch: np.ndarray):
+    """(X.T @ a, X.T diag(c) X) on an exact grid, with a and c read as
+    (H, T) matrices A and C on the split (``_Split``).  With a or c None
+    that half is None and is not formed.
+
+    A head coordinate's value is constant along each row of the matrix,
+    and a tile coordinate's along each column, so g is (heads @ A's row
+    sums, tiles @ A's column sums), and G's two diagonal blocks are
+    heads diag(r) heads.T and tiles diag(s) tiles.T, with r and s C's row
+    and column sums: each ``_row_blocks`` on a design.  The cross block
+    heads @ C @ tiles.T is formed one tile coordinate k at a time, as
+    heads @ q with q_h = x_k . (marginal of row h of C on tile axis k); a
+    gemm for C @ tiles.T would be threaded with other last bits.  The
+    marginals peel the tile axes in order: an axis's marginal is a
+    pairwise sum along the contiguous remainder, and the sum of its
+    slices is the remainder left for the next.  G is zero, with no
+    reduction, when c is all zero, as on a solve's first pass, where
+    u''(0) = 0.  BLAS runs only in ``_row_blocks``, so the sums do not
+    depend on the BLAS thread count at any K.
+
+    c is overwritten.  The remainders alternate between scratch, of at
+    least c's size (the solver passes a's buffer, whose values are dead
+    once g is formed), and c, whose values are dead once its sums are
+    formed; every other sum, and the Gram scratch, goes into split.held.
+    So a caller that keeps the split and scratch allocates no grid-sized
+    array per pass."""
+    heads, tiles, xs, held = split
+    (lead, H), (kt, T) = heads.shape, tiles.shape
+    top = max(H, T)
+    sums, q, shared = held[:top], held[top:top + H], held[top + H:]
     g = G = None
     if a is not None:
-        g = np.array([np.sum(x * m) for x, m in zip(xs, _marginals(a, sizes, spare))])
+        A = a.reshape(H, T)
+        g = np.empty(lead + kt)
+        g[:lead] = _row_blocks(heads, np.sum(A, axis=1, out=sums[:H]), None)[0]
+        g[lead:] = _row_blocks(tiles, np.sum(A, axis=0, out=sums[:T]), None)[0]
     if c is None:
         return g, G
-    G = np.zeros((K, K))
+    G = np.zeros((lead + kt, lead + kt))
     if not c.any():
         return g, G
-    held, free = c, spare  # the buffer of c's current slices, and the other
-    for i, x in enumerate(xs):
-        slices = c.reshape(x.size, -1)
-        G[i, i] = np.sum(x * x * slices.sum(axis=1))
-        if i + 1 == K:
-            break
-        rest = slices.shape[1]
-        weighted = np.multiply(slices, x[:, None], out=scratch[:c.size].reshape(slices.shape))
-        summed = np.sum(weighted, axis=0, out=free[:rest])
-        G[i, i + 1:] = [np.sum(y * m) for y, m in
-                        zip(xs[i + 1:], _marginals(summed, sizes[i + 1:], scratch))]
-        G[i + 1:, i] = G[i, i + 1:]
-        c = np.sum(slices, axis=0, out=free[:rest])
-        held, free = free, held
+    C = c.reshape(H, T)
+    G[:lead, :lead] = _row_blocks(heads, None, np.sum(C, axis=1, out=sums[:H]), shared)[1]
+    G[lead:, lead:] = _row_blocks(tiles, None, np.sum(C, axis=0, out=sums[:T]), shared)[1]
+    if not lead:
+        return g, G
+    size, live, free = c.size, c, scratch
+    for k, x in enumerate(xs):
+        if k + 1 == kt:  # the remainder is the last axis's marginal
+            m = live[:size].reshape(H, -1)
+        else:
+            slices = live[:size].reshape(H, x.size, -1)
+            m = np.sum(slices, axis=2, out=shared[:H * x.size].reshape(H, -1))
+            size //= x.size
+            np.sum(slices, axis=1, out=free[:size].reshape(H, -1))
+            live, free = free, live
+        m *= x
+        G[:lead, lead + k] = _row_blocks(heads, np.sum(m, axis=1, out=q), None)[0]
+    G[lead:, :lead] = G[:lead, lead:].T
     return g, G
 
 
@@ -477,8 +524,10 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
     live as long as the solve: one for w u'(v), which an exact set's
     Hessian then takes as scratch, and one for w u''(v) and the line
     search's w u(v), since w u''(v) is dead once the Hessian is formed.
-    On an exact set a third, of n over the first law's size, takes the
-    product pass's partial sums.  The loop is ``_damped_newton``'s, with
+    On an exact set the split (``_split``) is built once: the head and
+    tile designs, and a held buffer for the pass's row, column and
+    per-head sums and the Gram scratch of ``_row_blocks``, whose BLAS
+    calls are the pass's only ones.  The loop is ``_damped_newton``'s, with
     its Newton-chord Hessian: the first step's, at phi = 0, is zero, since
     u''(0) = 0, so the second step forms it again; from there the step
     after a full step on a fresh Hessian reuses it, so a solve with no
@@ -503,10 +552,10 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
         # the line search's last trial, so one buffer serves
         buf = np.empty(w.size)
         payoffs = lambda p: _outer_sum(xs, p, buf)
-        # w u'(v) is dead once g is formed, so the Hessian half reuses it;
-        # both halves write their partial sums into one spare buffer
-        spare = np.empty(w.size // xs[0].size)
-        blocks = lambda a, c: _product_blocks(xs, a, c, a_buf, spare)
+        # w u'(v) is dead once g is formed, so the Hessian half takes its
+        # buffer as scratch
+        split = _split(xs)
+        blocks = lambda a, c: _split_blocks(split, a, c, a_buf)
     else:
         X = _centered(s.draws[:, :K], model.b[:K], np.empty((K, s.n)))
         w = s.weights

@@ -192,6 +192,7 @@ class TestExitCodes:
         ({**DEMO, "solver": "fast"}, "solver"),
         ({**DEMO, "model": {**DEMO["model"],
                             "noise": ["rademacher"] * 4}}, "model.noise[0]"),
+        ({**DEMO, "model": {**DEMO["model"], "b_rule": ["power"]}}, "model.b_rule"),
     ])
     def test_non_object_section_exits_1(self, tmp_path, capsys, config, section):
         p = tmp_path / "bad.json"
@@ -224,10 +225,27 @@ class TestExitCodes:
                                               "points": [1.0, -1.0, float("nan")],
                                               "probs": [0.5, 0.5, 0.0]}},
          "model.noise"),
+        # counts are integers: not truncated, and not bools
+        ("model", {**DEMO["model"], "K": 4.5}, "model.K"),
+        ("model", {**DEMO["model"], "K": True}, "model.K"),
+        ("model", {**DEMO["model"], "m": 1.5}, "model.m"),
+        ("model", {**DEMO["model"], "K": 1e20}, "model"),
+        ("solver", {"max_iter": 100.5}, "solver.max_iter"),
+        ("solver", {"max_iter": False}, "solver.max_iter"),
+        ("solver", {"ladder": [1, 2.5, 4]}, "solver.ladder"),
+        ("solver", {"ladder": [1, True]}, "solver.ladder"),
+        ("scenario", {"mode": "monte_carlo", "n": 100.7, "seed": 3}, "scenario.n"),
+        ("scenario", {"mode": "monte_carlo", "n": True, "seed": 3}, "scenario.n"),
+        ("scenario", {"mode": "monte_carlo", "n": 100, "seed": 3.9}, "scenario.seed"),
+        ("scenario", {"mode": "monte_carlo", "n": 100, "seed": True}, "scenario.seed"),
+        ("model", {**DEMO["model"], "b_rule": ["power"]}, "model.b_rule"),
     ], ids=["alpha-list", "exponents-int", "alpha-str", "n-str", "kind-unknown",
             "kind-list", "family-list",
             "growth-c1-nan", "grad-tol-nan", "grad-tol-inf", "max-iter-negative",
-            "noise-probs-nan", "noise-point-nan"])
+            "noise-probs-nan", "noise-point-nan",
+            "K-fraction", "K-bool", "m-fraction", "K-huge", "max-iter-fraction", "max-iter-bool",
+            "ladder-fraction", "ladder-bool", "n-fraction", "n-bool", "seed-fraction",
+            "seed-bool", "b-rule-list"])
     def test_bad_value_names_its_key(self, tmp_path, capsys, section, value, key):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({**DEMO, section: value}))

@@ -348,12 +348,31 @@ def product_supports(draw):
     return xs, probs
 
 
-def buffers(xs):
-    """Fresh scratch and spare buffers for a product pass on the supports
-    xs, as the solver allocates them: the grid's size and the grid's over
-    the first support's."""
-    n = math.prod(x.size for x in xs)
-    return np.empty(n), np.empty(n // xs[0].size)
+def split_pass(xs):
+    """A fresh split of the supports xs and a scratch buffer of the grid's
+    size, as a solve holds them."""
+    return optimize._split(xs), np.empty(math.prod(x.size for x in xs))
+
+
+def product_blocks(xs, a, c):
+    """The product pass on the supports xs, with fresh buffers."""
+    split, scratch = split_pass(xs)
+    return optimize._split_blocks(split, a, c, scratch)
+
+
+def dirty(split, scratch, gen):
+    """split and scratch with their buffers' values as earlier passes of a
+    solve might leave them."""
+    split.held[:] = gen.standard_normal(split.held.size)
+    scratch[:] = gen.standard_normal(scratch.size)
+    return split, scratch
+
+
+# grids whose (H, T) split has heads: two-point and three-point laws, a
+# one-point law in the tile, and a long law before or in a short tile
+SPLIT_SIZES = [(2,) * 13, (3,) * 9, (2,) * 12 + (1, 2), (1500, 2, 2), (2, 2, 5000)]
+split_supports = st.sampled_from(SPLIT_SIZES).map(
+    lambda sizes: ([np.linspace(-1.0, 1.0, m) + 0.1 for m in sizes], None))
 
 
 class TestProductPass:
@@ -376,42 +395,55 @@ class TestProductPass:
             for p, x in reversed(list(zip(phi, row))):
                 loop[r] += p * x
         assert np.array_equal(v, loop)
-        g, G = optimize._product_blocks(xs, a.copy(), c.copy(), *buffers(xs))
+        g, G = product_blocks(xs, a.copy(), c.copy())
+        assert np.all(np.abs(g - X.T @ a) <= 1e-12 * (np.abs(X).T @ np.abs(a)))
+        assert np.all(np.abs(G - (X.T * c) @ X) <= 1e-12 * ((np.abs(X).T * c) @ np.abs(X)))
+        assert np.array_equal(G, G.T)
+
+    @pytest.mark.parametrize("sizes", SPLIT_SIZES)
+    def test_split_grids_match_whole_array_products(self, sizes):
+        gen = np.random.Generator(np.random.Philox(key=len(sizes)))
+        xs = [gen.uniform(-1.0, 1.0, m) for m in sizes]
+        X = np.array(list(itertools.product(*xs)))
+        assert optimize._split(xs).heads.size  # the split has heads
+        a = gen.standard_normal(len(X))
+        c = gen.uniform(0.0, 2.0, len(X)) * (gen.random(len(X)) < 0.9)
+        g, G = product_blocks(xs, a.copy(), c.copy())
         assert np.all(np.abs(g - X.T @ a) <= 1e-12 * (np.abs(X).T @ np.abs(a)))
         assert np.all(np.abs(G - (X.T * c) @ X) <= 1e-12 * ((np.abs(X).T * c) @ np.abs(X)))
         assert np.array_equal(G, G.T)
 
     @settings(deadline=None, max_examples=30)
-    @given(product_supports(), st.integers(0, 2 ** 32 - 1))
+    @given(st.one_of(product_supports(), split_supports), st.integers(0, 2 ** 32 - 1))
     def test_kept_buffers_match_own_bit_for_bit(self, supports, seed):
-        # the partial sums in buffers a solve has kept, dirty from earlier
+        # the held and scratch buffers a solve has kept, dirty from earlier
         # passes, against fresh buffers
         xs, _ = supports
         n = math.prod(x.size for x in xs)
         gen = np.random.Generator(np.random.Philox(key=seed))
         a = gen.standard_normal(n)
         c = gen.uniform(0.0, 2.0, n) * (gen.random(n) < 0.9)
-        g, G = optimize._product_blocks(xs, a.copy(), c.copy(), *buffers(xs))
-        scratch, spare = (gen.standard_normal(b.size) for b in buffers(xs))
+        g, G = product_blocks(xs, a.copy(), c.copy())
+        split, scratch = dirty(*split_pass(xs), gen)
         for _ in range(2):
-            assert optimize._product_blocks(xs, a.copy(), None, scratch, spare)[0].tobytes() == g.tobytes()
-            assert optimize._product_blocks(xs, None, c.copy(), scratch, spare)[1].tobytes() == G.tobytes()
+            assert optimize._split_blocks(split, a.copy(), None, scratch)[0].tobytes() == g.tobytes()
+            assert optimize._split_blocks(split, None, c.copy(), scratch)[1].tobytes() == G.tobytes()
 
     @pytest.mark.parametrize("sizes", [(2,) * 17, (3, 2) * 6 + (3,)], ids=["two_point", "mixed"])
     def test_kept_buffers_hold_every_partial_sum(self, sizes):
-        # with scratch and spare kept, neither half allocates a partial sum:
-        # the largest would be n / 2 values (n / 3 on the mixed grid), 4n
-        # bytes or more.  What is left is numpy's own ufunc buffer, at most
-        # 8192 values, and arrays of a law's size
+        # with the split and scratch kept, neither half allocates a partial
+        # sum: the largest would be n / 2 values (n / 3 on the mixed grid),
+        # 4n bytes or more.  What is left is numpy's own ufunc buffer, at
+        # most 8192 values, and arrays of a law's size or K's
         gen = np.random.Generator(np.random.Philox(key=len(sizes)))
         xs = [gen.uniform(-1.0, 1.0, m) for m in sizes]
         n = math.prod(sizes)
         a, c = gen.standard_normal(n), gen.uniform(0.0, 2.0, n)
-        scratch, spare = np.empty(n), np.empty(n // sizes[0])
+        split, scratch = split_pass(xs)
         tracemalloc.start()
         try:
-            optimize._product_blocks(xs, a, None, scratch, spare)
-            optimize._product_blocks(xs, None, c, scratch, spare)
+            optimize._split_blocks(split, a, None, scratch)
+            optimize._split_blocks(split, None, c, scratch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -520,16 +552,26 @@ class TestProductPass:
         assert_witness(s.draws - B.b, phi)
 
     def test_identical_across_blas_thread_counts(self):
-        # no reduction of the product pass runs in BLAS, at any K
+        # the product pass's BLAS calls are _row_blocks' on the two designs;
+        # a gemm for the cross block would be threaded with other last bits
+        # on the three-point grid at K = 12, 243 heads by a 2187-point tile
         code = ("import hashlib, numpy as np\n"
-                "from apmopt import optimize\n"
-                "K = 19\n"
-                "gen = np.random.Generator(np.random.Philox(key=K))\n"
-                "xs = [gen.standard_normal(2) for _ in range(K)]\n"
-                "v = optimize._outer_sum(xs, gen.standard_normal(K), np.empty(2 ** K))\n"
-                "g, G = optimize._product_blocks(xs, v.copy(), np.abs(v), np.empty(2 ** K),\n"
-                "                                np.empty(2 ** (K - 1)))\n"
-                "print(hashlib.sha256(v.tobytes() + g.tobytes() + G.tobytes()).hexdigest())\n")
+                "from apmopt import optimize, build_market, enumerate_scenarios\n"
+                "from apmopt import appendix_power, finite_discrete, rademacher\n"
+                "three = finite_discrete([-1.5, 0.0, 1.5], [2 / 9, 5 / 9, 2 / 9])\n"
+                "for K, law in ((19, rademacher()), (12, three)):\n"
+                "    gen = np.random.Generator(np.random.Philox(key=K))\n"
+                "    xs = [np.array(law.points) - b for b in gen.uniform(-0.3, 0.3, K)]\n"
+                "    n = len(law.points) ** K\n"
+                "    v = optimize._outer_sum(xs, gen.standard_normal(K), np.empty(n))\n"
+                "    g, G = optimize._split_blocks(optimize._split(xs), v.copy(), np.abs(v),\n"
+                "                                  np.empty(n))\n"
+                "    model = build_market(1, K, mu=[-0.4 / i for i in range(1, K + 1)],\n"
+                "                         beta=[[0.0]] * (K - 1), beta_bar=[1.0] * K, noise=law)\n"
+                "    phi = optimize.optimize_truncated(model, appendix_power(0.5), None,\n"
+                "                                      enumerate_scenarios(model)).phi_star\n"
+                "    h = hashlib.sha256(v.tobytes() + g.tobytes() + G.tobytes() + phi.tobytes())\n"
+                "    print(K, h.hexdigest())\n")
         one, two = stdout_per_blas_thread_count(code)
         assert one == two
 
@@ -564,7 +606,7 @@ class TestHessianOnDemand:
         s = {"exact": s, "rows": row_set(s),
              "sampled": sample_scenarios(model, 3 * optimize.ROW_BLOCK + 17, 3)}[kind]
         calls = self.log_halves(monkeypatch,
-                                "_product_blocks" if kind == "exact" else "_row_blocks")
+                                "_split_blocks" if kind == "exact" else "_row_blocks")
         second = mock.Mock(wraps=optimize.eval_u_second)
         monkeypatch.setattr(optimize, "eval_u_second", second)
         res = optimize_truncated(model, appendix_power(0.5), None, s)
@@ -649,29 +691,32 @@ class TestHessianOnDemand:
             "f", "gHf", "gf", "gHf", "gf", "gHf", "gHf", "gHf", "g"]
 
     def test_zero_curvature_product_pass_runs_no_reduction(self, monkeypatch):
-        xs = [np.array([-1.0, 0.5, 1.0]) - b for b in (0.2, 0.1, 0.05, 0.3)]
-        n = 3 ** 4
-        marginals = mock.Mock(wraps=optimize._marginals)
-        monkeypatch.setattr(optimize, "_marginals", marginals)
-        g, G = optimize._product_blocks(xs, None, np.zeros(n), *buffers(xs))
-        assert g is None and G.shape == (4, 4) and not G.any()
-        assert marginals.call_count == 0
-        g, G = optimize._product_blocks(xs, np.ones(n), None, *buffers(xs))
-        assert G is None and marginals.call_count == 1
-        optimize._product_blocks(xs, None, np.ones(n), *buffers(xs))
-        assert marginals.call_count == 1 + 3  # one per coordinate past the first
+        # three-point laws at K = 9: 9 heads by a 2187-point tile of 7 coordinates
+        xs = [np.array([-1.0, 0.5, 1.0]) - b for b in np.linspace(-0.3, 0.3, 9)]
+        n = 3 ** 9
+        blocks = mock.Mock(wraps=optimize._row_blocks)
+        monkeypatch.setattr(optimize, "_row_blocks", blocks)
+        split, scratch = split_pass(xs)
+        split.held[:] = np.nan
+        g, G = optimize._split_blocks(split, None, np.zeros(n), scratch)
+        assert g is None and G.shape == (9, 9) and not G.any()
+        assert blocks.call_count == 0 and np.isnan(split.held).all()  # no sums formed
+        g, G = optimize._split_blocks(split, np.ones(n), None, scratch)
+        assert G is None and blocks.call_count == 2  # one per design
+        optimize._split_blocks(split, None, np.ones(n), scratch)
+        assert blocks.call_count == 2 + 2 + 7  # and one per tile coordinate
 
     @settings(deadline=None, max_examples=30)
-    @given(product_supports(), st.integers(0, 2 ** 32 - 1))
+    @given(st.one_of(product_supports(), split_supports), st.integers(0, 2 ** 32 - 1))
     def test_halves_alone_match_both_bit_for_bit(self, supports, seed):
         xs, _ = supports
         n = math.prod(x.size for x in xs)
         gen = np.random.Generator(np.random.Philox(key=seed))
         a = gen.standard_normal(n)
         c = gen.uniform(0.0, 2.0, n) * (gen.random(n) < 0.9)
-        g, G = optimize._product_blocks(xs, a.copy(), c.copy(), *buffers(xs))
-        assert optimize._product_blocks(xs, a.copy(), None, *buffers(xs))[0].tobytes() == g.tobytes()
-        assert optimize._product_blocks(xs, None, c.copy(), *buffers(xs))[1].tobytes() == G.tobytes()
+        g, G = product_blocks(xs, a.copy(), c.copy())
+        assert product_blocks(xs, a.copy(), None)[0].tobytes() == g.tobytes()
+        assert product_blocks(xs, None, c.copy())[1].tobytes() == G.tobytes()
         X = gen.standard_normal((len(xs), 3 * optimize.ROW_BLOCK + 17))
         a, c = X[0].copy(), np.abs(X[-1])
         g, G = optimize._row_blocks(X, a, c)

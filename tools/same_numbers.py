@@ -1,10 +1,11 @@
 """Run every CLI command on a fixed set of configs and keep all it produced.
 
-    python tools/same_numbers.py OUT [--checkout DIR]
+    python tools/same_numbers.py OUT [--checkout DIR] [--blas-threads N]
 
 For each config, each of `check`, `optimize`, `measure` and `report` runs
 as `python -m apmopt.cli COMMAND --config ... --out ... --seed 42` with
-`OPENBLAS_NUM_THREADS=1` and the checkout's `src/` on the path.  Its
+`OPENBLAS_NUM_THREADS` and `OMP_NUM_THREADS` set to N (default 1) and the
+checkout's `src/` on the path.  Its
 bundle goes to OUT/<config>/<command>/bundle, and its stdout, stderr and
 exit code to stdout.txt, stderr.txt and exit_code.txt beside it.
 
@@ -21,8 +22,10 @@ They are copied to OUT/configs, and every command runs from OUT with
 relative paths, so no output names the directory it ran in.
 
 Two checkouts give the same numbers when `diff -r OUT_A OUT_B` prints
-nothing.  `--checkout` points at a checkout other than the one holding
-this script, such as an older commit that does not have it.  Only the
+nothing, and one checkout's numbers do not depend on the BLAS thread
+count when runs at `--blas-threads 1` and `2` do not differ.
+`--checkout` points at a checkout other than the one holding this
+script, such as an older commit that does not have it.  Only the
 standard library is imported here; the commands need numpy and scipy.
 """
 
@@ -86,11 +89,16 @@ def main(argv=None) -> int:
     ap.add_argument("--checkout", default=os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))),
         help="the checkout whose src/ runs (default: this script's)")
+    ap.add_argument("--blas-threads", type=int, default=1, metavar="N",
+                    help="OPENBLAS_NUM_THREADS and OMP_NUM_THREADS of the commands")
     args = ap.parse_args(argv)
+    if args.blas_threads < 1:
+        ap.error("--blas-threads must be at least 1")
     checkout = os.path.abspath(args.checkout)
     out = os.path.abspath(args.out)
     os.makedirs(os.path.join(out, "configs"))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+    threads = str(args.blas_threads)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                PYTHONPATH=os.path.join(checkout, "src"))
     env.pop("SEED", None)  # it would override --seed
     for name, config in configs(checkout).items():
