@@ -20,14 +20,17 @@ block (``optimize._centered``) and gemms of power-of-two widths
 each payoff splits into a sum over a tile of trailing coordinates and one
 over the leading coordinates (a head), which are independent.  With each
 strategy's tile payoffs sorted, a row h + t is above 0 exactly on a
-suffix of the tile, found by one searchsorted per head, so where that
-pays each row is evaluated once, by the side's own kernel, and u(0)
-enters through the tile weights' prefix and suffix sums; otherwise the
-walk forms the blocks as outer sums over the K coordinate laws.  The
-exponential moment takes the walk on row sets; on an exact enumeration
-it is a closed form over the same sorted tiles, wherever that runs fewer
-exps, with exp run on the tile's and the heads' payoffs, not on every
-row.
+suffix of the tile, found by one searchsorted per head.  Where that pays
+the Hoelder sums run as a staircase: heads sorted by that split go in
+groups, each group's rows above its smallest split form one block, and
+the side's own kernel runs on it once, so the Python work is per group
+of heads, not per head; u(0) enters through the tile weights' prefix and
+suffix sums, and a loss side that is linear (appendix power) is two
+running sums read at the split.  Otherwise the walk forms the blocks as
+outer sums over the K coordinate laws.  The exponential moment takes the
+walk on row sets; on an exact enumeration it is a closed form over the
+same sorted tiles, wherever that runs fewer exps, with exp run on the
+tile's and the heads' payoffs, not on every row.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ __all__ = [
 GAMMA_GRID = (0.25, 0.5, 1.0, 2.0)  # subgaussian_scan's exponents
 X_GRID = (0.0, 0.5, 1.0, 2.0, 4.0)  # check_assumption_relevant's tail levels
 N_GRID = (1.0, 2.0, 4.0, 8.0)       # and its truncation levels
+_STAIR = 16 * ROW_BLOCK  # rows per staircase group: 16 heads on a 4096-point tile
 
 
 def random_strategies(K: int, count: int, max_norm: float, seed: int) -> np.ndarray:
@@ -219,14 +223,15 @@ def _sorted_tiles(laws, phis: np.ndarray, shift: np.ndarray):
     t <= -h, by one searchsorted on -h.  A row h + t is the product
     walk's payoff (``_product_payoffs``) bit for bit, and it is > 0
     exactly where t > -h, that is on t[k:]: -h is exact, and a sum of two
-    floats rounds to 0 only where it is 0.
+    floats rounds to 0 only where it is 0.  Every temporary holds the
+    tile or a block of heads.
     """
     xs, full = _product_grid(laws, phis, shift)
     lead, _ = _tile_split(xs)
     w_tile = _product_weights([p for _, p in laws[lead:]])
     live = w_tile > 0
     w_tile = w_tile[live]
-    w_head = _product_weights([p for _, p in laws[:lead]]) if lead else np.ones(1)
+    w_head = _product_weights([p for _, p in laws[:lead]])
 
     def heads(phi, t):
         start = 0
@@ -302,16 +307,21 @@ def _product_exp_abs(laws, phis: np.ndarray) -> np.ndarray:
 def _sides_pay(xs) -> bool:
     """Whether ``_product_sides`` on the product of the supports xs costs
     less than the row walk.  Per row it does about a third of the walk's
-    work (appendix power's pow on the rows above 0 alone), and it adds a
-    heapsort of each strategy's tile and a fixed run of numpy calls per
-    head.  Measured with appendix power at a 4096-point tile on one CPU
-    (2.2 against 7.6 ns a row, 46 ns a tile point, 6.5 us a head), in
-    units of the saving per row a tile point costs about log2(tile) rows
-    and a head about ROW_BLOCK / 4.  So few heads, or a short tile under
-    many heads, keep the walk."""
+    work (appendix power's gain side on the rows above 0 alone), and it
+    adds a fixed run of numpy calls per strategy, a heapsort of each
+    strategy's tile and a few vector operations per head.  Measured per
+    strategy with appendix power on one CPU, over 47 shapes (tiles of 1 to
+    20 001 points under 1 to 100 000 heads): about 98 us + 3.3 ns a tile
+    point and log2 of the tile + 36 ns a head + 4.0 ns a row, against the
+    walk's 17 us + 26 ns a head + 10.4 ns a row.  In units of the saving
+    per row a strategy costs about 3 ROW_BLOCK rows, a tile point about
+    log2(tile) / 2 and a head about 2.  So few rows, one head, or a short
+    tile under many heads keep the walk.  A table saves more per row (two
+    interpolations in the walk), so this rule keeps it on the walk at some
+    shapes where the staircase would already be faster."""
     lead, tile = _tile_split(xs)
     heads = math.prod(x.size for x in xs[:lead])
-    return heads * tile > tile * math.log2(tile) + heads * (ROW_BLOCK // 4)
+    return heads * tile > 3 * ROW_BLOCK + tile * math.log2(tile) / 2 + 2 * heads
 
 
 def _product_sides(laws, phis: np.ndarray, shift: np.ndarray, u: Utility):
@@ -327,47 +337,103 @@ def _product_sides(laws, phis: np.ndarray, shift: np.ndarray, u: Utility):
         E[u(-Y-)] = sum_h w_h (sum_{t <= -h} w_t u(h + t) + u(0) W_{t > -h}),
 
     with W the tile weights' prefix and suffix sums (``_running_sums``)
-    read at the split.  Each row's u(h + t) is evaluated once, on its own
-    side, by the kind's own kernel (``_sides_u``): for appendix power pow
-    runs on the rows above 0 alone, and a table's u(0) != 0 enters through
-    W.  Each row's value is the row walk's bit for bit; the sums are
-    taken in another order.  A head's sum of L weighted values is within
-    about log2(L) 2^-53 of its exact value, relatively to the sum of their
-    magnitudes, its u(0) W term and its weight w_h add two roundings, and
-    the pairwise sums over the heads add log2(heads) 2^-53, so the result
-    is within about (log2(n) + 3) 2^-53 E|v| of the exact sum, as close as
-    the walk's log2(n) 2^-52.
+    read at the split.  The inner sums run as a staircase
+    (``_staircase``): the heads of a block, sorted by their split, go in
+    groups of g with g T about _STAIR rows, and a group with smallest
+    split k0 forms the rows h + t[k0:] as one (g, T - k0) block, runs the
+    gain side (``_sides_u``: the gain kernel on max(Y, 0)) on it once and
+    reduces each row of the weighted block.  The rows t[k0:k] of a head
+    with split k are <= 0 and give u(0) w_t, so adding u(0) times the
+    weight of t[:k0] gives the formula's u(0) W_{t <= -h}.  A table's loss
+    side is the mirror image: the rows h + t[:k1] up to the group's
+    largest split k1, the loss side on them, plus u(0) times the weight of
+    t[k1:].  Where u is linear on Y <= 0, u(Y) = a Y (appendix power;
+    ``_Kernels.loss_slope``), no row is evaluated there: the loss is
+    a (h W_{t <= -h} + sum_{t <= -h} w_t t), two running sums read at the
+    split.
 
-    No BLAS call runs.  The strategies are taken one at a time and the
-    heads one by one, so every temporary holds the tile or a block of
-    heads.
+    Every row's u(Y+), and a table's u(-Y-), is the row walk's bit for
+    bit; the sums are taken in another order.  A head's pairwise row sum
+    of L weighted values is within about log2(L) 2^-53 of its exact
+    value, relatively to the sum of their magnitudes, its u(0) W term and
+    its weight w_h add two roundings, and the pairwise sums over the heads
+    add log2(heads) 2^-53, so the result is within about
+    (log2(n) + 3) 2^-53 E|v| of the exact sum, as close as the walk's
+    log2(n) 2^-52.  The linear loss side's running sums of L terms are
+    within (ROW_BLOCK + L / ROW_BLOCK) 2^-53 of their exact values,
+    relatively to a E[|h| + |t|] over the rows at or below 0, which
+    exceeds E|u(-Y-)| only where h and t cancel; at payoffs of order 1 that
+    is at most about 5e-13, inside the 1e-12 by which an exact set's
+    results may differ from its rows'.
+
+    No BLAS call runs, so the sums do not depend on the BLAS thread count.
+    The strategies are taken one at a time, and every temporary holds the
+    tile, a block of heads or one group's block of at most max(_STAIR, T)
+    rows, twice (the block and the kernels' scratch).
     """
-    sides, add = _sides_u(u), np.add.reduce  # np.sum's pairwise sum, less overhead
+    gain_side, loss_side = _sides_u(u)
+    slope = u._kernels.loss_slope
     u0 = eval_u(u, 0.0)
     gains, losses = np.empty(len(phis)), np.empty(len(phis))
     for j, (t, w, heads) in enumerate(_sorted_tiles(laws, phis, shift)):
         below = _running_sums(w)  # below[k]: the weight of t[:k]
-        above = _running_sums(w[::-1])[::-1]  # above[k]: that of t[k:]
-        y, tmp = np.empty(t.size), np.empty(t.size)
+        if slope is None:
+            above = _running_sums(w[::-1])[::-1]  # above[k]: that of t[k:]
+        else:
+            lower = _running_sums(w * t)  # lower[k]: the sum of w t over t[:k]
+        g = max(1, _STAIR // t.size)
+        scratch = np.empty((2, min(g, ROW_BLOCK) * t.size))
         gain_sums, loss_sums = [], []
         for h, wh, k in heads:
-            pos, neg = [], []
-            for hi, ki in zip(h.tolist(), k.tolist()):
-                np.add(t, hi, out=y)  # the rows h + t, > 0 on y[ki:]
-                sides(y, ki, tmp)
-                y *= w
-                pos.append(add(y[ki:]))
-                neg.append(add(y[:ki]))
-            gain = u0 * below[k]
-            gain += pos
+            if h.size > g:  # groups of neighbouring splits
+                order = np.argsort(k, kind="stable")
+                h, wh, k = h[order], wh[order], k[order]
+            gain = _staircase(gain_side, h, k, t, w, u0 * below, g, scratch, True)
+            if slope is None:
+                loss = _staircase(loss_side, h, k, t, w, u0 * above, g, scratch, False)
+            else:
+                loss = h * below[k]
+                loss += lower[k]
+                loss *= slope
             gain *= wh
-            loss = u0 * above[k]
-            loss += neg
             loss *= wh
-            gain_sums.append(np.sum(gain))
-            loss_sums.append(np.sum(loss))
+            gain_sums.append(np.add.reduce(gain))
+            loss_sums.append(np.add.reduce(loss))
         gains[j], losses[j] = np.sum(gain_sums), np.sum(loss_sums)
     return gains, losses
+
+
+def _staircase(side, h, k, t, w, rest, g, scratch, rising: bool) -> np.ndarray:
+    """Per head h_i with split k_i on the sorted tile t with weights w, the
+    sum of w_t side(h_i + t) over t[k_i:] (rising) or t[:k_i], plus
+    rest[k_i], with g heads at a time.  A rising group with smallest split
+    k0 sums over t[k0:] and adds rest[k0], otherwise a group with largest
+    split k1 sums over t[:k1] and adds rest[k1]; so with rest = u(0) times
+    the weight of t[:k] (rising) or t[k:], side's u(0) on the rows between
+    the split and the edge completes it.  A group's rows are one C-ordered
+    block of scratch[0], h along its rows and t along its columns, each
+    row summed pairwise; where the group has more heads than the block
+    has columns, it is laid out transposed and summed down its columns,
+    since numpy's reductions along a short last axis cost about 25 ns a
+    row.  side's scratch is scratch[1]."""
+    sums = np.empty(h.size)
+    for start in range(0, h.size, g):
+        group = slice(start, start + g)
+        hs, ks = h[group], k[group]
+        edge = int(ks.min()) if rising else int(ks.max())
+        cut = slice(edge, None) if rising else slice(0, edge)
+        tc, wc = t[cut], w[cut]
+        size = hs.size * tc.size
+        if tc.size >= hs.size:
+            block = np.add(hs[:, None], tc, out=scratch[0, :size].reshape(hs.size, tc.size))
+        else:
+            block = np.add(tc[:, None], hs, out=scratch[0, :size].reshape(tc.size, hs.size))
+            wc = wc[:, None]
+        side(block, block, scratch[1, :size].reshape(block.shape))
+        block *= wc
+        np.add.reduce(block, axis=int(tc.size >= hs.size), out=sums[group])
+        sums[group] += rest[edge]
+    return sums
 
 
 def exp_ui_bound(model: MarketModel, s: ScenarioSet, delta: float,
@@ -419,9 +485,9 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
     strategies (one per row, at most K columns, at least one row) are
     centred at b.  On an exact set whose tiles pay (``_sides_pay``, from
     its support sizes alone), each strategy's payoffs split over a sorted
-    tile, and each row is evaluated once, on its own side, by the utility
-    kind's gain or loss kernel (``_product_sides``), within 1e-12 of the
-    walk's sums.  Otherwise they share one walk over the rows
+    tile, and the sums run as a staircase over groups of heads, each row
+    evaluated on one side at most, by the utility kind's gain or loss
+    kernel (``_product_sides``), within 1e-12 of the walk's sums.  Otherwise they share one walk over the rows
     (``_strategy_sums``), which evaluates u(Y+) and u(-Y-) on each block
     by the same two kernels (``_split_u``: gain on max(Y, 0), loss on
     min(0, Y)).  The set must have at least the

@@ -15,7 +15,6 @@ is the layout the solver's and the verification layer's row walks read.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -146,8 +145,18 @@ def _enumerable(model: MarketModel):
 
 
 def _product_weights(probs) -> np.ndarray:
-    """Product of the laws' probabilities, last coordinate fastest."""
-    return functools.reduce(np.multiply.outer, probs).ravel()
+    """Product of the laws' probabilities, last coordinate fastest (1 for
+    no law).  Built one law at a time: column j of an (m, k) array is the
+    product so far times the law's j-th probability, so the inner loop runs
+    over the m products, not over the law's k points, and each weight is
+    the same product, in the same order, as the outer products'."""
+    out = np.ones(1)
+    for p in probs:
+        grown = np.empty((out.size, len(p)))
+        for j, pj in enumerate(p):
+            np.multiply(out, pj, out=grown[:, j])
+        out = grown.ravel()
+    return out
 
 
 def enumerate_scenarios(model: MarketModel) -> ScenarioSet:

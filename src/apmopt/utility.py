@@ -14,7 +14,8 @@ Built-in kinds:
 
 Each kind has one builder (``_BUILDERS``) that checks its parameters and
 returns its kernel set: the per-chunk kernels of u, u', u'', u's gain
-and loss sides for the Hoelder chain, and u's growth exponent above 0.
+and loss sides for the Hoelder chain, u's growth exponent above 0, and
+the loss side's slope where that side is linear.
 ``Utility.__post_init__`` runs it once, when the utility is made, and is
 the one place that reads ``kind``.  So alpha outside (0,1), or a table
 with fewer than two points, unequal lengths, a non-finite node or xs that
@@ -41,12 +42,13 @@ at every step can reuse one buffer.  Without it a new array is returned.
 
 Each kind defines the Hoelder chain's two sides once, as its gain kernel
 (u on Y >= 0: appendix power's (Y + 1)**alpha - 1) and its loss kernel
-(u on Y <= 0: alpha Y); a table's are both its value kernel.
-``_split_u(u)`` gives the row walk's (u(Y+), u(-Y-)): gain on max(Y, 0)
-and loss on min(0, Y), chunk by chunk, so a table runs twice per payoff.
-``_sides_u(u)`` gives the exact sets' evaluator, for payoffs already
-sorted by side: gain on the payoffs above 0 and loss on the rest, so
-each payoff is evaluated once, and pow runs on the first alone.
+(u on Y <= 0: alpha Y, so its loss slope is alpha); a table's are both
+its value kernel, and it has no loss slope.  ``_sides_u(u)`` gives
+u(Y+) and u(-Y-) as one evaluator each: gain on max(Y, 0) and loss on
+min(0, Y).  The row walk runs both chunk by chunk (``_split_u``), so a
+table runs twice per payoff; the exact sets' staircase runs each on its
+own blocks of rows, and where the loss side is linear it reads the
+slope and evaluates no row there.
 
 A GrowthBounds certificate records finite constants (alpha, beta, C1,
 C2) for the caps u(x) <= C1(x**alpha + 1) on x >= 0 and
@@ -95,13 +97,14 @@ class GrowthBounds:
 
 class _Kernels(NamedTuple):
     """A utility's kernel set, each kernel run per chunk by ``_chunks``;
-    gain and loss, u's two Hoelder sides, also on tile slices whole."""
+    gain and loss, u's two Hoelder sides, also on staircase blocks whole."""
     value: Callable   # kernel(xc, out, tmp) that writes u(xc) into out
     prime: Callable   # the same for u'
     second: Callable  # the same for u''
     gain: Callable    # kernel(yc, out, tmp): u(Y) where every Y >= 0
     loss: Callable    # the same where every Y <= 0
     growth: float     # u grows like x**growth as x -> +inf
+    loss_slope: float | None  # a where loss is u(Y) = a Y, else None
 
 
 @dataclass(frozen=True)
@@ -216,7 +219,7 @@ def _appendix_power_kernels(u: Utility) -> _Kernels:
     def loss(yc, out, tmp):
         # u's x <= 0 term a Y on Y <= 0, -0.0 included
         np.multiply(yc, a, out=out)
-    return _Kernels(value, prime, second, gain, loss, a)
+    return _Kernels(value, prime, second, gain, loss, a, a)
 
 
 def _tabulated_kernels(u: Utility) -> _Kernels:
@@ -258,7 +261,7 @@ def _tabulated_kernels(u: Utility) -> _Kernels:
     def second(xc, out, tmp):
         out.fill(0.0)
 
-    return _Kernels(value, prime, second, value, value, 0.0)
+    return _Kernels(value, prime, second, value, value, 0.0, None)
 
 
 _BUILDERS = {"appendix_power": _appendix_power_kernels,
@@ -294,20 +297,37 @@ def eval_u_second(u: Utility, x, *, out=None):
     return _evaluate(u._kernels.second, x, out)
 
 
+def _sides_u(u: Utility):
+    """(gain, loss), u's two Hoelder sides for the kind: gain(y, out, tmp)
+    writes u(Y+) = the kind's gain kernel on max(Y, 0) into out, and
+    loss(y, out, tmp) u(-Y-) = its loss kernel on min(0, Y), with Y+ =
+    max(Y, 0) and -Y- = Y - Y+.  out may be y itself and tmp is scratch,
+    both of y's shape.  On non-NaN Y the values equal eval_u(u, max(Y, 0))
+    and eval_u(u, Y - max(Y, 0)) bit for bit, -0.0 included, and no
+    boolean gather or scatter runs.  The row walk runs them per chunk
+    (``_split_u``), the exact sets' staircase on whole blocks of rows."""
+    kernels = u._kernels
+
+    def gain(y, out, tmp):
+        np.maximum(y, 0.0, out=out)
+        kernels.gain(out, out, tmp)
+
+    def loss(y, out, tmp):
+        np.minimum(0.0, y, out=out)
+        kernels.loss(out, out, tmp)
+    return gain, loss
+
+
 def _split_u(u: Utility):
     """values(Y) for the Hoelder walk: the pair (u(Y+), u(-Y-)) of new
-    C-ordered arrays of Y's shape, with Y+ = max(Y, 0) and -Y- = Y - Y+,
-    filled _CHUNK elements at a time (``_chunks``) by the kind's gain
-    kernel on max(Y, 0) and its loss kernel on min(0, Y).  On non-NaN Y
-    both equal eval_u(u, max(Y, 0)) and eval_u(u, Y - max(Y, 0)) bit for
-    bit, -0.0 included, and no boolean gather or scatter runs."""
-    gain_of, loss_of = u._kernels.gain, u._kernels.loss
+    C-ordered arrays of Y's shape, filled _CHUNK elements at a time
+    (``_chunks``) by the kind's two sides (``_sides_u``), so a table runs
+    twice per payoff."""
+    gain_of, loss_of = _sides_u(u)
 
     def kernel(yc, gain, loss, tmp):
-        np.maximum(yc, 0.0, out=gain)
-        gain_of(gain, gain, tmp)
-        np.minimum(0.0, yc, out=loss)
-        loss_of(loss, loss, tmp)
+        gain_of(yc, gain, tmp)
+        loss_of(yc, loss, tmp)
 
     def split(y):
         y = np.asarray(y, dtype=float)
@@ -315,25 +335,6 @@ def _split_u(u: Utility):
         _chunks(kernel, y, gain, loss)
         return gain, loss
     return split
-
-
-def _sides_u(u: Utility):
-    """sides(y, k, tmp) for the Hoelder chain on a sorted tile: y holds
-    payoffs with y[:k] <= 0 < y[k:], and sides writes u(y) over them in
-    place, the kind's loss kernel on y[:k] and its gain kernel on y[k:],
-    so each payoff is evaluated once, on its own side (for appendix power,
-    pow runs on y[k:] alone); tmp is scratch of y's size.  On non-NaN y
-    the values are bit for bit ``_split_u``'s u(-Y-) on y[:k] and its
-    u(Y+) on y[k:], -0.0 included.  The kernels take the slices whole, so
-    the temporaries are y's size."""
-    kernels = u._kernels
-    gain, loss = kernels.gain, kernels.loss
-
-    def sides(y, k, tmp):
-        low, high = y[:k], y[k:]
-        loss(low, low, tmp[:k])
-        gain(high, high, tmp[k:])
-    return sides
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import pathlib
 import subprocess
@@ -254,6 +255,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"- {key}: " in err
+
+    @pytest.mark.parametrize("flags", [(), ("-v",), ("--verbose",)], ids=["quiet", "v", "verbose"])
+    def test_internal_error_prints_traceback_only_under_v(self, tmp_path, monkeypatch,
+                                                          capsys, flags):
+        def boom(model):
+            raise RuntimeError("boom 100%")
+        monkeypatch.setattr(cli, "subgaussian_scan", boom)
+        code, _ = run("check", CONFIGS / "demo.json", tmp_path, *flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        if flags:
+            lines = err.splitlines()
+            assert lines[0] == "internal error: boom 100%"
+            assert lines[1] == "Traceback (most recent call last):"
+            assert lines[-1] == "RuntimeError: boom 100%"
+        else:
+            assert err == "internal error: boom 100%\n"
+
+    def test_second_main_prints_each_message_once(self, tmp_path, monkeypatch, capsys):
+        # the logger's handler is added once, and it writes to the stderr
+        # of each call, not to the one of the first
+        monkeypatch.setattr(cli, "subgaussian_scan", lambda model: 1 / 0)
+        for _ in range(2):
+            code, _ = run("check", CONFIGS / "demo.json", tmp_path)
+            assert code == 1
+            assert capsys.readouterr().err == "internal error: division by zero\n"
+        assert len(logging.getLogger("apmopt").handlers) == 1
 
     @pytest.mark.parametrize("config, violation", [
         ({**DEMO, "max_iters": 1}, "config: unknown key 'max_iters'"),

@@ -659,6 +659,14 @@ def sides_laws(draw):
 # THREE_POINT with a fourth point of probability 0: on the leading
 # coordinates it makes zero-weight heads, on the last zero-weight tile points
 THREE_POINT_ZERO = (np.append(THREE_POINT[0], 2.0), np.append(THREE_POINT[1], 0.0))
+# +-100: heads past either end of a tile's payoffs, with splits 0 and T,
+# in one staircase group that spans the whole tile
+WIDE = (np.array([-100.0, 0.0, 100.0]), np.array([0.25, 0.5, 0.25]))
+# 19 heads within 2e-5 of each other, the first and last of weight 0: on a
+# 4096-point tile (g = 16 heads a group) the 17 live heads share splits and
+# fill a group of 16 and one of 1
+CLUSTER = (np.arange(19) * 1e-6, np.array([0.0] + [1.0] * 17 + [0.0]) / 17)
+RADEMACHER = (np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
 
 
 class TestHolderSortedTiles:
@@ -677,6 +685,19 @@ class TestHolderSortedTiles:
     # a long last law as the tile, under nine heads
     @example(laws=[THREE_POINT, THREE_POINT, LONG_LAW], count=3,
              u=CERTIFIED_UTILITIES[0], width=3, seed=4)
+    # staircase groups: splits 0 and T in one group, both kinds
+    @example(laws=[WIDE] + [THREE_POINT] * 7, count=4, u=CERTIFIED_UTILITIES[0],
+             width=8, seed=5)
+    @example(laws=[WIDE] + [THREE_POINT] * 7, count=4, u=CERTIFIED_UTILITIES[1],
+             width=8, seed=6)
+    # many heads on one split, a head count g does not divide, zero-weight
+    # heads; the table takes the mirrored loss side
+    @example(laws=[CLUSTER] + [RADEMACHER] * 12, count=2, u=CERTIFIED_UTILITIES[0],
+             width=13, seed=7)
+    @example(laws=[CLUSTER] + [RADEMACHER] * 12, count=2, u=CERTIFIED_UTILITIES[1],
+             width=13, seed=8)
+    @example(laws=[THREE_POINT_ZERO] * 3 + [THREE_POINT] * 6 + [THREE_POINT_ZERO],
+             count=2, u=CERTIFIED_UTILITIES[0], width=10, seed=9)
     def test_matches_fsum_row_oracle_and_row_walk(self, laws, count, u, width, seed):
         # both kinds, a table with u(0) = 0.2; sets on both sides of the
         # selection rule, which the @examples reach
@@ -702,24 +723,27 @@ class TestHolderSortedTiles:
     @pytest.mark.parametrize("u", CERTIFIED_UTILITIES,
                              ids=["appendix_power", "tabulated_u0_nonzero"])
     def test_sides_match_split_bit_for_bit(self, u):
-        # sorted payoffs, k of them <= 0 (signed zeros, subnormals, a row
-        # at a table node): each side's kernel gives the split's values
+        # payoffs on both sides (signed zeros, subnormals, a row at a table
+        # node), as the staircase holds them: a C-ordered (rows, L) block
+        # overwritten in place by one side; each side gives the walk's
+        # chunked values bit for bit
         y = np.array([-20.0, -1.0, -1e-300, -5e-324, -0.0, 0.0, 5e-324, 1e-17,
-                      1.0, 10.0, 20.0])
-        k = int(np.searchsorted(y, 0.0, side="right"))
-        got = y.copy()
-        utility._sides_u(u)(got, k, np.empty(y.size))
+                      1.0, 10.0, 20.0, 0.5])
         gain, loss = diagnostics._split_u(u)(y)
-        assert got[:k].tobytes() == loss[:k].tobytes()
-        assert got[k:].tobytes() == gain[k:].tobytes()
+        for side, want in zip(utility._sides_u(u), (gain, loss)):
+            got = y.reshape(3, 4).copy()
+            side(got, got, np.empty(got.shape))
+            assert got.tobytes() == want.tobytes()
 
     def test_holder_takes_sorted_tiles_where_they_pay(self, monkeypatch):
-        # K = 17 Rademacher: a 4096-row tile under 32 heads pays; 16 heads
-        # do not, nor a short tile under many heads (a 2-point tile under
-        # 20,001 heads) or one long law; row sets always walk
+        # Rademacher: a 4096-row tile under 16 heads pays; 8 heads do not,
+        # nor a short tile under many heads (a 2-point tile under 20,001
+        # heads), one long law or the demo's 16 rows; row sets always walk
         two = np.array([-1.0, 1.0])
         assert diagnostics._sides_pay([two] * 17)
-        assert not diagnostics._sides_pay([two] * 16)
+        assert diagnostics._sides_pay([two] * 16)
+        assert not diagnostics._sides_pay([two] * 15)
+        assert not diagnostics._sides_pay([two] * 4)
         assert not diagnostics._sides_pay([np.linspace(-2.0, 2.0, 20_001), two])
         assert not diagnostics._sides_pay([LONG_LAW[0]])
         assert diagnostics._sides_pay([THREE_POINT[0]] * 10)

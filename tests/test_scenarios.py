@@ -17,7 +17,7 @@ from apmopt import (DistributionSpec, EnumerationCapError, GrowthBounds,
                     standardized_uniform, truncation_ladder, verify_pricing)
 from apmopt import diagnostics
 from apmopt.optimize import saa_objective
-from apmopt.scenarios import _BLOCK
+from apmopt.scenarios import _BLOCK, _product_weights
 from conftest import rademacher_market, row_set, searchsorted_ppf
 
 
@@ -51,6 +51,32 @@ class TestEnumeration:
         for k in range(2):
             assert abs(expectation(s, s.draws[:, k])) <= 1e-12
             assert abs(expectation(s, s.draws[:, k] ** 2) - 1.0) <= 1e-12
+
+
+@st.composite
+def product_probs(draw):
+    """1-12 probability arrays of 1-5 entries, some of them 0, with at most
+    2^16 products in all."""
+    probs, rows = [], 1
+    for _ in range(draw(st.integers(1, 12))):
+        m = draw(st.integers(1, max(1, min(5, (1 << 16) // rows))))
+        rows *= m
+        entries = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+        probs.append(np.array(draw(st.lists(entries, min_size=m, max_size=m))))
+    return probs
+
+
+class TestProductWeights:
+    @settings(max_examples=100, deadline=None)
+    @given(product_probs())
+    def test_bytes_match_outer_products(self, probs):
+        # one coordinate at a time into columns, against the outer products
+        want = functools.reduce(np.multiply.outer, probs).ravel()
+        got = _product_weights(probs)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_no_law_is_one_row(self):
+        assert _product_weights([]).tolist() == [1.0]
 
 
 def standardized_law(raw_points, raw_probs):
