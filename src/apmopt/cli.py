@@ -49,21 +49,28 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+_STDERR = None  # the handler _log added to the apmopt logger, if any
+
+
 def _log():
-    """The apmopt logger, which writes each record as one bare line to the
-    current sys.stderr and to nothing else; its one handler is added on
-    the first call.  logging is imported here, at the first message, not
-    with the module: the import adds about 0.5 MB to the peak RSS of a
-    demo report, and most runs print nothing."""
+    """The apmopt logger.  Where no handler is set on it, the first call
+    adds one that writes each record as one bare line to stderr and to
+    nothing else, and every call points that handler at the current
+    sys.stderr; an application that set its own handlers keeps them as
+    they are.  logging is imported here, at the first message, not with
+    the module: the import adds about 0.5 MB to the peak RSS of a demo
+    report, and most runs print nothing."""
+    global _STDERR
     import logging
     log = logging.getLogger("apmopt")
     if not log.handlers:
-        handler = logging.StreamHandler()
-        handler.setFormatter(logging.Formatter("%(message)s"))
-        log.addHandler(handler)
+        _STDERR = logging.StreamHandler()
+        _STDERR.setFormatter(logging.Formatter("%(message)s"))
+        log.addHandler(_STDERR)
         log.setLevel(logging.INFO)
         log.propagate = False
-    log.handlers[0].stream = sys.stderr  # not setStream, which flushes the old one
+    if _STDERR is not None:
+        _STDERR.stream = sys.stderr  # not setStream, which flushes the old one
     return log
 
 

@@ -309,19 +309,20 @@ def _sides_pay(xs) -> bool:
     less than the row walk.  Per row it does about a third of the walk's
     work (appendix power's gain side on the rows above 0 alone), and it
     adds a fixed run of numpy calls per strategy, a heapsort of each
-    strategy's tile and a few vector operations per head.  Measured per
-    strategy with appendix power on one CPU, over 47 shapes (tiles of 1 to
-    20 001 points under 1 to 100 000 heads): about 98 us + 3.3 ns a tile
-    point and log2 of the tile + 36 ns a head + 4.0 ns a row, against the
-    walk's 17 us + 26 ns a head + 10.4 ns a row.  In units of the saving
-    per row a strategy costs about 3 ROW_BLOCK rows, a tile point about
-    log2(tile) / 2 and a head about 2.  So few rows, one head, or a short
-    tile under many heads keep the walk.  A table saves more per row (two
-    interpolations in the walk), so this rule keeps it on the walk at some
-    shapes where the staircase would already be faster."""
+    strategy's tile and a few vector operations per head, one of them a
+    reduce along a row of the tile.  Measured per strategy with appendix
+    power on one CPU, over 85 shapes (tiles of 2 to 20 001 points under 1
+    to 100 000 heads): about 114 us + 3.8 ns a tile point and log2 of the
+    tile + 44 ns a head + 4.4 ns a row, against the walk's 17 us + 15 ns a
+    head + 9.3 ns a row.  In units of the saving per row a strategy costs
+    about 5 ROW_BLOCK rows, a tile point about 2/3 log2(tile) and a head
+    about 6.  So few rows, one head, or a tile of a few points under many
+    heads keep the walk.  A table saves more per row (two interpolations
+    in the walk), so this rule keeps it on the walk at some shapes where
+    the staircase would already be faster."""
     lead, tile = _tile_split(xs)
     heads = math.prod(x.size for x in xs[:lead])
-    return heads * tile > 3 * ROW_BLOCK + tile * math.log2(tile) / 2 + 2 * heads
+    return heads * tile > 5 * ROW_BLOCK + tile * math.log2(tile) * 2 / 3 + 6 * heads
 
 
 def _product_sides(laws, phis: np.ndarray, shift: np.ndarray, u: Utility):
@@ -411,27 +412,20 @@ def _staircase(side, h, k, t, w, rest, g, scratch, rising: bool) -> np.ndarray:
     split k1 sums over t[:k1] and adds rest[k1]; so with rest = u(0) times
     the weight of t[:k] (rising) or t[k:], side's u(0) on the rows between
     the split and the edge completes it.  A group's rows are one C-ordered
-    block of scratch[0], h along its rows and t along its columns, each
-    row summed pairwise; where the group has more heads than the block
-    has columns, it is laid out transposed and summed down its columns,
-    since numpy's reductions along a short last axis cost about 25 ns a
-    row.  side's scratch is scratch[1]."""
+    (heads, tile) block of scratch[0], each row summed pairwise along the
+    tile; side's scratch is scratch[1]."""
     sums = np.empty(h.size)
     for start in range(0, h.size, g):
         group = slice(start, start + g)
         hs, ks = h[group], k[group]
         edge = int(ks.min()) if rising else int(ks.max())
         cut = slice(edge, None) if rising else slice(0, edge)
-        tc, wc = t[cut], w[cut]
-        size = hs.size * tc.size
-        if tc.size >= hs.size:
-            block = np.add(hs[:, None], tc, out=scratch[0, :size].reshape(hs.size, tc.size))
-        else:
-            block = np.add(tc[:, None], hs, out=scratch[0, :size].reshape(tc.size, hs.size))
-            wc = wc[:, None]
-        side(block, block, scratch[1, :size].reshape(block.shape))
-        block *= wc
-        np.add.reduce(block, axis=int(tc.size >= hs.size), out=sums[group])
+        tc = t[cut]
+        block = scratch[0, :hs.size * tc.size].reshape(hs.size, tc.size)
+        np.add(hs[:, None], tc, out=block)
+        side(block, block, scratch[1, :block.size].reshape(block.shape))
+        block *= w[cut]
+        np.add.reduce(block, axis=1, out=sums[group])
         sums[group] += rest[edge]
     return sums
 

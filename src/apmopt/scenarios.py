@@ -146,12 +146,16 @@ def _enumerable(model: MarketModel):
 
 def _product_weights(probs) -> np.ndarray:
     """Product of the laws' probabilities, last coordinate fastest (1 for
-    no law).  Built one law at a time: column j of an (m, k) array is the
-    product so far times the law's j-th probability, so the inner loop runs
-    over the m products, not over the law's k points, and each weight is
-    the same product, in the same order, as the outer products'."""
+    no law).  Built one law at a time as the (m, k) products of the m so
+    far and the law's k points, with numpy's inner loop over the longer of
+    the two: by column (one call per point) while k < m, else the outer
+    product (one call).  Each weight is the same product, in the same
+    order, as ``functools.reduce(np.multiply.outer, probs)``'s."""
     out = np.ones(1)
     for p in probs:
+        if len(p) >= out.size:
+            out = np.multiply.outer(out, p).ravel()
+            continue
         grown = np.empty((out.size, len(p)))
         for j, pj in enumerate(p):
             np.multiply(out, pj, out=grown[:, j])

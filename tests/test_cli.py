@@ -1,3 +1,4 @@
+import io
 import json
 import logging
 import os
@@ -282,6 +283,18 @@ class TestExitCodes:
             assert code == 1
             assert capsys.readouterr().err == "internal error: division by zero\n"
         assert len(logging.getLogger("apmopt").handlers) == 1
+
+    def test_application_handler_is_left_alone(self, tmp_path, monkeypatch, capsys):
+        # an application that set its own handler on the apmopt logger gets
+        # the messages there, on its own stream, and none on stderr
+        app = logging.StreamHandler(io.StringIO())
+        monkeypatch.setattr(logging.getLogger("apmopt"), "handlers", [app])
+        monkeypatch.setattr(cli, "subgaussian_scan", lambda model: 1 / 0)
+        code, _ = run("check", CONFIGS / "demo.json", tmp_path)
+        assert code == 1
+        assert app.stream.getvalue() == "internal error: division by zero\n"
+        assert capsys.readouterr().err == ""
+        assert logging.getLogger("apmopt").handlers == [app]
 
     @pytest.mark.parametrize("config, violation", [
         ({**DEMO, "max_iters": 1}, "config: unknown key 'max_iters'"),

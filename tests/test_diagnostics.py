@@ -737,14 +737,19 @@ class TestHolderSortedTiles:
 
     def test_holder_takes_sorted_tiles_where_they_pay(self, monkeypatch):
         # Rademacher: a 4096-row tile under 16 heads pays; 8 heads do not,
-        # nor a short tile under many heads (a 2-point tile under 20,001
-        # heads), one long law or the demo's 16 rows; row sets always walk
+        # nor a tile of a few points under many heads (2, 3 or 4 points
+        # under 20,001 or 30,000 heads), one long law or the demo's 16
+        # rows, while 64 points under 2,000 heads do; row sets always walk
         two = np.array([-1.0, 1.0])
         assert diagnostics._sides_pay([two] * 17)
         assert diagnostics._sides_pay([two] * 16)
         assert not diagnostics._sides_pay([two] * 15)
         assert not diagnostics._sides_pay([two] * 4)
         assert not diagnostics._sides_pay([np.linspace(-2.0, 2.0, 20_001), two])
+        for points in (3, 4):
+            assert not diagnostics._sides_pay([np.linspace(-2.0, 2.0, 30_000),
+                                               np.linspace(-1.0, 1.0, points)])
+        assert diagnostics._sides_pay([np.linspace(-2.0, 2.0, 2_000), np.linspace(-1.0, 1.0, 64)])
         assert not diagnostics._sides_pay([LONG_LAW[0]])
         assert diagnostics._sides_pay([THREE_POINT[0]] * 10)
         assert not diagnostics._sides_pay([THREE_POINT[0]] * 9)

@@ -75,6 +75,16 @@ class TestProductWeights:
         got = _product_weights(probs)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("sizes", [(20_001, 2), (2, 20_001), (2, 2, 3, 4_197, 2)],
+                             ids=["long_first", "long_last", "long_inside"])
+    def test_long_laws_match_outer_products(self, sizes):
+        # a law longer than the products so far takes the outer product,
+        # a shorter one the columns; zeros among the probabilities
+        rng = np.random.default_rng(len(sizes))
+        probs = [rng.uniform(0.0, 1.0, m) * (rng.uniform(size=m) > 0.1) for m in sizes]
+        want = functools.reduce(np.multiply.outer, probs).ravel()
+        assert _product_weights(probs).tobytes() == want.tobytes()
+
     def test_no_law_is_one_row(self):
         assert _product_weights([]).tolist() == [1.0]
 
