@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apmopt import (DistributionSpec, EnumerationCapError, GrowthBounds,
@@ -66,24 +66,24 @@ def product_probs(draw):
     return probs
 
 
+def probs_with_zeros(m, seed):
+    """m probabilities in [0, 1), about a tenth of them 0."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 1.0, m) * (rng.uniform(size=m) > 0.1)
+
+
 class TestProductWeights:
     @settings(max_examples=100, deadline=None)
     @given(product_probs())
+    # a law longer than the products before it takes the outer product
+    @example([probs_with_zeros(20_001, 1), probs_with_zeros(2, 2)])
+    @example([probs_with_zeros(2, 3), probs_with_zeros(20_001, 4)])
+    @example([probs_with_zeros(m, 5 + i) for i, m in enumerate((2, 2, 3, 4_197, 2))])
     def test_bytes_match_outer_products(self, probs):
         # one coordinate at a time into columns, against the outer products
         want = functools.reduce(np.multiply.outer, probs).ravel()
         got = _product_weights(probs)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("sizes", [(20_001, 2), (2, 20_001), (2, 2, 3, 4_197, 2)],
-                             ids=["long_first", "long_last", "long_inside"])
-    def test_long_laws_match_outer_products(self, sizes):
-        # a law longer than the products so far takes the outer product,
-        # a shorter one the columns; zeros among the probabilities
-        rng = np.random.default_rng(len(sizes))
-        probs = [rng.uniform(0.0, 1.0, m) * (rng.uniform(size=m) > 0.1) for m in sizes]
-        want = functools.reduce(np.multiply.outer, probs).ravel()
-        assert _product_weights(probs).tobytes() == want.tobytes()
 
     def test_no_law_is_one_row(self):
         assert _product_weights([]).tolist() == [1.0]
