@@ -7,6 +7,7 @@ one run of the CLI reports all problems with a config file.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -44,17 +45,17 @@ _MODEL_KEYS = {"m", "K", "mu", "beta", "beta_bar", "noise", "b_rule"}
 _B_RULE_KEYS = {"kind", "c", "p"}
 _UTILITY_KEYS = {"appendix_power": {"kind", "alpha", "growth"},
                  "tabulated": {"kind", "xs", "ys", "growth"}}
-_GROWTH_KEYS = {"alpha", "beta", "C1", "C2"}
+_GROWTH_KEYS = ("alpha", "beta", "C1", "C2")
 _SOLVER_KEYS = {"grad_tol", "max_iter", "ladder"}
 _MEASURE_KEYS = {"fallback_alpha", "p", "moment_exponents"}
 _SCENARIO_KEYS = {"mode", "n", "seed"}
 # each noise family's keys besides "family", and its factory on their values
 _NOISE_FAMILIES = {
     "rademacher": ((), rademacher),
-    "standardized_two_point": (("p",), lambda p: standardized_two_point(float(p))),
+    "standardized_two_point": (("p",), lambda p: standardized_two_point(_float(p))),
     "standardized_uniform": ((), standardized_uniform),
     "finite_discrete": (("points", "probs"), finite_discrete),
-    "dyadic_two_sided": (("q",), lambda q: dyadic_two_sided(float(q))),
+    "dyadic_two_sided": (("q",), lambda q: dyadic_two_sided(_float(q))),
 }
 
 
@@ -96,10 +97,23 @@ def _ints(values) -> tuple[int, ...]:
     return tuple(map(_int, values))
 
 
+def _float(value) -> float:
+    """value as a float: a finite JSON number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"must be a number, got {type(value).__name__}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {x!r}")
+    return x
+
+
 def _floats(values) -> tuple[float, ...]:
     if not isinstance(values, list):
         raise TypeError(f"must be a list of numbers, got {type(values).__name__}")
-    return tuple(map(float, values))
+    return tuple(map(_float, values))
 
 
 def _noise_from_dict(d: dict, errors: list[str], where: str) -> DistributionSpec | None:
@@ -144,9 +158,12 @@ def _build_model(md: dict, errors: list[str]) -> MarketModel | None:
         if br is None:
             return None
         _unknown_keys(br, _B_RULE_KEYS, errors, "model.b_rule")
+        c = _convert(_float, br.get("c", 0.0), errors, "model.b_rule.c")
+        p = _convert(_float, br.get("p", 0.0), errors, "model.b_rule.p")
+        if c is None or p is None:
+            return None
         try:
-            b_rule = BRule(kind=br.get("kind", "explicit"),
-                           c=float(br.get("c", 0.0)), p=float(br.get("p", 0.0)))
+            b_rule = BRule(kind=br.get("kind", "explicit"), c=c, p=p)
         except (ValueError, TypeError) as exc:
             errors.append(f"model.b_rule: {exc}")
             return None
@@ -185,17 +202,29 @@ def _build_utility(ud: dict, errors: list[str]) -> Utility | None:
     _unknown_keys(ud, _UTILITY_KEYS[kind], errors, "utility")
     growth = None
     if "growth" in ud:
-        g = ud["growth"]
+        g = _object(ud["growth"], errors, "utility.growth")
+        if g is None:
+            return None
         _unknown_keys(g, _GROWTH_KEYS, errors, "utility.growth")
+        missing = [k for k in _GROWTH_KEYS if k not in g]
+        if missing:
+            errors.append(f"utility.growth: missing keys {missing}")
+            return None
+        bounds = {k: _convert(_float, g[k], errors, f"utility.growth.{k}") for k in _GROWTH_KEYS}
+        if None in bounds.values():
+            return None
         try:
-            growth = GrowthBounds(alpha=float(g["alpha"]), beta=float(g["beta"]),
-                                  C1=float(g["C1"]), C2=float(g["C2"]))
-        except (KeyError, ValueError, TypeError) as exc:
+            growth = GrowthBounds(**bounds)
+        except ValueError as exc:
             errors.append(f"utility.growth: {exc}")
+            return None
+    if kind == "appendix_power":
+        alpha = _convert(_float, ud.get("alpha", 0.5), errors, "utility.alpha")
+        if alpha is None:
             return None
     try:
         if kind == "appendix_power":
-            return appendix_power(float(ud.get("alpha", 0.5)), growth)
+            return appendix_power(alpha, growth)
         if kind == "tabulated":
             u = tabulated(ud["xs"], ud["ys"], growth)
             _check_table(u.xs, u.ys)
@@ -247,10 +276,10 @@ def parse_config(path: str) -> ExperimentConfig:
     max_iter = _convert(_int, sd.get("max_iter", 10_000), errors, "solver.max_iter")
     ladder = _convert(_ints, sd.get("ladder", []), errors, "solver.ladder")
     solver = None
-    if max_iter is not None and ladder is not None:
+    grad_tol = _convert(_float, sd.get("grad_tol", 1e-8), errors, "solver.grad_tol")
+    if None not in (max_iter, ladder, grad_tol):
         try:
-            solver = SolverConfig(grad_tol=float(sd.get("grad_tol", 1e-8)),
-                                  max_iter=max_iter, ladder=ladder)
+            solver = SolverConfig(grad_tol=grad_tol, max_iter=max_iter, ladder=ladder)
         except (ValueError, TypeError) as exc:
             errors.append(f"solver: {exc}")
     if model is not None and solver is not None and not all(
@@ -260,11 +289,11 @@ def parse_config(path: str) -> ExperimentConfig:
 
     msec = _object(raw.get("measure", {}), errors, "measure") or {}
     _unknown_keys(msec, _MEASURE_KEYS, errors, "measure")
-    fallback_alpha = _convert(float, msec.get("fallback_alpha", 0.5), errors,
+    fallback_alpha = _convert(_float, msec.get("fallback_alpha", 0.5), errors,
                               "measure.fallback_alpha")
     if fallback_alpha is not None and not 0.0 < fallback_alpha < 1.0:
         errors.append("measure.fallback_alpha: must lie in (0,1)")
-    moment_p = _convert(float, msec.get("p", 2.0), errors, "measure.p")
+    moment_p = _convert(_float, msec.get("p", 2.0), errors, "measure.p")
     exponents = None
     if "moment_exponents" in msec:
         exponents = _convert(_floats, msec["moment_exponents"], errors,

@@ -21,13 +21,16 @@ each payoff splits into a sum over a tile of trailing coordinates and one
 over the leading coordinates (a head), which are independent.  With each
 strategy's tile payoffs sorted, a row h + t is above 0 exactly on a
 suffix of the tile, found by one searchsorted per head.  Where that pays
-the Hoelder sums run as a staircase: heads sorted by that split go in
-groups, each group's rows above its smallest split form one block, and
-the side's own kernel runs on it once, so the Python work is per group
-of heads, not per head; u(0) enters through the tile weights' prefix and
-suffix sums, and a loss side that is linear (appendix power) is two
-running sums read at the split.  Otherwise the walk forms the blocks as
-outer sums over the K coordinate laws.  The exponential moment takes the
+the Hoelder sums run as the staircase that the exact solver's value and
+gradient also run (``optimize._staircase``): heads sorted by that split
+go in groups, each group's rows above its smallest split form one block,
+and the side's own kernel runs on it once, so the Python work is per
+group of heads, not per head; u(0) enters through the tile weights'
+prefix and suffix sums, and a loss side that is linear (appendix power)
+is two running sums read at the split.  The strategies' tile payoffs are
+formed for many strategies per numpy call (``optimize._grid_payoffs``).
+Otherwise the walk forms the blocks as outer sums over the K coordinate
+laws.  The exponential moment takes the
 walk on row sets; on an exact enumeration it is a closed form over the
 same sorted tiles, wherever that runs fewer exps, with exp run on the
 tile's and the heads' payoffs, not on every row.
@@ -46,10 +49,10 @@ from .distributions import estimate_exp_moment, tail_probability, truncated_seco
 from .market import MarketModel, check_assumption_b, check_no_arbitrage
 from .measures import (TiltedMeasure, _coordinate_means, _density_moments, _residuals,
                        _support_factors)
-from .optimize import (ROW_BLOCK, _centered, _grid_payoffs, _payoffs, _require_width,
-                       _tile_split)
+from .optimize import (_STAIR, ROW_BLOCK, _centered, _grid_payoffs, _payoffs,
+                       _require_width, _running_sums, _sorted_tile, _staircase, _tile_split)
 from .scenarios import ScenarioSet, _product_weights
-from .utility import Utility, _sides_u, _split_u, certify_growth, eval_u
+from .utility import Utility, _split_u, certify_growth, eval_u
 
 __all__ = [
     "random_strategies",
@@ -64,7 +67,6 @@ __all__ = [
 GAMMA_GRID = (0.25, 0.5, 1.0, 2.0)  # subgaussian_scan's exponents
 X_GRID = (0.0, 0.5, 1.0, 2.0, 4.0)  # check_assumption_relevant's tail levels
 N_GRID = (1.0, 2.0, 4.0, 8.0)       # and its truncation levels
-_STAIR = 16 * ROW_BLOCK  # rows per staircase group: 16 heads on a 4096-point tile
 
 
 def random_strategies(K: int, count: int, max_norm: float, seed: int) -> np.ndarray:
@@ -184,19 +186,6 @@ def _grid_blocks(xs, phis: np.ndarray):
                 yield (h + tail[:, None, :]).reshape(len(phis), -1)
 
 
-def _running_sums(terms: np.ndarray) -> np.ndarray:
-    """The L + 1 sums of the first 0, 1, ..., L of the L terms, in order:
-    one after the other within pieces of at most ROW_BLOCK terms, each
-    piece added to the total before it."""
-    sums = np.empty(terms.size + 1)
-    sums[0] = 0.0
-    for start in range(0, terms.size, ROW_BLOCK):
-        piece = sums[start + 1:start + 1 + ROW_BLOCK]
-        np.cumsum(terms[start:start + ROW_BLOCK], out=piece)
-        piece += sums[start]
-    return sums
-
-
 def _tiles_pay(xs) -> bool:
     """Whether ``_product_exp_abs`` on the product of the supports xs runs
     fewer exps than a row walk: two per tile point and per head against
@@ -215,22 +204,21 @@ def _sorted_tiles(laws, phis: np.ndarray, shift: np.ndarray):
     which are independent under the product weights.
 
     t holds the strategy's tile payoffs, zero-probability points left out,
-    sorted by a heapsort: as fast here as numpy's default quicksort, which
-    numpy may run as a SIMD kernel that orders ties differently by
-    machine; w holds their weights.  heads yields blocks (h, wh, k) of at
+    sorted (``_sorted_tile``), and w their weights; the tile payoffs are
+    formed for max(1, _STAIR // T) strategies at a time, one numpy call
+    per coordinate and step for all of them (``_grid_payoffs``).  heads
+    yields blocks (h, wh, k) of at
     most ROW_BLOCK head payoffs h (``_grid_blocks``), zero-weight heads
     left out, with their weights wh and their splits k = the number of
     t <= -h, by one searchsorted on -h.  A row h + t is the product
     walk's payoff (``_product_payoffs``) bit for bit, and it is > 0
     exactly where t > -h, that is on t[k:]: -h is exact, and a sum of two
-    floats rounds to 0 only where it is 0.  Every temporary holds the
-    tile or a block of heads.
+    floats rounds to 0 only where it is 0.  Every temporary holds a
+    block of heads, the tile, or the tiles of a block of strategies.
     """
     xs, full = _product_grid(laws, phis, shift)
     lead, _ = _tile_split(xs)
     w_tile = _product_weights([p for _, p in laws[lead:]])
-    live = w_tile > 0
-    w_tile = w_tile[live]
     w_head = _product_weights([p for _, p in laws[:lead]])
 
     def heads(phi, t):
@@ -243,12 +231,12 @@ def _sorted_tiles(laws, phis: np.ndarray, shift: np.ndarray):
                 h, wh = h[keep], wh[keep]
             yield h, wh, np.searchsorted(t, -h, side="right")
 
-    for j in range(len(full)):
-        phi = full[j:j + 1]
-        t = _grid_payoffs(xs[lead:], phi[:, lead:])[0, live]
-        order = np.argsort(t, kind="heapsort")
-        t = t[order]
-        yield t, w_tile[order], heads(phi, t)
+    chunk = max(1, _STAIR // w_tile.size)
+    for start in range(0, len(full), chunk):
+        tiles = _grid_payoffs(xs[lead:], full[start:start + chunk, lead:])
+        for j, tile in enumerate(tiles, start):
+            _, t, w = _sorted_tile(tile, w_tile)
+            yield t, w, heads(full[j:j + 1], t)
 
 
 def _product_exp_abs(laws, phis: np.ndarray) -> np.ndarray:
@@ -342,8 +330,8 @@ def _product_sides(laws, phis: np.ndarray, shift: np.ndarray, u: Utility):
     (``_staircase``): the heads of a block, sorted by their split, go in
     groups of g with g T about _STAIR rows, and a group with smallest
     split k0 forms the rows h + t[k0:] as one (g, T - k0) block, runs the
-    gain side (``_sides_u``: the gain kernel on max(Y, 0)) on it once and
-    reduces each row of the weighted block.  The rows t[k0:k] of a head
+    gain kernel on its max(Y, 0) once and reduces each row of the weighted
+    block.  The rows t[k0:k] of a head
     with split k are <= 0 and give u(0) w_t, so adding u(0) times the
     weight of t[:k0] gives the formula's u(0) W_{t <= -h}.  A table's loss
     side is the mirror image: the rows h + t[:k1] up to the group's
@@ -372,8 +360,8 @@ def _product_sides(laws, phis: np.ndarray, shift: np.ndarray, u: Utility):
     tile, a block of heads or one group's block of at most max(_STAIR, T)
     rows, twice (the block and the kernels' scratch).
     """
-    gain_side, loss_side = _sides_u(u)
-    slope = u._kernels.loss_slope
+    kernels = u._kernels
+    slope = kernels.loss_slope
     u0 = eval_u(u, 0.0)
     gains, losses = np.empty(len(phis)), np.empty(len(phis))
     for j, (t, w, heads) in enumerate(_sorted_tiles(laws, phis, shift)):
@@ -389,9 +377,11 @@ def _product_sides(laws, phis: np.ndarray, shift: np.ndarray, u: Utility):
             if h.size > g:  # groups of neighbouring splits
                 order = np.argsort(k, kind="stable")
                 h, wh, k = h[order], wh[order], k[order]
-            gain = _staircase(gain_side, h, k, t, w, u0 * below, g, scratch, True)
+            (gain,), edges = _staircase((kernels.gain,), h, k, t, w, g, scratch, True)
+            gain += u0 * below[edges]
             if slope is None:
-                loss = _staircase(loss_side, h, k, t, w, u0 * above, g, scratch, False)
+                (loss,), edges = _staircase((kernels.loss,), h, k, t, w, g, scratch, False)
+                loss += u0 * above[edges]
             else:
                 loss = h * below[k]
                 loss += lower[k]
@@ -402,32 +392,6 @@ def _product_sides(laws, phis: np.ndarray, shift: np.ndarray, u: Utility):
             loss_sums.append(np.add.reduce(loss))
         gains[j], losses[j] = np.sum(gain_sums), np.sum(loss_sums)
     return gains, losses
-
-
-def _staircase(side, h, k, t, w, rest, g, scratch, rising: bool) -> np.ndarray:
-    """Per head h_i with split k_i on the sorted tile t with weights w, the
-    sum of w_t side(h_i + t) over t[k_i:] (rising) or t[:k_i], plus
-    rest[k_i], with g heads at a time.  A rising group with smallest split
-    k0 sums over t[k0:] and adds rest[k0], otherwise a group with largest
-    split k1 sums over t[:k1] and adds rest[k1]; so with rest = u(0) times
-    the weight of t[:k] (rising) or t[k:], side's u(0) on the rows between
-    the split and the edge completes it.  A group's rows are one C-ordered
-    (heads, tile) block of scratch[0], each row summed pairwise along the
-    tile; side's scratch is scratch[1]."""
-    sums = np.empty(h.size)
-    for start in range(0, h.size, g):
-        group = slice(start, start + g)
-        hs, ks = h[group], k[group]
-        edge = int(ks.min()) if rising else int(ks.max())
-        cut = slice(edge, None) if rising else slice(0, edge)
-        tc = t[cut]
-        block = scratch[0, :hs.size * tc.size].reshape(hs.size, tc.size)
-        np.add(hs[:, None], tc, out=block)
-        side(block, block, scratch[1, :block.size].reshape(block.shape))
-        block *= w[cut]
-        np.add.reduce(block, axis=1, out=sums[group])
-        sums[group] += rest[edge]
-    return sums
 
 
 def exp_ui_bound(model: MarketModel, s: ScenarioSet, delta: float,

@@ -7,21 +7,28 @@ its derivative, and ``measures.solve_tilt`` bisects the tilt residual.
 (-H + ||g||^2 I)^{-1} g, with gradient g at the current point and Hessian
 H formed there or held from the last step (Newton-chord), and Armijo
 backtracking picks the step.  The K-coordinate problem runs it on the
-scenario expectation of u(V(phi)), with X = eps - b the centred noise:
-the line search's payoffs v = X @ phi at the accepted step feed the next
-pass, which reduces X.T a for the gradient and, when asked,
-X.T diag(c) X for the Hessian.  Sampled and row sets hold X transposed,
-as a C-ordered (K, n) matrix whose rows are the centred coordinates, and
-form v and both reductions in fixed-order blocks of scenarios and panels
-of at most PANEL coordinates (``_row_blocks``), so the result does not
-depend on the BLAS thread count at any K.  On an exact enumeration X is
-never formed: v is the outer sum of the K coordinates' centred supports
-times phi, with no BLAS call, and the reductions read a and c as an
-(H, T) matrix on the split the Hoelder chain takes, heads by a tile of
-trailing coordinates (``_split_blocks``): ``_row_blocks`` on the row and
-column sums and on the head and tile designs gives the gradient and the
-Hessian's diagonal blocks, and numpy reductions give each head's
-marginals on the tile for the cross block, which holds that too.
+scenario expectation of u(V(phi)), with X = eps - b the centred noise.
+On sampled and row sets the line search's payoffs v = X @ phi at the
+accepted step feed the next pass, which reduces X.T a for the gradient
+and, when asked, X.T diag(c) X for the Hessian.  Those sets hold X
+transposed, as a C-ordered (K, n) matrix whose rows are the centred
+coordinates, and form v and both reductions in fixed-order blocks of
+scenarios and panels of at most PANEL coordinates (``_row_blocks``), so
+the result does not depend on the BLAS thread count at any K.  On an
+exact enumeration X is never formed.  The grid reads as an (H, T)
+matrix on the split the Hoelder chain takes, heads by a tile of trailing
+coordinates, and a payoff is a head's plus a tile point's, h + t.  Each
+value call sorts the tile and sums u and u' over the rows as the chain's
+staircase over groups of heads (``_grid_value``, ``_staircase``): the
+rows above 0 in blocks, and those at or below 0 as running sums where u
+is linear there.  So the accepted trial leaves the row and column sums
+of w u', and ``_row_blocks`` on them and on the head and tile designs
+gives the gradient.  The Hessian forms v again as the outer sum of the
+K coordinates' centred supports times phi, with no BLAS call, and reads
+w u''(v) on the same split (``_split_blocks``): ``_row_blocks`` on its
+row and column sums gives the diagonal blocks, and numpy reductions give
+each head's marginals on the tile for the cross block, which holds that
+too.
 -H is positive semidefinite because u'' <= 0 for every utility kind, so
 the shifted system is positive definite; the shift vanishes with g near
 the optimum, where the step is the Newton step, and for a tabulated
@@ -77,6 +84,8 @@ ROW_BLOCK = 4096
 # outputs alone.  So in fixed block order the gradient and the Hessian do
 # not depend on the BLAS thread count at any K
 PANEL = 96
+# rows per staircase group: 16 heads on a 4096-point tile
+_STAIR = 16 * ROW_BLOCK
 
 
 class OneSidedPayoffError(ValueError):
@@ -262,18 +271,22 @@ def _row_blocks(X: np.ndarray, a: np.ndarray | None, c: np.ndarray | None,
 def _outer_sum(xs, phi: np.ndarray, out: np.ndarray) -> np.ndarray:
     """v = X @ phi on the product of the supports xs, last coordinate
     fastest, written into out: sum_i phi_i x_i, added from the last
-    coordinate to the first.  Each step prepends an axis: chunk j of the
-    grown prefix is phi_i x_ij plus the old prefix, which chunk 0 holds;
-    chunks 1 to m_i - 1 come from one broadcast add."""
+    coordinate to the first.  phi may be (S, K), S strategies, with out
+    (S, n): each row of out is then the one-strategy call's, bit for bit,
+    at the cost of one call's numpy calls.  Each step prepends an axis:
+    chunk j of the grown prefix is phi_i x_ij plus the old prefix, which
+    chunk 0 holds; chunks 1 to m_i - 1 come from one broadcast add."""
+    stack = out.shape[:-1]
     size = 1
-    out[0] = 0.0
+    out[..., 0] = 0.0
     for i in range(len(xs) - 1, -1, -1):
-        t = phi[i] * xs[i]
-        old = out[:size]
-        np.add(t[1:, None], old, out=out[size:t.size * size].reshape(-1, size))
-        old += t[0]
-        size *= t.size
-    return out[:size]
+        t = phi[..., i, None] * xs[i]
+        old = out[..., :size]
+        np.add(t[..., 1:, None], old[..., None, :],
+               out=out[..., size:t.shape[-1] * size].reshape(stack + (t.shape[-1] - 1, size)))
+        old += t[..., :1]
+        size *= t.shape[-1]
+    return out[..., :size]
 
 
 def _tile_split(xs) -> tuple[int, int]:
@@ -289,12 +302,180 @@ def _tile_split(xs) -> tuple[int, int]:
 
 def _grid_payoffs(xs, phis: np.ndarray) -> np.ndarray:
     """(T, prod of sizes) payoffs of the T strategies phis on the product of
-    the supports xs, last coordinate fastest: each row is ``_outer_sum``,
-    which adds the coordinates from the last to the first."""
-    out = np.empty((phis.shape[0], math.prod(x.size for x in xs)))
-    for row, phi in zip(out, phis):
-        _outer_sum(xs, phi, row)
-    return out
+    the supports xs, last coordinate fastest: one ``_outer_sum`` for all
+    of them, which adds the coordinates from the last to the first."""
+    return _outer_sum(xs, phis, np.empty((phis.shape[0], math.prod(x.size for x in xs))))
+
+
+def _running_sums(terms: np.ndarray) -> np.ndarray:
+    """The L + 1 sums of the first 0, 1, ..., L of the L terms, in order:
+    one after the other within pieces of at most ROW_BLOCK terms, each
+    piece added to the total before it."""
+    sums = np.empty(terms.size + 1)
+    sums[0] = 0.0
+    for start in range(0, terms.size, ROW_BLOCK):
+        piece = sums[start + 1:start + 1 + ROW_BLOCK]
+        np.cumsum(terms[start:start + ROW_BLOCK], out=piece)
+        piece += sums[start]
+    return sums
+
+
+def _sorted_tile(t: np.ndarray, w: np.ndarray):
+    """(order, t[order], w[order]): the tile's payoffs t and weights w at
+    its points of positive weight, in ascending order of t.  The sort is a
+    heapsort: as fast here as numpy's default quicksort, which numpy may
+    run as a SIMD kernel that orders ties differently by machine."""
+    live = np.flatnonzero(w > 0)
+    order = live[np.argsort(t[live], kind="heapsort")]
+    return order, t[order], w[order]
+
+
+def _staircase(kernels, h, k, t, w, g: int, scratch: np.ndarray, rising: bool,
+               wh=None, cols=None):
+    """(sums, edges) for the heads h with splits k on the sorted tile t
+    with weights w, taken g heads at a time.  A group's edge is its
+    smallest split (rising) or its largest, and its cut is the tile from
+    the edge on (rising) or up to it.  sums[f, i] is the sum over the cut
+    of w_t f(max(h_i + t, 0)) (rising) or w_t f(min(0, h_i + t)), for the
+    f-th of the kernels; edges[i] is the edge of head i's group.  With a
+    split k_i = the number of t <= -h_i, a rising cut holds every row of
+    its heads above 0 and a falling cut every row at or below 0; a head's
+    rows between its split and its group's edge take f(0).
+
+    With wh and cols, the first kernel's column sums over the group,
+    sum_i wh_i f(...), are added into cols along the cut, a head at a
+    time.
+
+    A group's rows are one C-ordered (heads, cut) block of scratch[0],
+    clamped in place.  Each kernel but the last writes its values into the
+    next row of scratch, the last writes them in place, and the last row
+    of scratch is the kernels' own scratch.  Each row of values is
+    weighted by w and summed pairwise along the tile.  No BLAS call
+    runs."""
+    sums = np.empty((len(kernels), h.size))
+    edges = np.empty(h.size, dtype=np.intp)
+    for start in range(0, h.size, g):
+        group = slice(start, start + g)
+        hs, ks = h[group], k[group]
+        edge = int(ks.min()) if rising else int(ks.max())
+        edges[group] = edge
+        cut = slice(edge, None) if rising else slice(0, edge)
+        tc, wc = t[cut], w[cut]
+        shape = (hs.size, tc.size)
+        rows = [scratch[i, :hs.size * tc.size].reshape(shape) for i in range(len(kernels) + 1)]
+        block, tmp = rows[0], rows[-1]
+        np.add(hs[:, None], tc, out=block)
+        if rising:
+            np.maximum(block, 0.0, out=block)
+        else:
+            np.minimum(0.0, block, out=block)
+        for f, kernel in enumerate(kernels):
+            out = block if f == len(kernels) - 1 else rows[f + 1]
+            kernel(block, out, tmp)
+            if f == 0 and cols is not None:
+                np.multiply(out, wh[group, None], out=tmp)
+                cols[cut] += np.add.reduce(tmp, axis=0)
+            out *= wc
+            np.add.reduce(out, axis=1, out=sums[f, group])
+    return sums, edges
+
+
+def _grid_value(u: Utility, xs, probs):
+    """(value, scratch) for a solve on the product of the centred supports
+    xs with the laws' probabilities probs.  value(p) gives f = E[u(V(p))]
+    and the memo (p, r, s), with w u'(V(p)) read as an (H, T) matrix on
+    the split that the Hoelder chain also takes (``_tile_split``): r holds
+    its row sums, one per head, and s its column sums, one per tile
+    point, so the gradient is (heads @ r, tiles @ s).  scratch holds the
+    staircase's blocks and at least the grid's size, and is free between
+    value calls.
+
+    Each call forms the payoffs V = h + t of the heads h and of the tile
+    t (``_grid_payoffs``), sorts the tile once (``_sorted_tile``) and
+    finds each head's split, the number of t <= -h, by one searchsorted:
+    h + t > 0 exactly on the tile from the split on.  Heads and tile points
+    of zero weight are left out.  The heads, sorted by split, go in
+    groups of g, with g T about _STAIR rows, through one rising staircase
+    (``_staircase``): each group's block h + t from its smallest split on
+    runs u's gain kernel and u's derivative kernel once, and gives the
+    weighted row sums of both and the column sums of u'.  Every kernel f
+    satisfies f(Y) = f(max(Y, 0)) + f(min(0, Y)) - f(0).
+
+    * Where u(Y) = a Y on Y <= 0 (``_Kernels.loss_slope``; appendix power)
+      the rows at or below 0 are two running sums read at the split,
+      a (h W(t <= -h) + sum_{t <= -h} w_t t), for u, and a W for u',
+      whose rows before the group's edge (a row's W) and whose columns
+      before the edges of groups (a column's W) are the ones the blocks
+      leave out.
+    * Otherwise (a table) the mirrored staircase runs the loss kernel and
+      u' on each group's rows up to its largest split, and a row or
+      column between a group's two edges, counted on both sides, gives
+      back f(0) once.
+
+    Error: every row's u and u' are the kernels' values on h + t, which
+    is within an ulp of X @ p.  A head's row sum of L weighted values is
+    pairwise, within about log2(L) 2^-53 of its exact value relatively to
+    the sum of the magnitudes, and f sums the heads pairwise, so f is
+    within about (log2(n) + 3) 2^-53 E|u(V)| plus the running sums'
+    (ROW_BLOCK + L / ROW_BLOCK) 2^-53 a E[|h| + |t|] over the rows at or
+    below 0.  A column sum adds the H heads' values one after the other,
+    within about (H + 2) 2^-53 of its exact value relatively to the sum of
+    the magnitudes (each kernel's f(0) term included), and a row sum
+    within (log2(T) + 3) 2^-53.  No BLAS call runs, so the sums do not
+    depend on the BLAS thread count.
+    """
+    lead, _ = _tile_split(xs)
+    kernels = u._kernels
+    slope = kernels.loss_slope
+    u0, p0 = eval_u(u, 0.0), eval_u_prime(u, 0.0)
+    head_w = _product_weights(probs[:lead])
+    tile_w = _product_weights(probs[lead:])
+    live = np.flatnonzero(head_w > 0)
+    g = max(1, _STAIR // tile_w.size)
+    block = min(g, live.size) * tile_w.size
+    scratch = np.empty(max(head_w.size * tile_w.size, 3 * block))
+    stair = scratch[:3 * block].reshape(3, block)
+
+    def value(p):
+        h = _grid_payoffs(xs[:lead], p[None, :lead])[0, live]
+        order, t, wt = _sorted_tile(_grid_payoffs(xs[lead:], p[None, lead:])[0], tile_w)
+        k = np.searchsorted(t, -h, side="right")
+        heads, wh = live, head_w[live]
+        if h.size > g:  # groups of neighbouring splits
+            by = np.argsort(k, kind="stable")
+            h, wh, k, heads = h[by], wh[by], k[by], heads[by]
+        below = _running_sums(wt)  # below[j]: the weight of t[:j]
+        cols = np.zeros(t.size)
+        (fp, fu), rise = _staircase((kernels.prime, kernels.gain), h, k, t, wt, g,
+                                    stair, True, wh, cols)
+        if slope is None:
+            (lp, lu), fall = _staircase((kernels.prime, kernels.loss), h, k, t, wt, g,
+                                        stair, False, wh, cols)
+            both = below[fall] - below[rise]  # the weight of a row's cuts' overlap
+            fu += lu
+            fu -= u0 * both
+            fp += lp
+            fp -= p0 * both
+            both = np.cumsum(np.bincount(rise, wh, t.size + 1)
+                             - np.bincount(fall, wh, t.size + 1))[:-1]
+            cols -= p0 * both
+        else:
+            loss = h * below[k]
+            loss += _running_sums(wt * t)[k]
+            loss *= slope
+            fu += loss
+            fp += slope * below[rise]
+            # a column's weight in groups whose edge lies above it
+            cols += slope * np.cumsum(np.bincount(rise, wh, t.size + 1)[:0:-1])[::-1]
+        fu *= wh
+        fp *= wh
+        cols *= wt
+        r = np.zeros(head_w.size)
+        r[heads] = fp
+        s = np.zeros(tile_w.size)
+        s[order] = cols
+        return float(np.sum(fu)), (p, r, s)
+    return value, scratch
 
 
 class _Split(NamedTuple):
@@ -304,7 +485,8 @@ class _Split(NamedTuple):
     are the tile's points.  heads is the (lead, H) design of the leading
     coordinates and tiles the (K - lead, T) design of the tile's, both
     ``_grid_payoffs`` on unit strategies; xs are the tile's supports.
-    held takes the pass's small sums and ``_row_blocks``' Gram scratch."""
+    held takes the Hessian's small sums and ``_row_blocks``' Gram
+    scratch."""
     heads: np.ndarray
     tiles: np.ndarray
     xs: list
@@ -324,20 +506,17 @@ def _split(xs) -> _Split:
     return _Split(heads, tiles, xs[lead:], np.empty(max(H, T) + H + max(H * widest, gram)))
 
 
-def _split_blocks(split: _Split, a: np.ndarray | None, c: np.ndarray | None,
-                  scratch: np.ndarray):
-    """(X.T @ a, X.T diag(c) X) on an exact grid, with a and c read as
-    (H, T) matrices A and C on the split (``_Split``).  With a or c None
-    that half is None and is not formed.
+def _split_blocks(split: _Split, c: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """X.T diag(c) X on an exact grid, with c read as an (H, T) matrix C on
+    the split (``_Split``).
 
     A head coordinate's value is constant along each row of the matrix,
-    and a tile coordinate's along each column, so g is (heads @ A's row
-    sums, tiles @ A's column sums), and G's two diagonal blocks are
-    heads diag(r) heads.T and tiles diag(s) tiles.T, with r and s C's row
-    and column sums: each ``_row_blocks`` on a design.  The cross block
-    heads @ C @ tiles.T is formed one tile coordinate k at a time, as
-    heads @ q with q_h = x_k . (marginal of row h of C on tile axis k); a
-    gemm for C @ tiles.T would be threaded with other last bits.  The
+    and a tile coordinate's along each column, so G's two diagonal blocks
+    are heads diag(r) heads.T and tiles diag(s) tiles.T, with r and s C's
+    row and column sums: each ``_row_blocks`` on a design.  The cross
+    block heads @ C @ tiles.T is formed one tile coordinate k at a time,
+    as heads @ q with q_h = x_k . (marginal of row h of C on tile axis k);
+    a gemm for C @ tiles.T would be threaded with other last bits.  The
     marginals peel the tile axes in order: an axis's marginal is a
     pairwise sum along the contiguous remainder, and the sum of its
     slices is the remainder left for the next.  G is zero, with no
@@ -346,8 +525,7 @@ def _split_blocks(split: _Split, a: np.ndarray | None, c: np.ndarray | None,
     depend on the BLAS thread count at any K.
 
     c is overwritten.  The remainders alternate between scratch, of at
-    least c's size (the solver passes a's buffer, whose values are dead
-    once g is formed), and c, whose values are dead once its sums are
+    least c's size, and c, whose values are dead once its sums are
     formed; every other sum, and the Gram scratch, goes into split.held.
     So a caller that keeps the split and scratch allocates no grid-sized
     array per pass."""
@@ -355,22 +533,14 @@ def _split_blocks(split: _Split, a: np.ndarray | None, c: np.ndarray | None,
     (lead, H), (kt, T) = heads.shape, tiles.shape
     top = max(H, T)
     sums, q, shared = held[:top], held[top:top + H], held[top + H:]
-    g = G = None
-    if a is not None:
-        A = a.reshape(H, T)
-        g = np.empty(lead + kt)
-        g[:lead] = _row_blocks(heads, np.sum(A, axis=1, out=sums[:H]), None)[0]
-        g[lead:] = _row_blocks(tiles, np.sum(A, axis=0, out=sums[:T]), None)[0]
-    if c is None:
-        return g, G
     G = np.zeros((lead + kt, lead + kt))
     if not c.any():
-        return g, G
+        return G
     C = c.reshape(H, T)
     G[:lead, :lead] = _row_blocks(heads, None, np.sum(C, axis=1, out=sums[:H]), shared)[1]
     G[lead:, lead:] = _row_blocks(tiles, None, np.sum(C, axis=0, out=sums[:T]), shared)[1]
     if not lead:
-        return g, G
+        return G
     size, live, free = c.size, c, scratch
     for k, x in enumerate(xs):
         if k + 1 == kt:  # the remainder is the last axis's marginal
@@ -384,7 +554,32 @@ def _split_blocks(split: _Split, a: np.ndarray | None, c: np.ndarray | None,
         m *= x
         G[:lead, lead + k] = _row_blocks(heads, np.sum(m, axis=1, out=q), None)[0]
     G[lead:, :lead] = G[:lead, lead:].T
-    return g, G
+    return G
+
+
+def _grid_pass(u: Utility, xs, w: np.ndarray, scratch: np.ndarray):
+    """step_pass(memo) for a solve on the product of the supports xs with
+    weights w, from ``_grid_value``'s memo (p, r, s): the gradient
+    (heads @ r, tiles @ s), each ``_row_blocks`` on a design of the split
+    (``_split``), and a callable for the Hessian at p.  That callable
+    forms v = X @ p again into an n-length buffer of its own
+    (``_outer_sum``), writes -w u''(v) over it and takes the Hessian on
+    the split (``_split_blocks``), with scratch, which the value calls
+    leave free, for its remainders."""
+    split = _split(xs)
+    buf = np.empty(w.size)
+
+    def step_pass(memo):
+        p, r, s = memo
+        g = np.concatenate((_row_blocks(split.heads, r, None)[0],
+                            _row_blocks(split.tiles, s, None)[0]))
+
+        def hessian():
+            curv = eval_u_second(u, _outer_sum(xs, p, buf), out=buf)
+            curv *= w
+            return -_split_blocks(split, np.negative(curv, out=curv), scratch)
+        return g, hessian, None
+    return step_pass
 
 
 def _newton_pass(u: Utility, blocks, w: np.ndarray, v: np.ndarray,
@@ -521,18 +716,21 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
     set's own laws' supports: the level's grid points, weighted by
     the product of those K laws' probabilities, stand for the duplicated
     rows, and no centred copy of the draws is made.  Two n-length buffers
-    live as long as the solve: one for w u'(v), which an exact set's
-    Hessian then takes as scratch, and one for w u''(v) and the line
-    search's w u(v), since w u''(v) is dead once the Hessian is formed.
-    On an exact set the split (``_split``) is built once: the head and
-    tile designs, and a held buffer for the pass's row, column and
-    per-head sums and the Gram scratch of ``_row_blocks``, whose BLAS
-    calls are the pass's only ones.  The loop is ``_damped_newton``'s, with
-    its Newton-chord Hessian: the first step's, at phi = 0, is zero, since
-    u''(0) = 0, so the second step forms it again; from there the step
-    after a full step on a fresh Hessian reuses it, so a solve with no
-    backtracking forms about half as many Hessians as it takes steps (a
-    table, u'' = 0, forms one on every step).
+    live as long as the solve.  On a row set one holds w u'(v) and the
+    other w u''(v) and the line search's w u(v), since w u''(v) is dead
+    once the Hessian is formed.  On an exact set the value calls need no
+    n-length buffer (``_grid_value``): the staircase's blocks go into a
+    scratch buffer of at least the grid's size, which the Hessian takes
+    for its remainders, and the Hessian forms v and then w u''(v) over it
+    in the other (``_grid_pass``).  There the split (``_split``) is built
+    once: the head and tile designs, and a held buffer for the Hessian's
+    row, column and per-head sums and the Gram scratch of ``_row_blocks``,
+    whose BLAS calls are the pass's only ones.  The loop is
+    ``_damped_newton``'s, with its Newton-chord Hessian: the first step's,
+    at phi = 0, is zero, since u''(0) = 0, so the second step forms it
+    again; from there the step after a full step on a fresh Hessian reuses
+    it, so a solve with no backtracking forms about half as many Hessians
+    as it takes steps (a table, u'' = 0, forms one on every step).
     """
     cfg = cfg or SolverConfig()
     K = model.K if K is None else K
@@ -545,32 +743,26 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
             f"no-arbitrage condition fails at coordinates {flagged}"
         )
     if s.is_exact:
-        xs = [x - b for (x, _), b in zip(s._laws[:K], model.b)]
+        laws = s._laws[:K]
+        xs = [x - b for (x, _), b in zip(laws, model.b)]
+        probs = [p for _, p in laws]
         # at K = s.K the level's weights are s's own
-        w = s.weights if K == s.K else _product_weights([p for _, p in s._laws[:K]])
-        # v lives in buf until the next call; _damped_newton passes on only
-        # the line search's last trial, so one buffer serves
-        buf = np.empty(w.size)
-        payoffs = lambda p: _outer_sum(xs, p, buf)
-        # w u'(v) is dead once g is formed, so the Hessian half takes its
-        # buffer as scratch
-        split = _split(xs)
-        blocks = lambda a, c: _split_blocks(split, a, c, a_buf)
+        w = s.weights if K == s.K else _product_weights(probs)
+        value, scratch = _grid_value(u, xs, probs)
+        step_pass = _grid_pass(u, xs, w, scratch)
     else:
         X = _centered(s.draws[:, :K], model.b[:K], np.empty((K, s.n)))
         w = s.weights
-        payoffs = lambda p: _payoffs(X, p)
+        a_buf, c_buf = np.empty(s.n), np.empty(s.n)
         blocks = lambda a, c: _row_blocks(X, a, c)
 
-    a_buf, c_buf = np.empty(w.size), np.empty(w.size)
-
-    def value(p):
-        v = payoffs(p)
-        return _expected_u(u, w, v, c_buf), v
+        def value(p):
+            v = _payoffs(X, p)
+            return _expected_u(u, w, v, c_buf), v
+        step_pass = lambda v: _newton_pass(u, blocks, w, v, a_buf, c_buf)
     phi, f, g, _, it = _damped_newton(
-        lambda v: _newton_pass(u, blocks, w, v, a_buf, c_buf), value,
-        np.zeros(K), lambda g, _: float(np.linalg.norm(g)) <= cfg.grad_tol,
-        cfg.max_iter, slack=0.0)
+        step_pass, value, np.zeros(K),
+        lambda g, _: float(np.linalg.norm(g)) <= cfg.grad_tol, cfg.max_iter, slack=0.0)
     gn = float(np.linalg.norm(g))
     return LevelResult(K=K, phi_star=phi, value=f, grad_norm=gn,
                        iterations=it, converged=gn <= cfg.grad_tol)

@@ -46,9 +46,11 @@ Each kind defines the Hoelder chain's two sides once, as its gain kernel
 its value kernel, and it has no loss slope.  ``_sides_u(u)`` gives
 u(Y+) and u(-Y-) as one evaluator each: gain on max(Y, 0) and loss on
 min(0, Y).  The row walk runs both chunk by chunk (``_split_u``), so a
-table runs twice per payoff; the exact sets' staircase runs each on its
-own blocks of rows, and where the loss side is linear it reads the
-slope and evaluates no row there.
+table runs twice per payoff.  The exact sets' staircase
+(``optimize._staircase``) clamps its own blocks of rows the same way and
+runs the gain or loss kernel on them, and the solver's u' kernel on the
+same blocks; where the loss side is linear it reads the slope and
+evaluates no row there.
 
 A GrowthBounds certificate records finite constants (alpha, beta, C1,
 C2) for the caps u(x) <= C1(x**alpha + 1) on x >= 0 and
@@ -97,7 +99,7 @@ class GrowthBounds:
 
 class _Kernels(NamedTuple):
     """A utility's kernel set, each kernel run per chunk by ``_chunks``;
-    gain and loss, u's two Hoelder sides, also on staircase blocks whole."""
+    gain, loss and prime also on staircase blocks whole."""
     value: Callable   # kernel(xc, out, tmp) that writes u(xc) into out
     prime: Callable   # the same for u'
     second: Callable  # the same for u''
@@ -305,7 +307,8 @@ def _sides_u(u: Utility):
     both of y's shape.  On non-NaN Y the values equal eval_u(u, max(Y, 0))
     and eval_u(u, Y - max(Y, 0)) bit for bit, -0.0 included, and no
     boolean gather or scatter runs.  The row walk runs them per chunk
-    (``_split_u``), the exact sets' staircase on whole blocks of rows."""
+    (``_split_u``); the exact sets' staircase clamps and runs the same
+    kernels on whole blocks of rows."""
     kernels = u._kernels
 
     def gain(y, out, tmp):

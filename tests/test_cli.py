@@ -215,9 +215,9 @@ class TestExitCodes:
         ("model", {**DEMO["model"], "noise": {"family": ["rademacher"]}}, "model.noise"),
         ("utility", {**DEMO["utility"], "growth": {**DEMO["utility"]["growth"],
                                                    "C1": float("nan")}},
-         "utility.growth"),
-        ("solver", {"grad_tol": float("nan")}, "solver"),
-        ("solver", {"grad_tol": float("inf")}, "solver"),
+         "utility.growth.C1"),
+        ("solver", {"grad_tol": float("nan")}, "solver.grad_tol"),
+        ("solver", {"grad_tol": float("inf")}, "solver.grad_tol"),
         ("solver", {"max_iter": -1}, "solver"),
         ("model", {**DEMO["model"], "noise": {"family": "finite_discrete",
                                               "points": [1.0, -1.0],
@@ -241,13 +241,33 @@ class TestExitCodes:
         ("scenario", {"mode": "monte_carlo", "n": 100, "seed": 3.9}, "scenario.seed"),
         ("scenario", {"mode": "monte_carlo", "n": 100, "seed": True}, "scenario.seed"),
         ("model", {**DEMO["model"], "b_rule": ["power"]}, "model.b_rule"),
+        # float fields are finite numbers, and not bools
+        ("solver", {"grad_tol": True}, "solver.grad_tol"),
+        ("solver", {"grad_tol": 10 ** 400}, "solver.grad_tol"),
+        ("measure", {"p": True}, "measure.p"),
+        ("measure", {"p": float("inf")}, "measure.p"),
+        ("measure", {"fallback_alpha": False}, "measure.fallback_alpha"),
+        ("measure", {"moment_exponents": [1.0, True]}, "measure.moment_exponents"),
+        ("utility", {**DEMO["utility"], "alpha": True}, "utility.alpha"),
+        ("utility", {**DEMO["utility"], "alpha": float("nan")}, "utility.alpha"),
+        ("utility", {**DEMO["utility"], "growth": {**DEMO["utility"]["growth"],
+                                                   "beta": True}},
+         "utility.growth.beta"),
+        ("model", {**DEMO["model"], "b_rule": {"kind": "power", "c": True, "p": 1.0}},
+         "model.b_rule.c"),
+        ("model", {**DEMO["model"], "b_rule": {"kind": "power", "c": 0.4,
+                                               "p": float("nan")}}, "model.b_rule.p"),
+        ("model", {**DEMO["model"], "noise": {"family": "standardized_two_point",
+                                              "p": True}}, "model.noise"),
     ], ids=["alpha-list", "exponents-int", "alpha-str", "n-str", "kind-unknown",
             "kind-list", "family-list",
             "growth-c1-nan", "grad-tol-nan", "grad-tol-inf", "max-iter-negative",
             "noise-probs-nan", "noise-point-nan",
             "K-fraction", "K-bool", "m-fraction", "K-huge", "max-iter-fraction", "max-iter-bool",
             "ladder-fraction", "ladder-bool", "n-fraction", "n-bool", "seed-fraction",
-            "seed-bool", "b-rule-list"])
+            "seed-bool", "b-rule-list", "grad-tol-bool", "grad-tol-huge", "p-bool", "p-inf",
+            "fallback-alpha-bool", "exponents-bool", "alpha-bool", "alpha-nan",
+            "growth-beta-bool", "b-rule-c-bool", "b-rule-p-nan", "two-point-p-bool"])
     def test_bad_value_names_its_key(self, tmp_path, capsys, section, value, key):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({**DEMO, section: value}))

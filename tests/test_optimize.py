@@ -354,10 +354,11 @@ def split_pass(xs):
     return optimize._split(xs), np.empty(math.prod(x.size for x in xs))
 
 
-def product_blocks(xs, a, c):
-    """The product pass on the supports xs, with fresh buffers."""
+def product_blocks(xs, c):
+    """The product pass's Hessian half on the supports xs, with fresh
+    buffers."""
     split, scratch = split_pass(xs)
-    return optimize._split_blocks(split, a, c, scratch)
+    return optimize._split_blocks(split, c, scratch)
 
 
 def dirty(split, scratch, gen):
@@ -375,6 +376,131 @@ split_supports = st.sampled_from(SPLIT_SIZES).map(
     lambda sizes: ([np.linspace(-1.0, 1.0, m) + 0.1 for m in sizes], None))
 
 
+# split grids with their laws' probabilities, the first point of each law
+# of more than one point at probability 0: zero-weight heads and tile points
+split_laws = st.sampled_from(SPLIT_SIZES).map(lambda sizes: (
+    [np.linspace(-1.0, 1.0, m) + 0.1 for m in sizes],
+    [np.linspace(0.0, 1.0, m) / np.linspace(0.0, 1.0, m).sum() if m > 1 else np.ones(1)
+     for m in sizes]))
+# appendix power's loss side is linear; the table's is not, and its u(0)
+# and u'(0) are not 0
+GRID_UTILITIES = (appendix_power(0.5),
+                  tabulated((-10.0, -1.0, 0.0, 1.0, 10.0), (-30.0, -2.0, 0.2, 1.0, 3.0)))
+
+
+def grid_f_g(xs, probs, u, p):
+    """f and g at p from an exact solve's value call and pass."""
+    value, scratch = optimize._grid_value(u, xs, probs)
+    f, memo = value(p)
+    g, _, _ = optimize._grid_pass(u, xs, optimize._product_weights(probs), scratch)(memo)
+    return f, g
+
+
+def grid_oracle(xs, probs, u, p):
+    """(f, g, tol_f, tol_g): E[u(Y)] and E[u'(Y) X] by whole-array sums
+    over the rows h + t that the staircase reads (``_outer_sum`` on the
+    heads and on the tile), and the error bounds of ``_grid_value``'s
+    docstring, with the gradient's gemv, at 2^-53 a unit."""
+    lead, _ = optimize._tile_split(xs)
+    heads, tile = xs[:lead], xs[lead:]
+    h = optimize._outer_sum(heads, p[:lead], np.empty(math.prod(x.size for x in heads)))
+    t = optimize._outer_sum(tile, p[lead:], np.empty(math.prod(x.size for x in tile)))
+    v = (h[:, None] + t).ravel()
+    w = optimize._product_weights(probs)
+    X = np.array(list(itertools.product(*xs)))
+    uv, du = eval_u(u, v), optimize.eval_u_prime(u, v)
+    f = math.fsum(w * uv)
+    g = np.array([math.fsum(col) for col in X.T * (w * du)])
+    eps, (H, T) = 2.0 ** -53, (h.size, t.size)
+    slope = u._kernels.loss_slope or 0.0
+    size = w @ (np.abs(uv) + abs(eval_u(u, 0.0)))
+    reach = slope * (w @ (np.abs(h)[:, None] + np.abs(t)).ravel())
+    tol_f = ((math.log2(H * T) + 4) * size
+             + (min(T, optimize.ROW_BLOCK) + T / optimize.ROW_BLOCK + 4) * reach) * eps
+    tol_g = (H + T + 4 + max(H, T)) * eps * (
+        np.abs(X).T @ (w * (np.abs(du) + abs(optimize.eval_u_prime(u, 0.0)))))
+    return f, g, tol_f, tol_g
+
+
+class TestGridStaircase:
+    """An exact solve's value and gradient on the staircase
+    (``_grid_value``, ``_grid_pass``) against whole-array sums."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.one_of(product_supports(), split_laws), st.sampled_from(GRID_UTILITIES),
+           st.sampled_from([0.0, 0.1, 1.0, 3.0]), st.integers(0, 2 ** 32 - 1))
+    def test_matches_whole_array_oracle(self, supports, u, scale, seed):
+        xs, probs = supports
+        p = scale * np.random.Generator(np.random.Philox(key=seed)).uniform(-1.0, 1.0, len(xs))
+        f, g = grid_f_g(xs, probs, u, p)
+        want_f, want_g, tol_f, tol_g = grid_oracle(xs, probs, u, p)
+        assert abs(f - want_f) <= tol_f
+        assert np.all(np.abs(g - want_g) <= tol_g)
+
+    @pytest.mark.parametrize("u", GRID_UTILITIES, ids=["appendix_power", "tabulated"])
+    @pytest.mark.parametrize("case", ["zero", "edges", "above", "below", "cluster"])
+    def test_edge_splits_match_whole_array_oracle(self, u, case):
+        # phi = 0 (every row at 0, split T); heads at -100, 0 and 100 over a
+        # three-point tile, splits T, inside and 0 in one group; every row
+        # above 0 (split 0) or at or below 0 (split T); 17 live heads on
+        # one split, in groups of 16 and 1, between two zero-weight heads
+        three = np.array([-1.5, 0.0, 1.5])
+        tiles = [three - b for b in np.linspace(-0.3, 0.3, 8)]
+        probs = [np.array([2 / 9, 5 / 9, 2 / 9])] * 8
+        xs, p = {
+            "zero": (tiles, np.zeros(8)),
+            "edges": ([np.array([-100.0, 0.0, 100.0])] + tiles[:7], np.ones(8)),
+            "above": ([np.array([1.0, 2.0])] + [x + 2.0 for x in tiles[:7]], np.ones(8)),
+            "below": ([np.array([1.0, 2.0])] + [x + 2.0 for x in tiles[:7]], -np.ones(8)),
+            "cluster": ([np.arange(19) * 1e-6] + [np.array([-1.0, 1.0])] * 12, np.ones(13)),
+        }[case]
+        if case == "cluster":
+            probs = [np.array([0.0] + [1.0] * 17 + [0.0]) / 17] + [np.full(2, 0.5)] * 12
+        elif case != "zero":
+            probs = [np.full(xs[0].size, 1.0 / xs[0].size)] + probs[:7]
+        f, g = grid_f_g(xs, probs, u, p)
+        want_f, want_g, tol_f, tol_g = grid_oracle(xs, probs, u, p)
+        assert abs(f - want_f) <= tol_f
+        assert np.all(np.abs(g - want_g) <= tol_g)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.one_of(product_supports(), split_laws), st.sampled_from(GRID_UTILITIES),
+           st.integers(0, 2 ** 32 - 1))
+    def test_kept_scratch_matches_fresh_bit_for_bit(self, supports, u, seed):
+        # a solve's value calls and Hessians share one scratch buffer, each
+        # leaving it dirty for the other
+        xs, probs = supports
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        p = gen.uniform(-2.0, 2.0, len(xs))
+        f, g = grid_f_g(xs, probs, u, p)
+        value, scratch = optimize._grid_value(u, xs, probs)
+        step_pass = optimize._grid_pass(u, xs, optimize._product_weights(probs), scratch)
+        scratch[:] = gen.standard_normal(scratch.size)
+        for _ in range(2):
+            got, memo = value(p)
+            grad, hessian, _ = step_pass(memo)
+            assert (np.float64(got).tobytes(), grad.tobytes()) == (np.float64(f).tobytes(),
+                                                                   g.tobytes())
+            hessian()
+
+
+class TestStackedPayoffs:
+    @settings(deadline=None, max_examples=60)
+    @given(product_supports(), st.integers(0, 5), st.integers(0, 2 ** 32 - 1))
+    def test_stacked_strategies_match_one_at_a_time_byte_for_byte(self, supports, count, seed):
+        # signed zeros among the coordinates, and no strategy at all
+        xs, _ = supports
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        phis = gen.uniform(-3.0, 3.0, (count, len(xs)))
+        phis[gen.random(phis.shape) < 0.2] = 0.0
+        phis[gen.random(phis.shape) < 0.1] = -0.0
+        n = math.prod(x.size for x in xs)
+        stacked = optimize._grid_payoffs(xs, phis)
+        assert stacked.shape == (count, n)
+        for phi, row in zip(phis, stacked):
+            assert row.tobytes() == optimize._outer_sum(xs, phi, np.empty(n)).tobytes()
+
+
 class TestProductPass:
     @settings(deadline=None, max_examples=100)
     @given(product_supports(), st.integers(0, 2 ** 32 - 1))
@@ -385,7 +511,6 @@ class TestProductPass:
         w = np.array([math.prod(p) for p in itertools.product(*probs)])
         gen = np.random.Generator(np.random.Philox(key=seed))
         phi = gen.uniform(-3.0, 3.0, len(xs))
-        a = w * gen.standard_normal(w.size)
         c = w * gen.uniform(0.0, 2.0, w.size)
         v = optimize._outer_sum(xs, phi, np.empty(w.size))
         assert np.all(np.abs(v - X @ phi) <= 1e-12 * (np.abs(X) @ np.abs(phi)))
@@ -395,8 +520,7 @@ class TestProductPass:
             for p, x in reversed(list(zip(phi, row))):
                 loop[r] += p * x
         assert np.array_equal(v, loop)
-        g, G = product_blocks(xs, a.copy(), c.copy())
-        assert np.all(np.abs(g - X.T @ a) <= 1e-12 * (np.abs(X).T @ np.abs(a)))
+        G = product_blocks(xs, c.copy())
         assert np.all(np.abs(G - (X.T * c) @ X) <= 1e-12 * ((np.abs(X).T * c) @ np.abs(X)))
         assert np.array_equal(G, G.T)
 
@@ -406,10 +530,8 @@ class TestProductPass:
         xs = [gen.uniform(-1.0, 1.0, m) for m in sizes]
         X = np.array(list(itertools.product(*xs)))
         assert optimize._split(xs).heads.size  # the split has heads
-        a = gen.standard_normal(len(X))
         c = gen.uniform(0.0, 2.0, len(X)) * (gen.random(len(X)) < 0.9)
-        g, G = product_blocks(xs, a.copy(), c.copy())
-        assert np.all(np.abs(g - X.T @ a) <= 1e-12 * (np.abs(X).T @ np.abs(a)))
+        G = product_blocks(xs, c.copy())
         assert np.all(np.abs(G - (X.T * c) @ X) <= 1e-12 * ((np.abs(X).T * c) @ np.abs(X)))
         assert np.array_equal(G, G.T)
 
@@ -421,29 +543,26 @@ class TestProductPass:
         xs, _ = supports
         n = math.prod(x.size for x in xs)
         gen = np.random.Generator(np.random.Philox(key=seed))
-        a = gen.standard_normal(n)
         c = gen.uniform(0.0, 2.0, n) * (gen.random(n) < 0.9)
-        g, G = product_blocks(xs, a.copy(), c.copy())
+        G = product_blocks(xs, c.copy())
         split, scratch = dirty(*split_pass(xs), gen)
         for _ in range(2):
-            assert optimize._split_blocks(split, a.copy(), None, scratch)[0].tobytes() == g.tobytes()
-            assert optimize._split_blocks(split, None, c.copy(), scratch)[1].tobytes() == G.tobytes()
+            assert optimize._split_blocks(split, c.copy(), scratch).tobytes() == G.tobytes()
 
     @pytest.mark.parametrize("sizes", [(2,) * 17, (3, 2) * 6 + (3,)], ids=["two_point", "mixed"])
     def test_kept_buffers_hold_every_partial_sum(self, sizes):
-        # with the split and scratch kept, neither half allocates a partial
+        # with the split and scratch kept, the Hessian allocates no partial
         # sum: the largest would be n / 2 values (n / 3 on the mixed grid),
         # 4n bytes or more.  What is left is numpy's own ufunc buffer, at
         # most 8192 values, and arrays of a law's size or K's
         gen = np.random.Generator(np.random.Philox(key=len(sizes)))
         xs = [gen.uniform(-1.0, 1.0, m) for m in sizes]
         n = math.prod(sizes)
-        a, c = gen.standard_normal(n), gen.uniform(0.0, 2.0, n)
+        c = gen.uniform(0.0, 2.0, n)
         split, scratch = split_pass(xs)
         tracemalloc.start()
         try:
-            optimize._split_blocks(split, a, None, scratch)
-            optimize._split_blocks(split, None, c, scratch)
+            optimize._split_blocks(split, c, scratch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -552,25 +671,34 @@ class TestProductPass:
         assert_witness(s.draws - B.b, phi)
 
     def test_identical_across_blas_thread_counts(self):
-        # the product pass's BLAS calls are _row_blocks' on the two designs;
-        # a gemm for the cross block would be threaded with other last bits
-        # on the three-point grid at K = 12, 243 heads by a 2187-point tile
+        # an exact solve's BLAS calls are _row_blocks' on the two designs,
+        # for the gradient and the Hessian; a gemm for the cross block
+        # would be threaded with other last bits on the three-point grid at
+        # K = 12, 243 heads by a 2187-point tile
         code = ("import hashlib, numpy as np\n"
                 "from apmopt import optimize, build_market, enumerate_scenarios\n"
                 "from apmopt import appendix_power, finite_discrete, rademacher\n"
                 "three = finite_discrete([-1.5, 0.0, 1.5], [2 / 9, 5 / 9, 2 / 9])\n"
+                "u = appendix_power(0.5)\n"
                 "for K, law in ((19, rademacher()), (12, three)):\n"
                 "    gen = np.random.Generator(np.random.Philox(key=K))\n"
                 "    xs = [np.array(law.points) - b for b in gen.uniform(-0.3, 0.3, K)]\n"
+                "    probs = [np.array(law.probs)] * K\n"
                 "    n = len(law.points) ** K\n"
-                "    v = optimize._outer_sum(xs, gen.standard_normal(K), np.empty(n))\n"
-                "    g, G = optimize._split_blocks(optimize._split(xs), v.copy(), np.abs(v),\n"
-                "                                  np.empty(n))\n"
+                "    p = gen.standard_normal(K)\n"
+                "    v = optimize._outer_sum(xs, p, np.empty(n))\n"
+                "    G = optimize._split_blocks(optimize._split(xs), np.abs(v), np.empty(n))\n"
+                "    value, scratch = optimize._grid_value(u, xs, probs)\n"
+                "    f, memo = value(p)\n"
+                "    w = optimize._product_weights(probs)\n"
+                "    g, hessian, _ = optimize._grid_pass(u, xs, w, scratch)(memo)\n"
+                "    G = np.concatenate((G, hessian()))\n"
                 "    model = build_market(1, K, mu=[-0.4 / i for i in range(1, K + 1)],\n"
                 "                         beta=[[0.0]] * (K - 1), beta_bar=[1.0] * K, noise=law)\n"
                 "    phi = optimize.optimize_truncated(model, appendix_power(0.5), None,\n"
                 "                                      enumerate_scenarios(model)).phi_star\n"
-                "    h = hashlib.sha256(v.tobytes() + g.tobytes() + G.tobytes() + phi.tobytes())\n"
+                "    h = hashlib.sha256(v.tobytes() + np.float64(f).tobytes() + g.tobytes()\n"
+                "                       + G.tobytes() + phi.tobytes())\n"
                 "    print(K, h.hexdigest())\n")
         one, two = stdout_per_blas_thread_count(code)
         assert one == two
@@ -595,24 +723,54 @@ class TestHessianOnDemand:
         monkeypatch.setattr(optimize, name, logged)
         return calls
 
+    @staticmethod
+    def log_grid_passes(monkeypatch):
+        """Wrap an exact solve's pass (optimize._grid_pass) and Hessian
+        (optimize._split_blocks) to log "g" per gradient, and "H", or "H0"
+        for c all zero, per Hessian."""
+        calls = []
+        grid_pass, split_blocks = optimize._grid_pass, optimize._split_blocks
+
+        def logged_pass(*args):
+            step_pass = grid_pass(*args)
+
+            def logged(memo):
+                calls.append("g")
+                return step_pass(memo)
+            return logged
+
+        def logged_blocks(split, c, scratch):
+            calls.append("H" if c.any() else "H0")
+            return split_blocks(split, c, scratch)
+        monkeypatch.setattr(optimize, "_grid_pass", logged_pass)
+        monkeypatch.setattr(optimize, "_split_blocks", logged_blocks)
+        return calls
+
     @pytest.mark.parametrize("kind", ["exact", "rows", "sampled"])
     def test_solve_hessian_schedule(self, monkeypatch, kind):
         # every solve starts at phi = 0, where u''(0) = 0: its first
         # Hessian half has c = 0, so the second step forms H again; no
         # step backtracks, so from there a step reuses H and the next
-        # forms it
+        # forms it.  An exact solve's value calls, one per step and one at
+        # phi = 0, each run one rising staircase for u and u' (appendix
+        # power's loss side is linear)
         model = rademacher_market([0.4 / i for i in range(1, 7)])
         s = enumerate_scenarios(model)
         s = {"exact": s, "rows": row_set(s),
              "sampled": sample_scenarios(model, 3 * optimize.ROW_BLOCK + 17, 3)}[kind]
-        calls = self.log_halves(monkeypatch,
-                                "_split_blocks" if kind == "exact" else "_row_blocks")
+        if kind == "exact":
+            calls = self.log_grid_passes(monkeypatch)
+        else:
+            calls = self.log_halves(monkeypatch, "_row_blocks")
         second = mock.Mock(wraps=optimize.eval_u_second)
         monkeypatch.setattr(optimize, "eval_u_second", second)
+        stair = mock.Mock(wraps=optimize._staircase)
+        monkeypatch.setattr(optimize, "_staircase", stair)
         res = optimize_truncated(model, appendix_power(0.5), None, s)
         assert res.converged and res.iterations == 7
         assert second.call_count == 4
         assert calls == ["g", "H0", "g", "H"] + ["g", "g", "H"] * 2 + ["g", "g"]
+        assert [c.args[7] for c in stair.call_args_list] == [True] * 8 * (kind == "exact")
 
     def test_ladder_levels_hessian_schedule(self, monkeypatch):
         model = rademacher_market([0.4 / i for i in range(1, 7)])
@@ -698,30 +856,11 @@ class TestHessianOnDemand:
         monkeypatch.setattr(optimize, "_row_blocks", blocks)
         split, scratch = split_pass(xs)
         split.held[:] = np.nan
-        g, G = optimize._split_blocks(split, None, np.zeros(n), scratch)
-        assert g is None and G.shape == (9, 9) and not G.any()
+        G = optimize._split_blocks(split, np.zeros(n), scratch)
+        assert G.shape == (9, 9) and not G.any()
         assert blocks.call_count == 0 and np.isnan(split.held).all()  # no sums formed
-        g, G = optimize._split_blocks(split, np.ones(n), None, scratch)
-        assert G is None and blocks.call_count == 2  # one per design
-        optimize._split_blocks(split, None, np.ones(n), scratch)
-        assert blocks.call_count == 2 + 2 + 7  # and one per tile coordinate
-
-    @settings(deadline=None, max_examples=30)
-    @given(st.one_of(product_supports(), split_supports), st.integers(0, 2 ** 32 - 1))
-    def test_halves_alone_match_both_bit_for_bit(self, supports, seed):
-        xs, _ = supports
-        n = math.prod(x.size for x in xs)
-        gen = np.random.Generator(np.random.Philox(key=seed))
-        a = gen.standard_normal(n)
-        c = gen.uniform(0.0, 2.0, n) * (gen.random(n) < 0.9)
-        g, G = product_blocks(xs, a.copy(), c.copy())
-        assert product_blocks(xs, a.copy(), None)[0].tobytes() == g.tobytes()
-        assert product_blocks(xs, None, c.copy())[1].tobytes() == G.tobytes()
-        X = gen.standard_normal((len(xs), 3 * optimize.ROW_BLOCK + 17))
-        a, c = X[0].copy(), np.abs(X[-1])
-        g, G = optimize._row_blocks(X, a, c)
-        assert optimize._row_blocks(X, a, None)[0].tobytes() == g.tobytes()
-        assert optimize._row_blocks(X, None, c)[1].tobytes() == G.tobytes()
+        optimize._split_blocks(split, np.ones(n), scratch)
+        assert blocks.call_count == 2 + 7  # one per design and one per tile coordinate
 
 
 class TestNewtonOracles:

@@ -1,6 +1,7 @@
 """Run every CLI command on a fixed set of configs and keep all it produced.
 
     python tools/same_numbers.py OUT [--checkout DIR] [--blas-threads N]
+    python tools/same_numbers.py --compare OUT_A OUT_B
 
 For each config, each of `check`, `optimize`, `measure` and `report` runs
 as `python -m apmopt.cli COMMAND --config ... --out ... --seed 42` with
@@ -25,8 +26,17 @@ Two checkouts give the same numbers when `diff -r OUT_A OUT_B` prints
 nothing, and one checkout's numbers do not depend on the BLAS thread
 count when runs at `--blas-threads 1` and `2` do not differ.
 `--checkout` points at a checkout other than the one holding this
-script, such as an older commit that does not have it.  Only the
-standard library is imported here; the commands need numpy and scipy.
+script, such as an older commit that does not have it.
+
+`--compare OUT_A OUT_B` says how two such directories differ.  Each file
+is read as text cut into numbers and the text between them.  For each
+file that is in one directory alone, or whose bytes differ, it prints one
+line: the largest relative difference |a - b| / max(|a|, |b|) over the
+numbers at the same place, with the line and the two numbers where it
+is, where the text between the numbers is the same, and otherwise the
+first line whose text differs.  It exits 0 when every file
+is the same, else 1.  Only the standard library is imported here; the
+commands need numpy and scipy.
 """
 
 from __future__ import annotations
@@ -34,7 +44,9 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -83,15 +95,76 @@ def configs(checkout: str) -> dict[str, dict]:
     return out
 
 
+# a number as Python and the CLI print one, sign included
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|[-+]?Infinity|NaN|nan)")
+
+
+def files(root: str) -> set[str]:
+    """The paths of every file under root, relative to it."""
+    return {os.path.relpath(os.path.join(d, f), root)
+            for d, _, names in os.walk(root) for f in names}
+
+
+def difference(a: str, b: str) -> str:
+    """How the texts a and b differ: the largest relative difference of
+    their numbers, where the text between the numbers is the same, else
+    the first line whose text differs."""
+    pa, pb = NUMBER.split(a), NUMBER.split(b)
+    if len(pa) != len(pb) or pa[::2] != pb[::2]:
+        for line, (x, y) in enumerate(zip(a.splitlines() + [""], b.splitlines() + [""]), 1):
+            if NUMBER.sub("#", x) != NUMBER.sub("#", y):
+                return f"text differs at line {line}: {x[:60]!r} vs {y[:60]!r}"
+        return "text differs"
+    worst, count, where = 0.0, 0, ""
+    line = 1
+    for text, x, y in zip(pa[::2], pa[1::2], pb[1::2]):
+        line += text.count("\n")
+        if x == y:
+            continue
+        count += 1
+        fx, fy = float(x.replace("Infinity", "inf")), float(y.replace("Infinity", "inf"))
+        if fx == fy:
+            continue  # one number written two ways
+        top = max(abs(fx), abs(fy))
+        rel = abs(fx - fy) / top if math.isfinite(top) else math.inf
+        if rel > worst:
+            worst, where = rel, f" at line {line}: {x} vs {y}"
+    return f"{count} numbers differ, largest relative difference {worst:.3g}{where}"
+
+
+def compare(out_a: str, out_b: str) -> int:
+    """Print how the files under out_a and out_b differ; 1 if any does."""
+    paths_a, paths_b = files(out_a), files(out_b)
+    differ = 0
+    for path in sorted(paths_a | paths_b):
+        if path not in paths_b or path not in paths_a:
+            print(f"{path}: only in {out_a if path in paths_a else out_b}")
+            differ += 1
+            continue
+        with open(os.path.join(out_a, path), "rb") as fa, open(os.path.join(out_b, path), "rb") as fb:
+            a, b = fa.read(), fb.read()
+        if a != b:
+            print(f"{path}: {difference(a.decode(errors='replace'), b.decode(errors='replace'))}")
+            differ += 1
+    print(f"{differ} of {len(paths_a | paths_b)} files differ")
+    return int(differ > 0)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("out", help="directory for the outputs; must not exist")
+    ap.add_argument("out", nargs="?", help="directory for the outputs; must not exist")
+    ap.add_argument("--compare", nargs=2, metavar=("OUT_A", "OUT_B"),
+                    help="print how two output directories differ, and run nothing")
     ap.add_argument("--checkout", default=os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))),
         help="the checkout whose src/ runs (default: this script's)")
     ap.add_argument("--blas-threads", type=int, default=1, metavar="N",
                     help="OPENBLAS_NUM_THREADS and OMP_NUM_THREADS of the commands")
     args = ap.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.out is None:
+        ap.error("OUT is required unless --compare is given")
     if args.blas_threads < 1:
         ap.error("--blas-threads must be at least 1")
     checkout = os.path.abspath(args.checkout)
