@@ -30,10 +30,10 @@ prefix and suffix sums, and a loss side that is linear (appendix power)
 is two running sums read at the split.  The strategies' tile payoffs are
 formed for many strategies per numpy call (``optimize._grid_payoffs``).
 Otherwise the walk forms the blocks as outer sums over the K coordinate
-laws.  The exponential moment takes the
-walk on row sets; on an exact enumeration it is a closed form over the
-same sorted tiles, wherever that runs fewer exps, with exp run on the
-tile's and the heads' payoffs, not on every row.
+laws.  The exponential moment takes the walk on row sets; on an exact
+enumeration it is a closed form over the same sorted tiles, wherever
+that runs fewer exps, with exp run on the tile's and the heads' payoffs,
+not on every row.
 """
 
 from __future__ import annotations
@@ -207,10 +207,10 @@ def _sorted_tiles(laws, phis: np.ndarray, shift: np.ndarray):
     sorted (``_sorted_tile``), and w their weights; the tile payoffs are
     formed for max(1, _STAIR // T) strategies at a time, one numpy call
     per coordinate and step for all of them (``_grid_payoffs``).  heads
-    yields blocks (h, wh, k) of at
-    most ROW_BLOCK head payoffs h (``_grid_blocks``), zero-weight heads
-    left out, with their weights wh and their splits k = the number of
-    t <= -h, by one searchsorted on -h.  A row h + t is the product
+    yields blocks (h, wh, k) of at most ROW_BLOCK head payoffs h
+    (``_grid_blocks``), zero-weight heads left out, with their weights wh
+    and their splits k = the number of t <= -h, by one searchsorted on
+    -h.  A row h + t is the product
     walk's payoff (``_product_payoffs``) bit for bit, and it is > 0
     exactly where t > -h, that is on t[k:]: -h is exact, and a sum of two
     floats rounds to 0 only where it is 0.  Every temporary holds a
@@ -331,9 +331,9 @@ def _product_sides(laws, phis: np.ndarray, shift: np.ndarray, u: Utility):
     groups of g with g T about _STAIR rows, and a group with smallest
     split k0 forms the rows h + t[k0:] as one (g, T - k0) block, runs the
     gain kernel on its max(Y, 0) once and reduces each row of the weighted
-    block.  The rows t[k0:k] of a head
-    with split k are <= 0 and give u(0) w_t, so adding u(0) times the
-    weight of t[:k0] gives the formula's u(0) W_{t <= -h}.  A table's loss
+    block.  The rows t[k0:k] of a head with split k are <= 0 and give
+    u(0) w_t, so adding u(0) times the weight of t[:k0] (the staircase
+    gives each head's k0) gives the formula's u(0) W_{t <= -h}.  A table's loss
     side is the mirror image: the rows h + t[:k1] up to the group's
     largest split k1, the loss side on them, plus u(0) times the weight of
     t[k1:].  Where u is linear on Y <= 0, u(Y) = a Y (appendix power;

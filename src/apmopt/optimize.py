@@ -412,17 +412,19 @@ def _grid_value(u: Utility, xs, probs):
       column between a group's two edges, counted on both sides, gives
       back f(0) once.
 
-    Error: every row's u and u' are the kernels' values on h + t, which
-    is within an ulp of X @ p.  A head's row sum of L weighted values is
-    pairwise, within about log2(L) 2^-53 of its exact value relatively to
-    the sum of the magnitudes, and f sums the heads pairwise, so f is
-    within about (log2(n) + 3) 2^-53 E|u(V)| plus the running sums'
-    (ROW_BLOCK + L / ROW_BLOCK) 2^-53 a E[|h| + |t|] over the rows at or
-    below 0.  A column sum adds the H heads' values one after the other,
-    within about (H + 2) 2^-53 of its exact value relatively to the sum of
-    the magnitudes (each kernel's f(0) term included), and a row sum
-    within (log2(T) + 3) 2^-53.  No BLAS call runs, so the sums do not
-    depend on the BLAS thread count.
+    Error, in units of 2^-53, against exact sums over the rows h + t, on
+    which u and u' are the kernels' values (h + t differs from the outer
+    sum X @ p only in the rounding of its adds).  f is within
+    (log2(n) + 4) E[|u(V)| + |u(0)|], from the pairwise row sums along
+    the tile and the pairwise sum over the heads, plus
+    (min(T, ROW_BLOCK) + T / ROW_BLOCK + 4) a E[|h| + |t|] from a linear
+    loss side's running sums.  Each entry of r and s is within H + T + 4
+    of its exact value, relatively to the sum of its terms' magnitudes,
+    |u'(V)| + |u'(0)| each: a column sum adds the H heads' values one
+    after the other, and the f(0) terms come from running sums over the
+    tile and over the groups' edges.  The gradient's gemvs add max(H, T).
+    No BLAS call runs here, so the sums do not depend on the BLAS thread
+    count.
     """
     lead, _ = _tile_split(xs)
     kernels = u._kernels
@@ -456,9 +458,10 @@ def _grid_value(u: Utility, xs, probs):
             fu -= u0 * both
             fp += lp
             fp -= p0 * both
-            both = np.cumsum(np.bincount(rise, wh, t.size + 1)
-                             - np.bincount(fall, wh, t.size + 1))[:-1]
-            cols -= p0 * both
+            # a column's weight in groups whose two edges lie on its two sides
+            overlap = np.cumsum(np.bincount(rise, wh, t.size + 1)
+                                - np.bincount(fall, wh, t.size + 1))[:-1]
+            cols -= p0 * overlap
         else:
             loss = h * below[k]
             loss += _running_sums(wt * t)[k]
