@@ -377,10 +377,10 @@ def _product_sides(laws, phis: np.ndarray, shift: np.ndarray, u: Utility):
             if h.size > g:  # groups of neighbouring splits
                 order = np.argsort(k, kind="stable")
                 h, wh, k = h[order], wh[order], k[order]
-            (gain,), edges = _staircase((kernels.gain,), h, k, t, w, g, scratch, True)
+            gain, edges = _staircase(kernels.gain, h, k, t, w, g, scratch, True)
             gain += u0 * below[edges]
             if slope is None:
-                (loss,), edges = _staircase((kernels.loss,), h, k, t, w, g, scratch, False)
+                loss, edges = _staircase(kernels.loss, h, k, t, w, g, scratch, False)
                 loss += u0 * above[edges]
             else:
                 loss = h * below[k]

@@ -18,12 +18,12 @@ the result does not depend on the BLAS thread count at any K.  On an
 exact enumeration X is never formed.  The grid reads as an (H, T)
 matrix on the split the Hoelder chain takes, heads by a tile of trailing
 coordinates, and a payoff is a head's plus a tile point's, h + t.  Each
-value call sorts the tile and sums u and u' over the rows as the chain's
+value call sorts the tile and sums u over the rows as the chain's
 staircase over groups of heads (``_grid_value``, ``_staircase``): the
 rows above 0 in blocks, and those at or below 0 as running sums where u
-is linear there.  So the accepted trial leaves the row and column sums
-of w u', and ``_row_blocks`` on them and on the head and tile designs
-gives the gradient.  The Hessian forms v again as the outer sum of the
+is linear there.  The accepted trial's pass runs u' on the same
+staircase for the row and column sums of w u', and ``_row_blocks`` on
+them and on the head and tile designs gives the gradient.  The Hessian forms v again as the outer sum of the
 K coordinates' centred supports times phi, with no BLAS call, and reads
 w u''(v) on the same split (``_split_blocks``): ``_row_blocks`` on its
 row and column sums gives the diagonal blocks, and numpy reductions give
@@ -330,29 +330,27 @@ def _sorted_tile(t: np.ndarray, w: np.ndarray):
     return order, t[order], w[order]
 
 
-def _staircase(kernels, h, k, t, w, g: int, scratch: np.ndarray, rising: bool,
+def _staircase(kernel, h, k, t, w, g: int, scratch: np.ndarray, rising: bool,
                wh=None, cols=None):
     """(sums, edges) for the heads h with splits k on the sorted tile t
     with weights w, taken g heads at a time.  A group's edge is its
     smallest split (rising) or its largest, and its cut is the tile from
-    the edge on (rising) or up to it.  sums[f, i] is the sum over the cut
-    of w_t f(max(h_i + t, 0)) (rising) or w_t f(min(0, h_i + t)), for the
-    f-th of the kernels; edges[i] is the edge of head i's group.  With a
-    split k_i = the number of t <= -h_i, a rising cut holds every row of
-    its heads above 0 and a falling cut every row at or below 0; a head's
-    rows between its split and its group's edge take f(0).
+    the edge on (rising) or up to it.  sums[i] is the sum over the cut of
+    w_t kernel(max(h_i + t, 0)) (rising) or w_t kernel(min(0, h_i + t)),
+    and edges[i] the edge of head i's group.  With a split k_i = the
+    number of t <= -h_i, a rising cut holds every row of its heads above 0
+    and a falling cut every row at or below 0; a head's rows between its
+    split and its group's edge take kernel(0).
 
-    With wh and cols, the first kernel's column sums over the group,
-    sum_i wh_i f(...), are added into cols along the cut, a head at a
+    With wh and cols, the column sums over the group,
+    sum_i wh_i kernel(...), are added into cols along the cut, a head at a
     time.
 
     A group's rows are one C-ordered (heads, cut) block of scratch[0],
-    clamped in place.  Each kernel but the last writes its values into the
-    next row of scratch, the last writes them in place, and the last row
-    of scratch is the kernels' own scratch.  Each row of values is
-    weighted by w and summed pairwise along the tile.  No BLAS call
-    runs."""
-    sums = np.empty((len(kernels), h.size))
+    clamped and overwritten with the kernel's values in place; scratch[1]
+    is the kernel's own scratch.  Each row of values is weighted by w and
+    summed pairwise along the tile.  No BLAS call runs."""
+    sums = np.empty(h.size)
     edges = np.empty(h.size, dtype=np.intp)
     for start in range(0, h.size, g):
         group = slice(start, start + g)
@@ -360,55 +358,53 @@ def _staircase(kernels, h, k, t, w, g: int, scratch: np.ndarray, rising: bool,
         edge = int(ks.min()) if rising else int(ks.max())
         edges[group] = edge
         cut = slice(edge, None) if rising else slice(0, edge)
-        tc, wc = t[cut], w[cut]
-        shape = (hs.size, tc.size)
-        rows = [scratch[i, :hs.size * tc.size].reshape(shape) for i in range(len(kernels) + 1)]
-        block, tmp = rows[0], rows[-1]
+        tc = t[cut]
+        block = scratch[0, :hs.size * tc.size].reshape(hs.size, tc.size)
+        tmp = scratch[1, :block.size].reshape(block.shape)
         np.add(hs[:, None], tc, out=block)
         if rising:
             np.maximum(block, 0.0, out=block)
         else:
             np.minimum(0.0, block, out=block)
-        for f, kernel in enumerate(kernels):
-            out = block if f == len(kernels) - 1 else rows[f + 1]
-            kernel(block, out, tmp)
-            if f == 0 and cols is not None:
-                np.multiply(out, wh[group, None], out=tmp)
-                cols[cut] += np.add.reduce(tmp, axis=0)
-            out *= wc
-            np.add.reduce(out, axis=1, out=sums[f, group])
+        kernel(block, block, tmp)
+        if cols is not None:
+            np.multiply(block, wh[group, None], out=tmp)
+            cols[cut] += np.add.reduce(tmp, axis=0)
+        block *= w[cut]
+        np.add.reduce(block, axis=1, out=sums[group])
     return sums, edges
 
 
 def _grid_value(u: Utility, xs, probs):
     """(value, scratch) for a solve on the product of the centred supports
     xs with the laws' probabilities probs.  value(p) gives f = E[u(V(p))]
-    and the memo (p, r, s), with w u'(V(p)) read as an (H, T) matrix on
-    the split that the Hoelder chain also takes (``_tile_split``): r holds
-    its row sums, one per head, and s its column sums, one per tile
-    point, so the gradient is (heads @ r, tiles @ s).  scratch holds the
-    staircase's blocks and at least the grid's size, and is free between
-    value calls.
+    and the memo (p, sums), where sums() gives (r, s), w u'(V(p)) read as
+    an (H, T) matrix on the split that the Hoelder chain also takes
+    (``_tile_split``): r holds its row sums, one per head, and s its
+    column sums, one per tile point, so the gradient is
+    (heads @ r, tiles @ s).  scratch holds the staircase's blocks and at
+    least the grid's size, and is free between value and sums calls.
 
-    Each call forms the payoffs V = h + t of the heads h and of the tile
-    t (``_grid_payoffs``), sorts the tile once (``_sorted_tile``) and
+    Each value call forms the payoffs V = h + t of the heads h and of the
+    tile t (``_grid_payoffs``), sorts the tile once (``_sorted_tile``) and
     finds each head's split, the number of t <= -h, by one searchsorted:
-    h + t > 0 exactly on the tile from the split on.  Heads and tile points
-    of zero weight are left out.  The heads, sorted by split, go in
-    groups of g, with g T about _STAIR rows, through one rising staircase
+    h + t > 0 exactly on the tile from the split on.  Heads and tile
+    points of zero weight are left out.  The heads, sorted by split, go in
+    groups of g, with g T about _STAIR rows, through a rising staircase
     (``_staircase``): each group's block h + t from its smallest split on
-    runs u's gain kernel and u's derivative kernel once, and gives the
-    weighted row sums of both and the column sums of u'.  Every kernel f
-    satisfies f(Y) = f(max(Y, 0)) + f(min(0, Y)) - f(0).
+    runs u's gain kernel once and gives the weighted row sums.  sums()
+    runs u' on the same staircase over the memo's sorted tile, with the
+    column sums, so a line-search trial that is not taken costs no u'.
+    Every kernel f satisfies f(Y) = f(max(Y, 0)) + f(min(0, Y)) - f(0).
 
     * Where u(Y) = a Y on Y <= 0 (``_Kernels.loss_slope``; appendix power)
-      the rows at or below 0 are two running sums read at the split,
+      the rows at or below 0 are running sums read at the split,
       a (h W(t <= -h) + sum_{t <= -h} w_t t), for u, and a W for u',
       whose rows before the group's edge (a row's W) and whose columns
       before the edges of groups (a column's W) are the ones the blocks
       leave out.
-    * Otherwise (a table) the mirrored staircase runs the loss kernel and
-      u' on each group's rows up to its largest split, and a row or
+    * Otherwise (a table) the mirrored staircase runs the loss kernel, or
+      u', on each group's rows up to its largest split, and a row or
       column between a group's two edges, counted on both sides, gives
       back f(0) once.
 
@@ -435,8 +431,8 @@ def _grid_value(u: Utility, xs, probs):
     live = np.flatnonzero(head_w > 0)
     g = max(1, _STAIR // tile_w.size)
     block = min(g, live.size) * tile_w.size
-    scratch = np.empty(max(head_w.size * tile_w.size, 3 * block))
-    stair = scratch[:3 * block].reshape(3, block)
+    scratch = np.empty(max(head_w.size * tile_w.size, 2 * block))
+    stair = scratch[:2 * block].reshape(2, block)
 
     def value(p):
         h = _grid_payoffs(xs[:lead], p[None, :lead])[0, live]
@@ -447,37 +443,42 @@ def _grid_value(u: Utility, xs, probs):
             by = np.argsort(k, kind="stable")
             h, wh, k, heads = h[by], wh[by], k[by], heads[by]
         below = _running_sums(wt)  # below[j]: the weight of t[:j]
-        cols = np.zeros(t.size)
-        (fp, fu), rise = _staircase((kernels.prime, kernels.gain), h, k, t, wt, g,
-                                    stair, True, wh, cols)
+        fu, rise = _staircase(kernels.gain, h, k, t, wt, g, stair, True)
         if slope is None:
-            (lp, lu), fall = _staircase((kernels.prime, kernels.loss), h, k, t, wt, g,
-                                        stair, False, wh, cols)
+            lu, fall = _staircase(kernels.loss, h, k, t, wt, g, stair, False)
             both = below[fall] - below[rise]  # the weight of a row's cuts' overlap
             fu += lu
             fu -= u0 * both
-            fp += lp
-            fp -= p0 * both
-            # a column's weight in groups whose two edges lie on its two sides
-            overlap = np.cumsum(np.bincount(rise, wh, t.size + 1)
-                                - np.bincount(fall, wh, t.size + 1))[:-1]
-            cols -= p0 * overlap
         else:
             loss = h * below[k]
             loss += _running_sums(wt * t)[k]
             loss *= slope
             fu += loss
-            fp += slope * below[rise]
-            # a column's weight in groups whose edge lies above it
-            cols += slope * np.cumsum(np.bincount(rise, wh, t.size + 1)[:0:-1])[::-1]
         fu *= wh
-        fp *= wh
-        cols *= wt
-        r = np.zeros(head_w.size)
-        r[heads] = fp
-        s = np.zeros(tile_w.size)
-        s[order] = cols
-        return float(np.sum(fu)), (p, r, s)
+
+        def sums():
+            cols = np.zeros(t.size)
+            fp, _ = _staircase(kernels.prime, h, k, t, wt, g, stair, True, wh, cols)
+            if slope is None:
+                lp, _ = _staircase(kernels.prime, h, k, t, wt, g, stair, False, wh, cols)
+                fp += lp
+                fp -= p0 * both
+                # a column's weight in groups whose two edges lie on its two sides
+                overlap = np.cumsum(np.bincount(rise, wh, t.size + 1)
+                                    - np.bincount(fall, wh, t.size + 1))[:-1]
+                cols -= p0 * overlap
+            else:
+                fp += slope * below[rise]
+                # a column's weight in groups whose edge lies above it
+                cols += slope * np.cumsum(np.bincount(rise, wh, t.size + 1)[:0:-1])[::-1]
+            fp *= wh
+            cols *= wt
+            r = np.zeros(head_w.size)
+            r[heads] = fp
+            s = np.zeros(tile_w.size)
+            s[order] = cols
+            return r, s
+        return float(np.sum(fu)), (p, sums)
     return value, scratch
 
 
@@ -562,18 +563,19 @@ def _split_blocks(split: _Split, c: np.ndarray, scratch: np.ndarray) -> np.ndarr
 
 def _grid_pass(u: Utility, xs, w: np.ndarray, scratch: np.ndarray):
     """step_pass(memo) for a solve on the product of the supports xs with
-    weights w, from ``_grid_value``'s memo (p, r, s): the gradient
-    (heads @ r, tiles @ s), each ``_row_blocks`` on a design of the split
-    (``_split``), and a callable for the Hessian at p.  That callable
-    forms v = X @ p again into an n-length buffer of its own
-    (``_outer_sum``), writes -w u''(v) over it and takes the Hessian on
-    the split (``_split_blocks``), with scratch, which the value calls
-    leave free, for its remainders."""
+    weights w, from ``_grid_value``'s memo (p, sums): the gradient
+    (heads @ r, tiles @ s) with (r, s) = sums(), each ``_row_blocks`` on a
+    design of the split (``_split``), and a callable for the Hessian at
+    p.  That callable forms v = X @ p again into an n-length buffer of its
+    own (``_outer_sum``), writes -w u''(v) over it and takes the Hessian
+    on the split (``_split_blocks``), with scratch, which the staircase
+    leaves free, for its remainders."""
     split = _split(xs)
     buf = np.empty(w.size)
 
     def step_pass(memo):
-        p, r, s = memo
+        p, sums = memo
+        r, s = sums()
         g = np.concatenate((_row_blocks(split.heads, r, None)[0],
                             _row_blocks(split.tiles, s, None)[0]))
 

@@ -48,9 +48,9 @@ u(Y+) and u(-Y-) as one evaluator each: gain on max(Y, 0) and loss on
 min(0, Y).  The row walk runs both chunk by chunk (``_split_u``), so a
 table runs twice per payoff.  The exact sets' staircase
 (``optimize._staircase``) clamps its own blocks of rows the same way and
-runs the gain or loss kernel on them, and the solver's u' kernel on the
-same blocks; where the loss side is linear it reads the slope and
-evaluates no row there.
+runs the gain or loss kernel on them (the exact solver also its u'
+kernel); where the loss side is linear it reads the slope and evaluates
+no row there.
 
 A GrowthBounds certificate records finite constants (alpha, beta, C1,
 C2) for the caps u(x) <= C1(x**alpha + 1) on x >= 0 and

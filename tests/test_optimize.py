@@ -752,8 +752,8 @@ class TestHessianOnDemand:
         # Hessian half has c = 0, so the second step forms H again; no
         # step backtracks, so from there a step reuses H and the next
         # forms it.  An exact solve's value calls, one per step and one at
-        # phi = 0, each run one rising staircase for u and u' (appendix
-        # power's loss side is linear)
+        # phi = 0, each run one rising staircase for u, and each pass one
+        # for u' (appendix power's loss side is linear)
         model = rademacher_market([0.4 / i for i in range(1, 7)])
         s = enumerate_scenarios(model)
         s = {"exact": s, "rows": row_set(s),
@@ -770,7 +770,7 @@ class TestHessianOnDemand:
         assert res.converged and res.iterations == 7
         assert second.call_count == 4
         assert calls == ["g", "H0", "g", "H"] + ["g", "g", "H"] * 2 + ["g", "g"]
-        assert [c.args[7] for c in stair.call_args_list] == [True] * 8 * (kind == "exact")
+        assert [c.args[7] for c in stair.call_args_list] == [True] * 16 * (kind == "exact")
 
     def test_ladder_levels_hessian_schedule(self, monkeypatch):
         model = rademacher_market([0.4 / i for i in range(1, 7)])
