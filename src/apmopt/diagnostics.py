@@ -49,8 +49,9 @@ from .distributions import estimate_exp_moment, tail_probability, truncated_seco
 from .market import MarketModel, check_assumption_b, check_no_arbitrage
 from .measures import (TiltedMeasure, _coordinate_means, _density_moments, _residuals,
                        _support_factors)
-from .optimize import (_STAIR, ROW_BLOCK, _centered, _grid_payoffs, _payoffs,
-                       _require_width, _running_sums, _sorted_tile, _staircase, _tile_split)
+from .optimize import (_STAIR, ROW_BLOCK, _by_split, _centered, _grid_payoffs, _linear_loss,
+                       _payoffs, _require_width, _running_sums, _sorted_tile, _staircase,
+                       _tile_split)
 from .scenarios import ScenarioSet, _product_weights
 from .utility import Utility, _split_u, certify_growth, eval_u
 
@@ -327,19 +328,19 @@ def _product_sides(laws, phis: np.ndarray, shift: np.ndarray, u: Utility):
 
     with W the tile weights' prefix and suffix sums (``_running_sums``)
     read at the split.  The inner sums run as a staircase
-    (``_staircase``): the heads of a block, sorted by their split, go in
-    groups of g with g T about _STAIR rows, and a group with smallest
-    split k0 forms the rows h + t[k0:] as one (g, T - k0) block, runs the
-    gain kernel on its max(Y, 0) once and reduces each row of the weighted
-    block.  The rows t[k0:k] of a head with split k are <= 0 and give
-    u(0) w_t, so adding u(0) times the weight of t[:k0] (the staircase
-    gives each head's k0) gives the formula's u(0) W_{t <= -h}.  A table's loss
-    side is the mirror image: the rows h + t[:k1] up to the group's
-    largest split k1, the loss side on them, plus u(0) times the weight of
-    t[k1:].  Where u is linear on Y <= 0, u(Y) = a Y (appendix power;
-    ``_Kernels.loss_slope``), no row is evaluated there: the loss is
-    a (h W_{t <= -h} + sum_{t <= -h} w_t t), two running sums read at the
-    split.
+    (``_staircase``): the heads of a block, sorted by their split
+    (``_by_split``), go in groups of g with g T about _STAIR rows, and a
+    group with smallest split k0 forms the rows h + t[k0:] as one
+    (g, T - k0) block, runs the gain kernel on its max(Y, 0) once and
+    reduces each row of the weighted block.  The rows t[k0:k] of a head with
+    split k are <= 0 and give u(0) w_t, so adding u(0) times the weight of
+    t[:k0] (the staircase gives each head's k0) gives the formula's u(0)
+    W_{t <= -h}.  A table's loss side is the mirror image: the rows h +
+    t[:k1] up to the group's largest split k1, the loss side on them, plus
+    u(0) times the weight of t[k1:].  Where u is linear on Y <= 0, u(Y) = a
+    Y (appendix power; ``_Kernels.loss_slope``), no row is evaluated there:
+    the loss is a (h W_{t <= -h} + sum_{t <= -h} w_t t), two running sums
+    read at the split (``_linear_loss``).
 
     Every row's u(Y+), and a table's u(-Y-), is the row walk's bit for
     bit; the sums are taken in another order.  A head's pairwise row sum
@@ -374,18 +375,14 @@ def _product_sides(laws, phis: np.ndarray, shift: np.ndarray, u: Utility):
         scratch = np.empty((2, min(g, ROW_BLOCK) * t.size))
         gain_sums, loss_sums = [], []
         for h, wh, k in heads:
-            if h.size > g:  # groups of neighbouring splits
-                order = np.argsort(k, kind="stable")
-                h, wh, k = h[order], wh[order], k[order]
+            k, h, wh = _by_split(k, g, h, wh)
             gain, edges = _staircase(kernels.gain, h, k, t, w, g, scratch, True)
             gain += u0 * below[edges]
             if slope is None:
                 loss, edges = _staircase(kernels.loss, h, k, t, w, g, scratch, False)
                 loss += u0 * above[edges]
             else:
-                loss = h * below[k]
-                loss += lower[k]
-                loss *= slope
+                loss = _linear_loss(slope, h, k, below, lower)
             gain *= wh
             loss *= wh
             gain_sums.append(np.add.reduce(gain))
@@ -444,13 +441,13 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
     centred at b.  On an exact set whose tiles pay (``_sides_pay``, from
     its support sizes alone), each strategy's payoffs split over a sorted
     tile, and the sums run as a staircase over groups of heads, each row
-    evaluated on one side at most, by the utility kind's gain or loss
-    kernel (``_product_sides``), within 1e-12 of the walk's sums.  Otherwise they share one walk over the rows
-    (``_strategy_sums``), which evaluates u(Y+) and u(-Y-) on each block
-    by the same two kernels (``_split_u``: gain on max(Y, 0), loss on
-    min(0, Y)).  The set must have at least the
-    market's K coordinates, and a NaN or infinite strategy is refused.
-    Requires growth bounds on u, and reports whether they hold as
+    evaluated on one side at most, by the utility kind's gain or loss kernel
+    (``_product_sides``), within 1e-12 of the walk's sums.  Otherwise they
+    share one walk over the rows (``_strategy_sums``), which evaluates u(Y+)
+    and u(-Y-) on each block by the same two kernels (``_split_u``: gain on
+    max(Y, 0), loss on min(0, Y)).  The set must have at least the market's
+    K coordinates, and a NaN or infinite strategy is refused.  Requires
+    growth bounds on u, and reports whether they hold as
     ``growth_certified``; on an exact set the measure
     must price every asset to 1e-10.  There that guard, the moments behind
     C' and C'' and the sums all read the set's own laws: the guard and the

@@ -23,12 +23,12 @@ staircase over groups of heads (``_grid_value``, ``_staircase``): the
 rows above 0 in blocks, and those at or below 0 as running sums where u
 is linear there.  The accepted trial's pass runs u' on the same
 staircase for the row and column sums of w u', and ``_row_blocks`` on
-them and on the head and tile designs gives the gradient.  The Hessian forms v again as the outer sum of the
-K coordinates' centred supports times phi, with no BLAS call, and reads
-w u''(v) on the same split (``_split_blocks``): ``_row_blocks`` on its
-row and column sums gives the diagonal blocks, and numpy reductions give
-each head's marginals on the tile for the cross block, which holds that
-too.
+them and on the head and tile designs gives the gradient.  The Hessian
+forms v again as the outer sum of the K coordinates' centred supports
+times phi, with no BLAS call, and reads w u''(v) on the same split
+(``_split_blocks``): ``_row_blocks`` on its row and column sums gives the
+diagonal blocks, and numpy reductions give each head's marginals on the
+tile for the cross block, which holds that too.
 -H is positive semidefinite because u'' <= 0 for every utility kind, so
 the shifted system is positive definite; the shift vanishes with g near
 the optimum, where the step is the Newton step, and for a tabulated
@@ -55,7 +55,7 @@ import numpy as np
 from .distributions import DistributionSpec
 from .market import ArbitrageError, MarketModel, check_no_arbitrage
 from .scenarios import ScenarioSet, _product_weights, enumerate_scenarios
-from .utility import Utility, eval_u, eval_u_prime, eval_u_second
+from .utility import Utility, _side, eval_u, eval_u_prime, eval_u_second
 
 __all__ = [
     "DiscretePayoff",
@@ -347,9 +347,11 @@ def _staircase(kernel, h, k, t, w, g: int, scratch: np.ndarray, rising: bool,
     time.
 
     A group's rows are one C-ordered (heads, cut) block of scratch[0],
-    clamped and overwritten with the kernel's values in place; scratch[1]
-    is the kernel's own scratch.  Each row of values is weighted by w and
-    summed pairwise along the tile.  No BLAS call runs."""
+    clamped and overwritten with the kernel's values in place (``_side``,
+    the row walk's clamp); scratch[1] is the kernel's own scratch.  Each row
+    of values is weighted by w and summed pairwise along the tile.  No BLAS
+    call runs."""
+    side = _side(kernel, rising)
     sums = np.empty(h.size)
     edges = np.empty(h.size, dtype=np.intp)
     for start in range(0, h.size, g):
@@ -362,17 +364,34 @@ def _staircase(kernel, h, k, t, w, g: int, scratch: np.ndarray, rising: bool,
         block = scratch[0, :hs.size * tc.size].reshape(hs.size, tc.size)
         tmp = scratch[1, :block.size].reshape(block.shape)
         np.add(hs[:, None], tc, out=block)
-        if rising:
-            np.maximum(block, 0.0, out=block)
-        else:
-            np.minimum(0.0, block, out=block)
-        kernel(block, block, tmp)
+        side(block, block, tmp)
         if cols is not None:
             np.multiply(block, wh[group, None], out=tmp)
             cols[cut] += np.add.reduce(tmp, axis=0)
         block *= w[cut]
         np.add.reduce(block, axis=1, out=sums[group])
     return sums, edges
+
+
+def _by_split(k, g: int, *more):
+    """(k, *more) in the order of the splits k, ties kept, where there are
+    more than g heads, so that each staircase group holds neighbouring
+    splits; as given otherwise."""
+    if k.size <= g:
+        return (k, *more)
+    by = np.argsort(k, kind="stable")
+    return (k[by], *(x[by] for x in more))
+
+
+def _linear_loss(slope: float, h, k, below, lower):
+    """slope (h W(t <= -h) + sum_{t <= -h} w_t t) for each head h with
+    split k: the sum over its rows at or below 0 of w_t u(h + t), where
+    u(Y) = slope Y there, read from the sorted tile's running sums below
+    of w and lower of w t (``_running_sums``)."""
+    loss = h * below[k]
+    loss += lower[k]
+    loss *= slope
+    return loss
 
 
 def _grid_value(u: Utility, xs, probs):
@@ -389,20 +408,20 @@ def _grid_value(u: Utility, xs, probs):
     tile t (``_grid_payoffs``), sorts the tile once (``_sorted_tile``) and
     finds each head's split, the number of t <= -h, by one searchsorted:
     h + t > 0 exactly on the tile from the split on.  Heads and tile
-    points of zero weight are left out.  The heads, sorted by split, go in
-    groups of g, with g T about _STAIR rows, through a rising staircase
-    (``_staircase``): each group's block h + t from its smallest split on
-    runs u's gain kernel once and gives the weighted row sums.  sums()
-    runs u' on the same staircase over the memo's sorted tile, with the
-    column sums, so a line-search trial that is not taken costs no u'.
-    Every kernel f satisfies f(Y) = f(max(Y, 0)) + f(min(0, Y)) - f(0).
+    points of zero weight are left out.  The heads, sorted by split
+    (``_by_split``), go in groups of g, with g T about _STAIR rows, through
+    a rising staircase (``_staircase``): each group's block h + t from its
+    smallest split on runs u's gain kernel once and gives the weighted row
+    sums.  sums() runs u' on the same staircase over the memo's sorted tile,
+    with the column sums, so a line-search trial that is not taken costs no
+    u'.  Every kernel f satisfies f(Y) = f(max(Y, 0)) + f(min(0, Y)) - f(0).
 
     * Where u(Y) = a Y on Y <= 0 (``_Kernels.loss_slope``; appendix power)
       the rows at or below 0 are running sums read at the split,
-      a (h W(t <= -h) + sum_{t <= -h} w_t t), for u, and a W for u',
-      whose rows before the group's edge (a row's W) and whose columns
-      before the edges of groups (a column's W) are the ones the blocks
-      leave out.
+      a (h W(t <= -h) + sum_{t <= -h} w_t t), for u (``_linear_loss``),
+      and a W for u', whose rows before the group's edge (a row's W) and
+      whose columns before the edges of groups (a column's W) are the
+      ones the blocks leave out.
     * Otherwise (a table) the mirrored staircase runs the loss kernel, or
       u', on each group's rows up to its largest split, and a row or
       column between a group's two edges, counted on both sides, gives
@@ -438,10 +457,7 @@ def _grid_value(u: Utility, xs, probs):
         h = _grid_payoffs(xs[:lead], p[None, :lead])[0, live]
         order, t, wt = _sorted_tile(_grid_payoffs(xs[lead:], p[None, lead:])[0], tile_w)
         k = np.searchsorted(t, -h, side="right")
-        heads, wh = live, head_w[live]
-        if h.size > g:  # groups of neighbouring splits
-            by = np.argsort(k, kind="stable")
-            h, wh, k, heads = h[by], wh[by], k[by], heads[by]
+        k, h, wh, heads = _by_split(k, g, h, head_w[live], live)
         below = _running_sums(wt)  # below[j]: the weight of t[:j]
         fu, rise = _staircase(kernels.gain, h, k, t, wt, g, stair, True)
         if slope is None:
@@ -450,10 +466,7 @@ def _grid_value(u: Utility, xs, probs):
             fu += lu
             fu -= u0 * both
         else:
-            loss = h * below[k]
-            loss += _running_sums(wt * t)[k]
-            loss *= slope
-            fu += loss
+            fu += _linear_loss(slope, h, k, below, _running_sums(wt * t))
         fu *= wh
 
         def sums():

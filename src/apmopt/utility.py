@@ -43,12 +43,12 @@ at every step can reuse one buffer.  Without it a new array is returned.
 Each kind defines the Hoelder chain's two sides once, as its gain kernel
 (u on Y >= 0: appendix power's (Y + 1)**alpha - 1) and its loss kernel
 (u on Y <= 0: alpha Y, so its loss slope is alpha); a table's are both
-its value kernel, and it has no loss slope.  ``_sides_u(u)`` gives
-u(Y+) and u(-Y-) as one evaluator each: gain on max(Y, 0) and loss on
-min(0, Y).  The row walk runs both chunk by chunk (``_split_u``), so a
-table runs twice per payoff.  The exact sets' staircase
-(``optimize._staircase``) clamps its own blocks of rows the same way and
-runs the gain or loss kernel on them (the exact solver also its u'
+its value kernel, and it has no loss slope.  ``_side`` clamps and runs
+one kernel: the gain kernel on max(Y, 0) gives u(Y+) and the loss kernel
+on min(0, Y) gives u(-Y-).  The row walk runs both chunk by chunk
+(``_split_u``), so a table runs twice per payoff.  The exact sets'
+staircase (``optimize._staircase``) runs the same clamps on its blocks of
+rows, with the gain or loss kernel (the exact solver also with its u'
 kernel); where the loss side is linear it reads the slope and evaluates
 no row there.
 
@@ -299,34 +299,30 @@ def eval_u_second(u: Utility, x, *, out=None):
     return _evaluate(u._kernels.second, x, out)
 
 
-def _sides_u(u: Utility):
-    """(gain, loss), u's two Hoelder sides for the kind: gain(y, out, tmp)
-    writes u(Y+) = the kind's gain kernel on max(Y, 0) into out, and
-    loss(y, out, tmp) u(-Y-) = its loss kernel on min(0, Y), with Y+ =
-    max(Y, 0) and -Y- = Y - Y+.  out may be y itself and tmp is scratch,
-    both of y's shape.  On non-NaN Y the values equal eval_u(u, max(Y, 0))
-    and eval_u(u, Y - max(Y, 0)) bit for bit, -0.0 included, and no
-    boolean gather or scatter runs.  The row walk runs them per chunk
-    (``_split_u``); the exact sets' staircase clamps and runs the same
-    kernels on whole blocks of rows."""
-    kernels = u._kernels
-
-    def gain(y, out, tmp):
-        np.maximum(y, 0.0, out=out)
-        kernels.gain(out, out, tmp)
-
-    def loss(y, out, tmp):
-        np.minimum(0.0, y, out=out)
-        kernels.loss(out, out, tmp)
-    return gain, loss
+def _side(kernel, rising: bool):
+    """side(y, out, tmp): kernel on max(Y, 0) (rising) or on min(0, Y),
+    written into out, which may be y itself; tmp is the kernel's scratch,
+    of y's shape.  With the kind's gain kernel rising this is u(Y+), and
+    with its loss kernel falling u(-Y-), where Y+ = max(Y, 0) and -Y- =
+    Y - Y+: on non-NaN Y the values equal eval_u(u, max(Y, 0)) and
+    eval_u(u, Y - max(Y, 0)) bit for bit, -0.0 included, and no boolean
+    gather or scatter runs.  The row walk (``_split_u``) and the exact
+    sets' staircase (``optimize._staircase``) both clamp through it."""
+    def side(y, out, tmp):
+        if rising:
+            np.maximum(y, 0.0, out=out)
+        else:
+            np.minimum(0.0, y, out=out)
+        kernel(out, out, tmp)
+    return side
 
 
 def _split_u(u: Utility):
     """values(Y) for the Hoelder walk: the pair (u(Y+), u(-Y-)) of new
     C-ordered arrays of Y's shape, filled _CHUNK elements at a time
-    (``_chunks``) by the kind's two sides (``_sides_u``), so a table runs
+    (``_chunks``) by the kind's two sides (``_side``), so a table runs
     twice per payoff."""
-    gain_of, loss_of = _sides_u(u)
+    gain_of, loss_of = _side(u._kernels.gain, True), _side(u._kernels.loss, False)
 
     def kernel(yc, gain, loss, tmp):
         gain_of(yc, gain, tmp)

@@ -730,7 +730,8 @@ class TestHolderSortedTiles:
         y = np.array([-20.0, -1.0, -1e-300, -5e-324, -0.0, 0.0, 5e-324, 1e-17,
                       1.0, 10.0, 20.0, 0.5])
         gain, loss = diagnostics._split_u(u)(y)
-        for side, want in zip(utility._sides_u(u), (gain, loss)):
+        sides = (utility._side(u._kernels.gain, True), utility._side(u._kernels.loss, False))
+        for side, want in zip(sides, (gain, loss)):
             got = y.reshape(3, 4).copy()
             side(got, got, np.empty(got.shape))
             assert got.tobytes() == want.tobytes()

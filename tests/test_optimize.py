@@ -308,6 +308,21 @@ class TestRowBlocks:
         g, G = optimize._row_blocks(X, a, np.zeros(n))
         assert np.array_equal(g, g0) and not G.any()
 
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    def test_halves_alone_match_both_bit_for_bit(self, K, seed):
+        # a row set's pass asks for the gradient half alone, and its
+        # Hessian for the other half alone
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        X = gen.standard_normal((K, 3 * optimize.ROW_BLOCK + 17))
+        a, c = X[0].copy(), np.abs(X[-1])
+        g, G = optimize._row_blocks(X, a, c)
+        g_alone, none_G = optimize._row_blocks(X, a, None)
+        none_g, G_alone = optimize._row_blocks(X, None, c)
+        assert none_G is None and none_g is None
+        assert g_alone.tobytes() == g.tobytes()
+        assert G_alone.tobytes() == G.tobytes()
+
     @staticmethod
     def hashes_per_thread_count(Ks):
         code = ("import hashlib, numpy as np\n"
@@ -584,6 +599,44 @@ class TestProductPass:
             assert np.linalg.norm(prod.phi_star - rows.phi_star) <= 1e-12 * np.linalg.norm(
                 rows.phi_star)
             assert prod.value == pytest.approx(rows.value, rel=1e-12)
+
+    @pytest.mark.parametrize("K, cut, s1", [(14, 4.5, 2.0), (14, 2.5, 1.25), (17, 4.25, 3.0)])
+    def test_tabulated_solve_matches_row_path(self, K, cut, s1):
+        # A table's u' is a central difference with step 1e-6 max(1, |x|),
+        # so a last-bit change of a payoff moves it by about 1e-10: once the
+        # two paths have taken a step from gradients equal to rounding,
+        # their next gradients differ at that level, and so does every
+        # later step.  So the table is built for a solve of one step.  The
+        # K coordinates are Rademacher with b = -1/4, so by symmetry
+        # g = E[u'(c Y) Y] (1, ..., 1) / K along phi = c (1, ..., 1), with
+        # Y = sum_i X_i.  At phi = 0 every row is at 0 and g = u'(0) E[X],
+        # with E[X_i] = 1/4, so the full step lands at c1 = 4 / (u'(0) K),
+        # where u'(0) = (s0 + s1) / 2.  u has slope s0 below 0, s1 up to
+        # a = c1 cut and 1 above, with cut between two levels of Y and s0
+        # chosen so that E[u'(c Y) Y] = 0 wherever c Y meets no node: c1 is
+        # a flat maximum with rows on both sides of 0 and of a, and u(0) =
+        # 0.2 and u'(0) are not 0.  With 14 coordinates the grid has 4
+        # heads; with 17, 32 heads in two groups.
+        beta = 0.25
+        j = np.arange(K + 1)
+        pj = np.array([math.comb(K, int(i)) for i in j]) / 2.0 ** K
+        Y = 2.0 * j - K + K * beta
+        assert not np.any(Y == 0.0) and not np.any(Y == cut)
+        below, middle, above = Y < 0, (Y > 0) & (Y < cut), Y > cut
+        s0 = (s1 * (pj[middle] @ Y[middle]) + pj[above] @ Y[above]) / -(pj[below] @ Y[below])
+        assert s0 > s1 > 1.0
+        a = cut / ((s0 + s1) / 2.0 * K * beta)
+        u = tabulated((-100.0, 0.0, a, 100.0),
+                      (0.2 - 100.0 * s0, 0.2, 0.2 + a * s1, 0.2 + a * s1 + 100.0 - a))
+        model = rademacher_market([-beta] * K)
+        s = enumerate_scenarios(model)
+        prod = optimize_truncated(model, u, None, s)
+        rows = optimize_truncated(model, u, None, row_set(s))
+        assert (prod.iterations, prod.converged) == (rows.iterations, rows.converged) == (1, True)
+        assert np.linalg.norm(prod.phi_star - rows.phi_star) <= 1e-12 * np.linalg.norm(
+            rows.phi_star)
+        assert prod.value == pytest.approx(rows.value, rel=1e-12)
+        assert prod.value > eval_u(u, 0.0)  # the step gained
 
     def test_two_point_ladder_matches_row_path(self):
         # unequal probabilities, so a level below K weighs its grid points
