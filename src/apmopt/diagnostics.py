@@ -52,7 +52,7 @@ from .measures import (TiltedMeasure, _coordinate_means, _density_moments, _resi
 from .optimize import (_STAIR, ROW_BLOCK, _by_split, _centered, _grid_payoffs, _linear_loss,
                        _payoffs, _require_width, _running_sums, _sorted_tile, _staircase,
                        _tile_split)
-from .scenarios import ScenarioSet, _product_weights
+from .scenarios import ScenarioSet, _product_weights, _seed
 from .utility import Utility, _split_u, certify_growth, eval_u
 
 __all__ = [
@@ -70,21 +70,55 @@ X_GRID = (0.0, 0.5, 1.0, 2.0, 4.0)  # check_assumption_relevant's tail levels
 N_GRID = (1.0, 2.0, 4.0, 8.0)       # and its truncation levels
 
 
+_U32 = np.uint64(32)
+_LOW = np.uint64(0xFFFFFFFF)
+# Philox4x64's multipliers of words 0 and 2, and its Weyl key bumps (Salmon
+# et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11)
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+
+
+def _philox_uniforms(key: int, size: tuple[int, ...]) -> np.ndarray:
+    """numpy's ``Generator(Philox(key=key)).uniform(-1.0, 1.0, size)``, byte
+    for byte, without importing numpy.random.
+
+    The key's words are key mod 2**64 and key >> 64, and the counters run
+    from 1.  Each counter takes ten Philox4x64 rounds, with the 64x64 ->
+    128-bit products formed on 32-bit halves in uint64, and gives four
+    words, in order; a word x gives the draw -1 + 2 (x >> 11) 2**-53.
+    """
+    count = math.prod(size)
+    c = np.zeros((4, -(-count // 4)), dtype=np.uint64)
+    c[0] = np.arange(1, c.shape[1] + 1)
+    k = np.array([[key & (2 ** 64 - 1)], [key >> 64]], dtype=np.uint64)
+    m_lo, m_hi = _PHILOX_M & _LOW, _PHILOX_M >> _U32
+    for _ in range(10):
+        x = c[0::2]
+        x_lo, x_hi = x & _LOW, x >> _U32
+        ll, lh, hl = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
+        carry = ((ll >> _U32) + (lh & _LOW) + (hl & _LOW)) >> _U32
+        hi = m_hi * x_hi + (lh >> _U32) + (hl >> _U32) + carry
+        c = np.stack((hi[1] ^ c[1] ^ k[0], _PHILOX_M[1] * x[1],
+                      hi[0] ^ c[3] ^ k[1], _PHILOX_M[0] * x[0]))
+        k = k + _PHILOX_W
+    words = c.T.reshape(-1)[:count] >> np.uint64(11)
+    return (-1.0 + 2.0 * (words * 2.0 ** -53)).reshape(size)
+
+
 def random_strategies(K: int, count: int, max_norm: float, seed: int) -> np.ndarray:
-    """(count, K) strategies: i.i.d. uniform[-1,1] coordinates rescaled so
-    the norms sweep (0, max_norm].  A negative K or count, a negative or
-    non-finite max_norm and a seed outside the Philox key range [0,
-    2**128) are refused with a ValueError."""
+    """(count, K) strategies: i.i.d. uniform[-1,1] coordinates, numpy's
+    Philox stream keyed by seed (``_philox_uniforms``), rescaled so the
+    norms sweep (0, max_norm].  A negative K or count, a negative or
+    non-finite max_norm and a seed that is not an integer in the Philox
+    key range [0, 2**128) are refused with a ValueError."""
     if K < 0:
         raise ValueError(f"strategy width K must be >= 0, got {K}")
     if count < 0:
         raise ValueError(f"strategy count must be >= 0, got {count}")
-    if not 0 <= seed < 2 ** 128:
-        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+    seed = _seed(seed, 128)
     if not 0.0 <= max_norm < math.inf:
         raise ValueError(f"max_norm must be finite and >= 0, got {max_norm}")
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    raw = gen.uniform(-1.0, 1.0, size=(count, K))
+    raw = _philox_uniforms(seed, (count, K))
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     targets = max_norm * (np.arange(1, count + 1) / count)[:, None]

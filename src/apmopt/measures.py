@@ -4,7 +4,8 @@ Two per-coordinate constructions, combined into a product density:
 
 * logistic tilt: density factor psi(a (eps - b)) / E[psi(a (eps - b))]
   with psi(x) = 1 - tanh(x/2)/2 = 1/2 + 1/(1 + e^x), a calibrated by
-  bisection so the tilted mean of eps equals b;
+  bisection so the tilted mean of eps equals b, all K coordinates in one
+  lockstep bisection;
 * utility-gradient fallback: u'(phi* (eps - b)) / E[u'(phi* (eps - b))]
   with u the kinked power utility and phi* the one-asset optimizer, whose
   stationarity makes the tilted mean exact as well.
@@ -66,13 +67,6 @@ def psi(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _tilt_residual(dist: DistributionSpec, b: float, a: float) -> float:
-    """g(a) = E[psi(a (eps - b)) (eps - b)]; strictly decreasing in a."""
-    pts = np.asarray(dist.points) - b
-    pr = np.asarray(dist.probs)
-    return float(math.fsum(pr * psi(a * pts) * pts))
-
-
 def solve_tilt(dist: DistributionSpec, b: float) -> float:
     """Find a with E[psi(a (eps - b)) (eps - b)] = 0 by bisection.
 
@@ -80,22 +74,53 @@ def solve_tilt(dist: DistributionSpec, b: float) -> float:
     other), so the root is unique whenever both tails of eps - b carry
     mass.  g(0) = -b exactly, so b = 0 gives a = 0 without iteration.
     """
-    if not dist.is_discrete:
-        raise ValueError("tilt calibration needs a finite-discrete law")
-    if tail_probability(dist, b, "below") <= 0 or tail_probability(dist, b, "above") <= 0:
-        raise ArbitrageError(f"one-sided noise around b={b}: no equivalent tilt")
-    if b == 0.0:
-        return 0.0
-    g = lambda a: _tilt_residual(dist, b, a)
-    lo, hi = (-TILT_BRACKET, 0.0) if b > 0 else (0.0, TILT_BRACKET)
-    if g(lo) < 0 or g(hi) > 0:
-        raise TiltBracketError(
-            f"no sign change of the tilt residual within |a| <= {TILT_BRACKET}"
-        )
-    a, ga = _bisect(g, lo, hi, TILT_TOL, 200)
-    if abs(ga) > TILT_TOL:
-        raise TiltBracketError("bisection stalled above tolerance")
+    (a,) = _solve_tilts([dist], [b])
+    if isinstance(a, TiltBracketError):
+        raise a
     return a
+
+
+def _solve_tilts(dists, bs) -> list:
+    """``solve_tilt`` for each law of dists around its b in bs, all in one
+    lockstep bisection (``_bisect``): a list of the tilts, with the
+    TiltBracketError that solve_tilt raises in place of a lane's tilt.
+    Its other errors are raised for the first law that has one.  The
+    lanes' residuals g(a) = E[psi(a (eps - b)) (eps - b)] come from one
+    psi over all their points, and each is a math.fsum over its own law's
+    points."""
+    for dist, b in zip(dists, bs):
+        if not dist.is_discrete:
+            raise ValueError("tilt calibration needs a finite-discrete law")
+        if tail_probability(dist, b, "below") <= 0 or tail_probability(dist, b, "above") <= 0:
+            raise ArbitrageError(f"one-sided noise around b={b}: no equivalent tilt")
+    miss = f"no sign change of the tilt residual within |a| <= {TILT_BRACKET}"
+    out = [0.0 if b == 0.0 else TiltBracketError(miss) for b in bs]
+    tilted = [i for i, b in enumerate(bs) if b != 0.0]
+    if not tilted:
+        return out
+    pts = [np.asarray(dists[i].points) - bs[i] for i in tilted]
+    x, pr = np.concatenate(pts), np.concatenate([dists[i].probs for i in tilted])
+    sizes = [q.size for q in pts]
+    ends = np.cumsum(sizes).tolist()
+    spans = [slice(e - m, e) for e, m in zip(ends, sizes)]
+    owner = np.repeat(np.arange(len(pts)), sizes)
+    a = np.zeros(len(pts))
+
+    def g(at, lanes):
+        a[lanes] = at
+        terms = (pr * psi(a[owner] * x) * x).tolist()
+        return np.array([math.fsum(terms[spans[j]]) for j in lanes])
+
+    up = np.array([bs[i] > 0 for i in tilted])
+    lo, hi = np.where(up, -TILT_BRACKET, 0.0), np.where(up, 0.0, TILT_BRACKET)
+    lanes = np.arange(len(pts))
+    bracketed = lanes[~((g(lo, lanes) < 0) | (g(hi, lanes) > 0))]
+    roots, residuals = _bisect(lambda at, j: g(at, bracketed[j]),
+                               lo[bracketed], hi[bracketed], TILT_TOL, 200)
+    for j, root, res in zip(bracketed.tolist(), roots.tolist(), residuals.tolist()):
+        out[tilted[j]] = (root if abs(res) <= TILT_TOL
+                          else TiltBracketError("bisection stalled above tolerance"))
+    return out
 
 
 @dataclass(frozen=True)
@@ -192,8 +217,9 @@ def _coordinate_means(Q: TiltedMeasure, model: MarketModel, s: ScenarioSet,
 
 
 def build_tilted_measure(model: MarketModel, fallback_alpha: float = 0.5) -> TiltedMeasure:
-    """Calibrate every coordinate; logistic tilt first, utility-gradient
-    fallback where the tilt residual cannot be driven to tolerance.
+    """Calibrate every coordinate; logistic tilt first, all K in one
+    lockstep bisection (``_solve_tilts``), utility-gradient fallback where
+    the tilt residual cannot be driven to tolerance.
 
     Coordinates violating the per-coordinate no-arbitrage condition are a
     hard error: no equivalent drift-killing measure exists.
@@ -202,11 +228,11 @@ def build_tilted_measure(model: MarketModel, fallback_alpha: float = 0.5) -> Til
     if not na.passed:
         raise ArbitrageError(f"no-arbitrage fails at coordinates {na.flagged}")
     coords = []
-    for i, dist in enumerate(model.noise):
-        b = float(model.b[i])
-        try:
-            c = CoordinateTilt("logistic_tilt", solve_tilt(dist, b), 1.0, 0.0, None)
-        except TiltBracketError:
+    bs = model.b.tolist()
+    for dist, b, a in zip(model.noise, bs, _solve_tilts(model.noise, bs)):
+        if not isinstance(a, TiltBracketError):
+            c = CoordinateTilt("logistic_tilt", a, 1.0, 0.0, None)
+        else:
             u = appendix_power(fallback_alpha)
             phi_star, _ = optimize_single_asset(DiscretePayoff.from_noise(dist, b), u)
             c = CoordinateTilt("utility_gradient", None, 1.0, phi_star, u)

@@ -1,8 +1,9 @@
 """Expected-utility maximization over scenario sets.
 
-Two loops serve the package.  ``_bisect`` finds the root of a
-nonincreasing function: the one-asset problem sup_phi E[u(phi X)] bisects
-its derivative, and ``measures.solve_tilt`` bisects the tilt residual.
+Two loops serve the package.  ``_bisect`` finds the roots of
+nonincreasing functions in lockstep, one lane each: the one-asset problem
+sup_phi E[u(phi X)] bisects its derivative in one lane, and
+``build_tilted_measure`` bisects the K tilt residuals in K lanes.
 ``_damped_newton`` ascends a concave function: the direction is
 (-H + ||g||^2 I)^{-1} g, with gradient g at the current point and Hessian
 H formed there or held from the last step (Newton-chord), and Armijo
@@ -118,31 +119,38 @@ class DiscretePayoff:
         return bool(pr[pts > 0].sum() > 0 and pr[pts < 0].sum() > 0)
 
 
-def _bisect(h, lo: float, hi: float, tol: float,
-            max_iter: int) -> tuple[float, float]:
-    """Bisect a nonincreasing h with h(lo) >= 0 >= h(hi).
+def _bisect(h, lo, hi, tol: float, max_iter: int):
+    """Bisect nonincreasing functions in lockstep, one per lane of the
+    bracket arrays lo and hi, with h_i(lo_i) >= 0 >= h_i(hi_i).
 
-    Returns (x, h(x)) at the first midpoint x where |h(x)| <= tol or the
-    bracket is narrower than 1e-15 relative to x, or at the last midpoint
-    after max_iter halvings.
+    h(x, lanes) gives h_i(x_j) for each lane i = lanes[j], as an array.
+    Returns the arrays (x, h(x)): each lane stops at its first midpoint x
+    where |h(x)| <= tol or the bracket is narrower than 1e-15 relative to
+    x, or at its last midpoint after max_iter halvings.  A lane's steps
+    are those of its own scalar bisection, whatever the other lanes do.
     """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    x, hx = np.empty_like(lo), np.empty_like(lo)
+    lanes = np.arange(lo.size)
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        hm = h(mid)
-        if abs(hm) <= tol or hi - lo < 1e-15 * max(1.0, abs(mid)):
+        if not lanes.size:
             break
-        if hm > 0:
-            lo = mid
-        else:
-            hi = mid
-    return mid, hm
+        l, r = lo[lanes], hi[lanes]
+        mid = 0.5 * (l + r)
+        hm = h(mid, lanes)
+        x[lanes], hx[lanes] = mid, hm
+        up = hm > 0
+        lo[lanes[up]], hi[lanes[~up]] = mid[up], mid[~up]
+        lanes = lanes[~((np.abs(hm) <= tol) | (r - l < 1e-15 * np.maximum(1.0, np.abs(mid))))]
+    return x, hx
 
 
 def optimize_single_asset(payoff: DiscretePayoff, u: Utility) -> tuple[float, float]:
     """Maximize phi -> E[u(phi X)] over the reals.
 
     The derivative h(phi) = E[u'(phi X) X] is nonincreasing by concavity;
-    we bracket its sign change and bisect.  Returns (phi_star, value).
+    we bracket its sign change and bisect (one lane of ``_bisect``).
+    Returns (phi_star, value).
     """
     if not payoff.two_sided():
         raise OneSidedPayoffError(
@@ -165,7 +173,9 @@ def optimize_single_asset(payoff: DiscretePayoff, u: Utility) -> tuple[float, fl
         hi *= 2.0
     if h(lo) < 0 or h(hi) > 0:
         raise OneSidedPayoffError("could not bracket a stationary point")
-    phi_star, _ = _bisect(h, lo, hi, SINGLE_ASSET_TOL, 400)
+    (phi_star,), _ = _bisect(lambda p, _: np.array([h(p[0])]), [lo], [hi],
+                             SINGLE_ASSET_TOL, 400)
+    phi_star = float(phi_star)
     if abs(h(0.0)) <= SINGLE_ASSET_TOL:  # symmetric payoff: keep phi* = 0 exactly
         phi_star = 0.0
     value = float(math.fsum(w * eval_u(u, phi_star * x)))
@@ -537,9 +547,9 @@ def _split_blocks(split: _Split, c: np.ndarray, scratch: np.ndarray) -> np.ndarr
     marginals peel the tile axes in order: an axis's marginal is a
     pairwise sum along the contiguous remainder, and the sum of its
     slices is the remainder left for the next.  G is zero, with no
-    reduction, when c is all zero, as on a solve's first pass, where
-    u''(0) = 0.  BLAS runs only in ``_row_blocks``, so the sums do not
-    depend on the BLAS thread count at any K.
+    reduction, when c is all zero, as for a table, where u'' = 0.  BLAS
+    runs only in ``_row_blocks``, so the sums do not depend on the BLAS
+    thread count at any K.
 
     c is overwritten.  The remainders alternate between scratch, of at
     least c's size, and c, whose values are dead once its sums are
@@ -582,7 +592,8 @@ def _grid_pass(u: Utility, xs, w: np.ndarray, scratch: np.ndarray):
     p.  That callable forms v = X @ p again into an n-length buffer of its
     own (``_outer_sum``), writes -w u''(v) over it and takes the Hessian
     on the split (``_split_blocks``), with scratch, which the staircase
-    leaves free, for its remainders."""
+    leaves free, for its remainders.  At p = 0 it returns the zero
+    matrix with no pass, since u''(0) = 0 for every utility kind."""
     split = _split(xs)
     buf = np.empty(w.size)
 
@@ -593,6 +604,8 @@ def _grid_pass(u: Utility, xs, w: np.ndarray, scratch: np.ndarray):
                             _row_blocks(split.tiles, s, None)[0]))
 
         def hessian():
+            if not p.any():
+                return np.zeros((p.size, p.size))
             curv = eval_u_second(u, _outer_sum(xs, p, buf), out=buf)
             curv *= w
             return -_split_blocks(split, np.negative(curv, out=curv), scratch)
@@ -600,19 +613,22 @@ def _grid_pass(u: Utility, xs, w: np.ndarray, scratch: np.ndarray):
     return step_pass
 
 
-def _newton_pass(u: Utility, blocks, w: np.ndarray, v: np.ndarray,
-                 a: np.ndarray, c: np.ndarray):
-    """The gradient at phi from the payoffs v = X @ phi, and a callable for
+def _newton_pass(u: Utility, blocks, w: np.ndarray, p: np.ndarray,
+                 v: np.ndarray, a: np.ndarray, c: np.ndarray):
+    """The gradient at p from the payoffs v = X @ p, and a callable for
     the Hessian there, with blocks(a, c) = (X.T @ a, X.T diag(c) X) and
     either argument None to form one half; -w u'' >= 0 for every utility
     kind.  a and c are buffers of v's length: w u'(v) is written into a,
     and the callable writes -w u''(v) into c, so v must not change before
-    it runs."""
+    it runs.  At p = 0 the callable returns the zero matrix with no pass,
+    since u''(0) = 0 for every utility kind."""
     eval_u_prime(u, v, out=a)
     a *= w
     g, _ = blocks(a, None)
 
     def hessian():
+        if not p.any():
+            return np.zeros((p.size, p.size))
         curv = eval_u_second(u, v, out=c)
         curv *= w
         return -blocks(None, np.negative(curv, out=curv))[1]
@@ -632,7 +648,8 @@ def _damped_newton(step_pass, value, x: np.ndarray, done, max_iter: int,
     Armijo halving picks the step, accepting a fall of f within
     slack * max(1, |f|).  H is a Newton-chord one: a step reuses the last
     step's H, and forms it afresh only when that H is all zero (as at
-    u''(0) = 0, or for a table), when the last step backtracked or itself
+    phi = 0, where u''(0) = 0 and the solver's passes form it with no pass
+    over the rows, or for a table), when the last step backtracked or itself
     reused H, or when the held H predicts a gain g . d within the slack,
     which is then decided on a fresh H.  The loop stops when done(g, aux)
     holds, after max_iter steps, when no step moves x, or after a step
@@ -744,11 +761,13 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
     once: the head and tile designs, and a held buffer for the Hessian's
     row, column and per-head sums and the Gram scratch of ``_row_blocks``,
     whose BLAS calls are the pass's only ones.  The loop is
-    ``_damped_newton``'s, with its Newton-chord Hessian: the first step's,
-    at phi = 0, is zero, since u''(0) = 0, so the second step forms it
-    again; from there the step after a full step on a fresh Hessian reuses
-    it, so a solve with no backtracking forms about half as many Hessians
-    as it takes steps (a table, u'' = 0, forms one on every step).
+    ``_damped_newton``'s, with its Newton-chord Hessian.  The first step's,
+    at phi = 0, is zero, since u''(0) = 0, and both passes return it with
+    no pass over the rows; a zero Hessian is never reused, so the second
+    step forms one; from there the step after a full step on a fresh
+    Hessian reuses it, so a solve with no backtracking forms about half as
+    many Hessians as it takes steps (a table, u'' = 0, forms one on every
+    step).
     """
     cfg = cfg or SolverConfig()
     K = model.K if K is None else K
@@ -776,8 +795,8 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
 
         def value(p):
             v = _payoffs(X, p)
-            return _expected_u(u, w, v, c_buf), v
-        step_pass = lambda v: _newton_pass(u, blocks, w, v, a_buf, c_buf)
+            return _expected_u(u, w, v, c_buf), (p, v)
+        step_pass = lambda memo: _newton_pass(u, blocks, w, *memo, a_buf, c_buf)
     phi, f, g, _, it = _damped_newton(
         step_pass, value, np.zeros(K),
         lambda g, _: float(np.linalg.norm(g)) <= cfg.grad_tol, cfg.max_iter, slack=0.0)

@@ -16,6 +16,7 @@ is the layout the solver's and the verification layer's row walks read.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -99,8 +100,22 @@ class ScenarioSet:
         return self._laws is not None
 
 
+def _seed(seed, bits: int) -> int:
+    """seed as an int in [0, 2**bits): an integer, numpy's too, not a bool;
+    anything else is refused with a ValueError."""
+    try:
+        if isinstance(seed, (bool, np.bool_)):
+            raise TypeError
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= seed < 2 ** bits:
+        raise ValueError(f"seed must lie in [0, 2**{bits}), got {seed}")
+    return seed
+
+
 def _uniform_block(seed: int, block: int, count: int, K: int) -> np.ndarray:
-    key = (int(seed) << 64) | block
+    key = (seed << 64) | block
     gen = np.random.Generator(np.random.Philox(key=key))
     return gen.random((count, K))
 
@@ -112,10 +127,12 @@ def sample_scenarios(model: MarketModel, n: int, seed: int) -> ScenarioSet:
     Philox stream keyed by (seed, j // block) and each row consumes exactly
     K draws, so any partition of [0, n) reproduces the same rows.  The rows
     are stored column-major: ``draws`` is the transpose of a C-ordered
-    (K, n) array, filled one contiguous coordinate at a time.
+    (K, n) array, filled one contiguous coordinate at a time.  A seed
+    that is not an integer in [0, 2**64) is refused with a ValueError.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    seed = _seed(seed, 64)
     K = model.K
     cols = np.empty((K, n))
     for start in range(0, n, _BLOCK):

@@ -595,6 +595,43 @@ class TestRunShape:
             env=env, capture_output=True, text=True, check=True)
         assert out.stdout.splitlines() == ["[]", "0 []", "0 []"]
 
+    def test_only_sampling_loads_numpy_random(self, tmp_path):
+        # the strategies come from the package's own Philox, so an exact
+        # API session and an exact report never import numpy.random; the
+        # Monte Carlo report's sampler does
+        mc = tmp_path / "mc.json"
+        mc.write_text(json.dumps(MC_LADDER))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        env.pop("SEED", None)
+        script = (
+            "import sys, apmopt, apmopt.cli\n"
+            "from apmopt import diagnostics\n"
+            "def loaded(): return 'numpy.random' in sys.modules\n"
+            "out, demo, mc = sys.argv[1:]\n"
+            "model = apmopt.build_market(1, 4, mu=[-0.2, -0.1, -0.05, -0.02],\n"
+            "                            beta=[[0.0]] * 3, beta_bar=[1.0] * 4,\n"
+            "                            noise=apmopt.rademacher())\n"
+            "u = apmopt.appendix_power(0.5, apmopt.GrowthBounds(0.5, 1.5, 1.0, 1.0))\n"
+            "s = apmopt.enumerate_scenarios(model)\n"
+            "level = apmopt.optimize_truncated(model, u, None, s)\n"
+            "Q = apmopt.build_tilted_measure(model)\n"
+            "apmopt.verify_pricing(Q, model, s=s)\n"
+            "apmopt.measure_moments(Q, s)\n"
+            "diagnostics.exp_ui_bound(model, s, 1.0, 25, 3)\n"
+            "phis = diagnostics.random_strategies(4, 25, 1.0, 4)\n"
+            "diagnostics.holder_chain_check(model, Q, u, phis, s)\n"
+            "print(level.converged, loaded())\n"
+            "for name, config in (('demo', demo), ('mc', mc)):\n"
+            "    code = apmopt.cli.main(['report', '--config', config, '--out', f'{out}/{name}'])\n"
+            "    print(code, loaded())\n")
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path),
+             str(CONFIGS / "demo.json"), str(mc)],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines() == ["True False", "0 False", "0 True"]
+
     def test_report_builds_the_measure_once(self, tmp_path, monkeypatch):
         counts = {"build_tilted_measure": 0, "verify_pricing": 0, "density": 0}
 

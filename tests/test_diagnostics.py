@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -159,6 +160,44 @@ class TestRandomStrategies:
         for seed in (2 ** 64, 2 ** 128 - 1):
             phis = random_strategies(2, 3, 1.0, seed)
             assert phis.shape == (3, 2) and np.all(np.isfinite(phis))
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.one_of(st.sampled_from([0, 2 ** 64 - 1, 2 ** 64, 2 ** 128 - 1]),
+                         st.integers(0, 2 ** 128 - 1)),
+           size=st.one_of(st.tuples(st.integers(0, 40)),
+                          st.tuples(st.integers(0, 40), st.integers(0, 12))))
+    @example(key=0, size=(0, 5))
+    @example(key=2 ** 64 - 1, size=(3, 0))
+    @example(key=2 ** 64, size=(3, 3))
+    @example(key=2 ** 128 - 1, size=(5, 19))
+    @example(key=2 ** 128 - 1, size=(1,))
+    def test_philox_matches_numpy(self, key, size):
+        # the package's Philox4x64-10 against numpy's, byte for byte, for
+        # counts that are and are not multiples of the four words a
+        # counter gives
+        want = np.random.Generator(np.random.Philox(key=key)).uniform(-1.0, 1.0, size)
+        got = diagnostics._philox_uniforms(key, size)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [np.uint64(2 ** 64 - 1), np.int64(7), np.int32(0)])
+    def test_numpy_integer_seed_accepted(self, seed):
+        want = np.random.Generator(np.random.Philox(key=int(seed))).uniform(-1.0, 1.0, (6, 3))
+        norms = np.linalg.norm(want, axis=1, keepdims=True)
+        want = want / norms * (2.0 * np.arange(1, 7) / 6)[:, None]
+        got = random_strategies(3, 6, 2.0, seed)
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == random_strategies(3, 6, 2.0, int(seed)).tobytes()
+
+    @pytest.mark.parametrize("seed", [3.5, 3.0, True, np.bool_(True), "3", None])
+    def test_non_integer_seed_refused(self, market_k3, seed):
+        # before, 3.5 drew seed 3's strategies, and True seed 1's
+        s = enumerate_scenarios(market_k3)
+        message = "^" + re.escape(f"seed must be an integer, got {seed!r}") + "$"
+        with pytest.raises(ValueError, match=message):
+            random_strategies(2, 3, 1.0, seed)
+        with pytest.raises(ValueError, match=message):
+            exp_ui_bound(market_k3, s, delta=1.0, trials=4, seed=seed)
 
     @pytest.mark.parametrize("max_norm", [math.nan, math.inf, -math.inf, -0.5])
     def test_bad_max_norm_refused(self, market_k3, max_norm):

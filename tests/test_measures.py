@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -13,12 +14,27 @@ from apmopt import (ArbitrageError, DiscretePayoff, EnumerationCapError, FactorS
                     expectation, finite_discrete, measure_moments, psi, rademacher,
                     sample_scenarios, single_asset_measure, solve_tilt,
                     standardized_two_point, standardized_uniform, verify_pricing)
-from apmopt import measures
+from apmopt import measures, optimize
 from apmopt.diagnostics import holder_chain_check
 from apmopt.measures import (TILT_TOL, TiltBracketError, TiltedMeasure,
                              _coordinate_means, _density_moments, _residuals,
-                             _row_means, _support_factors, _tilt_residual)
+                             _row_means, _support_factors)
 from conftest import rademacher_market
+
+
+def tilt_residual(dist, b, a):
+    """g(a) = E[psi(a (eps - b)) (eps - b)], strictly decreasing in a."""
+    x, p = np.asarray(dist.points) - b, np.asarray(dist.probs)
+    return math.fsum(p * psi(a * x) * x)
+
+
+def standardized(pts, weights):
+    """The law on pts with weights, centred and scaled to variance 1."""
+    pr = np.array(weights[:len(pts)], dtype=float) / sum(weights[:len(pts)])
+    pts = np.array(pts)
+    spread = float(np.sqrt((pts - pts @ pr) ** 2 @ pr))
+    assume(spread > 1e-3)
+    return finite_discrete((pts - pts @ pr) / spread, pr)
 
 
 class TestPsi:
@@ -45,7 +61,7 @@ class TestSolveTilt:
 
     def test_residual_at_zero_is_minus_b(self):
         for b in (0.3, -0.2, 0.05):
-            assert _tilt_residual(rademacher(), b, 0.0) == pytest.approx(-b, abs=1e-12)
+            assert tilt_residual(rademacher(), b, 0.0) == pytest.approx(-b, abs=1e-12)
 
     def test_rademacher_point_two_fine_grid_oracle(self):
         a = solve_tilt(rademacher(), 0.2)
@@ -70,7 +86,7 @@ class TestSolveTilt:
     def test_residual_at_root(self):
         for b in (0.1, -0.25, 0.4):
             a = solve_tilt(rademacher(), b)
-            assert abs(_tilt_residual(rademacher(), b, a)) <= 1e-12
+            assert abs(tilt_residual(rademacher(), b, a)) <= 1e-12
 
     def test_one_sided_rejected(self):
         with pytest.raises(ArbitrageError):
@@ -84,11 +100,7 @@ class TestSolveTilt:
         # any standardized finite law and any b strictly inside its support:
         # the tilt meets TILT_TOL or says it cannot, and the measure (tilt or
         # fallback) prices the coordinate
-        pr = np.array(weights[:len(pts)], dtype=float) / sum(weights[:len(pts)])
-        pts = np.array(pts)
-        spread = float(np.sqrt((pts - pts @ pr) ** 2 @ pr))
-        assume(spread > 1e-3)
-        law = finite_discrete((pts - pts @ pr) / spread, pr)
+        law = standardized(pts, weights)
         lo, hi = min(law.points), max(law.points)
         b = lo + frac * (hi - lo)
         assume(lo < b < hi)
@@ -97,7 +109,7 @@ class TestSolveTilt:
         except TiltBracketError:
             pass
         else:
-            assert abs(_tilt_residual(law, b, a)) <= TILT_TOL
+            assert abs(tilt_residual(law, b, a)) <= TILT_TOL
         model = build_market(1, 1, mu=[-b], beta=[], beta_bar=[1.0], noise=(law,))
         assert verify_pricing(build_tilted_measure(model), model)["max_residual"] <= 1e-10
 
@@ -109,8 +121,133 @@ class TestSolveTilt:
                 for a1, a2 in pairs:
                     if a1 == a2:
                         continue
-                    assert (_tilt_residual(dist, b, a1)
-                            > _tilt_residual(dist, b, a2))
+                    assert (tilt_residual(dist, b, a1)
+                            > tilt_residual(dist, b, a2))
+
+
+def scalar_bisect(h, lo, hi, tol, max_iter):
+    """The one-lane bisection: stop at the first midpoint with |h| <= tol
+    or a bracket narrower than 1e-15 relative to it."""
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        hm = h(mid)
+        if abs(hm) <= tol or hi - lo < 1e-15 * max(1.0, abs(mid)):
+            break
+        if hm > 0:
+            lo = mid
+        else:
+            hi = mid
+    return mid, hm
+
+
+def scalar_tilt(law, b):
+    """The logistic tilt of law around b by a scalar bisection, or the
+    message of the TiltBracketError that says it has none."""
+    g = lambda a: tilt_residual(law, b, a)
+    if b == 0.0:
+        return 0.0
+    lo, hi = (-measures.TILT_BRACKET, 0.0) if b > 0 else (0.0, measures.TILT_BRACKET)
+    if g(lo) < 0 or g(hi) > 0:
+        return f"no sign change of the tilt residual within |a| <= {measures.TILT_BRACKET}"
+    a, ga = scalar_bisect(g, lo, hi, TILT_TOL, 200)
+    return a if abs(ga) <= TILT_TOL else "bisection stalled above tolerance"
+
+
+def scalar_single_asset(law, b, u):
+    """phi* of E[u(phi (eps - b))] by bracket doubling and a scalar
+    bisection of its derivative."""
+    x, p = np.asarray(law.points) - b, np.asarray(law.probs)
+    h = lambda phi: math.fsum(p * eval_u_prime(u, phi * x) * x)
+    lo, hi = -1.0, 1.0
+    while h(lo) <= 0:
+        lo *= 2.0
+    while h(hi) >= 0:
+        hi *= 2.0
+    phi, _ = scalar_bisect(h, lo, hi, optimize.SINGLE_ASSET_TOL, 400)
+    return 0.0 if abs(h(0.0)) <= optimize.SINGLE_ASSET_TOL else phi
+
+
+LANE = st.tuples(
+    st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=5, unique=True),
+    st.lists(st.integers(1, 9), min_size=5, max_size=5),
+    st.sampled_from(["zero", "inside", "inside", "inside", "edge"]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+RADEMACHER_LANE = ([-1.0, 1.0], [1] * 5)
+TWO_POINT_LANE = ([-2.0, 0.5], [1, 4, 1, 1, 1])
+
+
+class TestLockstepTilt:
+    """build_tilted_measure calibrates every coordinate in one lockstep
+    bisection; each lane must be its own scalar bisection, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lanes=st.lists(LANE, min_size=1, max_size=6),
+           one_sided=st.one_of(st.none(), st.tuples(st.integers(0, 6), st.booleans())))
+    @example(lanes=[(*RADEMACHER_LANE, "zero", 0.5), (*RADEMACHER_LANE, "inside", 0.6),
+                    (*RADEMACHER_LANE, "inside", 0.8), (*RADEMACHER_LANE, "edge", 0.9),
+                    (*RADEMACHER_LANE, "inside", 0.35), (*TWO_POINT_LANE, "inside", 0.3),
+                    (*TWO_POINT_LANE, "inside", 0.9)],
+             one_sided=None)
+    @example(lanes=[(*RADEMACHER_LANE, "inside", 0.6)], one_sided=(1, True))
+    def test_lanes_match_scalar_bisection(self, lanes, one_sided):
+        # lanes mix b = 0, tilts, and drifts near the support's edge that
+        # miss the bracket and fall back to the utility gradient; a
+        # one-sided lane (b at the support's edge) is inserted at a place
+        laws, bs = [], []
+        for pts, weights, kind, frac in lanes:
+            law = standardized(pts, weights)
+            lo, hi = min(law.points), max(law.points)
+            b = {"zero": 0.0, "inside": lo + frac * (hi - lo),
+                 "edge": (hi - 0.02 * frac * (hi - lo) if frac > 0.5
+                          else lo + 0.02 * frac * (hi - lo))}[kind]
+            assume(lo < b < hi)
+            laws.append(law)
+            bs.append(b)
+        if one_sided is not None:
+            j, top = min(one_sided[0], len(laws)), one_sided[1]
+            laws.insert(j, rademacher())
+            bs.insert(j, 1.0 if top else -1.0)
+        K = len(laws)
+        model = build_market(K, K, mu=[-b for b in bs], beta=[], beta_bar=[1.0] * K,
+                             noise=tuple(laws))
+        if one_sided is not None:
+            with pytest.raises(ArbitrageError):
+                measures._solve_tilts(laws, bs)
+            with pytest.raises(ArbitrageError):
+                build_tilted_measure(model)
+            with pytest.raises(ArbitrageError):
+                solve_tilt(laws[j], bs[j])
+            return
+        Q = build_tilted_measure(model)
+        u = appendix_power(0.5)
+        for law, b, got, c in zip(laws, bs, measures._solve_tilts(laws, bs), Q.coords):
+            want = scalar_tilt(law, b)
+            if isinstance(want, str):
+                assert isinstance(got, TiltBracketError) and str(got) == want
+                with pytest.raises(TiltBracketError, match=re.escape(want)):
+                    solve_tilt(law, b)
+                assert c.method == "utility_gradient" and c.a is None
+                assert c.phi_star == scalar_single_asset(law, b, u)
+            else:
+                assert type(got) is float and got == want
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
+                assert solve_tilt(law, b) == want
+                assert c.method == "logistic_tilt" and c.a == want
+
+    def test_lanes_stop_at_their_own_halvings(self, monkeypatch):
+        # a zero drift, three tilts and two bracket misses that fall back
+        # to the utility gradient: the three tilts are bisected together,
+        # and not all of them stop at the same halving
+        live = []
+
+        def logged(h, *args):
+            return optimize._bisect(lambda at, lanes: live.append(lanes.size) or h(at, lanes),
+                                    *args)
+        monkeypatch.setattr(measures, "_bisect", logged)
+        Q = build_tilted_measure(rademacher_market([0.0, 0.2, 0.6, 0.964, -0.3, 0.45]))
+        assert [c.method for c in Q.coords] == ["logistic_tilt"] * 2 + [
+            "utility_gradient"] * 2 + ["logistic_tilt"] * 2
+        assert live[0] == 3 and live[-1] < 3
 
 
 class TestTiltedMeasure:

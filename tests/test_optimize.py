@@ -759,8 +759,8 @@ class TestProductPass:
 
 class TestHessianOnDemand:
     """A step forms the Hessian where it starts, or reuses the last step's
-    (Newton-chord); the pass that ends a loop forms none, and a product
-    pass with c = 0 needs no reduction for it."""
+    (Newton-chord); the pass that ends a loop forms none, and the zero
+    iterate, where u''(0) = 0, gets the zero matrix with no pass."""
 
     @staticmethod
     def log_halves(monkeypatch, name):
@@ -802,11 +802,13 @@ class TestHessianOnDemand:
     @pytest.mark.parametrize("kind", ["exact", "rows", "sampled"])
     def test_solve_hessian_schedule(self, monkeypatch, kind):
         # every solve starts at phi = 0, where u''(0) = 0: its first
-        # Hessian half has c = 0, so the second step forms H again; no
-        # step backtracks, so from there a step reuses H and the next
-        # forms it.  An exact solve's value calls, one per step and one at
-        # phi = 0, each run one rising staircase for u, and each pass one
-        # for u' (appendix power's loss side is linear)
+        # Hessian is the zero matrix, formed with no pass (neither u'' nor
+        # an exact solve's outer sum sees the zero iterate), so the second
+        # step forms H again; no step backtracks, so from there a step
+        # reuses H and the next forms it.  An exact solve's value calls,
+        # one per step and one at phi = 0, each run one rising staircase
+        # for u, and each pass one for u' (appendix power's loss side is
+        # linear)
         model = rademacher_market([0.4 / i for i in range(1, 7)])
         s = enumerate_scenarios(model)
         s = {"exact": s, "rows": row_set(s),
@@ -815,14 +817,26 @@ class TestHessianOnDemand:
             calls = self.log_grid_passes(monkeypatch)
         else:
             calls = self.log_halves(monkeypatch, "_row_blocks")
-        second = mock.Mock(wraps=optimize.eval_u_second)
-        monkeypatch.setattr(optimize, "eval_u_second", second)
+        second, outer_sum = optimize.eval_u_second, optimize._outer_sum
+        payoffs, iterates = [], []  # any nonzero, per u'' call and per Hessian outer sum
+
+        def logged_second(u, v, **kwargs):
+            payoffs.append(bool(v.any()))
+            return second(u, v, **kwargs)
+
+        def logged_outer_sum(xs, phi, out):
+            if phi.ndim == 1:  # the Hessian's payoffs, not a design's
+                iterates.append(bool(phi.any()))
+            return outer_sum(xs, phi, out)
+        monkeypatch.setattr(optimize, "eval_u_second", logged_second)
+        monkeypatch.setattr(optimize, "_outer_sum", logged_outer_sum)
         stair = mock.Mock(wraps=optimize._staircase)
         monkeypatch.setattr(optimize, "_staircase", stair)
         res = optimize_truncated(model, appendix_power(0.5), None, s)
         assert res.converged and res.iterations == 7
-        assert second.call_count == 4
-        assert calls == ["g", "H0", "g", "H"] + ["g", "g", "H"] * 2 + ["g", "g"]
+        assert payoffs == [True] * 3
+        assert iterates == [True] * 3 * (kind == "exact")
+        assert calls == ["g", "g", "H"] * 3 + ["g", "g"]
         assert [c.args[7] for c in stair.call_args_list] == [True] * 16 * (kind == "exact")
 
     def test_ladder_levels_hessian_schedule(self, monkeypatch):
@@ -834,9 +848,9 @@ class TestHessianOnDemand:
         report = truncation_ladder(model, appendix_power(0.5),
                                    SolverConfig(ladder=(2, 4, 6)), s)
         assert [lv.iterations for lv in report.levels] == [7, 8, 7]
-        assert second.call_count == 4 + 5 + 4
-        seven = ["g", "H0", "g", "H"] + ["g", "g", "H"] * 2 + ["g", "g"]
-        eight = ["g", "H0", "g", "H"] + ["g", "g", "H"] * 3 + ["g"]
+        assert second.call_count == 3 + 4 + 3
+        seven = ["g", "g", "H"] * 3 + ["g", "g"]
+        eight = ["g", "g", "H"] * 4 + ["g"]
         assert calls == seven + eight + seven
 
     def test_certificate_hessian_schedule(self, monkeypatch):

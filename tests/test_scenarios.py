@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -398,6 +399,27 @@ class TestSampling:
         a = sample_scenarios(market_k3, 100, seed=1)
         b = sample_scenarios(market_k3, 100, seed=2)
         assert not np.array_equal(a.draws, b.draws)
+
+    @pytest.mark.parametrize("seed", [3.9, 3.0, True, np.float64(3.0), "3", None])
+    def test_non_integer_seed_refused(self, market_k3, seed):
+        # before, int(seed) drew seed 3.9's rows as seed 3's, and True as 1
+        with pytest.raises(ValueError, match="^" + re.escape(f"seed must be an integer, got {seed!r}") + "$"):
+            sample_scenarios(market_k3, 5, seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_its_range_refused(self, market_k3, seed):
+        # the stream is keyed by (seed << 64) | block: before, numpy's "key
+        # must be positive and less than 2**128"
+        with pytest.raises(ValueError, match=fr"^seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            sample_scenarios(market_k3, 5, seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint64(3), np.int8(3)])
+    def test_numpy_integer_seed_accepted(self, market_k3, seed):
+        s = sample_scenarios(market_k3, 5, seed)
+        assert s.draws.tobytes() == sample_scenarios(market_k3, 5, 3).draws.tobytes()
+        assert s.provenance == "monte_carlo(seed=3, n=5)"
+        top = sample_scenarios(market_k3, 5, np.uint64(2 ** 64 - 1))
+        assert top.draws.tobytes() == sample_scenarios(market_k3, 5, 2 ** 64 - 1).draws.tobytes()
 
     def test_single_row(self, market_k3):
         s = sample_scenarios(market_k3, 1, seed=0)
