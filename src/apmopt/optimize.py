@@ -25,11 +25,13 @@ rows above 0 in blocks, and those at or below 0 as running sums where u
 is linear there.  The accepted trial's pass runs u' on the same
 staircase for the row and column sums of w u', and ``_row_blocks`` on
 them and on the head and tile designs gives the gradient.  The Hessian
-forms v again as the outer sum of the K coordinates' centred supports
-times phi, with no BLAS call, and reads w u''(v) on the same split
-(``_split_blocks``): ``_row_blocks`` on its row and column sums gives the
-diagonal blocks, and numpy reductions give each head's marginals on the
-tile for the cross block, which holds that too.
+runs u'' on the same rising staircase, on the rows above 0 alone, since
+u'' = 0 at and below 0 for every utility kind: ``_row_blocks`` on its
+row and column sums of w u'' gives the diagonal blocks, and each head's
+sums against the tile design, read in the sorted tile's order, give the
+block across heads and tile.  Its BLAS calls are ``_row_blocks``' and
+the panel products of ``_panel_sums``, which hold that too, and no array
+of the grid's size is formed.
 -H is positive semidefinite because u'' <= 0 for every utility kind, so
 the shifted system is positive definite; the shift vanishes with g near
 the optimum, where the step is the Newton step, and for a tabulated
@@ -49,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -278,6 +279,24 @@ def _row_blocks(X: np.ndarray, a: np.ndarray | None, c: np.ndarray | None,
     return g, G
 
 
+def _panel_sums(X: np.ndarray, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """X @ Y.T for the (k, L) X and (m, L) Y, written into out: a sum of
+    products of panels of at most PANEL rows of X and of Y, over pieces of
+    their columns, in order, of ROW_BLOCK columns and then of power-of-two
+    widths.  OpenBLAS splits such a product over its outputs alone, alike
+    over 1 and 2 threads, while a ragged inner width (2000 columns, say) is
+    threaded with other last bits."""
+    out[...] = 0.0
+    L, start = X.shape[1], 0
+    while start < L:
+        cols = slice(start, start + min(ROW_BLOCK, 1 << ((L - start).bit_length() - 1)))
+        for i in range(0, X.shape[0], PANEL):
+            for j in range(0, Y.shape[0], PANEL):
+                out[i:i + PANEL, j:j + PANEL] += X[i:i + PANEL, cols] @ Y[j:j + PANEL, cols].T
+        start = cols.stop
+    return out
+
+
 def _outer_sum(xs, phi: np.ndarray, out: np.ndarray) -> np.ndarray:
     """v = X @ phi on the product of the supports xs, last coordinate
     fastest, written into out: sum_i phi_i x_i, added from the last
@@ -341,7 +360,7 @@ def _sorted_tile(t: np.ndarray, w: np.ndarray):
 
 
 def _staircase(kernel, h, k, t, w, g: int, scratch: np.ndarray, rising: bool,
-               wh=None, cols=None):
+               wh=None, cols=None, rows=None, cross=None):
     """(sums, edges) for the heads h with splits k on the sorted tile t
     with weights w, taken g heads at a time.  A group's edge is its
     smallest split (rising) or its largest, and its cut is the tile from
@@ -354,13 +373,17 @@ def _staircase(kernel, h, k, t, w, g: int, scratch: np.ndarray, rising: bool,
 
     With wh and cols, the column sums over the group,
     sum_i wh_i kernel(...), are added into cols along the cut, a head at a
-    time.
+    time.  With rows, a (k, T) array of values on the sorted tile, and
+    cross, a (k, len(h)) array, cross[j, i] is the sum over the cut of
+    w_t kernel(...) rows[j, t].
 
     A group's rows are one C-ordered (heads, cut) block of scratch[0],
     clamped and overwritten with the kernel's values in place (``_side``,
     the row walk's clamp); scratch[1] is the kernel's own scratch.  Each row
-    of values is weighted by w and summed pairwise along the tile.  No BLAS
-    call runs."""
+    of values is weighted by w and summed pairwise along the tile.  The
+    sums against rows are products of the weighted block and the rows'
+    cut (``_panel_sums``), the only BLAS calls here, which do not depend
+    on the BLAS thread count."""
     side = _side(kernel, rising)
     sums = np.empty(h.size)
     edges = np.empty(h.size, dtype=np.intp)
@@ -380,6 +403,8 @@ def _staircase(kernel, h, k, t, w, g: int, scratch: np.ndarray, rising: bool,
             cols[cut] += np.add.reduce(tmp, axis=0)
         block *= w[cut]
         np.add.reduce(block, axis=1, out=sums[group])
+        if rows is not None:
+            _panel_sums(rows[:, cut], block, cross[:, group])
     return sums, edges
 
 
@@ -404,15 +429,24 @@ def _linear_loss(slope: float, h, k, below, lower):
     return loss
 
 
+def _scatter(x: np.ndarray, w: np.ndarray, at: np.ndarray, size: int) -> np.ndarray:
+    """x * w, written over x, put at the indices at along the last axis of
+    zeros of that length."""
+    x *= w
+    out = np.zeros(x.shape[:-1] + (size,))
+    out[..., at] = x
+    return out
+
+
 def _grid_value(u: Utility, xs, probs):
-    """(value, scratch) for a solve on the product of the centred supports
-    xs with the laws' probabilities probs.  value(p) gives f = E[u(V(p))]
-    and the memo (p, sums), where sums() gives (r, s), w u'(V(p)) read as
-    an (H, T) matrix on the split that the Hoelder chain also takes
-    (``_tile_split``): r holds its row sums, one per head, and s its
-    column sums, one per tile point, so the gradient is
-    (heads @ r, tiles @ s).  scratch holds the staircase's blocks and at
-    least the grid's size, and is free between value and sums calls.
+    """value for a solve on the product of the centred supports xs with
+    the laws' probabilities probs.  value(p) gives f = E[u(V(p))] and the
+    memo (p, sums, curvature), with w u'(V(p)) and -w u''(V(p)) read as
+    (H, T) matrices on the split that the Hoelder chain also takes
+    (``_tile_split``).  sums() gives (r, s), the first one's row sums, one
+    per head, and column sums, one per tile point.  curvature(tiles) gives
+    the second one's (r, s, q), with q[j] its row sums against tile
+    coordinate j of the (kt, T) tile design tiles (``_grid_pass``).
 
     Each value call forms the payoffs V = h + t of the heads h and of the
     tile t (``_grid_payoffs``), sorts the tile once (``_sorted_tile``) and
@@ -422,9 +456,10 @@ def _grid_value(u: Utility, xs, probs):
     (``_by_split``), go in groups of g, with g T about _STAIR rows, through
     a rising staircase (``_staircase``): each group's block h + t from its
     smallest split on runs u's gain kernel once and gives the weighted row
-    sums.  sums() runs u' on the same staircase over the memo's sorted tile,
-    with the column sums, so a line-search trial that is not taken costs no
-    u'.  Every kernel f satisfies f(Y) = f(max(Y, 0)) + f(min(0, Y)) - f(0).
+    sums.  sums() runs u' and curvature() u'' on the same staircase over
+    the memo's sorted tile, with the column sums, so a line-search trial
+    that is not taken costs neither.  Every kernel f satisfies
+    f(Y) = f(max(Y, 0)) + f(min(0, Y)) - f(0).
 
     * Where u(Y) = a Y on Y <= 0 (``_Kernels.loss_slope``; appendix power)
       the rows at or below 0 are running sums read at the split,
@@ -436,10 +471,19 @@ def _grid_value(u: Utility, xs, probs):
       u', on each group's rows up to its largest split, and a row or
       column between a group's two edges, counted on both sides, gives
       back f(0) once.
+    * u'' runs on the rising staircase alone: u'' = 0 on Y <= 0 for every
+      kind (``_Kernels``), u''(0) included.  Its sums against the tile
+      design read it in the sorted tile's order, one gather a call.
+
+    The only buffer kept is a staircase group's block and its kernel
+    scratch (2 min(g, H) T values), which every call overwrites, so a memo
+    stays valid after later value calls; no array of the grid's size is
+    formed.
 
     Error, in units of 2^-53, against exact sums over the rows h + t, on
-    which u and u' are the kernels' values (h + t differs from the outer
-    sum X @ p only in the rounding of its adds).  f is within
+    which u, u' and u'' are the kernels' values (h + t differs from the
+    outer sum X @ p only in the rounding of its adds), each row weighted
+    by its head's weight times its tile point's.  f is within
     (log2(n) + 4) E[|u(V)| + |u(0)|], from the pairwise row sums along
     the tile and the pairwise sum over the heads, plus
     (min(T, ROW_BLOCK) + T / ROW_BLOCK + 4) a E[|h| + |t|] from a linear
@@ -448,20 +492,22 @@ def _grid_value(u: Utility, xs, probs):
     |u'(V)| + |u'(0)| each: a column sum adds the H heads' values one
     after the other, and the f(0) terms come from running sums over the
     tile and over the groups' edges.  The gradient's gemvs add max(H, T).
-    No BLAS call runs here, so the sums do not depend on the BLAS thread
-    count.
+    Each entry (i, j) of the Hessian that ``_grid_pass`` forms is within
+    H + T + 32, relatively to the sum of its terms' magnitudes,
+    |x_i x_j u''(V)| each: r is pairwise along the tile (log2(T) + 12), s
+    and q add terms in order, and ``_row_blocks`` adds H or T more.  The
+    only BLAS calls here are ``_panel_sums``', so the sums do not depend
+    on the BLAS thread count.
     """
-    lead, _ = _tile_split(xs)
+    lead, T = _tile_split(xs)
     kernels = u._kernels
     slope = kernels.loss_slope
     u0, p0 = eval_u(u, 0.0), eval_u_prime(u, 0.0)
     head_w = _product_weights(probs[:lead])
     tile_w = _product_weights(probs[lead:])
-    live = np.flatnonzero(head_w > 0)
-    g = max(1, _STAIR // tile_w.size)
-    block = min(g, live.size) * tile_w.size
-    scratch = np.empty(max(head_w.size * tile_w.size, 2 * block))
-    stair = scratch[:2 * block].reshape(2, block)
+    H, live = head_w.size, np.flatnonzero(head_w > 0)
+    g = max(1, _STAIR // T)
+    stair = np.empty((2, min(g, live.size) * T))
 
     def value(p):
         h = _grid_payoffs(xs[:lead], p[None, :lead])[0, live]
@@ -494,121 +540,59 @@ def _grid_value(u: Utility, xs, probs):
                 fp += slope * below[rise]
                 # a column's weight in groups whose edge lies above it
                 cols += slope * np.cumsum(np.bincount(rise, wh, t.size + 1)[:0:-1])[::-1]
-            fp *= wh
-            cols *= wt
-            r = np.zeros(head_w.size)
-            r[heads] = fp
-            s = np.zeros(tile_w.size)
-            s[order] = cols
-            return r, s
-        return float(np.sum(fu)), (p, sums)
-    return value, scratch
+            return _scatter(fp, wh, heads, H), _scatter(cols, wt, order, T)
+
+        def curvature(tiles):
+            cols = np.zeros(t.size)
+            rows = tiles[:, order] if lead else tiles[:0]
+            cross = np.empty((rows.shape[0], h.size))
+            fc, _ = _staircase(kernels.second, h, k, t, wt, g, stair, True, wh, cols,
+                               rows, cross)
+            return (_scatter(np.negative(fc, out=fc), wh, heads, H),
+                    _scatter(np.negative(cols, out=cols), wt, order, T),
+                    _scatter(np.negative(cross, out=cross), wh, heads, H))
+        return float(np.sum(fu)), (p, sums, curvature)
+    return value
 
 
-class _Split(NamedTuple):
-    """An exact grid read as an (H, T) matrix, by the split that the
-    Hoelder chain also takes (``_tile_split``): row h is the h-th point of
-    the H heads, the product of the leading supports, and its T columns
-    are the tile's points.  heads is the (lead, H) design of the leading
-    coordinates and tiles the (K - lead, T) design of the tile's, both
-    ``_grid_payoffs`` on unit strategies; xs are the tile's supports.
-    held takes the Hessian's small sums and ``_row_blocks``' Gram
-    scratch."""
-    heads: np.ndarray
-    tiles: np.ndarray
-    xs: list
-    held: np.ndarray
-
-
-def _split(xs) -> _Split:
-    """The designs and held buffer of a product pass on the supports xs."""
+def _grid_pass(xs):
+    """step_pass(memo) for a solve on the product of the supports xs, from
+    ``_grid_value``'s memo (p, sums, curvature).  The grid reads as an
+    (H, T) matrix on the split that the Hoelder chain also takes
+    (``_tile_split``): heads is the (lead, H) design of the leading
+    coordinates and tiles the (kt, T) design of the tile's, both
+    ``_grid_payoffs`` on unit strategies, built once.  step_pass gives the
+    gradient (heads @ r, tiles @ s) with (r, s) = sums(), each
+    ``_row_blocks`` on a design, and a callable for the Hessian at p.
+    That callable takes (r, s, q) = curvature(tiles) and forms
+    -heads diag(r) heads.T and -tiles diag(s) tiles.T by ``_row_blocks``,
+    and the block across heads and tile as -heads @ q[j] for each tile
+    coordinate j, a ``_row_blocks`` gemv each.  At p = 0 it returns the
+    zero matrix with no pass, since u''(0) = 0 for every utility kind,
+    and where r is all zero (a table, whose u'' is 0) the zero matrix with
+    no reduction."""
     lead, _ = _tile_split(xs)
     heads = _grid_payoffs(xs[:lead], np.eye(lead))
     tiles = _grid_payoffs(xs[lead:], np.eye(len(xs) - lead))
-    (_, H), (kt, T) = heads.shape, tiles.shape
-    # the per-head marginals of the tile axes but the last, which is read
-    # in place, and the Gram scratch are never alive together
-    widest = max((x.size for x in xs[lead:-1]), default=0)
-    gram = max((lead + 1) * min(H, ROW_BLOCK), (kt + 1) * min(T, ROW_BLOCK))
-    return _Split(heads, tiles, xs[lead:], np.empty(max(H, T) + H + max(H * widest, gram)))
-
-
-def _split_blocks(split: _Split, c: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """X.T diag(c) X on an exact grid, with c read as an (H, T) matrix C on
-    the split (``_Split``).
-
-    A head coordinate's value is constant along each row of the matrix,
-    and a tile coordinate's along each column, so G's two diagonal blocks
-    are heads diag(r) heads.T and tiles diag(s) tiles.T, with r and s C's
-    row and column sums: each ``_row_blocks`` on a design.  The cross
-    block heads @ C @ tiles.T is formed one tile coordinate k at a time,
-    as heads @ q with q_h = x_k . (marginal of row h of C on tile axis k);
-    a gemm for C @ tiles.T would be threaded with other last bits.  The
-    marginals peel the tile axes in order: an axis's marginal is a
-    pairwise sum along the contiguous remainder, and the sum of its
-    slices is the remainder left for the next.  G is zero, with no
-    reduction, when c is all zero, as for a table, where u'' = 0.  BLAS
-    runs only in ``_row_blocks``, so the sums do not depend on the BLAS
-    thread count at any K.
-
-    c is overwritten.  The remainders alternate between scratch, of at
-    least c's size, and c, whose values are dead once its sums are
-    formed; every other sum, and the Gram scratch, goes into split.held.
-    So a caller that keeps the split and scratch allocates no grid-sized
-    array per pass."""
-    heads, tiles, xs, held = split
-    (lead, H), (kt, T) = heads.shape, tiles.shape
-    top = max(H, T)
-    sums, q, shared = held[:top], held[top:top + H], held[top + H:]
-    G = np.zeros((lead + kt, lead + kt))
-    if not c.any():
-        return G
-    C = c.reshape(H, T)
-    G[:lead, :lead] = _row_blocks(heads, None, np.sum(C, axis=1, out=sums[:H]), shared)[1]
-    G[lead:, lead:] = _row_blocks(tiles, None, np.sum(C, axis=0, out=sums[:T]), shared)[1]
-    if not lead:
-        return G
-    size, live, free = c.size, c, scratch
-    for k, x in enumerate(xs):
-        if k + 1 == kt:  # the remainder is the last axis's marginal
-            m = live[:size].reshape(H, -1)
-        else:
-            slices = live[:size].reshape(H, x.size, -1)
-            m = np.sum(slices, axis=2, out=shared[:H * x.size].reshape(H, -1))
-            size //= x.size
-            np.sum(slices, axis=1, out=free[:size].reshape(H, -1))
-            live, free = free, live
-        m *= x
-        G[:lead, lead + k] = _row_blocks(heads, np.sum(m, axis=1, out=q), None)[0]
-    G[lead:, :lead] = G[:lead, lead:].T
-    return G
-
-
-def _grid_pass(u: Utility, xs, w: np.ndarray, scratch: np.ndarray):
-    """step_pass(memo) for a solve on the product of the supports xs with
-    weights w, from ``_grid_value``'s memo (p, sums): the gradient
-    (heads @ r, tiles @ s) with (r, s) = sums(), each ``_row_blocks`` on a
-    design of the split (``_split``), and a callable for the Hessian at
-    p.  That callable forms v = X @ p again into an n-length buffer of its
-    own (``_outer_sum``), writes -w u''(v) over it and takes the Hessian
-    on the split (``_split_blocks``), with scratch, which the staircase
-    leaves free, for its remainders.  At p = 0 it returns the zero
-    matrix with no pass, since u''(0) = 0 for every utility kind."""
-    split = _split(xs)
-    buf = np.empty(w.size)
 
     def step_pass(memo):
-        p, sums = memo
+        p, sums, curvature = memo
         r, s = sums()
-        g = np.concatenate((_row_blocks(split.heads, r, None)[0],
-                            _row_blocks(split.tiles, s, None)[0]))
+        g = np.concatenate((_row_blocks(heads, r, None)[0], _row_blocks(tiles, s, None)[0]))
 
         def hessian():
+            G = np.zeros((p.size, p.size))
             if not p.any():
-                return np.zeros((p.size, p.size))
-            curv = eval_u_second(u, _outer_sum(xs, p, buf), out=buf)
-            curv *= w
-            return -_split_blocks(split, np.negative(curv, out=curv), scratch)
+                return G
+            r, s, q = curvature(tiles)
+            if not r.any():  # a table: u'' = 0
+                return G
+            G[:lead, :lead] = _row_blocks(heads, None, r)[1]
+            G[lead:, lead:] = _row_blocks(tiles, None, s)[1]
+            for j, qj in enumerate(q):
+                G[:lead, lead + j] = _row_blocks(heads, qj, None)[0]
+            G[lead:, :lead] = G[:lead, lead:].T
+            return np.negative(G, out=G)
         return g, hessian, None
     return step_pass
 
@@ -750,17 +734,16 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
     On an exact set the solve runs in product form over the first K of the
     set's own laws' supports: the level's grid points, weighted by
     the product of those K laws' probabilities, stand for the duplicated
-    rows, and no centred copy of the draws is made.  Two n-length buffers
-    live as long as the solve.  On a row set one holds w u'(v) and the
+    rows, and no centred copy of the draws is made.  On a row set two
+    n-length buffers live as long as the solve: one holds w u'(v) and the
     other w u''(v) and the line search's w u(v), since w u''(v) is dead
-    once the Hessian is formed.  On an exact set the value calls need no
-    n-length buffer (``_grid_value``): the staircase's blocks go into a
-    scratch buffer of at least the grid's size, which the Hessian takes
-    for its remainders, and the Hessian forms v and then w u''(v) over it
-    in the other (``_grid_pass``).  There the split (``_split``) is built
-    once: the head and tile designs, and a held buffer for the Hessian's
-    row, column and per-head sums and the Gram scratch of ``_row_blocks``,
-    whose BLAS calls are the pass's only ones.  The loop is
+    once the Hessian is formed.  On an exact set no n-length array is
+    formed, and neither the set's rows nor its weights are built: the
+    value calls run the staircase in one group's block (``_grid_value``),
+    and the pass reads the value call's memo, its sorted tile, splits and
+    head groups, for the gradient and the Hessian (``_grid_pass``), on
+    the head and tile designs, which are built once; ``_row_blocks`` and
+    ``_panel_sums`` run the pass's only BLAS calls.  The loop is
     ``_damped_newton``'s, with its Newton-chord Hessian.  The first step's,
     at phi = 0, is zero, since u''(0) = 0, and both passes return it with
     no pass over the rows; a zero Hessian is never reused, so the second
@@ -782,11 +765,8 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
     if s.is_exact:
         laws = s._laws[:K]
         xs = [x - b for (x, _), b in zip(laws, model.b)]
-        probs = [p for _, p in laws]
-        # at K = s.K the level's weights are s's own
-        w = s.weights if K == s.K else _product_weights(probs)
-        value, scratch = _grid_value(u, xs, probs)
-        step_pass = _grid_pass(u, xs, w, scratch)
+        value = _grid_value(u, xs, [p for _, p in laws])
+        step_pass = _grid_pass(xs)
     else:
         X = _centered(s.draws[:, :K], model.b[:K], np.empty((K, s.n)))
         w = s.weights

@@ -45,34 +45,36 @@ class ScenarioSet:
     either memory order; ``sample_scenarios`` gives them column-major.  An
     exact enumeration (``enumerate_scenarios``) holds its K coordinate laws
     instead, as (points, probs) pairs: its rows are their product, last
-    coordinate fastest, with product weights, and ``draws`` builds them on
-    first read and keeps them.
+    coordinate fastest, with product weights, and ``draws`` and
+    ``weights`` build them on first read and keep them.
     """
 
     def __init__(self, draws: np.ndarray, weights: np.ndarray, provenance: str):
         if draws.shape[0] != weights.shape[0]:
             raise ValueError("draws/weights length mismatch")
+        if not np.isfinite(weights).all():
+            raise ValueError("weights must be finite")
+        if (weights < 0).any():
+            raise ValueError("weights must be nonnegative")
         self._draws = draws
         self._laws = None
         self._set_weights(weights, math.fsum(weights), provenance)
 
     @classmethod
     def _product(cls, laws) -> ScenarioSet:
-        """The product set of laws = [(points, probs)], rows not built.  Its
-        weights sum to the product of the laws' sums, which is checked in
-        place of a sum over all n of them."""
+        """The product set of laws = [(points, probs)], rows and weights not
+        built.  Its weights sum to the product of the laws' sums, which is
+        checked in place of a sum over all n of them."""
         s = cls.__new__(cls)
         s._draws = None
         s._laws = tuple(laws)
-        probs = [p for _, p in laws]
-        s._set_weights(_product_weights(probs), math.prod(map(math.fsum, probs)),
-                       "exact_enumeration")
+        s._set_weights(None, math.prod(math.fsum(p) for _, p in laws), "exact_enumeration")
         return s
 
-    def _set_weights(self, weights: np.ndarray, total: float, provenance: str) -> None:
-        if abs(total - 1.0) > 1e-12:
+    def _set_weights(self, weights, total: float, provenance: str) -> None:
+        if not abs(total - 1.0) <= 1e-12:  # NaN fails
             raise ValueError("weights must sum to 1")
-        self.weights = weights
+        self._weights = weights
         self.provenance = provenance
         self._density = None  # (Q, dQ/dP on the rows): measures' memo
 
@@ -86,8 +88,18 @@ class ScenarioSet:
         return self._draws
 
     @property
+    def weights(self) -> np.ndarray:
+        """(n,) row weights; on a product set built on first read
+        (``_product_weights``)."""
+        if self._weights is None:
+            self._weights = _product_weights([p for _, p in self._laws])
+        return self._weights
+
+    @property
     def n(self) -> int:
-        return self.weights.shape[0]
+        if self._laws is None:
+            return self._draws.shape[0]
+        return math.prod(x.size for x, _ in self._laws)
 
     @property
     def K(self) -> int:

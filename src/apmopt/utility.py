@@ -49,8 +49,9 @@ on min(0, Y) gives u(-Y-).  The row walk runs both chunk by chunk
 (``_split_u``), so a table runs twice per payoff.  The exact sets'
 staircase (``optimize._staircase``) runs the same clamps on its blocks of
 rows, with the gain or loss kernel (the exact solver also with its u'
-kernel); where the loss side is linear it reads the slope and evaluates
-no row there.
+kernel, and with its u'' kernel on the gain side alone, since u'' = 0 on
+Y <= 0 for every kind); where the loss side is linear it reads the slope
+and evaluates no row there.
 
 A GrowthBounds certificate records finite constants (alpha, beta, C1,
 C2) for the caps u(x) <= C1(x**alpha + 1) on x >= 0 and
@@ -99,7 +100,10 @@ class GrowthBounds:
 
 class _Kernels(NamedTuple):
     """A utility's kernel set, each kernel run per chunk by ``_chunks``;
-    gain, loss and prime also on staircase blocks whole."""
+    gain, loss, prime and second also on staircase blocks whole.  Every
+    kind's second is 0 on Y <= 0 (u is linear there, or piecewise linear
+    everywhere), so the exact solver runs it on the gain side's clamp
+    alone, on the rows above 0."""
     value: Callable   # kernel(xc, out, tmp) that writes u(xc) into out
     prime: Callable   # the same for u'
     second: Callable  # the same for u''

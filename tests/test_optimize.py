@@ -337,6 +337,21 @@ class TestRowBlocks:
                 "    print(K, h.hexdigest())\n")
         return stdout_per_blas_thread_count(code)
 
+    def test_panel_sums_identical_across_blas_thread_counts(self):
+        # OpenBLAS threads a product over a ragged inner width (2000, 2187
+        # or 3001 columns at these shapes) with other last bits, and a
+        # product over a power-of-two width alike over 1 and 2 threads
+        code = ("import hashlib, numpy as np\n"
+                "from apmopt import optimize\n"
+                "for k, L, m in ((12, 2000, 96), (19, 2187, 29), (7, 3001, 96), (3, 5000, 200)):\n"
+                "    gen = np.random.Generator(np.random.Philox(key=L))\n"
+                "    X, Y = gen.standard_normal((k, L)), gen.standard_normal((m, L))\n"
+                "    out = optimize._panel_sums(X, Y, np.empty((k, m)))\n"
+                "    assert np.all(np.abs(out - X @ Y.T) <= 1e-12 * (np.abs(X) @ np.abs(Y).T))\n"
+                "    print(hashlib.sha256(out.tobytes()).hexdigest())\n")
+        one, two = stdout_per_blas_thread_count(code)
+        assert one == two and len(one.split()) == 4
+
     def test_identical_across_blas_thread_counts(self):
         # the panels keep each block's gemv and syrk at most PANEL = 96
         # wide: OpenBLAS threads wider ones (the gemv at K = 113 or 150,
@@ -363,32 +378,9 @@ def product_supports(draw):
     return xs, probs
 
 
-def split_pass(xs):
-    """A fresh split of the supports xs and a scratch buffer of the grid's
-    size, as a solve holds them."""
-    return optimize._split(xs), np.empty(math.prod(x.size for x in xs))
-
-
-def product_blocks(xs, c):
-    """The product pass's Hessian half on the supports xs, with fresh
-    buffers."""
-    split, scratch = split_pass(xs)
-    return optimize._split_blocks(split, c, scratch)
-
-
-def dirty(split, scratch, gen):
-    """split and scratch with their buffers' values as earlier passes of a
-    solve might leave them."""
-    split.held[:] = gen.standard_normal(split.held.size)
-    scratch[:] = gen.standard_normal(scratch.size)
-    return split, scratch
-
-
 # grids whose (H, T) split has heads: two-point and three-point laws, a
 # one-point law in the tile, and a long law before or in a short tile
 SPLIT_SIZES = [(2,) * 13, (3,) * 9, (2,) * 12 + (1, 2), (1500, 2, 2), (2, 2, 5000)]
-split_supports = st.sampled_from(SPLIT_SIZES).map(
-    lambda sizes: ([np.linspace(-1.0, 1.0, m) + 0.1 for m in sizes], None))
 
 
 # split grids with their laws' probabilities, the first point of each law
@@ -403,12 +395,21 @@ GRID_UTILITIES = (appendix_power(0.5),
                   tabulated((-10.0, -1.0, 0.0, 1.0, 10.0), (-30.0, -2.0, 0.2, 1.0, 3.0)))
 
 
-def grid_f_g(xs, probs, u, p):
-    """f and g at p from an exact solve's value call and pass."""
-    value, scratch = optimize._grid_value(u, xs, probs)
-    f, memo = value(p)
-    g, _, _ = optimize._grid_pass(u, xs, optimize._product_weights(probs), scratch)(memo)
-    return f, g
+def grid_f_g_H(xs, probs, u, p):
+    """f, g and the Hessian at p from an exact solve's value call and pass."""
+    f, memo = optimize._grid_value(u, xs, probs)(p)
+    g, hessian, _ = optimize._grid_pass(xs)(memo)
+    return f, g, hessian()
+
+
+def grid_rows(xs, p):
+    """The payoffs h + t of the grid's rows that the staircase reads, in
+    row order: ``_outer_sum`` on the heads and on the tile."""
+    lead, _ = optimize._tile_split(xs)
+    heads, tile = xs[:lead], xs[lead:]
+    h = optimize._outer_sum(heads, p[:lead], np.empty(math.prod(x.size for x in heads)))
+    t = optimize._outer_sum(tile, p[lead:], np.empty(math.prod(x.size for x in tile)))
+    return h, t
 
 
 def grid_oracle(xs, probs, u, p):
@@ -416,10 +417,7 @@ def grid_oracle(xs, probs, u, p):
     over the rows h + t that the staircase reads (``_outer_sum`` on the
     heads and on the tile), and the error bounds of ``_grid_value``'s
     docstring, with the gradient's gemv, at 2^-53 a unit."""
-    lead, _ = optimize._tile_split(xs)
-    heads, tile = xs[:lead], xs[lead:]
-    h = optimize._outer_sum(heads, p[:lead], np.empty(math.prod(x.size for x in heads)))
-    t = optimize._outer_sum(tile, p[lead:], np.empty(math.prod(x.size for x in tile)))
+    h, t = grid_rows(xs, p)
     v = (h[:, None] + t).ravel()
     w = optimize._product_weights(probs)
     X = np.array(list(itertools.product(*xs)))
@@ -447,7 +445,7 @@ class TestGridStaircase:
     def test_matches_whole_array_oracle(self, supports, u, scale, seed):
         xs, probs = supports
         p = scale * np.random.Generator(np.random.Philox(key=seed)).uniform(-1.0, 1.0, len(xs))
-        f, g = grid_f_g(xs, probs, u, p)
+        f, g, _ = grid_f_g_H(xs, probs, u, p)
         want_f, want_g, tol_f, tol_g = grid_oracle(xs, probs, u, p)
         assert abs(f - want_f) <= tol_f
         assert np.all(np.abs(g - want_g) <= tol_g)
@@ -473,7 +471,7 @@ class TestGridStaircase:
             probs = [np.array([0.0] + [1.0] * 17 + [0.0]) / 17] + [np.full(2, 0.5)] * 12
         elif case != "zero":
             probs = [np.full(xs[0].size, 1.0 / xs[0].size)] + probs[:7]
-        f, g = grid_f_g(xs, probs, u, p)
+        f, g, _ = grid_f_g_H(xs, probs, u, p)
         want_f, want_g, tol_f, tol_g = grid_oracle(xs, probs, u, p)
         assert abs(f - want_f) <= tol_f
         assert np.all(np.abs(g - want_g) <= tol_g)
@@ -482,21 +480,101 @@ class TestGridStaircase:
     @given(st.one_of(product_supports(), split_laws), st.sampled_from(GRID_UTILITIES),
            st.integers(0, 2 ** 32 - 1))
     def test_kept_scratch_matches_fresh_bit_for_bit(self, supports, u, seed):
-        # a solve's value calls and Hessians share one scratch buffer, each
-        # leaving it dirty for the other
+        # a solve's value calls, passes and Hessians share the staircase's
+        # scratch, each leaving it dirty for the next, and a memo is read
+        # after later value calls (the line search's trials)
         xs, probs = supports
         gen = np.random.Generator(np.random.Philox(key=seed))
-        p = gen.uniform(-2.0, 2.0, len(xs))
-        f, g = grid_f_g(xs, probs, u, p)
-        value, scratch = optimize._grid_value(u, xs, probs)
-        step_pass = optimize._grid_pass(u, xs, optimize._product_weights(probs), scratch)
-        scratch[:] = gen.standard_normal(scratch.size)
-        for _ in range(2):
-            got, memo = value(p)
+        p, q = gen.uniform(-2.0, 2.0, (2, len(xs)))
+        want = grid_f_g_H(xs, probs, u, p)
+        value, step_pass = optimize._grid_value(u, xs, probs), optimize._grid_pass(xs)
+        for x in (q, p):
+            f, memo = value(x)
+            value(q + 1.0)
             grad, hessian, _ = step_pass(memo)
-            assert (np.float64(got).tobytes(), grad.tobytes()) == (np.float64(f).tobytes(),
-                                                                   g.tobytes())
-            hessian()
+            value(q - 1.0)
+            G = hessian()
+        assert [np.float64(f).tobytes(), grad.tobytes(), G.tobytes()] == [
+            np.float64(want[0]).tobytes(), want[1].tobytes(), want[2].tobytes()]
+
+
+def hessian_oracle(xs, probs, u, p):
+    """(want, tol): X^T diag(w u''(V)) X on the materialized grid, the rows
+    and weights of the product set (``s.draws``, ``s.weights``), with u''
+    read at the rows h + t that the staircase reads (``grid_rows``; they
+    differ from X @ p only in the rounding of their adds).  Each entry is
+    math.fsum's exact sum of its rounded terms.  tol is the bound of
+    ``_grid_value``'s docstring, (H + T + 32) units of 2^-53 relative to
+    the sum of the terms' magnitudes, plus the oracle's own rounding: a
+    row's weight as a product of K probabilities against the product of
+    its head's and its tile point's (2K units), and a term's two
+    products (2 units)."""
+    s = ScenarioSet._product(list(zip(xs, probs)))
+    X, w = s.draws, s.weights
+    h, t = grid_rows(xs, p)
+    c = w * optimize.eval_u_second(u, (h[:, None] + t).ravel())
+    K = len(xs)
+    want, size = np.empty((K, K)), np.empty((K, K))
+    for i, j in itertools.combinations_with_replacement(range(K), 2):
+        terms = X[:, i] * X[:, j] * c
+        want[i, j] = want[j, i] = math.fsum(terms.tolist())
+        size[i, j] = size[j, i] = np.abs(terms).sum()
+    return want, (h.size + t.size + 32 + 2 * K + 2) * 2.0 ** -53 * size
+
+
+@st.composite
+def curvature_grids(draw):
+    """(xs, probs) of laws of 2-5 points in [-4, 4] on a 1/100 grid, whose
+    points have probabilities on a 1/4 grid, about one in four of them 0:
+    one to six laws (no heads up to 4096 rows, a split beyond), seven
+    five-point laws (25 heads, more than the 20 of a group on their
+    3125-point tile, so ``_by_split`` orders them) or a 4500-point law
+    under a one-point law (one head)."""
+    sizes = draw(st.one_of(st.lists(st.integers(2, 5), min_size=1, max_size=6),
+                           st.sampled_from([(5,) * 7, (1, 4500)])))
+    gen = np.random.Generator(np.random.Philox(key=draw(st.integers(0, 2 ** 32 - 1))))
+    xs, probs = [], []
+    for m in sizes:
+        span = max(400, m)
+        xs.append(gen.choice(np.arange(-span, span + 1), m, replace=False) / 100.0)
+        raw = gen.integers(0, 4, m).astype(float)
+        raw[gen.integers(m)] += 1.0
+        probs.append(raw / raw.sum())
+    return xs, probs
+
+
+class TestGridHessian:
+    """An exact solve's Hessian, one rising staircase of u'' over the
+    memo's sorted tile (``_grid_value``, ``_grid_pass``), against the
+    materialized grid."""
+
+    @staticmethod
+    def check(xs, probs, u, p):
+        _, _, G = grid_f_g_H(xs, probs, u, p)
+        want, tol = hessian_oracle(xs, probs, u, p)
+        assert np.all(np.abs(G - want) <= tol)
+        assert np.array_equal(G, G.T)
+
+    @settings(deadline=None, max_examples=60)
+    @given(curvature_grids(), st.sampled_from(GRID_UTILITIES),
+           st.sampled_from([0.0, 0.1, 1.0, 3.0]), st.integers(0, 2 ** 32 - 1))
+    def test_matches_materialized_grid(self, grid, u, scale, seed):
+        xs, probs = grid
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        self.check(xs, probs, u, scale * gen.uniform(-1.0, 1.0, len(xs)))
+
+    @pytest.mark.parametrize("sizes", SPLIT_SIZES + [(5,) * 7])
+    def test_split_grids_match_materialized_grid(self, sizes):
+        # every head live: on seven five-point laws the 25 heads fill two
+        # groups of the 3125-point tile, so they are ordered by split
+        gen = np.random.Generator(np.random.Philox(key=len(sizes)))
+        xs = [gen.uniform(-1.0, 1.0, m) for m in sizes]
+        probs = [np.full(m, 1.0 / m) for m in sizes]
+        lead, tile = optimize._tile_split(xs)
+        assert lead
+        if sizes == (5,) * 7:
+            assert 5 ** lead > optimize._STAIR // tile
+        self.check(xs, probs, appendix_power(0.5), gen.uniform(-1.0, 1.0, len(sizes)))
 
 
 class TestStackedPayoffs:
@@ -521,13 +599,11 @@ class TestProductPass:
     @given(product_supports(), st.integers(0, 2 ** 32 - 1))
     def test_matches_whole_array_products(self, supports, seed):
         # rows listed as itertools.product lists them: last coordinate fastest
-        xs, probs = supports
+        xs, _ = supports
         X = np.array(list(itertools.product(*xs)))
-        w = np.array([math.prod(p) for p in itertools.product(*probs)])
         gen = np.random.Generator(np.random.Philox(key=seed))
         phi = gen.uniform(-3.0, 3.0, len(xs))
-        c = w * gen.uniform(0.0, 2.0, w.size)
-        v = optimize._outer_sum(xs, phi, np.empty(w.size))
+        v = optimize._outer_sum(xs, phi, np.empty(len(X)))
         assert np.all(np.abs(v - X @ phi) <= 1e-12 * (np.abs(X) @ np.abs(phi)))
         # bit for bit the row loop that adds the last coordinate first
         loop = [0.0] * len(X)
@@ -535,53 +611,27 @@ class TestProductPass:
             for p, x in reversed(list(zip(phi, row))):
                 loop[r] += p * x
         assert np.array_equal(v, loop)
-        G = product_blocks(xs, c.copy())
-        assert np.all(np.abs(G - (X.T * c) @ X) <= 1e-12 * ((np.abs(X).T * c) @ np.abs(X)))
-        assert np.array_equal(G, G.T)
 
-    @pytest.mark.parametrize("sizes", SPLIT_SIZES)
-    def test_split_grids_match_whole_array_products(self, sizes):
-        gen = np.random.Generator(np.random.Philox(key=len(sizes)))
-        xs = [gen.uniform(-1.0, 1.0, m) for m in sizes]
-        X = np.array(list(itertools.product(*xs)))
-        assert optimize._split(xs).heads.size  # the split has heads
-        c = gen.uniform(0.0, 2.0, len(X)) * (gen.random(len(X)) < 0.9)
-        G = product_blocks(xs, c.copy())
-        assert np.all(np.abs(G - (X.T * c) @ X) <= 1e-12 * ((np.abs(X).T * c) @ np.abs(X)))
-        assert np.array_equal(G, G.T)
-
-    @settings(deadline=None, max_examples=30)
-    @given(st.one_of(product_supports(), split_supports), st.integers(0, 2 ** 32 - 1))
-    def test_kept_buffers_match_own_bit_for_bit(self, supports, seed):
-        # the held and scratch buffers a solve has kept, dirty from earlier
-        # passes, against fresh buffers
-        xs, _ = supports
-        n = math.prod(x.size for x in xs)
-        gen = np.random.Generator(np.random.Philox(key=seed))
-        c = gen.uniform(0.0, 2.0, n) * (gen.random(n) < 0.9)
-        G = product_blocks(xs, c.copy())
-        split, scratch = dirty(*split_pass(xs), gen)
-        for _ in range(2):
-            assert optimize._split_blocks(split, c.copy(), scratch).tobytes() == G.tobytes()
-
-    @pytest.mark.parametrize("sizes", [(2,) * 17, (3, 2) * 6 + (3,)], ids=["two_point", "mixed"])
-    def test_kept_buffers_hold_every_partial_sum(self, sizes):
-        # with the split and scratch kept, the Hessian allocates no partial
-        # sum: the largest would be n / 2 values (n / 3 on the mixed grid),
-        # 4n bytes or more.  What is left is numpy's own ufunc buffer, at
-        # most 8192 values, and arrays of a law's size or K's
-        gen = np.random.Generator(np.random.Philox(key=len(sizes)))
-        xs = [gen.uniform(-1.0, 1.0, m) for m in sizes]
-        n = math.prod(sizes)
-        c = gen.uniform(0.0, 2.0, n)
-        split, scratch = split_pass(xs)
+    def test_exact_solve_allocates_no_grid_sized_array(self):
+        # K = 16 with five three-point laws ahead of eleven Rademacher ones:
+        # 243 heads by a 2048-point tile.  Every buffer of the solve is a
+        # staircase group's (2 * _STAIR values), a design's or smaller; on
+        # sixteen Rademacher laws that group alone would be twice the grid
+        three = finite_discrete([-1.5, 0.0, 1.5], [2 / 9, 5 / 9, 2 / 9])
+        K = 16
+        model = build_market(1, K, mu=[-0.4 / i for i in range(1, K + 1)],
+                             beta=[[0.0]] * (K - 1), beta_bar=[1.0] * K,
+                             noise=(three,) * 5 + (rademacher(),) * 11)
+        s = enumerate_scenarios(model)
         tracemalloc.start()
         try:
-            optimize._split_blocks(split, c, scratch)
+            res = optimize_truncated(model, appendix_power(0.5), None, s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n
+        assert res.converged
+        assert peak < 8 * s.n
+        assert s._weights is None and s._draws is None
 
     @pytest.mark.parametrize("drifts, levels", [
         ([0.2, 0.1, 0.05], (None, 1, 2)),
@@ -725,9 +775,11 @@ class TestProductPass:
 
     def test_identical_across_blas_thread_counts(self):
         # an exact solve's BLAS calls are _row_blocks' on the two designs,
-        # for the gradient and the Hessian; a gemm for the cross block
-        # would be threaded with other last bits on the three-point grid at
-        # K = 12, 243 heads by a 2187-point tile
+        # for the gradient and the Hessian, and the Hessian's sums against
+        # the tile design (``_panel_sums``), on 128 heads by a 4096-point
+        # tile at K = 19 and on three-point laws at K = 12, 243 heads by a
+        # 2187-point tile.  The last grid puts a 20 000-point law ahead of
+        # a 9-point tile: 7281 heads a group, in panels of PANEL heads
         code = ("import hashlib, numpy as np\n"
                 "from apmopt import optimize, build_market, enumerate_scenarios\n"
                 "from apmopt import appendix_power, finite_discrete, rademacher\n"
@@ -737,22 +789,22 @@ class TestProductPass:
                 "    gen = np.random.Generator(np.random.Philox(key=K))\n"
                 "    xs = [np.array(law.points) - b for b in gen.uniform(-0.3, 0.3, K)]\n"
                 "    probs = [np.array(law.probs)] * K\n"
-                "    n = len(law.points) ** K\n"
                 "    p = gen.standard_normal(K)\n"
-                "    v = optimize._outer_sum(xs, p, np.empty(n))\n"
-                "    G = optimize._split_blocks(optimize._split(xs), np.abs(v), np.empty(n))\n"
-                "    value, scratch = optimize._grid_value(u, xs, probs)\n"
-                "    f, memo = value(p)\n"
-                "    w = optimize._product_weights(probs)\n"
-                "    g, hessian, _ = optimize._grid_pass(u, xs, w, scratch)(memo)\n"
-                "    G = np.concatenate((G, hessian()))\n"
+                "    f, memo = optimize._grid_value(u, xs, probs)(p)\n"
+                "    g, hessian, _ = optimize._grid_pass(xs)(memo)\n"
+                "    G = hessian()\n"
                 "    model = build_market(1, K, mu=[-0.4 / i for i in range(1, K + 1)],\n"
                 "                         beta=[[0.0]] * (K - 1), beta_bar=[1.0] * K, noise=law)\n"
                 "    phi = optimize.optimize_truncated(model, appendix_power(0.5), None,\n"
                 "                                      enumerate_scenarios(model)).phi_star\n"
-                "    h = hashlib.sha256(v.tobytes() + np.float64(f).tobytes() + g.tobytes()\n"
-                "                       + G.tobytes() + phi.tobytes())\n"
-                "    print(K, h.hexdigest())\n")
+                "    h = hashlib.sha256(np.float64(f).tobytes() + g.tobytes() + G.tobytes()\n"
+                "                       + phi.tobytes())\n"
+                "    print(K, h.hexdigest())\n"
+                "gen = np.random.Generator(np.random.Philox(key=3))\n"
+                "xs = [gen.standard_normal(20_000)] + [np.array(three.points) - 0.1] * 2\n"
+                "probs = [np.full(20_000, 1 / 20_000)] + [np.array(three.probs)] * 2\n"
+                "f, memo = optimize._grid_value(u, xs, probs)(np.array([0.7, -1.1, 0.4]))\n"
+                "print(hashlib.sha256(optimize._grid_pass(xs)(memo)[1]().tobytes()).hexdigest())\n")
         one, two = stdout_per_blas_thread_count(code)
         assert one == two
 
@@ -777,12 +829,13 @@ class TestHessianOnDemand:
         return calls
 
     @staticmethod
-    def log_grid_passes(monkeypatch):
-        """Wrap an exact solve's pass (optimize._grid_pass) and Hessian
-        (optimize._split_blocks) to log "g" per gradient, and "H", or "H0"
-        for c all zero, per Hessian."""
+    def log_grid_passes(monkeypatch, u):
+        """Wrap an exact solve's pass (optimize._grid_pass) to log "g" per
+        gradient, and its staircase (optimize._staircase) to log "H" per
+        Hessian: a run of u's second kernel.  Returns the log and the
+        staircase's mock."""
         calls = []
-        grid_pass, split_blocks = optimize._grid_pass, optimize._split_blocks
+        grid_pass, staircase = optimize._grid_pass, optimize._staircase
 
         def logged_pass(*args):
             step_pass = grid_pass(*args)
@@ -792,52 +845,56 @@ class TestHessianOnDemand:
                 return step_pass(memo)
             return logged
 
-        def logged_blocks(split, c, scratch):
-            calls.append("H" if c.any() else "H0")
-            return split_blocks(split, c, scratch)
+        def logged_staircase(kernel, *args):
+            if kernel is u._kernels.second:
+                calls.append("H")
+            return staircase(kernel, *args)
+        stair = mock.Mock(wraps=logged_staircase)
         monkeypatch.setattr(optimize, "_grid_pass", logged_pass)
-        monkeypatch.setattr(optimize, "_split_blocks", logged_blocks)
-        return calls
+        monkeypatch.setattr(optimize, "_staircase", stair)
+        return calls, stair
 
     @pytest.mark.parametrize("kind", ["exact", "rows", "sampled"])
     def test_solve_hessian_schedule(self, monkeypatch, kind):
         # every solve starts at phi = 0, where u''(0) = 0: its first
-        # Hessian is the zero matrix, formed with no pass (neither u'' nor
-        # an exact solve's outer sum sees the zero iterate), so the second
-        # step forms H again; no step backtracks, so from there a step
-        # reuses H and the next forms it.  An exact solve's value calls,
-        # one per step and one at phi = 0, each run one rising staircase
-        # for u, and each pass one for u' (appendix power's loss side is
-        # linear)
+        # Hessian is the zero matrix, formed with no pass (neither a row
+        # set's u'' nor an exact solve's staircase sees the zero iterate),
+        # so the second step forms H again; no step backtracks, so from
+        # there a step reuses H and the next forms it.  An exact solve's
+        # value calls, one per step and one at phi = 0, each run one rising
+        # staircase for u, each pass one for u' (appendix power's loss side
+        # is linear) and each Hessian one for u''
         model = rademacher_market([0.4 / i for i in range(1, 7)])
         s = enumerate_scenarios(model)
         s = {"exact": s, "rows": row_set(s),
              "sampled": sample_scenarios(model, 3 * optimize.ROW_BLOCK + 17, 3)}[kind]
+        u = appendix_power(0.5)
         if kind == "exact":
-            calls = self.log_grid_passes(monkeypatch)
+            calls, stair = self.log_grid_passes(monkeypatch, u)
         else:
             calls = self.log_halves(monkeypatch, "_row_blocks")
-        second, outer_sum = optimize.eval_u_second, optimize._outer_sum
-        payoffs, iterates = [], []  # any nonzero, per u'' call and per Hessian outer sum
+            stair = mock.Mock(wraps=optimize._staircase)
+            monkeypatch.setattr(optimize, "_staircase", stair)
+        second = optimize.eval_u_second
+        payoffs = []  # any nonzero, per u'' call
 
         def logged_second(u, v, **kwargs):
             payoffs.append(bool(v.any()))
             return second(u, v, **kwargs)
-
-        def logged_outer_sum(xs, phi, out):
-            if phi.ndim == 1:  # the Hessian's payoffs, not a design's
-                iterates.append(bool(phi.any()))
-            return outer_sum(xs, phi, out)
         monkeypatch.setattr(optimize, "eval_u_second", logged_second)
-        monkeypatch.setattr(optimize, "_outer_sum", logged_outer_sum)
-        stair = mock.Mock(wraps=optimize._staircase)
-        monkeypatch.setattr(optimize, "_staircase", stair)
-        res = optimize_truncated(model, appendix_power(0.5), None, s)
+        res = optimize_truncated(model, u, None, s)
         assert res.converged and res.iterations == 7
-        assert payoffs == [True] * 3
-        assert iterates == [True] * 3 * (kind == "exact")
+        assert payoffs == [True] * 3 * (kind != "exact")
         assert calls == ["g", "g", "H"] * 3 + ["g", "g"]
-        assert [c.args[7] for c in stair.call_args_list] == [True] * 16 * (kind == "exact")
+        # the staircases' kernels, in order, and each Hessian's at a
+        # nonzero iterate: its heads' or its tile's payoffs are not all 0
+        kernels = u._kernels
+        assert [c.args[0] for c in stair.call_args_list] == (
+            [kernels.gain, kernels.prime] * 2
+            + ([kernels.second] + [kernels.gain, kernels.prime] * 2) * 3) * (kind == "exact")
+        assert [c.args[7] for c in stair.call_args_list] == [True] * 19 * (kind == "exact")
+        assert all(c.args[1].any() or c.args[3].any() for c in stair.call_args_list
+                   if c.args[0] is kernels.second)
 
     def test_ladder_levels_hessian_schedule(self, monkeypatch):
         model = rademacher_market([0.4 / i for i in range(1, 7)])
@@ -915,19 +972,24 @@ class TestHessianOnDemand:
                            0.0, slack=1e-3, done=lambda g, _: False) == [
             "f", "gHf", "gf", "gHf", "gf", "gHf", "gHf", "gHf", "g"]
 
-    def test_zero_curvature_product_pass_runs_no_reduction(self, monkeypatch):
-        # three-point laws at K = 9: 9 heads by a 2187-point tile of 7 coordinates
+    @pytest.mark.parametrize("u", GRID_UTILITIES, ids=["appendix_power", "tabulated"])
+    def test_zero_curvature_product_pass_runs_no_reduction(self, monkeypatch, u):
+        # three-point laws at K = 9: 9 heads by a 2187-point tile of 7
+        # coordinates.  A table's u'' is 0, so its Hessian is the zero
+        # matrix with no reduction; appendix power's takes one per design
+        # and one per tile coordinate
         xs = [np.array([-1.0, 0.5, 1.0]) - b for b in np.linspace(-0.3, 0.3, 9)]
-        n = 3 ** 9
+        probs = [np.array([0.25, 0.5, 0.25])] * 9
+        _, memo = optimize._grid_value(u, xs, probs)(np.linspace(-1.0, 1.0, 9))
+        _, hessian, _ = optimize._grid_pass(xs)(memo)
         blocks = mock.Mock(wraps=optimize._row_blocks)
         monkeypatch.setattr(optimize, "_row_blocks", blocks)
-        split, scratch = split_pass(xs)
-        split.held[:] = np.nan
-        G = optimize._split_blocks(split, np.zeros(n), scratch)
-        assert G.shape == (9, 9) and not G.any()
-        assert blocks.call_count == 0 and np.isnan(split.held).all()  # no sums formed
-        optimize._split_blocks(split, np.ones(n), scratch)
-        assert blocks.call_count == 2 + 7  # one per design and one per tile coordinate
+        G = hessian()
+        assert G.shape == (9, 9)
+        if u.kind == "tabulated":
+            assert not G.any() and blocks.call_count == 0
+        else:
+            assert np.all(np.diag(G) < 0) and blocks.call_count == 2 + 7
 
 
 class TestNewtonOracles:

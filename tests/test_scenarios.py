@@ -168,6 +168,18 @@ class TestRowsOnRead:
         with pytest.raises(ValueError, match="sum to 1"):
             ScenarioSet(draws, np.full(3, 0.5), "given")
 
+    def test_weights_built_once_on_first_read(self):
+        # unequal laws; n needs neither the rows nor the weights
+        noise = (standardized_two_point(0.3), rademacher(), standardized_two_point(0.8))
+        model = build_market(1, 3, mu=[0.0] * 3, beta=[[0.0]] * 2, beta_bar=[1.0] * 3,
+                             noise=noise)
+        s = enumerate_scenarios(model)
+        assert (s.n, s.K) == (8, 3)
+        assert s._weights is None and s._draws is None
+        assert s.weights.tobytes() == _product_weights(
+            [np.array(d.probs) for d in noise]).tobytes()
+        assert s.weights is s.weights and s._draws is None
+
     def test_rows_make_a_row_set_whatever_the_label(self, market_k3):
         s = enumerate_scenarios(market_k3)
         labelled = ScenarioSet(s.draws, s.weights, s.provenance)
@@ -247,6 +259,20 @@ class TestWeightCheck:
         with pytest.raises(ValueError, match="sum to 1"):
             ScenarioSet(draws, weights, "given")
 
+    @pytest.mark.parametrize("weights, message", [
+        ([math.nan, 1.0], "weights must be finite"),
+        ([math.inf, -math.inf], "weights must be finite"),
+        ([2.0, -1.0], "weights must be nonnegative"),
+    ])
+    def test_positional_set_refuses_bad_weights(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioSet(np.zeros((2, 1)), np.array(weights), "given")
+
+    def test_nan_sum_refused(self):
+        # a product set checks its laws' sums alone; NaN fails that test
+        with pytest.raises(ValueError, match="sum to 1"):
+            ScenarioSet._product([(np.array([-1.0, 1.0]), np.array([math.nan, 1.0]))])
+
     def test_positional_set_sums_every_weight(self, market_k3):
         # one weight off by 2e-12 in a set whose laws would pass
         s = enumerate_scenarios(market_k3)
@@ -280,10 +306,10 @@ class TestExactSetMemory:
             tracemalloc.stop()
 
     def test_enumeration_peak(self, model):
-        # the 4 MB of product weights and their outer-product temporaries
+        # the laws alone: the 4 MB of product weights are built on first read
         peak, s = self.traced_peak_mb(lambda: enumerate_scenarios(model))
         assert s.n == 2 ** self.K
-        assert peak <= 16.0
+        assert peak <= 1.0
 
     def test_session_peak(self, model, tmp_path):
         # every library call of an exact session on one enumeration
@@ -308,6 +334,7 @@ class TestExactSetMemory:
         peak, s = self.traced_peak_mb(session)
         assert peak <= 64.0
         assert s._draws is None  # no call read the rows
+        assert s._weights is None  # nor the product weights
 
 
 class TestExpectation:

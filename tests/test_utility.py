@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from apmopt import (GrowthBounds, Utility, appendix_power, certify_growth,
                     eval_u, eval_u_prime, eval_u_second, tabulated)
+from apmopt.utility import _BUILDERS, _side, _split_u
 from apmopt.utility import _CHUNK as CHUNK
-from apmopt.utility import _split_u
 from conftest import scaled_utility
 
 
@@ -300,6 +300,38 @@ class TestSplit:
         finally:
             tracemalloc.stop()
         assert peak <= gain.nbytes + loss.nbytes + 4 * CHUNK * 8
+
+
+# one utility of each kind: appendix power's alpha, or a table with
+# strictly increasing nodes and any finite values
+KINDS = {
+    "appendix_power": st.floats(0.01, 0.99).map(appendix_power),
+    "tabulated": st.lists(st.tuples(st.floats(0.01, 100.0), st.floats(-1e3, 1e3)),
+                          min_size=2, max_size=8).map(lambda nodes: tabulated(
+                              np.cumsum([dx for dx, _ in nodes]) - 50.0,
+                              [y for _, y in nodes])),
+}
+
+
+class TestSecondOffTheGainSide:
+    """u'' = 0 on Y <= 0 for every utility kind, so the exact solver's
+    Hessian runs u'' through the gain side's clamp (``_side``) on the rows
+    above 0 alone: u''(max(Y, 0)) is u''(Y)."""
+
+    def test_every_kind_is_drawn(self):
+        assert set(KINDS) == set(_BUILDERS)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(*KINDS.values()),
+           st.lists(st.floats(max_value=0.0, allow_nan=False), max_size=40),
+           st.lists(st.floats(min_value=0.0, allow_nan=False), max_size=40))
+    def test_second_is_zero_at_and_below_zero(self, u, losses, gains):
+        y = np.array(losses + [0.0, -0.0, -np.inf, -5e-324])
+        assert eval_u_second(u, y).tobytes() == np.zeros(y.size).tobytes()
+        y = np.concatenate([y, gains])
+        out = np.empty(y.size)
+        _side(u._kernels.second, True)(y, out, np.empty(y.size))
+        assert out.tobytes() == eval_u_second(u, y).tobytes()
 
 
 def table_u(u, x):

@@ -15,9 +15,12 @@ The configs are the checkout's configs/*.json, perfbench's
 enumerated rows: a 4096-row tile under 128 heads) with the demo's
 `measure` section, those three markets with a 4,001-point table of
 appendix_power(0.5) on [-200, 200] in place of the utility
-(`*_tabulated`), and three in other noise laws (`NOISE_VARIANTS`):
+(`*_tabulated`), and four in other noise laws (`NOISE_VARIANTS`):
 `mc_report_101` in standardized uniform and in dyadic (q = 0.1) noise,
-and the demo in a three-point law.  So every noise family, and the
+the demo in a three-point law, and the exact session's market at K = 9
+in the same law (3^9 = 19 683 enumerated rows: a 2187-point tile under
+9 heads, so the exact solver's Hessian has a block across heads and
+tile on a tile that is not Rademacher).  So every noise family, and the
 discrete sampler's path for more than two points, reaches a bundle.
 They are copied to OUT/configs, and every command runs from OUT with
 relative paths, so no output names the directory it ran in.
@@ -55,15 +58,17 @@ SEED = "42"
 MC_SEED = 101
 EXACT_SEED = 311
 TABLE_ALPHA = 0.5
-# (variant name, base config, noise section)
+THREE_POINT = {"family": "finite_discrete", "points": [-1.5, 0.0, 1.5],
+               "probs": [2 / 9, 5 / 9, 2 / 9]}
+# (variant name, base config, K of perfbench's market section in place of
+# the base's market or None to keep it, noise section)
 NOISE_VARIANTS = (
-    (f"mc_report_{MC_SEED}_uniform", f"mc_report_{MC_SEED}",
+    (f"mc_report_{MC_SEED}_uniform", f"mc_report_{MC_SEED}", None,
      {"family": "standardized_uniform"}),
-    (f"mc_report_{MC_SEED}_dyadic", f"mc_report_{MC_SEED}",
+    (f"mc_report_{MC_SEED}_dyadic", f"mc_report_{MC_SEED}", None,
      {"family": "dyadic_two_sided", "q": 0.1}),
-    ("demo_three_point", "demo",
-     {"family": "finite_discrete", "points": [-1.5, 0.0, 1.5],
-      "probs": [2 / 9, 5 / 9, 2 / 9]}),
+    ("demo_three_point", "demo", None, THREE_POINT),
+    (f"exact_session_{EXACT_SEED}_three_point", f"exact_session_{EXACT_SEED}", 9, THREE_POINT),
 )
 
 
@@ -90,8 +95,9 @@ def configs(checkout: str) -> dict[str, dict]:
                                           "measure": out["demo"]["measure"]}
     for name in ("demo", f"mc_report_{MC_SEED}", f"exact_session_{EXACT_SEED}"):
         out[f"{name}_tabulated"] = {**out[name], "utility": power_table()}
-    for name, base, noise in NOISE_VARIANTS:
-        out[name] = {**out[base], "model": {**out[base]["model"], "noise": noise}}
+    for name, base, K, noise in NOISE_VARIANTS:
+        model = out[base]["model"] if K is None else workloads.market_section(K)
+        out[name] = {**out[base], "model": {**model, "noise": noise}}
     return out
 
 
