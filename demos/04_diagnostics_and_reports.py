@@ -5,8 +5,8 @@ Three checks quantify how well a market family behaves:
 * exponential-moment cap E[e^{|sum phi_i eps_i|}] <= 2 e^{C ||phi||^2},
   with the constant fitted from seeded random strategies;
 * the Hoelder chain bounding expected gains by expected losses through
-  the reciprocal moments of the measure change, requiring a growth
-  certificate on the utility;
+  the reciprocal moments of the measure change, requiring growth bounds
+  on the utility;
 * tail/integrability traces that split bounded from heavy-tailed noise.
 
 Everything lands in a byte-deterministic report.json + CSV bundle.
@@ -32,7 +32,7 @@ out = exp_ui_bound(model, s, delta=1.0, trials=100, seed=0)
 print(f"fitted exponential-moment constant C = {out['fitted_C']:.4f} "
       f"(Rademacher admits C = 1/2)")
 
-# --- Hoelder chain with a certified utility -----------------------------------
+# --- Hoelder chain with a utility that has growth bounds ----------------------
 u = appendix_power(0.5, GrowthBounds(alpha=0.5, beta=1.5, C1=1.0, C2=1.0))
 Q = build_tilted_measure(model)
 chain = holder_chain_check(model, Q, u, random_strategies(3, 100, 1.0, 0), s)

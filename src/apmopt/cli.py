@@ -3,8 +3,14 @@
 Subcommands: check (assumption verdicts only), optimize, measure, report
 (the full bundle).  Exit codes: 0 success, 2 when a market assumption
 fails (one-sided coordinate, divergent drift series, arbitrage witness),
-1 on internal error.  All randomness flows through a single seed; the
-SEED environment variable overrides --seed which overrides the config.
+1 on internal error.  Two of report.json's verdicts gate the exit code:
+``assumption_b`` (the drifts' squares sum) and ``novum_na`` (every
+coordinate's noise straddles its drift); when either fails, every
+command exits 2.  The tail and uniform-integrability verdicts
+(``relevant_tails``, ``relevant_ui``) and ``novum_subgauss`` are reported
+but never gate: the paper's theorem does without the tail hypothesis.
+All randomness flows through a single seed; the SEED environment
+variable overrides --seed which overrides the config.
 
 Messages go to stderr through the ``apmopt`` logger, one bare line each;
 under -v an internal error also prints its traceback.
@@ -190,7 +196,7 @@ def run_command(command: str, cfg: ExperimentConfig, seed: int,
         if command == "report":
             sections["exp_moment"] = exp_ui_bound(model, s, delta=1.0,
                                                   trials=100, seed=seed)
-            if cfg.utility.certified:
+            if cfg.utility.has_growth_bounds:
                 strategies = random_strategies(model.K, 100, 1.0, seed + 1)
                 sections["holder"] = holder_chain_check(
                     model, Q, cfg.utility, strategies, s)

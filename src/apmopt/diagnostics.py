@@ -11,29 +11,30 @@ Three families of checks:
   integrability vs sub-Gaussian moments + per-coordinate no-arbitrage),
   which are logically independent of each other.
 
-The Hoelder chain reads every strategy's payoff on every scenario row.
-On a row set it walks the rows once, in fixed-order blocks of at most
-``optimize.ROW_BLOCK`` rows, so its temporaries are a block's size, never
-a column's, and its payoffs come from the solver's kernels: a centred
-block (``optimize._centered``) and gemms of power-of-two widths
-(``optimize._payoffs``).  An exact enumeration's rows are never built:
-each payoff splits into a sum over a tile of trailing coordinates and one
-over the leading coordinates (a head), which are independent.  With each
+The Hoelder chain and the exponential moment read every strategy's
+payoff on every scenario row, on one of two paths, which one rule picks
+for the whole set (``optimize._product_form``, which the solver reads
+too).  An exact set with heads and more than ``optimize._PRODUCT_ROWS``
+rows runs in product form, and its rows are never built: each payoff
+splits into a sum over a tile of trailing coordinates and one over the
+leading coordinates (a head), which are independent.  With each
 strategy's tile payoffs sorted, a row h + t is above 0 exactly on a
-suffix of the tile, found by one searchsorted per head.  Where that pays
-the Hoelder sums run as the staircase that the exact solver's value and
-gradient also run (``optimize._staircase``): heads sorted by that split
-go in groups, each group's rows above its smallest split form one block,
-and the side's own kernel runs on it once, so the Python work is per
-group of heads, not per head; u(0) enters through the tile weights'
-prefix and suffix sums, and a loss side that is linear (appendix power)
-is two running sums read at the split.  The strategies' tile payoffs are
-formed for many strategies per numpy call (``optimize._grid_payoffs``).
-Otherwise the walk forms the blocks as outer sums over the K coordinate
-laws.  The exponential moment takes the walk on row sets; on an exact
-enumeration it is a closed form over the same sorted tiles, wherever
-that runs fewer exps, with exp run on the tile's and the heads' payoffs,
-not on every row.
+suffix of the tile, found by one searchsorted per head.  The Hoelder
+sums run as the staircase that the exact solver's value and gradient
+also run (``optimize._staircase``): heads sorted by that split go in
+groups, each group's rows above its smallest split form one block, and
+the side's own kernel runs on it once, so the Python work is per group
+of heads, not per head; u(0) enters through the tile weights' prefix and
+suffix sums, and a loss side that is linear (appendix power) is two
+running sums read at the split.  The exponential moment is a closed form
+over the same sorted tiles, with exp run on the tile's and the heads'
+payoffs, not on every row.  The strategies' tile payoffs are formed for
+many strategies per numpy call (``optimize._grid_payoffs``).  Every other
+set, an exact one included, is walked row by row, in fixed-order blocks
+of at most ``optimize.ROW_BLOCK`` rows, so its temporaries are a block's
+size, never a column's, and its payoffs come from the solver's kernels:
+a centred block (``optimize._centered``) and gemms of power-of-two widths
+(``optimize._payoffs``).
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from .market import MarketModel, check_assumption_b, check_no_arbitrage
 from .measures import (TiltedMeasure, _coordinate_means, _density_moments, _residuals,
                        _support_factors)
 from .optimize import (_STAIR, ROW_BLOCK, _by_split, _centered, _grid_payoffs, _linear_loss,
-                       _payoffs, _require_width, _running_sums, _sorted_tile, _staircase,
-                       _tile_split)
+                       _payoffs, _product_form, _require_width, _running_sums, _sorted_tile,
+                       _staircase, _tile_split)
 from .scenarios import ScenarioSet, _product_weights, _seed
 from .utility import Utility, _split_u, certify_growth, eval_u
 
@@ -131,147 +132,67 @@ def _strategy_sums(s: ScenarioSet, phis: np.ndarray, shift: np.ndarray,
     returns, with Y = phis @ (eps - shift).T the T strategies' payoffs on
     a block of rows; the walk weights those arrays in place.
 
-    One walk over the rows of s in fixed-order blocks: each block sums its
-    weighted values pairwise, and the block sums are then summed pairwise
-    in order, so the rounding stays within expectation's
-    log2(n) * 2^-52 * sum |w * v|.  An exact enumeration takes
-    ``_product_payoffs``, which makes no BLAS call, any other set
-    ``_row_payoffs``, whose gemm blocks split alike over 1 and 2 BLAS
-    threads; so the sums do not depend on the BLAS thread count.
+    One walk over the rows of s, an exact set's included (``draws`` and
+    ``weights``, built on first read), in fixed-order blocks of ROW_BLOCK
+    rows: each block is centred into a C-ordered (k, rows) buffer
+    (``_centered``), which a column-major sample fills from contiguous
+    columns, its payoffs come from ``_payoffs``, whose power-of-two widths
+    keep them independent of the BLAS thread count, and it sums its
+    weighted values pairwise.  The block sums are then summed pairwise in
+    order, so the rounding stays within expectation's
+    log2(n) * 2^-52 * sum |w * v|.
     """
-    walk = _product_payoffs if s.is_exact else _row_payoffs
+    k = phis.shape[1]
+    buf = np.empty(k * min(ROW_BLOCK, s.n))
     blocks = []
-    for y, w in walk(s, phis, shift):
+    for start in range(0, s.n, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        draws = s.draws[rows, :k]
+        X = _centered(draws, shift[:k], buf[:draws.size].reshape(draws.shape[::-1]))
+        w = s.weights[rows]
         sums = []
-        for v in values(y):
+        for v in values(_payoffs(X, phis)):
             v *= w
             sums.append(np.sum(v, axis=1))
         blocks.append(np.stack(sums))
     return np.sum(np.stack(blocks, axis=-1), axis=-1)
 
 
-def _row_payoffs(s: ScenarioSet, phis: np.ndarray, shift: np.ndarray):
-    """(Y, w) per block of ROW_BLOCK rows of s, in order: the payoffs of a
-    block and its weights.  The block is centred into a C-ordered (k, rows)
-    buffer (``_centered``), which a column-major sample fills from
-    contiguous columns, and its payoffs come from ``_payoffs``, whose
-    power-of-two widths keep them independent of the BLAS thread count."""
-    k = phis.shape[1]
-    buf = np.empty(k * min(ROW_BLOCK, s.n))
-    for start in range(0, s.n, ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        draws = s.draws[rows, :k]
-        X = _centered(draws, shift[:k], buf[:draws.size].reshape(draws.shape[::-1]))
-        yield _payoffs(X, phis), s.weights[rows]
-
-
-def _product_grid(laws, phis: np.ndarray, shift: np.ndarray):
-    """(xs, full): the supports of laws, the first k = phis.shape[1] of them
-    less shift[:k], and phis padded with zeros to all the laws' coordinates,
-    so strategies narrower than the laws pay nothing on the others."""
-    k = phis.shape[1]
-    xs = [x - b for (x, _), b in zip(laws, shift[:k])]
-    xs += [x for x, _ in laws[k:]]
-    full = np.zeros((phis.shape[0], len(xs)))
-    full[:, :k] = phis
-    return xs, full
-
-
-def _product_payoffs(s: ScenarioSet, phis: np.ndarray, shift: np.ndarray):
-    """(Y, w) per block of an exact enumeration's rows, in order, from its
-    K laws (``_grid_blocks``)."""
-    start = 0
-    for y in _grid_blocks(*_product_grid(s._laws, phis, shift)):
-        yield y, s.weights[start:start + y.shape[1]]
-        start += y.shape[1]
-
-
-def _grid_blocks(xs, phis: np.ndarray):
-    """The payoffs of the T strategies phis on the product of the supports
-    xs, in row order (last coordinate fastest), as blocks of at most
-    ROW_BLOCK rows.  No BLAS call runs, so sums over the blocks do not
-    depend on the BLAS thread count at any K.
-
-    The tile is the longest suffix of coordinates whose support product is
-    at most ROW_BLOCK, and at least the last coordinate (``_tile_split``).
-    The payoffs on the tile are outer sums, formed once, and each grid
-    point of the leading coordinates adds its own outer sum there, one
-    constant per strategy; a block holds as many whole tiles as fit in
-    ROW_BLOCK rows.
-    The leading coordinates' outer sums come block by block from the same
-    walk over their own product, and a last coordinate with more than
-    ROW_BLOCK points is cut into ROW_BLOCK-point pieces, so every
-    temporary is a block's size.
-    """
-    lead, tile = _tile_split(xs)
-    if tile > ROW_BLOCK:  # the last coordinate alone, formed piece by piece
-        pieces = [[xs[-1][c:c + ROW_BLOCK]] for c in range(0, tile, ROW_BLOCK)]
-        tails = lambda: (_grid_payoffs(p, phis[:, lead:]) for p in pieces)
-    else:
-        tail = _grid_payoffs(xs[lead:], phis[:, lead:])
-        tails = lambda: (tail,)
-    if lead == 0:
-        yield from tails()
-        return
-    group = max(1, ROW_BLOCK // tile)
-    for heads in _grid_blocks(xs[:lead], phis[:, :lead]):
-        for j in range(0, heads.shape[1], group):
-            h = heads[:, j:j + group, None]
-            for tail in tails():
-                yield (h + tail[:, None, :]).reshape(len(phis), -1)
-
-
-def _tiles_pay(xs) -> bool:
-    """Whether ``_product_exp_abs`` on the product of the supports xs runs
-    fewer exps than a row walk: two per tile point and per head against
-    one per row.  A set of one long law, or a short tile under many heads,
-    gains nothing."""
-    lead, tile = _tile_split(xs)
-    heads = math.prod(x.size for x in xs[:lead])
-    return 2 * (tile + heads) < tile * heads
-
-
 def _sorted_tiles(laws, phis: np.ndarray, shift: np.ndarray):
-    """Per strategy of phis, in order, (t, w, heads) on the product of laws
-    = [(points, probs)], with supports shifted as ``_product_grid`` does.
-    Each payoff splits as Y = h + t over the tile of trailing coordinates
-    (``_tile_split``), h on the leading coordinates and t on the tile,
-    which are independent under the product weights.
+    """Per strategy of phis, in order, (t, w, h, wh, k) on the product of
+    laws = [(points, probs)], the first phis.shape[1] supports less shift;
+    strategies narrower than the laws pay nothing on the other
+    coordinates.  Each payoff splits as Y = h + t over the tile of
+    trailing coordinates (``_tile_split``), h on the leading coordinates
+    and t on the tile, which are independent under the product weights.
 
     t holds the strategy's tile payoffs, zero-probability points left out,
     sorted (``_sorted_tile``), and w their weights; the tile payoffs are
     formed for max(1, _STAIR // T) strategies at a time, one numpy call
-    per coordinate and step for all of them (``_grid_payoffs``).  heads
-    yields blocks (h, wh, k) of at most ROW_BLOCK head payoffs h
-    (``_grid_blocks``), zero-weight heads left out, with their weights wh
-    and their splits k = the number of t <= -h, by one searchsorted on
-    -h.  A row h + t is the product
-    walk's payoff (``_product_payoffs``) bit for bit, and it is > 0
+    per coordinate and step for all of them (``_grid_payoffs``).  h holds
+    its head payoffs, zero-weight heads left out, from one
+    ``_grid_payoffs`` call, wh their weights, and k their splits, the
+    number of t <= -h, by one searchsorted on -h.  A row h + t is > 0
     exactly where t > -h, that is on t[k:]: -h is exact, and a sum of two
-    floats rounds to 0 only where it is 0.  Every temporary holds a
-    block of heads, the tile, or the tiles of a block of strategies.
+    floats rounds to 0 only where it is 0.  Every temporary holds the
+    heads, the tile, or the tiles of a block of strategies.
     """
-    xs, full = _product_grid(laws, phis, shift)
+    k = phis.shape[1]
+    xs = [x - b for (x, _), b in zip(laws, shift[:k])] + [x for x, _ in laws[k:]]
+    full = np.zeros((len(phis), len(xs)))
+    full[:, :k] = phis
     lead, _ = _tile_split(xs)
     w_tile = _product_weights([p for _, p in laws[lead:]])
     w_head = _product_weights([p for _, p in laws[:lead]])
-
-    def heads(phi, t):
-        start = 0
-        for (h,) in _grid_blocks(xs[:lead], phi[:, :lead]) if lead else [np.zeros((1, 1))]:
-            wh = w_head[start:start + h.size]
-            start += h.size
-            if not wh.all():
-                keep = wh > 0
-                h, wh = h[keep], wh[keep]
-            yield h, wh, np.searchsorted(t, -h, side="right")
-
+    live = np.flatnonzero(w_head > 0)
+    wh = w_head[live]
     chunk = max(1, _STAIR // w_tile.size)
     for start in range(0, len(full), chunk):
         tiles = _grid_payoffs(xs[lead:], full[start:start + chunk, lead:])
         for j, tile in enumerate(tiles, start):
             _, t, w = _sorted_tile(tile, w_tile)
-            yield t, w, heads(full[j:j + 1], t)
+            h = _grid_payoffs(xs[:lead], full[j:j + 1, :lead])[0, live]
+            yield t, w, h, wh, np.searchsorted(t, -h, side="right")
 
 
 def _product_exp_abs(laws, phis: np.ndarray) -> np.ndarray:
@@ -302,50 +223,25 @@ def _product_exp_abs(laws, phis: np.ndarray) -> np.ndarray:
       1 that is at most about 5e-13 of the value, inside the 1e-12 by
       which an exact set's results may differ from its rows'.
 
-    No BLAS call runs.  The strategies are taken one at a time, with the
-    heads in blocks of at most ROW_BLOCK, so every temporary holds at most
-    ROW_BLOCK values or the tile's.
+    No BLAS call runs.  The strategies are taken one at a time, so every
+    temporary holds the heads or the tile.
     """
     values = np.empty(len(phis))
-    for j, (t, w, heads) in enumerate(_sorted_tiles(laws, phis, np.zeros(phis.shape[1]))):
+    for j, (t, w, h, wh, k) in enumerate(_sorted_tiles(laws, phis, np.zeros(phis.shape[1]))):
         above = np.exp(t - t[-1])
         above *= w
         above = _running_sums(above[::-1])[::-1]  # above[k]: over t[k:]
         below = np.exp(t[0] - t)
         below *= w
         below = _running_sums(below)  # below[k]: over t[:k]
-        sums = []
-        for h, wh, k in heads:
-            v = np.exp(h + t[-1])
-            v *= above[k]
-            down = np.exp(-(h + t[0]))
-            down *= below[k]
-            v += down
-            v *= wh
-            sums.append(np.sum(v))
-        values[j] = np.sum(sums)
+        v = np.exp(h + t[-1])
+        v *= above[k]
+        down = np.exp(-(h + t[0]))
+        down *= below[k]
+        v += down
+        v *= wh
+        values[j] = np.sum(v)
     return values
-
-
-def _sides_pay(xs) -> bool:
-    """Whether ``_product_sides`` on the product of the supports xs costs
-    less than the row walk.  Per row it does about a third of the walk's
-    work (appendix power's gain side on the rows above 0 alone), and it
-    adds a fixed run of numpy calls per strategy, a heapsort of each
-    strategy's tile and a few vector operations per head, one of them a
-    reduce along a row of the tile.  Measured per strategy with appendix
-    power on one CPU, over 85 shapes (tiles of 2 to 20 001 points under 1
-    to 100 000 heads): about 114 us + 3.8 ns a tile point and log2 of the
-    tile + 44 ns a head + 4.4 ns a row, against the walk's 17 us + 15 ns a
-    head + 9.3 ns a row.  In units of the saving per row a strategy costs
-    about 5 ROW_BLOCK rows, a tile point about 2/3 log2(tile) and a head
-    about 6.  So few rows, one head, or a tile of a few points under many
-    heads keep the walk.  A table saves more per row (two interpolations
-    in the walk), so this rule keeps it on the walk at some shapes where
-    the staircase would already be faster."""
-    lead, tile = _tile_split(xs)
-    heads = math.prod(x.size for x in xs[:lead])
-    return heads * tile > 5 * ROW_BLOCK + tile * math.log2(tile) * 2 / 3 + 6 * heads
 
 
 def _product_sides(laws, phis: np.ndarray, shift: np.ndarray, u: Utility):
@@ -362,66 +258,58 @@ def _product_sides(laws, phis: np.ndarray, shift: np.ndarray, u: Utility):
 
     with W the tile weights' prefix and suffix sums (``_running_sums``)
     read at the split.  The inner sums run as a staircase
-    (``_staircase``): the heads of a block, sorted by their split
-    (``_by_split``), go in groups of g with g T about _STAIR rows, and a
-    group with smallest split k0 forms the rows h + t[k0:] as one
-    (g, T - k0) block, runs the gain kernel on its max(Y, 0) once and
-    reduces each row of the weighted block.  The rows t[k0:k] of a head with
-    split k are <= 0 and give u(0) w_t, so adding u(0) times the weight of
-    t[:k0] (the staircase gives each head's k0) gives the formula's u(0)
-    W_{t <= -h}.  A table's loss side is the mirror image: the rows h +
-    t[:k1] up to the group's largest split k1, the loss side on them, plus
-    u(0) times the weight of t[k1:].  Where u is linear on Y <= 0, u(Y) = a
-    Y (appendix power; ``_Kernels.loss_slope``), no row is evaluated there:
-    the loss is a (h W_{t <= -h} + sum_{t <= -h} w_t t), two running sums
-    read at the split (``_linear_loss``).
+    (``_staircase``): the heads, sorted by their split (``_by_split``), go
+    in groups of g with g T about _STAIR rows, and a group with smallest
+    split k0 forms the rows h + t[k0:] as one (g, T - k0) block, runs the
+    gain kernel on its max(Y, 0) once and reduces each row of the weighted
+    block.  The rows t[k0:k] of a head with split k are <= 0 and give
+    u(0) w_t, so adding u(0) times the weight of t[:k0] (the staircase
+    gives each head's k0) gives the formula's u(0) W_{t <= -h}.  A table's
+    loss side is the mirror image: the rows h + t[:k1] up to the group's
+    largest split k1, the loss side on them, plus u(0) times the weight of
+    t[k1:].  Where u is linear on Y <= 0, u(Y) = a Y (appendix power;
+    ``_Kernels.loss_slope``), no row is evaluated there: the loss is
+    a (h W_{t <= -h} + sum_{t <= -h} w_t t), two running sums read at the
+    split (``_linear_loss``).
 
-    Every row's u(Y+), and a table's u(-Y-), is the row walk's bit for
-    bit; the sums are taken in another order.  A head's pairwise row sum
-    of L weighted values is within about log2(L) 2^-53 of its exact
-    value, relatively to the sum of their magnitudes, its u(0) W term and
-    its weight w_h add two roundings, and the pairwise sums over the heads
-    add log2(heads) 2^-53, so the result is within about
-    (log2(n) + 3) 2^-53 E|v| of the exact sum, as close as the walk's
-    log2(n) 2^-52.  The linear loss side's running sums of L terms are
-    within (ROW_BLOCK + L / ROW_BLOCK) 2^-53 of their exact values,
-    relatively to a E[|h| + |t|] over the rows at or below 0, which
-    exceeds E|u(-Y-)| only where h and t cancel; at payoffs of order 1 that
-    is at most about 5e-13, inside the 1e-12 by which an exact set's
-    results may differ from its rows'.
+    Every row's u(Y+), and a table's u(-Y-), is the value that the row
+    walk's kernels (``_split_u``) give at h + t; the sums are taken in
+    another order.  A head's pairwise row sum of L weighted values is
+    within about log2(L) 2^-53 of its exact value, relatively to the sum
+    of their magnitudes, its u(0) W term and its weight w_h add two
+    roundings, and the pairwise sum over the heads adds log2(heads)
+    2^-53, so the result is within about (log2(n) + 3) 2^-53 E|v| of the
+    exact sum, as close as the walk's log2(n) 2^-52.  The linear loss
+    side's running sums of L terms are within (ROW_BLOCK + L / ROW_BLOCK)
+    2^-53 of their exact values, relatively to a E[|h| + |t|] over the
+    rows at or below 0, which exceeds E|u(-Y-)| only where h and t cancel;
+    at payoffs of order 1 that is at most about 5e-13, inside the 1e-12 by
+    which an exact set's results may differ from its rows'.
 
     No BLAS call runs, so the sums do not depend on the BLAS thread count.
     The strategies are taken one at a time, and every temporary holds the
-    tile, a block of heads or one group's block of at most max(_STAIR, T)
-    rows, twice (the block and the kernels' scratch).
+    tile, the heads or one group's block of at most max(_STAIR, T) rows,
+    twice (the block and the kernels' scratch).
     """
     kernels = u._kernels
     slope = kernels.loss_slope
     u0 = eval_u(u, 0.0)
     gains, losses = np.empty(len(phis)), np.empty(len(phis))
-    for j, (t, w, heads) in enumerate(_sorted_tiles(laws, phis, shift)):
+    for j, (t, w, h, wh, k) in enumerate(_sorted_tiles(laws, phis, shift)):
         below = _running_sums(w)  # below[k]: the weight of t[:k]
-        if slope is None:
-            above = _running_sums(w[::-1])[::-1]  # above[k]: that of t[k:]
-        else:
-            lower = _running_sums(w * t)  # lower[k]: the sum of w t over t[:k]
         g = max(1, _STAIR // t.size)
-        scratch = np.empty((2, min(g, ROW_BLOCK) * t.size))
-        gain_sums, loss_sums = [], []
-        for h, wh, k in heads:
-            k, h, wh = _by_split(k, g, h, wh)
-            gain, edges = _staircase(kernels.gain, h, k, t, w, g, scratch, True)
-            gain += u0 * below[edges]
-            if slope is None:
-                loss, edges = _staircase(kernels.loss, h, k, t, w, g, scratch, False)
-                loss += u0 * above[edges]
-            else:
-                loss = _linear_loss(slope, h, k, below, lower)
-            gain *= wh
-            loss *= wh
-            gain_sums.append(np.add.reduce(gain))
-            loss_sums.append(np.add.reduce(loss))
-        gains[j], losses[j] = np.sum(gain_sums), np.sum(loss_sums)
+        k, h, wh = _by_split(k, g, h, wh)
+        scratch = np.empty((2, min(g, h.size) * t.size))
+        gain, edges = _staircase(kernels.gain, h, k, t, w, g, scratch, True)
+        gain += u0 * below[edges]
+        if slope is None:
+            loss, edges = _staircase(kernels.loss, h, k, t, w, g, scratch, False)
+            loss += u0 * _running_sums(w[::-1])[::-1][edges]  # the weight of t[edge:]
+        else:
+            loss = _linear_loss(slope, h, k, below, _running_sums(w * t))
+        gain *= wh
+        loss *= wh
+        gains[j], losses[j] = np.add.reduce(gain), np.add.reduce(loss)
     return gains, losses
 
 
@@ -431,10 +319,10 @@ def exp_ui_bound(model: MarketModel, s: ScenarioSet, delta: float,
     C in the cap 2 exp(C ||phi||^2).
 
     Uses the raw (uncentered) noise; on the scenario set the expectation
-    is exact whenever the set is an exact enumeration.  There it is taken
-    in closed form from the set's laws, with exp on the tile and head
-    payoffs alone (``_product_exp_abs``), wherever that runs fewer exps
-    than the rows (``_tiles_pay``), within 1e-12 of the row walk's value;
+    is exact whenever the set is an exact enumeration.  On an exact set in
+    product form (``optimize._product_form``) it is taken in closed form
+    from the set's laws, with exp on the tile and head payoffs alone
+    (``_product_exp_abs``), within 1e-12 of the row walk's value;
     otherwise all trials share one walk over the rows
     (``_strategy_sums``).  The set must have at least the market's K
     coordinates.  A negative trial count and a negative or non-finite
@@ -447,7 +335,7 @@ def exp_ui_bound(model: MarketModel, s: ScenarioSet, delta: float,
         v = np.abs(y)
         return (np.exp(v, out=v),)
 
-    if s.is_exact and _tiles_pay([x for x, _ in s._laws]):
+    if _product_form(s):
         vals = _product_exp_abs(s._laws, phis)
     else:
         (vals,) = _strategy_sums(s, phis, np.zeros(model.K), exp_abs)
@@ -472,24 +360,24 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
     C'' = (E[(dQ/dP)^(beta/(beta-1))])^(alpha (beta-1)/beta), everything
     by scenario expectation, with Y+ = max(Y, 0) and -Y- = Y - Y+.  The
     strategies (one per row, at most K columns, at least one row) are
-    centred at b.  On an exact set whose tiles pay (``_sides_pay``, from
-    its support sizes alone), each strategy's payoffs split over a sorted
-    tile, and the sums run as a staircase over groups of heads, each row
-    evaluated on one side at most, by the utility kind's gain or loss kernel
-    (``_product_sides``), within 1e-12 of the walk's sums.  Otherwise they
-    share one walk over the rows (``_strategy_sums``), which evaluates u(Y+)
-    and u(-Y-) on each block by the same two kernels (``_split_u``: gain on
-    max(Y, 0), loss on min(0, Y)).  The set must have at least the market's
-    K coordinates, and a NaN or infinite strategy is refused.  Requires
-    growth bounds on u, and reports whether they hold as
-    ``growth_certified``; on an exact set the measure
-    must price every asset to 1e-10.  There that guard, the moments behind
-    C' and C'' and the sums all read the set's own laws: the guard and the
-    moments are products of the K coordinates' support sums, and no
-    per-row density is built; on a row set the density is built once.
+    centred at b.  On an exact set in product form
+    (``optimize._product_form``), each strategy's payoffs split over a
+    sorted tile, and the sums run as a staircase over groups of heads, each
+    row evaluated on one side at most, by the utility kind's gain or loss
+    kernel (``_product_sides``), within 1e-12 of the walk's sums.
+    Otherwise they share one walk over the rows (``_strategy_sums``), which
+    evaluates u(Y+) and u(-Y-) on each block by the same two kernels
+    (``_split_u``: gain on max(Y, 0), loss on min(0, Y)).  The set must
+    have at least the market's K coordinates, and a NaN or infinite
+    strategy is refused.  Requires growth bounds on u, and reports whether
+    they hold as ``growth_certified``; on an exact set the measure must
+    price every asset to 1e-10.  There that guard and the moments behind
+    C' and C'' read the set's own laws, whatever path the sums take: they
+    are products of the K coordinates' support sums, and no per-row
+    density is built; on a row set the density is built once.
     """
-    if not u.certified:
-        raise ValueError("utility carries no growth certificate; refusing")
+    if not u.has_growth_bounds:
+        raise ValueError("utility has no growth bounds; refusing")
     strategies = np.atleast_2d(strategies)
     if strategies.shape[0] == 0:
         raise ValueError("holder_chain_check needs at least one strategy")
@@ -514,7 +402,7 @@ def holder_chain_check(model: MarketModel, Q: TiltedMeasure, u: Utility,
         c_prime = c_dprime = 1.0
 
     margins = []
-    if s.is_exact and _sides_pay([x for x, _ in s._laws]):
+    if _product_form(s):
         gains, losses = _product_sides(s._laws, strategies, model.b, u)
     else:
         gains, losses = _strategy_sums(s, strategies, model.b, _split_u(u))

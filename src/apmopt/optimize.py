@@ -15,23 +15,25 @@ and, when asked, X.T diag(c) X for the Hessian.  Those sets hold X
 transposed, as a C-ordered (K, n) matrix whose rows are the centred
 coordinates, and form v and both reductions in fixed-order blocks of
 scenarios and panels of at most PANEL coordinates (``_row_blocks``), so
-the result does not depend on the BLAS thread count at any K.  On an
-exact enumeration X is never formed.  The grid reads as an (H, T)
-matrix on the split the Hoelder chain takes, heads by a tile of trailing
-coordinates, and a payoff is a head's plus a tile point's, h + t.  Each
-value call sorts the tile and sums u over the rows as the chain's
-staircase over groups of heads (``_grid_value``, ``_staircase``): the
-rows above 0 in blocks, and those at or below 0 as running sums where u
-is linear there.  The accepted trial's pass runs u' on the same
-staircase for the row and column sums of w u', and ``_row_blocks`` on
-them and on the head and tile designs gives the gradient.  The Hessian
-runs u'' on the same rising staircase, on the rows above 0 alone, since
-u'' = 0 at and below 0 for every utility kind: ``_row_blocks`` on its
-row and column sums of w u'' gives the diagonal blocks, and each head's
-sums against the tile design, read in the sorted tile's order, give the
-block across heads and tile.  Its BLAS calls are ``_row_blocks``' and
-the panel products of ``_panel_sums``, which hold that too, and no array
-of the grid's size is formed.
+the result does not depend on the BLAS thread count at any K.  An exact
+enumeration takes that row path too, on its rows, unless it runs in
+product form (``_product_form``, the one rule, which the Hoelder chain
+and the exponential-moment cap read as well); then X is never formed.
+The grid reads as an (H, T) matrix on the split the Hoelder chain takes,
+heads by a tile of trailing coordinates, and a payoff is a head's plus a
+tile point's, h + t.  Each value call sorts the tile and sums u over
+the rows as the chain's staircase over groups of heads (``_grid_value``,
+``_staircase``): the rows above 0 in blocks, and those at or below 0 as
+running sums where u is linear there.  The accepted trial's pass runs u'
+on the same staircase for the row and column sums of w u', and
+``_row_blocks`` on them and on the head and tile designs gives the
+gradient.  The Hessian runs u'' on the same rising staircase, on the
+rows above 0 alone, since u'' = 0 at and below 0 for every utility kind:
+``_row_blocks`` on its row and column sums of w u'' gives the diagonal
+blocks, and each head's sums against the tile design, read in the sorted
+tile's order, give the block across heads and tile.  Its BLAS calls are
+``_row_blocks``' and the panel products of ``_panel_sums``, which hold
+that too, and no array of the grid's size is formed.
 -H is positive semidefinite because u'' <= 0 for every utility kind, so
 the shifted system is positive definite; the shift vanishes with g near
 the optimum, where the step is the Newton step, and for a tabulated
@@ -88,6 +90,9 @@ ROW_BLOCK = 4096
 PANEL = 96
 # rows per staircase group: 16 heads on a 4096-point tile
 _STAIR = 16 * ROW_BLOCK
+# rows above which an exact set with heads runs in product form
+# (``_product_form``)
+_PRODUCT_ROWS = 4 * ROW_BLOCK
 
 
 class OneSidedPayoffError(ValueError):
@@ -327,6 +332,43 @@ def _tile_split(xs) -> tuple[int, int]:
         lead -= 1
         tile *= xs[lead].size
     return lead, tile
+
+
+def _product_form(s: ScenarioSet) -> bool:
+    """Whether every sum over the payoffs of s runs in product form: the
+    solve (``_grid_value``, ``_grid_pass``), the Hoelder chain's sides and
+    the exponential-moment cap (``diagnostics._product_sides``,
+    ``_product_exp_abs``).  True only for an exact set whose split
+    (``_tile_split``) has heads and that has more than _PRODUCT_ROWS rows,
+    enough to repay the sorted tile's fixed run of numpy calls per value
+    call or strategy.  It reads the whole set's support sizes, so every
+    ladder level and every check of one set takes the same path.
+
+    Measured on one CPU over 85 set shapes, for a solve, 25 strategies'
+    Hoelder sides and a 25-trial exp cap, with the rows' one-off build on
+    the row path: from 2^15 Rademacher rows on, product form is faster
+    for both utility kinds (0.73 and 0.71 of the rows' time; 0.13 and
+    0.30 at 2^19); at 2^14 rows it takes 1.21 and 0.93 of it, and smaller
+    sets and sets of one law run up to 6 times faster on their rows.  Two
+    kinds of shape pass and lose more than twice to their rows: a tile of
+    2 to 6 points under 8 000 to 100 000 heads (up to 2.8 times) and 2
+    heads over a 20 001-point tile (2.6 times).  A rule that sent such
+    sets to their rows would let one near the enumeration cap (a law of
+    1953 points among nine two-point laws, 999 936 rows) build 88 MB of
+    rows.
+
+    A set that fails reads its rows and weights (``ScenarioSet.draws`` and
+    ``weights``, built on first read and kept): 8 n (K + 1) bytes.  With
+    no heads it is one law or a set of at most ROW_BLOCK rows, and with
+    heads it has at most _PRODUCT_ROWS rows, and a market's law has at
+    least two points, so K <= log2(n).  So an enumeration that fails
+    builds at most 16 MB, for one law at the enumeration cap of 10^6
+    points, and otherwise at most 8 _PRODUCT_ROWS (log2(_PRODUCT_ROWS) + 1)
+    bytes, under 2 MB."""
+    if not s.is_exact:
+        return False
+    lead, _ = _tile_split([x for x, _ in s._laws])
+    return lead > 0 and s.n > _PRODUCT_ROWS
 
 
 def _grid_payoffs(xs, phis: np.ndarray) -> np.ndarray:
@@ -731,13 +773,15 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
 
     The scenario set must cover at least K coordinates of the model's
     noise; extra columns are ignored (marginalization keeps exactness).
-    On an exact set the solve runs in product form over the first K of the
-    set's own laws' supports: the level's grid points, weighted by
-    the product of those K laws' probabilities, stand for the duplicated
-    rows, and no centred copy of the draws is made.  On a row set two
-    n-length buffers live as long as the solve: one holds w u'(v) and the
-    other w u''(v) and the line search's w u(v), since w u''(v) is dead
-    once the Hessian is formed.  On an exact set no n-length array is
+    On an exact set in product form (``_product_form``, decided on the
+    whole set, so every level of one set takes the same path) the solve
+    runs over the first K of the set's own laws' supports: the level's
+    grid points, weighted by the product of those K laws' probabilities,
+    stand for the duplicated rows, and no centred copy of the draws is
+    made.  Any other set, an exact one included, is solved on its rows:
+    two n-length buffers live as long as the solve, one holds w u'(v) and
+    the other w u''(v) and the line search's w u(v), since w u''(v) is dead
+    once the Hessian is formed.  In product form no n-length array is
     formed, and neither the set's rows nor its weights are built: the
     value calls run the staircase in one group's block (``_grid_value``),
     and the pass reads the value call's memo, its sorted tile, splits and
@@ -762,7 +806,7 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
         raise ArbitrageError(
             f"no-arbitrage condition fails at coordinates {flagged}"
         )
-    if s.is_exact:
+    if _product_form(s):
         laws = s._laws[:K]
         xs = [x - b for (x, _), b in zip(laws, model.b)]
         value = _grid_value(u, xs, [p for _, p in laws])

@@ -14,7 +14,8 @@ from apmopt import (ArbitrageError, DiscretePayoff, ScenarioSet, SolverConfig,
                     optimize_single_asset, optimize_truncated, rademacher,
                     sample_scenarios, standardized_two_point,
                     standardized_uniform, tabulated, truncation_ladder)
-from apmopt import optimize
+from apmopt import GrowthBounds, build_tilted_measure, diagnostics, optimize
+from apmopt.scenarios import ENUMERATION_CAP
 from apmopt.optimize import OneSidedPayoffError, saa_gradient, saa_objective
 from conftest import rademacher_market, row_set, scaled_utility, stdout_per_blas_thread_count
 
@@ -634,14 +635,17 @@ class TestProductPass:
         assert s._weights is None and s._draws is None
 
     @pytest.mark.parametrize("drifts, levels", [
-        ([0.2, 0.1, 0.05], (None, 1, 2)),
-        ([0.4 / i for i in range(1, 11)], (None, 3, 7)),
-        ([0.4 * 2.0 ** -(i + 1) for i in range(8)], (None, 4)),
+        ([0.2, 0.1, 0.05] + [0.02] * 13, (None, 1, 2)),
+        ([0.4 / i for i in range(1, 17)], (None, 3, 7, 12)),
+        ([0.4 * 2.0 ** -(i + 1) for i in range(17)], (None, 4, 13)),
     ])
     @pytest.mark.parametrize("u", [appendix_power(0.5), appendix_power(0.2)])
     def test_solve_matches_row_path(self, drifts, levels, u):
+        # sets in product form, so every level runs on the grid: levels
+        # with heads (K >= 13) and without
         model = rademacher_market(drifts)
         s = enumerate_scenarios(model)
+        assert optimize._product_form(s)
         for K in levels:
             prod = optimize_truncated(model, u, K, s)
             rows = optimize_truncated(model, u, K, row_set(s))
@@ -650,7 +654,7 @@ class TestProductPass:
                 rows.phi_star)
             assert prod.value == pytest.approx(rows.value, rel=1e-12)
 
-    @pytest.mark.parametrize("K, cut, s1", [(14, 4.5, 2.0), (14, 2.5, 1.25), (17, 4.25, 3.0)])
+    @pytest.mark.parametrize("K, cut, s1", [(15, 4.5, 2.0), (15, 2.5, 1.25), (17, 4.25, 3.0)])
     def test_tabulated_solve_matches_row_path(self, K, cut, s1):
         # A table's u' is a central difference with step 1e-6 max(1, |x|),
         # so a last-bit change of a payoff moves it by about 1e-10: once the
@@ -665,8 +669,9 @@ class TestProductPass:
         # a = c1 cut and 1 above, with cut between two levels of Y and s0
         # chosen so that E[u'(c Y) Y] = 0 wherever c Y meets no node: c1 is
         # a flat maximum with rows on both sides of 0 and of a, and u(0) =
-        # 0.2 and u'(0) are not 0.  With 14 coordinates the grid has 4
-        # heads; with 17, 32 heads in two groups.
+        # 0.2 and u'(0) are not 0.  With 15 coordinates the grid has 8
+        # heads, the fewest of a Rademacher set in product form; with 17,
+        # 32 heads in two groups.
         beta = 0.25
         j = np.arange(K + 1)
         pj = np.array([math.comb(K, int(i)) for i in j]) / 2.0 ** K
@@ -680,6 +685,7 @@ class TestProductPass:
                       (0.2 - 100.0 * s0, 0.2, 0.2 + a * s1, 0.2 + a * s1 + 100.0 - a))
         model = rademacher_market([-beta] * K)
         s = enumerate_scenarios(model)
+        assert optimize._product_form(s)
         prod = optimize_truncated(model, u, None, s)
         rows = optimize_truncated(model, u, None, row_set(s))
         assert (prod.iterations, prod.converged) == (rows.iterations, rows.converged) == (1, True)
@@ -690,11 +696,14 @@ class TestProductPass:
 
     def test_two_point_ladder_matches_row_path(self):
         # unequal probabilities, so a level below K weighs its grid points
-        # by the product of its own laws
-        model = two_point_market([0.3, 0.6, 0.8, 0.45], [0.4, 0.55, 0.3, 0.6])
+        # by the product of its own laws; 15 coordinates, so the set is in
+        # product form and every level runs on the grid
+        model = two_point_market([0.3, 0.6, 0.8, 0.45] + [0.5] * 11,
+                                 [0.4, 0.55, 0.3, 0.6] + [0.5] * 11)
         s = enumerate_scenarios(model)
+        assert optimize._product_form(s)
         u = appendix_power(0.5)
-        for K in (1, 2, 3, 4):
+        for K in (1, 2, 3, 4, 15):
             prod = optimize_truncated(model, u, K, s)
             rows = optimize_truncated(model, u, K, row_set(s))
             assert (prod.iterations, prod.converged) == (rows.iterations, rows.converged)
@@ -705,21 +714,25 @@ class TestProductPass:
     @pytest.mark.parametrize("where", ["alone", "first", "last"])
     def test_long_law_matches_row_path(self, where):
         # a 20 000-point law: its axis is reduced whole, with no loop over
-        # its points, and as the last axis it is never folded
+        # its points, and as the last axis it is never folded.  A set of
+        # one law is not in product form, so "alone" solves the first
+        # level of a set that is: the long law ahead of a two-point law
         gen = np.random.Generator(np.random.Philox(key=20_000))
         probs = gen.dirichlet(np.full(20_000, 5.0))
         pts = gen.standard_normal(20_000)
         pts -= pts @ probs
         long = finite_discrete(pts / math.sqrt(pts ** 2 @ probs), probs)
-        noise = {"alone": (long,), "first": (long, standardized_two_point(0.3)),
-                 "last": (rademacher(), standardized_two_point(0.3), long)}[where]
+        noise = {"last": (rademacher(), standardized_two_point(0.3), long)}.get(
+            where, (long, standardized_two_point(0.3)))
         K = len(noise)
         model = build_market(1, K, mu=[0.05, -0.1, 0.02][:K], beta=[[0.0]] * (K - 1),
                              beta_bar=[1.0] * K, noise=noise)
         s = enumerate_scenarios(model)
+        assert optimize._product_form(s)
         u = appendix_power(0.5)
-        prod = optimize_truncated(model, u, None, s)
-        rows = optimize_truncated(model, u, None, row_set(s))
+        level = 1 if where == "alone" else None
+        prod = optimize_truncated(model, u, level, s)
+        rows = optimize_truncated(model, u, level, row_set(s))
         assert prod.converged and rows.converged
         assert prod.iterations == rows.iterations
         assert np.linalg.norm(prod.phi_star - rows.phi_star) <= 1e-12 * np.linalg.norm(
@@ -727,40 +740,51 @@ class TestProductPass:
         assert prod.value == pytest.approx(rows.value, rel=1e-12)
 
     def test_exact_sets_never_form_the_centred_matrix(self, market_k3, monkeypatch):
-        s = enumerate_scenarios(market_k3)
+        # a set in product form, at a level with heads and at one without;
+        # the closed-form arbitrage decider on any exact set
+        model = rademacher_market([0.2, 0.1, 0.05] + [0.02] * 13)
+        s = enumerate_scenarios(model)
+        assert optimize._product_form(s)
         monkeypatch.setattr(optimize, "_centered", mock.Mock(side_effect=AssertionError))
-        assert optimize_truncated(market_k3, appendix_power(0.5), 2, s).converged
-        assert detect_unbounded(market_k3, s) == (False, None)
-        # the mock guards the path that sampled sets take
-        sampled = sample_scenarios(market_k3, 100, seed=1)
+        for K in (None, 2):
+            assert optimize_truncated(model, appendix_power(0.5), K, s).converged
+        assert detect_unbounded(model, s) == (False, None)
+        assert detect_unbounded(market_k3, enumerate_scenarios(market_k3)) == (False, None)
+        # the mock guards the path that sampled sets, and exact sets not in
+        # product form, take
+        small = enumerate_scenarios(market_k3)
+        for other in (sample_scenarios(market_k3, 100, seed=1), small):
+            with pytest.raises(AssertionError):
+                optimize_truncated(market_k3, appendix_power(0.5), 2, other)
         with pytest.raises(AssertionError):
-            optimize_truncated(market_k3, appendix_power(0.5), 2, sampled)
-        with pytest.raises(AssertionError):
-            detect_unbounded(market_k3, sampled)
+            detect_unbounded(market_k3, sample_scenarios(market_k3, 100, seed=1))
         model = rademacher_market([-1.0, 0.0])
         found, phi = detect_unbounded(model, enumerate_scenarios(model))
         assert found and phi.tolist() == [1.0, 0.0]
 
     @staticmethod
-    def uniform_drift_market(noise, mu):
-        return build_market(1, 3, mu=[mu] * 3, beta=[[0.0]] * 2,
-                            beta_bar=[1.0] * 3, noise=noise)
+    def uniform_drift_market(noise, mu, K=3):
+        return build_market(1, K, mu=[mu] * K, beta=[[0.0]] * (K - 1),
+                            beta_bar=[1.0] * K, noise=noise)
 
-    def test_enumeration_of_another_market_is_solved_from_its_own_laws(self):
+    @pytest.mark.parametrize("K", [3, 16])
+    def test_enumeration_of_another_market_is_solved_from_its_own_laws(self, K):
         # B's laws have the shape and row count of A's but other points:
-        # the solve reads A's laws, whichever market it is paired with
-        A = self.uniform_drift_market(rademacher(), -0.1)
-        B = self.uniform_drift_market(standardized_two_point(0.3), -0.1)
+        # the solve reads A's laws, in product form at K = 16 and through
+        # the rows they make at K = 3, whichever market it is paired with
+        A = self.uniform_drift_market(rademacher(), -0.1, K)
+        B = self.uniform_drift_market(standardized_two_point(0.3), -0.1, K)
         s = enumerate_scenarios(A)
         u = appendix_power(0.5)
         got = optimize_truncated(B, u, None, s)
-        assert s._draws is None
+        assert optimize._product_form(s) is (K == 16) is (s._draws is None)
         rows = optimize_truncated(B, u, None, row_set(s))
-        assert got.value == pytest.approx(0.0361, abs=1e-4)
         assert got.value == pytest.approx(rows.value, rel=1e-12)
         assert np.linalg.norm(got.phi_star - rows.phi_star) <= 1e-12 * np.linalg.norm(
             rows.phi_star)
-        assert got.phi_star == pytest.approx([-0.6166] * 3, abs=1e-4)
+        if K == 3:
+            assert got.value == pytest.approx(0.0361, abs=1e-4)
+            assert got.phi_star == pytest.approx([-0.6166] * 3, abs=1e-4)
 
     def test_arbitrage_on_another_markets_enumeration(self):
         # b = 1.2 lies inside B's support but above every Rademacher row,
@@ -807,6 +831,108 @@ class TestProductPass:
                 "print(hashlib.sha256(optimize._grid_pass(xs)(memo)[1]().tobytes()).hexdigest())\n")
         one, two = stdout_per_blas_thread_count(code)
         assert one == two
+
+
+class TestProductForm:
+    """One rule, ``optimize._product_form``, decides for a whole set
+    whether the solve, the Hoelder sides and the exponential-moment cap
+    run in product form or on the set's rows."""
+
+    @pytest.mark.parametrize("sizes, product", [
+        ((2,) * 4, False),  # the demo's 16 rows: no heads
+        ((2,), False),  # the two rows of a K = 1 two-point market
+        ((2,) * 14, False),  # 4 heads by a 4096-point tile, 2^14 rows
+        ((2,) * 15, True),
+        ((2,) * 16, True),
+        ((2,) * 17, True),
+        ((2,) * 18, True),
+        ((2,) * 19, True),
+        ((20_001,), False),  # one long law: no heads
+        ((ENUMERATION_CAP,), False),
+        ((20_001, 2), True),  # 20 001 heads by a 2-point tile
+        ((2_000, 64), True),
+        ((3,) * 8, False),  # 3 heads by a 2187-point tile, 6561 rows
+        ((3,) * 9, True),  # 9 heads, 19 683 rows
+        ((3,) * 10, True),
+    ])
+    def test_predicate_table(self, sizes, product):
+        s = ScenarioSet._product([(np.linspace(-1.0, 1.0, m), np.full(m, 1.0 / m))
+                                  for m in sizes])
+        assert optimize._product_form(s) is product
+        assert s._draws is None and s._weights is None  # it reads the support sizes
+
+    @pytest.mark.parametrize("K", [14, 15])
+    def test_every_sum_follows_the_rule(self, monkeypatch, K):
+        # on either side of the rule's edge, the ladder's levels, the
+        # Hoelder sides and the exp cap all take one path: product form
+        # reads the laws alone, the row path builds the rows once; both
+        # match the same calls on a row set
+        model = rademacher_market([0.3 / i for i in range(1, K + 1)])
+        s = enumerate_scenarios(model)
+        product = optimize._product_form(s)
+        assert product is (K == 15)
+        u = appendix_power(0.5, GrowthBounds(0.5, 1.5, 1.0, 1.0))
+        Q = build_tilted_measure(model)
+        strategies = diagnostics.random_strategies(K, 6, 1.0, seed=8)
+
+        def run(t):
+            ladder = truncation_ladder(model, u, SolverConfig(ladder=(2, K)), t)
+            holder = diagnostics.holder_chain_check(model, Q, u, strategies, t)
+            exp = diagnostics.exp_ui_bound(model, t, 2.0, 20, 7)
+            return ladder.values() + holder["margins"] + [
+                r["value"] for r in exp["measurements"]]
+
+        calls = []
+        for module, name in ((optimize, "_grid_value"), (diagnostics, "_product_sides"),
+                             (diagnostics, "_product_exp_abs"),
+                             (diagnostics, "_strategy_sums")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        got = run(s)
+        if product:
+            assert calls == ["_grid_value"] * 2 + ["_product_sides", "_product_exp_abs"]
+            assert s._draws is None and s._weights is None
+        else:
+            assert calls == ["_strategy_sums"] * 2
+            assert s._draws is not None
+        rows = row_set(s)
+        assert not optimize._product_form(rows)  # a set of rows never is
+        assert got == pytest.approx(run(rows), rel=1e-12)
+
+    def test_two_row_solve_takes_the_row_path(self, monkeypatch):
+        # P(up) = 0.106, b at 82 % of the support, appendix_power(0.8775):
+        # the maximizer lies near -3.2e12, so the solve runs its 10 000
+        # steps, each on the two rows, bit for bit the row set's solve
+        model = two_point_market([0.106], [0.82])
+        s = enumerate_scenarios(model)
+        u = appendix_power(0.8775)
+        monkeypatch.setattr(optimize, "_grid_value", mock.Mock(side_effect=AssertionError))
+        got = optimize_truncated(model, u, None, s)
+        want = optimize_truncated(model, u, None, row_set(s))
+        assert got.iterations == SolverConfig().max_iter and not got.converged
+        assert got.phi_star.tobytes() == want.phi_star.tobytes()
+        assert np.float64(got.grad_norm).tobytes() == np.float64(want.grad_norm).tobytes()
+
+    def test_sets_off_the_rule_build_at_most_their_rows(self):
+        # the largest enumerations that fail: one law at the cap and 2^14
+        # Rademacher rows.  A solve and the exp cap build the rows and
+        # weights once, 8 n (K + 1) bytes: 16 MB and 1.9 MB, within the
+        # bounds that _product_form's docstring states
+        pts = np.linspace(-1.0, 1.0, ENUMERATION_CAP)
+        pts /= math.sqrt(np.mean(pts * pts))
+        long = finite_discrete(pts, np.full(ENUMERATION_CAP, 1.0 / ENUMERATION_CAP))
+        for model, bound in ((build_market(1, 1, mu=[0.01], beta=[], beta_bar=[1.0],
+                                           noise=(long,)), 16e6),
+                             (rademacher_market([0.3 / i for i in range(1, 15)]),
+                              8 * optimize._PRODUCT_ROWS * 15)):
+            s = enumerate_scenarios(model)
+            assert not optimize._product_form(s)
+            optimize_truncated(model, appendix_power(0.5), None, s, SolverConfig(max_iter=3))
+            rows, weights = s._draws, s._weights
+            diagnostics.exp_ui_bound(model, s, 1.0, 2, 1)
+            assert s._draws is rows and s._weights is weights
+            assert rows.nbytes + weights.nbytes == 8 * s.n * (s.K + 1) <= bound
 
 
 class TestHessianOnDemand:
@@ -863,9 +989,11 @@ class TestHessianOnDemand:
         # there a step reuses H and the next forms it.  An exact solve's
         # value calls, one per step and one at phi = 0, each run one rising
         # staircase for u, each pass one for u' (appendix power's loss side
-        # is linear) and each Hessian one for u''
-        model = rademacher_market([0.4 / i for i in range(1, 7)])
+        # is linear) and each Hessian one for u''.  K = 16: 16 heads by a
+        # 4096-point tile, one staircase group, in product form
+        model = rademacher_market([0.4 / i for i in range(1, 17)])
         s = enumerate_scenarios(model)
+        assert optimize._product_form(s)
         s = {"exact": s, "rows": row_set(s),
              "sampled": sample_scenarios(model, 3 * optimize.ROW_BLOCK + 17, 3)}[kind]
         u = appendix_power(0.5)

@@ -188,10 +188,12 @@ class TestRowsOnRead:
 
 
 class TestExactSetsReadTheirOwnLaws:
-    @staticmethod
-    def uniform_drift_market(noise):
-        return build_market(1, 3, mu=[-0.1] * 3, beta=[[0.0]] * 2,
-                            beta_bar=[1.0] * 3, noise=noise)
+    K = 16  # 2^16 rows: in product form
+
+    @classmethod
+    def uniform_drift_market(cls, noise):
+        return build_market(1, cls.K, mu=[-0.1] * cls.K, beta=[[0.0]] * (cls.K - 1),
+                            beta_bar=[1.0] * cls.K, noise=noise)
 
     @pytest.mark.parametrize("paired", ["same market", "another market"])
     def test_no_call_builds_the_rows(self, paired):
@@ -284,8 +286,8 @@ class TestWeightCheck:
 
 
 class TestExactSetMemory:
-    """An exact enumeration keeps its K laws, and no library call on it
-    builds the (n, K) rows: at K = 19 those are 80 MB."""
+    """An exact enumeration keeps its K laws, and no library call on a set
+    in product form builds the (n, K) rows: at K = 19 those are 80 MB."""
 
     K = 19
 

@@ -15,13 +15,17 @@ The configs are the checkout's configs/*.json, perfbench's
 enumerated rows: a 4096-row tile under 128 heads) with the demo's
 `measure` section, those three markets with a 4,001-point table of
 appendix_power(0.5) on [-200, 200] in place of the utility
-(`*_tabulated`), and four in other noise laws (`NOISE_VARIANTS`):
+(`*_tabulated`), and six variants in other noise laws or sizes
+(`NOISE_VARIANTS`):
 `mc_report_101` in standardized uniform and in dyadic (q = 0.1) noise,
-the demo in a three-point law, and the exact session's market at K = 9
+the demo in a three-point law, the exact session's market at K = 9
 in the same law (3^9 = 19 683 enumerated rows: a 2187-point tile under
 9 heads, so the exact solver's Hessian has a block across heads and
-tile on a tile that is not Rademacher).  So every noise family, and the
-discrete sampler's path for more than two points, reaches a bundle.
+tile on a tile that is not Rademacher), and at K = 14 and 15 in its own
+Rademacher law, 2^14 and 2^15 rows on either side of the rule that puts
+an exact set in product form (``optimize._product_form``).  So every
+noise family, the discrete sampler's path for more than two points, and
+both paths of an exact set reach a bundle.
 They are copied to OUT/configs, and every command runs from OUT with
 relative paths, so no output names the directory it ran in.
 
@@ -60,6 +64,7 @@ EXACT_SEED = 311
 TABLE_ALPHA = 0.5
 THREE_POINT = {"family": "finite_discrete", "points": [-1.5, 0.0, 1.5],
                "probs": [2 / 9, 5 / 9, 2 / 9]}
+RADEMACHER = {"family": "rademacher"}
 # (variant name, base config, K of perfbench's market section in place of
 # the base's market or None to keep it, noise section)
 NOISE_VARIANTS = (
@@ -69,6 +74,8 @@ NOISE_VARIANTS = (
      {"family": "dyadic_two_sided", "q": 0.1}),
     ("demo_three_point", "demo", None, THREE_POINT),
     (f"exact_session_{EXACT_SEED}_three_point", f"exact_session_{EXACT_SEED}", 9, THREE_POINT),
+    (f"exact_session_{EXACT_SEED}_k14", f"exact_session_{EXACT_SEED}", 14, RADEMACHER),
+    (f"exact_session_{EXACT_SEED}_k15", f"exact_session_{EXACT_SEED}", 15, RADEMACHER),
 )
 
 
