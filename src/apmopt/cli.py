@@ -31,7 +31,8 @@ from .diagnostics import (assemble_report, check_assumption_relevant,
 from .market import ArbitrageError, check_assumption_b, check_no_arbitrage
 from .measures import build_tilted_measure, measure_moments, verify_pricing
 from .optimize import detect_unbounded, truncation_ladder
-from .scenarios import EnumerationCapError, enumerate_scenarios, sample_scenarios
+from .scenarios import (EnumerationCapError, _seed, enumerate_scenarios,
+                        sample_scenarios)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -80,24 +81,15 @@ def _log():
     return log
 
 
-def _checked_seed(seed: int, source: str) -> int:
-    # the Monte Carlo stream is keyed by (seed << 64) | block
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"{source} must lie in [0, 2**64), got {seed}")
-    return seed
-
-
 def _resolve_seed(cfg: ExperimentConfig, args) -> int:
     env = os.environ.get("SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ValueError(f"SEED must be an integer, got {env!r}") from None
-        return _checked_seed(seed, "SEED")
-    if args.seed is not None:
-        return _checked_seed(args.seed, "--seed")
-    return cfg.seed
+    if env is None and args.seed is None:
+        return cfg.seed
+    source, seed = ("--seed", args.seed) if env is None else ("SEED", env)
+    try:
+        return _seed(int(seed), 64)  # the Monte Carlo stream's key range
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _scenarios(cfg: ExperimentConfig, seed: int, n_override):

@@ -1,7 +1,14 @@
 """Experiment configuration: JSON schema, validation, assembly.
 
-Validation collects every violation instead of stopping at the first, so
-one run of the CLI reports all problems with a config file.
+Each section has a table that maps each of its keys to a reader and a
+default (``_REQUIRED`` if the key must be given), and ``_section`` reads
+every key through it: it refuses a section that is not a JSON object,
+names each unknown and each missing key, names ``section.key`` when a
+reader refuses a value, and then builds the section's object.  The
+rules across keys run on what was read (``_measure``, ``_scenario``,
+``_check_table``, ``_experiment``).  Validation collects the violations
+of every section instead of stopping at the first, so one run of the
+CLI reports all problems with a config file.
 """
 
 from __future__ import annotations
@@ -11,11 +18,11 @@ import math
 import os
 from dataclasses import dataclass
 
-from .distributions import (DistributionSpec, dyadic_two_sided, finite_discrete,
-                            rademacher, standardized_two_point,
-                            standardized_uniform)
+from .distributions import (dyadic_two_sided, finite_discrete, rademacher,
+                            standardized_two_point, standardized_uniform)
 from .market import BRule, MarketModel, build_market
 from .optimize import SolverConfig
+from .scenarios import _seed
 from .utility import GrowthBounds, Utility, appendix_power, tabulated
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config"]
@@ -40,46 +47,7 @@ class ExperimentConfig:
     out_dir: str
 
 
-_TOP_KEYS = {"model", "utility", "solver", "measure", "scenario", "output"}
-_MODEL_KEYS = {"m", "K", "mu", "beta", "beta_bar", "noise", "b_rule"}
-_B_RULE_KEYS = {"kind", "c", "p"}
-_UTILITY_KEYS = {"appendix_power": {"kind", "alpha", "growth"},
-                 "tabulated": {"kind", "xs", "ys", "growth"}}
-_GROWTH_KEYS = ("alpha", "beta", "C1", "C2")
-_SOLVER_KEYS = {"grad_tol", "max_iter", "ladder"}
-_MEASURE_KEYS = {"fallback_alpha", "p", "moment_exponents"}
-_SCENARIO_KEYS = {"mode", "n", "seed"}
-# each noise family's keys besides "family", and its factory on their values
-_NOISE_FAMILIES = {
-    "rademacher": ((), rademacher),
-    "standardized_two_point": (("p",), lambda p: standardized_two_point(_float(p))),
-    "standardized_uniform": ((), standardized_uniform),
-    "finite_discrete": (("points", "probs"), finite_discrete),
-    "dyadic_two_sided": (("q",), lambda q: dyadic_two_sided(_float(q))),
-}
-
-
-def _unknown_keys(d, known, errors: list[str], where: str) -> None:
-    """A violation for each key of d outside known, if d is an object."""
-    if isinstance(d, dict):
-        errors.extend(f"{where}: unknown key {k!r}" for k in d if k not in known)
-
-
-def _object(value, errors: list[str], where: str) -> dict | None:
-    """value if it is a JSON object; otherwise None, and a violation."""
-    if isinstance(value, dict):
-        return value
-    errors.append(f"{where}: must be a JSON object, got {type(value).__name__}")
-    return None
-
-
-def _convert(conv, value, errors: list[str], where: str):
-    """conv(value); None, and a violation naming where, if it fails."""
-    try:
-        return conv(value)
-    except (ValueError, TypeError) as exc:
-        errors.append(f"{where}: {exc}")
-        return None
+_REQUIRED = object()  # the default of a key that must be given
 
 
 def _int(value) -> int:
@@ -91,89 +59,177 @@ def _int(value) -> int:
     return int(value)
 
 
-def _ints(values) -> tuple[int, ...]:
-    if not isinstance(values, list):
-        raise TypeError(f"must be a list of integers, got {type(values).__name__}")
-    return tuple(map(_int, values))
+def _number(value) -> float:
+    """value as a float: a JSON number, not a bool; an integer beyond the
+    float range reads as inf."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def _float(value) -> float:
     """value as a float: a finite JSON number, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"must be a number, got {type(value).__name__}")
-    try:
-        x = float(value)
-    except OverflowError:  # an integer beyond the float range
-        x = math.inf
+    x = _number(value)
     if not math.isfinite(x):
         raise ValueError(f"must be finite, got {x!r}")
     return x
 
 
-def _floats(values) -> tuple[float, ...]:
-    if not isinstance(values, list):
-        raise TypeError(f"must be a list of numbers, got {type(values).__name__}")
-    return tuple(map(_float, values))
+def _str(value) -> str:
+    """value as it is: a non-empty string."""
+    if not isinstance(value, str):
+        raise TypeError(f"must be a string, got {type(value).__name__}")
+    if not value:
+        raise ValueError("must not be empty")
+    return value
 
 
-def _noise_from_dict(d: dict, errors: list[str], where: str) -> DistributionSpec | None:
-    if _object(d, errors, where) is None:
-        return None
-    family = d.get("family")
-    if not isinstance(family, str) or family not in _NOISE_FAMILIES:
-        errors.append(f"{where}: unknown noise family {family!r}")
-        return None
-    keys, factory = _NOISE_FAMILIES[family]
-    _unknown_keys(d, {"family", *keys}, errors, where)
+def _given(value):
+    """value as it is, for a factory that types it itself."""
+    return value
+
+
+def _list(read):
+    """The reader of a JSON list: a tuple of its items, each read by read."""
+    def read_list(values) -> tuple:
+        if not isinstance(values, list):
+            raise TypeError(f"must be a list, got {type(values).__name__}")
+        return tuple(map(read, values))
+    return read_list
+
+
+def _nullable(read):
+    """read, except that a JSON null reads as None, the key's default."""
+    return lambda value: None if value is None else read(value)
+
+
+_floats = _list(_float)
+_numbers = _list(_number)
+
+
+def _call(f, value, errors: list[str], where: str):
+    """f(value); None, and its violations in errors, if f refuses value:
+    a ConfigError's as they are, any other ValueError or TypeError named
+    where."""
     try:
-        return factory(*(d[k] for k in keys))
-    except KeyError as exc:
-        errors.append(f"{where}: missing key {exc}")
+        return f(value)
+    except ConfigError as exc:
+        errors.extend(exc.violations)
     except (ValueError, TypeError) as exc:
         errors.append(f"{where}: {exc}")
     return None
 
 
-def _build_model(md: dict, errors: list[str]) -> MarketModel | None:
-    _unknown_keys(md, _MODEL_KEYS, errors, "model")
-    required = ["m", "K", "mu", "beta_bar", "noise"]
-    missing = [k for k in required if k not in md]
+def _section(d, table: dict, errors: list[str], where: str, build=dict):
+    """build(**values) on the values of the section d at where, each key
+    read through table[key] = (reader, default).  None, and violations in
+    errors, if d is not a JSON object, has a key outside table, misses a
+    key whose default is _REQUIRED, or a reader or build refuses."""
+    if not isinstance(d, dict):
+        errors.append(f"{where}: must be a JSON object, got {type(d).__name__}")
+        return None
+    start = len(errors)
+    errors.extend(f"{where}: unknown key {k!r}" for k in d if k not in table)
+    missing = [k for k, (_, default) in table.items() if default is _REQUIRED and k not in d]
     if missing:
-        errors.append(f"model: missing keys {missing}")
+        errors.append(f"{where}: missing keys {missing}")
+    values = {k: _call(read, d.get(k, default), errors, f"{where}.{k}")
+              for k, (read, default) in table.items() if k in d or default is not _REQUIRED}
+    if len(errors) > start:
         return None
-    m = _convert(_int, md["m"], errors, "model.m")
-    K = _convert(_int, md["K"], errors, "model.K")
-    noise_raw = md["noise"]
-    if isinstance(noise_raw, list):
-        noise = tuple(_noise_from_dict(n, errors, f"model.noise[{i}]")
-                      for i, n in enumerate(noise_raw))
-        noise = None if None in noise else noise
-    else:  # one law for every coordinate, which build_market repeats
-        noise = _noise_from_dict(noise_raw, errors, "model.noise")
-    if m is None or K is None or noise is None:
+    return _call(lambda v: build(**v), values, errors, where)
+
+
+def _variant(d, key: str, default, variants: dict, errors: list[str], where: str,
+             what: str):
+    """_section of d on the (table, build) of variants[d[key]], d[key]
+    defaulting to default and itself not passed on."""
+    if not isinstance(d, dict):
+        return _section(d, {}, errors, where)  # which refuses it
+    name = d.get(key, default)
+    if not isinstance(name, str) or name not in variants:
+        errors.append(f"{where}: unknown {what} {name!r}")
         return None
-    b_rule = BRule()
-    if "b_rule" in md:
-        br = _object(md["b_rule"], errors, "model.b_rule")
-        if br is None:
-            return None
-        _unknown_keys(br, _B_RULE_KEYS, errors, "model.b_rule")
-        c = _convert(_float, br.get("c", 0.0), errors, "model.b_rule.c")
-        p = _convert(_float, br.get("p", 0.0), errors, "model.b_rule.p")
-        if c is None or p is None:
-            return None
-        try:
-            b_rule = BRule(kind=br.get("kind", "explicit"), c=c, p=p)
-        except (ValueError, TypeError) as exc:
-            errors.append(f"model.b_rule: {exc}")
-            return None
+    table, build = variants[name]
+    return _section({k: v for k, v in d.items() if k != key}, table, errors, where, build)
+
+
+def _raising(read_into):
+    """The reader of read_into(value, errors), which lists its violations
+    in errors: it raises them as one ConfigError."""
+    def read(value):
+        errors: list[str] = []
+        result = read_into(value, errors)
+        if errors:
+            raise ConfigError(errors)
+        return result
+    return read
+
+
+def _nested(table: dict, where: str, build):
+    """The reader of a nested section: its _section, raising."""
+    return _raising(lambda value, errors: _section(value, table, errors, where, build))
+
+
+def _load(path: str, what: str):
+    """The JSON value in the file at path; ConfigError naming what if the
+    file cannot be read or parsed."""
     try:
-        model = build_market(m, K, md["mu"], md.get("beta", ()),
-                             md["beta_bar"], noise, b_rule)
-    except (ValueError, TypeError) as exc:
-        errors.append(f"model: {exc}")
-        return None
-    return model
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError([f"{what}: {exc}"]) from None
+    except ValueError as exc:
+        raise ConfigError([f"{what}: malformed JSON: {exc}"]) from None
+
+
+# each noise family's table, and its factory on the values read
+_NOISE_FAMILIES = {
+    "rademacher": ({}, rademacher),
+    "standardized_two_point": ({"p": (_given, _REQUIRED)},
+                               lambda p: standardized_two_point(_float(p))),
+    "standardized_uniform": ({}, standardized_uniform),
+    "finite_discrete": ({"points": (_numbers, _REQUIRED), "probs": (_numbers, _REQUIRED)},
+                        finite_discrete),
+    "dyadic_two_sided": ({"q": (_given, _REQUIRED)}, lambda q: dyadic_two_sided(_float(q))),
+}
+
+
+def _noise_from_dict(d, errors: list[str], where: str):
+    """The noise law of the section d at where."""
+    return _variant(d, "family", None, _NOISE_FAMILIES, errors, where, "noise family")
+
+
+@_raising
+def _noise(value, errors: list[str]):
+    """One law for every coordinate, which build_market repeats, or a
+    list of one law per coordinate."""
+    if isinstance(value, list):
+        return tuple(_noise_from_dict(d, errors, f"model.noise[{i}]")
+                     for i, d in enumerate(value))
+    return _noise_from_dict(value, errors, "model.noise")
+
+
+_MODEL = {
+    "m": (_int, _REQUIRED),
+    "K": (_int, _REQUIRED),
+    "mu": (_floats, _REQUIRED),
+    "beta": (_list(_floats), []),
+    "beta_bar": (_floats, _REQUIRED),
+    "noise": (_noise, _REQUIRED),
+    "b_rule": (_nested({"kind": (_str, "explicit"), "c": (_float, 0.0), "p": (_float, 0.0)},
+                       "model.b_rule", BRule), {}),
+}
+_read_model = _nested(_MODEL, "model", build_market)
+
+
+def _model(value) -> MarketModel:
+    if isinstance(value, str):  # a file, which parse_config resolved
+        value = _load(value, "model file")
+    return _read_model(value)
 
 
 def _check_table(xs: tuple[float, ...], ys: tuple[float, ...]) -> None:
@@ -194,135 +250,75 @@ def _check_table(xs: tuple[float, ...], ys: tuple[float, ...]) -> None:
                              f"from {a:.6g} to {b:.6g} at x = {xs[k + 1]:.6g}")
 
 
-def _build_utility(ud: dict, errors: list[str]) -> Utility | None:
-    kind = ud.get("kind", "appendix_power")
-    if not isinstance(kind, str) or kind not in _UTILITY_KEYS:
-        errors.append(f"utility: unknown kind {kind!r}")
-        return None
-    _unknown_keys(ud, _UTILITY_KEYS[kind], errors, "utility")
-    growth = None
-    if "growth" in ud:
-        g = _object(ud["growth"], errors, "utility.growth")
-        if g is None:
-            return None
-        _unknown_keys(g, _GROWTH_KEYS, errors, "utility.growth")
-        missing = [k for k in _GROWTH_KEYS if k not in g]
-        if missing:
-            errors.append(f"utility.growth: missing keys {missing}")
-            return None
-        bounds = {k: _convert(_float, g[k], errors, f"utility.growth.{k}") for k in _GROWTH_KEYS}
-        if None in bounds.values():
-            return None
-        try:
-            growth = GrowthBounds(**bounds)
-        except ValueError as exc:
-            errors.append(f"utility.growth: {exc}")
-            return None
-    if kind == "appendix_power":
-        alpha = _convert(_float, ud.get("alpha", 0.5), errors, "utility.alpha")
-        if alpha is None:
-            return None
-    try:
-        if kind == "appendix_power":
-            return appendix_power(alpha, growth)
-        if kind == "tabulated":
-            u = tabulated(ud["xs"], ud["ys"], growth)
-            _check_table(u.xs, u.ys)
-            return u
-    except (KeyError, ValueError, TypeError) as exc:
-        errors.append(f"utility: {exc}")
-        return None
+def _tabulated(xs, ys, growth) -> Utility:
+    u = tabulated(xs, ys, growth)
+    _check_table(u.xs, u.ys)
+    return u
+
+
+_GROWTH = {k: (_float, _REQUIRED) for k in ("alpha", "beta", "C1", "C2")}
+_GROWTH_ENTRY = (_nullable(_nested(_GROWTH, "utility.growth", GrowthBounds)), None)
+_UTILITY_KINDS = {
+    "appendix_power": ({"alpha": (_float, 0.5), "growth": _GROWTH_ENTRY}, appendix_power),
+    "tabulated": ({"xs": (_numbers, _REQUIRED), "ys": (_numbers, _REQUIRED),
+                   "growth": _GROWTH_ENTRY}, _tabulated),
+}
+
+
+@_raising
+def _utility(value, errors: list[str]) -> Utility:
+    return _variant(value, "kind", "appendix_power", _UTILITY_KINDS, errors, "utility", "kind")
+
+
+def _measure(fallback_alpha, p, moment_exponents) -> tuple:
+    """(fallback_alpha, moment_exponents)."""
+    if not 0.0 < fallback_alpha < 1.0:
+        raise ConfigError(["measure.fallback_alpha: must lie in (0,1)"])
+    if moment_exponents is None:
+        moment_exponents = (-2.0, -1.0, 1.0, 2.0, p, -p)
+    return fallback_alpha, moment_exponents
+
+
+def _scenario(mode, n, seed) -> tuple:
+    """(mode, n, seed), n and seed 0 where they are not given."""
+    errors = []
+    if mode not in ("exact", "monte_carlo"):
+        errors.append(f"scenario.mode: unknown mode {mode!r}")
+    if mode == "monte_carlo" and (n is None or n < 1):
+        errors.append("scenario.n: monte_carlo mode needs n >= 1")
+    if mode == "monte_carlo" and seed is None:
+        errors.append("scenario.seed: monte_carlo mode needs a seed")
+    if errors:
+        raise ConfigError(errors)
+    return mode, n or 0, seed or 0
+
+
+def _experiment(model, utility, solver, measure, scenario, output) -> ExperimentConfig:
+    if not all(model.m <= k <= model.K for k in solver.ladder):
+        raise ConfigError([f"solver.ladder: levels {list(solver.ladder)} must lie in "
+                           f"[{model.m}, {model.K}]"])
+    return ExperimentConfig(model, utility, solver, *measure, *scenario, out_dir=output)
+
+
+_TOP = {
+    "model": (_model, _REQUIRED),
+    "utility": (_utility, {}),
+    "solver": (_nested({"grad_tol": (_float, 1e-8), "max_iter": (_int, 10_000),
+                        "ladder": (_list(_int), [])}, "solver", SolverConfig), {}),
+    "measure": (_nested({"fallback_alpha": (_float, 0.5), "p": (_float, 2.0),
+                         "moment_exponents": (_nullable(_floats), None)},
+                        "measure", _measure), {}),
+    "scenario": (_nested({"mode": (_str, "exact"), "n": (_nullable(_int), None),
+                          "seed": (_nullable(lambda s: _seed(_int(s), 64)), None)},
+                         "scenario", _scenario), {}),
+    "output": (_str, "out"),
+}
 
 
 def parse_config(path: str) -> ExperimentConfig:
     """Load and validate a JSON experiment config; raises ConfigError
     listing every violation found."""
-    errors: list[str] = []
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError([f"cannot read config: {exc}"])
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"malformed JSON: {exc}"])
-    if not isinstance(raw, dict):
-        raise ConfigError([f"config: must be a JSON object, got {type(raw).__name__}"])
-    _unknown_keys(raw, _TOP_KEYS, errors, "config")
-
-    md = raw.get("model")
-    if isinstance(md, str):  # model may live in its own file
-        model_path = md if os.path.isabs(md) else os.path.join(
-            os.path.dirname(path), md)
-        try:
-            with open(model_path) as fh:
-                md = json.load(fh)
-        except OSError as exc:
-            errors.append(f"model file: {exc}")
-            md = None
-        except json.JSONDecodeError as exc:
-            errors.append(f"model file: malformed JSON: {exc}")
-            md = None
-    model = None
-    if md is None:
-        errors.append("model: section missing")
-    elif _object(md, errors, "model") is not None:
-        model = _build_model(md, errors)
-
-    ud = _object(raw.get("utility", {}), errors, "utility")
-    utility = None if ud is None else _build_utility(ud, errors)
-
-    sd = _object(raw.get("solver", {}), errors, "solver") or {}
-    _unknown_keys(sd, _SOLVER_KEYS, errors, "solver")
-    max_iter = _convert(_int, sd.get("max_iter", 10_000), errors, "solver.max_iter")
-    ladder = _convert(_ints, sd.get("ladder", []), errors, "solver.ladder")
-    solver = None
-    grad_tol = _convert(_float, sd.get("grad_tol", 1e-8), errors, "solver.grad_tol")
-    if None not in (max_iter, ladder, grad_tol):
-        try:
-            solver = SolverConfig(grad_tol=grad_tol, max_iter=max_iter, ladder=ladder)
-        except (ValueError, TypeError) as exc:
-            errors.append(f"solver: {exc}")
-    if model is not None and solver is not None and not all(
-            model.m <= k <= model.K for k in solver.ladder):
-        errors.append(f"solver.ladder: levels {list(solver.ladder)} must lie in "
-                      f"[{model.m}, {model.K}]")
-
-    msec = _object(raw.get("measure", {}), errors, "measure") or {}
-    _unknown_keys(msec, _MEASURE_KEYS, errors, "measure")
-    fallback_alpha = _convert(_float, msec.get("fallback_alpha", 0.5), errors,
-                              "measure.fallback_alpha")
-    if fallback_alpha is not None and not 0.0 < fallback_alpha < 1.0:
-        errors.append("measure.fallback_alpha: must lie in (0,1)")
-    moment_p = _convert(_float, msec.get("p", 2.0), errors, "measure.p")
-    exponents = None
-    if "moment_exponents" in msec:
-        exponents = _convert(_floats, msec["moment_exponents"], errors,
-                             "measure.moment_exponents")
-    elif moment_p is not None:
-        exponents = (-2.0, -1.0, 1.0, 2.0, moment_p, -moment_p)
-
-    sc = _object(raw.get("scenario", {}), errors, "scenario") or {}
-    _unknown_keys(sc, _SCENARIO_KEYS, errors, "scenario")
-    mode = sc.get("mode", "exact")
-    n = sc.get("n")
-    n = 0 if n is None else _convert(_int, n, errors, "scenario.n")
-    seed = sc.get("seed")
-    if mode not in ("exact", "monte_carlo"):
-        errors.append(f"scenario.mode: unknown mode {mode!r}")
-    if mode == "monte_carlo":
-        if n is not None and n < 1:
-            errors.append("scenario.n: monte_carlo mode needs n >= 1")
-        if seed is None:
-            errors.append("scenario.seed: monte_carlo mode needs a seed")
-    seed = _convert(_int, seed, errors, "scenario.seed") if seed is not None else 0
-    if seed is not None and not 0 <= seed < 2 ** 64:
-        errors.append(f"scenario.seed: must lie in [0, 2**64), got {seed}")
-
-    if errors:
-        raise ConfigError(errors)
-    return ExperimentConfig(
-        model=model, utility=utility, solver=solver,
-        fallback_alpha=fallback_alpha, moment_exponents=exponents,
-        scenario_mode=mode, n_scenarios=n, seed=seed,
-        out_dir=raw.get("output", "out"),
-    )
+    raw = _load(path, "config")
+    if isinstance(raw, dict) and isinstance(raw.get("model"), str):
+        raw["model"] = os.path.join(os.path.dirname(path), raw["model"])
+    return _nested(_TOP, "config", _experiment)(raw)

@@ -1,3 +1,5 @@
+import contextlib
+import importlib.util
 import io
 import json
 import logging
@@ -5,8 +7,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import apmopt
 from apmopt import cli, diagnostics, measures, optimize, scenarios
@@ -24,6 +29,53 @@ MC_LADDER = {
     "solver": {"max_iter": 20, "ladder": [1, 2]},
     "scenario": {"mode": "monte_carlo", "n": 500, "seed": 1},
 }
+
+
+# a value of each JSON type, and the non-finite floats JSON can carry
+JSON_VALUES = [None, True, 0, 2.5, "x", [], [1.0], {}, {"a": 1}]
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def _perfbench_workloads():
+    spec = importlib.util.spec_from_file_location("workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _json_type(value) -> str:
+    """value's JSON type: null, bool, number, str, list or dict."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "bool"
+    return "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+def _leaves(value, path=()):
+    """(path, value) of each scalar in a JSON value, list items included."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        yield path, value
+        return
+    for key, item in items:
+        yield from _leaves(item, path + (key,))
+
+
+def _replaced(value, path, leaf):
+    """A copy of the JSON value with the scalar at path replaced by leaf."""
+    if not path:
+        return leaf
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], leaf)
+    return copy
+
+
+LEAF_CONFIGS = [DEMO, _perfbench_workloads().mc_report_config(311)]
 
 
 def run(command, config, tmp_path, *extra):
@@ -259,6 +311,16 @@ class TestExitCodes:
                                                "p": float("nan")}}, "model.b_rule.p"),
         ("model", {**DEMO["model"], "noise": {"family": "standardized_two_point",
                                               "p": True}}, "model.noise"),
+        # the market's arrays and the output directory are read like the rest
+        ("model", {**DEMO["model"], "mu": [True, -0.1, -0.05, -0.025]}, "model.mu"),
+        ("model", {**DEMO["model"], "mu": [float("inf"), -0.1, -0.05, -0.025]},
+         "model.mu"),
+        ("model", {**DEMO["model"], "beta_bar": [float("inf"), 1.0, 1.0, 1.0]},
+         "model.beta_bar"),
+        ("model", {**DEMO["model"], "beta": [[True], [0.0], [0.0]]}, "model.beta"),
+        ("model", {**DEMO["model"], "mu": {"a": 1}}, "model.mu"),
+        ("output", 5, "config.output"),
+        ("output", "", "config.output"),
     ], ids=["alpha-list", "exponents-int", "alpha-str", "n-str", "kind-unknown",
             "kind-list", "family-list",
             "growth-c1-nan", "grad-tol-nan", "grad-tol-inf", "max-iter-negative",
@@ -267,7 +329,9 @@ class TestExitCodes:
             "ladder-fraction", "ladder-bool", "n-fraction", "n-bool", "seed-fraction",
             "seed-bool", "b-rule-list", "grad-tol-bool", "grad-tol-huge", "p-bool", "p-inf",
             "fallback-alpha-bool", "exponents-bool", "alpha-bool", "alpha-nan",
-            "growth-beta-bool", "b-rule-c-bool", "b-rule-p-nan", "two-point-p-bool"])
+            "growth-beta-bool", "b-rule-c-bool", "b-rule-p-nan", "two-point-p-bool",
+            "mu-bool", "mu-inf", "beta-bar-inf", "beta-bool", "mu-object", "output-int",
+            "output-empty"])
     def test_bad_value_names_its_key(self, tmp_path, capsys, section, value, key):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({**DEMO, section: value}))
@@ -352,14 +416,42 @@ class TestExitCodes:
         assert f"- {violation}\n" in capsys.readouterr().err
 
     def test_every_shipped_config_parses(self, tmp_path, monkeypatch):
-        # configs/ and the two configs the benchmark generates
-        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-        import workloads
-        for name, config in (("exact", workloads.exact_session_config(311)),
-                             ("mc", workloads.mc_report_config(311))):
-            (tmp_path / f"{name}.json").write_text(json.dumps(config))
-        for path in [*sorted(CONFIGS.glob("*.json")), *sorted(tmp_path.glob("*.json"))]:
+        # every config tools/same_numbers.py runs: configs/, the benchmark's,
+        # the 4,001-node tables and the noise variants
+        monkeypatch.syspath_prepend(str(ROOT / "tools"))
+        import same_numbers
+        for name, config in same_numbers.configs(str(ROOT)).items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
             parse_config(str(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_leaf_of_another_type_is_named_or_runs(self, data):
+        # one leaf of the demo or of the benchmark's Monte Carlo config
+        # replaced by a value of another JSON type or a non-finite float:
+        # the violation names the leaf's section, or the config runs
+        config = data.draw(st.sampled_from(LEAF_CONFIGS))
+        path, leaf = data.draw(st.sampled_from(list(_leaves(config))))
+        value = data.draw(st.sampled_from(
+            [v for v in JSON_VALUES if _json_type(v) != _json_type(leaf)] + NON_FINITE))
+        with tempfile.TemporaryDirectory() as tmp:
+            p = os.path.join(tmp, "cfg.json")
+            with open(p, "w") as fh:
+                json.dump(_replaced(config, path, value), fh)
+            try:
+                parse_config(p)
+            except ConfigError as exc:
+                keys = [k for k in path if isinstance(k, str)]
+                section = ".".join(keys[:-1]) or "config"
+                assert any(v.startswith(section) for v in exc.violations), exc.violations
+                return
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["check", "--config", p, "--out", os.path.join(tmp, "out")])
+            assert code in (0, 2)
+            assert "internal error" not in err.getvalue()
+            assert "Traceback" not in err.getvalue()
 
     def test_bad_seed_env_exits_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SEED", "abc")
