@@ -31,10 +31,11 @@ over the same sorted tiles, with exp run on the tile's and the heads'
 payoffs, not on every row.  The strategies' tile payoffs are formed for
 many strategies per numpy call (``optimize._grid_payoffs``).  Every other
 set, an exact one included, is walked row by row, in fixed-order blocks
-of at most ``optimize.ROW_BLOCK`` rows, so its temporaries are a block's
-size, never a column's, and its payoffs come from the solver's kernels:
-a centred block (``optimize._centered``) and gemms of power-of-two widths
-(``optimize._payoffs``).
+of at most ``optimize.ROW_BLOCK`` rows, and forms at most
+``_WALK_PAYOFFS`` payoffs at a time, so its temporaries are a few blocks'
+size, never a column's, and its payoffs come from the solver's kernels: a view
+of the raw draws (``optimize._raw_draws``) and gemms of power-of-two
+widths with the shift folded in (``optimize._payoffs``).
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from .distributions import estimate_exp_moment, tail_probability, truncated_seco
 from .market import MarketModel, check_assumption_b, check_no_arbitrage
 from .measures import (TiltedMeasure, _coordinate_means, _density_moments, _residuals,
                        _support_factors)
-from .optimize import (_STAIR, ROW_BLOCK, _by_split, _centered, _grid_payoffs, _linear_loss,
-                       _payoffs, _product_form, _require_width, _running_sums, _sorted_tile,
+from .optimize import (_STAIR, ROW_BLOCK, _by_split, _grid_payoffs, _linear_loss, _payoffs,
+                       _product_form, _raw_draws, _require_width, _running_sums, _sorted_tile,
                        _staircase, _tile_split)
 from .scenarios import ScenarioSet, _product_weights, _seed
 from .utility import Utility, _split_u, certify_growth, eval_u
@@ -69,6 +70,8 @@ __all__ = [
 GAMMA_GRID = (0.25, 0.5, 1.0, 2.0)  # subgaussian_scan's exponents
 X_GRID = (0.0, 0.5, 1.0, 2.0, 4.0)  # check_assumption_relevant's tail levels
 N_GRID = (1.0, 2.0, 4.0, 8.0)       # and its truncation levels
+# payoffs the row walk forms per product: 16 strategies on a full block
+_WALK_PAYOFFS = 16 * ROW_BLOCK
 
 
 _U32 = np.uint64(32)
@@ -134,27 +137,33 @@ def _strategy_sums(s: ScenarioSet, phis: np.ndarray, shift: np.ndarray,
 
     One walk over the rows of s, an exact set's included (``draws`` and
     ``weights``, built on first read), in fixed-order blocks of ROW_BLOCK
-    rows: each block is centred into a C-ordered (k, rows) buffer
-    (``_centered``), which a column-major sample fills from contiguous
-    columns, its payoffs come from ``_payoffs``, whose power-of-two widths
-    keep them independent of the BLAS thread count, and it sums its
-    weighted values pairwise.  The block sums are then summed pairwise in
-    order, so the rounding stays within expectation's
-    log2(n) * 2^-52 * sum |w * v|.
+    rows of the raw draws (``_raw_draws``: a view of a sample's, one copy
+    of a C-ordered row set's), and on each block as many strategies at a
+    time as keep their payoffs within _WALK_PAYOFFS values (16 on a full
+    block, all of them on a small set): their payoffs come from
+    ``_payoffs``, which folds the shift in and whose power-of-two widths
+    keep them independent of the BLAS thread count, and each strategy's
+    weighted values are summed pairwise.  The block sums are then summed
+    pairwise in order, so the rounding stays within expectation's
+    log2(n) * 2^-52 * sum |w * v|, plus the fold's (K + 2) 2^-53
+    sum_i |phi_i| (|eps_i| + |shift_i|) per payoff.
     """
     k = phis.shape[1]
-    buf = np.empty(k * min(ROW_BLOCK, s.n))
+    E = _raw_draws(s, k)
+    step = max(1, _WALK_PAYOFFS // min(ROW_BLOCK, s.n))
+    groups = np.split(phis, range(step, len(phis), step))
     blocks = []
     for start in range(0, s.n, ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
-        draws = s.draws[rows, :k]
-        X = _centered(draws, shift[:k], buf[:draws.size].reshape(draws.shape[::-1]))
         w = s.weights[rows]
-        sums = []
-        for v in values(_payoffs(X, phis)):
-            v *= w
-            sums.append(np.sum(v, axis=1))
-        blocks.append(np.stack(sums))
+        parts = []
+        for group in groups:
+            sums = []
+            for v in values(_payoffs(E[:, rows], group, shift[:k])):
+                v *= w
+                sums.append(np.sum(v, axis=1))
+            parts.append(np.stack(sums))
+        blocks.append(np.concatenate(parts, axis=1))
     return np.sum(np.stack(blocks, axis=-1), axis=-1)
 
 

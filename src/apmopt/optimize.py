@@ -9,16 +9,20 @@ sup_phi E[u(phi X)] bisects its derivative in one lane, and
 H formed there or held from the last step (Newton-chord), and Armijo
 backtracking picks the step.  The K-coordinate problem runs it on the
 scenario expectation of u(V(phi)), with X = eps - b the centred noise.
-On sampled and row sets the line search's payoffs v = X @ phi at the
-accepted step feed the next pass, which reduces X.T a for the gradient
-and, when asked, X.T diag(c) X for the Hessian.  Those sets hold X
-transposed, as a C-ordered (K, n) matrix whose rows are the centred
-coordinates, and form v and both reductions in fixed-order blocks of
-scenarios and panels of at most PANEL coordinates (``_row_blocks``), so
-the result does not depend on the BLAS thread count at any K.  An exact
-enumeration takes that row path too, on its rows, unless it runs in
-product form (``_product_form``, the one rule, which the Hoelder chain
-and the exponential-moment cap read as well); then X is never formed.
+On sampled and row sets X is never formed: the loop reads the raw draws
+as E, a C-ordered (K, n) matrix whose rows are the coordinates
+(``_raw_draws``: a view of a sample's draws, one copy of a C-ordered row
+set's), and folds the shift b into each product.  The line search's
+payoffs v = phi @ E - phi . b at the accepted step feed the next pass,
+which reduces X a = E a - b sum(a) for the gradient and, when asked,
+X diag(c) X.T = E diag(c) E.T - (E c) b.T - b (E c).T + sum(c) b b.T
+for the Hessian.  v and both reductions are formed in fixed-order blocks
+of scenarios and panels of at most PANEL coordinates (``_payoffs``,
+``_row_blocks``), so the result does not depend on the BLAS thread count
+at any K.  An exact enumeration takes that row path too, on its rows,
+unless it runs in product form (``_product_form``, the one rule, which
+the Hoelder chain and the exponential-moment cap read as well); then
+its rows are never built.
 The grid reads as an (H, T) matrix on the split the Hoelder chain takes,
 heads by a tile of trailing coordinates, and a payoff is a head's plus a
 tile point's, h + t.  Each value call sorts the tile and sums u over
@@ -203,11 +207,13 @@ class SolverConfig:
             raise ValueError(f"ladder levels {list(self.ladder)} must be strictly increasing")
 
 
-def _centered(draws: np.ndarray, shift: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """X = draws - shift for (n, K) draws, transposed into out: a C-ordered
-    (K, n) matrix whose row i is coordinate i's centred column, from draws
-    in either memory order (a column-major sample copies contiguously)."""
-    return np.subtract(draws.T, shift[:, None], out=out)
+def _raw_draws(s: ScenarioSet, k: int) -> np.ndarray:
+    """The first k coordinates of the rows of s, uncentred, as a C-ordered
+    (k, n) matrix E whose row i is coordinate i: a view of a sample's
+    column-major draws, and one copy of a C-ordered row set's.  Every
+    block of columns of E is then read with the same strides, whatever
+    the draws' memory order, so both orders give the same bits."""
+    return np.ascontiguousarray(s.draws[:, :k].T)
 
 
 def _expected_u(u: Utility, w: np.ndarray, v: np.ndarray, out=None) -> float:
@@ -217,20 +223,27 @@ def _expected_u(u: Utility, w: np.ndarray, v: np.ndarray, out=None) -> float:
     return float(np.sum(uv))
 
 
-def _payoffs(X: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """phis @ X for the (K, n) matrix X and one strategy (K,) or several
-    (T, K), one product per block of columns: of ROW_BLOCK columns, then
-    the rest in power-of-two widths.  OpenBLAS splits a threaded gemv or
-    gemm of this shape over its columns, and a ragged width (50 001, say)
-    splits unevenly and changes the last bits, while a power of two splits
-    alike over 1 and 2 threads."""
-    n = X.shape[1]
+def _payoffs(E: np.ndarray, phis: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """phis @ X with X = E - shift[:, None] for the (K, n) matrix E and
+    one strategy (K,) or several (T, K).  The shift is folded in: phis @ E,
+    one product per block of columns, of ROW_BLOCK columns, then the rest
+    in power-of-two widths, less phis . shift, summed by numpy.  OpenBLAS
+    splits a threaded gemv or gemm of this shape over its columns, and a
+    ragged width (50 001, say) splits unevenly and changes the last bits,
+    while a power of two splits alike over 1 and 2 threads.
+
+    Each v_j is within (K + 2) 2^-53 sum_i |phi_i| (|E_ij| + |shift_i|)
+    of the exact phi . (E_j - shift), where centring first would give
+    (K + 1) 2^-53 sum_i |phi_i| |E_ij - shift_i|: the two differ only
+    where a shift cancels its coordinate's draws."""
+    n = E.shape[1]
     v = np.empty(phis.shape[:-1] + (n,))
     start = 0
     while start < n:
         width = min(ROW_BLOCK, 1 << ((n - start).bit_length() - 1))
-        np.matmul(phis, X[:, start:start + width], out=v[..., start:start + width])
+        np.matmul(phis, E[:, start:start + width], out=v[..., start:start + width])
         start += width
+    v -= np.add.reduce(phis * shift, axis=-1)[..., None]
     return v
 
 
@@ -242,45 +255,66 @@ def saa_gradient(u: Utility, X: np.ndarray, w: np.ndarray, phi: np.ndarray) -> n
     return X.T @ (w * eval_u_prime(u, X @ phi))
 
 
-def _row_blocks(X: np.ndarray, a: np.ndarray | None, c: np.ndarray | None,
-                buf: np.ndarray | None = None):
-    """(X @ a, X diag(c) X.T) for the (K, n) matrix X and c >= 0,
-    accumulated over blocks of ROW_BLOCK columns of X in order, so the sums
-    do not depend on the BLAS thread count.  With a or c None that half is
-    None and is not formed; each half's sweep is the same alone as with
-    the other, bit for bit.  The second is a sum of S_b @ S_b.T with
-    S_b = X_b sqrt(c_b), written with sqrt(c_b) into buf, of at least
-    (K + 1) min(n, ROW_BLOCK) values (default: a new one); a block whose c
-    is all zero adds only zeros there and is skipped.  Both are formed on
-    panels of at most PANEL rows of X_b and S_b: numpy runs a panel's own
-    product with itself as a syrk, and the upper panel pairs' products are
-    mirrored once at the end."""
-    K, n = X.shape
-    panels = [slice(i, i + PANEL) for i in range(0, K, PANEL)]
+def _row_blocks(E: np.ndarray, a: np.ndarray | None, c: np.ndarray | None,
+                shift: np.ndarray | None = None, buf: np.ndarray | None = None):
+    """(X @ a, X diag(c) X.T) with X = E - shift[:, None] for the (K, n)
+    matrix E and c >= 0 (X = E with no shift), accumulated over blocks of
+    ROW_BLOCK columns of E in order, so the sums do not depend on the BLAS
+    thread count.  With a or c None that half is None and is not formed;
+    each half's sweep is the same alone as with the other, bit for bit.
+    The second is a sum of S_b @ S_b.T, where S_b holds E_b sqrt(c_b) over
+    the row sqrt(c_b), written into buf, of at least (K + 1) min(n,
+    ROW_BLOCK) values (default: a new one); a block whose c is all zero
+    adds only zeros there and is skipped.  Both are formed on panels of at
+    most PANEL rows of E_b and S_b: numpy runs a panel's own product with
+    itself as a syrk, and the upper panel pairs' products are mirrored
+    once at the end.
+
+    The shift is folded in: X a = E a - shift sum(a), and with it S_b
+    keeps its last row, so the sum also gives E c and sum(c), and
+    X diag(c) X.T = E diag(c) E.T - (E c) shift.T - shift (E c).T
+    + sum(c) shift shift.T, added so that it stays symmetric.  Entry i of
+    the first is then within (min(n, ROW_BLOCK) + n / ROW_BLOCK + 2)
+    2^-53 sum_j |a_j| (|E_ij| + |shift_i|) of its exact value, and entry
+    (i, k) of the second within (min(n, ROW_BLOCK) + n / ROW_BLOCK + 10)
+    2^-53 sum_j c_j (|E_ij| + |shift_i|) (|E_kj| + |shift_k|); with no
+    shift, |E| alone stands in those sums."""
+    K, n = E.shape
     g = G = None
     if a is not None:
         g = np.zeros(K)
         for start in range(0, n, ROW_BLOCK):
             cols = slice(start, start + ROW_BLOCK)
-            for p in panels:
-                g[p] += X[p, cols] @ a[cols]
+            for i in range(0, K, PANEL):
+                g[i:i + PANEL] += E[i:i + PANEL, cols] @ a[cols]
+        if shift is not None:
+            g -= shift * np.sum(a)
     if c is not None:
-        G = np.zeros((K, K))
+        k = K + (shift is not None)  # the row sqrt(c) joins the products
+        panels = [slice(i, i + PANEL) for i in range(0, k, PANEL)]
+        G = np.zeros((k, k))
         if buf is None:
             buf = np.empty((K + 1) * min(n, ROW_BLOCK))
         for start in range(0, n, ROW_BLOCK):
             cols = slice(start, start + ROW_BLOCK)
             if not c[cols].any():
                 continue
-            Xb = X[:, cols]
-            root = np.sqrt(c[cols], out=buf[Xb.size:Xb.size + Xb.shape[1]])
-            S = np.multiply(Xb, root, out=buf[:Xb.size].reshape(Xb.shape))
+            Eb = E[:, cols]
+            S = buf[:(K + 1) * Eb.shape[1]].reshape(K + 1, Eb.shape[1])
+            np.sqrt(c[cols], out=S[K])
+            np.multiply(Eb, S[K], out=S[:K])
+            S = S[:k]
             for i, p in enumerate(panels):
                 for q in panels[i:]:
                     G[p, q] += S[p] @ S[q].T
         for i, p in enumerate(panels):
             for q in panels[i + 1:]:
                 G[q, p] = G[p, q].T
+        if shift is not None:
+            cross = np.multiply.outer(G[:K, K], shift)
+            total = G[K, K]
+            G = G[:K, :K] - (cross + cross.T)
+            G += total * np.multiply.outer(shift, shift)
     return g, G
 
 
@@ -488,7 +522,9 @@ def _grid_value(u: Utility, xs, probs):
     (``_tile_split``).  sums() gives (r, s), the first one's row sums, one
     per head, and column sums, one per tile point.  curvature(tiles) gives
     the second one's (r, s, q), with q[j] its row sums against tile
-    coordinate j of the (kt, T) tile design tiles (``_grid_pass``).
+    coordinate j of the (kt, T) tile design tiles (``_grid_pass``); where
+    u'' = 0 everywhere (a table, ``_Kernels.curved``) curvature is None
+    and no u'' runs.
 
     Each value call forms the payoffs V = h + t of the heads h and of the
     tile t (``_grid_payoffs``), sorts the tile once (``_sorted_tile``) and
@@ -584,6 +620,9 @@ def _grid_value(u: Utility, xs, probs):
                 cols += slope * np.cumsum(np.bincount(rise, wh, t.size + 1)[:0:-1])[::-1]
             return _scatter(fp, wh, heads, H), _scatter(cols, wt, order, T)
 
+        if not kernels.curved:
+            return float(np.sum(fu)), (p, sums, None)
+
         def curvature(tiles):
             cols = np.zeros(t.size)
             rows = tiles[:, order] if lead else tiles[:0]
@@ -610,9 +649,8 @@ def _grid_pass(xs):
     -heads diag(r) heads.T and -tiles diag(s) tiles.T by ``_row_blocks``,
     and the block across heads and tile as -heads @ q[j] for each tile
     coordinate j, a ``_row_blocks`` gemv each.  At p = 0 it returns the
-    zero matrix with no pass, since u''(0) = 0 for every utility kind,
-    and where r is all zero (a table, whose u'' is 0) the zero matrix with
-    no reduction."""
+    zero matrix with no pass, since u''(0) = 0 for every utility kind, and
+    so it does for a table, whose u'' is 0 everywhere (curvature None)."""
     lead, _ = _tile_split(xs)
     heads = _grid_payoffs(xs[:lead], np.eye(lead))
     tiles = _grid_payoffs(xs[lead:], np.eye(len(xs) - lead))
@@ -624,11 +662,9 @@ def _grid_pass(xs):
 
         def hessian():
             G = np.zeros((p.size, p.size))
-            if not p.any():
+            if curvature is None or not p.any():
                 return G
             r, s, q = curvature(tiles)
-            if not r.any():  # a table: u'' = 0
-                return G
             G[:lead, :lead] = _row_blocks(heads, None, r)[1]
             G[lead:, lead:] = _row_blocks(tiles, None, s)[1]
             for j, qj in enumerate(q):
@@ -647,13 +683,14 @@ def _newton_pass(u: Utility, blocks, w: np.ndarray, p: np.ndarray,
     kind.  a and c are buffers of v's length: w u'(v) is written into a,
     and the callable writes -w u''(v) into c, so v must not change before
     it runs.  At p = 0 the callable returns the zero matrix with no pass,
-    since u''(0) = 0 for every utility kind."""
+    since u''(0) = 0 for every utility kind, and so it does for a table,
+    whose u'' is 0 everywhere (``_Kernels.curved``)."""
     eval_u_prime(u, v, out=a)
     a *= w
     g, _ = blocks(a, None)
 
     def hessian():
-        if not p.any():
+        if not (u._kernels.curved and p.any()):
             return np.zeros((p.size, p.size))
         curv = eval_u_second(u, v, out=c)
         curv *= w
@@ -714,20 +751,24 @@ def _damped_newton(step_pass, value, x: np.ndarray, done, max_iter: int,
     return x, f, g, aux, steps
 
 
-def _tilt(X: np.ndarray, w: np.ndarray, lam: np.ndarray):
+def _tilt(E: np.ndarray, shift: np.ndarray, w: np.ndarray, lam: np.ndarray):
     """L(lam) = log sum_j w_j exp(x_j . lam), max-shifted, and the tilted
-    weights y = w e^{z} / sum(w e^{z}), with z = lam @ X for the (K, n)
-    matrix X."""
-    z = _payoffs(X, lam)
+    weights y = w e^{z} / sum(w e^{z}), with z = lam @ X for X = E -
+    shift[:, None], the (K, n) matrix E less the shift, folded into z
+    (``_payoffs``)."""
+    z = _payoffs(E, lam, shift)
     zmax = float(z.max())
     e = w * np.exp(z - zmax)
     total = float(np.sum(e))
     return zmax + math.log(total), e / total
 
 
-def _no_arbitrage_certificate(X: np.ndarray, w: np.ndarray) -> bool:
+def _no_arbitrage_certificate(E: np.ndarray, shift: np.ndarray, w: np.ndarray) -> bool:
     """True if no phi with ||phi||_inf <= 1 and phi @ X >= 0 reaches 1e-9
-    on any column of the (K, n) matrix X, that is, on any scenario.
+    on any column of X = E - shift[:, None], that is, on any scenario,
+    for the (K, n) matrix E of raw draws.  X is not formed: the shift is
+    folded into z and into r and the Hessian below (``_payoffs``,
+    ``_row_blocks``), within their error bounds.
 
     Minimizes the convex L(lam) = log sum_j w_j exp(x_j . lam) (Rogers
     1994) from lam = 0 by running the solver's loop on -L, with gradient
@@ -741,18 +782,18 @@ def _no_arbitrage_certificate(X: np.ndarray, w: np.ndarray) -> bool:
     (after at most 50 passes) means undecided.
     """
     def neg_log_mass(lam):
-        L, y = _tilt(X, w, lam)
+        L, y = _tilt(E, shift, w, lam)
         return -L, y
 
     def rogers_pass(y):
-        r, _ = _row_blocks(X, y, None)
-        return -r, lambda: np.outer(r, r) - _row_blocks(X, None, y)[1], y
+        r, _ = _row_blocks(E, y, None, shift)
+        return -r, lambda: np.outer(r, r) - _row_blocks(E, None, y, shift)[1], y
 
     def bound_small(g, y):
         return float(np.abs(g).sum()) < 1e-9 * float(y.min())
 
     _, _, g, y, _ = _damped_newton(rogers_pass, neg_log_mass,
-                                   np.zeros(X.shape[0]), bound_small,
+                                   np.zeros(E.shape[0]), bound_small,
                                    max_iter=49, slack=1e-14)  # <= 50 passes
     return bound_small(g, y)
 
@@ -778,7 +819,9 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
     runs over the first K of the set's own laws' supports: the level's
     grid points, weighted by the product of those K laws' probabilities,
     stand for the duplicated rows, and no centred copy of the draws is
-    made.  Any other set, an exact one included, is solved on its rows:
+    made.  Any other set, an exact one included, is solved on its rows,
+    uncentred (``_raw_draws``: a sample's are read in place), with the
+    shift b folded into every product (``_payoffs``, ``_row_blocks``):
     two n-length buffers live as long as the solve, one holds w u'(v) and
     the other w u''(v) and the line search's w u(v), since w u''(v) is dead
     once the Hessian is formed.  In product form no n-length array is
@@ -812,13 +855,13 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
         value = _grid_value(u, xs, [p for _, p in laws])
         step_pass = _grid_pass(xs)
     else:
-        X = _centered(s.draws[:, :K], model.b[:K], np.empty((K, s.n)))
+        E, b = _raw_draws(s, K), model.b[:K]
         w = s.weights
         a_buf, c_buf = np.empty(s.n), np.empty(s.n)
-        blocks = lambda a, c: _row_blocks(X, a, c)
+        blocks = lambda a, c: _row_blocks(E, a, c, b)
 
         def value(p):
-            v = _payoffs(X, p)
+            v = _payoffs(E, p, b)
             return _expected_u(u, w, v, c_buf), (p, v)
         step_pass = lambda memo: _newton_pass(u, blocks, w, *memo, a_buf, c_buf)
     phi, f, g, _, it = _damped_newton(
@@ -890,6 +933,9 @@ def detect_unbounded(model: MarketModel, s: ScenarioSet,
       nonnegativity on the first direction_budget scenarios (the budget
       caps only this fallback).  scipy is imported for it alone.
 
+    The sampled deciders read the raw draws (``_raw_draws``) and fold b
+    into their products; only the LP's own rows are centred.
+
     A returned witness is checked on every scenario, so it is valid on the
     whole set; the LP's "not found" is not a proof of absence beyond the
     scenario budget.
@@ -903,19 +949,19 @@ def detect_unbounded(model: MarketModel, s: ScenarioSet,
                 phi = np.zeros(K)
                 phi[i] = 1.0 if x.max() > 0 else -1.0
                 # the rows' payoffs under +-e_i are coordinate i's points
-                if _pays_off(x[None, :], phi[i:i + 1]):
+                if _pays_off(pts[None, :], model.b[i:i + 1], phi[i:i + 1]):
                     return True, phi
         return False, None
-    X_all = _centered(s.draws[:, :K], model.b, np.empty((K, s.n)))
-    if s.weights.min() > 0 and _no_arbitrage_certificate(X_all, s.weights):
+    E, b = _raw_draws(s, K), model.b
+    if s.weights.min() > 0 and _no_arbitrage_certificate(E, b, s.weights):
         return False, None
     # imported here so that apmopt loads scipy only for this fallback
     from scipy.optimize import linprog
 
-    X = X_all[:, :direction_budget].T
+    X = (E[:, :direction_budget] - b[:, None]).T
     res = linprog(-X.sum(axis=0), A_ub=-X, b_ub=np.zeros(X.shape[0]),
                   bounds=[(-1.0, 1.0)] * K, method="highs")
-    if res.status == 0 and _pays_off(X_all, res.x):
+    if res.status == 0 and _pays_off(E, b, res.x):
         return True, res.x
     return False, None
 
@@ -926,8 +972,9 @@ def _require_width(model: MarketModel, s: ScenarioSet) -> None:
         raise ValueError(f"scenario set has {s.K} coordinates; the market has K={model.K}")
 
 
-def _pays_off(X: np.ndarray, phi: np.ndarray) -> bool:
-    """phi @ X is >= 0 on every column of the (K, n) matrix X (to -1e-12)
-    and > 1e-9 on some."""
-    vals = _payoffs(X, phi)
+def _pays_off(E: np.ndarray, shift: np.ndarray, phi: np.ndarray) -> bool:
+    """phi @ X is >= 0 on every column of X = E - shift[:, None] (to
+    -1e-12) and > 1e-9 on some, for the (K, n) matrix E of raw draws; the
+    shift is folded into the payoffs (``_payoffs``)."""
+    vals = _payoffs(E, phi, shift)
     return bool(vals.min() >= -1e-12 and vals.max() > 1e-9)

@@ -126,10 +126,12 @@ def _seed(seed, bits: int) -> int:
     return seed
 
 
-def _uniform_block(seed: int, block: int, count: int, K: int) -> np.ndarray:
+def _uniform_block(seed: int, block: int, out: np.ndarray) -> np.ndarray:
+    """out, a C-ordered (count, K) array, filled with the uniforms of key
+    block ``block``: the same stream, byte for byte, as a new
+    ``gen.random((count, K))``."""
     key = (seed << 64) | block
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random((count, K))
+    return np.random.Generator(np.random.Philox(key=key)).random(out=out)
 
 
 def sample_scenarios(model: MarketModel, n: int, seed: int) -> ScenarioSet:
@@ -139,17 +141,22 @@ def sample_scenarios(model: MarketModel, n: int, seed: int) -> ScenarioSet:
     Philox stream keyed by (seed, j // block) and each row consumes exactly
     K draws, so any partition of [0, n) reproduces the same rows.  The rows
     are stored column-major: ``draws`` is the transpose of a C-ordered
-    (K, n) array, filled one contiguous coordinate at a time.  A seed
-    that is not an integer in [0, 2**64) is refused with a ValueError.
+    (K, n) array, filled one contiguous coordinate at a time, which the
+    solver and the row walks read in place.  Every key block's uniforms
+    go through one reused (min(block, n), K) buffer, so besides the rows
+    themselves the sampler holds one block of uniforms and one column of
+    a block's quantiles.  A seed that is not an integer in [0, 2**64) is
+    refused with a ValueError.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     seed = _seed(seed, 64)
     K = model.K
     cols = np.empty((K, n))
+    buf = np.empty((min(_BLOCK, n), K))
     for start in range(0, n, _BLOCK):
         count = min(_BLOCK, n - start)
-        u = _uniform_block(seed, start // _BLOCK, count, K)
+        u = _uniform_block(seed, start // _BLOCK, buf[:count])
         for k, dist in enumerate(model.noise):
             cols[k, start:start + count] = dist.ppf(u[:, k])
     weights = np.full(n, 1.0 / n)

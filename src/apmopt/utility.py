@@ -14,8 +14,10 @@ Built-in kinds:
 
 Each kind has one builder (``_BUILDERS``) that checks its parameters and
 returns its kernel set: the per-chunk kernels of u, u', u'', u's gain
-and loss sides for the Hoelder chain, u's growth exponent above 0, and
-the loss side's slope where that side is linear.
+and loss sides for the Hoelder chain, u's growth exponent above 0, the
+loss side's slope where that side is linear, and whether u'' can be
+nonzero at all (a table's is 0 everywhere, so the solver forms its
+Hessian as the zero matrix without running u'').
 ``Utility.__post_init__`` runs it once, when the utility is made, and is
 the one place that reads ``kind``.  So alpha outside (0,1), or a table
 with fewer than two points, unequal lengths, a non-finite node or xs that
@@ -111,6 +113,7 @@ class _Kernels(NamedTuple):
     loss: Callable    # the same where every Y <= 0
     growth: float     # u grows like x**growth as x -> +inf
     loss_slope: float | None  # a where loss is u(Y) = a Y, else None
+    curved: bool      # False where u'' = 0 everywhere (a table)
 
 
 @dataclass(frozen=True)
@@ -230,7 +233,7 @@ def _appendix_power_kernels(u: Utility) -> _Kernels:
     def loss(yc, out, tmp):
         # u's x <= 0 term a Y on Y <= 0, -0.0 included
         np.multiply(yc, a, out=out)
-    return _Kernels(value, prime, second, gain, loss, a, a)
+    return _Kernels(value, prime, second, gain, loss, a, a, True)
 
 
 def _tabulated_kernels(u: Utility) -> _Kernels:
@@ -272,7 +275,7 @@ def _tabulated_kernels(u: Utility) -> _Kernels:
     def second(xc, out, tmp):
         out.fill(0.0)
 
-    return _Kernels(value, prime, second, value, value, 0.0, None)
+    return _Kernels(value, prime, second, value, value, 0.0, None, False)
 
 
 _BUILDERS = {"appendix_power": _appendix_power_kernels,

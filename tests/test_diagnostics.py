@@ -478,8 +478,13 @@ class TestHolderChain:
         strategies[0] = 0.0
         out = holder_chain_check(model, build_tilted_measure(model), u, strategies, s)
         assert len(out["margins"]) == 20
-        assert sum(shape[1] for shape in blocks) == s.n
-        assert all(shape[0] == 20 for shape in blocks)
+        # each block of rows once per group of strategies: at most 16 on
+        # full blocks, all 20 at once on the 8 rows of the small set
+        groups = [20] if s.n < ROW_BLOCK else [16, 4]
+        assert [shape[0] for shape in blocks] == groups * -(-s.n // ROW_BLOCK)
+        rows = [shape[1] for shape in blocks[::len(groups)]]
+        assert sum(rows) == s.n
+        assert all(shape[1] == rows[i // len(groups)] for i, shape in enumerate(blocks))
 
     @pytest.mark.parametrize("u", BOUNDED_UTILITIES,
                              ids=["appendix_power", "tabulated_u0_nonzero"])

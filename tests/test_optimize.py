@@ -14,7 +14,8 @@ from apmopt import (ArbitrageError, DiscretePayoff, ScenarioSet, SolverConfig,
                     optimize_single_asset, optimize_truncated, rademacher,
                     sample_scenarios, standardized_two_point,
                     standardized_uniform, tabulated, truncation_ladder)
-from apmopt import GrowthBounds, build_tilted_measure, diagnostics, optimize
+from apmopt import (GrowthBounds, build_tilted_measure, diagnostics, measure_moments, optimize,
+                    verify_pricing)
 from apmopt.scenarios import ENUMERATION_CAP
 from apmopt.optimize import OneSidedPayoffError, saa_gradient, saa_objective
 from conftest import rademacher_market, row_set, scaled_utility, stdout_per_blas_thread_count
@@ -191,13 +192,15 @@ class TestTruncated:
         assert res.value == 0.0
 
     def test_step_too_small_to_move_phi_stops(self):
-        # near ||g|| ~ 2e-11 the objective cannot register the Newton step's
-        # gain, so backtracking shrinks the step until phi stops moving
-        model = build_market(1, 1, mu=[-0.7], beta=[], beta_bar=[1.0],
+        # near ||g|| ~ 2e-10 the objective cannot register the Newton step's
+        # gain, so backtracking shrinks the step until phi stops moving.
+        # grad_tol lies far below the gradient norms that rounding leaves
+        # here, so that exit, not convergence, ends the solve
+        model = build_market(1, 1, mu=[-0.1], beta=[], beta_bar=[1.0],
                              noise=standardized_two_point(0.3))
         res = optimize_truncated(model, appendix_power(0.3), None,
                                  enumerate_scenarios(model),
-                                 SolverConfig(grad_tol=1e-15))
+                                 SolverConfig(grad_tol=1e-300))
         assert not res.converged and res.iterations < 50
         assert res.grad_norm < 1e-9
 
@@ -331,9 +334,10 @@ class TestRowBlocks:
                 f"for K in {tuple(Ks)}:\n"
                 "    gen = np.random.Generator(np.random.Philox(key=K))\n"
                 "    X = gen.standard_normal((K, 3 * optimize.ROW_BLOCK + 17))\n"
-                "    g, G = optimize._row_blocks(X, X[0], np.abs(X[-1]))\n"
-                "    v = optimize._payoffs(X, X[:, 0])\n"
-                "    V = optimize._payoffs(X, gen.uniform(-1.0, 1.0, (25, K)))\n"
+                "    b = gen.uniform(-1.0, 1.0, K)\n"
+                "    g, G = optimize._row_blocks(X, X[0], np.abs(X[-1]), b)\n"
+                "    v = optimize._payoffs(X, X[:, 0], b)\n"
+                "    V = optimize._payoffs(X, gen.uniform(-1.0, 1.0, (25, K)), b)\n"
                 "    h = hashlib.sha256(g.tobytes() + G.tobytes() + v.tobytes() + V.tobytes())\n"
                 "    print(K, h.hexdigest())\n")
         return stdout_per_blas_thread_count(code)
@@ -578,6 +582,78 @@ class TestGridHessian:
         self.check(xs, probs, appendix_power(0.5), gen.uniform(-1.0, 1.0, len(sizes)))
 
 
+class TestFold:
+    """The row path never centres the draws: it reads them raw, as E, and
+    folds the shift b into each product.  An oracle that centres E in
+    extended precision holds each product to its docstring's bound."""
+
+    @staticmethod
+    def inputs(K, n, law, seed):
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        if law == "edge":  # every drift 0.02 below its law's up point 0.42
+            up, down = standardized_two_point(0.85).points
+            E = np.where(gen.random((K, n)) < 0.85, up, down)
+            b = np.full(K, 0.4)
+        else:
+            E = gen.standard_normal((K, n)) * gen.uniform(0.1, 3.0, (K, 1))
+            b = gen.uniform(-2.0, 2.0, K)
+        c = gen.uniform(0.0, 2.0, n) * (gen.random(n) < 0.9)  # some zeros
+        return gen, E, b, gen.uniform(-3.0, 3.0, K), gen.standard_normal(n), c
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 6), st.sampled_from([1, 5, 300, optimize.ROW_BLOCK + 7]),
+           st.sampled_from(["normal", "edge"]), st.integers(0, 2 ** 32 - 1))
+    @example(1, optimize.ROW_BLOCK + 7, "edge", 0)
+    @example(6, 300, "edge", 1)
+    def test_folded_products_within_their_bounds(self, K, n, law, seed):
+        gen, E, b, phi, a, c = self.inputs(K, n, law, seed)
+        ld = np.longdouble
+        X = E.astype(ld) - b.astype(ld)[:, None]
+        # the fold's unit roundoff, plus the oracle's own
+        unit = 2.0 ** -53 + float(np.finfo(ld).eps)
+        mag = np.abs(E) + np.abs(b)[:, None]  # |E_ij| + |b_i|
+        steps = min(n, optimize.ROW_BLOCK) + n / optimize.ROW_BLOCK
+        v = optimize._payoffs(E, phi, b)
+        assert np.all(np.abs(v - phi.astype(ld) @ X) <= (K + 2) * unit * (np.abs(phi) @ mag))
+        g, G = optimize._row_blocks(E, a, c, b)
+        assert np.all(np.abs(g - X @ a.astype(ld)) <= (steps + 2) * unit * (mag @ np.abs(a)))
+        assert np.all(np.abs(G - (X * c.astype(ld)) @ X.T)
+                      <= (steps + 10) * unit * ((mag * c) @ mag.T))
+        assert np.array_equal(G, G.T)
+        # the certificate at a tilt lam: log E[exp(lam . X)] from its z,
+        # and r = X y at its tilted weights y
+        lam = gen.uniform(-1.0, 1.0, K)
+        w = np.full(n, 1.0 / n)
+        L, y = optimize._tilt(E, b, w, lam)
+        z = lam.astype(ld) @ X
+        z_err = float(np.max((K + 2) * unit * (np.abs(lam) @ mag)))
+        exact_L = z.max() + np.log(np.sum(w * np.exp(z - z.max())))
+        assert abs(L - exact_L) <= 3 * z_err + (n + 4) * unit * (1 + abs(L))
+        r, _ = optimize._row_blocks(E, y, None, b)
+        assert np.all(np.abs(r - X @ y.astype(ld)) <= (steps + 2) * unit * (mag @ y))
+
+    def test_memory_order_gives_the_same_bits(self):
+        # a sample's column-major draws and their C-ordered twin: the solve,
+        # the certificate, and the walks over 20 strategies (groups of 16
+        # and 4) read the same (K, n) matrix, a view or a copy
+        model = rademacher_market([0.4 / i for i in range(1, 7)])
+        s = sample_scenarios(model, 3 * optimize.ROW_BLOCK + 17, 5)
+        twin = ScenarioSet(np.ascontiguousarray(s.draws), s.weights, s.provenance)
+        assert s.draws.flags.f_contiguous and twin.draws.flags.c_contiguous
+        u = appendix_power(0.5, GrowthBounds(0.5, 1.5, 1.0, 1.0))
+        Q = build_tilted_measure(model)
+        strategies = diagnostics.random_strategies(model.K, 20, 2.0, 7)
+        runs = []
+        for t in (s, twin):
+            level = optimize_truncated(model, u, 4, t)
+            holder = diagnostics.holder_chain_check(model, Q, u, strategies, t)
+            exp_cap = diagnostics.exp_ui_bound(model, t, 1.0, 20, 3)
+            runs.append((level.phi_star.tobytes(), level.value, level.grad_norm,
+                         level.iterations, detect_unbounded(model, t)[0],
+                         holder["margins"], exp_cap["measurements"]))
+        assert runs[0] == runs[1]
+
+
 class TestStackedPayoffs:
     @settings(deadline=None, max_examples=60)
     @given(product_supports(), st.integers(0, 5), st.integers(0, 2 ** 32 - 1))
@@ -739,25 +815,30 @@ class TestProductPass:
             rows.phi_star)
         assert prod.value == pytest.approx(rows.value, rel=1e-12)
 
-    def test_exact_sets_never_form_the_centred_matrix(self, market_k3, monkeypatch):
-        # a set in product form, at a level with heads and at one without;
-        # the closed-form arbitrage decider on any exact set
+    def test_product_form_builds_neither_rows_nor_weights(self, market_k3):
+        # a set in product form, solved at a level with heads and at one
+        # without, its arbitrage decided in closed form, and its measure,
+        # exp cap and Hoelder chain checked: none reads its rows or weights
         model = rademacher_market([0.2, 0.1, 0.05] + [0.02] * 13)
         s = enumerate_scenarios(model)
         assert optimize._product_form(s)
-        monkeypatch.setattr(optimize, "_centered", mock.Mock(side_effect=AssertionError))
+        u = appendix_power(0.5, GrowthBounds(0.5, 1.5, 1.0, 1.0))
         for K in (None, 2):
-            assert optimize_truncated(model, appendix_power(0.5), K, s).converged
+            assert optimize_truncated(model, u, K, s).converged
         assert detect_unbounded(model, s) == (False, None)
-        assert detect_unbounded(market_k3, enumerate_scenarios(market_k3)) == (False, None)
-        # the mock guards the path that sampled sets, and exact sets not in
-        # product form, take
+        Q = build_tilted_measure(model)
+        assert verify_pricing(Q, model, s=s)["max_residual"] <= 1e-10
+        measure_moments(Q, s)
+        diagnostics.exp_ui_bound(model, s, 1.0, 5, 1)
+        diagnostics.holder_chain_check(
+            model, Q, u, diagnostics.random_strategies(model.K, 5, 1.0, 2), s)
+        assert s._draws is None and s._weights is None
+        # an exact set not in product form builds both on its first solve
         small = enumerate_scenarios(market_k3)
-        for other in (sample_scenarios(market_k3, 100, seed=1), small):
-            with pytest.raises(AssertionError):
-                optimize_truncated(market_k3, appendix_power(0.5), 2, other)
-        with pytest.raises(AssertionError):
-            detect_unbounded(market_k3, sample_scenarios(market_k3, 100, seed=1))
+        assert detect_unbounded(market_k3, small) == (False, None)
+        assert small._draws is None
+        optimize_truncated(market_k3, u, 2, small)
+        assert small._draws is not None and small._weights is not None
         model = rademacher_market([-1.0, 0.0])
         found, phi = detect_unbounded(model, enumerate_scenarios(model))
         assert found and phi.tolist() == [1.0, 0.0]
@@ -1103,21 +1184,51 @@ class TestHessianOnDemand:
     @pytest.mark.parametrize("u", GRID_UTILITIES, ids=["appendix_power", "tabulated"])
     def test_zero_curvature_product_pass_runs_no_reduction(self, monkeypatch, u):
         # three-point laws at K = 9: 9 heads by a 2187-point tile of 7
-        # coordinates.  A table's u'' is 0, so its Hessian is the zero
-        # matrix with no reduction; appendix power's takes one per design
-        # and one per tile coordinate
+        # coordinates.  A table's u'' is 0 everywhere, so its Hessian is
+        # the zero matrix with no staircase and no reduction; appendix
+        # power's runs u'' on one staircase and takes one reduction per
+        # design and one per tile coordinate
         xs = [np.array([-1.0, 0.5, 1.0]) - b for b in np.linspace(-0.3, 0.3, 9)]
         probs = [np.array([0.25, 0.5, 0.25])] * 9
         _, memo = optimize._grid_value(u, xs, probs)(np.linspace(-1.0, 1.0, 9))
         _, hessian, _ = optimize._grid_pass(xs)(memo)
         blocks = mock.Mock(wraps=optimize._row_blocks)
+        stair = mock.Mock(wraps=optimize._staircase)
         monkeypatch.setattr(optimize, "_row_blocks", blocks)
+        monkeypatch.setattr(optimize, "_staircase", stair)
         G = hessian()
         assert G.shape == (9, 9)
         if u.kind == "tabulated":
-            assert not G.any() and blocks.call_count == 0
+            assert memo[2] is None
+            assert not G.any() and blocks.call_count == stair.call_count == 0
         else:
             assert np.all(np.diag(G) < 0) and blocks.call_count == 2 + 7
+            assert [c.args[0] for c in stair.call_args_list] == [u._kernels.second]
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["product_form", "rows"])
+    def test_table_solve_never_runs_its_second_derivative(self, monkeypatch, exact):
+        # u'' = 0 for a table, so no Hessian runs it, on either path, and
+        # every step is the one that running u'' gives, bit for bit
+        model = rademacher_market([0.4 / i for i in range(1, 17)])
+        s = enumerate_scenarios(model)
+        xs = np.linspace(-20.0, 20.0, 401)
+        u = tabulated(xs, eval_u(appendix_power(0.5), xs))
+        runs_second = tabulated(xs, eval_u(appendix_power(0.5), xs))
+        object.__setattr__(runs_second, "_kernels", u._kernels._replace(curved=True))
+        want = optimize_truncated(model, runs_second, None, s if exact else row_set(s),
+                                  SolverConfig(max_iter=6))
+        second = mock.Mock(side_effect=AssertionError("u'' ran"))
+        monkeypatch.setattr(optimize, "eval_u_second", second)
+        stair = optimize._staircase
+
+        def no_second(kernel, *args):
+            assert kernel is not u._kernels.second
+            return stair(kernel, *args)
+        monkeypatch.setattr(optimize, "_staircase", no_second)
+        got = optimize_truncated(model, u, None, s if exact else row_set(s),
+                                 SolverConfig(max_iter=6))
+        assert optimize._product_form(s) and got.iterations == 6
+        assert (got.phi_star.tobytes(), got.value) == (want.phi_star.tobytes(), want.value)
 
 
 class TestNewtonOracles:
@@ -1308,7 +1419,8 @@ class TestDetectUnbounded:
         model, s = case
         X = s.draws - model.b
         lp_found = lp_finds_witness(X)
-        if optimize._no_arbitrage_certificate(np.ascontiguousarray(X.T), s.weights):
+        if optimize._no_arbitrage_certificate(optimize._raw_draws(s, model.K), model.b,
+                                              s.weights):
             assert not lp_found
         found, phi = detect_unbounded(model, s)
         assert found == lp_found
@@ -1333,8 +1445,8 @@ class TestDetectUnbounded:
         verdicts = []
         certificate = optimize._no_arbitrage_certificate
 
-        def spy(X, w):
-            verdicts.append(certificate(X, w))
+        def spy(E, shift, w):
+            verdicts.append(certificate(E, shift, w))
             return verdicts[-1]
 
         monkeypatch.setattr(optimize, "_no_arbitrage_certificate", spy)
@@ -1357,8 +1469,8 @@ class TestDetectUnbounded:
         certificate = optimize._no_arbitrage_certificate
         linprog = scipy.optimize.linprog
 
-        def spy(X, w):
-            verdicts.append(certificate(X, w))
+        def spy(E, shift, w):
+            verdicts.append(certificate(E, shift, w))
             return verdicts[-1]
 
         def counted_linprog(*args, **kwargs):
@@ -1379,7 +1491,7 @@ class TestDetectUnbounded:
         s = ScenarioSet(s0.draws, w / w.sum(), "zero weight")
         calls = []
         monkeypatch.setattr(optimize, "_no_arbitrage_certificate",
-                            lambda X, w: calls.append(1))
+                            lambda E, shift, w: calls.append(1))
         found, _ = detect_unbounded(market_k3, s)
         assert calls == []
         assert found == lp_finds_witness(s.draws - market_k3.b)

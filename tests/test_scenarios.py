@@ -406,6 +406,25 @@ class TestSampling:
         assert s.draws.shape == (n, 4) and s.draws.flags.f_contiguous
         assert s.draws.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("K", [1, 7])
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_one_buffer_keeps_every_blocks_stream(self, n, K):
+        # every key block's uniforms go through one reused buffer: the rows
+        # are those of a new gen.random((count, K)) per block, byte for byte
+        noise = [standardized_uniform(), dyadic_two_sided(0.1),
+                 finite_discrete((1.0, -2.0, 0.0), (1 / 3, 1 / 6, 1 / 2))] * 3
+        model = build_market(1, K, mu=[0.0] * K, beta=[[0.0]] * (K - 1),
+                             beta_bar=[1.0] * K, noise=noise[:K])
+        seed = 2 ** 64 - 3
+        ref = np.empty((K, n))
+        for start in range(0, n, _BLOCK):
+            count = min(_BLOCK, n - start)
+            gen = np.random.Generator(np.random.Philox(key=(seed << 64) | start // _BLOCK))
+            u = gen.random((count, K))
+            for k, dist in enumerate(model.noise):
+                ref[k, start:start + count] = dist.ppf(u[:, k])
+        assert sample_scenarios(model, n, seed).draws.T.tobytes() == ref.tobytes()
+
     def test_ppf_runs_once_per_coordinate_and_block(self, monkeypatch):
         # every draw goes through the class attribute DistributionSpec.ppf,
         # one call per coordinate and _BLOCK rows, where a wrapper counts it

@@ -15,9 +15,12 @@ The configs are the checkout's configs/*.json, perfbench's
 enumerated rows: a 4096-row tile under 128 heads) with the demo's
 `measure` section, those three markets with a 4,001-point table of
 appendix_power(0.5) on [-200, 200] in place of the utility
-(`*_tabulated`), and six variants in other noise laws or sizes
+(`*_tabulated`), and seven variants in other noise laws or sizes
 (`NOISE_VARIANTS`):
 `mc_report_101` in standardized uniform and in dyadic (q = 0.1) noise,
+and in a standardized two-point law with p = 0.85 (`*_edge`), whose up
+point 0.42 lies 0.02 above the first drift b_1 = 0.4, so the first
+coordinate's payoffs eps - b nearly cancel on most rows,
 the demo in a three-point law, the exact session's market at K = 9
 in the same law (3^9 = 19 683 enumerated rows: a 2187-point tile under
 9 heads, so the exact solver's Hessian has a block across heads and
@@ -72,6 +75,8 @@ NOISE_VARIANTS = (
      {"family": "standardized_uniform"}),
     (f"mc_report_{MC_SEED}_dyadic", f"mc_report_{MC_SEED}", None,
      {"family": "dyadic_two_sided", "q": 0.1}),
+    (f"mc_report_{MC_SEED}_edge", f"mc_report_{MC_SEED}", None,
+     {"family": "standardized_two_point", "p": 0.85}),
     ("demo_three_point", "demo", None, THREE_POINT),
     (f"exact_session_{EXACT_SEED}_three_point", f"exact_session_{EXACT_SEED}", 9, THREE_POINT),
     (f"exact_session_{EXACT_SEED}_k14", f"exact_session_{EXACT_SEED}", 14, RADEMACHER),
