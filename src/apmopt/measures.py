@@ -86,8 +86,8 @@ def _solve_tilts(dists, bs) -> list:
     TiltBracketError that solve_tilt raises in place of a lane's tilt.
     Its other errors are raised for the first law that has one.  The
     lanes' residuals g(a) = E[psi(a (eps - b)) (eps - b)] come from one
-    psi over all their points, and each is a math.fsum over its own law's
-    points."""
+    psi over all their points, and only a live lane's terms are read back,
+    as a math.fsum over its own law's points."""
     for dist, b in zip(dists, bs):
         if not dist.is_discrete:
             raise ValueError("tilt calibration needs a finite-discrete law")
@@ -103,13 +103,12 @@ def _solve_tilts(dists, bs) -> list:
     sizes = [q.size for q in pts]
     ends = np.cumsum(sizes).tolist()
     spans = [slice(e - m, e) for e, m in zip(ends, sizes)]
-    owner = np.repeat(np.arange(len(pts)), sizes)
     a = np.zeros(len(pts))
 
     def g(at, lanes):
         a[lanes] = at
-        terms = (pr * psi(a[owner] * x) * x).tolist()
-        return np.array([math.fsum(terms[spans[j]]) for j in lanes])
+        terms = pr * psi(np.repeat(a, sizes) * x) * x
+        return np.array([math.fsum(terms[spans[j]].tolist()) for j in lanes.tolist()])
 
     up = np.array([bs[i] > 0 for i in tilted])
     lo, hi = np.where(up, -TILT_BRACKET, 0.0), np.where(up, 0.0, TILT_BRACKET)

@@ -10,7 +10,8 @@ row by row, whatever its ``provenance``, which only labels the report.
 Monte Carlo rows are a pure function of (seed, row index), so results
 never depend on how the work is chunked across workers; a sampled set
 stores them column-major, one contiguous array per noise coordinate, which
-is the layout the solver's and the verification layer's row walks read.
+is the layout the solver's and the verification layer's row walks read,
+and draws their uniforms one 4096-row window at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
 
 ENUMERATION_CAP = 1_000_000
 _BLOCK = 1 << 14  # rows per Philox key block; fixed, independent of workers
+_WINDOW = 1 << 12  # rows of uniforms drawn at a time; divides _BLOCK
 
 
 class EnumerationCapError(RuntimeError):
@@ -126,14 +128,6 @@ def _seed(seed, bits: int) -> int:
     return seed
 
 
-def _uniform_block(seed: int, block: int, out: np.ndarray) -> np.ndarray:
-    """out, a C-ordered (count, K) array, filled with the uniforms of key
-    block ``block``: the same stream, byte for byte, as a new
-    ``gen.random((count, K))``."""
-    key = (seed << 64) | block
-    return np.random.Generator(np.random.Philox(key=key)).random(out=out)
-
-
 def sample_scenarios(model: MarketModel, n: int, seed: int) -> ScenarioSet:
     """n i.i.d. noise rows with equal weights.
 
@@ -142,23 +136,26 @@ def sample_scenarios(model: MarketModel, n: int, seed: int) -> ScenarioSet:
     K draws, so any partition of [0, n) reproduces the same rows.  The rows
     are stored column-major: ``draws`` is the transpose of a C-ordered
     (K, n) array, filled one contiguous coordinate at a time, which the
-    solver and the row walks read in place.  Every key block's uniforms
-    go through one reused (min(block, n), K) buffer, so besides the rows
-    themselves the sampler holds one block of uniforms and one column of
-    a block's quantiles.  A seed that is not an integer in [0, 2**64) is
-    refused with a ValueError.
+    solver and the row walks read in place.  Each key block's stream is
+    drawn in consecutive windows of ``_WINDOW`` rows through one reused
+    (min(window, n), K) buffer, the same stream, byte for byte, as one
+    ``gen.random((count, K))`` per block; so besides the rows themselves
+    the sampler holds one window of uniforms and one column of a window's
+    quantiles.  A seed that is not an integer in [0, 2**64) is refused
+    with a ValueError.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     seed = _seed(seed, 64)
-    K = model.K
-    cols = np.empty((K, n))
-    buf = np.empty((min(_BLOCK, n), K))
+    cols = np.empty((model.K, n))
+    buf = np.empty((min(_WINDOW, n), model.K))
     for start in range(0, n, _BLOCK):
-        count = min(_BLOCK, n - start)
-        u = _uniform_block(seed, start // _BLOCK, buf[:count])
-        for k, dist in enumerate(model.noise):
-            cols[k, start:start + count] = dist.ppf(u[:, k])
+        gen = np.random.Generator(np.random.Philox(key=(seed << 64) | start // _BLOCK))
+        for lo in range(start, min(start + _BLOCK, n), _WINDOW):
+            m = min(_WINDOW, n - lo)
+            u = gen.random(out=buf[:m])
+            for k, dist in enumerate(model.noise):
+                cols[k, lo:lo + m] = dist.ppf(u[:, k])
     weights = np.full(n, 1.0 / n)
     return ScenarioSet(cols.T, weights, f"monte_carlo(seed={seed}, n={n})")
 

@@ -425,6 +425,17 @@ class TestExitCodes:
             path.write_text(json.dumps(config))
             parse_config(str(path))
 
+    def test_window_variant_ends_in_a_full_window_and_one_row(self, monkeypatch):
+        # the tool imports only the standard library, so it spells out the
+        # sampler's key block and window: its variant's last key block is
+        # one full window of uniforms and then one row
+        monkeypatch.syspath_prepend(str(ROOT / "tools"))
+        import same_numbers
+        n = same_numbers.configs(str(ROOT))[f"mc_report_{same_numbers.MC_SEED}_n20481"][
+            "scenario"]["n"]
+        assert n == same_numbers.WINDOW_EDGE_ROWS
+        assert n > scenarios._BLOCK and n % scenarios._BLOCK == scenarios._WINDOW + 1
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_leaf_of_another_type_is_named_or_runs(self, data):

@@ -18,7 +18,7 @@ from apmopt import (DistributionSpec, EnumerationCapError, GrowthBounds,
                     standardized_uniform, truncation_ladder, verify_pricing)
 from apmopt import diagnostics
 from apmopt.optimize import saa_objective
-from apmopt.scenarios import _BLOCK, _product_weights
+from apmopt.scenarios import _BLOCK, _WINDOW, _product_weights
 from conftest import rademacher_market, row_set, searchsorted_ppf
 
 
@@ -406,13 +406,22 @@ class TestSampling:
         assert s.draws.shape == (n, 4) and s.draws.flags.f_contiguous
         assert s.draws.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("K", [1, 7])
-    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 5])
-    def test_one_buffer_keeps_every_blocks_stream(self, n, K):
-        # every key block's uniforms go through one reused buffer: the rows
-        # are those of a new gen.random((count, K)) per block, byte for byte
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 7])
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(1, 3 * _BLOCK + _WINDOW + 1))
+    @example(1)
+    @example(_WINDOW - 1)
+    @example(_WINDOW + 1)
+    @example(_BLOCK - 1)
+    @example(_BLOCK + 1)
+    @example(_BLOCK + _WINDOW + 1)
+    @example(3 * _BLOCK + _WINDOW + 1)
+    def test_one_buffer_keeps_every_blocks_stream(self, K, n):
+        # every key block's uniforms go through one reused window buffer:
+        # the rows are those of a new gen.random((count, K)) per block,
+        # byte for byte, wherever the block and window edges fall
         noise = [standardized_uniform(), dyadic_two_sided(0.1),
-                 finite_discrete((1.0, -2.0, 0.0), (1 / 3, 1 / 6, 1 / 2))] * 3
+                 finite_discrete((1.0, -2.0, 0.0), (1 / 3, 1 / 6, 1 / 2)), rademacher()] * 2
         model = build_market(1, K, mu=[0.0] * K, beta=[[0.0]] * (K - 1),
                              beta_bar=[1.0] * K, noise=noise[:K])
         seed = 2 ** 64 - 3
@@ -425,9 +434,9 @@ class TestSampling:
                 ref[k, start:start + count] = dist.ppf(u[:, k])
         assert sample_scenarios(model, n, seed).draws.T.tobytes() == ref.tobytes()
 
-    def test_ppf_runs_once_per_coordinate_and_block(self, monkeypatch):
+    def test_ppf_runs_once_per_coordinate_and_window(self, monkeypatch):
         # every draw goes through the class attribute DistributionSpec.ppf,
-        # one call per coordinate and _BLOCK rows, where a wrapper counts it
+        # one call per coordinate and _WINDOW rows, where a wrapper counts it
         calls = []
         ppf = DistributionSpec.ppf
 
@@ -440,8 +449,29 @@ class TestSampling:
         model = build_market(1, 3, mu=[0.1, 0.05, -0.2], beta=[[0.0]] * 2,
                              beta_bar=[1.0] * 3, noise=noise)
         sample_scenarios(model, 2 * _BLOCK + 5, seed=3)
-        assert calls == [(d.family, count) for count in (_BLOCK, _BLOCK, 5)
-                         for d in noise]
+        windows = [_WINDOW] * (2 * _BLOCK // _WINDOW) + [5]
+        assert calls == [(d.family, count) for count in windows for d in noise]
+
+    @pytest.mark.parametrize("n", [5, 3 * _BLOCK + 5])
+    def test_sampling_holds_one_window_of_uniforms(self, n):
+        # besides the draws and the weights, sampling allocates one
+        # (min(_WINDOW, n), K) buffer of uniforms and a fixed slack for one
+        # window's quantiles; a (_BLOCK, K) buffer would add 4.7 MB more,
+        # and a full window at n = 5 1.6 MB
+        K = 50
+        noise = [standardized_uniform(), dyadic_two_sided(0.1), rademacher(),
+                 finite_discrete((1.0, -2.0, 0.0), (1 / 3, 1 / 6, 1 / 2))] * 13
+        model = build_market(1, K, mu=[0.0] * K, beta=[[0.0]] * (K - 1),
+                             beta_bar=[1.0] * K, noise=noise[:K])
+        sample_scenarios(model, 1, seed=5)  # numpy.random's import, untraced
+        tracemalloc.start()
+        try:
+            s = sample_scenarios(model, n, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.draws.shape == (n, K)
+        assert peak <= (K * n + n + K * min(_WINDOW, n)) * 8 + 256 * 1024
 
     def test_seed_changes_rows(self, market_k3):
         a = sample_scenarios(market_k3, 100, seed=1)

@@ -29,6 +29,10 @@ Rademacher law, 2^14 and 2^15 rows on either side of the rule that puts
 an exact set in product form (``optimize._product_form``).  So every
 noise family, the discrete sampler's path for more than two points, and
 both paths of an exact set reach a bundle.
+`mc_report_101_n20481` cuts `mc_report_101` to 20 481 rows: one 16 384-row
+Philox key block, then one full 4096-row window of the sampler's uniforms
+and a window of one row (`mc_report_101`'s own 50 000 rows end in an
+848-row key block, shorter than a window).
 They are copied to OUT/configs, and every command runs from OUT with
 relative paths, so no output names the directory it ran in.
 
@@ -83,6 +87,9 @@ NOISE_VARIANTS = (
     (f"exact_session_{EXACT_SEED}_k15", f"exact_session_{EXACT_SEED}", 15, RADEMACHER),
 )
 
+# rows of the mc_report variant whose last key block is a full window and one row
+WINDOW_EDGE_ROWS = 16_384 + 4_096 + 1
+
 
 def power_table() -> dict:
     """appendix_power(TABLE_ALPHA) at x = -200, -199.9, ..., 200 as a
@@ -110,6 +117,9 @@ def configs(checkout: str) -> dict[str, dict]:
     for name, base, K, noise in NOISE_VARIANTS:
         model = out[base]["model"] if K is None else workloads.market_section(K)
         out[name] = {**out[base], "model": {**model, "noise": noise}}
+    mc = out[f"mc_report_{MC_SEED}"]
+    out[f"mc_report_{MC_SEED}_n{WINDOW_EDGE_ROWS}"] = {
+        **mc, "scenario": {**mc["scenario"], "n": WINDOW_EDGE_ROWS}}
     return out
 
 
