@@ -15,24 +15,23 @@ The Hoelder chain and the exponential moment read every strategy's
 payoff on every scenario row, on one of two paths, which one rule picks
 for the whole set (``optimize._product_form``, which the solver reads
 too).  An exact set with heads and more than ``optimize._PRODUCT_ROWS``
-rows runs in product form, and its rows are never built: each payoff
-splits into a sum over a tile of trailing coordinates and one over the
-leading coordinates (a head), which are independent.  With each
-strategy's tile payoffs sorted, a row h + t is above 0 exactly on a
-suffix of the tile, found by one searchsorted per head.  The Hoelder
-sums run as the staircase that the exact solver's value and gradient
-also run (``optimize._staircase``): heads sorted by that split go in
-groups, each group's rows above its smallest split form one block, and
-the side's own kernel runs on it once, so the Python work is per group
-of heads, not per head; u(0) enters through the tile weights' prefix and
-suffix sums, and a loss side that is linear (appendix power) is two
-running sums read at the split.  The exponential moment is a closed form
-over the same sorted tiles, with exp run on the tile's and the heads'
-payoffs, not on every row.  The strategies' tile payoffs are formed for
-many strategies per numpy call (``optimize._grid_payoffs``).  Every other
+rows runs in product form, and its rows are never built: it reads the
+set through the exact solver's own split (``optimize._product_splits``),
+each payoff a head's over the leading coordinates plus a tile point's
+over the trailing ones, which are independent, with each strategy's tile
+payoffs sorted, so that a row h + t is above 0 exactly on a suffix of the
+tile, found by one searchsorted per head.  The Hoelder sums are the
+solver's value's two staircase sides (``optimize._tile_sides``): heads
+sorted by that split go in groups, each group's rows above its smallest
+split form one block, and the side's own kernel runs on it once, so the
+Python work is per group of heads, not per head; u(0) enters through the
+tile weights' prefix and suffix sums, and a loss side that is linear
+(appendix power) is two running sums read at the split.  The exponential
+moment is a closed form over the same sorted tiles, with exp run on the
+tile's and the heads' payoffs, not on every row.  Every other
 set, an exact one included, is walked row by row, in fixed-order blocks
-of at most ``optimize.ROW_BLOCK`` rows, and forms at most
-``_WALK_PAYOFFS`` payoffs at a time, so its temporaries are a few blocks'
+of at most ``optimize.ROW_BLOCK`` rows, with one product per block for
+every strategy, of at most ``_WALK_PAYOFFS`` payoffs, so its temporaries are a few blocks'
 size, never a column's, and its payoffs come from the solver's kernels: a view
 of the raw draws (``optimize._raw_draws``) and gemms of power-of-two
 widths with the shift folded in (``optimize._payoffs``).
@@ -51,10 +50,9 @@ from .distributions import estimate_exp_moment, tail_probability, truncated_seco
 from .market import MarketModel, check_assumption_b, check_no_arbitrage
 from .measures import (TiltedMeasure, _coordinate_means, _density_moments, _residuals,
                        _support_factors)
-from .optimize import (_STAIR, ROW_BLOCK, _by_split, _grid_payoffs, _linear_loss, _payoffs,
-                       _product_form, _raw_draws, _require_width, _running_sums, _sorted_tile,
-                       _staircase, _tile_split)
-from .scenarios import ScenarioSet, _product_weights, _seed
+from .optimize import (ROW_BLOCK, _by_split, _payoffs, _product_form, _product_splits,
+                       _raw_draws, _require_width, _running_sums, _tile_sides)
+from .scenarios import ScenarioSet, _seed
 from .utility import Utility, _split_u, certify_growth, eval_u
 
 __all__ = [
@@ -136,72 +134,30 @@ def _strategy_sums(s: ScenarioSet, phis: np.ndarray, shift: np.ndarray,
     a block of rows; the walk weights those arrays in place.
 
     One walk over the rows of s, an exact set's included (``draws`` and
-    ``weights``, built on first read), in fixed-order blocks of ROW_BLOCK
-    rows of the raw draws (``_raw_draws``: a view of a sample's, one copy
-    of a C-ordered row set's), and on each block as many strategies at a
-    time as keep their payoffs within _WALK_PAYOFFS values (16 on a full
-    block, all of them on a small set): their payoffs come from
-    ``_payoffs``, which folds the shift in and whose power-of-two widths
-    keep them independent of the BLAS thread count, and each strategy's
-    weighted values are summed pairwise.  The block sums are then summed
-    pairwise in order, so the rounding stays within expectation's
-    log2(n) * 2^-52 * sum |w * v|, plus the fold's (K + 2) 2^-53
-    sum_i |phi_i| (|eps_i| + |shift_i|) per payoff.
+    ``weights``, built on first read), in fixed-order blocks of the raw
+    draws (``_raw_draws``: a view of a sample's, one copy of a C-ordered
+    row set's), each the largest power of two of rows at most
+    min(ROW_BLOCK, _WALK_PAYOFFS // T), so that one product per block
+    forms every strategy's payoffs (``_payoffs``, which folds the shift in
+    and whose power-of-two widths keep them independent of the BLAS thread
+    count), and each strategy's weighted values are summed pairwise.  The
+    block sums are then summed pairwise in order, so the rounding stays
+    within expectation's log2(n) * 2^-52 * sum |w * v|, plus the fold's
+    (K + 2) 2^-53 sum_i |phi_i| (|eps_i| + |shift_i|) per payoff.
     """
     k = phis.shape[1]
     E = _raw_draws(s, k)
-    step = max(1, _WALK_PAYOFFS // min(ROW_BLOCK, s.n))
-    groups = np.split(phis, range(step, len(phis), step))
+    block = 1 << (min(ROW_BLOCK, max(1, _WALK_PAYOFFS // max(1, len(phis)))).bit_length() - 1)
     blocks = []
-    for start in range(0, s.n, ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
+    for start in range(0, s.n, block):
+        rows = slice(start, start + block)
         w = s.weights[rows]
-        parts = []
-        for group in groups:
-            sums = []
-            for v in values(_payoffs(E[:, rows], group, shift[:k])):
-                v *= w
-                sums.append(np.sum(v, axis=1))
-            parts.append(np.stack(sums))
-        blocks.append(np.concatenate(parts, axis=1))
+        sums = []
+        for v in values(_payoffs(E[:, rows], phis, shift[:k])):
+            v *= w
+            sums.append(np.sum(v, axis=1))
+        blocks.append(np.stack(sums))
     return np.sum(np.stack(blocks, axis=-1), axis=-1)
-
-
-def _sorted_tiles(laws, phis: np.ndarray, shift: np.ndarray):
-    """Per strategy of phis, in order, (t, w, h, wh, k) on the product of
-    laws = [(points, probs)], the first phis.shape[1] supports less shift;
-    strategies narrower than the laws pay nothing on the other
-    coordinates.  Each payoff splits as Y = h + t over the tile of
-    trailing coordinates (``_tile_split``), h on the leading coordinates
-    and t on the tile, which are independent under the product weights.
-
-    t holds the strategy's tile payoffs, zero-probability points left out,
-    sorted (``_sorted_tile``), and w their weights; the tile payoffs are
-    formed for max(1, _STAIR // T) strategies at a time, one numpy call
-    per coordinate and step for all of them (``_grid_payoffs``).  h holds
-    its head payoffs, zero-weight heads left out, from one
-    ``_grid_payoffs`` call, wh their weights, and k their splits, the
-    number of t <= -h, by one searchsorted on -h.  A row h + t is > 0
-    exactly where t > -h, that is on t[k:]: -h is exact, and a sum of two
-    floats rounds to 0 only where it is 0.  Every temporary holds the
-    heads, the tile, or the tiles of a block of strategies.
-    """
-    k = phis.shape[1]
-    xs = [x - b for (x, _), b in zip(laws, shift[:k])] + [x for x, _ in laws[k:]]
-    full = np.zeros((len(phis), len(xs)))
-    full[:, :k] = phis
-    lead, _ = _tile_split(xs)
-    w_tile = _product_weights([p for _, p in laws[lead:]])
-    w_head = _product_weights([p for _, p in laws[:lead]])
-    live = np.flatnonzero(w_head > 0)
-    wh = w_head[live]
-    chunk = max(1, _STAIR // w_tile.size)
-    for start in range(0, len(full), chunk):
-        tiles = _grid_payoffs(xs[lead:], full[start:start + chunk, lead:])
-        for j, tile in enumerate(tiles, start):
-            _, t, w = _sorted_tile(tile, w_tile)
-            h = _grid_payoffs(xs[:lead], full[j:j + 1, :lead])[0, live]
-            yield t, w, h, wh, np.searchsorted(t, -h, side="right")
 
 
 def _product_exp_abs(laws, phis: np.ndarray) -> np.ndarray:
@@ -210,7 +166,7 @@ def _product_exp_abs(laws, phis: np.ndarray) -> np.ndarray:
     Strategies narrower than the laws pay nothing on the other
     coordinates.
 
-    On the split Y = h + t of ``_sorted_tiles``,
+    On the split Y = h + t of ``optimize._product_splits``,
 
         E[exp|Y|] = sum_h w_h (e^(h + t_max) sum_{t > -h} w_t e^(t - t_max)
                                + e^-(h + t_min) sum_{t <= -h} w_t e^(t_min - t)).
@@ -236,7 +192,8 @@ def _product_exp_abs(laws, phis: np.ndarray) -> np.ndarray:
     temporary holds the heads or the tile.
     """
     values = np.empty(len(phis))
-    for j, (t, w, h, wh, k) in enumerate(_sorted_tiles(laws, phis, np.zeros(phis.shape[1]))):
+    _, split = _product_splits([x for x, _ in laws], [p for _, p in laws])
+    for j, (_, t, w, _, h, wh, k) in enumerate(split(phis)):
         above = np.exp(t - t[-1])
         above *= w
         above = _running_sums(above[::-1])[::-1]  # above[k]: over t[k:]
@@ -259,31 +216,25 @@ def _product_sides(laws, phis: np.ndarray, shift: np.ndarray, u: Utility):
     [(points, probs)].  Strategies narrower than the laws pay nothing on
     the other coordinates.
 
-    On the split Y = h + t of ``_sorted_tiles``, the rows h + t with
+    On the split Y = h + t of ``optimize._product_splits``, the rows h + t with
     t > -h are those with Y > 0, the suffix t[k:] of the sorted tile, so
 
         E[u(Y+)] = sum_h w_h (sum_{t > -h} w_t u(h + t) + u(0) W_{t <= -h}),
         E[u(-Y-)] = sum_h w_h (sum_{t <= -h} w_t u(h + t) + u(0) W_{t > -h}),
 
     with W the tile weights' prefix and suffix sums (``_running_sums``)
-    read at the split.  The inner sums run as a staircase
-    (``_staircase``): the heads, sorted by their split (``_by_split``), go
-    in groups of g with g T about _STAIR rows, and a group with smallest
-    split k0 forms the rows h + t[k0:] as one (g, T - k0) block, runs the
-    gain kernel on its max(Y, 0) once and reduces each row of the weighted
-    block.  The rows t[k0:k] of a head with split k are <= 0 and give
-    u(0) w_t, so adding u(0) times the weight of t[:k0] (the staircase
-    gives each head's k0) gives the formula's u(0) W_{t <= -h}.  A table's
-    loss side is the mirror image: the rows h + t[:k1] up to the group's
-    largest split k1, the loss side on them, plus u(0) times the weight of
-    t[k1:].  Where u is linear on Y <= 0, u(Y) = a Y (appendix power;
-    ``_Kernels.loss_slope``), no row is evaluated there: the loss is
-    a (h W_{t <= -h} + sum_{t <= -h} w_t t), two running sums read at the
-    split (``_linear_loss``).
+    read at the split.  The inner sums are the exact solver's value's two
+    staircase sides (``optimize._tile_sides``), which count u(0) on each
+    side's rows between a head's split and its group's edge: the rows up
+    to the gain side's edge add u(0) times their weight, and a table's
+    rows from the loss side's edge on add u(0) times theirs.  Where u is
+    linear on Y <= 0 (appendix power) the loss side is two running sums
+    read at the split (``_linear_loss``), and no row is evaluated there.
 
     Every row's u(Y+), and a table's u(-Y-), is the value that the row
     walk's kernels (``_split_u``) give at h + t; the sums are taken in
-    another order.  A head's pairwise row sum of L weighted values is
+    another order.  The solver's value is gains + losses - u(0), summed
+    per head before the sum over the heads.  A head's pairwise row sum of L weighted values is
     within about log2(L) 2^-53 of its exact value, relatively to the sum
     of their magnitudes, its u(0) W term and its weight w_h add two
     roundings, and the pairwise sum over the heads adds log2(heads)
@@ -300,22 +251,18 @@ def _product_sides(laws, phis: np.ndarray, shift: np.ndarray, u: Utility):
     tile, the heads or one group's block of at most max(_STAIR, T) rows,
     twice (the block and the kernels' scratch).
     """
-    kernels = u._kernels
-    slope = kernels.loss_slope
+    k = phis.shape[1]
+    xs = [x - b for (x, _), b in zip(laws, shift[:k])] + [x for x, _ in laws[k:]]
+    g, split = _product_splits(xs, [p for _, p in laws])
     u0 = eval_u(u, 0.0)
     gains, losses = np.empty(len(phis)), np.empty(len(phis))
-    for j, (t, w, h, wh, k) in enumerate(_sorted_tiles(laws, phis, shift)):
-        below = _running_sums(w)  # below[k]: the weight of t[:k]
-        g = max(1, _STAIR // t.size)
+    for j, (_, t, w, _, h, wh, k) in enumerate(split(phis)):
         k, h, wh = _by_split(k, g, h, wh)
         scratch = np.empty((2, min(g, h.size) * t.size))
-        gain, edges = _staircase(kernels.gain, h, k, t, w, g, scratch, True)
-        gain += u0 * below[edges]
-        if slope is None:
-            loss, edges = _staircase(kernels.loss, h, k, t, w, g, scratch, False)
-            loss += u0 * _running_sums(w[::-1])[::-1][edges]  # the weight of t[edge:]
-        else:
-            loss = _linear_loss(slope, h, k, below, _running_sums(w * t))
+        gain, loss, rise, fall, below = _tile_sides(u._kernels, h, k, t, w, g, scratch)
+        gain += u0 * below[rise]
+        if u._kernels.loss_slope is None:
+            loss += u0 * _running_sums(w[::-1])[::-1][fall]  # the weight of t[fall:]
         gain *= wh
         loss *= wh
         gains[j], losses[j] = np.add.reduce(gain), np.add.reduce(loss)

@@ -256,16 +256,16 @@ def saa_gradient(u: Utility, X: np.ndarray, w: np.ndarray, phi: np.ndarray) -> n
 
 
 def _row_blocks(E: np.ndarray, a: np.ndarray | None, c: np.ndarray | None,
-                shift: np.ndarray | None = None, buf: np.ndarray | None = None):
+                shift: np.ndarray | None = None):
     """(X @ a, X diag(c) X.T) with X = E - shift[:, None] for the (K, n)
     matrix E and c >= 0 (X = E with no shift), accumulated over blocks of
     ROW_BLOCK columns of E in order, so the sums do not depend on the BLAS
     thread count.  With a or c None that half is None and is not formed;
     each half's sweep is the same alone as with the other, bit for bit.
     The second is a sum of S_b @ S_b.T, where S_b holds E_b sqrt(c_b) over
-    the row sqrt(c_b), written into buf, of at least (K + 1) min(n,
-    ROW_BLOCK) values (default: a new one); a block whose c is all zero
-    adds only zeros there and is skipped.  Both are formed on panels of at
+    the row sqrt(c_b), written into one buffer of (K + 1) min(n, ROW_BLOCK)
+    values; a block whose c is all zero adds only zeros there and is
+    skipped.  Both are formed on panels of at
     most PANEL rows of E_b and S_b: numpy runs a panel's own product with
     itself as a syrk, and the upper panel pairs' products are mirrored
     once at the end.
@@ -293,8 +293,7 @@ def _row_blocks(E: np.ndarray, a: np.ndarray | None, c: np.ndarray | None,
         k = K + (shift is not None)  # the row sqrt(c) joins the products
         panels = [slice(i, i + PANEL) for i in range(0, k, PANEL)]
         G = np.zeros((k, k))
-        if buf is None:
-            buf = np.empty((K + 1) * min(n, ROW_BLOCK))
+        buf = np.empty((K + 1) * min(n, ROW_BLOCK))
         for start in range(0, n, ROW_BLOCK):
             cols = slice(start, start + ROW_BLOCK)
             if not c[cols].any():
@@ -514,6 +513,58 @@ def _scatter(x: np.ndarray, w: np.ndarray, at: np.ndarray, size: int) -> np.ndar
     return out
 
 
+def _product_splits(xs, probs):
+    """(g, split) on the product of the supports xs with the laws'
+    probabilities probs, read as heads of the leading coordinates by a
+    tile of the trailing ones (``_tile_split``), independent under the
+    product weights, so that a payoff is a head's plus a tile point's,
+    h + t; g = max(1, _STAIR // T) heads go in a staircase group.
+
+    split(phis) yields, for each strategy of phis in order (a narrower one
+    pays nothing on the other coordinates), (order, t, w, heads, h, wh, k):
+    the sorted tile (``_sorted_tile``), the heads of positive weight, their
+    payoffs and weights, and each head's split k, the number of t <= -h,
+    by one searchsorted.  A row h + t is > 0 exactly on t[k:]: -h is
+    exact, and a sum of two floats rounds to 0 only where it is 0.  The
+    tiles of g strategies come from one ``_grid_payoffs`` call, each the
+    one-strategy call's bit for bit, and the heads of one at a time."""
+    lead, T = _tile_split(xs)
+    head_w = _product_weights(probs[:lead])
+    tile_w = _product_weights(probs[lead:])
+    heads = np.flatnonzero(head_w > 0)
+    wh = head_w[heads]
+    g = max(1, _STAIR // T)
+
+    def split(phis):
+        full = np.zeros((len(phis), len(xs)))
+        full[:, :phis.shape[1]] = phis
+        for start in range(0, len(full), g):
+            tiles = _grid_payoffs(xs[lead:], full[start:start + g, lead:])
+            for phi, tile in zip(full[start:start + g], tiles):
+                order, t, w = _sorted_tile(tile, tile_w)
+                h = _grid_payoffs(xs[:lead], phi[None, :lead])[0, heads]
+                yield order, t, w, heads, h, wh, np.searchsorted(t, -h, side="right")
+    return g, split
+
+
+def _tile_sides(kernels, h, k, t, w, g: int, scratch: np.ndarray):
+    """(gain, loss, rise, fall, below) for the heads h with splits k, in
+    ``_by_split`` order, on the sorted tile t with weights w: the rising
+    staircase of the gain kernel (``_staircase``, edges rise), the loss
+    side (edges fall): for a table the falling staircase of the loss
+    kernel, and where u is linear on Y <= 0 (``_Kernels.loss_slope``)
+    ``_linear_loss``, with fall = k; and below, the running sums of w,
+    below[j] the weight of t[:j].  Each side counts its value at 0 on a
+    head's rows between its split and its group's edge."""
+    below = _running_sums(w)
+    gain, rise = _staircase(kernels.gain, h, k, t, w, g, scratch, True)
+    if kernels.loss_slope is None:
+        loss, fall = _staircase(kernels.loss, h, k, t, w, g, scratch, False)
+    else:
+        loss, fall = _linear_loss(kernels.loss_slope, h, k, below, _running_sums(w * t)), k
+    return gain, loss, rise, fall, below
+
+
 def _grid_value(u: Utility, xs, probs):
     """value for a solve on the product of the centred supports xs with
     the laws' probabilities probs.  value(p) gives f = E[u(V(p))] and the
@@ -526,15 +577,17 @@ def _grid_value(u: Utility, xs, probs):
     u'' = 0 everywhere (a table, ``_Kernels.curved``) curvature is None
     and no u'' runs.
 
-    Each value call forms the payoffs V = h + t of the heads h and of the
-    tile t (``_grid_payoffs``), sorts the tile once (``_sorted_tile``) and
-    finds each head's split, the number of t <= -h, by one searchsorted:
-    h + t > 0 exactly on the tile from the split on.  Heads and tile
-    points of zero weight are left out.  The heads, sorted by split
-    (``_by_split``), go in groups of g, with g T about _STAIR rows, through
-    a rising staircase (``_staircase``): each group's block h + t from its
-    smallest split on runs u's gain kernel once and gives the weighted row
-    sums.  sums() runs u' and curvature() u'' on the same staircase over
+    Each value call reads the payoffs V = h + t of the heads h and of the
+    tile t through the split that the Hoelder chain's sides and the
+    exponential-moment cap also read (``_product_splits``): the tile
+    sorted once, heads and tile points of zero weight left out, and each
+    head's split, the number of t <= -h, from one searchsorted: h + t > 0
+    exactly on the tile from the split on.  The heads, sorted by split
+    (``_by_split``), go in groups of g = _STAIR // T through the two
+    staircase sides that the Hoelder chain sums too (``_tile_sides``):
+    each group's block h + t from its smallest split on runs u's gain
+    kernel once and gives the weighted row sums, and f is gain + loss,
+    less u(0) times the weight where a head's two cuts overlap.  sums() runs u' and curvature() u'' on the same staircase over
     the memo's sorted tile, with the column sums, so a line-search trial
     that is not taken costs neither.  Every kernel f satisfies
     f(Y) = f(max(Y, 0)) + f(min(0, Y)) - f(0).
@@ -578,29 +631,21 @@ def _grid_value(u: Utility, xs, probs):
     on the BLAS thread count.
     """
     lead, T = _tile_split(xs)
+    H = math.prod(x.size for x in xs[:lead])
     kernels = u._kernels
     slope = kernels.loss_slope
     u0, p0 = eval_u(u, 0.0), eval_u_prime(u, 0.0)
-    head_w = _product_weights(probs[:lead])
-    tile_w = _product_weights(probs[lead:])
-    H, live = head_w.size, np.flatnonzero(head_w > 0)
-    g = max(1, _STAIR // T)
-    stair = np.empty((2, min(g, live.size) * T))
+    g, split = _product_splits(xs, probs)
+    stair = np.empty((2, min(g, H) * T))
 
     def value(p):
-        h = _grid_payoffs(xs[:lead], p[None, :lead])[0, live]
-        order, t, wt = _sorted_tile(_grid_payoffs(xs[lead:], p[None, lead:])[0], tile_w)
-        k = np.searchsorted(t, -h, side="right")
-        k, h, wh, heads = _by_split(k, g, h, head_w[live], live)
-        below = _running_sums(wt)  # below[j]: the weight of t[:j]
-        fu, rise = _staircase(kernels.gain, h, k, t, wt, g, stair, True)
+        order, t, wt, heads, h, wh, k = next(split(p[None]))
+        k, h, wh, heads = _by_split(k, g, h, wh, heads)
+        fu, lu, rise, fall, below = _tile_sides(kernels, h, k, t, wt, g, stair)
+        fu += lu
         if slope is None:
-            lu, fall = _staircase(kernels.loss, h, k, t, wt, g, stair, False)
             both = below[fall] - below[rise]  # the weight of a row's cuts' overlap
-            fu += lu
             fu -= u0 * both
-        else:
-            fu += _linear_loss(slope, h, k, below, _running_sums(wt * t))
         fu *= wh
 
         def sums():
@@ -716,7 +761,7 @@ def _damped_newton(step_pass, value, x: np.ndarray, done, max_iter: int,
     reused H, or when the held H predicts a gain g . d within the slack,
     which is then decided on a fresh H.  The loop stops when done(g, aux)
     holds, after max_iter steps, when no step moves x, or after a step
-    whose predicted gain is within that slack.  Returns
+    whose predicted gain is within that slack or that leaves f unchanged.  Returns
     (x, f, g, aux, steps).
     """
     f, memo = value(x)
@@ -744,6 +789,7 @@ def _damped_newton(step_pass, value, x: np.ndarray, done, max_iter: int,
             t *= 0.5
         if t <= 1e-18 or np.array_equal(cand, x):
             break  # no ascent step that moves x; report the best iterate
+        flat = flat or f_cand == f  # at the rounding floor: f no longer moves
         x, f = cand, f_cand
         g, hessian, aux = step_pass(memo)
         steps += 1
@@ -758,9 +804,12 @@ def _tilt(E: np.ndarray, shift: np.ndarray, w: np.ndarray, lam: np.ndarray):
     (``_payoffs``)."""
     z = _payoffs(E, lam, shift)
     zmax = float(z.max())
-    e = w * np.exp(z - zmax)
-    total = float(np.sum(e))
-    return zmax + math.log(total), e / total
+    z -= zmax
+    np.exp(z, out=z)
+    z *= w
+    total = float(np.sum(z))
+    z /= total
+    return zmax + math.log(total), z
 
 
 def _no_arbitrage_certificate(E: np.ndarray, shift: np.ndarray, w: np.ndarray) -> bool:

@@ -478,13 +478,12 @@ class TestHolderChain:
         strategies[0] = 0.0
         out = holder_chain_check(model, build_tilted_measure(model), u, strategies, s)
         assert len(out["margins"]) == 20
-        # each block of rows once per group of strategies: at most 16 on
-        # full blocks, all 20 at once on the 8 rows of the small set
-        groups = [20] if s.n < ROW_BLOCK else [16, 4]
-        assert [shape[0] for shape in blocks] == groups * -(-s.n // ROW_BLOCK)
-        rows = [shape[1] for shape in blocks[::len(groups)]]
-        assert sum(rows) == s.n
-        assert all(shape[1] == rows[i // len(groups)] for i, shape in enumerate(blocks))
+        # each block of rows once, all 20 strategies in one product, on
+        # blocks of 2048 rows: the largest power of two with 20 of them
+        # within _WALK_PAYOFFS payoffs; the small set is one block of 8
+        size = 2048
+        assert 20 * size <= diagnostics._WALK_PAYOFFS < 20 * 2 * size
+        assert blocks == [(20, min(size, s.n - i)) for i in range(0, s.n, size)]
 
     @pytest.mark.parametrize("u", BOUNDED_UTILITIES,
                              ids=["appendix_power", "tabulated_u0_nonzero"])
@@ -704,6 +703,33 @@ class TestHolderSortedTiles:
             want, size, reach = oracle[:, j].T
             assert np.all(np.abs(got - want) <= 1e-12 * (size + reach))
             assert np.all(np.abs(got - rows[j]) <= 1e-12 * (size + reach))
+
+    @settings(max_examples=60, deadline=None)
+    @given(laws=sides_laws(), count=st.integers(1, 4),
+           u=st.sampled_from(BOUNDED_UTILITIES), width=st.integers(1, 10),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(laws=[CLUSTER] + [RADEMACHER] * 12, count=2, u=BOUNDED_UTILITIES[1],
+             width=13, seed=8)
+    @example(laws=[THREE_POINT_ZERO] * 3 + [THREE_POINT] * 6 + [THREE_POINT_ZERO],
+             count=2, u=BOUNDED_UTILITIES[1], width=10, seed=3)
+    def test_sides_sum_to_the_solvers_value(self, laws, count, u, width, seed):
+        # the two callers of the shared split and staircase sides: E[u(Y+)]
+        # + E[u(-Y-)] - u(0) against the exact solver's E[u(Y)] at each
+        # strategy, within (log2(n) + 4) 2^-53 E[|u(Y)| + |u(0)|]
+        K = len(laws)
+        k = min(width, K)
+        phis = random_strategies(k, count, 2.0, seed)
+        shift = np.random.Generator(np.random.Philox(key=seed)).uniform(-1.0, 1.0, K)
+        gains, losses = diagnostics._product_sides(laws, phis, shift, u)
+        xs = [x - b for (x, _), b in zip(laws, shift[:k])] + [x for x, _ in laws[k:]]
+        value = optimize._grid_value(u, xs, [p for _, p in laws])
+        oracle = sides_oracle(laws, phis, shift, u)
+        u0 = float(eval_u(u, 0.0))
+        n = math.prod(x.size for x, _ in laws)
+        for j, phi in enumerate(phis):
+            f, _ = value(np.pad(phi, (0, K - k)))
+            size = oracle[j, 0, 1] + oracle[j, 1, 1] + abs(u0)
+            assert abs(gains[j] + losses[j] - u0 - f) <= (math.log2(n) + 4) * 2 ** -53 * size
 
     @pytest.mark.parametrize("u", BOUNDED_UTILITIES,
                              ids=["appendix_power", "tabulated_u0_nonzero"])

@@ -191,12 +191,14 @@ class TestTruncated:
         assert saa_objective(u, X, s.weights, np.array([3.0])) <= res.value
         assert res.value == 0.0
 
-    def test_step_too_small_to_move_phi_stops(self):
+    @pytest.mark.parametrize("b", [0.1, 0.7])
+    def test_step_too_small_to_move_phi_stops(self, b):
         # near ||g|| ~ 2e-10 the objective cannot register the Newton step's
-        # gain, so backtracking shrinks the step until phi stops moving.
+        # gain, so backtracking shrinks the step until phi stops moving, or
+        # (b = 0.7) full steps still move phi but no longer change f.
         # grad_tol lies far below the gradient norms that rounding leaves
         # here, so that exit, not convergence, ends the solve
-        model = build_market(1, 1, mu=[-0.1], beta=[], beta_bar=[1.0],
+        model = build_market(1, 1, mu=[-b], beta=[], beta_bar=[1.0],
                              noise=standardized_two_point(0.3))
         res = optimize_truncated(model, appendix_power(0.3), None,
                                  enumerate_scenarios(model),

@@ -15,7 +15,7 @@ The configs are the checkout's configs/*.json, perfbench's
 enumerated rows: a 4096-row tile under 128 heads) with the demo's
 `measure` section, those three markets with a 4,001-point table of
 appendix_power(0.5) on [-200, 200] in place of the utility
-(`*_tabulated`), and seven variants in other noise laws or sizes
+(`*_tabulated`), and eight variants in other noise laws or sizes
 (`NOISE_VARIANTS`):
 `mc_report_101` in standardized uniform and in dyadic (q = 0.1) noise,
 and in a standardized two-point law with p = 0.85 (`*_edge`), whose up
@@ -26,7 +26,12 @@ in the same law (3^9 = 19 683 enumerated rows: a 2187-point tile under
 9 heads, so the exact solver's Hessian has a block across heads and
 tile on a tile that is not Rademacher), and at K = 14 and 15 in its own
 Rademacher law, 2^14 and 2^15 rows on either side of the rule that puts
-an exact set in product form (``optimize._product_form``).  So every
+an exact set in product form (``optimize._product_form``), and at K = 9
+in the three-point law with a fourth point of probability 0
+(`*_zero_point`, 4^9 = 262 144 enumerated rows: a 4096-point tile, 729 of
+its points live, under 64 heads, 27 of them live), the case where a
+staircase group's size read from the tile's points (16 heads) and from
+its live points (89) differ.  So every
 noise family, the discrete sampler's path for more than two points, and
 both paths of an exact set reach a bundle.
 `mc_report_101_n20481` cuts `mc_report_101` to 20 481 rows: one 16 384-row
@@ -72,6 +77,9 @@ TABLE_ALPHA = 0.5
 THREE_POINT = {"family": "finite_discrete", "points": [-1.5, 0.0, 1.5],
                "probs": [2 / 9, 5 / 9, 2 / 9]}
 RADEMACHER = {"family": "rademacher"}
+# THREE_POINT with a fourth support point of probability 0
+THREE_POINT_ZERO = {"family": "finite_discrete", "points": [-1.5, 0.0, 1.5, 3.0],
+                    "probs": [2 / 9, 5 / 9, 2 / 9, 0.0]}
 # (variant name, base config, K of perfbench's market section in place of
 # the base's market or None to keep it, noise section)
 NOISE_VARIANTS = (
@@ -85,6 +93,8 @@ NOISE_VARIANTS = (
     (f"exact_session_{EXACT_SEED}_three_point", f"exact_session_{EXACT_SEED}", 9, THREE_POINT),
     (f"exact_session_{EXACT_SEED}_k14", f"exact_session_{EXACT_SEED}", 14, RADEMACHER),
     (f"exact_session_{EXACT_SEED}_k15", f"exact_session_{EXACT_SEED}", 15, RADEMACHER),
+    (f"exact_session_{EXACT_SEED}_zero_point", f"exact_session_{EXACT_SEED}", 9,
+     THREE_POINT_ZERO),
 )
 
 # rows of the mc_report variant whose last key block is a full window and one row
