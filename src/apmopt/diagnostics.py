@@ -189,7 +189,7 @@ def _product_exp_abs(laws, phis: np.ndarray) -> np.ndarray:
       which an exact set's results may differ from its rows'.
 
     No BLAS call runs.  The strategies are taken one at a time, so every
-    temporary holds the heads or the tile.
+    temporary holds the heads, the tile or the tiles of g strategies.
     """
     values = np.empty(len(phis))
     _, split = _product_splits([x for x, _ in laws], [p for _, p in laws])
@@ -248,11 +248,11 @@ def _product_sides(laws, phis: np.ndarray, shift: np.ndarray, u: Utility):
 
     No BLAS call runs, so the sums do not depend on the BLAS thread count.
     The strategies are taken one at a time, and every temporary holds the
-    tile, the heads or one group's block of at most max(_STAIR, T) rows,
-    twice (the block and the kernels' scratch).
+    tile, the heads, the tiles of g strategies or one group's block of at
+    most max(_STAIR, T) rows, twice (the block and the kernels' scratch).
     """
-    k = phis.shape[1]
-    xs = [x - b for (x, _), b in zip(laws, shift[:k])] + [x for x, _ in laws[k:]]
+    width = phis.shape[1]
+    xs = [x - b for (x, _), b in zip(laws, shift[:width])] + [x for x, _ in laws[width:]]
     g, split = _product_splits(xs, [p for _, p in laws])
     u0 = eval_u(u, 0.0)
     gains, losses = np.empty(len(phis)), np.empty(len(phis))

@@ -587,9 +587,10 @@ def _grid_value(u: Utility, xs, probs):
     staircase sides that the Hoelder chain sums too (``_tile_sides``):
     each group's block h + t from its smallest split on runs u's gain
     kernel once and gives the weighted row sums, and f is gain + loss,
-    less u(0) times the weight where a head's two cuts overlap.  sums() runs u' and curvature() u'' on the same staircase over
-    the memo's sorted tile, with the column sums, so a line-search trial
-    that is not taken costs neither.  Every kernel f satisfies
+    less u(0) times the weight where a head's two cuts overlap.  sums()
+    runs u' and curvature() u'' on the same staircase over the memo's
+    sorted tile, with the column sums, so a line-search trial that is not
+    taken costs neither.  Every kernel f satisfies
     f(Y) = f(max(Y, 0)) + f(min(0, Y)) - f(0).
 
     * Where u(Y) = a Y on Y <= 0 (``_Kernels.loss_slope``; appendix power)
@@ -761,8 +762,8 @@ def _damped_newton(step_pass, value, x: np.ndarray, done, max_iter: int,
     reused H, or when the held H predicts a gain g . d within the slack,
     which is then decided on a fresh H.  The loop stops when done(g, aux)
     holds, after max_iter steps, when no step moves x, or after a step
-    whose predicted gain is within that slack or that leaves f unchanged.  Returns
-    (x, f, g, aux, steps).
+    whose predicted gain is within that slack or that leaves f unchanged.
+    Returns (x, f, g, aux, steps).
     """
     f, memo = value(x)
     g, hessian, aux = step_pass(memo)
