@@ -212,11 +212,13 @@ def main(argv=None) -> int:
         seed = _resolve_seed(cfg, args)
         if args.scenarios is not None and args.scenarios < 1:
             raise ValueError(f"--scenarios must be at least 1, got {args.scenarios}")
-    except ValueError as exc:  # ConfigError, a bad seed or scenario count
+        if args.out == "":
+            raise ValueError("--out: must not be empty")
+    except ValueError as exc:  # ConfigError, a bad seed, scenario count or --out
         _log().error("%s", exc)
         return EXIT_INTERNAL
-    if args.out:
-        cfg.out_dir = args.out
+    if args.out is not None:
+        cfg = cfg.replace(out_dir=args.out)
     try:
         return run_command(args.command, cfg, seed, args.scenarios)
     except EnumerationCapError as exc:

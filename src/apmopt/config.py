@@ -16,8 +16,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 
+from ._record import Record
 from .distributions import (dyadic_two_sided, finite_discrete, rademacher,
                             standardized_two_point, standardized_uniform)
 from .market import BRule, MarketModel, build_market
@@ -34,8 +34,7 @@ class ConfigError(ValueError):
         super().__init__("invalid config:\n" + "\n".join(f"- {v}" for v in violations))
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(Record):
     model: MarketModel
     utility: Utility
     solver: SolverConfig

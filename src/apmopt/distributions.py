@@ -24,10 +24,11 @@ and dyadic laws are symmetric: one tail formula, P(eps < x) = P(eps > -x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from ._record import Record
 
 __all__ = [
     "DistributionSpec",
@@ -54,8 +55,7 @@ class _Law(NamedTuple):
     discrete: bool        # finite support: enumerable and tilt-calibratable
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
+class DistributionSpec(Record):
     """A standardized noise distribution (mean 0, variance 1).
 
     family is one of "finite_discrete", "standardized_uniform",

@@ -14,10 +14,10 @@ the centered terms (eps_i - b_i).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record
 from .distributions import DistributionSpec, tail_probability
 
 __all__ = [
@@ -47,8 +47,7 @@ class ArbitrageError(RuntimeError):
     """Raised when an operation requires the no-arbitrage condition."""
 
 
-@dataclass(frozen=True)
-class BRule:
+class BRule(Record):
     """Analytic rule for the drift coefficients b_i beyond the truncation.
 
     kind: "explicit" (finite list, zero tail) or "power" (b_i = c * i**-p).
@@ -64,15 +63,14 @@ class BRule:
             raise ValueError(f"unknown b_rule kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Record):
     m: int
     K: int
     mu: tuple[float, ...]
     beta: tuple[tuple[float, ...], ...]  # (K-m) rows of m loadings, for assets i > m
     beta_bar: tuple[float, ...]
     noise: tuple[DistributionSpec, ...]  # one per coordinate
-    b_rule: BRule = field(default_factory=BRule)
+    b_rule: BRule = BRule()  # frozen, so one instance serves every spec
 
     def __post_init__(self):
         if self.m < 1:
@@ -109,8 +107,7 @@ def _spec(m, K, mu, beta, beta_bar, noise, b_rule=None) -> ModelSpec:
     )
 
 
-@dataclass(frozen=True)
-class MarketModel:
+class MarketModel(Record):
     spec: ModelSpec
     b: np.ndarray        # length K, derived drifts
     M: float             # sqrt(sum b_i^2) at truncation
@@ -166,8 +163,7 @@ def build_market(m, K, mu, beta=(), beta_bar=(), noise=None, b_rule=None) -> Mar
     return MarketModel(spec=spec, b=b, M=M)
 
 
-@dataclass(frozen=True)
-class AssetPortfolio:
+class AssetPortfolio(Record):
     """Dollar amounts psi_0..psi_k; must sum to zero (zero initial capital)."""
 
     psi: tuple[float, ...]
@@ -178,8 +174,7 @@ class AssetPortfolio:
             raise ValueError("portfolio violates the zero-budget constraint")
 
 
-@dataclass(frozen=True)
-class FactorStrategy:
+class FactorStrategy(Record):
     """Positions phi_1..phi_K on the centered coordinates (eps_i - b_i)."""
 
     phi: np.ndarray
@@ -252,8 +247,7 @@ def strategy_values(model: MarketModel, phi: np.ndarray, draws: np.ndarray) -> n
     return (draws[:, :n] - model.b[:n]) @ phi
 
 
-@dataclass(frozen=True)
-class AssumptionVerdict:
+class AssumptionVerdict(Record):
     verdict: str                 # "holds" | "fails"
     partial_sums: np.ndarray     # cumulative sum of b_i^2 up to K
 
@@ -270,8 +264,7 @@ def check_assumption_b(model: MarketModel) -> AssumptionVerdict:
     return AssumptionVerdict("holds" if holds else "fails", partial)
 
 
-@dataclass(frozen=True)
-class NoArbitrageVerdict:
+class NoArbitrageVerdict(Record):
     passed: bool
     flagged: tuple[int, ...]     # 1-based coordinates with a one-sided tail
 

@@ -28,10 +28,10 @@ the moments and the Hoelder constants share one evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._record import Record
 from .distributions import DistributionSpec, tail_probability
 from .market import ArbitrageError, FactorStrategy, MarketModel, check_no_arbitrage
 from .optimize import DiscretePayoff, _bisect, _require_width, optimize_single_asset
@@ -122,8 +122,7 @@ def _solve_tilts(dists, bs) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class CoordinateTilt:
+class CoordinateTilt(Record):
     method: str          # "logistic_tilt" | "utility_gradient"
     a: float | None      # logistic tilt parameter (None for fallback)
     z: float             # normalizer E[factor numerator]
@@ -137,8 +136,7 @@ class CoordinateTilt:
         return eval_u_prime(self.utility, self.phi_star * x)
 
 
-@dataclass(frozen=True)
-class TiltedMeasure:
+class TiltedMeasure(Record):
     model: MarketModel
     coords: tuple[CoordinateTilt, ...]
 
@@ -237,12 +235,11 @@ def build_tilted_measure(model: MarketModel, fallback_alpha: float = 0.5) -> Til
             c = CoordinateTilt("utility_gradient", None, 1.0, phi_star, u)
         pts = np.asarray(dist.points) - b
         z = float(math.fsum(np.asarray(dist.probs) * c.numerator(pts)))
-        coords.append(replace(c, z=z))
+        coords.append(c.replace(z=z))
     return TiltedMeasure(model=model, coords=tuple(coords))
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(Record):
     moments: dict            # {"dQ/dP": {w: value}, "dP/dQ": {w: value}}
     tilt_to_drift: tuple[float, ...]  # |a_i| / |b_i| where both defined
     fitted_c: float          # log-moment vs sum(a^2 + b^2) ratio

@@ -56,10 +56,10 @@ then) search for a direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .distributions import DistributionSpec
 from .market import ArbitrageError, MarketModel, check_no_arbitrage
 from .scenarios import ScenarioSet, _product_weights, enumerate_scenarios
@@ -103,8 +103,7 @@ class OneSidedPayoffError(ValueError):
     """The payoff never takes both signs; no interior maximizer guaranteed."""
 
 
-@dataclass(frozen=True)
-class DiscretePayoff:
+class DiscretePayoff(Record):
     """A finitely supported payoff X for the one-asset problem."""
 
     points: tuple[float, ...]
@@ -192,8 +191,7 @@ def optimize_single_asset(payoff: DiscretePayoff, u: Utility) -> tuple[float, fl
     return phi_star, value
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Record):
     grad_tol: float = 1e-8
     max_iter: int = 10_000
     ladder: tuple[int, ...] = ()
@@ -848,8 +846,7 @@ def _no_arbitrage_certificate(E: np.ndarray, shift: np.ndarray, w: np.ndarray) -
     return bound_small(g, y)
 
 
-@dataclass(frozen=True)
-class LevelResult:
+class LevelResult(Record):
     K: int
     phi_star: np.ndarray
     value: float
@@ -922,8 +919,7 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
                        iterations=it, converged=gn <= cfg.grad_tol)
 
 
-@dataclass(frozen=True)
-class OptimizationReport:
+class OptimizationReport(Record):
     levels: tuple[LevelResult, ...]
     diff_norms: tuple[float, ...]  # between consecutive ladder levels
 

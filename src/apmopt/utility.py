@@ -66,10 +66,11 @@ violate for large |x|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from ._record import Record
 
 __all__ = [
     "GrowthBounds",
@@ -84,8 +85,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GrowthBounds:
+class GrowthBounds(Record):
     alpha: float
     beta: float
     C1: float
@@ -116,8 +116,7 @@ class _Kernels(NamedTuple):
     curved: bool      # False where u'' = 0 everywhere (a table)
 
 
-@dataclass(frozen=True)
-class Utility:
+class Utility(Record):
     kind: str                      # "appendix_power" | "tabulated"
     alpha: float = 0.5
     xs: tuple[float, ...] = ()     # tabulated only
@@ -348,8 +347,7 @@ def _split_u(u: Utility):
     return split
 
 
-@dataclass(frozen=True)
-class GrowthVerdict:
+class GrowthVerdict(Record):
     holds: bool
     witness: float | None = None
     side: str = ""

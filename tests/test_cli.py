@@ -501,6 +501,20 @@ class TestExitCodes:
         assert "[0, 2**64)" in err or "at least 1" in err
         assert "internal error" not in err and "Traceback" not in err
 
+    def test_empty_out_exits_1(self, tmp_path, monkeypatch, capsys):
+        # --out "" used to exit 0 and write the bundle to the config's
+        # output directory, though the config's own empty output is refused
+        monkeypatch.delenv("SEED", raising=False)
+        monkeypatch.chdir(tmp_path)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**MC_LADDER, "output": "bundle"}))
+        code = main(["report", "--config", str(p), "--out", ""])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--out" in err and "empty" in err
+        assert "internal error" not in err
+        assert not (tmp_path / "bundle").exists()
+
     @pytest.mark.parametrize("noise", [{"family": "standardized_uniform"},
                                        {"family": "dyadic_two_sided", "q": 0.1}],
                              ids=["uniform", "dyadic"])
@@ -677,7 +691,8 @@ class TestDeterminism:
 class TestRunShape:
     def test_import_loads_no_scipy(self, tmp_path):
         # neither the import nor an exact or a Monte Carlo report loads
-        # scipy: the closed form and the certificate decide arbitrage
+        # scipy: the closed form and the certificate decide arbitrage; nor
+        # dataclasses, whose code generation the records do without
         mc = tmp_path / "mc.json"
         mc.write_text(json.dumps(MC_LADDER))
         env = dict(os.environ)
@@ -687,10 +702,12 @@ class TestRunShape:
         script = (
             "import sys, apmopt.cli\n"
             "def scipy(): return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert 'dataclasses' not in sys.modules\n"
             "print(scipy())\n"
             "out, *configs = sys.argv[1:]\n"
             "for i, config in enumerate(configs):\n"
             "    code = apmopt.cli.main(['report', '--config', config, '--out', f'{out}/{i}'])\n"
+            "    assert 'dataclasses' not in sys.modules\n"
             "    print(code, scipy())\n")
         out = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path),

@@ -5,7 +5,6 @@ import os
 import pathlib
 import re
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -572,8 +571,8 @@ class TestHolderChain:
     def test_mispriced_measure_refused_on_exact_set(self, market_k3, bounded_u):
         # the guard reads the product-form means; a wrong tilt must trip it
         Q = build_tilted_measure(market_k3)
-        coords = (replace(Q.coords[0], a=Q.coords[0].a + 0.1), *Q.coords[1:])
-        bad = replace(Q, coords=coords)
+        coords = (Q.coords[0].replace(a=Q.coords[0].a + 0.1), *Q.coords[1:])
+        bad = Q.replace(coords=coords)
         s = enumerate_scenarios(market_k3)
         with pytest.raises(ValueError, match="does not price"):
             holder_chain_check(market_k3, bad, bounded_u, np.zeros((1, 3)), s)

@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -358,7 +357,7 @@ def with_zero_probability_point(model):
     1's law, above its support: the exact set lists it, with weight 0."""
     d = model.noise[0]
     law = finite_discrete(d.points + (max(d.points) + 1.0,), d.probs + (0.0,))
-    return replace(model, spec=replace(model.spec, noise=(law, *model.noise[1:])))
+    return model.replace(spec=model.spec.replace(noise=(law, *model.noise[1:])))
 
 
 class TestProductDensity:
@@ -530,7 +529,7 @@ class TestPricing:
             verify_pricing(build_tilted_measure(big), big)
         cont = build_market(1, 2, mu=[-0.1, -0.2], beta=[[0.0]], beta_bar=[1.0, 1.0],
                             noise=standardized_uniform())
-        Q = replace(build_tilted_measure(rademacher_market([0.1, 0.2])), model=cont)
+        Q = build_tilted_measure(rademacher_market([0.1, 0.2])).replace(model=cont)
         with pytest.raises(EnumerationCapError, match="not finite-discrete"):
             verify_pricing(Q, cont)
 

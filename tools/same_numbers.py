@@ -8,7 +8,10 @@ as `python -m apmopt.cli COMMAND --config ... --out ... --seed 42` with
 `OPENBLAS_NUM_THREADS` and `OMP_NUM_THREADS` set to N (default 1) and the
 checkout's `src/` on the path.  Its
 bundle goes to OUT/<config>/<command>/bundle, and its stdout, stderr and
-exit code to stdout.txt, stderr.txt and exit_code.txt beside it.
+exit code to stdout.txt, stderr.txt and exit_code.txt beside it.  The
+repr of each parsed config (``apmopt.config.parse_config``), printed by a
+separate process on the same path, goes to OUT/<config>/config_repr.txt,
+so that a comparison covers the records' text too.
 
 The configs are the checkout's configs/*.json, perfbench's
 `mc_report_config(101)`, its `exact_session_config(311)` (K = 19, 2^19
@@ -99,6 +102,10 @@ NOISE_VARIANTS = (
 
 # rows of the mc_report variant whose last key block is a full window and one row
 WINDOW_EDGE_ROWS = 16_384 + 4_096 + 1
+
+# prints the parsed config's repr; run in a subprocess, on the checkout's src/
+CONFIG_REPR = ("import sys\nfrom apmopt.config import parse_config\n"
+               "print(repr(parse_config(sys.argv[1])))\n")
 
 
 def power_table() -> dict:
@@ -216,6 +223,11 @@ def main(argv=None) -> int:
         config_path = os.path.join("configs", f"{name}.json")
         with open(os.path.join(out, config_path), "w") as fh:
             json.dump(config, fh, indent=1)
+        os.makedirs(os.path.join(out, name))
+        proc = subprocess.run([sys.executable, "-c", CONFIG_REPR, config_path],
+                              cwd=out, env=env, capture_output=True, text=True)
+        with open(os.path.join(out, name, "config_repr.txt"), "w") as fh:
+            fh.write(proc.stdout + proc.stderr)
         for command in COMMANDS:
             run_dir = os.path.join(name, command)
             os.makedirs(os.path.join(out, run_dir))
