@@ -51,6 +51,11 @@ class Record:
         fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({fields})"
 
+    def __reduce__(self):
+        """Pickle and copy the fields, and rebuild through ``__init__``, so
+        the checks and what ``__post_init__`` derives run again."""
+        return type(self), self._values()
+
     def replace(self, **changes):
         """A copy with the given fields changed, built and checked anew."""
         return type(self)(**{**dict(zip(self._fields, self._values())), **changes})

@@ -212,6 +212,9 @@ def main(argv=None) -> int:
         seed = _resolve_seed(cfg, args)
         if args.scenarios is not None and args.scenarios < 1:
             raise ValueError(f"--scenarios must be at least 1, got {args.scenarios}")
+        if args.scenarios is not None and cfg.scenario_mode == "exact":
+            raise ValueError("--scenarios: an exact config enumerates every row "
+                             "and reads no scenario count")
         if args.out == "":
             raise ValueError("--out: must not be empty")
     except ValueError as exc:  # ConfigError, a bad seed, scenario count or --out

@@ -270,10 +270,18 @@ def _utility(value, errors: list[str]) -> Utility:
 
 
 def _measure(fallback_alpha, p, moment_exponents) -> tuple:
-    """(fallback_alpha, moment_exponents)."""
+    """(fallback_alpha, moment_exponents); p, 2 where it is not given,
+    adds p and -p to the default exponents, and is refused beside given
+    exponents, which leave it unread."""
+    errors = []
     if not 0.0 < fallback_alpha < 1.0:
-        raise ConfigError(["measure.fallback_alpha: must lie in (0,1)"])
+        errors.append("measure.fallback_alpha: must lie in (0,1)")
+    if p is not None and moment_exponents is not None:
+        errors.append("measure.p: not read where measure.moment_exponents is given")
+    if errors:
+        raise ConfigError(errors)
     if moment_exponents is None:
+        p = 2.0 if p is None else p
         moment_exponents = (-2.0, -1.0, 1.0, 2.0, p, -p)
     return fallback_alpha, moment_exponents
 
@@ -287,6 +295,8 @@ def _scenario(mode, n, seed) -> tuple:
         errors.append("scenario.n: monte_carlo mode needs n >= 1")
     if mode == "monte_carlo" and seed is None:
         errors.append("scenario.seed: monte_carlo mode needs a seed")
+    if mode == "exact" and n is not None:
+        errors.append("scenario.n: exact mode enumerates every row and reads no n")
     if errors:
         raise ConfigError(errors)
     return mode, n or 0, seed or 0
@@ -304,7 +314,7 @@ _TOP = {
     "utility": (_utility, {}),
     "solver": (_nested({"grad_tol": (_float, 1e-8), "max_iter": (_int, 10_000),
                         "ladder": (_list(_int), [])}, "solver", SolverConfig), {}),
-    "measure": (_nested({"fallback_alpha": (_float, 0.5), "p": (_float, 2.0),
+    "measure": (_nested({"fallback_alpha": (_float, 0.5), "p": (_nullable(_float), None),
                          "moment_exponents": (_nullable(_floats), None)},
                         "measure", _measure), {}),
     "scenario": (_nested({"mode": (_str, "exact"), "n": (_nullable(_int), None),

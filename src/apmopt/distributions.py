@@ -76,10 +76,6 @@ class DistributionSpec(Record):
             raise ValueError(f"unknown family {self.family!r}")
         object.__setattr__(self, "_law", build(self))
 
-    def __reduce__(self):
-        # the queries are closures: pickle the fields and build them again
-        return DistributionSpec, (self.family, self.points, self.probs, self.q)
-
     @property
     def is_discrete(self) -> bool:
         return self._law.discrete

@@ -692,9 +692,10 @@ def _grid_pass(xs):
     That callable takes (r, s, q) = curvature(tiles) and forms
     -heads diag(r) heads.T and -tiles diag(s) tiles.T by ``_row_blocks``,
     and the block across heads and tile as -heads @ q[j] for each tile
-    coordinate j, a ``_row_blocks`` gemv each.  At p = 0 it returns the
-    zero matrix with no pass, since u''(0) = 0 for every utility kind, and
-    so it does for a table, whose u'' is 0 everywhere (curvature None)."""
+    coordinate j, a ``_row_blocks`` gemv each.  For a table, whose u'' is
+    0 everywhere (curvature None), it returns the zero matrix with no
+    pass.  At p = 0 every row sits at 0, where u'' = 0 for every kind, so
+    the rising staircase's cut is empty and the matrix is zero too."""
     lead, _ = _tile_split(xs)
     heads = _grid_payoffs(xs[:lead], np.eye(lead))
     tiles = _grid_payoffs(xs[lead:], np.eye(len(xs) - lead))
@@ -706,7 +707,7 @@ def _grid_pass(xs):
 
         def hessian():
             G = np.zeros((p.size, p.size))
-            if curvature is None or not p.any():
+            if curvature is None:
                 return G
             r, s, q = curvature(tiles)
             G[:lead, :lead] = _row_blocks(heads, None, r)[1]
@@ -726,15 +727,16 @@ def _newton_pass(u: Utility, blocks, w: np.ndarray, p: np.ndarray,
     either argument None to form one half; -w u'' >= 0 for every utility
     kind.  a and c are buffers of v's length: w u'(v) is written into a,
     and the callable writes -w u''(v) into c, so v must not change before
-    it runs.  At p = 0 the callable returns the zero matrix with no pass,
-    since u''(0) = 0 for every utility kind, and so it does for a table,
-    whose u'' is 0 everywhere (``_Kernels.curved``)."""
+    it runs.  For a table, whose u'' is 0 everywhere (``_Kernels.curved``),
+    the callable returns the zero matrix with no pass.  At p = 0 every v
+    is 0, where u'' = 0 for every kind, so c is all zero, ``_row_blocks``
+    skips every block and the matrix is zero too."""
     eval_u_prime(u, v, out=a)
     a *= w
     g, _ = blocks(a, None)
 
     def hessian():
-        if not (u._kernels.curved and p.any()):
+        if not u._kernels.curved:
             return np.zeros((p.size, p.size))
         curv = eval_u_second(u, v, out=c)
         curv *= w
@@ -755,12 +757,12 @@ def _damped_newton(step_pass, value, x: np.ndarray, done, max_iter: int,
     Armijo halving picks the step, accepting a fall of f within
     slack * max(1, |f|).  H is a Newton-chord one: a step reuses the last
     step's H, and forms it afresh only when that H is all zero (as at
-    phi = 0, where u''(0) = 0 and the solver's passes form it with no pass
-    over the rows, or for a table), when the last step backtracked or itself
-    reused H, or when the held H predicts a gain g . d within the slack,
-    which is then decided on a fresh H.  The loop stops when done(g, aux)
-    holds, after max_iter steps, when no step moves x, or after a step
-    whose predicted gain is within that slack or that leaves f unchanged.
+    phi = 0, where u''(0) = 0, or for a table), when the last step
+    backtracked or itself reused H, or when the held H predicts a gain
+    g . d within the slack, which is then decided on a fresh H.  The loop
+    stops when done(g, aux) holds, after max_iter steps, when no step
+    moves x, or after a step whose predicted gain is within that slack or
+    that leaves f unchanged.
     Returns (x, f, g, aux, steps).
     """
     f, memo = value(x)
@@ -879,12 +881,12 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
     the head and tile designs, which are built once; ``_row_blocks`` and
     ``_panel_sums`` run the pass's only BLAS calls.  The loop is
     ``_damped_newton``'s, with its Newton-chord Hessian.  The first step's,
-    at phi = 0, is zero, since u''(0) = 0, and both passes return it with
-    no pass over the rows; a zero Hessian is never reused, so the second
-    step forms one; from there the step after a full step on a fresh
-    Hessian reuses it, so a solve with no backtracking forms about half as
-    many Hessians as it takes steps (a table, u'' = 0, forms one on every
-    step).
+    at phi = 0, is zero, since u''(0) = 0: on rows ``_row_blocks`` skips
+    every block, and in product form the u'' staircase's cut is empty; a
+    zero Hessian is never reused, so the second step forms one; from
+    there the step after a full step on a fresh Hessian reuses it, so a
+    solve with no backtracking forms about half as many Hessians as it
+    takes steps (a table, u'' = 0, forms one on every step).
     """
     cfg = cfg or SolverConfig()
     K = model.K if K is None else K

@@ -2,11 +2,15 @@
 
 Every expectation in the library is a weighted sum over a ScenarioSet.
 An exact enumeration is the product of the K coordinate laws and keeps
-those laws, not its rows.  Holding laws is the one test for an exact set:
-every library path reads such a set in product form through its own laws,
-whichever market it is paired with, and its (n, K) rows are built only
-when a caller reads ``draws``.  A set built from rows is a row set, read
-row by row, whatever its ``provenance``, which only labels the report.
+those laws, not its rows.  Holding laws is the one test for an exact set,
+whichever market it is paired with.  The measure layer and the
+arbitrage search read every such set through its laws.  The solver, the
+Hoelder chain and the exponential-moment cap do so in product form
+unless its split has no heads or it has at most
+``optimize._PRODUCT_ROWS`` rows (``optimize._product_form``); then they
+read its (n, K) rows, which are built on the first read of ``draws``
+and kept.  A set built from rows is a row set, read row by row, whatever
+its ``provenance``, which only labels the report.
 Monte Carlo rows are a pure function of (seed, row index), so results
 never depend on how the work is chunked across workers; a sampled set
 stores them column-major, one contiguous array per noise coordinate, which

@@ -13,10 +13,10 @@ Built-in kinds:
   config file's table is checked from its own slopes when it is parsed.
 
 Each kind has one builder (``_BUILDERS``) that checks its parameters and
-returns its kernel set: the per-chunk kernels of u, u', u'', u's gain
-and loss sides for the Hoelder chain, u's growth exponent above 0, the
-loss side's slope where that side is linear, and whether u'' can be
-nonzero at all (a table's is 0 everywhere, so the solver forms its
+returns its kernel set: the kernels of u, u', u'', u's gain and loss
+sides for the Hoelder chain, u's growth exponent above 0, the loss
+side's slope where that side is linear, and whether u'' can be nonzero
+at all (a table's is 0 everywhere, so the solver forms its
 Hessian as the zero matrix without running u'').
 ``Utility.__post_init__`` runs it once, when the utility is made, and is
 the one place that reads ``kind``.  So alpha outside (0,1), or a table
@@ -24,15 +24,15 @@ with fewer than two points, unequal lengths, a non-finite node or xs that
 do not increase strictly, raises ValueError there, and a table becomes
 arrays once, not per call.
 
-Each evaluator is one per-chunk kernel per kind, run by one driver
-(``_evaluate``) over fixed chunks of ``_CHUNK`` elements, so every
-temporary is a chunk or a few, whatever the array's size; a 0-d argument
-is one element of the same kernel, so its float is the one-element
-array's value bit for bit.  The appendix-power kernels are branch-free:
-each applies the x > 0 formula to max(x, 0), which leaves x > 0 as it is
-and maps the rest to 0, where that formula is exact, and joins the x <= 0
-formula by arithmetic or a bit mask, with no boolean gather or scatter,
-so the time per element does not depend on the signs' pattern.  Their
+Each evaluator is one kernel per kind, run by one driver (``_evaluate``)
+once over the whole array, with one scratch of the array's size; a 0-d
+argument is one element of the same kernel, so its float is the
+one-element array's value bit for bit.  The appendix-power kernels are
+branch-free: each applies the x > 0 formula to max(x, 0), which leaves
+x > 0 as it is and maps the rest to 0, where that formula is exact, and
+joins the x <= 0 formula by arithmetic or a bit mask, with no boolean
+gather or scatter, so the time per element does not depend on the signs'
+pattern.  Their
 values are bit for bit those of np.where over the two formulas, -0.0,
 infinities and NaN payloads included; a table's are those of its
 formulas on the whole array.
@@ -47,8 +47,8 @@ Each kind defines the Hoelder chain's two sides once, as its gain kernel
 (u on Y <= 0: alpha Y, so its loss slope is alpha); a table's are both
 its value kernel, and it has no loss slope.  ``_side`` clamps and runs
 one kernel: the gain kernel on max(Y, 0) gives u(Y+) and the loss kernel
-on min(0, Y) gives u(-Y-).  The row walk runs both chunk by chunk
-(``_split_u``), so a table runs twice per payoff.  The exact sets'
+on min(0, Y) gives u(-Y-).  The row walk runs each over the whole
+array (``_split_u``), so a table runs twice per payoff.  The exact sets'
 staircase (``optimize._staircase``) runs the same clamps on its blocks of
 rows, with the gain or loss kernel (the exact solver also with its u'
 kernel, and with its u'' kernel on the gain side alone, since u'' = 0 on
@@ -101,15 +101,15 @@ class GrowthBounds(Record):
 
 
 class _Kernels(NamedTuple):
-    """A utility's kernel set, each kernel run per chunk by ``_chunks``;
-    gain, loss, prime and second also on staircase blocks whole.  Every
-    kind's second is 0 on Y <= 0 (u is linear there, or piecewise linear
-    everywhere), so the exact solver runs it on the gain side's clamp
-    alone, on the rows above 0."""
-    value: Callable   # kernel(xc, out, tmp) that writes u(xc) into out
+    """A utility's kernel set, each kernel run once over a whole array
+    with one scratch of its size (``_evaluate``); gain, loss, prime and
+    second also on staircase blocks.  Every kind's second is 0 on Y <= 0
+    (u is linear there, or piecewise linear everywhere), so the exact
+    solver runs it on the gain side's clamp alone, on the rows above 0."""
+    value: Callable   # kernel(x, out, tmp) that writes u(x) into out
     prime: Callable   # the same for u'
     second: Callable  # the same for u''
-    gain: Callable    # kernel(yc, out, tmp): u(Y) where every Y >= 0
+    gain: Callable    # kernel(y, out, tmp): u(Y) where every Y >= 0
     loss: Callable    # the same where every Y <= 0
     growth: float     # u grows like x**growth as x -> +inf
     loss_slope: float | None  # a where loss is u(Y) = a Y, else None
@@ -128,10 +128,6 @@ class Utility(Record):
         if build is None:
             raise ValueError(f"unknown utility kind {self.kind!r}")
         object.__setattr__(self, "_kernels", build(self))
-
-    def __reduce__(self):
-        # the kernels are closures: pickle the fields and build them again
-        return Utility, (self.kind, self.alpha, self.xs, self.ys, self.growth)
 
     @property
     def has_growth_bounds(self) -> bool:
@@ -152,36 +148,20 @@ def tabulated(xs, ys, growth: GrowthBounds | None = None) -> Utility:
                    growth=growth)
 
 
-_CHUNK = 1 << 14  # elements per kernel pass: 128 KB temporaries stay in cache
-
-
-def _chunks(kernel, x: np.ndarray, *outs: np.ndarray) -> None:
-    """kernel(xc, *out chunks, tmp) on _CHUNK elements of x at a time: xc
-    holds them in C order, each out chunk the same elements of one of the
-    C-ordered outs, and tmp one chunk of scratch."""
-    flats = [o.reshape(-1) for o in outs]
-    src = x.reshape(-1) if x.flags.c_contiguous else x.flat
-    tmp = np.empty(min(_CHUNK, x.size))
-    for start in range(0, x.size, _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        xc = src[chunk]
-        kernel(xc, *[f[chunk] for f in flats], tmp[:xc.size])
-
-
 def _evaluate(kernel, x, out):
-    """out, or a new C-ordered array of x's shape, that kernel(xc, out,
-    tmp) fills _CHUNK elements at a time (``_chunks``); on a 0-d x with no
-    out, its one value as a float.  A 0-d x is one element of the same
-    kernel, so its value is the one-element array's bit for bit.  Each
-    kernel reads an element of xc before it writes that element of out, so
-    out may be x itself."""
+    """out, or a new C-ordered array of x's shape, that kernel(x, out, tmp)
+    fills in one pass over x's elements in C order, with tmp one scratch
+    of x's size; on a 0-d x with no out, its one value as a float.  A 0-d
+    x is one element of the same kernel, so its value is the one-element
+    array's bit for bit.  Each kernel reads an element of x before it
+    writes that element of out, so out may be x itself."""
     x = np.asarray(x, dtype=float)
     scalar = out is None and x.ndim == 0
     if out is None:
         out = np.empty(x.shape)
     elif out.shape != x.shape or out.dtype != float or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape {x.shape}")
-    _chunks(kernel, x, out)
+    kernel(x.reshape(-1), out.reshape(-1), np.empty(x.size))
     return float(out[()]) if scalar else out
 
 
@@ -191,47 +171,47 @@ def _appendix_power_kernels(u: Utility) -> _Kernels:
         raise ValueError("alpha must lie in (0,1)")
     k = a * (a - 1.0)
 
-    def value(xc, out, tmp):
+    def value(x, out, tmp):
         # a min(0, x) - (1 - (max(x, 0) + 1)**a).  On x <= 0 the second
         # term is +0.0, which subtracts exactly even from -0.0, and
         # min(0, x) keeps x's -0.0 and NaN; on x > 0 the first is +0.0,
         # and 0 - (1 - p) = p - 1 exactly.  fmax maps NaN to 0.
-        np.fmax(xc, 0.0, out=tmp)
+        np.fmax(x, 0.0, out=tmp)
         tmp += 1.0
         np.power(tmp, a, out=tmp)
         np.subtract(1.0, tmp, out=tmp)
-        np.minimum(0.0, xc, out=out)
+        np.minimum(0.0, x, out=out)
         out *= a
         out -= tmp
 
-    def prime(xc, out, tmp):
+    def prime(x, out, tmp):
         # a (max(x, 0) + 1)**(a - 1): on x <= 0 and NaN, a * 1**(a - 1)
         # = a, the value at and below the kink
-        np.fmax(xc, 0.0, out=out)
+        np.fmax(x, 0.0, out=out)
         out += 1.0
         np.power(out, a - 1.0, out=out)
         out *= a
 
-    def second(xc, out, tmp):
+    def second(x, out, tmp):
         # k (max(x, 0) + 1)**(a - 2), its bits masked to +0.0 off x > 0:
         # k < 0, so no product with a 0/1 mask gives +0.0 there
-        live = np.subtract(0, xc > 0, out=tmp.view(np.int64), dtype=np.int64)
-        np.fmax(xc, 0.0, out=out)
+        live = np.subtract(0, x > 0, out=tmp.view(np.int64), dtype=np.int64)
+        np.fmax(x, 0.0, out=out)
         out += 1.0
         np.power(out, a - 2.0, out=out)
         out *= k
         bits = out.view(np.int64)
         bits &= live
 
-    def gain(yc, out, tmp):
+    def gain(y, out, tmp):
         # u's x > 0 term (Y + 1)**a - 1 on Y >= 0, where Y = 0 gives +0.0
-        np.add(yc, 1.0, out=out)
+        np.add(y, 1.0, out=out)
         np.power(out, a, out=out)
         out -= 1.0
 
-    def loss(yc, out, tmp):
+    def loss(y, out, tmp):
         # u's x <= 0 term a Y on Y <= 0, -0.0 included
-        np.multiply(yc, a, out=out)
+        np.multiply(y, a, out=out)
     return _Kernels(value, prime, second, gain, loss, a, a, True)
 
 
@@ -245,19 +225,19 @@ def _tabulated_kernels(u: Utility) -> _Kernels:
         raise ValueError("tabulated xs must be strictly increasing")
     first = (ys[1] - ys[0]) / (xs[1] - xs[0])  # u's slope below the table
 
-    def value(xc, out, tmp):
+    def value(x, out, tmp):
         # the interpolant plus first * min(x - xs[0], 0), which continues
         # the first segment below the table
-        np.subtract(xc, xs[0], out=tmp)
+        np.subtract(x, xs[0], out=tmp)
         np.minimum(tmp, 0.0, out=tmp)
         tmp *= first
-        np.add(np.interp(xc, xs, ys), tmp, out=out)
+        np.add(np.interp(x, xs, ys), tmp, out=out)
 
-    def prime(xc, out, tmp):
+    def prime(x, out, tmp):
         # the central difference; the first slope at -inf and 0 at +inf
-        ends = np.isinf(xc)
-        low = ends & (xc < 0)
-        xf = np.where(ends, 0.0, xc)
+        ends = np.isinf(x)
+        low = ends & (x < 0)
+        xf = np.where(ends, 0.0, x)
         h = np.abs(xf)
         np.maximum(1.0, h, out=h)
         h *= 1e-6
@@ -271,7 +251,7 @@ def _tabulated_kernels(u: Utility) -> _Kernels:
         np.copyto(out, 0.0, where=ends)
         np.copyto(out, first, where=low)
 
-    def second(xc, out, tmp):
+    def second(x, out, tmp):
         out.fill(0.0)
 
     return _Kernels(value, prime, second, value, value, 0.0, None, False)
@@ -330,21 +310,10 @@ def _side(kernel, rising: bool):
 
 def _split_u(u: Utility):
     """values(Y) for the Hoelder walk: the pair (u(Y+), u(-Y-)) of new
-    C-ordered arrays of Y's shape, filled _CHUNK elements at a time
-    (``_chunks``) by the kind's two sides (``_side``), so a table runs
-    twice per payoff."""
+    C-ordered arrays of Y's shape, each one ``_evaluate`` of one of the
+    kind's two sides (``_side``), so a table runs twice per payoff."""
     gain_of, loss_of = _side(u._kernels.gain, True), _side(u._kernels.loss, False)
-
-    def kernel(yc, gain, loss, tmp):
-        gain_of(yc, gain, tmp)
-        loss_of(yc, loss, tmp)
-
-    def split(y):
-        y = np.asarray(y, dtype=float)
-        gain, loss = np.empty(y.shape), np.empty(y.shape)
-        _chunks(kernel, y, gain, loss)
-        return gain, loss
-    return split
+    return lambda y: (_evaluate(gain_of, y, None), _evaluate(loss_of, y, None))
 
 
 class GrowthVerdict(Record):

@@ -321,6 +321,9 @@ class TestExitCodes:
         ("model", {**DEMO["model"], "mu": {"a": 1}}, "model.mu"),
         ("output", 5, "config.output"),
         ("output", "", "config.output"),
+        # keys that the rest of the config leaves unread
+        ("scenario", {"mode": "exact", "n": 5}, "scenario.n"),
+        ("measure", {"p": 3.0, "moment_exponents": [1.0]}, "measure.p"),
     ], ids=["alpha-list", "exponents-int", "alpha-str", "n-str", "kind-unknown",
             "kind-list", "family-list",
             "growth-c1-nan", "grad-tol-nan", "grad-tol-inf", "max-iter-negative",
@@ -331,7 +334,7 @@ class TestExitCodes:
             "fallback-alpha-bool", "exponents-bool", "alpha-bool", "alpha-nan",
             "growth-beta-bool", "b-rule-c-bool", "b-rule-p-nan", "two-point-p-bool",
             "mu-bool", "mu-inf", "beta-bar-inf", "beta-bool", "mu-object", "output-int",
-            "output-empty"])
+            "output-empty", "n-exact", "p-beside-exponents"])
     def test_bad_value_names_its_key(self, tmp_path, capsys, section, value, key):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({**DEMO, section: value}))
@@ -482,12 +485,15 @@ class TestExitCodes:
          (), None, "- scenario.seed: "),
         (MC_LADDER, ("--scenarios", "0"), None, "--scenarios"),
         (DEMO, ("--scenarios", "-3"), None, "--scenarios"),
+        (DEMO, ("--scenarios", "300"), None, "--scenarios"),
     ], ids=["flag-negative", "flag-2**64", "env-negative", "env-2**64",
-            "config-negative", "config-2**64", "scenarios-zero", "scenarios-negative"])
+            "config-negative", "config-2**64", "scenarios-zero", "scenarios-negative",
+            "scenarios-exact"])
     def test_bad_seed_or_scenario_count_exits_1(self, tmp_path, monkeypatch, capsys,
                                                 config, extra, env, source):
         # each used to exit 1 with "internal error: key must be positive ..."
-        # or, for --scenarios 0, to sample the config's n rows and exit 0
+        # or, for --scenarios 0, to sample the config's n rows and exit 0,
+        # and for --scenarios on an exact config to enumerate and exit 0
         if env is None:
             monkeypatch.delenv("SEED", raising=False)
         else:
@@ -498,7 +504,7 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert source in err
-        assert "[0, 2**64)" in err or "at least 1" in err
+        assert "[0, 2**64)" in err or "at least 1" in err or "reads no scenario count" in err
         assert "internal error" not in err and "Traceback" not in err
 
     def test_empty_out_exits_1(self, tmp_path, monkeypatch, capsys):

@@ -1020,8 +1020,9 @@ class TestProductForm:
 
 class TestHessianOnDemand:
     """A step forms the Hessian where it starts, or reuses the last step's
-    (Newton-chord); the pass that ends a loop forms none, and the zero
-    iterate, where u''(0) = 0, gets the zero matrix with no pass."""
+    (Newton-chord); the pass that ends a loop forms none.  At the zero
+    iterate, where u''(0) = 0, the Hessian's pass finds c all zero on a
+    row set and an empty cut in product form, so the matrix is zero."""
 
     @staticmethod
     def log_halves(monkeypatch, name):
@@ -1066,8 +1067,8 @@ class TestHessianOnDemand:
     @pytest.mark.parametrize("kind", ["exact", "rows", "sampled"])
     def test_solve_hessian_schedule(self, monkeypatch, kind):
         # every solve starts at phi = 0, where u''(0) = 0: its first
-        # Hessian is the zero matrix, formed with no pass (neither a row
-        # set's u'' nor an exact solve's staircase sees the zero iterate),
+        # Hessian is the zero matrix (a row set's u'' gives c all zero,
+        # "H0", and an exact solve's u'' staircase runs on an empty cut),
         # so the second step forms H again; no step backtracks, so from
         # there a step reuses H and the next forms it.  An exact solve's
         # value calls, one per step and one at phi = 0, each run one rising
@@ -1095,17 +1096,22 @@ class TestHessianOnDemand:
         monkeypatch.setattr(optimize, "eval_u_second", logged_second)
         res = optimize_truncated(model, u, None, s)
         assert res.converged and res.iterations == 7
-        assert payoffs == [True] * 3 * (kind != "exact")
-        assert calls == ["g", "g", "H"] * 3 + ["g", "g"]
-        # the staircases' kernels, in order, and each Hessian's at a
-        # nonzero iterate: its heads' or its tile's payoffs are not all 0
+        assert payoffs == ([False] + [True] * 3) * (kind != "exact")
+        assert calls == ["g", "H" if kind == "exact" else "H0"] + ["g", "H", "g"] * 3 + ["g"]
+        # the staircases' kernels, in order; the first Hessian's at the
+        # zero iterate, every split at the tile's end, so its cut is empty,
+        # and each later one's at a nonzero iterate: its heads' or its
+        # tile's payoffs are not all 0
         kernels = u._kernels
         assert [c.args[0] for c in stair.call_args_list] == (
-            [kernels.gain, kernels.prime] * 2
+            [kernels.gain, kernels.prime, kernels.second, kernels.gain, kernels.prime]
             + ([kernels.second] + [kernels.gain, kernels.prime] * 2) * 3) * (kind == "exact")
-        assert [c.args[7] for c in stair.call_args_list] == [True] * 19 * (kind == "exact")
-        assert all(c.args[1].any() or c.args[3].any() for c in stair.call_args_list
-                   if c.args[0] is kernels.second)
+        assert [c.args[7] for c in stair.call_args_list] == [True] * 20 * (kind == "exact")
+        curvature = [c.args for c in stair.call_args_list if c.args[0] is kernels.second]
+        if kind == "exact":
+            h, k, t = curvature[0][1:4]
+            assert not (h.any() or t.any()) and (k == t.size).all()
+        assert all(h.any() or t.any() for _, h, _, t, *_ in curvature[1:])
 
     def test_ladder_levels_hessian_schedule(self, monkeypatch):
         model = rademacher_market([0.4 / i for i in range(1, 7)])
@@ -1116,9 +1122,9 @@ class TestHessianOnDemand:
         report = truncation_ladder(model, appendix_power(0.5),
                                    SolverConfig(ladder=(2, 4, 6)), s)
         assert [lv.iterations for lv in report.levels] == [7, 8, 7]
-        assert second.call_count == 3 + 4 + 3
-        seven = ["g", "g", "H"] * 3 + ["g", "g"]
-        eight = ["g", "g", "H"] * 4 + ["g"]
+        assert second.call_count == 4 + 5 + 4
+        seven = ["g", "H0"] + ["g", "H", "g"] * 3 + ["g"]
+        eight = ["g", "H0"] + ["g", "H", "g"] * 4
         assert calls == seven + eight + seven
 
     def test_certificate_hessian_schedule(self, monkeypatch):

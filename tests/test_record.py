@@ -1,5 +1,7 @@
+import copy
 import importlib
 import inspect
+import pickle
 import pkgutil
 
 import numpy as np
@@ -133,3 +135,16 @@ def test_record_contract(cls):
         with pytest.raises(ValueError):
             r.replace(**bad)
 
+    # pickle and both copies rebuild the record through __init__
+    built = []
+    init = cls.__init__
+
+    def counted(self, *a, **k):
+        built.append(self)
+        init(self, *a, **k)
+    for round_trip in (lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cls, "__init__", counted)
+            back = round_trip(r)
+        assert type(back) is cls and back is not r and built[-1] is back
+        assert repr(back) == repr(r)

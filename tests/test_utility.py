@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from apmopt import (GrowthBounds, Utility, appendix_power, certify_growth,
                     eval_u, eval_u_prime, eval_u_second, tabulated)
 from apmopt.utility import _BUILDERS, _side, _split_u
-from apmopt.utility import _CHUNK as CHUNK
 from conftest import scaled_utility
+
+# the tests' arrays run around this length, with edge values at both
+# ends of each piece of it
+CHUNK = 1 << 14
 
 
 class TestEval:
@@ -186,17 +189,19 @@ class TestLiveBranch:
                 assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
     def test_no_full_size_temporaries(self):
-        # the output plus a few chunks, never a second array of x's size
+        # the output plus the one scratch of x's size, and for u'' the
+        # mask x > 0, a byte an element; 1/16 of x's bytes covers numpy's
+        # casting buffers
         u = appendix_power(0.5)
         x = np.random.default_rng(0).standard_normal(1 << 19)
-        for f in (eval_u, eval_u_prime, eval_u_second):
+        for f, scratch in ((eval_u, 1), (eval_u_prime, 1), (eval_u_second, 1 + 1 / 8)):
             tracemalloc.start()
             try:
                 out = f(u, x)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= out.nbytes + 4 * CHUNK * 8
+            assert peak <= out.nbytes + (scratch + 1 / 16) * x.nbytes
 
 
 TABLE = tabulated((-10.0, -1.0, 0.0, 1.0, 10.0), (-30.0, -2.0, 0.2, 1.0, 3.0))
@@ -290,7 +295,8 @@ class TestSplit:
         assert loss.tobytes() == ref_loss.tobytes()
 
     def test_no_full_size_temporaries(self):
-        # its two outputs plus a few chunks, and no u(0)
+        # its two outputs plus one side's scratch of y's size at a time,
+        # and no u(0)
         u = appendix_power(0.5)
         y = np.random.default_rng(0).standard_normal((25, 1 << 14))
         tracemalloc.start()
@@ -299,7 +305,7 @@ class TestSplit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= gain.nbytes + loss.nbytes + 4 * CHUNK * 8
+        assert peak <= gain.nbytes + loss.nbytes + (1 + 1 / 16) * y.nbytes
 
 
 # one utility of each kind: appendix power's alpha, or a table with
@@ -396,24 +402,26 @@ class TestTabulatedChunks:
                 assert np.float64(got).tobytes() == f(TABLE, np.array([x])).tobytes()
 
     def test_no_full_size_temporaries(self):
-        # the output plus a few chunks: np.interp's result and the finite
-        # difference's steps are a chunk each
+        # the output plus the counted arrays of x's size: the scratch, and
+        # np.interp's result for u; for u' also the finite difference's
+        # point, step and upper point, and its two masks, a byte an
+        # element; 1/16 of x's bytes covers numpy's casting buffers
         x = np.random.default_rng(0).standard_normal(1 << 19) * 5.0
-        for f, chunks in ((eval_u, 3), (eval_u_prime, 6), (eval_u_second, 2)):
+        for f, scratch in ((eval_u, 2), (eval_u_prime, 5 + 2 / 8), (eval_u_second, 1)):
             tracemalloc.start()
             try:
                 out = f(TABLE, x)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= out.nbytes + chunks * CHUNK * 8
+            assert peak <= out.nbytes + (scratch + 1 / 16) * x.nbytes
         tracemalloc.start()
         try:
             gain, loss = _split_u(TABLE)(x.reshape(32, -1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= gain.nbytes + loss.nbytes + 3 * CHUNK * 8
+        assert peak <= gain.nbytes + loss.nbytes + (2 + 1 / 16) * x.nbytes
 
 
 class TestShape:
