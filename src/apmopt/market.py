@@ -237,6 +237,9 @@ def portfolio_value(model: MarketModel, strategy: FactorStrategy, eps) -> float:
         raise IndexError("strategy support exceeds truncation level")
     eps = np.asarray(eps, dtype=float)
     n = phi.size
+    if eps.ndim != 1 or eps.size < n:
+        raise IndexError(f"noise vector of shape {eps.shape} does not cover "
+                         f"a strategy of {n} coordinates")
     return float(math.fsum(phi * (eps[:n] - model.b[:n])))
 
 
@@ -244,6 +247,11 @@ def strategy_values(model: MarketModel, phi: np.ndarray, draws: np.ndarray) -> n
     """Vectorized V(phi) over the rows of a draws matrix."""
     phi = np.asarray(phi, dtype=float)
     n = phi.size
+    if n > model.K:
+        raise IndexError("strategy support exceeds truncation level")
+    if draws.ndim != 2 or draws.shape[1] < n:
+        raise IndexError(f"draws of shape {draws.shape} do not cover "
+                         f"a strategy of {n} coordinates")
     return (draws[:, :n] - model.b[:n]) @ phi
 
 

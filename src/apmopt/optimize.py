@@ -12,32 +12,35 @@ scenario expectation of u(V(phi)), with X = eps - b the centred noise.
 On sampled and row sets X is never formed: the loop reads the raw draws
 as E, a C-ordered (K, n) matrix whose rows are the coordinates
 (``_raw_draws``: a view of a sample's draws, one copy of a C-ordered row
-set's), and folds the shift b into each product.  The line search's
-payoffs v = phi @ E - phi . b at the accepted step feed the next pass,
-which reduces X a = E a - b sum(a) for the gradient and, when asked,
+set's), and folds the shift b into each product.  Each problem is one
+callable, value(x), which gives f and step; step() runs the pass at x on
+what the value call left, so a line-search trial that is not taken runs
+none.
+On rows the value call forms the payoffs v = phi @ E - phi . b, and its
+step reduces X a = E a - b sum(a) for the gradient and, when asked,
 X diag(c) X.T = E diag(c) E.T - (E c) b.T - b (E c).T + sum(c) b b.T
 for the Hessian.  v and both reductions are formed in fixed-order blocks
 of scenarios and panels of at most PANEL coordinates (``_payoffs``,
-``_row_blocks``), so the result does not depend on the BLAS thread count
-at any K.  An exact enumeration takes that row path too, on its rows,
-unless it runs in product form (``_product_form``, the one rule, which
-the Hoelder chain and the exponential-moment cap read as well); then
-its rows are never built.
+``_row_sums``, ``_row_gram``), so the result does not depend on the BLAS
+thread count at any K.  An exact enumeration takes that row path too, on
+its rows, unless it runs in product form (``_product_form``, the one
+rule, which the Hoelder chain and the exponential-moment cap read as
+well); then its rows are never built.
 The grid reads as an (H, T) matrix on the split the Hoelder chain takes,
 heads by a tile of trailing coordinates, and a payoff is a head's plus a
 tile point's, h + t.  Each value call sorts the tile and sums u over
 the rows as the chain's staircase over groups of heads (``_grid_value``,
 ``_staircase``): the rows above 0 in blocks, and those at or below 0 as
-running sums where u is linear there.  The accepted trial's pass runs u'
-on the same staircase for the row and column sums of w u', and
-``_row_blocks`` on them and on the head and tile designs gives the
-gradient.  The Hessian runs u'' on the same rising staircase, on the
-rows above 0 alone, since u'' = 0 at and below 0 for every utility kind:
-``_row_blocks`` on its row and column sums of w u'' gives the diagonal
-blocks, and each head's sums against the tile design, read in the sorted
-tile's order, give the block across heads and tile.  Its BLAS calls are
-``_row_blocks``' and the panel products of ``_panel_sums``, which hold
-that too, and no array of the grid's size is formed.
+running sums where u is linear there.  Its step runs u' on the same
+staircase for the row and column sums of w u', and ``_row_sums`` on them
+and on the head and tile designs gives the gradient.  The Hessian runs
+u'' on the same rising staircase, on the rows above 0 alone, since
+u'' = 0 at and below 0 for every utility kind: ``_row_gram`` on its row
+and column sums of w u'' gives the diagonal blocks, and each head's sums
+against the tile design, read in the sorted tile's order, give the block
+across heads and tile.  Its BLAS calls are ``_row_sums``', ``_row_gram``'s
+and the panel products of ``_panel_sums``, which hold that too, and no
+array of the grid's size is formed.
 -H is positive semidefinite because u'' <= 0 for every utility kind, so
 the shifted system is positive definite; the shift vanishes with g near
 the optimum, where the step is the Newton step, and for a tabulated
@@ -253,66 +256,69 @@ def saa_gradient(u: Utility, X: np.ndarray, w: np.ndarray, phi: np.ndarray) -> n
     return X.T @ (w * eval_u_prime(u, X @ phi))
 
 
-def _row_blocks(E: np.ndarray, a: np.ndarray | None, c: np.ndarray | None,
-                shift: np.ndarray | None = None):
-    """(X @ a, X diag(c) X.T) with X = E - shift[:, None] for the (K, n)
-    matrix E and c >= 0 (X = E with no shift), accumulated over blocks of
-    ROW_BLOCK columns of E in order, so the sums do not depend on the BLAS
-    thread count.  With a or c None that half is None and is not formed;
-    each half's sweep is the same alone as with the other, bit for bit.
-    The second is a sum of S_b @ S_b.T, where S_b holds E_b sqrt(c_b) over
+def _row_sums(E: np.ndarray, a: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+    """X @ a with X = E - shift[:, None] for the (K, n) matrix E (X = E
+    with no shift), accumulated over blocks of ROW_BLOCK columns of E in
+    order and panels of at most PANEL rows, so the sum does not depend on
+    the BLAS thread count.  The shift is folded in: X a = E a - shift
+    sum(a).  Entry i is within (min(n, ROW_BLOCK) + n / ROW_BLOCK + 2)
+    2^-53 sum_j |a_j| (|E_ij| + |shift_i|) of its exact value; with no
+    shift, |E| alone stands in that sum."""
+    K, n = E.shape
+    g = np.zeros(K)
+    for start in range(0, n, ROW_BLOCK):
+        cols = slice(start, start + ROW_BLOCK)
+        for i in range(0, K, PANEL):
+            g[i:i + PANEL] += E[i:i + PANEL, cols] @ a[cols]
+    if shift is not None:
+        g -= shift * np.sum(a)
+    return g
+
+
+def _row_gram(E: np.ndarray, c: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+    """X diag(c) X.T with X = E - shift[:, None] for the (K, n) matrix E
+    and c >= 0 (X = E with no shift), accumulated over blocks of ROW_BLOCK
+    columns of E in order, so the sum does not depend on the BLAS thread
+    count.  It is a sum of S_b @ S_b.T, where S_b holds E_b sqrt(c_b) over
     the row sqrt(c_b), written into one buffer of (K + 1) min(n, ROW_BLOCK)
     values; a block whose c is all zero adds only zeros there and is
-    skipped.  Both are formed on panels of at
-    most PANEL rows of E_b and S_b: numpy runs a panel's own product with
-    itself as a syrk, and the upper panel pairs' products are mirrored
-    once at the end.
+    skipped.  It is formed on panels of at most PANEL rows of S_b: numpy
+    runs a panel's own product with itself as a syrk, and the upper panel
+    pairs' products are mirrored once at the end.
 
-    The shift is folded in: X a = E a - shift sum(a), and with it S_b
-    keeps its last row, so the sum also gives E c and sum(c), and
-    X diag(c) X.T = E diag(c) E.T - (E c) shift.T - shift (E c).T
-    + sum(c) shift shift.T, added so that it stays symmetric.  Entry i of
-    the first is then within (min(n, ROW_BLOCK) + n / ROW_BLOCK + 2)
-    2^-53 sum_j |a_j| (|E_ij| + |shift_i|) of its exact value, and entry
-    (i, k) of the second within (min(n, ROW_BLOCK) + n / ROW_BLOCK + 10)
-    2^-53 sum_j c_j (|E_ij| + |shift_i|) (|E_kj| + |shift_k|); with no
-    shift, |E| alone stands in those sums."""
+    The shift is folded in: with it S_b keeps its last row, so the sum
+    also gives E c and sum(c), and X diag(c) X.T = E diag(c) E.T
+    - (E c) shift.T - shift (E c).T + sum(c) shift shift.T, added so that
+    it stays symmetric.  Entry (i, k) is then within (min(n, ROW_BLOCK)
+    + n / ROW_BLOCK + 10) 2^-53 sum_j c_j (|E_ij| + |shift_i|) (|E_kj|
+    + |shift_k|) of its exact value; with no shift, |E| alone stands in
+    that sum."""
     K, n = E.shape
-    g = G = None
-    if a is not None:
-        g = np.zeros(K)
-        for start in range(0, n, ROW_BLOCK):
-            cols = slice(start, start + ROW_BLOCK)
-            for i in range(0, K, PANEL):
-                g[i:i + PANEL] += E[i:i + PANEL, cols] @ a[cols]
-        if shift is not None:
-            g -= shift * np.sum(a)
-    if c is not None:
-        k = K + (shift is not None)  # the row sqrt(c) joins the products
-        panels = [slice(i, i + PANEL) for i in range(0, k, PANEL)]
-        G = np.zeros((k, k))
-        buf = np.empty((K + 1) * min(n, ROW_BLOCK))
-        for start in range(0, n, ROW_BLOCK):
-            cols = slice(start, start + ROW_BLOCK)
-            if not c[cols].any():
-                continue
-            Eb = E[:, cols]
-            S = buf[:(K + 1) * Eb.shape[1]].reshape(K + 1, Eb.shape[1])
-            np.sqrt(c[cols], out=S[K])
-            np.multiply(Eb, S[K], out=S[:K])
-            S = S[:k]
-            for i, p in enumerate(panels):
-                for q in panels[i:]:
-                    G[p, q] += S[p] @ S[q].T
+    k = K + (shift is not None)  # the row sqrt(c) joins the products
+    panels = [slice(i, i + PANEL) for i in range(0, k, PANEL)]
+    G = np.zeros((k, k))
+    buf = np.empty((K + 1) * min(n, ROW_BLOCK))
+    for start in range(0, n, ROW_BLOCK):
+        cols = slice(start, start + ROW_BLOCK)
+        if not c[cols].any():
+            continue
+        Eb = E[:, cols]
+        S = buf[:(K + 1) * Eb.shape[1]].reshape(K + 1, Eb.shape[1])
+        np.sqrt(c[cols], out=S[K])
+        np.multiply(Eb, S[K], out=S[:K])
+        S = S[:k]
         for i, p in enumerate(panels):
-            for q in panels[i + 1:]:
-                G[q, p] = G[p, q].T
-        if shift is not None:
-            cross = np.multiply.outer(G[:K, K], shift)
-            total = G[K, K]
-            G = G[:K, :K] - (cross + cross.T)
-            G += total * np.multiply.outer(shift, shift)
-    return g, G
+            for q in panels[i:]:
+                G[p, q] += S[p] @ S[q].T
+    for i, p in enumerate(panels):
+        for q in panels[i + 1:]:
+            G[q, p] = G[p, q].T
+    if shift is not None:
+        cross = np.multiply.outer(G[:K, K], shift)
+        total = G[K, K]
+        G = G[:K, :K] - (cross + cross.T)
+        G += total * np.multiply.outer(shift, shift)
+    return G
 
 
 def _panel_sums(X: np.ndarray, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -367,7 +373,7 @@ def _tile_split(xs) -> tuple[int, int]:
 
 def _product_form(s: ScenarioSet) -> bool:
     """Whether every sum over the payoffs of s runs in product form: the
-    solve (``_grid_value``, ``_grid_pass``), the Hoelder chain's sides and
+    solve (``_grid_value``), the Hoelder chain's sides and
     the exponential-moment cap (``diagnostics._product_sides``,
     ``_product_exp_abs``).  True only for an exact set whose split
     (``_tile_split``) has heads and that has more than _PRODUCT_ROWS rows,
@@ -565,15 +571,19 @@ def _tile_sides(kernels, h, k, t, w, g: int, scratch: np.ndarray):
 
 def _grid_value(u: Utility, xs, probs):
     """value for a solve on the product of the centred supports xs with
-    the laws' probabilities probs.  value(p) gives f = E[u(V(p))] and the
-    memo (p, sums, curvature), with w u'(V(p)) and -w u''(V(p)) read as
-    (H, T) matrices on the split that the Hoelder chain also takes
-    (``_tile_split``).  sums() gives (r, s), the first one's row sums, one
-    per head, and column sums, one per tile point.  curvature(tiles) gives
-    the second one's (r, s, q), with q[j] its row sums against tile
-    coordinate j of the (kt, T) tile design tiles (``_grid_pass``); where
-    u'' = 0 everywhere (a table, ``_Kernels.curved``) curvature is None
-    and no u'' runs.
+    the laws' probabilities probs.  value(p) gives f = E[u(V(p))] and
+    step, and step() the gradient at p and a callable for the Hessian
+    there (``_damped_newton``).  The grid reads as an (H, T) matrix on the
+    split that the Hoelder chain also takes (``_tile_split``): heads is
+    the (lead, H) design of the leading coordinates and tiles the (kt, T)
+    design of the tile's, both ``_grid_payoffs`` on unit strategies,
+    built once.  step() reads w u'(V(p)) as row sums r, one per head, and
+    column sums s, one per tile point, and gives the gradient
+    (heads @ r, tiles @ s), each ``_row_sums`` on a design.  The Hessian
+    reads -w u''(V(p)) as (r, s, q), with q[j] its row sums against tile
+    coordinate j, and forms -heads diag(r) heads.T and
+    -tiles diag(s) tiles.T by ``_row_gram`` and the block across heads and
+    tile as -heads @ q[j] for each j, a ``_row_sums`` each.
 
     Each value call reads the payoffs V = h + t of the heads h and of the
     tile t through the split that the Hoelder chain's sides and the
@@ -585,8 +595,8 @@ def _grid_value(u: Utility, xs, probs):
     staircase sides that the Hoelder chain sums too (``_tile_sides``):
     each group's block h + t from its smallest split on runs u's gain
     kernel once and gives the weighted row sums, and f is gain + loss,
-    less u(0) times the weight where a head's two cuts overlap.  sums()
-    runs u' and curvature() u'' on the same staircase over the memo's
+    less u(0) times the weight where a head's two cuts overlap.  step()
+    runs u' and the Hessian u'' on the same staircase over that call's
     sorted tile, with the column sums, so a line-search trial that is not
     taken costs neither.  Every kernel f satisfies
     f(Y) = f(max(Y, 0)) + f(min(0, Y)) - f(0).
@@ -603,10 +613,12 @@ def _grid_value(u: Utility, xs, probs):
       back f(0) once.
     * u'' runs on the rising staircase alone: u'' = 0 on Y <= 0 for every
       kind (``_Kernels``), u''(0) included.  Its sums against the tile
-      design read it in the sorted tile's order, one gather a call.
+      design read it in the sorted tile's order, one gather a call.  A
+      table's u'' is 0 everywhere, and at p = 0 every row sits at 0, so
+      the rising cut is empty: either way the Hessian is the zero matrix.
 
     The only buffer kept is a staircase group's block and its kernel
-    scratch (2 min(g, H) T values), which every call overwrites, so a memo
+    scratch (2 min(g, H) T values), which every call overwrites, so a step
     stays valid after later value calls; no array of the grid's size is
     formed.
 
@@ -622,15 +634,17 @@ def _grid_value(u: Utility, xs, probs):
     |u'(V)| + |u'(0)| each: a column sum adds the H heads' values one
     after the other, and the f(0) terms come from running sums over the
     tile and over the groups' edges.  The gradient's gemvs add max(H, T).
-    Each entry (i, j) of the Hessian that ``_grid_pass`` forms is within
-    H + T + 32, relatively to the sum of its terms' magnitudes,
-    |x_i x_j u''(V)| each: r is pairwise along the tile (log2(T) + 12), s
-    and q add terms in order, and ``_row_blocks`` adds H or T more.  The
-    only BLAS calls here are ``_panel_sums``', so the sums do not depend
-    on the BLAS thread count.
+    Each entry (i, j) of the Hessian is within H + T + 32, relatively to
+    the sum of its terms' magnitudes, |x_i x_j u''(V)| each: r is pairwise
+    along the tile (log2(T) + 12), s and q add terms in order, and
+    ``_row_gram`` or ``_row_sums`` adds H or T more.  The only BLAS calls
+    here are theirs and ``_panel_sums``', so the sums do not depend on
+    the BLAS thread count.
     """
     lead, T = _tile_split(xs)
     H = math.prod(x.size for x in xs[:lead])
+    heads = _grid_payoffs(xs[:lead], np.eye(lead))
+    tiles = _grid_payoffs(xs[lead:], np.eye(len(xs) - lead))
     kernels = u._kernels
     slope = kernels.loss_slope
     u0, p0 = eval_u(u, 0.0), eval_u_prime(u, 0.0)
@@ -638,8 +652,8 @@ def _grid_value(u: Utility, xs, probs):
     stair = np.empty((2, min(g, H) * T))
 
     def value(p):
-        order, t, wt, heads, h, wh, k = next(split(p[None]))
-        k, h, wh, heads = _by_split(k, g, h, wh, heads)
+        order, t, wt, live, h, wh, k = next(split(p[None]))
+        k, h, wh, live = _by_split(k, g, h, wh, live)
         fu, lu, rise, fall, below = _tile_sides(kernels, h, k, t, wt, g, stair)
         fu += lu
         if slope is None:
@@ -647,7 +661,7 @@ def _grid_value(u: Utility, xs, probs):
             fu -= u0 * both
         fu *= wh
 
-        def sums():
+        def step():
             cols = np.zeros(t.size)
             fp, _ = _staircase(kernels.prime, h, k, t, wt, g, stair, True, wh, cols)
             if slope is None:
@@ -662,96 +676,37 @@ def _grid_value(u: Utility, xs, probs):
                 fp += slope * below[rise]
                 # a column's weight in groups whose edge lies above it
                 cols += slope * np.cumsum(np.bincount(rise, wh, t.size + 1)[:0:-1])[::-1]
-            return _scatter(fp, wh, heads, H), _scatter(cols, wt, order, T)
+            grad = np.concatenate((_row_sums(heads, _scatter(fp, wh, live, H)),
+                                   _row_sums(tiles, _scatter(cols, wt, order, T))))
 
-        if not kernels.curved:
-            return float(np.sum(fu)), (p, sums, None)
-
-        def curvature(tiles):
-            cols = np.zeros(t.size)
-            rows = tiles[:, order] if lead else tiles[:0]
-            cross = np.empty((rows.shape[0], h.size))
-            fc, _ = _staircase(kernels.second, h, k, t, wt, g, stair, True, wh, cols,
-                               rows, cross)
-            return (_scatter(np.negative(fc, out=fc), wh, heads, H),
-                    _scatter(np.negative(cols, out=cols), wt, order, T),
-                    _scatter(np.negative(cross, out=cross), wh, heads, H))
-        return float(np.sum(fu)), (p, sums, curvature)
+            def hessian():
+                G = np.zeros((p.size, p.size))
+                cols = np.zeros(t.size)
+                rows = tiles[:, order] if lead else tiles[:0]
+                cross = np.empty((rows.shape[0], h.size))
+                fc, _ = _staircase(kernels.second, h, k, t, wt, g, stair, True, wh, cols,
+                                   rows, cross)
+                r = _scatter(np.negative(fc, out=fc), wh, live, H)
+                s = _scatter(np.negative(cols, out=cols), wt, order, T)
+                q = _scatter(np.negative(cross, out=cross), wh, live, H)
+                G[:lead, :lead] = _row_gram(heads, r)
+                G[lead:, lead:] = _row_gram(tiles, s)
+                for j, qj in enumerate(q):
+                    G[:lead, lead + j] = _row_sums(heads, qj)
+                G[lead:, :lead] = G[:lead, lead:].T
+                return np.negative(G, out=G)
+            return grad, hessian, None
+        return float(np.sum(fu)), step
     return value
 
 
-def _grid_pass(xs):
-    """step_pass(memo) for a solve on the product of the supports xs, from
-    ``_grid_value``'s memo (p, sums, curvature).  The grid reads as an
-    (H, T) matrix on the split that the Hoelder chain also takes
-    (``_tile_split``): heads is the (lead, H) design of the leading
-    coordinates and tiles the (kt, T) design of the tile's, both
-    ``_grid_payoffs`` on unit strategies, built once.  step_pass gives the
-    gradient (heads @ r, tiles @ s) with (r, s) = sums(), each
-    ``_row_blocks`` on a design, and a callable for the Hessian at p.
-    That callable takes (r, s, q) = curvature(tiles) and forms
-    -heads diag(r) heads.T and -tiles diag(s) tiles.T by ``_row_blocks``,
-    and the block across heads and tile as -heads @ q[j] for each tile
-    coordinate j, a ``_row_blocks`` gemv each.  For a table, whose u'' is
-    0 everywhere (curvature None), it returns the zero matrix with no
-    pass.  At p = 0 every row sits at 0, where u'' = 0 for every kind, so
-    the rising staircase's cut is empty and the matrix is zero too."""
-    lead, _ = _tile_split(xs)
-    heads = _grid_payoffs(xs[:lead], np.eye(lead))
-    tiles = _grid_payoffs(xs[lead:], np.eye(len(xs) - lead))
-
-    def step_pass(memo):
-        p, sums, curvature = memo
-        r, s = sums()
-        g = np.concatenate((_row_blocks(heads, r, None)[0], _row_blocks(tiles, s, None)[0]))
-
-        def hessian():
-            G = np.zeros((p.size, p.size))
-            if curvature is None:
-                return G
-            r, s, q = curvature(tiles)
-            G[:lead, :lead] = _row_blocks(heads, None, r)[1]
-            G[lead:, lead:] = _row_blocks(tiles, None, s)[1]
-            for j, qj in enumerate(q):
-                G[:lead, lead + j] = _row_blocks(heads, qj, None)[0]
-            G[lead:, :lead] = G[:lead, lead:].T
-            return np.negative(G, out=G)
-        return g, hessian, None
-    return step_pass
-
-
-def _newton_pass(u: Utility, blocks, w: np.ndarray, p: np.ndarray,
-                 v: np.ndarray, a: np.ndarray, c: np.ndarray):
-    """The gradient at p from the payoffs v = X @ p, and a callable for
-    the Hessian there, with blocks(a, c) = (X.T @ a, X.T diag(c) X) and
-    either argument None to form one half; -w u'' >= 0 for every utility
-    kind.  a and c are buffers of v's length: w u'(v) is written into a,
-    and the callable writes -w u''(v) into c, so v must not change before
-    it runs.  For a table, whose u'' is 0 everywhere (``_Kernels.curved``),
-    the callable returns the zero matrix with no pass.  At p = 0 every v
-    is 0, where u'' = 0 for every kind, so c is all zero, ``_row_blocks``
-    skips every block and the matrix is zero too."""
-    eval_u_prime(u, v, out=a)
-    a *= w
-    g, _ = blocks(a, None)
-
-    def hessian():
-        if not u._kernels.curved:
-            return np.zeros((p.size, p.size))
-        curv = eval_u_second(u, v, out=c)
-        curv *= w
-        return -blocks(None, np.negative(curv, out=curv))[1]
-    return g, hessian, None
-
-
-def _damped_newton(step_pass, value, x: np.ndarray, done, max_iter: int,
-                   slack: float):
-    """Ascend a concave f from x.  value(x) gives (f, memo), and
-    step_pass(memo) gives (g, hessian, aux) at that point, so the line
-    search's accepted trial is never evaluated again.  hessian() gives H
-    there; the loop calls it only to take a step, after done(g, aux) has
-    failed and before the next value call, so no pass that ends the loop
-    forms a Hessian.
+def _damped_newton(value, x: np.ndarray, done, max_iter: int, slack: float):
+    """Ascend a concave f from x.  value(x) gives (f, step), and step()
+    gives (g, hessian, aux) at that point, so the line search's accepted
+    trial is never evaluated again and a trial that is not taken runs no
+    pass.  hessian() gives H there; the loop calls it only to take a
+    step, after done(g, aux) has failed and before the next value call,
+    so no pass that ends the loop forms a Hessian.
 
     The direction is d = (||g||^2 I - H)^{-1} g, with the current g, and
     Armijo halving picks the step, accepting a fall of f within
@@ -765,8 +720,8 @@ def _damped_newton(step_pass, value, x: np.ndarray, done, max_iter: int,
     that leaves f unchanged.
     Returns (x, f, g, aux, steps).
     """
-    f, memo = value(x)
-    g, hessian, aux = step_pass(memo)
+    f, step = value(x)
+    g, hessian, aux = step()
     steps = 0
     flat = reuse = False
     while steps < max_iter and not flat and not done(g, aux):
@@ -784,7 +739,7 @@ def _damped_newton(step_pass, value, x: np.ndarray, done, max_iter: int,
         t = 1.0
         while t > 1e-18:
             cand = x + t * d
-            f_cand, memo = value(cand)
+            f_cand, step = value(cand)
             if f_cand >= f + 1e-4 * t * slope - tol:
                 break
             t *= 0.5
@@ -792,7 +747,7 @@ def _damped_newton(step_pass, value, x: np.ndarray, done, max_iter: int,
             break  # no ascent step that moves x; report the best iterate
         flat = flat or f_cand == f  # at the rounding floor: f no longer moves
         x, f = cand, f_cand
-        g, hessian, aux = step_pass(memo)
+        g, hessian, aux = step()
         steps += 1
         reuse = not reuse and t == 1.0 and bool(H.any())
     return x, f, g, aux, steps
@@ -818,7 +773,7 @@ def _no_arbitrage_certificate(E: np.ndarray, shift: np.ndarray, w: np.ndarray) -
     on any column of X = E - shift[:, None], that is, on any scenario,
     for the (K, n) matrix E of raw draws.  X is not formed: the shift is
     folded into z and into r and the Hessian below (``_payoffs``,
-    ``_row_blocks``), within their error bounds.
+    ``_row_sums``, ``_row_gram``), within their error bounds.
 
     Minimizes the convex L(lam) = log sum_j w_j exp(x_j . lam) (Rogers
     1994) from lam = 0 by running the solver's loop on -L, with gradient
@@ -833,17 +788,16 @@ def _no_arbitrage_certificate(E: np.ndarray, shift: np.ndarray, w: np.ndarray) -
     """
     def neg_log_mass(lam):
         L, y = _tilt(E, shift, w, lam)
-        return -L, y
 
-    def rogers_pass(y):
-        r, _ = _row_blocks(E, y, None, shift)
-        return -r, lambda: np.outer(r, r) - _row_blocks(E, None, y, shift)[1], y
+        def step():
+            r = _row_sums(E, y, shift)
+            return -r, lambda: np.outer(r, r) - _row_gram(E, y, shift), y
+        return -L, step
 
     def bound_small(g, y):
         return float(np.abs(g).sum()) < 1e-9 * float(y.min())
 
-    _, _, g, y, _ = _damped_newton(rogers_pass, neg_log_mass,
-                                   np.zeros(E.shape[0]), bound_small,
+    _, _, g, y, _ = _damped_newton(neg_log_mass, np.zeros(E.shape[0]), bound_small,
                                    max_iter=49, slack=1e-14)  # <= 50 passes
     return bound_small(g, y)
 
@@ -870,23 +824,27 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
     stand for the duplicated rows, and no centred copy of the draws is
     made.  Any other set, an exact one included, is solved on its rows,
     uncentred (``_raw_draws``: a sample's are read in place), with the
-    shift b folded into every product (``_payoffs``, ``_row_blocks``):
-    two n-length buffers live as long as the solve, one holds w u'(v) and
-    the other w u''(v) and the line search's w u(v), since w u''(v) is dead
-    once the Hessian is formed.  In product form no n-length array is
-    formed, and neither the set's rows nor its weights are built: the
-    value calls run the staircase in one group's block (``_grid_value``),
-    and the pass reads the value call's memo, its sorted tile, splits and
-    head groups, for the gradient and the Hessian (``_grid_pass``), on
-    the head and tile designs, which are built once; ``_row_blocks`` and
-    ``_panel_sums`` run the pass's only BLAS calls.  The loop is
-    ``_damped_newton``'s, with its Newton-chord Hessian.  The first step's,
-    at phi = 0, is zero, since u''(0) = 0: on rows ``_row_blocks`` skips
-    every block, and in product form the u'' staircase's cut is empty; a
-    zero Hessian is never reused, so the second step forms one; from
-    there the step after a full step on a fresh Hessian reuses it, so a
-    solve with no backtracking forms about half as many Hessians as it
-    takes steps (a table, u'' = 0, forms one on every step).
+    shift b folded into every product (``_payoffs``, ``_row_sums``,
+    ``_row_gram``).  Either way the solve is one value callable for
+    ``_damped_newton``: value(p) gives f and its step, and step() the
+    pass at p, on what that value call left.  On rows, value(p) forms the
+    payoffs v once; the step reduces w u'(v) for the gradient and its
+    Hessian -w u''(v), each in one of two n-length buffers that live as
+    long as the solve (the second also holds the line search's w u(v),
+    dead once f is summed).  In product form no n-length array is formed,
+    and neither the set's rows nor its weights are built: the value calls
+    run the staircase in one group's block, and the step reads that
+    call's sorted tile, splits and head groups, for the gradient and the
+    Hessian, on the head and tile designs, which are built once
+    (``_grid_value``); ``_row_sums``, ``_row_gram`` and ``_panel_sums``
+    run the pass's only BLAS calls.  The loop is ``_damped_newton``'s,
+    with its Newton-chord Hessian.  The first step's, at phi = 0, is zero,
+    since u''(0) = 0: on rows ``_row_gram`` skips every block, and in
+    product form the u'' staircase's cut is empty; a zero Hessian is
+    never reused, so the second step forms one; from there the step after
+    a full step on a fresh Hessian reuses it, so a solve with no
+    backtracking forms about half as many Hessians as it takes steps (a
+    table, u'' = 0, forms its zero matrix on every step).
     """
     cfg = cfg or SolverConfig()
     K = model.K if K is None else K
@@ -900,22 +858,29 @@ def optimize_truncated(model: MarketModel, u: Utility, K: int | None,
         )
     if _product_form(s):
         laws = s._laws[:K]
-        xs = [x - b for (x, _), b in zip(laws, model.b)]
-        value = _grid_value(u, xs, [p for _, p in laws])
-        step_pass = _grid_pass(xs)
+        value = _grid_value(u, [x - b for (x, _), b in zip(laws, model.b)],
+                            [p for _, p in laws])
     else:
         E, b = _raw_draws(s, K), model.b[:K]
         w = s.weights
-        a_buf, c_buf = np.empty(s.n), np.empty(s.n)
-        blocks = lambda a, c: _row_blocks(E, a, c, b)
+        a, c = np.empty(s.n), np.empty(s.n)
 
         def value(p):
             v = _payoffs(E, p, b)
-            return _expected_u(u, w, v, c_buf), (p, v)
-        step_pass = lambda memo: _newton_pass(u, blocks, w, *memo, a_buf, c_buf)
+
+            def step():
+                slope = eval_u_prime(u, v, out=a)
+                slope *= w
+
+                def hessian():
+                    curv = eval_u_second(u, v, out=c)
+                    curv *= w
+                    return -_row_gram(E, np.negative(curv, out=curv), b)
+                return _row_sums(E, slope, b), hessian, None
+            return _expected_u(u, w, v, c), step
     phi, f, g, _, it = _damped_newton(
-        step_pass, value, np.zeros(K),
-        lambda g, _: float(np.linalg.norm(g)) <= cfg.grad_tol, cfg.max_iter, slack=0.0)
+        value, np.zeros(K), lambda g, _: float(np.linalg.norm(g)) <= cfg.grad_tol,
+        cfg.max_iter, slack=0.0)
     gn = float(np.linalg.norm(g))
     return LevelResult(K=K, phi_star=phi, value=f, grad_norm=gn,
                        iterations=it, converged=gn <= cfg.grad_tol)

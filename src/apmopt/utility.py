@@ -14,10 +14,10 @@ Built-in kinds:
 
 Each kind has one builder (``_BUILDERS``) that checks its parameters and
 returns its kernel set: the kernels of u, u', u'', u's gain and loss
-sides for the Hoelder chain, u's growth exponent above 0, the loss
-side's slope where that side is linear, and whether u'' can be nonzero
-at all (a table's is 0 everywhere, so the solver forms its
-Hessian as the zero matrix without running u'').
+sides for the Hoelder chain, u's growth exponent above 0 and the loss
+side's slope where that side is linear.  The solver runs every kind's
+u'' alike; a table's fills zeros, so its Hessian comes out as the zero
+matrix.
 ``Utility.__post_init__`` runs it once, when the utility is made, and is
 the one place that reads ``kind``.  So alpha outside (0,1), or a table
 with fewer than two points, unequal lengths, a non-finite node or xs that
@@ -105,7 +105,8 @@ class _Kernels(NamedTuple):
     with one scratch of its size (``_evaluate``); gain, loss, prime and
     second also on staircase blocks.  Every kind's second is 0 on Y <= 0
     (u is linear there, or piecewise linear everywhere), so the exact
-    solver runs it on the gain side's clamp alone, on the rows above 0."""
+    solver runs it on the gain side's clamp alone, on the rows above 0;
+    a table's is 0 on Y > 0 too."""
     value: Callable   # kernel(x, out, tmp) that writes u(x) into out
     prime: Callable   # the same for u'
     second: Callable  # the same for u''
@@ -113,7 +114,6 @@ class _Kernels(NamedTuple):
     loss: Callable    # the same where every Y <= 0
     growth: float     # u grows like x**growth as x -> +inf
     loss_slope: float | None  # a where loss is u(Y) = a Y, else None
-    curved: bool      # False where u'' = 0 everywhere (a table)
 
 
 class Utility(Record):
@@ -212,7 +212,7 @@ def _appendix_power_kernels(u: Utility) -> _Kernels:
     def loss(y, out, tmp):
         # u's x <= 0 term a Y on Y <= 0, -0.0 included
         np.multiply(y, a, out=out)
-    return _Kernels(value, prime, second, gain, loss, a, a, True)
+    return _Kernels(value, prime, second, gain, loss, a, a)
 
 
 def _tabulated_kernels(u: Utility) -> _Kernels:
@@ -254,7 +254,7 @@ def _tabulated_kernels(u: Utility) -> _Kernels:
     def second(x, out, tmp):
         out.fill(0.0)
 
-    return _Kernels(value, prime, second, value, value, 0.0, None, False)
+    return _Kernels(value, prime, second, value, value, 0.0, None)
 
 
 _BUILDERS = {"appendix_power": _appendix_power_kernels,

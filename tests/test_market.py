@@ -132,6 +132,26 @@ class TestPortfolioValue:
         m = two_factor_market()
         assert portfolio_value(m, FactorStrategy(np.array([5.0, -7.0])), m.b) == 0.0
 
+    def test_short_noise_vector_refused(self):
+        # one noise value would broadcast over both coordinates
+        m = two_factor_market()
+        with pytest.raises(IndexError, match="does not cover"):
+            portfolio_value(m, FactorStrategy([1.0, 2.0]), [1.0])
+        with pytest.raises(IndexError, match="does not cover"):
+            portfolio_value(m, FactorStrategy([1.0, 2.0]), [[1.0, -1.0]])
+
+    def test_narrow_draws_refused(self):
+        # one column would broadcast over both coordinates on every row
+        m = two_factor_market()
+        with pytest.raises(IndexError, match="do not cover"):
+            strategy_values(m, [1.0, 2.0], np.ones((4, 1)))
+        assert strategy_values(m, [1.0], np.ones((4, 1))).tolist() == [1.1] * 4
+
+    def test_wide_strategy_values_refused(self):
+        m = two_factor_market()
+        with pytest.raises(IndexError, match="exceeds truncation level"):
+            strategy_values(m, [1.0, 2.0, 3.0], np.ones((4, 3)))
+
 
 class TestOrthonormality:
     @settings(deadline=None, max_examples=50)

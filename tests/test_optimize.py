@@ -276,7 +276,7 @@ class TestRowBlocks:
         X = gen.standard_normal((K, n))
         a = gen.standard_normal(n)
         c = gen.uniform(0.0, 2.0, n) * (gen.random(n) < 0.9)  # some zeros
-        g, G = optimize._row_blocks(X, a, c)
+        g, G = optimize._row_sums(X, a), optimize._row_gram(X, c)
         # bounds on the rounding of either summation order
         assert np.all(np.abs(g - X @ a) <= 1e-12 * (np.abs(X) @ np.abs(a)))
         assert np.all(np.abs(G - (X * c) @ X.T) <= 1e-12 * ((np.abs(X) * c) @ np.abs(X).T))
@@ -308,26 +308,10 @@ class TestRowBlocks:
         blocks = -(-n // optimize.ROW_BLOCK)
         for b in gen.choice(blocks, gen.integers(0, blocks + 1), replace=False):
             c[b * optimize.ROW_BLOCK:(b + 1) * optimize.ROW_BLOCK] = 0.0
-        g, G = optimize._row_blocks(X, a, c)
+        g, G = optimize._row_sums(X, a), optimize._row_gram(X, c)
         g0, G0 = self.unskipped_row_blocks(X, a, c)
         assert np.array_equal(g, g0) and np.array_equal(G, G0)
-        g, G = optimize._row_blocks(X, a, np.zeros(n))
-        assert np.array_equal(g, g0) and not G.any()
-
-    @settings(deadline=None, max_examples=20)
-    @given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
-    def test_halves_alone_match_both_bit_for_bit(self, K, seed):
-        # a row set's pass asks for the gradient half alone, and its
-        # Hessian for the other half alone
-        gen = np.random.Generator(np.random.Philox(key=seed))
-        X = gen.standard_normal((K, 3 * optimize.ROW_BLOCK + 17))
-        a, c = X[0].copy(), np.abs(X[-1])
-        g, G = optimize._row_blocks(X, a, c)
-        g_alone, none_G = optimize._row_blocks(X, a, None)
-        none_g, G_alone = optimize._row_blocks(X, None, c)
-        assert none_G is None and none_g is None
-        assert g_alone.tobytes() == g.tobytes()
-        assert G_alone.tobytes() == G.tobytes()
+        assert not optimize._row_gram(X, np.zeros(n)).any()
 
     @staticmethod
     def hashes_per_thread_count(Ks):
@@ -337,7 +321,8 @@ class TestRowBlocks:
                 "    gen = np.random.Generator(np.random.Philox(key=K))\n"
                 "    X = gen.standard_normal((K, 3 * optimize.ROW_BLOCK + 17))\n"
                 "    b = gen.uniform(-1.0, 1.0, K)\n"
-                "    g, G = optimize._row_blocks(X, X[0], np.abs(X[-1]), b)\n"
+                "    g = optimize._row_sums(X, X[0], b)\n"
+                "    G = optimize._row_gram(X, np.abs(X[-1]), b)\n"
                 "    v = optimize._payoffs(X, X[:, 0], b)\n"
                 "    V = optimize._payoffs(X, gen.uniform(-1.0, 1.0, (25, K)), b)\n"
                 "    h = hashlib.sha256(g.tobytes() + G.tobytes() + v.tobytes() + V.tobytes())\n"
@@ -403,9 +388,10 @@ GRID_UTILITIES = (appendix_power(0.5),
 
 
 def grid_f_g_H(xs, probs, u, p):
-    """f, g and the Hessian at p from an exact solve's value call and pass."""
-    f, memo = optimize._grid_value(u, xs, probs)(p)
-    g, hessian, _ = optimize._grid_pass(xs)(memo)
+    """f, g and the Hessian at p from an exact solve's value call and its
+    step."""
+    f, step = optimize._grid_value(u, xs, probs)(p)
+    g, hessian, _ = step()
     return f, g, hessian()
 
 
@@ -444,7 +430,7 @@ def grid_oracle(xs, probs, u, p):
 
 class TestGridStaircase:
     """An exact solve's value and gradient on the staircase
-    (``_grid_value``, ``_grid_pass``) against whole-array sums."""
+    (``_grid_value`` and its step) against whole-array sums."""
 
     @settings(deadline=None, max_examples=80)
     @given(st.one_of(product_supports(), split_laws), st.sampled_from(GRID_UTILITIES),
@@ -487,18 +473,18 @@ class TestGridStaircase:
     @given(st.one_of(product_supports(), split_laws), st.sampled_from(GRID_UTILITIES),
            st.integers(0, 2 ** 32 - 1))
     def test_kept_scratch_matches_fresh_bit_for_bit(self, supports, u, seed):
-        # a solve's value calls, passes and Hessians share the staircase's
-        # scratch, each leaving it dirty for the next, and a memo is read
+        # a solve's value calls, steps and Hessians share the staircase's
+        # scratch, each leaving it dirty for the next, and a step runs
         # after later value calls (the line search's trials)
         xs, probs = supports
         gen = np.random.Generator(np.random.Philox(key=seed))
         p, q = gen.uniform(-2.0, 2.0, (2, len(xs)))
         want = grid_f_g_H(xs, probs, u, p)
-        value, step_pass = optimize._grid_value(u, xs, probs), optimize._grid_pass(xs)
+        value = optimize._grid_value(u, xs, probs)
         for x in (q, p):
-            f, memo = value(x)
+            f, step = value(x)
             value(q + 1.0)
-            grad, hessian, _ = step_pass(memo)
+            grad, hessian, _ = step()
             value(q - 1.0)
             G = hessian()
         assert [np.float64(f).tobytes(), grad.tobytes(), G.tobytes()] == [
@@ -552,8 +538,8 @@ def curvature_grids(draw):
 
 class TestGridHessian:
     """An exact solve's Hessian, one rising staircase of u'' over the
-    memo's sorted tile (``_grid_value``, ``_grid_pass``), against the
-    materialized grid."""
+    value call's sorted tile (``_grid_value``), against the materialized
+    grid."""
 
     @staticmethod
     def check(xs, probs, u, p):
@@ -617,7 +603,7 @@ class TestFold:
         steps = min(n, optimize.ROW_BLOCK) + n / optimize.ROW_BLOCK
         v = optimize._payoffs(E, phi, b)
         assert np.all(np.abs(v - phi.astype(ld) @ X) <= (K + 2) * unit * (np.abs(phi) @ mag))
-        g, G = optimize._row_blocks(E, a, c, b)
+        g, G = optimize._row_sums(E, a, b), optimize._row_gram(E, c, b)
         assert np.all(np.abs(g - X @ a.astype(ld)) <= (steps + 2) * unit * (mag @ np.abs(a)))
         assert np.all(np.abs(G - (X * c.astype(ld)) @ X.T)
                       <= (steps + 10) * unit * ((mag * c) @ mag.T))
@@ -631,7 +617,7 @@ class TestFold:
         z_err = float(np.max((K + 2) * unit * (np.abs(lam) @ mag)))
         exact_L = z.max() + np.log(np.sum(w * np.exp(z - z.max())))
         assert abs(L - exact_L) <= 3 * z_err + (n + 4) * unit * (1 + abs(L))
-        r, _ = optimize._row_blocks(E, y, None, b)
+        r = optimize._row_sums(E, y, b)
         assert np.all(np.abs(r - X @ y.astype(ld)) <= (steps + 2) * unit * (mag @ y))
 
     def test_memory_order_gives_the_same_bits(self):
@@ -881,12 +867,13 @@ class TestProductPass:
         assert_witness(s.draws - B.b, phi)
 
     def test_identical_across_blas_thread_counts(self):
-        # an exact solve's BLAS calls are _row_blocks' on the two designs,
-        # for the gradient and the Hessian, and the Hessian's sums against
-        # the tile design (``_panel_sums``), on 128 heads by a 4096-point
-        # tile at K = 19 and on three-point laws at K = 12, 243 heads by a
-        # 2187-point tile.  The last grid puts a 20 000-point law ahead of
-        # a 9-point tile: 7281 heads a group, in panels of PANEL heads
+        # an exact solve's BLAS calls are _row_sums' and _row_gram's on the
+        # two designs, for the gradient and the Hessian, and the Hessian's
+        # sums against the tile design (``_panel_sums``), on 128 heads by a
+        # 4096-point tile at K = 19 and on three-point laws at K = 12, 243
+        # heads by a 2187-point tile.  The last grid puts a 20 000-point
+        # law ahead of a 9-point tile: 7281 heads a group, in panels of
+        # PANEL heads
         code = ("import hashlib, numpy as np\n"
                 "from apmopt import optimize, build_market, enumerate_scenarios\n"
                 "from apmopt import appendix_power, finite_discrete, rademacher\n"
@@ -897,8 +884,8 @@ class TestProductPass:
                 "    xs = [np.array(law.points) - b for b in gen.uniform(-0.3, 0.3, K)]\n"
                 "    probs = [np.array(law.probs)] * K\n"
                 "    p = gen.standard_normal(K)\n"
-                "    f, memo = optimize._grid_value(u, xs, probs)(p)\n"
-                "    g, hessian, _ = optimize._grid_pass(xs)(memo)\n"
+                "    f, step = optimize._grid_value(u, xs, probs)(p)\n"
+                "    g, hessian, _ = step()\n"
                 "    G = hessian()\n"
                 "    model = build_market(1, K, mu=[-0.4 / i for i in range(1, K + 1)],\n"
                 "                         beta=[[0.0]] * (K - 1), beta_bar=[1.0] * K, noise=law)\n"
@@ -910,8 +897,8 @@ class TestProductPass:
                 "gen = np.random.Generator(np.random.Philox(key=3))\n"
                 "xs = [gen.standard_normal(20_000)] + [np.array(three.points) - 0.1] * 2\n"
                 "probs = [np.full(20_000, 1 / 20_000)] + [np.array(three.probs)] * 2\n"
-                "f, memo = optimize._grid_value(u, xs, probs)(np.array([0.7, -1.1, 0.4]))\n"
-                "print(hashlib.sha256(optimize._grid_pass(xs)(memo)[1]().tobytes()).hexdigest())\n")
+                "f, step = optimize._grid_value(u, xs, probs)(np.array([0.7, -1.1, 0.4]))\n"
+                "print(hashlib.sha256(step()[1]().tobytes()).hexdigest())\n")
         one, two = stdout_per_blas_thread_count(code)
         assert one == two
 
@@ -1025,34 +1012,43 @@ class TestHessianOnDemand:
     row set and an empty cut in product form, so the matrix is zero."""
 
     @staticmethod
-    def log_halves(monkeypatch, name):
-        """Wrap the blocks kernel optimize.<name> to log the halves each call
-        forms: "g", "H", or "H0" for a Hessian half with c all zero."""
+    def log_halves(monkeypatch):
+        """Wrap the row reductions to log each call: "g" for
+        optimize._row_sums, and for optimize._row_gram "H", or "H0" with c
+        all zero."""
         calls = []
-        kernel = getattr(optimize, name)
+        sums, gram = optimize._row_sums, optimize._row_gram
 
-        def logged(x, a, c, *scratch):
-            calls.append("g" if c is None else "H" if c.any() else "H0")
-            assert (a is None) != (c is None)
-            return kernel(x, a, c, *scratch)
-        monkeypatch.setattr(optimize, name, logged)
+        def logged_sums(E, a, *shift):
+            calls.append("g")
+            return sums(E, a, *shift)
+
+        def logged_gram(E, c, *shift):
+            calls.append("H" if c.any() else "H0")
+            return gram(E, c, *shift)
+        monkeypatch.setattr(optimize, "_row_sums", logged_sums)
+        monkeypatch.setattr(optimize, "_row_gram", logged_gram)
         return calls
 
     @staticmethod
     def log_grid_passes(monkeypatch, u):
-        """Wrap an exact solve's pass (optimize._grid_pass) to log "g" per
-        gradient, and its staircase (optimize._staircase) to log "H" per
-        Hessian: a run of u's second kernel.  Returns the log and the
-        staircase's mock."""
+        """Wrap an exact solve's value (optimize._grid_value) so that each
+        step logs "g" per gradient, and its staircase (optimize._staircase)
+        to log "H" per Hessian: a run of u's second kernel.  Returns the
+        log and the staircase's mock."""
         calls = []
-        grid_pass, staircase = optimize._grid_pass, optimize._staircase
+        grid_value, staircase = optimize._grid_value, optimize._staircase
 
-        def logged_pass(*args):
-            step_pass = grid_pass(*args)
+        def logged_value(*args):
+            value = grid_value(*args)
 
-            def logged(memo):
-                calls.append("g")
-                return step_pass(memo)
+            def logged(p):
+                f, step = value(p)
+
+                def logged_step():
+                    calls.append("g")
+                    return step()
+                return f, logged_step
             return logged
 
         def logged_staircase(kernel, *args):
@@ -1060,7 +1056,7 @@ class TestHessianOnDemand:
                 calls.append("H")
             return staircase(kernel, *args)
         stair = mock.Mock(wraps=logged_staircase)
-        monkeypatch.setattr(optimize, "_grid_pass", logged_pass)
+        monkeypatch.setattr(optimize, "_grid_value", logged_value)
         monkeypatch.setattr(optimize, "_staircase", stair)
         return calls, stair
 
@@ -1084,7 +1080,7 @@ class TestHessianOnDemand:
         if kind == "exact":
             calls, stair = self.log_grid_passes(monkeypatch, u)
         else:
-            calls = self.log_halves(monkeypatch, "_row_blocks")
+            calls = self.log_halves(monkeypatch)
             stair = mock.Mock(wraps=optimize._staircase)
             monkeypatch.setattr(optimize, "_staircase", stair)
         second = optimize.eval_u_second
@@ -1116,7 +1112,7 @@ class TestHessianOnDemand:
     def test_ladder_levels_hessian_schedule(self, monkeypatch):
         model = rademacher_market([0.4 / i for i in range(1, 7)])
         s = sample_scenarios(model, 5000, 8)
-        calls = self.log_halves(monkeypatch, "_row_blocks")
+        calls = self.log_halves(monkeypatch)
         second = mock.Mock(wraps=optimize.eval_u_second)
         monkeypatch.setattr(optimize, "eval_u_second", second)
         report = truncation_ladder(model, appendix_power(0.5),
@@ -1132,7 +1128,7 @@ class TestHessianOnDemand:
         # second step already reuses it
         model = rademacher_market([0.3, 0.1, 0.05])
         s = sample_scenarios(model, 2000, 4)
-        calls = self.log_halves(monkeypatch, "_row_blocks")
+        calls = self.log_halves(monkeypatch)
         loop = optimize._damped_newton
         steps = []
 
@@ -1154,18 +1150,18 @@ class TestHessianOnDemand:
 
         def value(x):
             log.append("f")
-            return f(x[0]), x.copy()
+            x = x.copy()
 
-        def step_pass(x):
-            log.append(" g")
+            def step():
+                log.append(" g")
 
-            def hessian():
-                log.append("H")
-                return np.array([[hess(x[0])]])
-            return np.array([grad(x[0])]), hessian, None
+                def hessian():
+                    log.append("H")
+                    return np.array([[hess(x[0])]])
+                return np.array([grad(x[0])]), hessian, None
+            return f(x[0]), step
         done = done or (lambda g, _: abs(g[0]) <= 1e-10)
-        optimize._damped_newton(step_pass, value, np.array([x0]), done,
-                                max_iter=100, slack=slack)
+        optimize._damped_newton(value, np.array([x0]), done, max_iter=100, slack=slack)
         return "".join(log).split()
 
     def test_chord_refresh_triggers(self):
@@ -1190,52 +1186,68 @@ class TestHessianOnDemand:
             "f", "gHf", "gf", "gHf", "gf", "gHf", "gHf", "gHf", "g"]
 
     @pytest.mark.parametrize("u", GRID_UTILITIES, ids=["appendix_power", "tabulated"])
-    def test_zero_curvature_product_pass_runs_no_reduction(self, monkeypatch, u):
+    def test_product_hessian_runs_one_staircase_and_its_reductions(self, monkeypatch, u):
         # three-point laws at K = 9: 9 heads by a 2187-point tile of 7
-        # coordinates.  A table's u'' is 0 everywhere, so its Hessian is
-        # the zero matrix with no staircase and no reduction; appendix
-        # power's runs u'' on one staircase and takes one reduction per
-        # design and one per tile coordinate
+        # coordinates.  Either kind runs u'' on one staircase and takes one
+        # Gram reduction per design and one row sum per tile coordinate.
+        # A table's u'' is 0 everywhere, so its Hessian is the zero matrix;
+        # appendix power's has a negative diagonal
         xs = [np.array([-1.0, 0.5, 1.0]) - b for b in np.linspace(-0.3, 0.3, 9)]
         probs = [np.array([0.25, 0.5, 0.25])] * 9
-        _, memo = optimize._grid_value(u, xs, probs)(np.linspace(-1.0, 1.0, 9))
-        _, hessian, _ = optimize._grid_pass(xs)(memo)
-        blocks = mock.Mock(wraps=optimize._row_blocks)
+        _, step = optimize._grid_value(u, xs, probs)(np.linspace(-1.0, 1.0, 9))
+        _, hessian, _ = step()
+        sums = mock.Mock(wraps=optimize._row_sums)
+        gram = mock.Mock(wraps=optimize._row_gram)
         stair = mock.Mock(wraps=optimize._staircase)
-        monkeypatch.setattr(optimize, "_row_blocks", blocks)
+        monkeypatch.setattr(optimize, "_row_sums", sums)
+        monkeypatch.setattr(optimize, "_row_gram", gram)
         monkeypatch.setattr(optimize, "_staircase", stair)
         G = hessian()
         assert G.shape == (9, 9)
+        assert (gram.call_count, sums.call_count) == (2, 7)
+        assert [c.args[0] for c in stair.call_args_list] == [u._kernels.second]
         if u.kind == "tabulated":
-            assert memo[2] is None
-            assert not G.any() and blocks.call_count == stair.call_count == 0
+            assert not G.any()
         else:
-            assert np.all(np.diag(G) < 0) and blocks.call_count == 2 + 7
-            assert [c.args[0] for c in stair.call_args_list] == [u._kernels.second]
+            assert np.all(np.diag(G) < 0)
 
     @pytest.mark.parametrize("exact", [True, False], ids=["product_form", "rows"])
-    def test_table_solve_never_runs_its_second_derivative(self, monkeypatch, exact):
-        # u'' = 0 for a table, so no Hessian runs it, on either path, and
-        # every step is the one that running u'' gives, bit for bit
+    def test_table_solve_forms_zero_hessians(self, monkeypatch, exact):
+        # u'' = 0 for a table, so on either path every Hessian its solve
+        # forms is the zero matrix, one per step (a zero H is never
+        # reused), and every step is the one that the zero matrix, taken
+        # with no pass, gives, bit for bit
         model = rademacher_market([0.4 / i for i in range(1, 17)])
         s = enumerate_scenarios(model)
         xs = np.linspace(-20.0, 20.0, 401)
         u = tabulated(xs, eval_u(appendix_power(0.5), xs))
-        runs_second = tabulated(xs, eval_u(appendix_power(0.5), xs))
-        object.__setattr__(runs_second, "_kernels", u._kernels._replace(curved=True))
-        want = optimize_truncated(model, runs_second, None, s if exact else row_set(s),
-                                  SolverConfig(max_iter=6))
-        second = mock.Mock(side_effect=AssertionError("u'' ran"))
-        monkeypatch.setattr(optimize, "eval_u_second", second)
-        stair = optimize._staircase
+        loop = optimize._damped_newton
 
-        def no_second(kernel, *args):
-            assert kernel is not u._kernels.second
-            return stair(kernel, *args)
-        monkeypatch.setattr(optimize, "_staircase", no_second)
-        got = optimize_truncated(model, u, None, s if exact else row_set(s),
-                                 SolverConfig(max_iter=6))
+        def solve(zero):
+            hessians = []
+
+            def logged_loop(value, *args, **kwargs):
+                def logged_value(p):
+                    f, step = value(p)
+
+                    def logged_step():
+                        g, hessian, aux = step()
+
+                        def logged_hessian():
+                            H = np.zeros((p.size, p.size)) if zero else hessian()
+                            hessians.append(H)
+                            return H
+                        return g, logged_hessian, aux
+                    return f, logged_step
+                return loop(logged_value, *args, **kwargs)
+            monkeypatch.setattr(optimize, "_damped_newton", logged_loop)
+            res = optimize_truncated(model, u, None, s if exact else row_set(s),
+                                     SolverConfig(max_iter=6))
+            return res, hessians
+        want, _ = solve(True)
+        got, hessians = solve(False)
         assert optimize._product_form(s) and got.iterations == 6
+        assert len(hessians) == 6 and not any(H.any() for H in hessians)
         assert (got.phi_star.tobytes(), got.value) == (want.phi_star.tobytes(), want.value)
 
 
